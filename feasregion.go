@@ -6,8 +6,8 @@ import (
 	"feasregion/internal/adapt"
 	"feasregion/internal/cluster"
 	"feasregion/internal/core"
-	"feasregion/internal/degrade"
 	"feasregion/internal/curve"
+	"feasregion/internal/degrade"
 	"feasregion/internal/des"
 	"feasregion/internal/dist"
 	"feasregion/internal/metrics"

@@ -58,6 +58,7 @@ type Controller struct {
 	scales   []float64       // per-stage demand multipliers; nil until first SetStageScale
 	scratch  []float64       // reusable deltas buffer; the controller is single-threaded (DES)
 	levels   map[task.ID]int // quality level of admitted tasks below full quality
+	expiries *expiry         // free list of deadline-decrement timers
 
 	onRelease []func(now des.Time)
 	onChange  func(stage int, now des.Time, u float64)
@@ -380,18 +381,40 @@ func (c *Controller) commit(t *task.Task, d []float64) {
 	for j, l := range c.ledgers {
 		l.Add(t.ID, d[j])
 	}
-	id := t.ID
-	c.sim.At(t.AbsoluteDeadline(), func() {
-		for _, l := range c.ledgers {
-			l.Remove(id)
-		}
-		delete(c.levels, id)
-		c.notifyChange()
-		c.fireRelease()
-	})
+	e := c.expiries
+	if e != nil {
+		c.expiries = e.next
+	} else {
+		e = &expiry{c: c}
+	}
+	e.id = t.ID
+	c.sim.AtTimer(t.AbsoluteDeadline(), e)
 	c.stats.Admitted++
 	c.metAdmitted.Inc()
 	c.notifyChange()
+}
+
+// expiry is the pooled des.Timer behind a committed task's deadline
+// decrement. Records cycle through the controller's free list, so a
+// steady admit/expire stream schedules without allocating (a capturing
+// closure per admission would be a heap object).
+type expiry struct {
+	c    *Controller
+	id   task.ID
+	next *expiry
+}
+
+// Fire removes the task's contributions at its absolute deadline.
+func (e *expiry) Fire(des.Time) {
+	c, id := e.c, e.id
+	// Recycle first: the release hooks below may admit, and reuse e.
+	e.next, c.expiries = c.expiries, e
+	for _, l := range c.ledgers {
+		l.Remove(id)
+	}
+	delete(c.levels, id)
+	c.notifyChange()
+	c.fireRelease()
 }
 
 // EstimateFor returns the demand estimate the admission test would use

@@ -23,12 +23,28 @@ type Ledger struct {
 	reserved float64
 	sum      float64 // compensated running sum of contributions
 	comp     float64 // Kahan compensation term
-	contrib  map[task.ID]float64
-	departed map[task.ID]struct{}
+	contrib  map[task.ID]entry
+	// departed lists the IDs flagged by MarkDeparted since the last idle
+	// reset, append-only: an entry goes stale (its task expired, or was
+	// removed and re-added) without being unlinked, and ResetIdle skips
+	// stale and duplicate IDs as it drains. pending counts the flagged
+	// entries the list must still deliver.
+	departed []task.ID
+	pending  int
 	resets   uint64
 	peak     float64
-	scratch  []task.ID // reusable ResetIdle drain buffer
 }
+
+// entry is one task's recorded contribution and whether it has departed
+// the stage (making it eligible for the idle reset).
+type entry struct {
+	c        float64
+	departed bool
+}
+
+// compactMin is the departed-list length below which compaction is not
+// worth a sort.
+const compactMin = 64
 
 // NewLedger returns a ledger with the given reserved utilization floor.
 func NewLedger(reserved float64) *Ledger {
@@ -37,8 +53,7 @@ func NewLedger(reserved float64) *Ledger {
 	}
 	return &Ledger{
 		reserved: reserved,
-		contrib:  map[task.ID]float64{},
-		departed: map[task.ID]struct{}{},
+		contrib:  map[task.ID]entry{},
 	}
 }
 
@@ -93,7 +108,7 @@ func (l *Ledger) Add(id task.ID, contribution float64) {
 	if contribution < 0 {
 		panic("core: negative synthetic-utilization contribution")
 	}
-	l.contrib[id] = contribution
+	l.contrib[id] = entry{c: contribution}
 	l.add(contribution)
 	if u := l.Utilization(); u > l.peak {
 		l.peak = u
@@ -117,11 +132,13 @@ func (l *Ledger) Update(id task.ID, contribution float64) bool {
 	if contribution < 0 {
 		panic("core: negative synthetic-utilization contribution")
 	}
-	old, ok := l.contrib[id]
+	e, ok := l.contrib[id]
 	if !ok {
 		return false
 	}
-	l.contrib[id] = contribution
+	old := e.c
+	e.c = contribution
+	l.contrib[id] = e
 	l.add(contribution - old)
 	if u := l.Utilization(); u > l.peak {
 		l.peak = u
@@ -145,8 +162,8 @@ func (l *Ledger) TaskIDs() []task.ID {
 // may Remove the task it was called with (Go map iteration permits
 // deleting the current key) but must not add or remove other entries.
 func (l *Ledger) RangeTasks(fn func(id task.ID, contribution float64) bool) {
-	for id, c := range l.contrib {
-		if !fn(id, c) {
+	for id, e := range l.contrib {
+		if !fn(id, e.c) {
 			return
 		}
 	}
@@ -155,8 +172,8 @@ func (l *Ledger) RangeTasks(fn func(id task.ID, contribution float64) bool) {
 // Contribution returns the task's recorded contribution and whether it
 // is still present.
 func (l *Ledger) Contribution(id task.ID) (float64, bool) {
-	c, ok := l.contrib[id]
-	return c, ok
+	e, ok := l.contrib[id]
+	return e.c, ok
 }
 
 // Remove drops a task's contribution (called at its absolute deadline)
@@ -164,13 +181,15 @@ func (l *Ledger) Contribution(id task.ID) (float64, bool) {
 // a no-op: the contribution may already have been cleared by an idle
 // reset.
 func (l *Ledger) Remove(id task.ID) bool {
-	c, ok := l.contrib[id]
+	e, ok := l.contrib[id]
 	if !ok {
 		return false
 	}
-	delete(l.contrib, id)
-	delete(l.departed, id)
-	l.add(-c)
+	delete(l.contrib, id) // a departed-list entry for id is now stale
+	if e.departed {
+		l.pending--
+	}
+	l.add(-e.c)
 	if len(l.contrib) == 0 {
 		// Exact rebaseline whenever the ledger empties: kills any
 		// residual floating error before the next busy period.
@@ -183,10 +202,19 @@ func (l *Ledger) Remove(id task.ID) bool {
 // stage (it can no longer affect this stage's schedule), making its
 // contribution eligible for the idle reset.
 func (l *Ledger) MarkDeparted(id task.ID) {
-	if _, ok := l.contrib[id]; !ok {
-		return // contribution already expired or reset
+	e, ok := l.contrib[id]
+	if !ok || e.departed {
+		return // contribution already expired or reset, or already marked
 	}
-	l.departed[id] = struct{}{}
+	e.departed = true
+	l.contrib[id] = e
+	l.pending++
+	if n := len(l.departed); n >= compactMin && n >= 2*l.pending {
+		// Stale entries dominate (a stage that never idles sees its
+		// departed tasks expire instead): compact before growing.
+		l.departed = l.drain(false)
+	}
+	l.departed = append(l.departed, id)
 }
 
 // ResetIdle implements the paper's idle reset: when the stage has no
@@ -194,27 +222,13 @@ func (l *Ledger) MarkDeparted(id task.ID) {
 // schedule, so their contributions are removed. It returns the number of
 // contributions dropped.
 func (l *Ledger) ResetIdle() int {
-	if len(l.departed) == 0 {
+	if l.pending == 0 {
+		l.departed = l.departed[:0] // only stale entries remain
 		return 0
 	}
-	// Drain in sorted ID order: the compensated sum is order-sensitive
-	// at the ULP level, so map order would make identically-seeded
-	// simulations diverge bit-for-bit.
-	ids := l.scratch[:0]
-	for id := range l.departed {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	l.scratch = ids[:0]
-	n := 0
-	for _, id := range ids {
-		if c, ok := l.contrib[id]; ok {
-			delete(l.contrib, id)
-			l.add(-c)
-			n++
-		}
-		delete(l.departed, id)
-	}
+	n := len(l.drain(true))
+	l.departed = l.departed[:0]
+	l.pending = 0
 	if len(l.contrib) == 0 {
 		l.sum, l.comp = 0, 0
 	}
@@ -222,4 +236,30 @@ func (l *Ledger) ResetIdle() int {
 		l.resets++
 	}
 	return n
+}
+
+// drain sorts the departed list and compacts it in place to the live
+// flagged IDs, each once, in ascending order; with remove set it also
+// drops their contributions from the running sum, in that order. The
+// compensated sum is order-sensitive at the ULP level, so a fixed
+// (sorted) order keeps identically-seeded simulations bit-identical.
+func (l *Ledger) drain(remove bool) []task.ID {
+	ids := l.departed
+	slices.Sort(ids)
+	live := ids[:0]
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			continue // duplicate: the task was removed, re-added and re-marked
+		}
+		e, ok := l.contrib[id]
+		if !ok || !e.departed {
+			continue // stale: expired, or re-added and not yet departed
+		}
+		if remove {
+			delete(l.contrib, id)
+			l.add(-e.c)
+		}
+		live = append(live, id)
+	}
+	return live
 }

@@ -79,6 +79,7 @@ type Wheel struct {
 	ripe        []Entry        // already due when pushed or cascaded; drained next advance
 	overflow    []Entry        // further than Span ticks ahead
 	overflowMin int64          // math.MaxInt64 when overflow is empty
+	refile      []Entry        // scratch copy of a bucket being re-filed
 
 	// slots is the id→location cancellation index: Remove unlinks an
 	// entry eagerly in O(1) (swap-remove from its bucket) instead of
@@ -289,16 +290,24 @@ func (w *Wheel) cascade() {
 	}
 }
 
-// spill detaches a bucket and re-files its items relative to the
+// spill empties a bucket and re-files its items relative to the
 // current cursor (one level down, or ripe when already due).
 func (w *Wheel) spill(bucket *[]Entry) {
-	b := *bucket
-	if len(b) == 0 {
+	if len(*bucket) == 0 {
 		return
 	}
-	*bucket = nil // detach: place may append to the same slot
-	w.inLevels -= len(b)
-	for _, e := range b {
+	w.inLevels -= len(*bucket)
+	w.refileAll(bucket)
+}
+
+// refileAll re-files every item of a bucket, in order. The items move to
+// the wheel's scratch buffer first and the bucket keeps its capacity, so
+// a cascade allocates nothing once the buffers have grown; place may
+// append to the bucket being emptied.
+func (w *Wheel) refileAll(bucket *[]Entry) {
+	w.refile = append(w.refile[:0], *bucket...)
+	*bucket = (*bucket)[:0]
+	for _, e := range w.refile {
 		if tick := w.tickOf(e.At); tick < w.cur {
 			w.fileRipe(e)
 		} else {
@@ -313,16 +322,8 @@ func (w *Wheel) maybeRefileOverflow() {
 	if len(w.overflow) == 0 || w.tickOf(w.overflowMin) >= w.cur+Span {
 		return
 	}
-	of := w.overflow
-	w.overflow = nil
 	w.overflowMin = math.MaxInt64
-	for _, e := range of {
-		if tick := w.tickOf(e.At); tick < w.cur {
-			w.fileRipe(e)
-		} else {
-			w.place(e, tick)
-		}
-	}
+	w.refileAll(&w.overflow)
 }
 
 // Earliest returns a lower bound (UnixNano) on the next pending entry

@@ -326,3 +326,44 @@ func TestWheelOccupancyBitmap(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelCascadeAllocationFree pins a steady push/advance cycle at
+// zero allocations once the buckets have grown: the cycle files entries
+// into level 0, level 1, level 2 and overflow, so cascades and overflow
+// re-files run, and none of them may throw a bucket's backing array
+// away.
+func TestWheelCascadeAllocationFree(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		base := time.Unix(1_000_000, 0)
+		g := time.Millisecond
+		w := New(g, base, indexed)
+		now := base.UnixNano()
+		deltas := []int64{3, 70, 5000, 2 * Span} // ticks ahead: level 0, 1, 2, overflow
+		var id uint64
+		fired := 0
+		expire := func(Entry) { fired++ }
+		cycle := func() {
+			w.Push(now+deltas[id%uint64(len(deltas))]*int64(g), id)
+			id++
+			now += int64(g)
+			w.AdvanceTo(now, expire)
+		}
+		for i := 0; i < 2*Span; i++ { // overflow periods: every bucket at its peak
+			cycle()
+		}
+		// One run is a Span of cycles: every level-1 and level-2 bucket
+		// cascades and the overflow list is re-filed. (AllocsPerRun
+		// truncates the per-run mean, so a run must cover a whole period.)
+		span := func() {
+			for i := 0; i < Span; i++ {
+				cycle()
+			}
+		}
+		if allocs := testing.AllocsPerRun(1, span); allocs != 0 {
+			t.Fatalf("indexed=%v: push/advance cycle: %v allocs, want 0", indexed, allocs)
+		}
+		if fired == 0 || w.Count() == 0 {
+			t.Fatalf("indexed=%v: cycle did not exercise the wheel (fired %d, pending %d)", indexed, fired, w.Count())
+		}
+	}
+}

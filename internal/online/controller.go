@@ -149,9 +149,9 @@ type Controller struct {
 	mu      sync.Mutex
 	ledgers []*core.Ledger
 	wheel   *expiry.Wheel
-	scales  []float64 // per-stage demand multipliers (degraded stages)
-	maxNow  time.Time // monotone high-water mark of observed clock
-	waiters []*waiter // FIFO of blocked AdmitWithin callers
+	scales  []float64           // per-stage demand multipliers (degraded stages)
+	maxNow  time.Time           // monotone high-water mark of observed clock
+	waiters []*waiter           // FIFO of blocked AdmitWithin callers
 	reapSet map[uint64]struct{} // reusable scratch for Reconcile
 	// levels records the quality level of requests admitted (or retuned)
 	// below full quality; absent means full. Guarded by mu, cleaned on

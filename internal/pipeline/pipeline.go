@@ -228,12 +228,13 @@ type Pipeline struct {
 	policy task.Policy
 	prng   *dist.RNG
 
-	shedding    bool
-	degradation bool
-	governor    *degrade.Governor
-	guard       *core.Guard
-	faults      *faults.Injector
-	inflight map[task.ID]*inflight
+	shedding      bool
+	degradation   bool
+	governor      *degrade.Governor
+	guard         *core.Guard
+	faults        *faults.Injector
+	inflight      map[task.ID]*inflight
+	free          *inflight // recycled in-flight records (see release)
 	tracer        *trace.Recorder
 	health        *obs.Monitor
 	healthReplica int
@@ -286,12 +287,16 @@ type ClassMetrics struct {
 	Shed      uint64
 }
 
-// inflight tracks one chain task's progress through the stages.
+// inflight tracks one chain task's progress through the stages. A chain
+// task is resident on one stage at a time, so the record carries that
+// stage's job and is its completion target: advancing a task allocates
+// nothing. Records recycle through the pipeline's free list.
 type inflight struct {
+	p        *Pipeline
 	t        *task.Task
 	stage    int
-	job      *sched.Job // current stage's job, for shedding cancellation
-	injected bool       // bypassed admission (certified critical): never guarded
+	job      sched.Job // the current (or last) stage's job
+	injected bool      // bypassed admission (certified critical): never guarded
 	// level is the task's current quality level (task.QualityLevels when
 	// admitted at full quality or rigid); trims lower it in place.
 	level int
@@ -299,6 +304,7 @@ type inflight struct {
 	// expired in (−1 while the deadline has not passed) — the miss
 	// attribution behind feasregion_pipeline_misses{stage=...}.
 	missStage int
+	next      *inflight // free-list link
 }
 
 // New builds a pipeline on the simulator.
@@ -739,17 +745,15 @@ func (p *Pipeline) applyTrim(f *inflight, level int) bool {
 	if p.measuring {
 		p.trimmedTasks++
 	}
-	if f.job != nil {
-		j := f.stage
-		sub := f.t.Subtasks[j]
-		if sub.Optional > 0 && len(sub.Segments) == 0 && sub.Demand > 0 {
-			d := f.t.StageDemandAt(j, level)
-			budget := math.Inf(1)
-			if p.guard != nil && !f.injected {
-				budget = p.guard.Budget(f.t, j) * d / sub.Demand
-			}
-			p.stages[j].TrimTo(f.job, d, budget)
+	j := f.stage
+	sub := f.t.Subtasks[j]
+	if sub.Optional > 0 && len(sub.Segments) == 0 && sub.Demand > 0 {
+		d := f.t.StageDemandAt(j, level)
+		budget := math.Inf(1)
+		if p.guard != nil && !f.injected {
+			budget = p.guard.Budget(f.t, j) * d / sub.Demand
 		}
+		p.stages[j].TrimTo(&f.job, d, budget) // a no-op unless the job is resident
 	}
 	return true
 }
@@ -779,18 +783,26 @@ func (p *Pipeline) Governor() *degrade.Governor { return p.governor }
 // contributions evicted, and it is counted as shed rather than
 // completed.
 func (p *Pipeline) abort(f *inflight, kind string) {
-	if f.job != nil {
-		p.stages[f.stage].Cancel(f.job)
-		f.job = nil
-	}
-	delete(p.inflight, f.t.ID)
-	p.ctrl.Evict(f.t.ID)
+	t := f.t
+	p.stages[f.stage].Cancel(&f.job)
+	delete(p.inflight, t.ID)
+	p.release(f)
+	p.ctrl.Evict(t.ID)
 	p.metShed.Inc()
-	p.trace(f.t.ID, "admission", kind)
+	p.trace(t.ID, "admission", kind)
 	if p.measuring {
 		p.shed++
-		p.class(f.t).Shed++
+		p.class(t).Shed++
 	}
+}
+
+// release returns a finished or aborted record to the free list. Its job
+// is no longer resident anywhere and the record is unreachable from
+// p.inflight, so nothing can pass it to Stage.Cancel or TrimTo again;
+// clearing it drops the task pointer for the garbage collector.
+func (p *Pipeline) release(f *inflight) {
+	*f = inflight{next: p.free}
+	p.free = f
 }
 
 // class returns the per-class accumulator for the task's class label.
@@ -831,7 +843,13 @@ func (p *Pipeline) startAs(t *task.Task, injected bool, level int) {
 		p.classEntered = map[string]uint64{}
 	}
 	p.classEntered[t.Class]++
-	f := &inflight{t: t, stage: 0, injected: injected, missStage: -1, level: level}
+	f := p.free
+	if f != nil {
+		p.free = f.next
+	} else {
+		f = new(inflight)
+	}
+	*f = inflight{p: p, t: t, injected: injected, missStage: -1, level: level}
 	if p.inflight != nil {
 		p.inflight[t.ID] = f
 	}
@@ -865,33 +883,38 @@ func (p *Pipeline) advance(f *inflight, now des.Time) {
 		if p.guard != nil && !f.injected {
 			budget = p.guard.Budget(t, j) * ratio
 		}
-		enq := p.sim.Now()
-		f.job = p.stages[j].SubmitBudgeted(t.ID, t.Priority, sub, budget, func(done des.Time) {
-			if f.missStage < 0 {
-				// The deadline fell inside this stage's tenure: the task
-				// died here, whatever stages remain.
-				if dl := t.AbsoluteDeadline(); dl >= enq && dl < done {
-					f.missStage = j
-				}
-			}
-			if p.measuring {
-				p.stageDelays[j].Add(done - enq)
-			}
-			if p.health != nil {
-				// f.job is still this stage's completed job here; advance
-				// replaces it only after the observation. Degraded jobs
-				// declare their degraded demand, not the full one.
-				p.health.ObserveReplica(p.healthReplica, j, t.StageDemandAt(j, f.level), f.job.Consumed())
-			}
-			if p.adm != nil {
-				p.adm.MarkDeparted(j, t.ID)
-			}
-			f.stage++
-			p.advance(f, done)
-		})
+		p.stages[j].SubmitJob(&f.job, t.ID, t.Priority, sub, budget, f)
 		return
 	}
 	p.finish(f, now)
+}
+
+// Complete is the current stage's job completion: it records the stage
+// tenure, departs the task from the stage, and advances it.
+func (f *inflight) Complete(done des.Time) {
+	p, t, j := f.p, f.t, f.stage
+	enq := f.job.Submitted()
+	if f.missStage < 0 {
+		// The deadline fell inside this stage's tenure: the task died
+		// here, whatever stages remain.
+		if dl := t.AbsoluteDeadline(); dl >= enq && dl < done {
+			f.missStage = j
+		}
+	}
+	if p.measuring {
+		p.stageDelays[j].Add(done - enq)
+	}
+	if p.health != nil {
+		// f.job is still this stage's completed job here; advance reuses
+		// it only after the observation. Degraded jobs declare their
+		// degraded demand, not the full one.
+		p.health.ObserveReplica(p.healthReplica, j, t.StageDemandAt(j, f.level), f.job.Consumed())
+	}
+	if p.adm != nil {
+		p.adm.MarkDeparted(j, t.ID)
+	}
+	f.stage++
+	p.advance(f, done)
 }
 
 func (p *Pipeline) finish(f *inflight, now des.Time) {
@@ -899,6 +922,8 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 	if p.inflight != nil {
 		delete(p.inflight, t.ID)
 	}
+	level, missStage := f.level, f.missStage
+	p.release(f)
 	miss := now > t.AbsoluteDeadline()+1e-9
 	p.metDeparted.Inc()
 	p.trace(t.ID, "pipeline", "depart")
@@ -907,7 +932,7 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 		if p.metMissStage != nil {
 			// A deadline that expired before the first stage's tenure
 			// (e.g. while held in the wait queue) charges the entry stage.
-			j := f.missStage
+			j := missStage
 			if j < 0 {
 				j = 0
 			}
@@ -926,7 +951,7 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 	p.respP99.Add(resp)
 	p.missRatio.Observe(miss)
 	if !miss {
-		p.utility += t.Utility(f.level)
+		p.utility += t.Utility(level)
 	}
 	cm := p.class(t)
 	cm.Completed++

@@ -161,8 +161,20 @@ func TestCancelForeignJobReturnsFalse(t *testing.T) {
 	stA := New(sim, "a")
 	stB := New(sim, "b")
 	j := stA.Submit(1, 1, task.NewSubtask(5), nil)
-	if stB.Cancel(j) {
-		t.Fatal("stage B cancelled stage A's job")
+	queued := stA.Submit(2, 2, task.NewSubtask(1), nil) // slot 0 of A's ready heap
+	stB.Submit(3, 1, task.NewSubtask(5), nil)
+	stB.Submit(4, 2, task.NewSubtask(1), nil) // slot 0 of B's ready heap
+	var never Job                             // caller-owned storage, never submitted
+	for _, foreign := range []*Job{j, queued, &never} {
+		if stB.Cancel(foreign) {
+			t.Fatalf("stage B cancelled task %d's job, which it does not hold", foreign.TaskID)
+		}
+	}
+	if n := stB.ReadyLen(); n != 1 {
+		t.Fatalf("stage B ready queue holds %d jobs, want 1", n)
 	}
 	sim.Run()
+	if got := stB.Stats().Completed; got != 2 {
+		t.Fatalf("stage B completed %d jobs, want 2", got)
+	}
 }

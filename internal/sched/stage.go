@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -257,41 +256,59 @@ func (s *Stage) Submit(id task.ID, priority float64, sub task.Subtask, onComplet
 // against actual execution time, which the exec model may have inflated
 // beyond the nominal subtask demand.
 func (s *Stage) SubmitBudgeted(id task.ID, priority float64, sub task.Subtask, budget float64, onComplete func(now des.Time)) *Job {
+	var done Completer
+	if onComplete != nil {
+		done = completeFunc(onComplete)
+	}
+	j := new(Job)
+	s.SubmitJob(j, id, priority, sub, budget, done)
+	return j
+}
+
+// SubmitJob is SubmitBudgeted into job storage the caller owns, with
+// done (nil for none) notified at completion: a caller that keeps one Job
+// per in-flight task submits without allocating. j is reset first, so it
+// may be fresh or reused, but it must not be resident on any stage — the
+// stage holds it from here until done fires or Cancel returns true.
+func (s *Stage) SubmitJob(j *Job, id task.ID, priority float64, sub task.Subtask, budget float64, done Completer) {
 	if math.IsNaN(budget) || budget < 0 {
 		panic(fmt.Sprintf("sched: stage %q: invalid budget %v for task %d", s.name, budget, id))
 	}
-	segs := sub.SegmentsOrWhole()
+	*j = Job{
+		TaskID:    id,
+		base:      priority,
+		inherited: math.Inf(1),
+		seq:       s.seq,
+		budget:    budget,
+		submitted: s.sim.Now(),
+		done:      done,
+		heapIdx:   -1,
+	}
+	if len(sub.Segments) > 0 {
+		j.segments = sub.Segments
+	} else {
+		j.whole[0] = task.Segment{Duration: sub.Demand, Lock: task.NoLock}
+		j.segments = j.whole[:]
+	}
 	if s.execModel != nil {
-		// Transform a copy: SegmentsOrWhole may alias the task's own
-		// segment slice, which other stages and retries still read.
-		actual := make([]task.Segment, len(segs))
-		for i, seg := range segs {
+		if len(sub.Segments) > 0 {
+			// Transform a copy: explicit segments alias the task's own
+			// slice, which other stages and retries still read.
+			j.segments = append([]task.Segment(nil), sub.Segments...)
+		}
+		for i, seg := range j.segments {
 			d := s.execModel(id, seg.Duration)
 			if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 				panic(fmt.Sprintf("sched: stage %q: exec model returned %v for task %d", s.name, d, id))
 			}
-			actual[i] = task.Segment{Duration: d, Lock: seg.Lock}
+			j.segments[i].Duration = d
 		}
-		segs = actual
-	}
-	j := &Job{
-		TaskID:     id,
-		base:       priority,
-		inherited:  math.Inf(1),
-		seq:        s.seq,
-		segments:   segs,
-		budget:     budget,
-		submitted:  s.sim.Now(),
-		onComplete: onComplete,
-		heapIdx:    -1,
 	}
 	j.doneT = segmentDone{s: s, j: j}
 	j.watchT = watchdog{s: s, j: j}
 	s.seq++
-	if len(segs) > 0 {
-		j.segRemaining = segs[0].Duration
-	}
-	for _, seg := range segs {
+	j.segRemaining = j.segments[0].Duration
+	for _, seg := range j.segments {
 		if seg.Lock != task.NoLock {
 			if _, ok := s.locks[seg.Lock]; !ok {
 				panic(fmt.Sprintf("sched: stage %q: job uses unregistered lock %d", s.name, seg.Lock))
@@ -303,12 +320,11 @@ func (s *Stage) SubmitBudgeted(id task.ID, priority float64, sub task.Subtask, b
 		s.idle = false
 		s.busySince = s.sim.Now()
 	}
-	heap.Push(&s.ready, j)
+	s.ready.push(j)
 	if n := len(s.ready); n > s.stats.MaxReady {
 		s.stats.MaxReady = n
 	}
 	s.schedule()
-	return j
 }
 
 // schedule enforces the scheduling invariant: the running job is the most
@@ -334,7 +350,7 @@ func (s *Stage) scheduleLoop() {
 			s.goIdle()
 			return
 		}
-		j := heap.Pop(&s.ready).(*Job)
+		j := s.ready.pop()
 		if !s.tryEnterSegment(j) {
 			continue // j blocked under PCP; try the next ready job
 		}
@@ -404,7 +420,7 @@ func (s *Stage) block(j *Job, l *lock) {
 	if eff := j.Effective(); eff < h.inherited {
 		h.inherited = eff
 		if h.heapIdx >= 0 {
-			heap.Fix(&s.ready, h.heapIdx)
+			s.ready.fix(h.heapIdx)
 		}
 	}
 }
@@ -471,7 +487,7 @@ func (s *Stage) preempt() {
 	s.sim.Cancel(j.completion)
 	j.completion = des.Event{}
 	s.disarmWatch(j)
-	heap.Push(&s.ready, j)
+	s.ready.push(j)
 	s.stats.Preemptions++
 	s.emit(EventPreempt, j.TaskID)
 }
@@ -494,7 +510,7 @@ func (s *Stage) onSegmentDone(j *Job) {
 	j.segIdx++
 	if j.segIdx < len(j.segments) {
 		j.segRemaining = j.segments[j.segIdx].Duration
-		heap.Push(&s.ready, j)
+		s.ready.push(j)
 		s.schedule()
 		return
 	}
@@ -503,8 +519,8 @@ func (s *Stage) onSegmentDone(j *Job) {
 	s.ins.ServiceTime.Observe(j.consumed)
 	s.ins.Sojourn.Observe(now - j.submitted)
 	s.emit(EventComplete, j.TaskID)
-	if j.onComplete != nil {
-		j.onComplete(now)
+	if j.done != nil {
+		j.done.Complete(now)
 	}
 	s.schedule()
 }
@@ -521,7 +537,7 @@ func (s *Stage) release(j *Job) {
 	}
 	for _, b := range s.blocked {
 		b.blockedOn = nil
-		heap.Push(&s.ready, b)
+		s.ready.push(b)
 	}
 	s.blocked = s.blocked[:0]
 	for _, l := range s.locks {
@@ -529,7 +545,7 @@ func (s *Stage) release(j *Job) {
 			l.holder.inherited = math.Inf(1)
 		}
 	}
-	heap.Init(&s.ready) // inheritance resets may have reordered keys
+	s.ready.init() // inheritance resets may have reordered keys
 }
 
 // Cancel aborts a job that was submitted to this stage and has not yet
@@ -552,8 +568,8 @@ func (s *Stage) Cancel(j *Job) bool {
 		s.emit(EventCancel, j.TaskID)
 		s.schedule()
 		return true
-	case j.heapIdx >= 0:
-		heap.Remove(&s.ready, j.heapIdx)
+	case s.ready.holds(j):
+		s.ready.remove(j.heapIdx)
 		s.ins.QueueDepth.Set(float64(len(s.ready)))
 		if j.heldLock != nil {
 			s.release(j) // preempted inside its critical section
@@ -638,7 +654,7 @@ func (s *Stage) TrimTo(j *Job, newDemand, newBudget float64) bool {
 		s.disarmWatch(j)
 		s.armWatch(j)
 		return true
-	case j.heapIdx >= 0:
+	case s.ready.holds(j):
 		newRem := actual - j.consumed
 		if newRem < 0 {
 			newRem = 0
@@ -671,7 +687,7 @@ func (s *Stage) recomputeInheritance() {
 		}
 	}
 	if changed {
-		heap.Init(&s.ready)
+		s.ready.init()
 	}
 }
 

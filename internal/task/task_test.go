@@ -82,18 +82,6 @@ func TestValidateAcceptsSegmentedSubtask(t *testing.T) {
 	}
 }
 
-func TestSegmentsOrWhole(t *testing.T) {
-	s := NewSubtask(1.5)
-	segs := s.SegmentsOrWhole()
-	if len(segs) != 1 || segs[0].Duration != 1.5 || segs[0].Lock != NoLock {
-		t.Fatalf("SegmentsOrWhole = %+v", segs)
-	}
-	s.Segments = []Segment{{Duration: 1, Lock: 3}, {Duration: 0.5, Lock: NoLock}}
-	if got := s.SegmentsOrWhole(); len(got) != 2 {
-		t.Fatalf("explicit segments not returned: %+v", got)
-	}
-}
-
 func TestGraphTopoOrder(t *testing.T) {
 	// Figure 3: 1 -> {2, 3} -> 4.
 	g := NewGraph()
@@ -400,11 +388,11 @@ func TestOrderVictims(t *testing.T) {
 		tk.Importance = imp
 		return tk
 	}
-	a := mk(1, 2, 10, 1)     // weight 0.1
-	b := mk(2, 1, 10, 4)     // least important, weight 0.4
-	c := mk(3, 1, 10, 1)     // least important, weight 0.1
-	d := mk(4, 5, 10, 1)     // most important
-	e := mk(5, 1, 10, 1)     // ties with c except ID
+	a := mk(1, 2, 10, 1) // weight 0.1
+	b := mk(2, 1, 10, 4) // least important, weight 0.4
+	c := mk(3, 1, 10, 1) // least important, weight 0.1
+	d := mk(4, 5, 10, 1) // most important
+	e := mk(5, 1, 10, 1) // ties with c except ID
 	victims := []*Task{d, a, c, b, e}
 	OrderVictims(victims)
 	wantIDs := []ID{2, 5, 3, 1, 4}

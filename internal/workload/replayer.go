@@ -30,9 +30,17 @@ type ReplayOptions struct {
 	// value instead of allocating one per record — zero steady-state
 	// allocations. Only safe when the sink consumes the task
 	// synchronously and does not retain it (admission testing does not;
-	// pipeline injection does — leave this false there).
+	// pipeline injection does — leave this false there). Without it,
+	// tasks and their subtasks are carved from chunks of replayChunk
+	// tasks, so one live task keeps its whole chunk reachable: a sink
+	// that retains a sparse subset of tasks holds up to replayChunk
+	// times their memory.
 	ReuseTask bool
 }
+
+// replayChunk is how many tasks the replayer allocates at once when it
+// does not reuse one task.
+const replayChunk = 256
 
 // Replayer streams a binary trace through a simulator, offering each
 // record at its (scaled) recorded arrival time. Unlike Replay.Schedule,
@@ -50,6 +58,8 @@ type Replayer struct {
 	pending bool // rec holds a record not yet offered
 	nextID  task.ID
 	reused  *task.Task
+	tasks   []task.Task    // unused rest of the current task chunk
+	subs    []task.Subtask // its subtask storage, Stages() per task
 	count   uint64
 	err     error
 }
@@ -136,20 +146,17 @@ func (rp *Replayer) schedule() {
 // Fire offers the pending record and schedules the next one.
 func (rp *Replayer) Fire(now des.Time) {
 	rec := &rp.rec
-	var t *task.Task
-	if rp.reused != nil {
-		t = rp.reused
-		t.ID = rp.nextID
-		t.Arrival = now
-		t.Deadline = rec.Deadline / rp.opts.TimeCompress
-		for j, c := range rec.Demands {
-			t.Subtasks[j] = task.NewSubtask(c)
-		}
-		t.Class = rp.className(rec.Class)
-	} else {
-		t = task.Chain(rp.nextID, now, rec.Deadline/rp.opts.TimeCompress, rec.Demands...)
-		t.Class = rp.className(rec.Class)
+	t := rp.reused
+	if t == nil {
+		t = rp.newTask()
 	}
+	t.ID = rp.nextID
+	t.Arrival = now
+	t.Deadline = rec.Deadline / rp.opts.TimeCompress
+	for j, c := range rec.Demands {
+		t.Subtasks[j] = task.NewSubtask(c)
+	}
+	t.Class = rp.className(rec.Class)
 	rp.nextID++
 	rp.count++
 	rp.pending = false
@@ -157,6 +164,22 @@ func (rp *Replayer) Fire(now des.Time) {
 	if rp.advance() {
 		rp.schedule()
 	}
+}
+
+// newTask hands out the next zeroed task of the current chunk, with its
+// subtask slice capped so an append by the sink cannot reach a
+// neighbour's subtasks.
+func (rp *Replayer) newTask() *task.Task {
+	k := rp.tr.Stages()
+	if len(rp.tasks) == 0 {
+		rp.tasks = make([]task.Task, replayChunk)
+		rp.subs = make([]task.Subtask, replayChunk*k)
+	}
+	t := &rp.tasks[0]
+	rp.tasks = rp.tasks[1:]
+	t.Subtasks = rp.subs[:k:k]
+	rp.subs = rp.subs[k:]
+	return t
 }
 
 func (rp *Replayer) className(c int) string {
