@@ -27,8 +27,8 @@
 //     tightens when the service misbehaves, and only ever tightens, so
 //     the admitted-task guarantee survives;
 //   - a background scraper polls /metrics throughout the load, standing
-//     in for Prometheus: scrapes read the controller's seqlock mirror,
-//     so monitoring never contends with admission;
+//     in for Prometheus: each scrape holds the controller's lock only
+//     for a short read, so monitoring barely contends with admission;
 //   - a webhook-style fan-in admits a whole burst of arrivals with one
 //     TryAdmitAll call — one lock acquisition and one expiry purge
 //     amortized across the batch.
@@ -312,8 +312,8 @@ func main() {
 	client := srv.Client()
 
 	// Background monitoring during the load: poll /metrics the way a
-	// Prometheus scraper would. Scrapes read the controller's seqlock
-	// mirror, so this loop never contends with the admission hot path.
+	// Prometheus scraper would. A scrape holds the controller's lock only
+	// for a short read, so this loop barely contends with admission.
 	scrapeStop := make(chan struct{})
 	scrapeDone := make(chan struct{})
 	var scrapes, scrapeFailures int

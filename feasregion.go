@@ -346,11 +346,12 @@ func NewOnlineController(region Region, reserved []float64, clock OnlineClock) *
 }
 
 // OnlineConfig is the full configuration for an OnlineController,
-// including the shard count for multi-core admission: Shards > 1
+// including the shard count for multi-core admission. Shards 0 or 1
+// means one shard: one exact region test under one lock. Shards > 1
 // partitions the region bound across cache-line-isolated shards so
 // concurrent admits stop contending on one mutex, while staying
-// work-conserving (the sharded controller admits exactly the task sets
-// the unsharded one admits).
+// work-conserving (every shard count admits exactly the same
+// requests).
 type OnlineConfig = online.Config
 
 // NewOnlineControllerWithConfig builds a wall-clock controller from the

@@ -34,6 +34,55 @@ func TestTryAdmitAllFillsRegion(t *testing.T) {
 	}
 }
 
+// TestTryAdmitAllArrivalOrder checks the one-shard batch tests requests
+// strictly in arrival order: a big request that fits alone goes first
+// and takes the room a later small one would need, although the small
+// one alone would fit too.
+func TestTryAdmitAllArrivalOrder(t *testing.T) {
+	clk := newFakeClock()
+	c := New(core.NewRegion(1), nil, clk.Now)
+	// Big contributes 0.5 (f = 0.75), small 0.2 (f ≈ 0.23): each fits
+	// alone; together f(0.7) ≈ 1.52 exceeds the bound of 1.
+	rs := []Request{
+		req(1, 4*time.Second, 2*time.Second),
+		req(2, 4*time.Second, 800*time.Millisecond),
+	}
+	out := make([]bool, len(rs))
+	if n := c.TryAdmitAll(rs, out); n != 1 || !out[0] || out[1] {
+		t.Fatalf("admitted %d with outcomes %v, want 1 with [true false]", n, out)
+	}
+}
+
+// TestTryAdmitAllZeroAlloc checks the batch path allocates nothing, at
+// one shard and at four, with and without a result slice: each run
+// offers a batch that is part admitted, part rejected, then releases it.
+func TestTryAdmitAllZeroAlloc(t *testing.T) {
+	dem := []time.Duration{150 * time.Millisecond, 150 * time.Millisecond}
+	for _, k := range []int{1, 4} {
+		clk := newFakeClock()
+		c := NewWithConfig(core.NewRegion(2), Config{Clock: clk.Now, Shards: k})
+		rs := make([]Request, 8)
+		ids := make([]uint64, len(rs))
+		var id uint64
+		for _, out := range [][]bool{make([]bool, len(rs)), nil} {
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := range rs {
+					id++
+					rs[i] = Request{ID: id, Deadline: time.Second, Demands: dem}
+					ids[i] = id
+				}
+				if n := c.TryAdmitAll(rs, out); n == 0 || n == len(rs) {
+					t.Fatalf("K=%d: batch admitted %d of %d; want a mix", k, n, len(rs))
+				}
+				c.ReleaseAll(ids)
+			})
+			if allocs != 0 {
+				t.Fatalf("K=%d (out nil: %v): TryAdmitAll allocates %v per batch, want 0", k, out == nil, allocs)
+			}
+		}
+	}
+}
+
 // TestTryAdmitAllMalformed checks malformed requests inside a batch are
 // rejected and counted without poisoning the rest of the batch.
 func TestTryAdmitAllMalformed(t *testing.T) {

@@ -31,6 +31,10 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
+// wheelGranularity is the data plane's expiry precision: a purge may
+// run up to this late, so tests advance past a deadline by a margin.
+const wheelGranularity = time.Millisecond
+
 func req(id uint64, deadline time.Duration, demands ...time.Duration) Request {
 	return Request{ID: id, Deadline: deadline, Demands: demands}
 }

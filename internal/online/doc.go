@@ -4,20 +4,23 @@
 // driven by a discrete-event clock). The admission test is the same
 // point-in-region check Σ_j f(U_j) ≤ α(1 − Σ_j β_j) (Eq. 15).
 //
-// Contributions are expired lazily: every locked operation first purges
-// entries whose absolute deadline has passed, using a hierarchical
-// timer wheel keyed by deadline, so no background goroutine or timer is
-// needed. Departure marking and idle resets are driven by the embedding
-// application (e.g. from request-completion handlers and worker-idle
-// callbacks), mirroring the paper's §4 accounting.
+// The data plane is internal/shard: per-stage synthetic utilization in
+// a task table, one exact region test under one lock by default, or the
+// bound partitioned across Config.Shards shards for multi-core admit
+// throughput — every shard count admits the same requests. Under
+// sustained overload TryAdmit rejects without taking a lock, and the
+// admission test allocates nothing. Contributions are expired lazily:
+// locked operations first purge entries whose absolute deadline has
+// passed, using a hierarchical timer wheel keyed by deadline, so no
+// background goroutine or timer is needed. Departure marking and idle
+// resets are driven by the embedding application (e.g. from
+// request-completion handlers and worker-idle callbacks), mirroring the
+// paper's §4 accounting.
 //
-// The hot path is built for multi-core throughput: per-stage synthetic
-// utilization and the region bound are mirrored into atomics behind a
-// seqlock, so TryAdmit can reject — and Utilizations/metrics scrapes
-// can read — without taking the lock; only the commit of a passing
-// admission serializes. The admission test itself allocates nothing.
-// SetRegionInputs swaps the α/β inputs at runtime (the adaptive loop's
-// entry point); ReleaseAll and MarkDepartedAll batch-apply departures
-// under one lock acquisition. See DESIGN.md §7 for the full concurrency
-// design.
+// This package adds what a service needs around the data plane: the
+// AdmitWithin admission hold with its FIFO of waiters woken one at a
+// time, the Reconcile watchdog, and Prometheus metrics. SetRegionInputs
+// swaps the α/β inputs at runtime (the adaptive loop's entry point);
+// ReleaseAll and MarkDepartedAll batch-apply departures. See DESIGN.md
+// §7 and §11 for the concurrency design.
 package online

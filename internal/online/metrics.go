@@ -9,11 +9,11 @@ import (
 
 // RegisterMetrics describes the controller's state to the registry as
 // read-on-scrape series, so the admission hot path is untouched: counter
-// funcs mirror the atomic Stats counters and gauge funcs read the
-// per-stage synthetic utilization, demand scales, and region
-// value/headroom through the seqlock mirror — a scrape contends with
-// admits only when an expiry purge happens to be due. A nil registry is
-// a no-op. Call it once, at wiring time.
+// funcs mirror the Stats counters and gauge funcs read the per-stage
+// synthetic utilization, demand scales, and region value/headroom; with
+// more than one shard, the sharding counters and per-shard
+// utilization/cap gauges are exported too. A nil registry is a no-op.
+// Call it once, at wiring time.
 func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -31,11 +31,9 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 		stat(func(s Stats) uint64 { return s.IdleResets }))
 	r.CounterFunc("feasregion_online_reconciles_total", "watchdog reconciliation passes",
 		stat(func(s Stats) uint64 { return s.Reconciles }))
-	r.CounterFunc("feasregion_online_orphans_reaped_total", "leaked contributions removed by reconciliation",
-		stat(func(s Stats) uint64 { return s.OrphansReaped }))
 	r.CounterFunc("feasregion_online_clock_regressions_total", "observations of the wall clock stepping backwards",
 		stat(func(s Stats) uint64 { return s.ClockRegressions }))
-	if c.sh != nil {
+	if c.sh.Shards() > 1 {
 		r.CounterFunc("feasregion_online_steals_total", "admits that needed headroom stolen from peer shards",
 			stat(func(s Stats) uint64 { return s.Steals }))
 		r.CounterFunc("feasregion_online_global_fallbacks_total", "exact all-shard admission passes",

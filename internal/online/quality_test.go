@@ -205,6 +205,10 @@ func TestSetQualityRaiseRetestsRegion(t *testing.T) {
 	}
 }
 
+// TestReleaseCancelsPendingExpiry checks a released request's pending
+// expiry is discarded, not credited: once a purge runs past the
+// deadlines, both released requests count as Cancelled and none as
+// Expired.
 func TestReleaseCancelsPendingExpiry(t *testing.T) {
 	clk := newFakeClock()
 	c := New(core.NewRegion(1), nil, clk.Now)
@@ -218,21 +222,15 @@ func TestReleaseCancelsPendingExpiry(t *testing.T) {
 	if c.ReleaseAll([]uint64{2, 3}) != 1 {
 		t.Fatal("ReleaseAll released wrong count")
 	}
-	c.mu.Lock()
-	left := c.wheel.Count()
-	c.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d stale wheel entries after release, want 0 (eager unlink)", left)
+	if got := c.Utilizations()[0]; got != 0 {
+		t.Fatalf("utilization %v after releasing everything, want 0", got)
 	}
-	if s := c.Stats(); s.Cancelled != 2 {
-		t.Fatalf("Cancelled = %d, want 2", s.Cancelled)
-	}
-	// The expiry must not fire later (nothing to double-credit anyway,
-	// but the purge should see an empty wheel).
 	clk.Advance(2 * time.Second)
-	c.Reconcile()
-	if s := c.Stats(); s.Expired != 0 {
-		t.Fatalf("Expired = %d after eager release, want 0", s.Expired)
+	if n := c.Reconcile(); n != 0 {
+		t.Fatalf("Reconcile expired %d released requests, want 0", n)
+	}
+	if s := c.Stats(); s.Cancelled != 2 || s.Expired != 0 {
+		t.Fatalf("Cancelled = %d, Expired = %d after release and purge, want 2 and 0", s.Cancelled, s.Expired)
 	}
 }
 
@@ -274,10 +272,11 @@ func TestQualityAdmitZeroAlloc(t *testing.T) {
 
 // TestOnlineConcurrentQualitySoundness is the quality-path analogue of
 // TestOnlineConcurrentSoundness: TryAdmitQuality, SetQuality (trims and
-// raises), Release, and expiry churn race while a checker asserts the
-// committed utilization point never leaves the region. Degraded admits
-// commit a tested point, trims only shrink it, and raises re-test under
-// the lock, so Σ f(U_j) ≤ bound must hold at every instant.
+// raises), Release, and expiry churn race while a checker asserts,
+// through the public RegionValue read, that the committed utilization
+// point never leaves the region. Degraded admits commit a tested point,
+// trims only shrink it, and raises re-test under the lock, so
+// Σ f(U_j) ≤ bound must hold at every instant.
 func TestOnlineConcurrentQualitySoundness(t *testing.T) {
 	region := core.NewRegion(2)
 	bound := region.Bound()
@@ -297,14 +296,8 @@ func TestOnlineConcurrentQualitySoundness(t *testing.T) {
 				return
 			default:
 			}
-			c.mu.Lock()
-			sum := 0.0
-			for _, l := range c.ledgers {
-				sum += core.StageDelayFactor(l.Utilization())
-			}
-			c.mu.Unlock()
-			if sum > bound+1e-6 {
-				t.Errorf("region invariant violated: Σ f(U_j) = %v > bound %v", sum, bound)
+			if v, b := c.RegionValue(); v > b+1e-6 || b != bound {
+				t.Errorf("region invariant violated: Σ f(U_j) = %v > bound %v (want bound %v)", v, b, bound)
 				return
 			}
 		}
@@ -355,20 +348,7 @@ func TestOnlineConcurrentQualitySoundness(t *testing.T) {
 	close(stop)
 	<-checker
 
-	snap := make([]float64, region.Stages)
-	if _, _, ok := c.readSnapshot(snap, nil); !ok {
-		t.Fatal("seqlock snapshot failed with no concurrent writers")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for j, l := range c.ledgers {
-		if snap[j] != l.Utilization() {
-			t.Fatalf("stage %d mirror %v != locked truth %v", j, snap[j], l.Utilization())
-		}
-	}
-	if len(c.levels) != 0 {
-		t.Fatalf("%d quality records leaked after all releases", len(c.levels))
-	}
+	checkQuiesced(t, c)
 	if s := c.Stats(); s.Admitted == 0 || s.Degraded == 0 {
 		t.Fatalf("workload did not exercise the degraded path: %+v", s)
 	}

@@ -11,14 +11,15 @@ import (
 
 // TestOnlineConcurrentSoundness hammers the controller from every
 // mutation path at once — TryAdmit, TryAdmitAll, Release, StageIdle,
-// MarkDeparted, lock-free reads — while a checker repeatedly asserts
-// the region-soundness invariant against the locked ground truth: the
+// MarkDeparted, reads — while a checker repeatedly asserts the
+// region-soundness invariant through the public RegionValue read: the
 // committed utilization point never leaves Σ f(U_j) ≤ α(1−Σβ_j).
 // Admission only ever commits a tested point and every other mutation
 // only decreases utilization, so the invariant must hold at every
 // instant regardless of interleaving. Run under -race this also proves
-// the seqlock mirror and atomic counters are data-race-free; at the end
-// (writers quiesced) the mirror must equal the locked truth exactly.
+// the reads, the lock-free gate, and the counters are data-race-free;
+// at the end (writers quiesced) RegionValue must equal Σ f(U_j)
+// recomputed from Utilizations.
 func TestOnlineConcurrentSoundness(t *testing.T) {
 	region := core.NewRegion(3)
 	bound := region.Bound()
@@ -40,14 +41,8 @@ func TestOnlineConcurrentSoundness(t *testing.T) {
 				return
 			default:
 			}
-			c.mu.Lock()
-			sum := 0.0
-			for _, l := range c.ledgers {
-				sum += core.StageDelayFactor(l.Utilization())
-			}
-			c.mu.Unlock()
-			if sum > bound+1e-6 {
-				t.Errorf("region invariant violated: Σ f(U_j) = %v > bound %v", sum, bound)
+			if v, b := c.RegionValue(); v > b+1e-6 || b != bound {
+				t.Errorf("region invariant violated: Σ f(U_j) = %v > bound %v (want bound %v)", v, b, bound)
 				return
 			}
 		}
@@ -117,21 +112,30 @@ func TestOnlineConcurrentSoundness(t *testing.T) {
 	close(stop)
 	<-checker
 
-	// Writers quiesced: the seqlock snapshot must match the locked
-	// ledgers bit-for-bit (every mutation republished the mirror).
-	snap := make([]float64, region.Stages)
-	if _, _, ok := c.readSnapshot(snap, nil); !ok {
-		t.Fatal("seqlock snapshot failed with no concurrent writers")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for j, l := range c.ledgers {
-		if snap[j] != l.Utilization() {
-			t.Fatalf("stage %d mirror %v != locked truth %v", j, snap[j], l.Utilization())
-		}
-	}
+	checkQuiesced(t, c)
 	s := c.Stats()
 	if s.Admitted == 0 {
 		t.Fatal("soundness run admitted nothing; workload is not exercising the region")
+	}
+}
+
+// checkQuiesced asserts, with no concurrent writers, that RegionValue
+// equals Σ_j f(U_j) recomputed from scratch over Utilizations and that
+// the point lies inside the region.
+func checkQuiesced(t *testing.T, c *Controller) {
+	t.Helper()
+	v, b := c.RegionValue()
+	want := 0.0
+	for _, u := range c.Utilizations() {
+		if u < 0 {
+			t.Fatalf("negative utilization %v at quiesce", u)
+		}
+		want += core.StageDelayFactor(u)
+	}
+	if v != want {
+		t.Fatalf("RegionValue %v != Σ f(U_j) %v recomputed from Utilizations", v, want)
+	}
+	if v > b {
+		t.Fatalf("quiesced point outside the region: %v > %v", v, b)
 	}
 }

@@ -81,38 +81,6 @@ func TestOnlineUnderSkewedClock(t *testing.T) {
 	}
 }
 
-// TestOnlineReconcileReapsOrphans leaks a contribution straight into a
-// ledger (no pending expiry — the signature of a lost departure path)
-// and checks Reconcile reaps it while leaving healthy contributions
-// untouched.
-func TestOnlineReconcileReapsOrphans(t *testing.T) {
-	clk := newFakeClock()
-	c := New(core.NewRegion(2), nil, clk.Now)
-	if !c.TryAdmit(req(1, 4*time.Second, time.Second, time.Second)) {
-		t.Fatal("healthy request rejected")
-	}
-	c.mu.Lock()
-	c.ledgers[0].Add(coreID(999), 0.3) // leak: no expiry, no pending entry
-	c.mu.Unlock()
-
-	res := c.Reconcile()
-	if res.Orphans != 1 || res.Expired != 0 {
-		t.Fatalf("reconcile result %+v, want 1 orphan, 0 expired", res)
-	}
-	us := c.Utilizations()
-	if math.Abs(us[0]-0.25) > 1e-12 || math.Abs(us[1]-0.25) > 1e-12 {
-		t.Fatalf("utilizations %v after reap, want [0.25 0.25] (healthy entry intact)", us)
-	}
-	s := c.Stats()
-	if s.OrphansReaped != 1 || s.Reconciles != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-	// A second pass on a healthy controller is a no-op.
-	if res := c.Reconcile(); res.Orphans != 0 {
-		t.Fatalf("second reconcile reaped %d orphans on a healthy controller", res.Orphans)
-	}
-}
-
 // TestOnlineStageScale checks degraded-stage demand scaling tightens
 // admission: a request that fits at nominal speed is rejected when the
 // stage is marked degraded, and fits again after recovery.
@@ -157,29 +125,36 @@ func TestOnlineIdleResetCounted(t *testing.T) {
 	}
 }
 
-// TestOnlineWatchdog runs the background reconciler against a leaked
-// contribution and checks it is reaped without any explicit call; stop
-// is idempotent.
+// TestOnlineWatchdog runs the background reconciler and checks it
+// purges a past-deadline contribution without any explicit call,
+// counting its passes; stop is idempotent.
 func TestOnlineWatchdog(t *testing.T) {
 	c := New(core.NewRegion(1), nil, nil) // real clock
-	c.mu.Lock()
-	c.ledgers[0].Add(coreID(7), 0.4)
-	c.mu.Unlock()
+	if !c.TryAdmit(req(7, 5*time.Millisecond, time.Millisecond)) {
+		t.Fatal("admit rejected")
+	}
 
 	stop := c.StartWatchdog(2 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().OrphansReaped == 0 {
+	for c.Stats().Expired == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("watchdog never reaped the leaked contribution")
+			t.Fatal("watchdog never purged the past-deadline contribution")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	first := c.Stats().Reconciles
+	for c.Stats().Reconciles == first {
+		if time.Now().After(deadline) {
+			t.Fatal("watchdog stopped counting reconcile passes")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	stop()
 	stop() // idempotent
 	if got := c.Utilizations()[0]; got != 0 {
-		t.Fatalf("utilization %v after watchdog reap, want 0", got)
+		t.Fatalf("utilization %v after watchdog purge, want 0", got)
 	}
-	if c.Stats().Reconciles == 0 {
-		t.Fatal("watchdog ran without counting a reconcile pass")
+	if first == 0 {
+		t.Fatal("watchdog purged without counting a reconcile pass")
 	}
 }

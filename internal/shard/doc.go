@@ -1,19 +1,40 @@
-// Package shard partitions the feasible-region admission bound across
-// K independent shards for near-linear multi-core admit throughput.
+// Package shard is the wall-clock admission data plane behind
+// internal/online: the feasible-region test Σ_j f(U_j) ≤ α(1 − Σ_j β_j)
+// (Eq. 15) over per-stage synthetic utilization, with the bound
+// optionally partitioned across K shards for near-linear multi-core
+// admit throughput.
 //
-// The unsharded controller (internal/online) serializes every admit on
-// one mutex and one set of per-stage ledgers. This package splits that
-// state: each shard owns per-stage utilization caps with
+// Each shard keeps its contributions in a task table (one row per
+// admitted request: deadline, quality level, per-stage charges, and
+// departed/cleared bits) with Kahan-compensated per-stage sums, and
+// runs its own hierarchical timer wheel (internal/expiry, unindexed).
+// Released requests leave stale wheel entries that the purge discards
+// lazily by matching (id, deadline) against the table. Per stage, each
+// shard also keeps core.Ledger's bookkeeping: the count of rows still
+// charging the stage (its sum is rebaselined to exactly zero when the
+// count reaches zero) and the departed list that the idle reset drains
+// in ascending-ID order — so a K=1 controller's sums are bit-identical
+// to a set of core.Ledgers fed the same operations.
+//
+// At every K the first step is the lock-free overload gate. Under
+// sustained overload, a rejecting exact test arms a snapshot of the
+// global per-stage utilizations. Admits only grow utilization, so while
+// no capacity has been freed (freedGen, bumped inside every freeing
+// critical section) and no purge is due, the snapshot is a
+// componentwise lower bound — a request that fails even against it is
+// rejected without taking a lock. Past the gate, at K=1 (the default),
+// admission is one exact region test under the shard's lock.
+//
+// At K>1 each shard owns per-stage utilization caps with
 //
 //	Σ_k caps_jk = Cap_j   and   Σ_j f(Cap_j) ≤ α·(1 − Σ_j β_j)
 //
 // where f is the paper's per-stage delay factor (Theorem 1), so a
 // request that fits its home shard's caps pointwise provably fits the
 // global region — the happy path charges one cache-line-padded shard
-// under one uncontended lock and never touches shared state.
-//
-// Work conservation — the sharded controller admits exactly the task
-// sets the unsharded region admits — comes from a three-step fallback:
+// under one uncontended lock and never touches shared state. Work
+// conservation — every K admits exactly the requests the single exact
+// test admits — comes from a two-step fallback:
 //
 //  1. Steal: on a local cap miss, the shard gathers headroom from up to
 //     maxStealProbes peers (richest first by lock-free slack hints),
@@ -22,29 +43,17 @@
 //     abandons the gathered slack, which only under-counts capacity
 //     until the next re-partition restores every cap from the true
 //     utilizations.
-//  2. Gate: under sustained overload, a rejecting exact pass arms a
-//     snapshot of the global per-stage utilizations. Admits only grow
-//     utilization, so while no capacity has been freed (freedGen, bumped
-//     inside every freeing critical section) and no purge is due, the
-//     snapshot is a componentwise lower bound — a request that fails
-//     even against it is rejected lock-free, mirroring the unsharded
-//     controller's optimistic reject.
-//  3. Exact pass: all shard locks in order, a full purge, and the same
-//     Σ_j f(U_j + d_j) ≤ bound test as the unsharded controller. Only
-//     this path can reject; on admit it commits to the home shard and
+//  2. Exact pass: all shard locks in order, a full purge, and the exact
+//     Σ_j f(U_j + d_j) ≤ bound test. Only this path (and the gate it
+//     arms) can reject; on admit it commits to the home shard and
 //     re-partitions so the slack it exposed is spread back out.
 //
 // A slow rebalance (Reconcile, piggybacked on the embedding watchdog
 // tick) re-centers caps toward the shards with the most release traffic.
-// Expiry is per-shard too: each shard runs its own hierarchical timer
-// wheel (internal/expiry, unindexed), so deadline purges stop contending
-// as well; released requests leave stale wheel entries that the purge
-// cancels lazily by matching (id, deadline) against the shard's task
-// table.
 //
 // Quality-aware admission (imprecise computation) routes through the
-// same three steps: the local and steal paths only admit at the
-// caller's level cap, the gate probes mandatory-only demand, and every
-// degraded binary-search outcome runs in the exact pass — keeping
-// per-request decisions identical to the unsharded cascade.
+// same steps: the gate probes mandatory-only demand, the local and
+// steal paths only admit at the caller's level cap, and every degraded
+// binary-search outcome runs in the exact test — keeping per-request
+// decisions identical at every K.
 package shard

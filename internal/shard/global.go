@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"feasregion/internal/core"
 	"feasregion/internal/task"
@@ -23,16 +24,6 @@ func (c *Controller) unlockShards() {
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		c.shards[i].mu.Unlock()
 	}
-}
-
-func (c *Controller) lockAll() {
-	c.gmu.Lock()
-	c.lockShards()
-}
-
-func (c *Controller) unlockAll() {
-	c.unlockShards()
-	c.gmu.Unlock()
 }
 
 // purgeAllLocked folds one clock sample into every shard and flushes
@@ -66,25 +57,21 @@ const repartitionMargin = 1e-12
 // locally). Caps never drop below current utilizations, so the shard
 // invariant util ≤ cap survives any re-partition unconditionally. The
 // generation bump invalidates in-flight steals. Callers hold gmu and
-// every shard lock.
+// every shard lock. At K=1 there is no partition to move (the only
+// test is the exact one), so it does nothing.
 func (c *Controller) repartitionLocked(weighted bool) {
-	var stackU, stackCap [maxStackStages]float64
-	var utils, caps []float64
-	if c.stages <= maxStackStages {
-		utils, caps = stackU[:c.stages], stackCap[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		utils, caps = bufs.utils[:c.stages], bufs.eff[:c.stages]
+	if c.k == 1 {
+		return
 	}
+	var stack [2 * maxStackStages]float64
+	buf, pooled := c.scratch(stack[:], 2)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
+	}
+	utils, caps := buf[:c.stages], buf[c.stages:]
+	c.globalUtilsLocked(utils)
 	v := 0.0
-	for j := 0; j < c.stages; j++ {
-		u := 0.0
-		for _, s := range c.shards {
-			u += s.util(j)
-		}
-		utils[j] = u
+	for _, u := range utils {
 		v += core.StageDelayFactor(u)
 	}
 	residual := c.bound - v - repartitionMargin*(1+c.bound)
@@ -137,20 +124,16 @@ func (c *Controller) repartitionLocked(weighted bool) {
 // bumped the generation rebuilt every cap from true utilizations, so
 // abandoning only under-counts capacity until the next re-partition —
 // conservative, never unsound.
-func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, eff []float64, level uint8) bool {
+func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, raw, opt []float64, lv int) bool {
 	genAt := c.gen.Load()
-	var stackRem, stackTaken [maxStackStages]float64
-	var rem, taken []float64
-	if c.stages <= maxStackStages {
-		rem, taken = stackRem[:c.stages], stackTaken[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		rem, taken = bufs.opt[:c.stages], bufs.utils[:c.stages]
+	var stack [2 * maxStackStages]float64
+	buf, pooled := c.scratch(stack[:], 2)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
 	}
-	for j := range eff {
-		rem[j] = eff[j] * c.stageScale(j)
+	rem, taken := buf[:c.stages], buf[c.stages:]
+	for j := range rem {
+		rem[j] = rawAt(raw, opt, j, lv) * c.stageScale(j)
 		taken[j] = 0
 	}
 
@@ -232,7 +215,7 @@ func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, eff 
 	for j := range taken {
 		home.caps[j] += taken[j]
 	}
-	ok, e := home.admitLocked(c, id, deadline, eff, level)
+	ok, e := home.admitLocked(c, id, deadline, raw, opt, lv)
 	home.updateHintLocked()
 	home.mu.Unlock()
 	if e > 0 {
@@ -259,23 +242,21 @@ func (c *Controller) armGateLocked(utils []float64) {
 	c.gateArmed.Store(true)
 }
 
-// globalAdmit is the exact all-shard pass — the last resort before a
-// true reject, and the only path that can reject a feasible request's
-// complement: it drains every shard's slack by testing against the real
-// global utilizations under all locks, exactly like the unsharded
-// controller's locked test. opt/maxLevel/hasOpt drive the quality
-// cascade (opt nil means rigid full-demand). On admit it commits to the
-// home shard and re-partitions, so the slack the request exposed is
-// spread back over the shards; on reject it arms the lock-free gate.
-func (c *Controller) globalAdmit(id uint64, deadline int64, raw, opt []float64, maxLevel int, hasOpt bool, countReject bool) (bool, int) {
-	ok, lv, expired := c.globalAdmitLocked(id, deadline, raw, opt, maxLevel, hasOpt, countReject)
+// globalAdmit is the exact all-shard pass at K>1 — the last resort
+// before a true reject: under every lock, after a full purge, it runs
+// fitLevel against the true global utilizations, draining every shard's
+// slack. On admit it commits to the home shard and re-partitions, so
+// the slack the request exposed is spread back over the shards; on
+// reject it arms the lock-free gate. Returns the admitted level.
+func (c *Controller) globalAdmit(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool) {
+	lv, ok, expired := c.globalAdmitLocked(id, deadline, raw, opt, maxLevel, countReject)
 	if expired > 0 {
 		c.hook()
 	}
-	return ok, lv
+	return lv, ok
 }
 
-func (c *Controller) globalAdmitLocked(id uint64, deadline int64, raw, opt []float64, maxLevel int, hasOpt bool, countReject bool) (bool, int, int) {
+func (c *Controller) globalAdmitLocked(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool, int) {
 	c.globalFallbacks.Add(1)
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
@@ -283,16 +264,32 @@ func (c *Controller) globalAdmitLocked(id uint64, deadline int64, raw, opt []flo
 	defer c.unlockShards()
 	expired := c.purgeAllLocked()
 
-	var stackU [maxStackStages]float64
-	var utils []float64
-	if c.stages <= maxStackStages {
-		utils = stackU[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		utils = bufs.utils[:c.stages]
+	var stack [maxStackStages]float64
+	utils, pooled := c.scratch(stack[:], 1)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
 	}
+	c.globalUtilsLocked(utils)
+	home := c.shardOf(id)
+	lv, ok := fitLevel(utils, home.scales, raw, opt, maxLevel, c.bound)
+	if !ok {
+		if countReject {
+			home.rejected++
+		}
+		c.armGateLocked(utils)
+		return 0, false, expired
+	}
+	if c.gateArmed.Load() {
+		c.gateArmed.Store(false)
+	}
+	home.commitLocked(id, home.maxNow+deadline, raw, opt, lv)
+	c.repartitionLocked(false)
+	return lv, true, expired
+}
+
+// globalUtilsLocked fills utils with each stage's utilization summed
+// over the shards in index order. Callers hold every shard lock.
+func (c *Controller) globalUtilsLocked(utils []float64) {
 	for j := range utils {
 		u := 0.0
 		for _, s := range c.shards {
@@ -300,88 +297,21 @@ func (c *Controller) globalAdmitLocked(id uint64, deadline int64, raw, opt []flo
 		}
 		utils[j] = u
 	}
-	sumAt := func(lv int) float64 {
-		sum := 0.0
-		for j := range utils {
-			d := raw[j]
-			if opt != nil {
-				d = rawAt(raw, opt, j, lv)
-			}
-			sum += core.StageDelayFactor(utils[j] + d*c.stageScale(j))
-		}
-		return sum
-	}
-	lv := maxLevel
-	fits := false
-	switch {
-	case sumAt(maxLevel) <= c.bound:
-		fits = true
-	case maxLevel == 0 || !hasOpt:
-		// No degraded fallback available.
-	case sumAt(0) > c.bound:
-		// Even mandatory-only does not fit.
-	default:
-		// Demand is monotone in the level: binary-search the highest
-		// fitting level below the cap, exactly like the unsharded
-		// cascade.
-		lo, hi := 0, maxLevel-1
-		for lo < hi {
-			mid := lo + (hi-lo+1)/2
-			if sumAt(mid) <= c.bound {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		lv, fits = lo, true
-	}
-
-	home := c.shardOf(id)
-	if !fits {
-		if countReject {
-			home.rejected++
-		}
-		c.armGateLocked(utils)
-		return false, 0, expired
-	}
-	if c.gateArmed.Load() {
-		c.gateArmed.Store(false)
-	}
-	var stackSc [maxStackStages]float64
-	var sc []float64
-	if c.stages <= maxStackStages {
-		sc = stackSc[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		sc = bufs.eff[:c.stages]
-	}
-	for j := range sc {
-		d := raw[j]
-		if opt != nil {
-			d = rawAt(raw, opt, j, lv)
-		}
-		sc[j] = d * c.stageScale(j)
-	}
-	storeLevel := uint8(task.QualityLevels)
-	if hasOpt && lv < task.QualityLevels {
-		storeLevel = uint8(lv)
-	}
-	home.commitLocked(id, home.maxNow+deadline, sc, storeLevel)
-	c.repartitionLocked(false)
-	return true, lv, expired
 }
 
-// TryAdmitAll tests and commits a burst of requests: one lock
-// acquisition and one purge per shard for the requests their home caps
-// can take, then the full fallback chain in arrival order for the rest.
-// out[i], when out is non-nil, reports request i's outcome; it returns
-// the number admitted. Unlike the unsharded batch, requests are not
-// tested in strict arrival order — each shard's group runs against its
-// local state first — so a mixed accept/reject boundary can differ from
-// the sequential order (the per-request TryAdmit decisions are what the
-// sharded controller keeps identical).
+// flagPool serves TryAdmitAll's outcome scratch when the caller passes
+// no result slice.
+var flagPool = sync.Pool{New: func() any { return new([]bool) }}
+
+// TryAdmitAll tests and commits a burst of requests; out[i], when out
+// is non-nil, reports request i's outcome, and it returns the number
+// admitted. At K=1 it takes one lock and one purge and tests every
+// request exactly, in arrival order, against the state its predecessors
+// left. At K>1 it takes one lock and one purge per shard for the
+// requests their home caps can take, then runs the full fallback chain
+// in arrival order for the rest — so a mixed accept/reject boundary can
+// differ from the sequential order (the per-request TryAdmit decisions
+// are what every K keeps identical).
 func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 	if out != nil && len(out) < len(rs) {
 		panic(fmt.Sprintf("shard: TryAdmitAll result slice len %d for %d requests", len(out), len(rs)))
@@ -389,23 +319,25 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 	if len(rs) == 0 {
 		return 0
 	}
+	var stack [2 * maxStackStages]float64
+	buf, pooled := c.scratch(stack[:], 2)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
+	}
+	raw := buf[:c.stages]
+	if c.k == 1 {
+		return c.tryAdmitAllOne(rs, out, raw, buf[c.stages:])
+	}
 	if out == nil {
-		out = make([]bool, len(rs))
+		p := flagPool.Get().(*[]bool)
+		defer flagPool.Put(p)
+		if cap(*p) < len(rs) {
+			*p = make([]bool, len(rs))
+		}
+		out = *p
 	}
-	done := make([]bool, len(rs))
-	for i := range rs {
-		out[i] = false
-	}
-	var stackRaw [maxStackStages]float64
-	var raw []float64
-	if c.stages <= maxStackStages {
-		raw = stackRaw[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		raw = bufs.raw[:c.stages]
-	}
+	out = out[:len(rs)]
+	clear(out)
 	admitted := 0
 	expired := 0
 	for si, s := range c.shards {
@@ -415,24 +347,18 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 			if c.shardIdx(r.ID) != si {
 				continue
 			}
-			if r.Deadline <= 0 || len(r.Demands) != c.stages || r.ID == ^uint64(0) {
+			if _, ok := c.vectors(r, raw, nil); !ok {
 				c.rejectedInvalid.Add(1)
-				done[i] = true
 				continue
 			}
 			if !locked {
 				s.mu.Lock()
 				locked = true
 			}
-			invD := 1 / float64(r.Deadline)
-			for j, dem := range r.Demands {
-				raw[j] = float64(dem) * invD
-			}
-			ok, e := s.admitLocked(c, r.ID, int64(r.Deadline), raw, task.QualityLevels)
+			ok, e := s.admitLocked(c, r.ID, int64(r.Deadline), raw, nil, task.QualityLevels)
 			expired += e
 			if ok {
 				out[i] = true
-				done[i] = true
 				admitted++
 			}
 		}
@@ -444,8 +370,8 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 		c.hook()
 	}
 	for i := range rs {
-		if done[i] {
-			continue
+		if out[i] || !c.valid(&rs[i]) {
+			continue // admitted locally, or already counted as malformed
 		}
 		if c.admit(&rs[i], true) {
 			out[i] = true
@@ -455,11 +381,54 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 	return admitted
 }
 
+// tryAdmitAllOne is TryAdmitAll at K=1. raw and utils are stage-sized
+// scratch.
+func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float64) int {
+	s := c.shards[0]
+	admitted := 0
+	rejected := false
+	s.mu.Lock()
+	mnow, expired := s.purgeDueLocked(c)
+	bound := c.boundNow()
+	for i := range rs {
+		r := &rs[i]
+		_, ok := c.vectors(r, raw, nil)
+		if !ok {
+			c.rejectedInvalid.Add(1)
+		} else {
+			for j := range utils {
+				utils[j] = s.util(j)
+			}
+			if _, ok = fitLevel(utils, s.scales, raw, nil, task.QualityLevels, bound); ok {
+				s.commitLocked(r.ID, mnow+int64(r.Deadline), raw, nil, task.QualityLevels)
+				admitted++
+			} else {
+				s.rejected++
+				rejected = true
+			}
+		}
+		if out != nil {
+			out[i] = ok
+		}
+	}
+	if rejected {
+		for j := range utils {
+			utils[j] = s.util(j)
+		}
+		c.armGateLocked(utils)
+	}
+	s.mu.Unlock()
+	if expired > 0 {
+		c.hook()
+	}
+	return admitted
+}
+
 // SetRegionInputs replaces the region's α and per-stage β_j at runtime,
-// then re-partitions the new bound across shards. Semantics mirror
-// online.Controller.SetRegionInputs: alpha must be in (0, 1], betas
-// non-negative with one entry per stage (nil keeps current), admitted
-// contributions are unchanged, and a raised bound wakes a waiter.
+// then re-partitions the new bound across shards: alpha must be in
+// (0, 1], betas non-negative with one entry per stage (nil keeps
+// current), admitted contributions are unchanged, and a raised bound
+// runs the wake hook.
 func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
 	if c.setRegion(alpha, betas) {
 		c.hook()
@@ -488,9 +457,11 @@ func (c *Controller) setRegion(alpha float64, betas []float64) (raised bool) {
 }
 
 // SetStageScale sets a demand multiplier for future admissions at the
-// stage, on every shard atomically. Mirrors online.Controller's
-// contract: scale must be positive and finite, admitted contributions
-// are unchanged, a relaxed (lowered) scale wakes a waiter.
+// stage, on every shard atomically — the self-healing hook for degraded
+// stages: a replica running at half speed doubles every request's
+// computation time there, so scale 2 keeps the admission test honest.
+// scale must be positive and finite; admitted contributions are
+// unchanged, and a relaxed (lowered) scale runs the wake hook.
 func (c *Controller) SetStageScale(stage int, scale float64) {
 	if scale <= 0 || scale != scale || scale > 1e9 {
 		panic(fmt.Sprintf("shard: stage scale %v must be positive and finite", scale))
@@ -536,11 +507,11 @@ func (c *Controller) Headroom(stage int) float64 {
 }
 
 // Reconcile runs one watchdog pass: a monotone purge on every shard
-// plus the slow rebalance — caps re-centered toward the shards with the
-// most release traffic since the last pass. The shard table cannot leak
-// orphans (a row and its charge are one record), so unlike the
-// unsharded Reconcile there is nothing to reap; it returns the number
-// of contributions the purge expired.
+// plus, at K>1, the slow rebalance — caps re-centered toward the shards
+// with the most release traffic since the last pass. The task table
+// cannot leak orphans (a row and its charge are one record), so there
+// is nothing to reap; it returns the number of contributions the purge
+// expired.
 func (c *Controller) Reconcile() (expired int) {
 	c.gmu.Lock()
 	c.lockShards()

@@ -5,20 +5,20 @@ import (
 	"feasregion/internal/task"
 )
 
-// Quality-aware admission over the sharded region. The routing rule
-// that keeps decisions identical to the unsharded cascade: the local
-// fast path and the steal path only ever admit at maxLevel (a cap-test
-// pass at maxLevel implies the exact region test passes at maxLevel,
-// which is the unsharded cascade's first branch); every degraded
-// outcome — the binary search below the cap — runs inside the exact
-// all-shard pass, whose state after purging equals the unsharded
-// controller's. The lock-free gate probes mandatory-only demand, the
-// cascade's weakest test, so a gate reject implies every level fails.
+// Quality-aware admission. The lock-free gate probes mandatory-only
+// demand, the cascade's weakest test, so a gate reject implies every
+// level fails. At K=1 the whole cascade is then the one exact test. At
+// K>1 the routing rule that keeps decisions identical to that test is:
+// the local fast path and the steal path only ever admit at maxLevel (a
+// cap-test pass at maxLevel implies the exact region test passes there,
+// the cascade's first branch); every degraded outcome — the binary
+// search below the cap — runs inside the exact all-shard pass.
 
 // rawAt is the stage's synthetic utilization at a quality level: full
-// demand minus the untaken share of the optional portion.
+// demand minus the untaken share of the optional portion (opt nil
+// means rigid: always full demand).
 func rawAt(raw, opt []float64, j, level int) float64 {
-	if level >= task.QualityLevels {
+	if opt == nil || level >= task.QualityLevels {
 		return raw[j]
 	}
 	if level <= 0 {
@@ -27,121 +27,55 @@ func rawAt(raw, opt []float64, j, level int) float64 {
 	return raw[j] - opt[j]*(1-float64(level)/task.QualityLevels)
 }
 
-// qualityVectors converts the request into per-stage synthetic
-// utilization (raw) and its optional portion (opt). It reports false on
-// a malformed request; unlike the unsharded controller the all-ones ID
-// is also malformed (the shard table reserves it).
-func (c *Controller) qualityVectors(r Request, raw, opt []float64) (hasOpt, ok bool) {
-	if r.Deadline <= 0 || len(r.Demands) != c.stages || r.ID == ^uint64(0) {
-		return false, false
-	}
-	if r.Optional != nil && len(r.Optional) != c.stages {
-		return false, false
-	}
-	invD := 1 / float64(r.Deadline)
-	for j, dem := range r.Demands {
-		raw[j] = float64(dem) * invD
-		o := 0.0
-		if r.Optional != nil {
-			if r.Optional[j] < 0 || r.Optional[j] > dem {
-				return false, false
-			}
-			o = float64(r.Optional[j]) * invD
-		}
-		opt[j] = o
-		if o > 0 {
-			hasOpt = true
-		}
-	}
-	return hasOpt, true
-}
-
-// TryAdmitQuality runs the quality-aware admission cascade against the
-// sharded region: test at maxLevel locally (then with stolen headroom);
-// if the caps cannot take full maxLevel demand, the exact all-shard
-// pass runs the same degraded binary search as the unsharded cascade.
-// On success it returns the admitted level. Like TryAdmit, the happy
-// path touches one shard and rejection under sustained overload is
-// lock-free.
+// TryAdmitQuality runs the quality-aware admission cascade: test at
+// maxLevel (callers pass the governor's quality cap, or
+// task.QualityLevels when ungoverned); if that fails and the request
+// carries optional demand, binary-search the highest level in
+// [0, maxLevel) whose degraded demand still fits, and commit there. The
+// committed contribution is the degraded one, so expiry credits exactly
+// what was charged. On success it returns the admitted level. Like
+// TryAdmit, the path is allocation-free and rejects lock-free under
+// sustained overload.
 func (c *Controller) TryAdmitQuality(r Request, maxLevel int) (level int, ok bool) {
-	if maxLevel > task.QualityLevels {
-		maxLevel = task.QualityLevels
+	maxLevel = min(max(maxLevel, 0), task.QualityLevels)
+	var stack [2 * maxStackStages]float64
+	buf, pooled := c.scratch(stack[:], 2)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
 	}
-	if maxLevel < 0 {
-		maxLevel = 0
-	}
-	var stackRaw, stackOpt, stackEff [maxStackStages]float64
-	var raw, opt, eff []float64
-	if c.stages <= maxStackStages {
-		raw, opt, eff = stackRaw[:c.stages], stackOpt[:c.stages], stackEff[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		raw, opt, eff = bufs.raw[:c.stages], bufs.opt[:c.stages], bufs.eff[:c.stages]
-	}
-	hasOpt, valid := c.qualityVectors(r, raw, opt)
+	raw, opt := buf[:c.stages], buf[c.stages:]
+	hasOpt, valid := c.vectors(&r, raw, opt)
 	if !valid {
 		c.rejectedInvalid.Add(1)
 		return 0, false
 	}
-	for j := range eff {
-		eff[j] = rawAt(raw, opt, j, maxLevel)
+	if !hasOpt {
+		opt = nil
 	}
-	storeLevel := uint8(task.QualityLevels)
-	if hasOpt && maxLevel < task.QualityLevels {
-		storeLevel = uint8(maxLevel)
-	}
-
-	s := c.shardOf(r.ID)
-	s.mu.Lock()
-	admitted, expired := s.admitLocked(c, r.ID, int64(r.Deadline), eff, storeLevel)
-	s.mu.Unlock()
-	if expired > 0 {
-		c.hook()
-	}
-	if admitted {
-		return maxLevel, true
-	}
-	if c.k > 1 && c.stealThenAdmit(s, r.ID, int64(r.Deadline), eff, storeLevel) {
-		return maxLevel, true
-	}
-	if c.gateRejects(raw, opt, 0) {
-		c.rejectedGate.Add(1)
-		return 0, false
-	}
-	return c.level(c.globalAdmit(r.ID, int64(r.Deadline), raw, opt, maxLevel, hasOpt, true))
+	return c.admitReq(r.ID, int64(r.Deadline), raw, opt, maxLevel, true)
 }
 
-// level flips globalAdmit's (ok, level) into TryAdmitQuality's return
-// order.
-func (c *Controller) level(ok bool, lv int) (int, bool) { return lv, ok }
-
-// SetQuality retunes an in-flight request's quality level, mirroring
-// online.Controller.SetQuality: lowering only frees capacity, so it
-// runs entirely under the home shard's lock; raising charges more and
-// must re-run the region test against the true global utilizations, so
-// it takes the exact-pass locks and re-partitions (the enlarged
-// contribution may exceed the home shard's cap, which the re-partition
-// absorbs — caps are rebuilt at-or-above utilizations).
+// SetQuality retunes an in-flight request's quality level. Lowering
+// scales its contribution down on every still-charged stage — always
+// permitted, it only frees capacity — and runs entirely under the home
+// shard's lock. Raising charges more, so it re-runs the region test
+// against the true global utilizations under the exact-pass locks and
+// re-partitions (caps are rebuilt at-or-above utilizations); it is
+// refused when it would leave the region. The request must carry the
+// same Demands/Optional it was admitted with: contributions are scaled
+// by the ratio of the new to the current level's demand, so any stage
+// scale in force at admission is preserved. It reports whether the
+// level changed; an unknown or expired ID, a rigid request, or a no-op
+// level returns false.
 func (c *Controller) SetQuality(r Request, level int) bool {
-	if level < 0 {
-		level = 0
+	level = min(max(level, 0), task.QualityLevels)
+	var stack [2 * maxStackStages]float64
+	buf, pooled := c.scratch(stack[:], 2)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
 	}
-	if level > task.QualityLevels {
-		level = task.QualityLevels
-	}
-	var stackRaw, stackOpt [maxStackStages]float64
-	var raw, opt []float64
-	if c.stages <= maxStackStages {
-		raw, opt = stackRaw[:c.stages], stackOpt[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		raw, opt = bufs.raw[:c.stages], bufs.opt[:c.stages]
-	}
-	hasOpt, valid := c.qualityVectors(r, raw, opt)
+	raw, opt := buf[:c.stages], buf[c.stages:]
+	hasOpt, valid := c.vectors(&r, raw, opt)
 	if !valid || !hasOpt {
 		return false
 	}
@@ -161,17 +95,23 @@ func (c *Controller) SetQuality(r Request, level int) bool {
 		return false
 	}
 	if level < cur {
-		c.retuneLocked(s, slot, raw, opt, cur, level)
-		s.tbl.levels[slot] = uint8(level)
-		s.trimmed++
-		s.updateHintLocked()
-		c.noteFreed()
+		c.trimLocked(s, slot, raw, opt, cur, level)
 		s.mu.Unlock()
 		c.hook()
 		return true
 	}
 	s.mu.Unlock()
 	return c.raiseQuality(r.ID, raw, opt, level)
+}
+
+// trimLocked lowers the row's level from cur to level. Callers hold
+// s.mu.
+func (c *Controller) trimLocked(s *shard, slot int, raw, opt []float64, cur, level int) {
+	c.retuneLocked(s, slot, raw, opt, cur, level)
+	s.tbl.levels[slot] = uint8(level)
+	s.trimmed++
+	s.updateHintLocked()
+	c.noteFreed()
 }
 
 // retuneLocked maps every still-charged stage's contribution from cur
@@ -191,7 +131,7 @@ func (c *Controller) retuneLocked(s *shard, slot int, raw, opt []float64, cur, l
 }
 
 // retuned maps a stage's contribution from one quality level to another
-// by demand ratio, like the unsharded controller's retuned.
+// by demand ratio.
 func (c *Controller) retuned(raw, opt []float64, j int, contrib float64, cur, level int) float64 {
 	curDemand := rawAt(raw, opt, j, cur)
 	if curDemand <= 0 {
@@ -229,11 +169,7 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 	if level < cur {
 		// The level dropped while we were switching locks: lowering is
 		// always permitted, finish it here.
-		c.retuneLocked(s, slot, raw, opt, cur, level)
-		s.tbl.levels[slot] = uint8(level)
-		s.trimmed++
-		s.updateHintLocked()
-		c.noteFreed()
+		c.trimLocked(s, slot, raw, opt, cur, level)
 		return true, expired
 	}
 	// Re-test with each still-charged stage's contribution swapped for
@@ -254,11 +190,7 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 		return false, expired
 	}
 	c.retuneLocked(s, slot, raw, opt, cur, level)
-	lvByte := uint8(level)
-	if level >= task.QualityLevels {
-		lvByte = uint8(task.QualityLevels)
-	}
-	s.tbl.levels[slot] = lvByte
+	s.tbl.levels[slot] = uint8(level)
 	s.restored++
 	// The raised contribution may exceed the home shard's cap; rebuild
 	// the partition from the new truth.

@@ -23,9 +23,8 @@ type Clock func() time.Time
 // this type, so the two controllers share request values freely.
 type Request struct {
 	// ID must be unique among in-flight requests (e.g. a request
-	// counter); it keys departure marking and release. The sharded
-	// controller additionally reserves the all-ones ID as a table
-	// sentinel and rejects it as malformed.
+	// counter); it keys departure marking and release. The all-ones ID
+	// is reserved as a table sentinel and rejected as malformed.
 	ID uint64
 	// Deadline is the relative end-to-end deadline.
 	Deadline time.Duration
@@ -40,11 +39,14 @@ type Request struct {
 	Optional []time.Duration
 }
 
-// wheelGranularity matches the unsharded controller's purge precision.
+// wheelGranularity is the expiry wheel's level-0 bucket width. A purge
+// may run up to one bucket late, so capacity release lags a deadline by
+// at most ~1ms — conservative (the region test stays sound) and
+// invisible next to typical service deadlines.
 const wheelGranularity = time.Millisecond
 
 // maxStackStages bounds the stage count served by stack scratch; wider
-// pipelines draw from a sync.Pool so the path stays allocation-free.
+// pipelines draw from scratchPool so every path stays allocation-free.
 const maxStackStages = 8
 
 // MaxShards caps the shard count; Shards values are rounded up to a
@@ -56,45 +58,62 @@ const MaxShards = 64
 // global pass.
 const maxStealProbes = 3
 
-type admitBufs struct{ raw, opt, eff, utils float64Slice }
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
-type float64Slice = []float64
-
-var admitBufPool = sync.Pool{New: func() any { return new(admitBufs) }}
-
-func (b *admitBufs) size(stages int) {
-	if cap(b.raw) < stages {
-		b.raw = make([]float64, stages)
-		b.opt = make([]float64, stages)
-		b.eff = make([]float64, stages)
-		b.utils = make([]float64, stages)
+// scratch carves n vectors of c.stages floats out of stack when they
+// fit (they do up to maxStackStages stages, given n·maxStackStages
+// floats), else out of a pooled buffer that the caller returns with
+// scratchPool.Put when pooled is non-nil. Pooled memory is not zeroed.
+func (c *Controller) scratch(stack []float64, n int) (buf []float64, pooled *[]float64) {
+	need := n * c.stages
+	if need <= len(stack) {
+		return stack[:need], nil
 	}
+	p := scratchPool.Get().(*[]float64)
+	if cap(*p) < need {
+		*p = make([]float64, need)
+	}
+	return (*p)[:need], p
 }
 
-// Stats counts admission outcomes and sharding control-plane activity.
+// Stats counts admission outcomes, self-healing activity, and sharding
+// control traffic. online.Stats aliases it.
 type Stats struct {
-	Admitted         uint64
-	Rejected         uint64
-	Expired          uint64
-	IdleResets       uint64
-	Reconciles       uint64
+	Admitted uint64
+	Rejected uint64
+	// Expired counts contributions removed by the lazy deadline purge.
+	Expired uint64
+	// IdleResets counts StageIdle calls that freed at least one
+	// contribution.
+	IdleResets uint64
+	// Reconciles counts watchdog/reconciliation passes.
+	Reconciles uint64
+	// ClockRegressions counts observations of the wall clock stepping
+	// backwards (VM migration, NTP correction, injected skew). The
+	// purge clock is monotone, so regressions cannot stall expiry.
 	ClockRegressions uint64
-	Degraded         uint64
-	Trimmed          uint64
-	Restored         uint64
-	// Cancelled counts stale wheel entries the purge discarded lazily —
-	// deadlines of requests that had been released (or recycled) before
-	// they fired. The unsharded controller unlinks these eagerly; the
-	// sharded one filters them at flush time against the task table.
+	// Degraded counts admissions that entered below full quality via
+	// TryAdmitQuality's fallback search.
+	Degraded uint64
+	// Trimmed counts SetQuality calls that lowered an in-flight
+	// request's level; Restored counts the ones that raised it.
+	Trimmed  uint64
+	Restored uint64
+	// Cancelled counts the lazy discards of expiry entries whose request
+	// had been released (or re-admitted with a new deadline) before the
+	// entry came due: Release leaves the entry behind, and the purge
+	// drops it when it no longer matches the task table.
 	Cancelled uint64
 	// Steals counts admits that succeeded only after transferring
 	// headroom from peer shards.
 	Steals uint64
 	// GlobalFallbacks counts exact all-shard passes (the last resort
-	// before a true reject, and the only path that can reject).
+	// before a true reject at K>1).
 	GlobalFallbacks uint64
 	// Rebalances counts cap re-partitions: one per global pass, per
 	// Reconcile tick, and per region/quality mutation that moves caps.
+	// Steals, GlobalFallbacks, and Rebalances stay zero at K=1, which
+	// has no partition.
 	Rebalances uint64
 }
 
@@ -205,16 +224,6 @@ func (s *shard) addSum(j int, v float64) {
 	s.sums[j] = t
 }
 
-// rebaselineLocked kills residual floating error whenever the shard
-// empties, mirroring core.Ledger's exact rebaseline.
-func (s *shard) rebaselineLocked() {
-	if s.tbl.live == 0 {
-		for j := range s.sums {
-			s.sums[j], s.comps[j] = 0, 0
-		}
-	}
-}
-
 // updateHintLocked republishes the slack hint when it drifted by more
 // than 1/4 relative (or crossed zero) — rare under steady churn, so the
 // hot path almost never pays the atomic store.
@@ -235,16 +244,17 @@ func (s *shard) updateHintLocked() {
 	s.slackHint.Store(math.Float64bits(min))
 }
 
-// Controller is a sharded wall-clock admission controller enforcing the
-// same feasible region as online.Controller, with the Theorem-1 bound
-// partitioned across K shards: each shard owns per-stage utilization
-// caps with Σ_k caps_jk = Cap_j and Σ_j f(Cap_j) ≤ α·(1−Σβ). A local
-// admit charges only its home shard (one uncontended lock, no shared
-// cache lines); a local reject steals headroom from the richest peers,
-// and an exact all-shard pass drains every shard's slack before a true
-// reject — so the sharded controller admits exactly the task sets the
-// unsharded region admits (see DESIGN.md §11 for the soundness and
-// work-conservation arguments).
+// Controller is a wall-clock admission controller enforcing the
+// feasible region, the data plane behind online.Controller. With one
+// shard, admission is one exact region test under one lock. With K>1
+// the Theorem-1 bound is partitioned across the shards: each shard
+// owns per-stage utilization caps with Σ_k caps_jk = Cap_j and
+// Σ_j f(Cap_j) ≤ α·(1−Σβ). A local admit charges only its home shard
+// (one uncontended lock, no shared cache lines); a local reject steals
+// headroom from the richest peers, and an exact all-shard pass drains
+// every shard's slack before a true reject — so every K admits exactly
+// the requests the single exact test admits (see DESIGN.md §11 for the
+// soundness and work-conservation arguments).
 type Controller struct {
 	stages int
 	k      int
@@ -259,10 +269,9 @@ type Controller struct {
 	// and scale mutations). Lock order: gmu, then shards in index
 	// order; the steal path holds at most one shard lock at a time and
 	// never gmu.
-	gmu      sync.Mutex
-	region   core.Region
-	bound    float64
-	reserved []float64
+	gmu    sync.Mutex
+	region core.Region
+	bound  float64
 
 	boundBits atomic.Uint64
 	scaleBits []atomic.Uint64
@@ -275,12 +284,11 @@ type Controller struct {
 	// every cap from the true utilizations.
 	gen atomic.Uint64
 
-	// Overload reject gate: after an exact pass rejects, it publishes
+	// Overload reject gate: after an exact test rejects, it publishes
 	// the per-stage global utilizations as lower bounds (seqlock).
 	// Until any capacity is freed (freedGen) or a purge comes due, a
 	// request whose demand pushes even those lower bounds past the
-	// bound can be rejected lock-free — the sharded analogue of the
-	// unsharded controller's optimistic mirror reject.
+	// bound can be rejected lock-free.
 	gateArmed    atomic.Bool
 	gateSeq      atomic.Uint64
 	gateFreedGen atomic.Uint64
@@ -292,6 +300,11 @@ type Controller struct {
 	// quality trim, scale relaxation, bound raise. The wrapping
 	// controller uses it to hand a wake token to its AdmitWithin FIFO.
 	wakeHook func()
+
+	// The counters below are written on every lock-free reject; the pad
+	// keeps them off the cache line of the gate state that every reject
+	// reads.
+	_ [64]byte
 
 	rejectedInvalid atomic.Uint64
 	rejectedGate    atomic.Uint64
@@ -309,6 +322,11 @@ type Controller struct {
 func New(region core.Region, reserved []float64, clock Clock, k int) *Controller {
 	if reserved != nil && len(reserved) != region.Stages {
 		panic(fmt.Sprintf("shard: %d reserved values for %d stages", len(reserved), region.Stages))
+	}
+	for _, v := range reserved {
+		if v < 0 || v >= 1 {
+			panic(fmt.Sprintf("shard: reserved utilization %v outside [0, 1)", v))
+		}
 	}
 	if k < 1 {
 		k = 1
@@ -333,9 +351,6 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 		bound:     region.Bound(),
 		scaleBits: make([]atomic.Uint64, region.Stages),
 		gateBits:  make([]atomic.Uint64, region.Stages),
-	}
-	if reserved != nil {
-		c.reserved = append([]float64(nil), reserved...)
 	}
 	c.boundBits.Store(math.Float64bits(c.bound))
 	for j := range c.scaleBits {
@@ -371,10 +386,9 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 		c.shards[i] = s
 	}
 	// Initial partition: caps from the balanced residual split around
-	// the reserved floors.
-	c.lockAll()
+	// the reserved floors. No other goroutine can see c yet, so the
+	// locks repartitionLocked asks for are not needed.
 	c.repartitionLocked(false)
-	c.unlockAll()
 	return c
 }
 
@@ -455,10 +469,7 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 		if s.tbl.liveN[slot] > 0 {
 			expired++
 		}
-		for j := 0; j < s.tbl.stages; j++ {
-			s.addSum(j, -s.tbl.contribs[slot*s.tbl.stages+j])
-		}
-		s.tbl.delete(slot)
+		s.dropLocked(slot)
 	})
 	if flushed > 0 || s.nextExp.Load() <= mnow {
 		if at, ok := s.whl.Earliest(); ok {
@@ -470,19 +481,50 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 	if expired > 0 {
 		s.expired += uint64(expired)
 		s.releasedTraffic += uint64(expired)
-		s.rebaselineLocked()
 		s.updateHintLocked()
 		c.noteFreed()
 	}
 	return expired
 }
 
-// commitLocked inserts the admitted row (contribs already scaled and
-// quality-adjusted), schedules its expiry, and charges the sums.
-// Callers hold s.mu and have verified the cap test.
-func (s *shard) commitLocked(id uint64, at int64, contribs []float64, level uint8) {
+// subLocked subtracts a contribution from stage j's sum; left is how
+// many rows still charge the stage afterwards. When none do, it
+// rebaselines the sum to exactly zero, as core.Ledger does, which kills
+// residual floating error before the stage's next busy period. Callers
+// hold s.mu.
+func (s *shard) subLocked(j int, v float64, left int) {
+	s.addSum(j, -v)
+	if left == 0 {
+		s.sums[j], s.comps[j] = 0, 0
+	}
+}
+
+// dropLocked subtracts every charge the row still holds, then deletes
+// it. Callers hold s.mu.
+func (s *shard) dropLocked(slot int) {
+	t := &s.tbl
+	for j := 0; j < t.stages; j++ {
+		if t.presentAt(slot, j) {
+			s.subLocked(j, t.contribs[slot*t.stages+j], t.dropStage(slot, j))
+		}
+	}
+	t.delete(slot)
+}
+
+// commitLocked inserts the admitted row, charging each stage
+// rawAt(raw, opt, j, lv) times its demand multiplier, and schedules the
+// row's expiry at the absolute deadline at. A degraded admit (opt
+// non-nil, lv below full quality) records lv. Callers hold s.mu and
+// have verified the region or cap test.
+func (s *shard) commitLocked(id uint64, at int64, raw, opt []float64, lv int) {
+	level := uint8(task.QualityLevels)
+	if opt != nil && lv < task.QualityLevels {
+		level = uint8(lv)
+		s.degraded++
+	}
 	slot := s.tbl.insert(id, at, level)
-	for j, v := range contribs {
+	for j := range raw {
+		v := rawAt(raw, opt, j, lv) * s.scales[j]
 		s.tbl.contribs[slot*s.tbl.stages+j] = v
 		s.addSum(j, v)
 	}
@@ -494,60 +536,45 @@ func (s *shard) commitLocked(id uint64, at int64, contribs []float64, level uint
 		s.nextExp.Store(at)
 	}
 	s.admitted++
-	if int(level) < task.QualityLevels {
-		s.degraded++
-	}
 	s.noteHintOpLocked()
 }
 
-// admitLocked runs monotone fold + due purge + the pointwise cap test,
-// committing on success. eff is the per-stage unscaled synthetic
-// demand; level is the quality level to record. Callers hold s.mu.
-// Returns (admitted, expiredByPurge).
-func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, eff []float64, level uint8) (bool, int) {
-	mnow := s.monotoneLocked(c.nowNano())
-	expired := 0
+// purgeDueLocked folds one clock sample into the monotone view and
+// flushes the wheel when an expiry is due. Callers hold s.mu. Returns
+// the monotone now and how many live rows expired.
+func (s *shard) purgeDueLocked(c *Controller) (mnow int64, expired int) {
+	mnow = s.monotoneLocked(c.nowNano())
 	if s.nextExp.Load() <= mnow {
 		expired = s.purgeLocked(c, mnow)
 	}
-	var scaled [maxStackStages]float64
-	var sc []float64
-	if s.tbl.stages <= maxStackStages {
-		sc = scaled[:s.tbl.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(s.tbl.stages)
-		sc = bufs.eff[:s.tbl.stages]
-	}
-	for j := range eff {
-		sc[j] = eff[j] * s.scales[j]
-		if s.util(j)+sc[j] > s.caps[j] {
+	return mnow, expired
+}
+
+// admitLocked runs a due purge and the pointwise cap test at level lv,
+// committing on success. Callers hold s.mu. Returns (admitted,
+// expiredByPurge).
+func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt []float64, lv int) (bool, int) {
+	mnow, expired := s.purgeDueLocked(c)
+	for j := range raw {
+		if s.util(j)+rawAt(raw, opt, j, lv)*s.scales[j] > s.caps[j] {
 			return false, expired
 		}
 	}
-	s.commitLocked(id, mnow+deadline, sc, level)
+	s.commitLocked(id, mnow+deadline, raw, opt, lv)
 	return true, expired
 }
 
 // TryAdmit tests the request against the region and commits it on
-// success: against the home shard's caps first (one uncontended lock),
-// then with stolen peer headroom, then in the exact all-shard pass.
-// Allocation-free; under sustained overload rejects are lock-free via
-// the gate snapshot.
+// success. Allocation-free; under sustained overload rejects are
+// lock-free via the gate snapshot.
 func (c *Controller) TryAdmit(r Request) bool {
 	return c.admit(&r, true)
 }
 
-// TryAdmitRetry is TryAdmit without counting a failed attempt as a
-// rejection — the AdmitWithin retry loop's variant.
-func (c *Controller) TryAdmitRetry(r Request) bool {
-	return c.admit(&r, false)
-}
-
 // Admit is the by-reference admission entry point for wrapping
 // controllers on their hot path: it skips the Request copy TryAdmit's
-// value signature costs. The request is only read, never retained.
+// value signature costs. The request is only read, never retained. A
+// failed attempt counts as a rejection only when countReject is set.
 func (c *Controller) Admit(r *Request, countReject bool) bool {
 	return c.admit(r, countReject)
 }
@@ -557,60 +584,156 @@ func (c *Controller) Admit(r *Request, countReject bool) bool {
 func (c *Controller) CountRejected() { c.rejectedInvalid.Add(1) }
 
 func (c *Controller) admit(r *Request, countReject bool) bool {
-	if r.Deadline <= 0 || len(r.Demands) != c.stages || r.ID == ^uint64(0) {
+	var stack [maxStackStages]float64
+	raw, pooled := c.scratch(stack[:], 1)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
+	}
+	if _, ok := c.vectors(r, raw, nil); !ok {
 		if countReject {
 			c.rejectedInvalid.Add(1)
 		}
 		return false
 	}
-	var stackRaw [maxStackStages]float64
-	var raw []float64
-	if c.stages <= maxStackStages {
-		raw = stackRaw[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		raw = bufs.raw[:c.stages]
-	}
-	// The synthetic utilization demand/deadline is dimensionless, so the
-	// ratio of nanosecond counts equals the ratio of seconds — skipping
-	// Duration.Seconds saves four div+mod decompositions per admit.
-	invD := 1 / float64(r.Deadline)
-	for j, dem := range r.Demands {
-		raw[j] = float64(dem) * invD
-	}
+	_, ok := c.admitReq(r.ID, int64(r.Deadline), raw, nil, task.QualityLevels, countReject)
+	return ok
+}
 
-	s := c.shardOf(r.ID)
+// valid reports whether the request is well-formed: a positive
+// deadline, one demand per stage, and not the reserved all-ones ID.
+func (c *Controller) valid(r *Request) bool {
+	return r.Deadline > 0 && len(r.Demands) == c.stages && r.ID != ^uint64(0)
+}
+
+// vectors converts the request into per-stage synthetic utilization
+// demand/deadline (raw) and, when opt is non-nil, its optional portion.
+// It reports false on a malformed request, including an Optional entry
+// outside [0, Demands[j]] when opt is requested.
+func (c *Controller) vectors(r *Request, raw, opt []float64) (hasOpt, ok bool) {
+	if !c.valid(r) || (opt != nil && r.Optional != nil && len(r.Optional) != c.stages) {
+		return false, false
+	}
+	invD := 1 / r.Deadline.Seconds()
+	for j, dem := range r.Demands {
+		raw[j] = dem.Seconds() * invD
+		if opt == nil {
+			continue
+		}
+		opt[j] = 0
+		if r.Optional != nil {
+			if r.Optional[j] < 0 || r.Optional[j] > dem {
+				return false, false
+			}
+			opt[j] = r.Optional[j].Seconds() * invD
+		}
+		if opt[j] > 0 {
+			hasOpt = true
+		}
+	}
+	return hasOpt, true
+}
+
+// admitReq decides one well-formed request at quality maxLevel (opt
+// nil means rigid). The lock-free gate goes first, so sustained
+// overload rejects without a lock. Past it, at K=1, is one exact region
+// test; at K>1 the home shard's caps, then headroom stolen from peers,
+// then the exact all-shard pass. Only the gate and the exact test
+// reject, and only the exact test searches below maxLevel, so every K
+// decides exactly as the single exact test does. Returns the admitted
+// level.
+func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool) {
+	if c.gateRejects(raw, opt) {
+		if countReject {
+			c.rejectedGate.Add(1)
+		}
+		return 0, false
+	}
+	if c.k == 1 {
+		return c.admitOne(id, deadline, raw, opt, maxLevel, countReject)
+	}
+	s := c.shardOf(id)
 	s.mu.Lock()
-	ok, expired := s.admitLocked(c, r.ID, int64(r.Deadline), raw, task.QualityLevels)
+	ok, expired := s.admitLocked(c, id, deadline, raw, opt, maxLevel)
 	s.mu.Unlock()
 	if expired > 0 {
 		c.hook()
 	}
+	if ok || c.stealThenAdmit(s, id, deadline, raw, opt, maxLevel) {
+		return maxLevel, true
+	}
+	return c.globalAdmit(id, deadline, raw, opt, maxLevel, countReject)
+}
+
+// admitOne is the exact test at K=1, where the caps, steal, and global
+// pass collapse into one region test under the only shard's lock. A
+// reject arms the gate.
+func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool) {
+	var stack [maxStackStages]float64
+	utils, pooled := c.scratch(stack[:], 1)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
+	}
+	s := c.shards[0]
+	s.mu.Lock()
+	mnow, expired := s.purgeDueLocked(c)
+	for j := range utils {
+		utils[j] = s.util(j)
+	}
+	lv, ok := fitLevel(utils, s.scales, raw, opt, maxLevel, c.boundNow())
 	if ok {
-		return true
-	}
-	if c.k > 1 && c.stealThenAdmit(s, r.ID, int64(r.Deadline), raw, task.QualityLevels) {
-		return true
-	}
-	if c.gateRejects(raw, nil, 0) {
+		s.commitLocked(id, mnow+deadline, raw, opt, lv)
+	} else {
 		if countReject {
-			c.rejectedGate.Add(1)
+			s.rejected++
 		}
-		return false
+		c.armGateLocked(utils)
 	}
-	admitted, _ := c.globalAdmit(r.ID, int64(r.Deadline), raw, nil, task.QualityLevels, false, countReject)
-	return admitted
+	s.mu.Unlock()
+	if expired > 0 {
+		c.hook()
+	}
+	return lv, ok
+}
+
+// fitLevel is the exact region test Σ_j f(utils_j + d_j·scales_j) ≤
+// bound for the demand d at maxLevel. When that fails and the request
+// carries optional demand (opt non-nil), it binary-searches the highest
+// level below maxLevel that fits: demand only grows with the level, so
+// a failing mandatory-only test rejects every level.
+func fitLevel(utils, scales, raw, opt []float64, maxLevel int, bound float64) (int, bool) {
+	sumAt := func(lv int) float64 {
+		sum := 0.0
+		for j, u := range utils {
+			sum += core.StageDelayFactor(u + rawAt(raw, opt, j, lv)*scales[j])
+		}
+		return sum
+	}
+	switch {
+	case sumAt(maxLevel) <= bound:
+		return maxLevel, true
+	case opt == nil || maxLevel == 0 || sumAt(0) > bound:
+		return 0, false
+	}
+	lo, hi := 0, maxLevel-1
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if sumAt(mid) <= bound {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo, true
 }
 
 // gateRejects is the lock-free overload reject: valid only while the
 // gate is armed, no capacity has been freed since its snapshot, and no
 // purge is due on any shard. The snapshot utilizations are lower bounds
 // on the current ones (admits only grow them), so snapshot-sum > bound
-// proves the exact pass would reject too. opt/level select the quality
-// demand to test (nil opt = rigid).
-func (c *Controller) gateRejects(raw, opt []float64, level int) bool {
+// proves the exact pass would reject too. The probe is mandatory-only
+// demand (opt nil = rigid), the quality cascade's weakest test, so a
+// gate reject implies every level fails.
+func (c *Controller) gateRejects(raw, opt []float64) bool {
 	if !c.gateArmed.Load() {
 		return false
 	}
@@ -632,11 +755,7 @@ func (c *Controller) gateRejects(raw, opt []float64, level int) bool {
 	sum := 0.0
 	for j := range raw {
 		u := math.Float64frombits(c.gateBits[j].Load())
-		d := raw[j]
-		if opt != nil {
-			d = rawAt(raw, opt, j, level)
-		}
-		sum += core.StageDelayFactor(u + d*c.stageScale(j))
+		sum += core.StageDelayFactor(u + rawAt(raw, opt, j, 0)*c.stageScale(j))
 	}
 	if c.gateSeq.Load() != seq || c.freedGen.Load() != g {
 		return false
@@ -646,8 +765,9 @@ func (c *Controller) gateRejects(raw, opt []float64, level int) bool {
 
 // Release drops the request's contribution on all stages immediately.
 // The wheel entry is left to be discarded lazily at its flush (the
-// table no longer matches it). Matches online.Controller.Release: no
-// purge, waiters woken only when a contribution was removed.
+// table no longer matches it). There is no purge, and the wake hook
+// runs only when a contribution was removed; an expired or unknown ID
+// is a silent no-op.
 func (c *Controller) Release(id uint64) {
 	s := c.shardOf(id)
 	s.mu.Lock()
@@ -666,29 +786,20 @@ func (s *shard) releaseLocked(c *Controller, id uint64) bool {
 		return false
 	}
 	removed := s.tbl.liveN[slot] > 0
-	for j := 0; j < s.tbl.stages; j++ {
-		s.addSum(j, -s.tbl.contribs[slot*s.tbl.stages+j])
-	}
-	s.tbl.delete(slot)
+	s.dropLocked(slot)
 	if removed {
 		s.releasedTraffic++
-		s.rebaselineLocked()
 		s.noteHintOpLocked()
 		c.noteFreed()
 	}
 	return removed
 }
 
-// ReleaseAll drops a burst of contributions, one lock acquisition and
-// one purge per shard, with a single coalesced waiter wake at the end.
-// Returns how many IDs still had a live contribution.
-func (c *Controller) ReleaseAll(ids []uint64) int {
-	if len(ids) == 0 {
-		return 0
-	}
+// eachByShard runs fn on every id under its shard's lock, one lock
+// acquisition and one purge (at one clock sample) per shard touched.
+// Returns how many live rows the purges expired.
+func (c *Controller) eachByShard(ids []uint64, fn func(s *shard, id uint64)) (expired int) {
 	now := c.nowNano()
-	released := 0
-	expired := 0
 	for si, s := range c.shards {
 		locked := false
 		for _, id := range ids {
@@ -700,14 +811,29 @@ func (c *Controller) ReleaseAll(ids []uint64) int {
 				locked = true
 				expired += s.purgeLocked(c, s.monotoneLocked(now))
 			}
-			if s.releaseLocked(c, id) {
-				released++
-			}
+			fn(s, id)
 		}
 		if locked {
 			s.mu.Unlock()
 		}
 	}
+	return expired
+}
+
+// ReleaseAll drops a burst of contributions, one lock acquisition and
+// one purge per shard, with a single coalesced wake at the end — so a
+// burst release hands out exactly one wake token. Returns how many IDs
+// still had a live contribution.
+func (c *Controller) ReleaseAll(ids []uint64) int {
+	if len(ids) == 0 {
+		return 0
+	}
+	released := 0
+	expired := c.eachByShard(ids, func(s *shard, id uint64) {
+		if s.releaseLocked(c, id) {
+			released++
+		}
+	})
 	if released > 0 || expired > 0 {
 		c.hook()
 	}
@@ -719,48 +845,32 @@ func (c *Controller) ReleaseAll(ids []uint64) int {
 func (c *Controller) MarkDeparted(stage int, id uint64) {
 	s := c.shardOf(id)
 	s.mu.Lock()
-	if slot, ok := s.tbl.lookup(id); ok && s.tbl.presentAt(slot, stage) && s.tbl.liveN[slot] > 0 {
-		s.tbl.markDeparted(slot, stage)
-	}
+	s.markDepartedLocked(stage, id)
 	s.mu.Unlock()
 }
 
+func (s *shard) markDepartedLocked(stage int, id uint64) {
+	if slot, ok := s.tbl.lookup(id); ok && s.tbl.presentAt(slot, stage) {
+		s.tbl.markDeparted(slot, stage, id)
+	}
+}
+
 // MarkDepartedAll is the batch mirror of MarkDeparted: one lock and one
-// purge per shard.
+// purge per shard. Contributions whose deadlines already passed are
+// purged rather than marked.
 func (c *Controller) MarkDepartedAll(stage int, ids []uint64) {
 	if len(ids) == 0 {
 		return
 	}
-	now := c.nowNano()
-	expired := 0
-	for si, s := range c.shards {
-		locked := false
-		for _, id := range ids {
-			if c.shardIdx(id) != si {
-				continue
-			}
-			if !locked {
-				s.mu.Lock()
-				locked = true
-				expired += s.purgeLocked(c, s.monotoneLocked(now))
-			}
-			if slot, ok := s.tbl.lookup(id); ok && s.tbl.presentAt(slot, stage) && s.tbl.liveN[slot] > 0 {
-				s.tbl.markDeparted(slot, stage)
-			}
-		}
-		if locked {
-			s.mu.Unlock()
-		}
-	}
+	expired := c.eachByShard(ids, func(s *shard, id uint64) { s.markDepartedLocked(stage, id) })
 	if expired > 0 {
 		c.hook()
 	}
 }
 
-// StageIdle performs the idle reset for a stage on every shard: rows
-// that departed the stage stop charging it. Cleared rows linger until
-// their deadline expiry (deleting mid-scan would corrupt the probe
-// clusters), which only delays slot reuse, never capacity release.
+// StageIdle performs the paper's idle reset for a stage on every shard:
+// rows that departed the stage stop charging it. Each shard drains its
+// departed list, so the reset costs what departed, not the table size.
 func (c *Controller) StageIdle(stage int) {
 	now := c.nowNano()
 	freed := 0
@@ -768,31 +878,44 @@ func (c *Controller) StageIdle(stage int) {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		expired += s.purgeLocked(c, s.monotoneLocked(now))
-		shardFreed := 0
-		for slot := range s.tbl.keys {
-			if s.tbl.keys[slot] == 0 {
-				continue
-			}
-			if s.tbl.departedAt(slot, stage) && s.tbl.presentAt(slot, stage) {
-				s.addSum(stage, -s.tbl.contribs[slot*s.tbl.stages+stage])
-				s.tbl.clearStage(slot, stage)
-				shardFreed++
-			}
-		}
-		if shardFreed > 0 {
-			s.releasedTraffic += uint64(shardFreed)
+		if n := s.resetIdleLocked(stage); n > 0 {
+			s.releasedTraffic += uint64(n)
 			s.updateHintLocked()
 			c.noteFreed()
-			freed += shardFreed
+			freed += n
 		}
 		s.mu.Unlock()
 	}
 	if freed > 0 {
 		c.idleResets.Add(1)
-		c.hook()
-	} else if expired > 0 {
+	}
+	if freed > 0 || expired > 0 {
 		c.hook()
 	}
+}
+
+// resetIdleLocked clears stage from every row flagged departed there,
+// draining the departed list in ascending-ID order as
+// core.Ledger.ResetIdle does. Cleared rows stay in the table until
+// their deadline expiry. Returns how many rows it cleared. Callers hold
+// s.mu.
+func (s *shard) resetIdleLocked(stage int) int {
+	t := &s.tbl
+	if t.pending[stage] == 0 {
+		t.dep[stage] = t.dep[stage][:0] // only stale entries remain
+		return 0
+	}
+	ids := t.sortDeparted(stage)
+	n := 0
+	for i := range ids {
+		if slot, ok := t.flagged(ids, i, stage); ok {
+			v := t.contribs[slot*t.stages+stage]
+			s.subLocked(stage, v, t.clearStage(slot, stage))
+			n++
+		}
+	}
+	t.dep[stage] = ids[:0]
+	return n
 }
 
 // NextExpiry returns a lower bound (UnixNano) on the earliest pending
@@ -887,15 +1010,10 @@ func (c *Controller) Bound() float64 { return c.boundNow() }
 // purged first, without allocating. Like Utilizations it is not one
 // atomic cut under concurrent admits; at quiesce it is exact.
 func (c *Controller) RegionValue() (value, bound float64) {
-	var stackU [maxStackStages]float64
-	var utils []float64
-	if c.stages <= maxStackStages {
-		utils = stackU[:c.stages]
-	} else {
-		bufs := admitBufPool.Get().(*admitBufs)
-		defer admitBufPool.Put(bufs)
-		bufs.size(c.stages)
-		utils = bufs.utils[:c.stages]
+	var stack [maxStackStages]float64
+	utils, pooled := c.scratch(stack[:], 1)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
 		clear(utils)
 	}
 	c.addUtils(utils)
