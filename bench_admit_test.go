@@ -25,8 +25,8 @@ import (
 //   - Parallel1/4/16/64/128/256: g goroutines splitting b.N over
 //     admit+release — the throughput scaling curve;
 //   - RejectParallel16: a full region hammered by 16 goroutines — the
-//     new path rejects lock-free off the seqlock mirror, the baseline
-//     serializes every rejection.
+//     new path rejects through the shard plane's lock-free overload
+//     gate, the baseline serializes every rejection.
 //
 // The BenchmarkShardedAdmit* set runs the same harness over the K=8
 // sharded controller (online.Config{Shards: 8}): admits charge a

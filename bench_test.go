@@ -256,6 +256,42 @@ func BenchmarkLedgerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmitExpireChurn measures the simulated-time controller's
+// full per-task bookkeeping at a steady population of active tasks: each
+// op admits one 3-stage task (test and commit) and advances the clock
+// one unit, firing one deadline expiry. BenchmarkAdmissionDecisionTaskCount
+// times the test alone; this adds the commit and the expiry, the part
+// that touches the task table.
+func BenchmarkAdmitExpireChurn(b *testing.B) {
+	for _, active := range []int{1_000, 100_000} {
+		b.Run(benchName("active", active), func(b *testing.B) {
+			sim := des.New()
+			c := core.NewController(sim, core.NewRegion(3), nil)
+			// Every task lives `active` time units and contributes
+			// 0.1/active per stage, so the population holds at `active`
+			// with U_j = 0.1.
+			tk := task.Chain(0, 0, float64(active), 0.1, 0.1, 0.1)
+			id := task.ID(0)
+			step := func() {
+				tk.ID, tk.Arrival = id, sim.Now()
+				if !c.TryAdmit(tk) {
+					b.Fatalf("task %d rejected at U = %v", id, c.Utilizations())
+				}
+				id++
+				sim.RunUntil(sim.Now() + 1)
+			}
+			for i := 0; i < active; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
 // BenchmarkOnlineControllerParallel measures the wall-clock controller
 // under concurrent admission from all cores.
 func BenchmarkOnlineControllerParallel(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/metrics"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable"
 )
 
 // Estimator returns the admission-time estimate of a task's computation
@@ -45,7 +46,8 @@ type Stats struct {
 // Controller is the paper's utilization-based admission controller for an
 // N-stage pipeline. Each admission test is O(N): it evaluates
 // Σ f(U_j + ΔU_j) ≤ α(1−Σβ_j) against the stages' synthetic-utilization
-// ledgers, independent of how many tasks are active.
+// ledgers, independent of how many tasks are active. The ledgers share
+// one task table: an admitted task is one row.
 //
 // Wire it to a simulation by forwarding stage-idle events to
 // HandleStageIdle and stage completions to MarkDeparted; the controller
@@ -53,12 +55,13 @@ type Stats struct {
 type Controller struct {
 	sim      *des.Simulator
 	region   Region
-	ledgers  []*Ledger
+	tab      tasktable.Table // one row per admitted task
+	ledgers  []StageLedger   // per-stage sums over tab
 	estimate Estimator
-	scales   []float64       // per-stage demand multipliers; nil until first SetStageScale
-	scratch  []float64       // reusable deltas buffer; the controller is single-threaded (DES)
-	levels   map[task.ID]int // quality level of admitted tasks below full quality
-	expiries *expiry         // free list of deadline-decrement timers
+	scales   []float64 // per-stage demand multipliers; nil until first SetStageScale
+	scratch  []float64 // reusable deltas buffer; the controller is single-threaded (DES)
+	seq      int64     // admissions so far: the stamp of the latest row
+	expiries *expiry   // free list of deadline-decrement timers
 
 	onRelease []func(now des.Time)
 	onChange  func(stage int, now des.Time, u float64)
@@ -84,21 +87,22 @@ func NewController(sim *des.Simulator, region Region, reserved []float64) *Contr
 	if reserved != nil && len(reserved) != region.Stages {
 		panic(fmt.Sprintf("core: %d reserved values for %d stages", len(reserved), region.Stages))
 	}
-	ledgers := make([]*Ledger, region.Stages)
-	for j := range ledgers {
+	c := &Controller{
+		sim:      sim,
+		region:   region,
+		tab:      tasktable.New(region.Stages),
+		ledgers:  make([]StageLedger, region.Stages),
+		estimate: ActualDemand,
+	}
+	for j := range c.ledgers {
 		f := 0.0
 		if reserved != nil {
 			f = reserved[j]
 		}
-		ledgers[j] = NewLedger(f)
+		checkReserved(f)
+		c.ledgers[j] = StageLedger{c: c, j: j, reserved: f}
 	}
-	return &Controller{
-		sim:      sim,
-		region:   region,
-		ledgers:  ledgers,
-		estimate: ActualDemand,
-		levels:   make(map[task.ID]int),
-	}
+	return c
 }
 
 // SetEstimator switches the demand estimator (e.g. to MeanDemand for
@@ -143,8 +147,8 @@ func (c *Controller) updateRegionGauges() {
 		return
 	}
 	sum := 0.0
-	for j, l := range c.ledgers {
-		u := l.Utilization()
+	for j := range c.ledgers {
+		u := c.ledgers[j].Utilization()
 		c.metUtil[j].Set(u)
 		sum += StageDelayFactor(u)
 	}
@@ -228,13 +232,13 @@ func (c *Controller) Stats() Stats { return c.stats }
 
 // Ledger exposes the stage's synthetic-utilization ledger (peak tracking
 // and inspection for experiments).
-func (c *Controller) Ledger(stage int) *Ledger { return c.ledgers[stage] }
+func (c *Controller) Ledger(stage int) *StageLedger { return &c.ledgers[stage] }
 
 // Utilizations returns the current synthetic utilization of every stage.
 func (c *Controller) Utilizations() []float64 {
 	us := make([]float64, len(c.ledgers))
-	for j, l := range c.ledgers {
-		us[j] = l.Utilization()
+	for j := range c.ledgers {
+		us[j] = c.ledgers[j].Utilization()
 	}
 	return us
 }
@@ -271,8 +275,8 @@ func (c *Controller) notifyChange() {
 		return
 	}
 	now := c.sim.Now()
-	for j, l := range c.ledgers {
-		c.onChange(j, now, l.Utilization())
+	for j := range c.ledgers {
+		c.onChange(j, now, c.ledgers[j].Utilization())
 	}
 }
 
@@ -325,8 +329,8 @@ func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
 // admissible evaluates the region test for the given increments.
 func (c *Controller) admissible(d []float64) bool {
 	sum := 0.0
-	for j, l := range c.ledgers {
-		sum += StageDelayFactor(l.Utilization() + d[j])
+	for j := range c.ledgers {
+		sum += StageDelayFactor(c.ledgers[j].Utilization() + d[j])
 	}
 	return sum <= c.region.Bound()
 }
@@ -349,7 +353,7 @@ func (c *Controller) TryAdmit(t *task.Task) bool {
 		c.metRejected.Inc()
 		return false
 	}
-	c.commit(t, d)
+	c.commit(t, d, task.QualityLevels)
 	return true
 }
 
@@ -364,7 +368,7 @@ func (c *Controller) ForceAdmit(t *task.Task) error {
 	if d == nil {
 		return fmt.Errorf("core: cannot force-admit task %d: non-positive deadline %v", t.ID, t.Deadline)
 	}
-	c.commit(t, d)
+	c.commit(t, d, task.QualityLevels)
 	return nil
 }
 
@@ -373,13 +377,21 @@ func (c *Controller) ForceAdmit(t *task.Task) error {
 // deadlines; the guard here keeps a misuse from panicking in commit.
 func (c *Controller) commitAdmit(t *task.Task) {
 	if d := c.deltas(t); d != nil {
-		c.commit(t, d)
+		c.commit(t, d, task.QualityLevels)
 	}
 }
 
-func (c *Controller) commit(t *task.Task, d []float64) {
-	for j, l := range c.ledgers {
-		l.Add(t.ID, d[j])
+// commit inserts the task's row, stamped with the admission sequence
+// number, charges every stage, and schedules the row's expiry.
+func (c *Controller) commit(t *task.Task, d []float64, level int) {
+	c.seq++
+	slot := c.tab.Insert(key(t.ID), c.seq, uint8(level))
+	for j, v := range d {
+		if v < 0 {
+			panic("core: negative synthetic-utilization contribution")
+		}
+		c.tab.SetContrib(slot, j, v)
+		c.ledgers[j].charge(v)
 	}
 	e := c.expiries
 	if e != nil {
@@ -387,7 +399,7 @@ func (c *Controller) commit(t *task.Task, d []float64) {
 	} else {
 		e = &expiry{c: c}
 	}
-	e.id = t.ID
+	e.id, e.stamp = t.ID, c.seq
 	c.sim.AtTimer(t.AbsoluteDeadline(), e)
 	c.stats.Admitted++
 	c.metAdmitted.Inc()
@@ -399,22 +411,36 @@ func (c *Controller) commit(t *task.Task, d []float64) {
 // steady admit/expire stream schedules without allocating (a capturing
 // closure per admission would be a heap object).
 type expiry struct {
-	c    *Controller
-	id   task.ID
-	next *expiry
+	c     *Controller
+	id    task.ID
+	stamp int64 // the row's admission stamp
+	next  *expiry
 }
 
-// Fire removes the task's contributions at its absolute deadline.
+// Fire removes the task's row at its absolute deadline. A record whose
+// ID has since been re-admitted finds a newer stamp and does nothing.
 func (e *expiry) Fire(des.Time) {
-	c, id := e.c, e.id
+	c := e.c
 	// Recycle first: the release hooks below may admit, and reuse e.
 	e.next, c.expiries = c.expiries, e
-	for _, l := range c.ledgers {
-		l.Remove(id)
+	if slot, ok := c.tab.Lookup(key(e.id)); ok {
+		if c.tab.Stamp(slot) != e.stamp {
+			return
+		}
+		c.drop(slot)
 	}
-	delete(c.levels, id)
 	c.notifyChange()
 	c.fireRelease()
+}
+
+// drop credits back every stage the row still charges, then deletes it.
+func (c *Controller) drop(slot int) {
+	for j := range c.ledgers {
+		if c.tab.Present(slot, j) {
+			c.ledgers[j].sum.Sub(c.tab.Contrib(slot, j), c.tab.DropStage(slot, j))
+		}
+	}
+	c.tab.Delete(slot)
 }
 
 // EstimateFor returns the demand estimate the admission test would use
@@ -431,14 +457,26 @@ func (c *Controller) EstimateFor(t *task.Task, stage int) float64 {
 // exactly the desired back-pressure. It reports whether the task still
 // contributed at the stage.
 func (c *Controller) Recharge(id task.ID, stage int, contribution float64) bool {
-	if !c.ledgers[stage].Update(id, contribution) {
+	if contribution < 0 {
+		panic("core: negative synthetic-utilization contribution")
+	}
+	slot, ok := c.tab.Lookup(key(id))
+	if !ok || !c.tab.Present(slot, stage) {
 		return false
 	}
+	c.recharge(slot, stage, contribution)
 	c.updateRegionGauges()
 	if c.onChange != nil {
 		c.onChange(stage, c.sim.Now(), c.ledgers[stage].Utilization())
 	}
 	return true
+}
+
+// recharge replaces the row's contribution at the stage (Ledger.Update).
+func (c *Controller) recharge(slot, stage int, v float64) {
+	old := c.tab.Contrib(slot, stage)
+	c.tab.SetContrib(slot, stage, v)
+	c.ledgers[stage].charge(v - old)
 }
 
 // Evict removes a task's contribution from every stage immediately —
@@ -448,13 +486,12 @@ func (c *Controller) Recharge(id task.ID, stage int, contribution float64) bool 
 // re-enters the region. The task's already-scheduled deadline decrement
 // becomes a no-op. Evicting an unknown or expired task does nothing.
 func (c *Controller) Evict(id task.ID) {
-	removed := false
-	for _, l := range c.ledgers {
-		if l.Remove(id) {
-			removed = true
-		}
+	slot, ok := c.tab.Lookup(key(id))
+	if !ok {
+		return
 	}
-	delete(c.levels, id)
+	removed := c.tab.Live(slot)
+	c.drop(slot)
 	if removed {
 		c.metEvicted.Inc()
 		c.notifyChange()
@@ -471,54 +508,72 @@ func (c *Controller) PlanShedding(t *task.Task, candidates []task.ID) (shed []ta
 	if d == nil {
 		return nil, false
 	}
-	// Maintain Σ f(U_j) incrementally as contributions are subtracted:
-	// each candidate costs O(stages-it-touches) instead of a full O(N)
-	// re-sum. Infinite terms (U_j ≥ 1, f = +Inf) are tracked by count —
-	// Inf − Inf is NaN, so they must never enter the running sum.
-	bound := c.region.Bound()
-	utils := make([]float64, len(c.ledgers))
-	terms := make([]float64, len(c.ledgers))
-	sum := 0.0
-	infinite := 0
-	for j, l := range c.ledgers {
-		utils[j] = l.Utilization() + d[j]
-		terms[j] = StageDelayFactor(utils[j])
-		if math.IsInf(terms[j], 1) {
-			infinite++
-		} else {
-			sum += terms[j]
-		}
-	}
-	if infinite == 0 && sum <= bound {
+	p := c.newRegionSum(d)
+	if p.fits() {
 		return nil, true
 	}
 	for _, id := range candidates {
-		for j, l := range c.ledgers {
-			contrib, present := l.Contribution(id)
-			if !present || contrib == 0 {
-				continue
+		slot, present := c.tab.Lookup(key(id))
+		for j := 0; present && j < len(c.ledgers); j++ {
+			if v := c.tab.Contrib(slot, j); v != 0 { // 0 once cleared
+				p.sub(j, v)
 			}
-			utils[j] -= contrib
-			term := StageDelayFactor(utils[j])
-			if math.IsInf(terms[j], 1) {
-				infinite--
-			} else {
-				sum -= terms[j]
-			}
-			if math.IsInf(term, 1) {
-				infinite++
-			} else {
-				sum += term
-			}
-			terms[j] = term
 		}
 		shed = append(shed, id)
-		if infinite == 0 && sum <= bound {
+		if p.fits() {
 			return shed, true
 		}
 	}
 	return nil, false
 }
+
+// regionSum maintains Σ f(U_j) over a tentative utilization point while
+// the shedding planners subtract contributions from it: each costs O(1)
+// instead of an O(N) re-sum. Infinite terms (U_j ≥ 1, f = +Inf) are
+// counted, never summed — Inf − Inf is NaN.
+type regionSum struct {
+	utils, terms []float64
+	sum, bound   float64
+	infinite     int
+}
+
+func (c *Controller) newRegionSum(d []float64) *regionSum {
+	p := &regionSum{
+		utils: make([]float64, len(c.ledgers)),
+		terms: make([]float64, len(c.ledgers)),
+		bound: c.region.Bound(),
+	}
+	for j := range c.ledgers {
+		p.utils[j] = c.ledgers[j].Utilization() + d[j]
+		p.terms[j] = StageDelayFactor(p.utils[j])
+		if math.IsInf(p.terms[j], 1) {
+			p.infinite++
+		} else {
+			p.sum += p.terms[j]
+		}
+	}
+	return p
+}
+
+// sub lowers stage j's utilization by delta.
+func (p *regionSum) sub(j int, delta float64) {
+	p.utils[j] -= delta
+	term := StageDelayFactor(p.utils[j])
+	if math.IsInf(p.terms[j], 1) {
+		p.infinite--
+	} else {
+		p.sum -= p.terms[j]
+	}
+	if math.IsInf(term, 1) {
+		p.infinite++
+	} else {
+		p.sum += term
+	}
+	p.terms[j] = term
+}
+
+// fits reports whether the point is inside the region.
+func (p *regionSum) fits() bool { return p.infinite == 0 && p.sum <= p.bound }
 
 // Reconfigure replaces every stage's reserved utilization floor at
 // runtime (paper §5: the TSCE reconfigures dynamically on mission-mode
@@ -533,11 +588,11 @@ func (c *Controller) Reconfigure(reserved []float64) float64 {
 		panic(fmt.Sprintf("core: %d reserved values for %d stages", len(reserved), len(c.ledgers)))
 	}
 	lowered := false
-	for j, l := range c.ledgers {
-		if reserved[j] < l.Reserved() {
+	for j := range c.ledgers {
+		if reserved[j] < c.ledgers[j].Reserved() {
 			lowered = true
 		}
-		l.SetReserved(reserved[j])
+		c.ledgers[j].setReserved(reserved[j])
 	}
 	c.notifyChange()
 	if lowered {
@@ -549,13 +604,19 @@ func (c *Controller) Reconfigure(reserved []float64) float64 {
 // MarkDeparted records that the task has finished service at the stage,
 // making its contribution there eligible for the idle reset.
 func (c *Controller) MarkDeparted(stage int, id task.ID) {
-	c.ledgers[stage].MarkDeparted(id)
+	k := key(id)
+	if slot, ok := c.tab.Lookup(k); ok && c.tab.Present(slot, stage) {
+		c.tab.MarkDeparted(slot, stage, k)
+	}
 }
 
-// HandleStageIdle performs the idle reset for a stage. Wire it to
-// sched.Stage.OnIdle.
+// HandleStageIdle performs the idle reset for a stage: tasks that
+// departed it stop charging it, drained in ascending-ID order. Wire it
+// to sched.Stage.OnIdle.
 func (c *Controller) HandleStageIdle(stage int) {
-	if c.ledgers[stage].ResetIdle() > 0 {
+	l := &c.ledgers[stage]
+	if c.tab.ResetIdle(stage, &l.sum) > 0 {
+		l.resets++
 		c.updateRegionGauges()
 		if c.onChange != nil {
 			c.onChange(stage, c.sim.Now(), c.ledgers[stage].Utilization())

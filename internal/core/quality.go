@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"feasregion/internal/task"
-)
+import "feasregion/internal/task"
 
 // This file implements quality-aware (imprecise-computation) admission:
 // the three-step cascade of the "degrade before you reject" design. An
@@ -25,19 +21,17 @@ func MaxQuality() int { return task.QualityLevels }
 // degraded) at, and whether the task currently contributes to any stage
 // ledger. Tasks admitted by the plain TryAdmit path report full quality.
 func (c *Controller) QualityOf(id task.ID) (level int, present bool) {
-	for _, l := range c.ledgers {
-		if _, ok := l.Contribution(id); ok {
-			present = true
-			break
-		}
-	}
-	if !present {
+	slot, ok := c.live(id)
+	if !ok {
 		return 0, false
 	}
-	if lv, ok := c.levels[id]; ok {
-		return lv, true
-	}
-	return task.QualityLevels, true
+	return int(c.tab.Level(slot)), true
+}
+
+// live returns the task's table row when it still charges some stage.
+func (c *Controller) live(id task.ID) (int, bool) {
+	slot, ok := c.tab.Lookup(key(id))
+	return slot, ok && c.tab.Live(slot)
 }
 
 // TryAdmitQuality runs the quality-aware admission cascade: test the task
@@ -94,15 +88,16 @@ func (c *Controller) reject() {
 	c.metRejected.Inc()
 }
 
-// commitAt commits the (possibly degraded) deltas and records the task's
+// commitAt commits the (possibly degraded) deltas, recording the task's
 // quality level when it entered below full quality.
 func (c *Controller) commitAt(t *task.Task, d []float64, level int) {
 	if level < task.QualityLevels && t.HasOptional() {
-		c.levels[t.ID] = level
 		c.stats.Degraded++
 		c.metDegraded.Inc()
+	} else {
+		level = task.QualityLevels
 	}
-	c.commit(t, d)
+	c.commit(t, d, level)
 }
 
 // Degrade lowers an admitted task's quality level in place, scaling its
@@ -116,13 +111,17 @@ func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bo
 	if newLevel < 0 {
 		newLevel = 0
 	}
-	cur, present := c.QualityOf(t.ID)
-	if !present || newLevel >= cur || !t.HasOptional() {
+	slot, present := c.live(t.ID)
+	if !present {
 		return 0, false
 	}
-	for j, l := range c.ledgers {
-		contrib, here := l.Contribution(t.ID)
-		if !here || contrib == 0 {
+	cur := int(c.tab.Level(slot))
+	if newLevel >= cur || !t.HasOptional() {
+		return 0, false
+	}
+	for j := range c.ledgers {
+		contrib := c.tab.Contrib(slot, j) // 0 once cleared
+		if contrib == 0 {
 			continue
 		}
 		curDemand := t.StageDemandAt(j, cur)
@@ -130,10 +129,10 @@ func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bo
 			continue
 		}
 		next := contrib * t.StageDemandAt(j, newLevel) / curDemand
-		l.Update(t.ID, next)
+		c.recharge(slot, j, next)
 		trimmed += contrib - next
 	}
-	c.levels[t.ID] = newLevel
+	c.tab.SetLevel(slot, uint8(newLevel))
 	c.stats.Trims++
 	c.metTrimmed.Add(trimmed)
 	c.notifyChange()
@@ -171,53 +170,22 @@ func (c *Controller) PlanDegradation(t *task.Task, candidates []*task.Task) (pla
 	if d == nil {
 		return DegradePlan{}, false
 	}
-	// Incremental Σ f(U_j) maintenance, as in PlanShedding: each trim or
-	// eviction costs O(stages-it-touches). Infinite terms (U_j ≥ 1) are
-	// counted, never summed — Inf − Inf is NaN.
-	bound := c.region.Bound()
-	utils := make([]float64, len(c.ledgers))
-	terms := make([]float64, len(c.ledgers))
-	sum := 0.0
-	infinite := 0
-	for j, l := range c.ledgers {
-		utils[j] = l.Utilization() + d[j]
-		terms[j] = StageDelayFactor(utils[j])
-		if math.IsInf(terms[j], 1) {
-			infinite++
-		} else {
-			sum += terms[j]
-		}
-	}
-	update := func(j int, delta float64) {
-		utils[j] -= delta
-		term := StageDelayFactor(utils[j])
-		if math.IsInf(terms[j], 1) {
-			infinite--
-		} else {
-			sum -= terms[j]
-		}
-		if math.IsInf(term, 1) {
-			infinite++
-		} else {
-			sum += term
-		}
-		terms[j] = term
-	}
-	fits := func() bool { return infinite == 0 && sum <= bound }
-	if fits() {
+	p := c.newRegionSum(d)
+	if p.fits() {
 		return DegradePlan{}, true
 	}
 	// Remaining per-candidate contribution after the trim phase, so the
 	// eviction phase subtracts exactly what is left.
 	remaining := make(map[task.ID][]float64, len(candidates))
 	for _, v := range candidates {
-		cur, present := c.QualityOf(v.ID)
+		slot, present := c.live(v.ID)
 		if !present {
 			continue
 		}
+		cur := int(c.tab.Level(slot))
 		rem := make([]float64, len(c.ledgers))
-		for j, l := range c.ledgers {
-			rem[j], _ = l.Contribution(v.ID)
+		for j := range c.ledgers {
+			rem[j] = c.tab.Contrib(slot, j) // 0 once cleared
 		}
 		remaining[v.ID] = rem
 		if cur == 0 || !v.HasOptional() {
@@ -233,11 +201,11 @@ func (c *Controller) PlanDegradation(t *task.Task, candidates []*task.Task) (pla
 				continue
 			}
 			next := contrib * v.StageDemandAt(j, 0) / curDemand
-			update(j, contrib-next)
+			p.sub(j, contrib-next)
 			rem[j] = next
 		}
 		plan.Trim = append(plan.Trim, v.ID)
-		if fits() {
+		if p.fits() {
 			return plan, true
 		}
 	}
@@ -254,7 +222,7 @@ func (c *Controller) PlanDegradation(t *task.Task, candidates []*task.Task) (pla
 			if contrib == 0 {
 				continue
 			}
-			update(j, contrib)
+			p.sub(j, contrib)
 			touched = true
 		}
 		if !touched {
@@ -262,7 +230,7 @@ func (c *Controller) PlanDegradation(t *task.Task, candidates []*task.Task) (pla
 		}
 		plan.Evict = append(plan.Evict, v.ID)
 		evicted[v.ID] = true
-		if fits() {
+		if p.fits() {
 			// Eviction subsumes trimming: drop evicted tasks from Trim.
 			kept := plan.Trim[:0]
 			for _, id := range plan.Trim {

@@ -143,8 +143,8 @@ func TestShardConservationConcurrent(t *testing.T) {
 	c.Reconcile()
 	c.lockShards()
 	for ki, s := range c.shards {
-		if s.tbl.live != 0 {
-			t.Errorf("shard %d: %d rows still live after quiesce", ki, s.tbl.live)
+		if s.tbl.Len() != 0 {
+			t.Errorf("shard %d: %d rows still live after quiesce", ki, s.tbl.Len())
 		}
 		for j := 0; j < c.stages; j++ {
 			if u := s.util(j); u != 0 {

@@ -4,9 +4,10 @@
 // optionally partitioned across K shards for near-linear multi-core
 // admit throughput.
 //
-// Each shard keeps its contributions in a task table (one row per
-// admitted request: deadline, quality level, per-stage charges, and
-// departed/cleared bits) with Kahan-compensated per-stage sums, and
+// Each shard keeps its contributions in a task table (internal/tasktable,
+// shared with core.Controller; one row per admitted request: deadline,
+// quality level, per-stage charges, and departed/cleared bits) with
+// Kahan-compensated per-stage sums, and
 // runs its own hierarchical timer wheel (internal/expiry, unindexed).
 // Released requests leave stale wheel entries that the purge discards
 // lazily by matching (id, deadline) against the table. Per stage, each

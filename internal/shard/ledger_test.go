@@ -130,29 +130,3 @@ func TestOneShardMatchesLedgers(t *testing.T) {
 			admitted, rejected, resets, expired)
 	}
 }
-
-// TestDepartedListBounded checks a stage that never idles keeps its
-// departed list bounded: its departed rows expire instead of being
-// reset, and once stale entries make up half the list it is compacted
-// rather than grown.
-func TestDepartedListBounded(t *testing.T) {
-	clk := newFakeClock()
-	c := New(core.NewRegion(2), nil, clk.Now, 1)
-	dep := func() int { return len(c.shards[0].tbl.dep[0]) }
-	longest := 0
-	for id := uint64(1); id <= 5000; id++ {
-		if !c.TryAdmit(req(id, 10*time.Millisecond, time.Microsecond, time.Microsecond)) {
-			t.Fatalf("admit %d rejected", id)
-		}
-		c.MarkDeparted(0, id)
-		clk.Advance(time.Millisecond)
-		longest = max(longest, dep())
-	}
-	if longest > 2*compactMin {
-		t.Fatalf("departed list reached %d entries on a stage that never idles, want ≤ %d", longest, 2*compactMin)
-	}
-	c.StageIdle(0)
-	if n := dep(); n != 0 {
-		t.Fatalf("departed list holds %d entries after an idle reset", n)
-	}
-}

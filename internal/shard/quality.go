@@ -84,12 +84,12 @@ func (c *Controller) SetQuality(r Request, level int) bool {
 	s.mu.Lock()
 	mnow := s.monotoneLocked(c.nowNano())
 	s.purgeLocked(c, mnow)
-	slot, present := s.tbl.lookup(r.ID)
-	if !present || s.tbl.liveN[slot] == 0 {
+	slot, present := s.tbl.Lookup(r.ID)
+	if !present || !s.tbl.Live(slot) {
 		s.mu.Unlock()
 		return false
 	}
-	cur := int(s.tbl.levels[slot])
+	cur := int(s.tbl.Level(slot))
 	if level == cur {
 		s.mu.Unlock()
 		return false
@@ -108,7 +108,7 @@ func (c *Controller) SetQuality(r Request, level int) bool {
 // s.mu.
 func (c *Controller) trimLocked(s *shard, slot int, raw, opt []float64, cur, level int) {
 	c.retuneLocked(s, slot, raw, opt, cur, level)
-	s.tbl.levels[slot] = uint8(level)
+	s.tbl.SetLevel(slot, uint8(level))
 	s.trimmed++
 	s.updateHintLocked()
 	c.noteFreed()
@@ -119,14 +119,14 @@ func (c *Controller) trimLocked(s *shard, slot int, raw, opt []float64, cur, lev
 // current level's demand is zero), updating the shard sums in place.
 // Callers hold s.mu.
 func (c *Controller) retuneLocked(s *shard, slot int, raw, opt []float64, cur, level int) {
-	for j := 0; j < s.tbl.stages; j++ {
-		if !s.tbl.presentAt(slot, j) {
+	for j := range s.sums {
+		if !s.tbl.Present(slot, j) {
 			continue
 		}
-		contrib := s.tbl.contribs[slot*s.tbl.stages+j]
+		contrib := s.tbl.Contrib(slot, j)
 		next := c.retuned(raw, opt, j, contrib, cur, level)
-		s.tbl.contribs[slot*s.tbl.stages+j] = next
-		s.addSum(j, next-contrib)
+		s.tbl.SetContrib(slot, j, next)
+		s.sums[j].Add(next - contrib)
 	}
 }
 
@@ -158,11 +158,11 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 	defer c.unlockShards()
 	expired := c.purgeAllLocked()
 	s := c.shardOf(id)
-	slot, present := s.tbl.lookup(id)
-	if !present || s.tbl.liveN[slot] == 0 {
+	slot, present := s.tbl.Lookup(id)
+	if !present || !s.tbl.Live(slot) {
 		return false, expired
 	}
-	cur := int(s.tbl.levels[slot])
+	cur := int(s.tbl.Level(slot))
 	if level == cur {
 		return false, expired
 	}
@@ -180,8 +180,8 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 		for _, sh := range c.shards {
 			u += sh.util(j)
 		}
-		if s.tbl.presentAt(slot, j) {
-			contrib := s.tbl.contribs[slot*s.tbl.stages+j]
+		if s.tbl.Present(slot, j) {
+			contrib := s.tbl.Contrib(slot, j)
 			u += c.retuned(raw, opt, j, contrib, cur, level) - contrib
 		}
 		sum += core.StageDelayFactor(u)
@@ -190,7 +190,7 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 		return false, expired
 	}
 	c.retuneLocked(s, slot, raw, opt, cur, level)
-	s.tbl.levels[slot] = uint8(level)
+	s.tbl.SetLevel(slot, uint8(level))
 	s.restored++
 	// The raised contribution may exceed the home shard's cap; rebuild
 	// the partition from the new truth.
@@ -204,9 +204,9 @@ func (c *Controller) QualityOf(id uint64) (level int, present bool) {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.tbl.lookup(id)
-	if !ok || s.tbl.liveN[slot] == 0 {
+	slot, ok := s.tbl.Lookup(id)
+	if !ok || !s.tbl.Live(slot) {
 		return 0, false
 	}
-	return int(s.tbl.levels[slot]), true
+	return int(s.tbl.Level(slot)), true
 }

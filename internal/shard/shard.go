@@ -10,6 +10,7 @@ import (
 	"feasregion/internal/core"
 	"feasregion/internal/expiry"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable"
 )
 
 // Clock abstracts time.Now for testing. A nil clock selects the
@@ -24,7 +25,7 @@ type Clock func() time.Time
 type Request struct {
 	// ID must be unique among in-flight requests (e.g. a request
 	// counter); it keys departure marking and release. The all-ones ID
-	// is reserved as a table sentinel and rejected as malformed.
+	// is rejected as malformed.
 	ID uint64
 	// Deadline is the relative end-to-end deadline.
 	Deadline time.Duration
@@ -125,16 +126,15 @@ type Stats struct {
 type shard struct {
 	mu sync.Mutex
 
-	// sums/comps are Kahan-compensated per-stage sums of the local
-	// contributions; utilization at stage j is floors[j]+sums[j]
+	// sums are per-stage sums of the local contributions; utilization
+	// at stage j is floors[j]+sums[j]
 	// (clamped at the floor, like core.Ledger's reserved floor).
-	sums   []float64
-	comps  []float64
+	sums   []tasktable.Sum
 	floors []float64 // reserved_j / K: this shard's share of the floors
 	caps   []float64 // per-stage budget; invariant: util(j) ≤ caps[j]
 	scales []float64 // per-stage demand multipliers (copies, kept equal)
 
-	tbl    table
+	tbl    tasktable.Table
 	whl    *expiry.Wheel
 	maxNow int64 // monotone high-water mark of observed time
 
@@ -190,8 +190,8 @@ const stagedCap = 256
 // ones are filed for flush. Callers hold s.mu.
 func (s *shard) drainStagedLocked() {
 	for _, e := range s.staged {
-		slot, ok := s.tbl.lookup(e.ID)
-		if !ok || s.tbl.ats[slot] != e.At {
+		slot, ok := s.tbl.Lookup(e.ID)
+		if !ok || s.tbl.Stamp(slot) != e.At {
 			s.cancelled++
 			continue
 		}
@@ -210,18 +210,11 @@ func (s *shard) noteHintOpLocked() {
 }
 
 func (s *shard) util(j int) float64 {
-	u := s.floors[j] + s.sums[j]
+	u := s.floors[j] + s.sums[j].Value()
 	if u < s.floors[j] {
 		return s.floors[j]
 	}
 	return u
-}
-
-func (s *shard) addSum(j int, v float64) {
-	y := v - s.comps[j]
-	t := s.sums[j] + y
-	s.comps[j] = (t - s.sums[j]) - y
-	s.sums[j] = t
 }
 
 // updateHintLocked republishes the slack hint when it drifted by more
@@ -367,12 +360,11 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 	c.shards = make([]*shard, k)
 	for i := range c.shards {
 		s := &shard{
-			sums:   make([]float64, c.stages),
-			comps:  make([]float64, c.stages),
+			sums:   make([]tasktable.Sum, c.stages),
 			floors: make([]float64, c.stages),
 			caps:   make([]float64, c.stages),
 			scales: make([]float64, c.stages),
-			tbl:    newTable(c.stages),
+			tbl:    tasktable.New(c.stages),
 			whl:    expiry.New(wheelGranularity, now, false),
 			maxNow: now.UnixNano(),
 		}
@@ -411,6 +403,9 @@ func (c *Controller) nowNano() int64 {
 	}
 	return c.epochNano + int64(time.Since(c.epoch))
 }
+
+// hashMul is the Fibonacci-hashing multiplier behind the shard index.
+const hashMul = 0x9E3779B97F4A7C15
 
 func (c *Controller) shardOf(id uint64) *shard {
 	return c.shards[(id*hashMul)>>c.shift]
@@ -461,12 +456,12 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 	}
 	expired := 0
 	flushed := s.whl.AdvanceTo(mnow, func(e expiry.Entry) {
-		slot, ok := s.tbl.lookup(e.ID)
-		if !ok || s.tbl.ats[slot] != e.At {
+		slot, ok := s.tbl.Lookup(e.ID)
+		if !ok || s.tbl.Stamp(slot) != e.At {
 			s.cancelled++
 			return
 		}
-		if s.tbl.liveN[slot] > 0 {
+		if s.tbl.Live(slot) {
 			expired++
 		}
 		s.dropLocked(slot)
@@ -487,28 +482,16 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 	return expired
 }
 
-// subLocked subtracts a contribution from stage j's sum; left is how
-// many rows still charge the stage afterwards. When none do, it
-// rebaselines the sum to exactly zero, as core.Ledger does, which kills
-// residual floating error before the stage's next busy period. Callers
-// hold s.mu.
-func (s *shard) subLocked(j int, v float64, left int) {
-	s.addSum(j, -v)
-	if left == 0 {
-		s.sums[j], s.comps[j] = 0, 0
-	}
-}
-
 // dropLocked subtracts every charge the row still holds, then deletes
 // it. Callers hold s.mu.
 func (s *shard) dropLocked(slot int) {
 	t := &s.tbl
-	for j := 0; j < t.stages; j++ {
-		if t.presentAt(slot, j) {
-			s.subLocked(j, t.contribs[slot*t.stages+j], t.dropStage(slot, j))
+	for j := range s.sums {
+		if t.Present(slot, j) {
+			s.sums[j].Sub(t.Contrib(slot, j), t.DropStage(slot, j))
 		}
 	}
-	t.delete(slot)
+	t.Delete(slot)
 }
 
 // commitLocked inserts the admitted row, charging each stage
@@ -522,11 +505,11 @@ func (s *shard) commitLocked(id uint64, at int64, raw, opt []float64, lv int) {
 		level = uint8(lv)
 		s.degraded++
 	}
-	slot := s.tbl.insert(id, at, level)
+	slot := s.tbl.Insert(id, at, level)
 	for j := range raw {
 		v := rawAt(raw, opt, j, lv) * s.scales[j]
-		s.tbl.contribs[slot*s.tbl.stages+j] = v
-		s.addSum(j, v)
+		s.tbl.SetContrib(slot, j, v)
+		s.sums[j].Add(v)
 	}
 	if len(s.staged) >= stagedCap {
 		s.drainStagedLocked()
@@ -781,11 +764,11 @@ func (c *Controller) Release(id uint64) {
 // releaseLocked removes one row; reports whether any stage still
 // charged it. Callers hold s.mu.
 func (s *shard) releaseLocked(c *Controller, id uint64) bool {
-	slot, ok := s.tbl.lookup(id)
+	slot, ok := s.tbl.Lookup(id)
 	if !ok {
 		return false
 	}
-	removed := s.tbl.liveN[slot] > 0
+	removed := s.tbl.Live(slot)
 	s.dropLocked(slot)
 	if removed {
 		s.releasedTraffic++
@@ -850,8 +833,8 @@ func (c *Controller) MarkDeparted(stage int, id uint64) {
 }
 
 func (s *shard) markDepartedLocked(stage int, id uint64) {
-	if slot, ok := s.tbl.lookup(id); ok && s.tbl.presentAt(slot, stage) {
-		s.tbl.markDeparted(slot, stage, id)
+	if slot, ok := s.tbl.Lookup(id); ok && s.tbl.Present(slot, stage) {
+		s.tbl.MarkDeparted(slot, stage, id)
 	}
 }
 
@@ -900,22 +883,7 @@ func (c *Controller) StageIdle(stage int) {
 // their deadline expiry. Returns how many rows it cleared. Callers hold
 // s.mu.
 func (s *shard) resetIdleLocked(stage int) int {
-	t := &s.tbl
-	if t.pending[stage] == 0 {
-		t.dep[stage] = t.dep[stage][:0] // only stale entries remain
-		return 0
-	}
-	ids := t.sortDeparted(stage)
-	n := 0
-	for i := range ids {
-		if slot, ok := t.flagged(ids, i, stage); ok {
-			v := t.contribs[slot*t.stages+stage]
-			s.subLocked(stage, v, t.clearStage(slot, stage))
-			n++
-		}
-	}
-	t.dep[stage] = ids[:0]
-	return n
+	return s.tbl.ResetIdle(stage, &s.sums[stage])
 }
 
 // NextExpiry returns a lower bound (UnixNano) on the earliest pending
