@@ -237,6 +237,49 @@ func BenchmarkDesLadderCancelHeavy(b *testing.B) {
 	}
 }
 
+// nearTicker is one stream of BenchmarkDesLadderNearFuture: three times
+// in four it reschedules itself a little past the clock, as a stage's
+// completion does, else farther out, as the next arrival does. A fifth
+// of its near reschedules first withdraw the event armed last and arm
+// another, as a preemption cancels and re-arms a completion.
+type nearTicker struct {
+	sim   *des.Simulator
+	rng   *dist.RNG
+	armed des.Event
+}
+
+func (t *nearTicker) Fire(now des.Time) {
+	if t.rng.Intn(4) == 0 {
+		t.sim.AtTimer(now+t.rng.ExpFloat64(), t)
+		return
+	}
+	if t.rng.Intn(5) == 0 {
+		t.sim.Cancel(t.armed)
+		t.armed = t.sim.AtTimer(now+t.rng.Float64()*1e-3, sharedNop)
+	}
+	t.sim.AtTimer(now+t.rng.Float64()*1e-3, t)
+}
+
+// BenchmarkDesLadderNearFuture is the hold model of a preemptive
+// pipeline: most reschedules land a sub-bucket distance past the clock,
+// so they are spliced into the ladder's sorted bottom, not appended to a
+// rung. It must report 0 allocs/op.
+func BenchmarkDesLadderNearFuture(b *testing.B) {
+	s := des.New()
+	for i := 0; i < benchStreams; i++ {
+		t := &nearTicker{sim: s, rng: dist.NewRNG(int64(i + 1))}
+		s.AtTimer(t.rng.ExpFloat64(), t)
+	}
+	for i := 0; i < 16*benchStreams; i++ { // warm up to the working size
+		s.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 // TestDesLadderSelfClockingZeroAlloc pins the tentpole's allocation
 // claim outside the benchmark harness: a warmed simulator driving
 // recurring Timer streams must not allocate per event.

@@ -103,8 +103,47 @@ func timeDist(rng *rand.Rand, now Time) Time {
 	}
 }
 
-func runDifferential(t *testing.T, seed int64, ops int) {
+// nearDist draws the times a preemptive fixed-priority stage schedules:
+// mostly completions a little past the clock, which land inside
+// bottom's span just past its head, plus exact ties with the clock and
+// with each other, sub-ulp clusters, and some farther-out events that
+// keep the rungs and top populated.
+func nearDist(rng *rand.Rand, now Time) Time {
+	switch rng.Intn(10) {
+	case 0:
+		return now // exact tie with the clock
+	case 1:
+		return now + 0.25*Time(rng.Intn(4)) // quantized ties
+	case 2:
+		return now + rng.Float64()*1e-9 // dense cluster
+	case 3, 4:
+		return now + 5 + rng.Float64()*200 // farther out: rungs and top
+	default:
+		return now + rng.Float64()*2 // near future: bottom
+	}
+}
+
+// diffShape is one operation stream of the differential harness.
+type diffShape struct {
+	at func(rng *rand.Rand, now Time) Time // schedule times
+	// schedules and pops are the operations, out of every 10, that
+	// schedule and pop; the rest cancel.
+	schedules, pops int
+	// newest makes half the cancels withdraw the newest event, as a
+	// preemption withdraws the completion it armed moments before.
+	newest bool
+}
+
+// diffStats counts where the harness's schedules landed.
+type diffStats struct {
+	schedules  int
+	bottom     int // inserted into bottom's undrained span
+	headShifts int // spliced in by moving the entries before it
+}
+
+func runDifferential(t *testing.T, seed int64, ops int, shape diffShape) diffStats {
 	t.Helper()
+	var st diffStats
 	rng := rand.New(rand.NewSource(seed))
 	lad := New()
 	ref := &refSim{}
@@ -149,23 +188,34 @@ func runDifferential(t *testing.T, seed int64, ops int) {
 
 	for i := 0; i < ops; i++ {
 		switch op := rng.Intn(10); {
-		case op < 6: // schedule
-			at := timeDist(rng, lad.now)
+		case op < shape.schedules:
+			at := shape.at(rng, lad.now)
 			id := nextID
 			nextID++
+			undrained, head := len(lad.q.bottom)-lad.q.bottomHead, lad.q.bottomHead
 			e := lad.schedule(at, func() {}, nil)
+			st.schedules++
+			if len(lad.q.bottom)-lad.q.bottomHead == undrained+1 {
+				st.bottom++
+				if lad.q.bottomHead < head {
+					st.headShifts++
+				}
+			}
 			r := ref.schedule(at, id)
 			if int(lad.recs[e.slot].seq) != id {
 				t.Fatalf("seed %d: seq drifted from id", seed)
 			}
 			livePairs = append(livePairs, pair{e, r})
-		case op < 8: // pop
+		case op < shape.schedules+shape.pops:
 			popOne()
 		default: // cancel a random outstanding event (possibly already fired)
 			if len(livePairs) == 0 {
 				continue
 			}
 			k := rng.Intn(len(livePairs))
+			if shape.newest && rng.Intn(2) == 0 {
+				k = len(livePairs) - 1
+			}
 			p := livePairs[k]
 			got := lad.Cancel(p.e)
 			want := !p.r.cancelled && containsRef(ref.queue, p.r)
@@ -186,6 +236,7 @@ func runDifferential(t *testing.T, seed int64, ops int) {
 	if lad.Pending() != 0 {
 		t.Fatalf("seed %d: %d events stranded in the ladder", seed, lad.Pending())
 	}
+	return st
 }
 
 func containsRef(q refQueue, e *refEvent) bool {
@@ -207,7 +258,82 @@ func TestDifferentialVsReferenceHeap(t *testing.T) {
 		ops = 2000
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		runDifferential(t, seed, ops)
+		runDifferential(t, seed, ops, diffShape{at: timeDist, schedules: 6, pops: 2})
+	}
+}
+
+// TestDifferentialPreemptiveStage drives the harness with a preemptive
+// stage's shape: a steady population, most schedules just past the
+// clock (inside bottom's span), exact-time ties, and cancels of the
+// event armed moments before. It also checks the shape reaches what it
+// targets: bottom inserts, including head-side splices.
+func TestDifferentialPreemptiveStage(t *testing.T) {
+	ops := 40000
+	if testing.Short() {
+		ops = 4000
+	}
+	var sum diffStats
+	for seed := int64(1); seed <= 8; seed++ {
+		st := runDifferential(t, seed, ops, diffShape{at: nearDist, schedules: 4, pops: 4, newest: true})
+		sum.schedules += st.schedules
+		sum.bottom += st.bottom
+		sum.headShifts += st.headShifts
+	}
+	if sum.bottom < sum.schedules/3 || sum.headShifts < sum.bottom/4 {
+		t.Fatalf("%d schedules reached bottom %d times, head-side %d: the shape misses its target",
+			sum.schedules, sum.bottom, sum.headShifts)
+	}
+}
+
+// TestInsertBottomHeadShift pins the splice at bottomHead > 0: an insert
+// with fewer entries before it than after moves those entries one slot
+// toward the head (down to none moved, at the head itself), a later
+// one moves the tail, and either way bottom pops in (time, seq) order.
+func TestInsertBottomHeadShift(t *testing.T) {
+	s := New()
+	var fired []int // schedule-call indices, in pop order
+	n := 0
+	at := func(when Time) {
+		id := n
+		n++
+		s.At(when, func() { fired = append(fired, id) })
+	}
+	for i := 1; i <= 10; i++ {
+		at(Time(i)) // one small top: sorted straight into bottom
+	}
+	for i := 0; i < 3; i++ {
+		s.Step()
+	}
+	q := &s.q
+	steps := []struct {
+		at   Time
+		head int // bottomHead after the insert
+	}{
+		{4.5, 2},  // one entry precedes it: head-side
+		{9.5, 2},  // six precede it: tail-side
+		{4, 1},    // ties the 4 already queued and goes after it: head-side
+		{3.5, 0},  // before every entry: lands in the drained slot
+		{3.75, 0}, // head 0: tail-side
+	}
+	for _, st := range steps {
+		at(st.at)
+		if q.bottomHead != st.head {
+			t.Fatalf("insert at %v: bottomHead %d, want %d", st.at, q.bottomHead, st.head)
+		}
+	}
+	// Times 1…10 are calls 0…9; then 4.5, 9.5, 4, 3.5, 3.75 are 10…14.
+	want := []int{0, 1, 2, 13, 14, 3, 12, 10, 4, 5, 6, 7, 8, 11, 9}
+	if undrained := len(q.bottom) - q.bottomHead; undrained != len(want)-3 {
+		t.Fatalf("bottom holds %d undrained entries, want %d", undrained, len(want)-3)
+	}
+	s.Run()
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, withLabel(s.labels, "le", "+Inf"), cumulative[len(cumulative)-1])
 				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, s.labels, formatValue(s.hist.Sum()))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.labels, s.hist.Count())
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.labels, cumulative[len(cumulative)-1])
 				continue
 			}
 			fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.value()))
@@ -130,7 +130,7 @@ func (r *Registry) Snapshot() map[string]any {
 				Bounds:     bounds,
 				Cumulative: cumulative,
 				Sum:        rw.s.hist.Sum(),
-				Count:      rw.s.hist.Count(),
+				Count:      cumulative[len(cumulative)-1],
 			}
 			continue
 		}

@@ -1,0 +1,108 @@
+package metrics
+
+import (
+	"bufio"
+	"bytes"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// TestHistogramPrometheusGolden pins the exposition text of a fixed
+// observation sequence byte for byte.
+func TestHistogramPrometheusGolden(t *testing.T) {
+	r := NewRegistry()
+	bounds := ExponentialBuckets(1e-3, 4, 5)
+	lat := r.Histogram("lat_seconds", "Latency.", bounds, Label{Name: "stage", Value: "0"})
+	lat2 := r.Histogram("lat_seconds", "Latency.", bounds, Label{Name: "stage", Value: "1"})
+	for i := 0; i < 200; i++ {
+		v := float64(i*i%997) * 3.7e-4
+		lat.Observe(v)
+		if i%3 == 0 {
+			lat2.Observe(v * 9)
+		}
+	}
+	lat.Observe(1e-3) // exactly on a bound: inclusive
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP lat_seconds Latency.
+# TYPE lat_seconds histogram
+lat_seconds_bucket{stage="0",le="0.001"} 3
+lat_seconds_bucket{stage="0",le="0.004"} 6
+lat_seconds_bucket{stage="0",le="0.016"} 16
+lat_seconds_bucket{stage="0",le="0.064"} 42
+lat_seconds_bucket{stage="0",le="0.256"} 146
+lat_seconds_bucket{stage="0",le="+Inf"} 201
+lat_seconds_sum{stage="0"} 34.92160000000001
+lat_seconds_count{stage="0"} 201
+lat_seconds_bucket{stage="1",le="0.001"} 1
+lat_seconds_bucket{stage="1",le="0.004"} 1
+lat_seconds_bucket{stage="1",le="0.016"} 1
+lat_seconds_bucket{stage="1",le="0.064"} 2
+lat_seconds_bucket{stage="1",le="0.256"} 6
+lat_seconds_bucket{stage="1",le="+Inf"} 67
+lat_seconds_sum{stage="1"} 99.08081999999997
+lat_seconds_count{stage="1"} 67
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition changed:\n%s\nwant:\n%s", got, want)
+	}
+	if c := lat.Count(); c != 201 {
+		t.Fatalf("Count() = %d, want 201", c)
+	}
+}
+
+// TestHistogramCountMatchesInfBucket scrapes while writers observe:
+// every scrape's _count must equal its +Inf bucket, and every
+// snapshot's Count its last cumulative bucket.
+func TestHistogramCountMatchesInfBucket(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "", ExponentialBuckets(1, 2, 4))
+	const writers, per = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(float64((i + w) % 20))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	go func() { wg.Wait(); close(stop) }()
+	for done := false; !done; {
+		select {
+		case <-stop:
+			done = true
+		default:
+		}
+		var b bytes.Buffer
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		sc := bufio.NewScanner(&b)
+		for sc.Scan() {
+			line := sc.Text()
+			if v, ok := strings.CutPrefix(line, `h_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "h_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("scrape: +Inf bucket %q, _count %q", inf, count)
+		}
+		s := r.Snapshot()["h"].(HistogramSnapshot)
+		if s.Count != s.Cumulative[len(s.Cumulative)-1] {
+			t.Fatalf("snapshot: Count %d, +Inf cumulative %d", s.Count, s.Cumulative[len(s.Cumulative)-1])
+		}
+	}
+	if c := h.Count(); c != writers*per {
+		t.Fatalf("Count() = %d, want %d", c, writers*per)
+	}
+}

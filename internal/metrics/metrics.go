@@ -324,15 +324,15 @@ func (g *Gauge) Value() float64 {
 // ---- Histogram ----
 
 // Histogram counts observations into fixed buckets with inclusive upper
-// bounds, plus a running sum and count. Updates are lock-free; snapshots
-// are weakly consistent (bucket counts and sum may momentarily disagree
-// under concurrent writes), which Prometheus scraping tolerates.
+// bounds, plus a running sum. The count is the bucket total, so a
+// snapshot's count always equals its +Inf bucket. Updates are lock-free;
+// snapshots are weakly consistent (bucket counts and sum may momentarily
+// disagree under concurrent writes), which Prometheus scraping tolerates.
 // All methods are nil-receiver-safe no-ops.
 type Histogram struct {
 	bounds  []float64       // inclusive upper bounds, ascending
 	counts  []atomic.Uint64 // one per bound, plus the +Inf overflow at the end
 	sumBits atomic.Uint64
-	count   atomic.Uint64
 }
 
 // ExponentialBuckets returns count bucket bounds starting at start and
@@ -377,7 +377,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -391,7 +390,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observations (0 for nil).
@@ -410,7 +413,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}

@@ -276,6 +276,10 @@ type Pipeline struct {
 	shed           uint64
 	overrunEvicted uint64
 	classes        map[string]*ClassMetrics
+	// classRefs[:nclassRefs] caches the first entries of classes in
+	// first-seen order: a linear scan of a few names beats hashing one.
+	classRefs  [8]classRef
+	nclassRefs int
 }
 
 // ClassMetrics breaks the measurement window down by Task.Class.
@@ -805,12 +809,27 @@ func (p *Pipeline) release(f *inflight) {
 	p.free = f
 }
 
+// classRef pairs a class label with its accumulator.
+type classRef struct {
+	name string
+	cm   *ClassMetrics
+}
+
 // class returns the per-class accumulator for the task's class label.
 func (p *Pipeline) class(t *task.Task) *ClassMetrics {
+	for _, r := range p.classRefs[:p.nclassRefs] {
+		if r.name == t.Class {
+			return r.cm
+		}
+	}
 	cm, ok := p.classes[t.Class]
 	if !ok {
 		cm = &ClassMetrics{}
 		p.classes[t.Class] = cm
+		if p.nclassRefs < len(p.classRefs) {
+			p.classRefs[p.nclassRefs] = classRef{t.Class, cm}
+			p.nclassRefs++
+		}
 	}
 	return cm
 }
@@ -982,6 +1001,7 @@ func (p *Pipeline) BeginMeasurement() {
 	p.overrunEvicted = 0
 	p.degraded, p.trimmedTasks, p.utility = 0, 0, 0
 	p.classes = map[string]*ClassMetrics{}
+	p.nclassRefs = 0
 	if p.ctrl != nil {
 		for j := 0; j < len(p.stages); j++ {
 			p.ctrl.Ledger(j).ResetPeak()

@@ -320,11 +320,24 @@ func (s *Stage) SubmitJob(j *Job, id task.ID, priority float64, sub task.Subtask
 		s.idle = false
 		s.busySince = s.sim.Now()
 	}
-	s.ready.push(j)
-	if n := len(s.ready); n > s.stats.MaxReady {
-		s.stats.MaxReady = n
+	if n := len(s.ready) + 1; n > s.stats.MaxReady {
+		s.stats.MaxReady = n // j counts as queued, even when dispatched directly
 	}
-	s.schedule()
+	if s.paused || j.segments[0].Lock != task.NoLock ||
+		(len(s.ready) > 0 && !less(j, s.ready[0])) || (s.running != nil && !less(j, s.running)) {
+		s.ready.push(j)
+		s.schedule()
+		return
+	}
+	// Direct dispatch: j outranks every ready job and the running one
+	// and needs no lock, so pushing it would pop it straight back off.
+	// less is a strict total order, so the heap's later pops do not
+	// depend on the layout the round trip would have left.
+	if s.running != nil {
+		s.preempt()
+	}
+	s.start(j)
+	s.ins.QueueDepth.Set(float64(len(s.ready)))
 }
 
 // schedule enforces the scheduling invariant: the running job is the most

@@ -17,7 +17,7 @@
 // the new stamp. Per stage the table counts the rows still charging it
 // (the owner rebaselines its sum to exactly 0 when the count reaches 0)
 // and keeps the departed list the idle reset drains in ascending-ID
-// order. The owner keeps a Kahan-compensated Sum per stage next to the
+// order (in list order when the reset empties the stage). The owner keeps a Kahan-compensated Sum per stage next to the
 // table and serializes access.
 package tasktable
 
@@ -288,20 +288,32 @@ func (t *Table) DropStage(slot, j int) int {
 // ResetIdle clears stage j from every row flagged departed there,
 // subtracting each contribution from sum in ascending-ID order. It
 // returns how many rows it cleared.
+//
+// When every row charging the stage is flagged, the stage empties and
+// the last subtraction rebaselines sum to exactly 0 whatever the order,
+// so the rows are cleared in list order, unsorted: a lookup miss skips
+// a stale entry, and a cleared row's departed bit is off, which skips
+// its duplicates.
 func (t *Table) ResetIdle(j int, sum *Sum) int {
-	if t.pending[j] == 0 {
-		t.dep[j] = t.dep[j][:0] // only stale entries remain
-		return 0
-	}
-	ids := t.sortDeparted(j)
-	n := 0
-	for i := range ids {
-		if slot, ok := t.flagged(ids, i, j); ok {
-			t.clearStage(slot, j, sum)
-			n++
+	n := t.pending[j]
+	switch {
+	case n == 0:
+		// only stale entries remain
+	case n == t.nlive[j]:
+		for _, id := range t.dep[j] {
+			if slot, ok := t.Lookup(id); ok && t.departedAt(slot, j) {
+				t.clearStage(slot, j, sum)
+			}
+		}
+	default:
+		ids := t.sortDeparted(j)
+		for i := range ids {
+			if slot, ok := t.flagged(ids, i, j); ok {
+				t.clearStage(slot, j, sum)
+			}
 		}
 	}
-	t.dep[j] = ids[:0]
+	t.dep[j] = t.dep[j][:0]
 	return n
 }
 

@@ -232,6 +232,73 @@ func TestResetIdleDrainsAscending(t *testing.T) {
 	}
 }
 
+// TestResetIdleEmptiesStage drives the unsorted branch: every row still
+// charging stage 0 has departed, so the reset empties the stage. The
+// list carries a stale entry (row deleted), a duplicate (row deleted,
+// re-inserted and departed again), a row recycled in place, a repeated
+// mark and the spill row. The sum must end exactly 0 and the counts
+// must match the rows left charging stage 1.
+func TestResetIdleEmptiesStage(t *testing.T) {
+	tab := New(2)
+	var sum Sum
+	add := func(id uint64, v float64) int {
+		slot := insertRow(&tab, id, int64(id), func(int) float64 { return v })
+		sum.Add(v)
+		return slot
+	}
+	drop := func(id uint64) {
+		slot, _ := tab.Lookup(id)
+		sum.Sub(tab.Contrib(slot, 0), tab.DropStage(slot, 0))
+		tab.DropStage(slot, 1)
+		tab.Delete(slot)
+	}
+	// Recycle row 3 in place: clear both stages, then insert it again.
+	slot3 := add(3, 0.3)
+	tab.MarkDeparted(slot3, 0, 3)
+	tab.MarkDeparted(slot3, 1, 3)
+	tab.ResetIdle(0, &sum)
+	tab.ResetIdle(1, &Sum{})
+	if got := add(3, 0.3); got != slot3 {
+		t.Fatalf("row 3 recycled into slot %d, want %d", got, slot3)
+	}
+
+	tab.MarkDeparted(add(1, 0.1), 0, 1)
+	drop(1) // stale entry
+	tab.MarkDeparted(add(2, 0.2), 0, 2)
+	drop(2)
+	tab.MarkDeparted(add(2, 0.7), 0, 2) // duplicate entry, live row
+	slot4 := add(4, 1.0/3)
+	tab.MarkDeparted(slot4, 0, 4)
+	tab.MarkDeparted(slot4, 0, 4) // no-op
+	tab.MarkDeparted(add(MaxID, 1e-9), 0, MaxID)
+	tab.MarkDeparted(slot3, 0, 3)
+	sum.Add(1e-17) // residue the rebaseline must drop
+
+	if p, c := tab.pending[0], tab.Charging(0); p != 4 || c != 4 {
+		t.Fatalf("before reset: %d flagged of %d charging, want 4 of 4", p, c)
+	}
+	if n := tab.ResetIdle(0, &sum); n != 4 {
+		t.Fatalf("reset cleared %d rows, want 4", n)
+	}
+	if sum != (Sum{}) {
+		t.Fatalf("sum after emptying the stage = %+v, want exactly 0", sum)
+	}
+	if tab.Charging(0) != 0 || tab.Charging(1) != 4 || tab.pending[0] != 0 || len(tab.dep[0]) != 0 {
+		t.Fatalf("after reset: charging %d/%d, pending %d, list %d",
+			tab.Charging(0), tab.Charging(1), tab.pending[0], len(tab.dep[0]))
+	}
+	for _, id := range []uint64{2, 3, 4, MaxID} {
+		slot, ok := tab.Lookup(id)
+		if !ok || tab.Present(slot, 0) || tab.Contrib(slot, 0) != 0 || tab.departedAt(slot, 0) ||
+			!tab.Present(slot, 1) || !tab.Live(slot) {
+			t.Fatalf("row %#x: not cleared at stage 0 alone", id)
+		}
+	}
+	if _, ok := tab.Lookup(1); ok {
+		t.Fatal("deleted row 1 came back")
+	}
+}
+
 // TestDepartedListBounded checks a stage that never idles keeps its
 // departed list bounded: its departed rows expire instead of being
 // reset, and once stale entries make up half the list it is compacted
