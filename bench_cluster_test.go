@@ -2,6 +2,7 @@ package feasregion_test
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,5 +81,66 @@ func benchRouteN(b *testing.B, pol cluster.Policy, g int) {
 	}
 	for w := 0; w < g; w++ {
 		<-done
+	}
+}
+
+// BenchmarkClusterRouteExpiring is the online-wall shape: 2 goroutines
+// route into 4 power-of-two-choices replicas on a shared virtual clock
+// that each request advances to its own arrival time, so reservations
+// leave only by deadline expiry and every admit may find a purge due.
+// The offered load is about twice what the fleet admits, so rejects
+// are common, and rejectsByGate reports the share of them the lock-free
+// overload gate decided. One op is one Route; the floor is 0 allocs/op
+// after the warm-up has grown the expiry wheels.
+func BenchmarkClusterRouteExpiring(b *testing.B) {
+	var clock atomic.Int64
+	c := cluster.New(cluster.Options{
+		Region: core.NewRegion(3),
+		Online: online.Config{Clock: func() time.Time { return time.Unix(0, clock.Load()) }},
+		Policy: cluster.PowerOfTwo,
+		Seed:   7,
+		Scaler: cluster.AutoscalerConfig{Min: 4, Max: 4},
+	})
+	var next atomic.Uint64
+	route := func(n int) {
+		demands := make([]time.Duration, 3)
+		for i := 0; i < n; i++ {
+			id := next.Add(1)
+			// 200 µs between arrivals; the clock is a monotone max, as in
+			// online-wall, so the two clients never step it backwards.
+			at := int64(id) * 200 * int64(time.Microsecond)
+			for cur := clock.Load(); at > cur && !clock.CompareAndSwap(cur, at); cur = clock.Load() {
+			}
+			deadline := time.Duration(5+id*7919%40) * time.Millisecond
+			for j := range demands {
+				demands[j] = deadline / time.Duration(30+(id>>j)%50)
+			}
+			c.Route(online.Request{ID: id, Deadline: deadline, Demands: demands})
+		}
+	}
+	rejects := func() (all, gate uint64) {
+		for _, r := range c.Replicas() {
+			s := r.Controller().Stats()
+			all += s.Rejected
+			gate += s.GateRejects
+		}
+		return all, gate
+	}
+	route(100_000)
+	all0, gate0 := rejects()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			route(n)
+		}(b.N/2 + w*(b.N%2))
+	}
+	wg.Wait()
+	b.StopTimer()
+	if all, gate := rejects(); all > all0 {
+		b.ReportMetric(float64(gate-gate0)/float64(all-all0), "rejectsByGate")
 	}
 }

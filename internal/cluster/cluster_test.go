@@ -103,6 +103,47 @@ func TestReplicaRefreshOneRead(t *testing.T) {
 	}
 }
 
+// TestReplicaSnapshotConcurrentPublish races two publishers, each
+// storing (headroom −x, value x) pairs with its own x values, against a
+// reader: every Snapshot must return one publish's pair whole. Two
+// publishers that each just incremented seq could leave it even around
+// a half-written pair, and a reader that gave up after a few torn
+// attempts returned unguarded loads.
+func TestReplicaSnapshotConcurrentPublish(t *testing.T) {
+	rep := newTestReplica(t, 0, &fixedClock{now: time.Unix(0, 0)})
+	rep.publish(1, 0) // replace the (bound, 0) pair NewReplica published
+	const writes = 100_000
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= writes; i++ {
+				rep.publish(float64(2*i+w), 0)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	reads, torn := 0, 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if h, v := rep.Snapshot(); h != -v {
+			torn++
+		}
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d snapshots mixed two publishes", torn, reads)
+	}
+	if h, v := rep.Snapshot(); v < 2*writes || h != -v {
+		t.Fatalf("final snapshot (%v, %v), want a last publish (−x, x) with x ≥ %d", h, v, 2*writes)
+	}
+}
+
 func TestReplicaDrainLifecycle(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(0, 0)}
 	rep := newTestReplica(t, 0, clk)

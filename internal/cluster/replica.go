@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 
 	"feasregion/internal/online"
@@ -40,18 +41,23 @@ func (s State) String() string {
 //
 // The snapshot (region headroom and region value, mutually consistent)
 // is republished after every state-changing operation through the
-// replica and on every Refresh; reads never block and never allocate.
-// Staleness between publishes is tolerated by design: routing policies
-// treat the snapshot as a hint and roll back to their second choice
-// when a placement races a reject.
+// replica and on every Refresh; reads never allocate. An admit
+// publishes the value its controller computed inside the admit's own
+// critical section, so it costs no second lock round; releases, idle
+// resets and the autoscaler tick publish through Refresh. Concurrent
+// publishers serialize on the seqlock. Staleness between publishes is
+// tolerated by design: routing policies treat the snapshot as a hint
+// and roll back to their second choice when a placement races a
+// reject.
 type Replica struct {
 	id    int
 	ctrl  *online.Controller
 	state atomic.Int32
 
-	// Seqlock mirror of (headroom, value): seq is even when consistent;
-	// Refresh makes it odd, stores both float bit patterns, and makes it
-	// even again. Readers retry torn reads.
+	// Seqlock mirror of (headroom, value): seq is even when consistent.
+	// A publisher claims the odd state by CompareAndSwap from an even
+	// seq (so publishers exclude each other), stores both float bit
+	// patterns, and makes it even again. Readers retry torn reads.
 	seq          atomic.Uint64
 	headroomBits atomic.Uint64
 	valueBits    atomic.Uint64
@@ -86,19 +92,20 @@ func (r *Replica) State() State { return State(r.state.Load()) }
 func (r *Replica) setState(s State) { r.state.Store(int32(s)) }
 
 // TryAdmit tests the request against this replica's feasible region and
-// commits it on success, then republishes the headroom snapshot. A
-// replica that is not Active refuses every request (placement has been
-// stopped), which is what lets a routing policy's rollback observe a
-// drain that raced its probe.
+// commits it on success, then publishes the snapshot from the region
+// value the admit computed. A replica that is not Active refuses every
+// request (placement has been stopped), which is what lets a routing
+// policy's rollback observe a drain that raced its probe.
 func (r *Replica) TryAdmit(req online.Request) bool {
 	if State(r.state.Load()) != Active {
 		return false
 	}
-	if !r.ctrl.TryAdmit(req) {
+	ok, value := r.ctrl.TryAdmitValue(req)
+	if !ok {
 		return false
 	}
 	r.placed.Add(1)
-	r.Refresh()
+	r.publish(value, r.ctrl.Bound())
 	return true
 }
 
@@ -131,36 +138,46 @@ func (r *Replica) StageIdle(stage int) {
 
 // Refresh recomputes the replica's region headroom and value from the
 // controller and publishes them through the seqlock. It is called
-// automatically after admissions, releases, and idle resets; the
-// autoscaler calls it on every tick so deadline expiries (which free
-// capacity inside the controller without a callback) become visible to
-// routing within one tick.
+// automatically after releases and idle resets; the autoscaler calls it
+// on every tick so deadline expiries (which free capacity inside the
+// controller without a callback) become visible to routing within one
+// tick.
 func (r *Replica) Refresh() {
 	value, bound := r.ctrl.RegionValue()
-	headroom := bound - value
-	r.seq.Add(1) // odd: snapshot inconsistent
-	r.headroomBits.Store(math.Float64bits(headroom))
+	r.publish(value, bound)
+}
+
+// publish stores (bound − value, value) under the seqlock. The
+// CompareAndSwap from an even seq makes the odd state one publisher's
+// at a time: two plain increments from concurrent publishers could
+// leave seq even around a half-written pair.
+func (r *Replica) publish(value, bound float64) {
+	for {
+		if s := r.seq.Load(); s&1 == 0 && r.seq.CompareAndSwap(s, s+1) {
+			break
+		}
+		runtime.Gosched()
+	}
+	r.headroomBits.Store(math.Float64bits(bound - value))
 	r.valueBits.Store(math.Float64bits(value))
 	r.seq.Add(1) // even: consistent again
 }
 
 // Snapshot returns the last published (headroom, value) pair without
-// locking or allocating. Torn reads are retried; after a few collisions
-// with a concurrent Refresh it returns the freshly stored values, which
-// are at most one publish behind.
+// locking or allocating. A read torn by a concurrent publish is
+// retried until it sees one publish's pair whole.
 func (r *Replica) Snapshot() (headroom, value float64) {
-	for attempt := 0; attempt < 3; attempt++ {
+	for {
 		s := r.seq.Load()
-		if s&1 != 0 {
-			continue
+		if s&1 == 0 {
+			h := math.Float64frombits(r.headroomBits.Load())
+			v := math.Float64frombits(r.valueBits.Load())
+			if r.seq.Load() == s {
+				return h, v
+			}
 		}
-		h := math.Float64frombits(r.headroomBits.Load())
-		v := math.Float64frombits(r.valueBits.Load())
-		if r.seq.Load() == s {
-			return h, v
-		}
+		runtime.Gosched()
 	}
-	return math.Float64frombits(r.headroomBits.Load()), math.Float64frombits(r.valueBits.Load())
 }
 
 // Headroom returns the last published region headroom (bound minus

@@ -8,7 +8,7 @@
 // pops. The trade: an expiry may flush up to one level-0 bucket width
 // late (never early), which only delays capacity release — the
 // admission test stays sound, just momentarily conservative. Per-level
-// occupancy bitmaps drive the cursor's advance as well as Earliest, so
+// occupancy bitmaps drive the cursor's advance as well as NextFlush, so
 // a purge skips empty buckets instead of stepping through every tick.
 //
 // The O(1) cancellation index is optional. The single-mutex controller
@@ -246,7 +246,7 @@ func (w *Wheel) AdvanceTo(now int64, expire func(e Entry)) int {
 // bucket holds it, fixing the moved entry's index slot. Reports whether
 // the id was pending. Always false on an unindexed wheel. Removing an
 // overflow entry may leave overflowMin stale-low; that only makes
-// Earliest more conservative, never wrong.
+// NextFlush early, never late.
 func (w *Wheel) Remove(id uint64) bool {
 	if w.slots == nil {
 		return false
@@ -361,41 +361,36 @@ func (w *Wheel) maybeRefileOverflow() {
 	w.refileAll(&w.overflow)
 }
 
-// Earliest returns a lower bound (UnixNano) on the next pending entry
-// (the start of the earliest non-empty bucket), and false when the
-// wheel is empty.
-func (w *Wheel) Earliest() (int64, bool) {
+// NextFlush returns the earliest now (UnixNano) at which AdvanceTo(now)
+// can flush an entry, and false when the wheel is empty: the end of the
+// first tick of the earliest occupied bucket (at level 0, the end of
+// the bucket), or the end of overflowMin's tick. A non-empty ripe list
+// is due at any now and reports math.MinInt64. An entry flushes only
+// once its whole tick has elapsed, so gating a purge on the bucket's
+// start instead would run it for a whole tick without flushing.
+func (w *Wheel) NextFlush() (int64, bool) {
 	if w.count == 0 {
 		return 0, false
 	}
-	best := int64(math.MaxInt64)
-	for _, e := range w.ripe {
-		if e.At < best {
-			best = e.At
-		}
+	if len(w.ripe) > 0 {
+		return math.MinInt64, true
 	}
-	if w.inLevels > 0 {
-		for lvl := 0; lvl < levels; lvl++ {
-			occ := w.occ[lvl]
-			if occ == 0 {
-				continue
-			}
-			// Rotate the occupancy bitmap so bit 0 is the cursor's bucket;
-			// the earliest non-empty bucket in ring order is then the
-			// lowest set bit. Replaces a 64-probe scan per level with two
-			// bit ops — this runs on every purge that flushed something.
+	first := uint64(math.MaxUint64)
+	for lvl := 0; lvl < levels; lvl++ {
+		if occ := w.occ[lvl]; occ != 0 {
+			// Rotate the occupancy bitmap so bit 0 is the cursor's
+			// bucket; the earliest non-empty bucket in ring order is then
+			// the lowest set bit — two bit ops instead of a 64-probe scan.
 			shift := uint(lvl * bits)
 			baseTick := w.cur >> shift
 			d := uint64(mathbits.TrailingZeros64(mathbits.RotateLeft64(occ, -int(baseTick&mask))))
-			if t := w.timeOf((baseTick + d) << shift); t < best {
-				best = t
-			}
+			first = min(first, (baseTick+d)<<shift)
 		}
 	}
-	if w.overflowMin < best {
-		best = w.overflowMin
+	if len(w.overflow) > 0 {
+		first = min(first, w.tickOf(w.overflowMin))
 	}
-	return best, true
+	return w.timeOf(first + 1), true
 }
 
 // ForEach visits every pending entry in no particular order — the

@@ -35,9 +35,9 @@ func TestWheelNeverEarly(t *testing.T) {
 // deadline and at most one granularity late (relative to the purge
 // time), none is lost or duplicated, a removed entry never fires,
 // Remove reports membership exactly, the cancellation index stays in
-// lockstep with the pending count, Earliest is a valid lower bound on
-// the true minimum pending deadline, and ForEach visits exactly the
-// pending set.
+// lockstep with the pending count, NextFlush is no later than the end
+// of the earliest pending deadline's tick, and ForEach visits exactly
+// the pending set.
 func TestWheelPropertyVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	base := time.Unix(1_000_000, 0)
@@ -73,15 +73,15 @@ func TestWheelPropertyVsReference(t *testing.T) {
 				min = at
 			}
 		}
-		if at, ok := w.Earliest(); ok {
+		if at, ok := w.NextFlush(); ok {
 			if len(pending) == 0 {
-				t.Fatal("Earliest reported a bound on an empty reference set")
+				t.Fatal("NextFlush reported a time on an empty reference set")
 			}
-			if at > min {
-				t.Fatalf("Earliest = %v is not a lower bound on true min %v", at, min)
+			if end := w.timeOf(w.tickOf(min) + 1); at > end {
+				t.Fatalf("NextFlush = %v is after the earliest deadline %v's tick ends (%v)", at, min, end)
 			}
 		} else if len(pending) != 0 {
-			t.Fatalf("Earliest empty with %d pending", len(pending))
+			t.Fatalf("NextFlush empty with %d pending", len(pending))
 		}
 		if w.Count() != len(pending) {
 			t.Fatalf("wheel count %d, reference %d", w.Count(), len(pending))
@@ -266,7 +266,7 @@ func TestWheelUnindexed(t *testing.T) {
 	}
 }
 
-// checkOccupancy asserts the bitmap invariant the fast Earliest relies
+// checkOccupancy asserts the bitmap invariant the fast NextFlush relies
 // on: a level's occupancy bit is set exactly when its bucket is
 // non-empty.
 func checkOccupancy(t *testing.T, w *Wheel, step int) {
@@ -285,9 +285,9 @@ func checkOccupancy(t *testing.T, w *Wheel, step int) {
 
 // TestWheelOccupancyBitmap drives random pushes, removes, and advances
 // through both wheel flavors and checks after every operation that the
-// occupancy bitmaps track bucket emptiness exactly, and that Earliest
-// (which now reads only the bitmaps) stays a valid lower bound on every
-// pending entry.
+// occupancy bitmaps track bucket emptiness exactly, and that NextFlush
+// (which reads only the bitmaps) is never later than any pending
+// entry's flush, the end of its tick.
 func TestWheelOccupancyBitmap(t *testing.T) {
 	for _, indexed := range []bool{true, false} {
 		base := time.Unix(0, 0)
@@ -315,14 +315,14 @@ func TestWheelOccupancyBitmap(t *testing.T) {
 				w.AdvanceTo(now, func(e Entry) {})
 			}
 			checkOccupancy(t, w, step)
-			if early, ok := w.Earliest(); ok {
+			if next, ok := w.NextFlush(); ok {
 				w.ForEach(func(e Entry) {
-					if e.At < early {
-						t.Fatalf("step %d: Earliest %d exceeds pending entry at %d", step, early, e.At)
+					if end := w.timeOf(w.tickOf(e.At) + 1); next > end {
+						t.Fatalf("step %d: NextFlush %d is after pending entry %d's tick ends (%d)", step, next, e.At, end)
 					}
 				})
 			} else if w.Count() != 0 {
-				t.Fatalf("step %d: Earliest empty with %d pending", step, w.Count())
+				t.Fatalf("step %d: NextFlush empty with %d pending", step, w.Count())
 			}
 		}
 	}
@@ -392,8 +392,10 @@ func sortedEntries(w *Wheel) []Entry {
 // pushes already due, at level 0, 1 or 2, or in overflow (a few reusing
 // an id), Remove on the indexed flavour, and advances across every
 // level boundary shape — and requires after every call the same expire
-// sequence, in order, and the same Count, Earliest, occupancy bitmaps,
-// cursor and pending set.
+// sequence, in order, and the same Count, NextFlush, occupancy
+// bitmaps, cursor and pending set. Some advances stop just short of
+// NextFlush and some land just past it: no advance, on either wheel,
+// may flush anything before NextFlush.
 func TestWheelAdvanceMatchesTickWalk(t *testing.T) {
 	g := int64(time.Millisecond)
 	edges := []int64{0, 1, 63, 64, 65, 4095, 4096, 4097, Span - 1, Span, Span + 1}
@@ -418,10 +420,10 @@ func TestWheelAdvanceMatchesTickWalk(t *testing.T) {
 				t.Fatalf("indexed=%v step %d (%s): cur/occ/count %d/%x/%d, reference %d/%x/%d",
 					indexed, step, op, fast.cur, fast.occ, fast.Count(), ref.cur, ref.occ, ref.Count())
 			}
-			ea, oka := fast.Earliest()
-			eb, okb := ref.Earliest()
-			if ea != eb || oka != okb {
-				t.Fatalf("indexed=%v step %d (%s): Earliest (%d, %v), reference (%d, %v)", indexed, step, op, ea, oka, eb, okb)
+			fa, oka := fast.NextFlush()
+			fb, okb := ref.NextFlush()
+			if fa != fb || oka != okb || oka != (fast.Count() > 0) {
+				t.Fatalf("indexed=%v step %d (%s): NextFlush (%d, %v), reference (%d, %v), count %d", indexed, step, op, fa, oka, fb, okb, fast.Count())
 			}
 			a, b := sortedEntries(fast), sortedEntries(ref)
 			if len(a) != len(b) {
@@ -474,18 +476,25 @@ func TestWheelAdvanceMatchesTickWalk(t *testing.T) {
 				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
 				check(step, "remove")
 			default: // advance
-				var ticks int64
-				if rng.Intn(4) == 0 {
-					ticks = rng.Int63n(3 * Span)
-				} else {
-					ticks = edges[rng.Intn(len(edges))]
+				nf, pending := fast.NextFlush()
+				switch r := rng.Intn(8); {
+				case r == 0 && pending && nf > now: // just short of the next flush
+					now = max(now, nf-1-rng.Int63n(g))
+				case r == 1 && pending && nf > now: // at it or just past it
+					now = nf + rng.Int63n(g)
+				case r == 2:
+					now += rng.Int63n(3*Span)*g + rng.Int63n(g)
+				default:
+					now += edges[rng.Intn(len(edges))]*g + rng.Int63n(g)
 				}
-				now += ticks*g + rng.Int63n(g)
 				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
 				n := fast.AdvanceTo(now, func(e Entry) { gotSeq = append(gotSeq, e) })
 				m := ref.advanceReference(now, func(e Entry) { wantSeq = append(wantSeq, e) })
 				if n != m {
 					t.Fatalf("indexed=%v step %d: AdvanceTo flushed %d, reference %d", indexed, step, n, m)
+				}
+				if m > 0 && now < nf {
+					t.Fatalf("indexed=%v step %d: the reference flushed %d entries at %d, before NextFlush %d", indexed, step, m, now, nf)
 				}
 				flushes += n
 				check(step, "advance")

@@ -154,9 +154,22 @@ func (c *Controller) dequeueLocked(w *waiter) bool {
 // TryAdmit tests the request against the region and commits it on
 // success. It is safe for concurrent use, allocation-free, and — under
 // sustained overload, while no capacity has been freed and no purge is
-// due — lock-free: rejection does not serialize on the controller.
+// due — lock-free: rejection does not serialize on the controller. A
+// purge is due only once the earliest deadline's 1 ms expiry bucket has
+// ended, since before that it could free nothing.
 func (c *Controller) TryAdmit(r Request) bool {
-	return c.sh.Admit(&r, true)
+	return c.sh.Admit(&r, true, nil)
+}
+
+// TryAdmitValue is TryAdmit that, on admission, also returns the region
+// value Σ_j f(U_j) right after the commit: the value RegionValue would
+// read next. With one shard it is computed inside the admit's own
+// critical section, which saves RegionValue's second lock round; with
+// more, the admit is followed by a RegionValue call. A cluster replica
+// publishes bound − value from it.
+func (c *Controller) TryAdmitValue(r Request) (ok bool, value float64) {
+	ok = c.sh.Admit(&r, true, &value)
+	return ok, value
 }
 
 // TryAdmitAll tests and commits a burst of requests, amortizing the
@@ -183,12 +196,15 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 // Waiters form a FIFO and are woken one at a time: each utilization
 // drop hands a single wake token to the head waiter, which re-tests; a
 // successful re-test passes the token on, a failed one re-queues the
-// waiter. Nothing herds on a shared broadcast. The data plane has no
-// lock to test-and-enqueue under atomically, so after one fast
-// unenqueued attempt the loop enqueues BEFORE testing: capacity freed
-// after the enqueue targets this waiter through the wake hook, and
-// capacity freed between a failed test and the enqueue is caught by the
-// enqueued re-test — a wakeup can never be lost.
+// waiter. Nothing herds on a shared broadcast. Without a wake token a
+// waiter sleeps until the earliest pending deadline's 1 ms expiry
+// bucket ends, when a purge can first free capacity (or until maxWait,
+// if sooner). The data plane has no lock to test-and-enqueue under
+// atomically, so after one fast unenqueued attempt the loop enqueues
+// BEFORE testing: capacity freed after the enqueue targets this waiter
+// through the wake hook, and capacity freed between a failed test and
+// the enqueue is caught by the enqueued re-test — a wakeup can never be
+// lost.
 func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 	if r.Deadline <= 0 || len(r.Demands) != c.stages {
 		c.sh.CountRejected()
@@ -213,7 +229,7 @@ func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 			c.enqueueLocked(w)
 			c.mu.Unlock()
 		}
-		if c.sh.Admit(&late, false) {
+		if c.sh.Admit(&late, false, nil) {
 			if !first {
 				c.abandonWait(w)
 				// Pass the baton: the drop that woke us may have freed

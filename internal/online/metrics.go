@@ -25,6 +25,8 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 		stat(func(s Stats) uint64 { return s.Admitted }))
 	r.CounterFunc("feasregion_online_rejected_total", "requests rejected by the admission test",
 		stat(func(s Stats) uint64 { return s.Rejected }))
+	r.CounterFunc("feasregion_online_gate_rejected_total", "rejections decided by the lock-free overload gate (included in rejected_total)",
+		stat(func(s Stats) uint64 { return s.GateRejects }))
 	r.CounterFunc("feasregion_online_expired_total", "contributions removed by the lazy deadline purge",
 		stat(func(s Stats) uint64 { return s.Expired }))
 	r.CounterFunc("feasregion_online_idle_resets_total", "stage-idle calls that freed at least one contribution",

@@ -33,12 +33,24 @@ func TestOnlineMetricsExport(t *testing.T) {
 	for _, want := range []string{
 		"feasregion_online_admitted_total 1",
 		"feasregion_online_rejected_total 1",
+		"feasregion_online_gate_rejected_total 0", // the locked reject armed the gate
 		`feasregion_online_stage_synthetic_utilization{stage="0"} 0.25`,
 		`feasregion_online_stage_scale{stage="1"} 1`,
 		"feasregion_online_region_headroom ",
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, page)
+		}
+	}
+
+	c.TryAdmit(req(3, 4*time.Second, 40*time.Second, 40*time.Second)) // rejected by the gate
+	sb.Reset()
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"feasregion_online_rejected_total 2", "feasregion_online_gate_rejected_total 1"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("scrape missing %q after a gate reject:\n%s", want, sb.String())
 		}
 	}
 
@@ -129,5 +141,8 @@ func TestOnlineMetricsConcurrent(t *testing.T) {
 	}
 	if got := snap["feasregion_online_rejected_total"]; got != float64(s.Rejected) {
 		t.Fatalf("snapshot rejected %v != stats %d", got, s.Rejected)
+	}
+	if got := snap["feasregion_online_gate_rejected_total"]; got != float64(s.GateRejects) || s.GateRejects > s.Rejected {
+		t.Fatalf("snapshot gate rejects %v, stats %d of %d rejects", got, s.GateRejects, s.Rejected)
 	}
 }

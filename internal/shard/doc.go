@@ -17,6 +17,12 @@
 // in ascending-ID order — so a K=1 controller's sums are bit-identical
 // to a set of core.Ledgers fed the same operations.
 //
+// A purge is due only once it can flush something: each shard keeps
+// the earliest time a wheel or staged entry can flush (the end of its
+// 1 ms level-0 bucket, expiry.Wheel.NextFlush), and the locked admit,
+// the gate and the steal probe all read that. Inside the bucket that
+// holds the earliest deadline no purge runs and the gate may fire.
+//
 // At every K the first step is the lock-free overload gate. Under
 // sustained overload, a rejecting exact test arms a snapshot of the
 // global per-stage utilizations. Admits only grow utilization, so while
@@ -24,7 +30,9 @@
 // critical section) and no purge is due, the snapshot is a
 // componentwise lower bound — a request that fails even against it is
 // rejected without taking a lock. Past the gate, at K=1 (the default),
-// admission is one exact region test under the shard's lock.
+// admission is one exact region test under the shard's lock; the same
+// critical section can hand back the post-admit region value, which a
+// cluster replica publishes without a second lock round.
 //
 // At K>1 each shard owns per-stage utilization caps with
 //

@@ -373,7 +373,7 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 		if out[i] || !c.valid(&rs[i]) {
 			continue // admitted locally, or already counted as malformed
 		}
-		if c.admit(&rs[i], true) {
+		if c.admit(&rs[i], true, nil) {
 			out[i] = true
 			admitted++
 		}

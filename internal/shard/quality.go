@@ -52,7 +52,7 @@ func (c *Controller) TryAdmitQuality(r Request, maxLevel int) (level int, ok boo
 	if !hasOpt {
 		opt = nil
 	}
-	return c.admitReq(r.ID, int64(r.Deadline), raw, opt, maxLevel, true)
+	return c.admitReq(r.ID, int64(r.Deadline), raw, opt, maxLevel, true, nil)
 }
 
 // SetQuality retunes an in-flight request's quality level. Lowering

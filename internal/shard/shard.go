@@ -82,6 +82,9 @@ func (c *Controller) scratch(stack []float64, n int) (buf []float64, pooled *[]f
 type Stats struct {
 	Admitted uint64
 	Rejected uint64
+	// GateRejects counts the rejections, included in Rejected, that the
+	// lock-free overload gate decided without taking a shard lock.
+	GateRejects uint64
 	// Expired counts contributions removed by the lazy deadline purge.
 	Expired uint64
 	// IdleResets counts StageIdle calls that freed at least one
@@ -136,6 +139,7 @@ type shard struct {
 
 	tbl    tasktable.Table
 	whl    *expiry.Wheel
+	origin int64 // the wheel's tick-0 time (UnixNano)
 	maxNow int64 // monotone high-water mark of observed time
 
 	// staged holds freshly committed expiry entries that have not been
@@ -157,9 +161,11 @@ type shard struct {
 	// get the larger slack share.
 	releasedTraffic uint64
 
-	// nextExp gates the purge: a lower bound (UnixNano) on the earliest
-	// pending wheel entry, math.MaxInt64 when none. Written under mu,
-	// read without it (admit fast path, AdmitWithin sleep, reject gate).
+	// nextExp gates the purge: the earliest time (UnixNano) a purge can
+	// flush a wheel or staged entry — the end of its level-0 bucket —
+	// math.MaxInt64 when none. Before it, a purge flushes nothing.
+	// Written under mu, read without it (admit fast path, AdmitWithin
+	// sleep, reject gate, steal probe).
 	nextExp atomic.Int64
 
 	// slackHint publishes min_j(caps[j]−util(j)) with hysteresis so
@@ -366,6 +372,8 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 			scales: make([]float64, c.stages),
 			tbl:    tasktable.New(c.stages),
 			whl:    expiry.New(wheelGranularity, now, false),
+			staged: make([]expiry.Entry, 0, stagedCap),
+			origin: now.UnixNano(),
 			maxNow: now.UnixNano(),
 		}
 		for j := range s.scales {
@@ -467,7 +475,7 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 		s.dropLocked(slot)
 	})
 	if flushed > 0 || s.nextExp.Load() <= mnow {
-		if at, ok := s.whl.Earliest(); ok {
+		if at, ok := s.whl.NextFlush(); ok {
 			s.nextExp.Store(at)
 		} else {
 			s.nextExp.Store(math.MaxInt64)
@@ -515,8 +523,11 @@ func (s *shard) commitLocked(id uint64, at int64, raw, opt []float64, lv int) {
 		s.drainStagedLocked()
 	}
 	s.staged = append(s.staged, expiry.Entry{At: at, ID: id})
-	if at < s.nextExp.Load() {
-		s.nextExp.Store(at)
+	// The wheel flushes the entry once its level-0 bucket ends. at lies
+	// past the cursor, so the entry is never filed ripe.
+	const g = int64(wheelGranularity)
+	if flush := at - (at-s.origin)%g + g; flush < s.nextExp.Load() {
+		s.nextExp.Store(flush)
 	}
 	s.admitted++
 	s.noteHintOpLocked()
@@ -551,22 +562,26 @@ func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt [
 // success. Allocation-free; under sustained overload rejects are
 // lock-free via the gate snapshot.
 func (c *Controller) TryAdmit(r Request) bool {
-	return c.admit(&r, true)
+	return c.admit(&r, true, nil)
 }
 
 // Admit is the by-reference admission entry point for wrapping
 // controllers on their hot path: it skips the Request copy TryAdmit's
 // value signature costs. The request is only read, never retained. A
 // failed attempt counts as a rejection only when countReject is set.
-func (c *Controller) Admit(r *Request, countReject bool) bool {
-	return c.admit(r, countReject)
+// When value is non-nil and the request is admitted, *value receives
+// the post-admit region value Σ_j f(U_j) as RegionValue computes it:
+// at K=1 from inside the admit's own critical section, at K>1 from a
+// RegionValue call after the admit.
+func (c *Controller) Admit(r *Request, countReject bool, value *float64) bool {
+	return c.admit(r, countReject, value)
 }
 
 // CountRejected adds one terminal rejection to the counters (the
 // wrapping controller's AdmitWithin accounts its give-ups here).
 func (c *Controller) CountRejected() { c.rejectedInvalid.Add(1) }
 
-func (c *Controller) admit(r *Request, countReject bool) bool {
+func (c *Controller) admit(r *Request, countReject bool, value *float64) bool {
 	var stack [maxStackStages]float64
 	raw, pooled := c.scratch(stack[:], 1)
 	if pooled != nil {
@@ -578,7 +593,10 @@ func (c *Controller) admit(r *Request, countReject bool) bool {
 		}
 		return false
 	}
-	_, ok := c.admitReq(r.ID, int64(r.Deadline), raw, nil, task.QualityLevels, countReject)
+	_, ok := c.admitReq(r.ID, int64(r.Deadline), raw, nil, task.QualityLevels, countReject, value)
+	if ok && value != nil && c.k > 1 {
+		*value, _ = c.RegionValue()
+	}
 	return ok
 }
 
@@ -623,8 +641,8 @@ func (c *Controller) vectors(r *Request, raw, opt []float64) (hasOpt, ok bool) {
 // then the exact all-shard pass. Only the gate and the exact test
 // reject, and only the exact test searches below maxLevel, so every K
 // decides exactly as the single exact test does. Returns the admitted
-// level.
-func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool) {
+// level; at K=1 a non-nil value receives the post-admit region value.
+func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool, value *float64) (int, bool) {
 	if c.gateRejects(raw, opt) {
 		if countReject {
 			c.rejectedGate.Add(1)
@@ -632,7 +650,7 @@ func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, max
 		return 0, false
 	}
 	if c.k == 1 {
-		return c.admitOne(id, deadline, raw, opt, maxLevel, countReject)
+		return c.admitOne(id, deadline, raw, opt, maxLevel, countReject, value)
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
@@ -649,8 +667,10 @@ func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, max
 
 // admitOne is the exact test at K=1, where the caps, steal, and global
 // pass collapse into one region test under the only shard's lock. A
-// reject arms the gate.
-func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool) {
+// reject arms the gate. On admit, a non-nil value receives the region
+// value right after the commit, summed in stage order as RegionValue
+// does, so a publishing caller needs no second lock round.
+func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool, value *float64) (int, bool) {
 	var stack [maxStackStages]float64
 	utils, pooled := c.scratch(stack[:], 1)
 	if pooled != nil {
@@ -665,6 +685,13 @@ func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, max
 	lv, ok := fitLevel(utils, s.scales, raw, opt, maxLevel, c.boundNow())
 	if ok {
 		s.commitLocked(id, mnow+deadline, raw, opt, lv)
+		if value != nil {
+			v := 0.0
+			for j := range utils {
+				v += core.StageDelayFactor(s.util(j))
+			}
+			*value = v
+		}
 	} else {
 		if countReject {
 			s.rejected++
@@ -711,11 +738,13 @@ func fitLevel(utils, scales, raw, opt []float64, maxLevel int, bound float64) (i
 
 // gateRejects is the lock-free overload reject: valid only while the
 // gate is armed, no capacity has been freed since its snapshot, and no
-// purge is due on any shard. The snapshot utilizations are lower bounds
-// on the current ones (admits only grow them), so snapshot-sum > bound
-// proves the exact pass would reject too. The probe is mandatory-only
-// demand (opt nil = rigid), the quality cascade's weakest test, so a
-// gate reject implies every level fails.
+// purge is due on any shard (no shard's nextExp, the end of its
+// earliest deadline's wheel bucket, has passed). The snapshot
+// utilizations are lower bounds on the current ones (admits only grow
+// them), so snapshot-sum > bound proves the exact pass would reject
+// too. The probe is mandatory-only demand (opt nil = rigid), the
+// quality cascade's weakest test, so a gate reject implies every level
+// fails.
 func (c *Controller) gateRejects(raw, opt []float64) bool {
 	if !c.gateArmed.Load() {
 		return false
@@ -886,9 +915,10 @@ func (s *shard) resetIdleLocked(stage int) int {
 	return s.tbl.ResetIdle(stage, &s.sums[stage])
 }
 
-// NextExpiry returns a lower bound (UnixNano) on the earliest pending
-// expiry across all shards, math.MaxInt64 when none — the AdmitWithin
-// sleep gate.
+// NextExpiry returns the earliest time (UnixNano) a purge on any shard
+// can flush an expiry — the end of the earliest deadline's wheel
+// bucket — math.MaxInt64 when none is pending. AdmitWithin sleeps
+// until then.
 func (c *Controller) NextExpiry() int64 {
 	min := int64(math.MaxInt64)
 	for _, s := range c.shards {
@@ -1007,6 +1037,7 @@ func (c *Controller) Region() core.Region {
 func (c *Controller) Stats() Stats {
 	st := Stats{
 		Rejected:        c.rejectedInvalid.Load() + c.rejectedGate.Load(),
+		GateRejects:     c.rejectedGate.Load(),
 		Steals:          c.steals.Load(),
 		GlobalFallbacks: c.globalFallbacks.Load(),
 		Rebalances:      c.rebalances.Load(),
