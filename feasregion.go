@@ -459,7 +459,10 @@ func NewClusterPipeline(sim *Simulator, opts ClusterPipelineOptions) *ClusterPip
 // MetricsRegistry is the dependency-free instrument registry: counters,
 // gauges, histograms, and EWMAs with a zero-alloc hot path, exported in
 // Prometheus text format (Handler/WritePrometheus) and via expvar. A nil
-// registry disables metrics at no cost.
+// registry disables metrics at no cost. Series over a simulated pipeline
+// or Controller read the simulation's own state at scrape time: render
+// such a registry on the goroutine driving the simulator, or while it is
+// stopped.
 type MetricsRegistry = metrics.Registry
 
 // MetricLabel is one name="value" pair attached to a metric series.

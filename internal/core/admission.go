@@ -67,16 +67,10 @@ type Controller struct {
 	onChange  func(stage int, now des.Time, u float64)
 	stats     Stats
 
-	// Instruments are nil (free no-ops) until SetMetrics.
-	metAdmitted *metrics.Counter
-	metRejected *metrics.Counter
-	metEvicted  *metrics.Counter
-	metUtil     []*metrics.Gauge
-	metScale    []*metrics.Gauge
-	metValue    *metrics.Gauge
-	metHeadroom *metrics.Gauge
-	metDegraded *metrics.Counter
-	metTrimmed  *metrics.Gauge
+	// Pushed instruments for rare events; nil (free no-ops) until
+	// SetMetrics. Every other series reads the controller's own state.
+	metEvicted *metrics.Counter
+	metTrimmed *metrics.Gauge
 }
 
 // NewController returns a controller for the given region. reserved, when
@@ -114,46 +108,30 @@ func (c *Controller) SetEstimator(e Estimator) {
 	c.estimate = e
 }
 
-// SetMetrics registers the controller's observability instruments with
-// the registry: admission outcome counters, per-stage synthetic
-// utilization U_j(t) gauges, the region value Σ f(U_j), and the region
-// headroom bound − Σ f(U_j). A nil registry (metrics disabled) leaves
-// the hot path untouched. Call it once, at wiring time.
+// SetMetrics registers the controller's observability series with the
+// registry: admission outcome counters, per-stage synthetic utilization
+// U_j(t) and stage scale gauges, the region value Σ f(U_j), and the
+// region headroom bound − Σ f(U_j). All but the rare eviction and trim
+// series are read from the controller's own state at scrape time, so the
+// admission path writes no instrument; like every other method, a scrape
+// must not run concurrently with the simulation driving the controller.
+// A nil registry (metrics disabled) does nothing. Call it once, at
+// wiring time.
 func (c *Controller) SetMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
 	}
-	c.metAdmitted = r.Counter("feasregion_admitted_total", "tasks accepted by the admission test")
-	c.metRejected = r.Counter("feasregion_rejected_total", "tasks rejected by the admission test")
+	r.CounterFunc("feasregion_admitted_total", "tasks accepted by the admission test", func() float64 { return float64(c.stats.Admitted) })
+	r.CounterFunc("feasregion_rejected_total", "tasks rejected by the admission test", func() float64 { return float64(c.stats.Rejected) })
 	c.metEvicted = r.Counter("feasregion_evicted_total", "in-flight tasks evicted (shedding or overrun)")
-	c.metValue = r.Gauge("feasregion_region_value", "current region value sum f(U_j)")
-	c.metHeadroom = r.Gauge("feasregion_region_headroom", "region bound minus current value; admission stops at 0")
-	c.metDegraded = r.Counter("feasregion_degraded_admits_total", "tasks admitted below full quality")
+	r.GaugeFunc("feasregion_region_value", "current region value sum f(U_j)", c.Value)
+	r.GaugeFunc("feasregion_region_headroom", "region bound minus current value; admission stops at 0", func() float64 { return c.region.Bound() - c.Value() })
+	r.CounterFunc("feasregion_degraded_admits_total", "tasks admitted below full quality", func() float64 { return float64(c.stats.Degraded) })
 	c.metTrimmed = r.Gauge("feasregion_optional_trimmed_total", "cumulative synthetic utilization trimmed from admitted tasks by quality degradation")
-	c.metUtil = make([]*metrics.Gauge, len(c.ledgers))
-	c.metScale = make([]*metrics.Gauge, len(c.ledgers))
 	for j := range c.ledgers {
-		c.metUtil[j] = r.Gauge("feasregion_stage_synthetic_utilization", "per-stage synthetic utilization U_j(t)", metrics.Stage(j))
-		c.metScale[j] = r.Gauge("feasregion_stage_scale", "per-stage admission demand multiplier (1 = nominal)", metrics.Stage(j))
-		c.metScale[j].Set(c.scaleFor(j))
+		r.GaugeFunc("feasregion_stage_synthetic_utilization", "per-stage synthetic utilization U_j(t)", c.ledgers[j].Utilization, metrics.Stage(j))
+		r.GaugeFunc("feasregion_stage_scale", "per-stage admission demand multiplier (1 = nominal)", func() float64 { return c.scaleFor(j) }, metrics.Stage(j))
 	}
-	c.updateRegionGauges()
-}
-
-// updateRegionGauges refreshes the utilization and headroom gauges; a
-// no-op (single nil check) when metrics are not wired.
-func (c *Controller) updateRegionGauges() {
-	if c.metValue == nil {
-		return
-	}
-	sum := 0.0
-	for j := range c.ledgers {
-		u := c.ledgers[j].Utilization()
-		c.metUtil[j].Set(u)
-		sum += StageDelayFactor(u)
-	}
-	c.metValue.Set(sum)
-	c.metHeadroom.Set(c.region.Bound() - sum)
 }
 
 // Region returns the controller's feasible region.
@@ -176,7 +154,6 @@ func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
 	}
 	oldBound := c.region.Bound()
 	c.region = r
-	c.updateRegionGauges()
 	if r.Bound() > oldBound {
 		c.fireRelease()
 	}
@@ -205,9 +182,6 @@ func (c *Controller) SetStageScale(stage int, scale float64) {
 		}
 	}
 	c.scales[stage] = scale
-	if c.metScale != nil {
-		c.metScale[stage].Set(scale)
-	}
 }
 
 // StageScales returns the current per-stage demand multipliers.
@@ -267,10 +241,8 @@ func (c *Controller) OnUtilizationChange(fn func(stage int, now des.Time, u floa
 	c.onChange = fn
 }
 
-// notifyChange reports every stage's utilization to the observer and
-// refreshes the utilization gauges.
+// notifyChange reports every stage's utilization to the observer.
 func (c *Controller) notifyChange() {
-	c.updateRegionGauges()
 	if c.onChange == nil {
 		return
 	}
@@ -350,7 +322,6 @@ func (c *Controller) TryAdmit(t *task.Task) bool {
 	d := c.deltas(t)
 	if d == nil || !c.admissible(d) {
 		c.stats.Rejected++
-		c.metRejected.Inc()
 		return false
 	}
 	c.commit(t, d, task.QualityLevels)
@@ -402,7 +373,6 @@ func (c *Controller) commit(t *task.Task, d []float64, level int) {
 	e.id, e.stamp = t.ID, c.seq
 	c.sim.AtTimer(t.AbsoluteDeadline(), e)
 	c.stats.Admitted++
-	c.metAdmitted.Inc()
 	c.notifyChange()
 }
 
@@ -465,7 +435,6 @@ func (c *Controller) Recharge(id task.ID, stage int, contribution float64) bool 
 		return false
 	}
 	c.recharge(slot, stage, contribution)
-	c.updateRegionGauges()
 	if c.onChange != nil {
 		c.onChange(stage, c.sim.Now(), c.ledgers[stage].Utilization())
 	}
@@ -617,7 +586,6 @@ func (c *Controller) HandleStageIdle(stage int) {
 	l := &c.ledgers[stage]
 	if c.tab.ResetIdle(stage, &l.sum) > 0 {
 		l.resets++
-		c.updateRegionGauges()
 		if c.onChange != nil {
 			c.onChange(stage, c.sim.Now(), c.ledgers[stage].Utilization())
 		}

@@ -85,7 +85,6 @@ func (c *Controller) TryAdmitQuality(t *task.Task, maxLevel int) (level int, ok 
 // reject records a rejected admission.
 func (c *Controller) reject() {
 	c.stats.Rejected++
-	c.metRejected.Inc()
 }
 
 // commitAt commits the (possibly degraded) deltas, recording the task's
@@ -93,7 +92,6 @@ func (c *Controller) reject() {
 func (c *Controller) commitAt(t *task.Task, d []float64, level int) {
 	if level < task.QualityLevels && t.HasOptional() {
 		c.stats.Degraded++
-		c.metDegraded.Inc()
 	} else {
 		level = task.QualityLevels
 	}

@@ -7,7 +7,6 @@ import (
 	"feasregion/internal/core"
 	"feasregion/internal/des"
 	"feasregion/internal/faults"
-	"feasregion/internal/metrics"
 	"feasregion/internal/pipeline"
 	"feasregion/internal/stats"
 	"feasregion/internal/task"
@@ -174,7 +173,6 @@ func adaptRun(cfg AdaptConfig, seed int64, adaptive bool) (pipeline.Metrics, *ad
 	popts := pipeline.Options{
 		Stages:        cfg.Stages,
 		Faults:        inj,
-		Metrics:       metrics.NewRegistry(),
 		OverrunPolicy: core.OverrunRecharge,
 	}
 	if adaptive {

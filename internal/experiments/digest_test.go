@@ -20,11 +20,18 @@ import (
 // pipeline with metrics, and a four-replica cluster) on its scenario
 // trace at reduced size. A change to the event core, the stage
 // schedulers, the task table or the metrics that alters any decision,
-// any event order or any exported metric fails here.
+// any event order or any exported metric fails here. The pipeline's
+// metrics page is pinned twice: mid-run, with stages busy and queues
+// non-empty, and once the run has drained.
 
 // digestRecords is the reduced trace size: large enough that stages
 // preempt, idle-reset and run busy periods hundreds deep.
 const digestRecords = 30_000
+
+// digestMidScrape is the simulated instant of the mid-run metrics
+// scrape: inside the flash crowd at the pipeline's 12× rate, when every
+// stage is busy with a backlog.
+const digestMidScrape = 250.0
 
 // digestScenario is the benchmark's scenario trace: a diurnal
 // 0.3→0.7→0.3 curve over one day with a 1.8× flash crowd, then a steady
@@ -40,14 +47,15 @@ func digestScenario(seed int64) *workload.Scenario {
 type digestStack struct {
 	offer func(*task.Task) bool
 	reuse bool          // the stack retains no offered task
-	text  func() []byte // the final metrics page, nil for none
+	text  func() []byte // renders the metrics page, nil for none
 }
 
 // digestReplay replays the scenario through the stack built by mk at
 // the given rate multiplier and returns the FNV-1a digest of the
-// (id, decision, arrival) stream plus the final clock, and the
-// stack's final metrics text.
-func digestReplay(t *testing.T, trace []byte, rate float64, mk func(*des.Simulator) digestStack) (uint64, []byte) {
+// (id, decision, arrival) stream plus the final clock, the stack's
+// metrics text scraped at simulated instant mid (mid > 0 only), and
+// its final metrics text.
+func digestReplay(t *testing.T, trace []byte, rate, mid float64, mk func(*des.Simulator) digestStack) (h uint64, midText, text []byte) {
 	t.Helper()
 	sim := des.New()
 	st := mk(sim)
@@ -55,7 +63,7 @@ func digestReplay(t *testing.T, trace []byte, rate float64, mk func(*des.Simulat
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := uint64(fnvOffset)
+	h = fnvOffset
 	rp, err := workload.NewReplayer(sim, r, workload.ReplayOptions{
 		RateMultiplier: rate,
 		Limit:          digestRecords,
@@ -74,6 +82,10 @@ func digestReplay(t *testing.T, trace []byte, rate float64, mk func(*des.Simulat
 	if err := rp.Start(); err != nil {
 		t.Fatal(err)
 	}
+	if mid > 0 && st.text != nil {
+		sim.RunUntil(mid)
+		midText = st.text()
+	}
 	sim.Run()
 	if err := rp.Err(); err != nil {
 		t.Fatal(err)
@@ -82,29 +94,35 @@ func digestReplay(t *testing.T, trace []byte, rate float64, mk func(*des.Simulat
 		t.Fatalf("replayed %d of %d records", rp.Replayed(), digestRecords)
 	}
 	h = fnvFold(h, math.Float64bits(sim.Now()))
-	var text []byte
 	if st.text != nil {
 		text = st.text()
 	}
-	return h, text
+	return h, midText, text
+}
+
+// pageHash is the FNV-1a hash of a metrics page.
+func pageHash(page []byte) uint64 {
+	ph := fnv.New64a()
+	ph.Write(page)
+	return ph.Sum64()
 }
 
 func TestSimStackDigests(t *testing.T) {
-	type want struct{ admit, pipe, page, fleet uint64 }
+	type want struct{ admit, pipe, midPage, page, fleet uint64 }
 	golden := map[int64]want{
-		42: {0x1dd80b45a7b70c6a, 0xde8237bc13a8edc1, 0xab64e3c9f6690f80, 0xabe5e0129bdef7a3},
-		7:  {0x6626efade8846a73, 0xc48328b951c8df7c, 0x5ebc1b1ccdeebc3c, 0x0b1c7aa2fd07bd49},
+		42: {0x1dd80b45a7b70c6a, 0xde8237bc13a8edc1, 0xa33bb288046c07b6, 0xab64e3c9f6690f80, 0xabe5e0129bdef7a3},
+		7:  {0x6626efade8846a73, 0xc48328b951c8df7c, 0x791ce87b900eed8d, 0x5ebc1b1ccdeebc3c, 0x0b1c7aa2fd07bd49},
 	}
 	for _, seed := range []int64{42, 7} {
 		var trace bytes.Buffer
 		if _, err := digestScenario(seed).RecordTrace(&trace); err != nil {
 			t.Fatal(err)
 		}
-		admit, _ := digestReplay(t, trace.Bytes(), 6, func(sim *des.Simulator) digestStack {
+		admit, _, _ := digestReplay(t, trace.Bytes(), 6, 0, func(sim *des.Simulator) digestStack {
 			ctl := core.NewController(sim, core.NewRegion(3), nil)
 			return digestStack{offer: ctl.TryAdmit, reuse: true}
 		})
-		pipe, page := digestReplay(t, trace.Bytes(), 12, func(sim *des.Simulator) digestStack {
+		pipe, midPage, page := digestReplay(t, trace.Bytes(), 12, digestMidScrape, func(sim *des.Simulator) digestStack {
 			reg := metrics.NewRegistry()
 			p := pipeline.New(sim, pipeline.Options{Stages: 3, Metrics: reg})
 			p.BeginMeasurement()
@@ -116,7 +134,7 @@ func TestSimStackDigests(t *testing.T) {
 				return b.Bytes()
 			}}
 		})
-		fleet, _ := digestReplay(t, trace.Bytes(), 48, func(sim *des.Simulator) digestStack {
+		fleet, _, _ := digestReplay(t, trace.Bytes(), 48, 0, func(sim *des.Simulator) digestStack {
 			cp := pipeline.NewCluster(sim, pipeline.ClusterOptions{
 				Stages:   3,
 				Replicas: 4,
@@ -127,13 +145,12 @@ func TestSimStackDigests(t *testing.T) {
 			cp.BeginMeasurement()
 			return digestStack{offer: cp.Offer}
 		})
-		ph := fnv.New64a()
-		ph.Write(page)
-		got := want{admit, pipe, ph.Sum64(), fleet}
+		got := want{admit, pipe, pageHash(midPage), pageHash(page), fleet}
 		if got != golden[seed] {
-			t.Errorf("seed %d: digests admit %016x pipeline %016x page %016x fleet %016x, want %016x %016x %016x %016x",
-				seed, got.admit, got.pipe, got.page, got.fleet,
-				golden[seed].admit, golden[seed].pipe, golden[seed].page, golden[seed].fleet)
+			t.Errorf("seed %d: digests admit %016x pipeline %016x mid page %016x page %016x fleet %016x, want %016x %016x %016x %016x %016x",
+				seed, got.admit, got.pipe, got.midPage, got.page, got.fleet,
+				golden[seed].admit, golden[seed].pipe, golden[seed].midPage, golden[seed].page, golden[seed].fleet)
 		}
+
 	}
 }

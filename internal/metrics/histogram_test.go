@@ -3,6 +3,8 @@ package metrics
 import (
 	"bufio"
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -105,4 +107,77 @@ func TestHistogramCountMatchesInfBucket(t *testing.T) {
 	if c := h.Count(); c != writers*per {
 		t.Fatalf("Count() = %d, want %d", c, writers*per)
 	}
+}
+
+// TestPlainHistogramMatchesAtomic feeds the same observations to the
+// atomic and the plain histogram form — NaN (dropped), values exactly
+// on a bound (inclusive), overflow past the last bound, and no
+// observations at all — and requires the rendered buckets, Sum, Count
+// and every Quantile to agree bit for bit.
+func TestPlainHistogramMatchesAtomic(t *testing.T) {
+	bounds := ExponentialBuckets(1e-3, 4, 6)
+	inputs := map[string][]float64{
+		"empty":    nil,
+		"nan only": {math.NaN(), math.NaN()},
+		"on bounds": append(append([]float64(nil), bounds...),
+			bounds[0], bounds[len(bounds)-1], 0),
+		"overflow": {5, 1e9, math.Inf(1), bounds[len(bounds)-1] * 1.0000001},
+		"mixed":    nil,
+	}
+	for i := 0; i < 500; i++ {
+		v := float64(i*i%997) * 1.3e-3
+		if i%37 == 0 {
+			v = math.NaN()
+		}
+		inputs["mixed"] = append(inputs["mixed"], v, -v/7)
+	}
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
+	for name, vs := range inputs {
+		r := NewRegistry()
+		a := r.Histogram("h", "help", bounds, Label{Name: "form", Value: "x"})
+		p := NewPlainHistogram(bounds)
+		for _, v := range vs {
+			a.Observe(v)
+			p.Observe(v)
+		}
+		var ab bytes.Buffer
+		if err := r.WritePrometheus(&ab); err != nil {
+			t.Fatal(err)
+		}
+		pr := NewRegistry()
+		pr.HistogramFunc("h", "help", p, Label{Name: "form", Value: "x"})
+		var pb bytes.Buffer
+		if err := pr.WritePrometheus(&pb); err != nil {
+			t.Fatal(err)
+		}
+		if ab.String() != pb.String() {
+			t.Errorf("%s: pages differ:\natomic:\n%s\nplain:\n%s", name, ab.String(), pb.String())
+		}
+		if a.Count() != p.Count() {
+			t.Errorf("%s: Count atomic %d, plain %d", name, a.Count(), p.Count())
+		}
+		if math.Float64bits(a.Sum()) != math.Float64bits(p.Sum()) {
+			t.Errorf("%s: Sum atomic %v, plain %v", name, a.Sum(), p.Sum())
+		}
+		for _, q := range qs {
+			if aq, pq := a.Quantile(q), p.Quantile(q); math.Float64bits(aq) != math.Float64bits(pq) {
+				t.Errorf("%s: Quantile(%v) atomic %v, plain %v", name, q, aq, pq)
+			}
+		}
+		as, ps := r.Snapshot()[`h{form="x"}`], pr.Snapshot()[`h{form="x"}`]
+		if !reflect.DeepEqual(as, ps) {
+			t.Errorf("%s: snapshots differ: %+v vs %+v", name, as, ps)
+		}
+	}
+}
+
+// TestPlainHistogramNilIsNoOp pins the nil-receiver contract.
+func TestPlainHistogramNilIsNoOp(t *testing.T) {
+	var h *PlainHistogram
+	h.Observe(1)
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("nil PlainHistogram must read zero")
+	}
+	var r *Registry
+	r.HistogramFunc("h", "", NewPlainHistogram([]float64{1}))
 }

@@ -34,6 +34,14 @@ func (k Kind) String() string {
 	}
 }
 
+// kindName is String, except that it tells an EWMA from a gauge.
+func kindName(k Kind) string {
+	if k == KindEWMA {
+		return "ewma"
+	}
+	return k.String()
+}
+
 // Label is one name="value" pair attached to a series.
 type Label struct {
 	Name  string
@@ -53,7 +61,14 @@ type series struct {
 	// value reads the series' current scalar value (counter, gauge,
 	// EWMA, or func instruments); nil for histograms.
 	value func() float64
-	hist  *Histogram
+	hist  histSource
+}
+
+// histSource is what a scrape reads from a histogram series: the atomic
+// Histogram, or a PlainHistogram exported with HistogramFunc.
+type histSource interface {
+	snapshotBuckets() (bounds []float64, cumulative []uint64)
+	Sum() float64
 }
 
 // family groups all series registered under one metric name.
@@ -141,14 +156,46 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) (f *fa
 		r.names = append(r.names, name)
 	}
 	if f.kind != kind {
-		panic(fmt.Sprintf("metrics: %s registered as %s, re-registered as %s", name, f.kind, kind))
+		panic(fmt.Sprintf("metrics: %s registered as %s, re-registered as %s", name, kindName(f.kind), kindName(kind)))
 	}
 	key = labelKey(labels)
 	return f, key, f.owners[key]
 }
 
+// ownedAs returns a series' existing owner as the instrument type T, and
+// panics with the series and both owner types when another kind of
+// instrument or a func series owns it.
+func ownedAs[T any](f *family, key string, existing any) T {
+	v, ok := existing.(T)
+	if !ok {
+		var want T
+		panic(fmt.Sprintf("metrics: series %s%s is registered as %s, not %s", f.name, key, ownerName(existing), ownerName(want)))
+	}
+	return v
+}
+
+// ownerName names an owner type for ownedAs's panic message.
+func ownerName(owner any) string {
+	switch owner.(type) {
+	case *Counter:
+		return "a Counter"
+	case *Gauge:
+		return "a Gauge"
+	case *Histogram:
+		return "a Histogram"
+	case *PlainHistogram:
+		return "a HistogramFunc"
+	case *EWMA:
+		return "an EWMA"
+	case func() float64:
+		return "a CounterFunc or GaugeFunc"
+	default:
+		return fmt.Sprintf("%T", owner)
+	}
+}
+
 // installOwner records a freshly created instrument for its series.
-func (f *family) installOwner(key string, owner any, value func() float64, hist *Histogram) {
+func (f *family) installOwner(key string, owner any, value func() float64, hist histSource) {
 	f.owners[key] = owner
 	f.byKey[key] = &series{labels: key, value: value, hist: hist}
 	f.order = append(f.order, key)
@@ -164,7 +211,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	defer r.mu.Unlock()
 	f, key, existing := r.register(name, help, KindCounter, labels)
 	if existing != nil {
-		return existing.(*Counter)
+		return ownedAs[*Counter](f, key, existing)
 	}
 	c := &Counter{}
 	f.installOwner(key, c, func() float64 { return float64(c.Value()) }, nil)
@@ -180,7 +227,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	defer r.mu.Unlock()
 	f, key, existing := r.register(name, help, KindGauge, labels)
 	if existing != nil {
-		return existing.(*Gauge)
+		return ownedAs[*Gauge](f, key, existing)
 	}
 	g := &Gauge{}
 	f.installOwner(key, g, g.Value, nil)
@@ -212,10 +259,36 @@ func (r *Registry) funcSeries(name, help string, kind Kind, fn func() float64, l
 	defer r.mu.Unlock()
 	f, key, existing := r.register(name, help, kind, labels)
 	if existing != nil {
+		ownedAs[func() float64](f, key, existing)
 		f.byKey[key].value = fn
 		return
 	}
 	f.installOwner(key, fn, fn, nil)
+}
+
+// HistogramFunc exports h as a histogram series read at scrape time:
+// the histogram's single writer keeps it as plain state and pays nothing
+// per observation beyond the bucket add, while every scrape reads the
+// buckets and sum directly. A scrape must therefore not run concurrently
+// with that writer (see the package doc). Re-registering the same series
+// replaces the histogram.
+func (r *Registry) HistogramFunc(name, help string, h *PlainHistogram, labels ...Label) {
+	if r == nil {
+		return
+	}
+	if h == nil {
+		panic("metrics: nil histogram for series " + name)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, key, existing := r.register(name, help, KindHistogram, labels)
+	if existing != nil {
+		ownedAs[*PlainHistogram](f, key, existing)
+		f.owners[key] = h
+		f.byKey[key].hist = h
+		return
+	}
+	f.installOwner(key, h, nil, h)
 }
 
 // Histogram returns the histogram for the series, registering it on
@@ -230,7 +303,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	defer r.mu.Unlock()
 	f, key, existing := r.register(name, help, KindHistogram, labels)
 	if existing != nil {
-		return existing.(*Histogram)
+		return ownedAs[*Histogram](f, key, existing)
 	}
 	h := newHistogram(buckets)
 	f.installOwner(key, h, nil, h)
@@ -248,7 +321,7 @@ func (r *Registry) EWMA(name, help string, alpha float64, labels ...Label) *EWMA
 	defer r.mu.Unlock()
 	f, key, existing := r.register(name, help, KindEWMA, labels)
 	if existing != nil {
-		return existing.(*EWMA)
+		return ownedAs[*EWMA](f, key, existing)
 	}
 	e := NewEWMA(alpha)
 	f.installOwner(key, e, e.Value, nil)
@@ -350,7 +423,9 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	return b
 }
 
-func newHistogram(buckets []float64) *Histogram {
+// checkedBounds validates histogram bucket bounds and returns a private
+// copy.
+func checkedBounds(buckets []float64) []float64 {
 	if len(buckets) == 0 {
 		panic("metrics: histogram needs at least one bucket bound")
 	}
@@ -359,10 +434,24 @@ func newHistogram(buckets []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds must be strictly increasing, got %v", buckets))
 		}
 	}
-	return &Histogram{
-		bounds: append([]float64(nil), buckets...),
-		counts: make([]atomic.Uint64, len(buckets)+1),
+	return append([]float64(nil), buckets...)
+}
+
+func newHistogram(buckets []float64) *Histogram {
+	bounds := checkedBounds(buckets)
+	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+}
+
+// bucketOf returns the index of the bucket v falls in: the first bound
+// v does not exceed, or len(bounds) (the overflow bucket). Linear scan:
+// bucket counts are small (≤ ~25) and the branch predictor does well on
+// latency-shaped data; no allocation.
+func bucketOf(bounds []float64, v float64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
 	}
+	return i
 }
 
 // Observe records one value. NaN observations are dropped.
@@ -370,13 +459,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
-	// Linear scan: bucket counts are small (≤ ~25) and the branch
-	// predictor does well on latency-shaped data; no allocation.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
+	h.counts[bucketOf(h.bounds, v)].Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -413,40 +496,128 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
+	return quantile(h.bounds, h.load(), q)
+}
+
+// load reads every bucket count once.
+func (h *Histogram) load() []uint64 {
+	counts := make([]uint64, len(h.counts))
 	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n >= rank && n > 0 {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (rank - cum) / n
-			return lo + frac*(h.bounds[i]-lo)
-		}
-		cum += n
+		counts[i] = h.counts[i].Load()
 	}
-	return h.bounds[len(h.bounds)-1]
+	return counts
 }
 
 // snapshotBuckets returns cumulative bucket counts aligned with bounds,
 // the overflow count folded into the final (+Inf) entry.
 func (h *Histogram) snapshotBuckets() (bounds []float64, cumulative []uint64) {
-	cumulative = make([]uint64, len(h.counts))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		cumulative[i] = cum
+	return h.bounds, cumulate(h.load())
+}
+
+// ---- PlainHistogram ----
+
+// PlainHistogram is Histogram for a single writer: the same buckets,
+// bucket arithmetic and quantile estimate over plain counters and a
+// plain float64 sum, so an observation is one bucket add and one float
+// add. Use it where exactly one goroutine observes — a simulated stage —
+// and export it with Registry.HistogramFunc; readers (scrapes, Quantile
+// callers) must run on that goroutine or while it is stopped. All
+// methods are nil-receiver-safe no-ops.
+type PlainHistogram struct {
+	bounds []float64 // inclusive upper bounds, ascending
+	counts []uint64  // one per bound, plus the +Inf overflow at the end
+	sum    float64
+}
+
+// NewPlainHistogram returns an empty single-writer histogram over the
+// given strictly increasing inclusive upper bounds (+Inf is implicit).
+func NewPlainHistogram(buckets []float64) *PlainHistogram {
+	bounds := checkedBounds(buckets)
+	return &PlainHistogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe records one value. NaN observations are dropped.
+func (h *PlainHistogram) Observe(v float64) {
+	if h == nil || math.IsNaN(v) {
+		return
 	}
-	return h.bounds, cumulative
+	h.counts[bucketOf(h.bounds, v)]++
+	h.sum += v
+}
+
+// Count returns the number of observations (0 for nil).
+func (h *PlainHistogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return total(h.counts)
+}
+
+// Sum returns the sum of observations (0 for nil).
+func (h *PlainHistogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
+
+// Quantile is Histogram.Quantile.
+func (h *PlainHistogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	return quantile(h.bounds, h.counts, q)
+}
+
+// snapshotBuckets is Histogram.snapshotBuckets.
+func (h *PlainHistogram) snapshotBuckets() (bounds []float64, cumulative []uint64) {
+	return h.bounds, cumulate(append([]uint64(nil), h.counts...))
+}
+
+// ---- shared bucket arithmetic ----
+
+// total returns the bucket total: the observation count.
+func total(counts []uint64) uint64 {
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
+// cumulate turns per-bucket counts into cumulative counts in place.
+func cumulate(counts []uint64) []uint64 {
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	return counts
+}
+
+// quantile is the uniform-within-bucket q-quantile estimate behind both
+// histogram forms' Quantile, over one read of the bucket counts.
+func quantile(bounds []float64, counts []uint64, q float64) float64 {
+	n := total(counts)
+	if n == 0 {
+		return 0
+	}
+	rank := q * float64(n)
+	cum := 0.0
+	for i, c := range counts {
+		c := float64(c)
+		if cum+c >= rank && c > 0 {
+			if i == len(bounds) {
+				return bounds[len(bounds)-1]
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = bounds[i-1]
+			}
+			frac := (rank - cum) / c
+			return lo + frac*(bounds[i]-lo)
+		}
+		cum += c
+	}
+	return bounds[len(bounds)-1]
 }
 
 // ---- EWMA ----

@@ -226,6 +226,16 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkHistogramObservePlain is BenchmarkHistogramObserve on the
+// single-writer form: the same bucket search, no atomics.
+func BenchmarkHistogramObservePlain(b *testing.B) {
+	h := NewPlainHistogram(ExponentialBuckets(1e-6, 4, 12))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i%1000) * 1e-5)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{`plain`, `plain`},
@@ -277,5 +287,63 @@ func TestReplicaAndStageLabelsCompose(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestOwnerMismatchPanicsByName asks for a series as a different
+// instrument than the one that owns it: every accessor panics with a
+// message naming the series and its owner, not an interface conversion.
+// An EWMA is its own kind of family, so EWMA-versus-gauge mismatches
+// are named at the family level.
+func TestOwnerMismatchPanicsByName(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("c_total", "", func() float64 { return 1 }, Stage(0))
+	r.GaugeFunc("g", "", func() float64 { return 1 })
+	r.HistogramFunc("h", "", NewPlainHistogram([]float64{1}))
+	r.Histogram("ah", "", []float64{1})
+	r.Counter("n_total", "")
+	r.EWMA("e", "", 0.5)
+	r.Gauge("pg", "")
+	cases := []struct {
+		name string
+		fn   func()
+		want string
+	}{
+		{"Counter over CounterFunc", func() { r.Counter("c_total", "", Stage(0)) },
+			`metrics: series c_total{stage="0"} is registered as a CounterFunc or GaugeFunc, not a Counter`},
+		{"Gauge over GaugeFunc", func() { r.Gauge("g", "") },
+			"metrics: series g is registered as a CounterFunc or GaugeFunc, not a Gauge"},
+		{"Histogram over HistogramFunc", func() { r.Histogram("h", "", []float64{1}) },
+			"metrics: series h is registered as a HistogramFunc, not a Histogram"},
+		{"HistogramFunc over Histogram", func() { r.HistogramFunc("ah", "", NewPlainHistogram([]float64{1})) },
+			"metrics: series ah is registered as a Histogram, not a HistogramFunc"},
+		{"CounterFunc over Counter", func() { r.CounterFunc("n_total", "", func() float64 { return 0 }) },
+			"metrics: series n_total is registered as a Counter, not a CounterFunc or GaugeFunc"},
+		{"GaugeFunc over EWMA", func() { r.GaugeFunc("e", "", func() float64 { return 0 }) },
+			"metrics: e registered as ewma, re-registered as gauge"},
+		{"EWMA over Gauge", func() { r.EWMA("pg", "", 0.5) },
+			"metrics: pg registered as gauge, re-registered as ewma"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				got, _ := recover().(string)
+				if got != tc.want {
+					t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+	// Re-registering with the owner's own kind still works.
+	r.GaugeFunc("g", "", func() float64 { return 2 })
+	if v := r.Snapshot()["g"]; v != 2.0 {
+		t.Fatalf("re-registered GaugeFunc reads %v, want 2", v)
+	}
+	p := NewPlainHistogram([]float64{1})
+	p.Observe(0.5)
+	r.HistogramFunc("h", "", p)
+	if s := r.Snapshot()["h"].(HistogramSnapshot); s.Count != 1 {
+		t.Fatalf("re-registered HistogramFunc count %d, want 1", s.Count)
 	}
 }

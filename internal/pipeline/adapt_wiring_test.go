@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"feasregion/internal/adapt"
@@ -23,18 +24,16 @@ func adaptTestConfig() *adapt.Config {
 	}
 }
 
-// End-to-end adapt wiring: a pipeline with Options.Adapt set, fed by an
-// honest and a lying workload class, must (a) drive the loop from its
-// own telemetry, (b) inflate the lying class's demand estimate and not
-// the honest one's, and (c) push region updates into the controller it
-// admits with.
-func TestPipelineAdaptWiring(t *testing.T) {
+// runAdaptScenario builds an adapt-enabled pipeline (reg may be nil),
+// feeds it an honest and a lying workload class with a stage-1 slowdown
+// in the middle, and runs it to completion.
+func runAdaptScenario(t *testing.T, reg *metrics.Registry) *Pipeline {
+	t.Helper()
 	const (
 		horizon = 600.0
 		liarLo  = task.ID(1_000_000) // liar-class tasks live in [liarLo, ∞)
 	)
 	sim := des.New()
-	reg := metrics.NewRegistry()
 	inj := faults.New(faults.Config{
 		Stages:       3,
 		Horizon:      horizon,
@@ -53,7 +52,6 @@ func TestPipelineAdaptWiring(t *testing.T) {
 	if p.AdaptLoop() == nil {
 		t.Fatal("Options.Adapt set but AdaptLoop() is nil")
 	}
-	base := p.Controller().Region()
 
 	spec := workload.PipelineSpec{Stages: 3, Load: 0.4, MeanDemand: 1, Resolution: 20}
 	honest := workload.NewSource(sim, spec, 42, horizon, func(tk *task.Task) {
@@ -69,7 +67,17 @@ func TestPipelineAdaptWiring(t *testing.T) {
 	honest.Start()
 	liars.Start()
 	sim.Run()
+	return p
+}
 
+// End-to-end adapt wiring: a pipeline with Options.Adapt set, fed by an
+// honest and a lying workload class, must (a) drive the loop from its
+// own telemetry, (b) inflate the lying class's demand estimate and not
+// the honest one's, and (c) push region updates into the controller it
+// admits with.
+func TestPipelineAdaptWiring(t *testing.T) {
+	p := runAdaptScenario(t, metrics.NewRegistry())
+	base := core.NewRegion(3)
 	snap := p.AdaptLoop().Snapshot()
 	if snap.Ticks == 0 {
 		t.Fatal("adapt loop never ticked")
@@ -112,6 +120,24 @@ func TestPipelineAdaptWiring(t *testing.T) {
 	}
 }
 
+// The β/α estimators read the stages' own tallies, so a metrics
+// registry is an export, not an input: the same run without one makes
+// the same region updates.
+func TestPipelineAdaptWithoutMetrics(t *testing.T) {
+	with := runAdaptScenario(t, metrics.NewRegistry())
+	without := runAdaptScenario(t, nil)
+	ws, wos := with.AdaptLoop().Snapshot(), without.AdaptLoop().Snapshot()
+	if ws.RegionUpdates == 0 {
+		t.Fatalf("adapt loop made no region updates: %+v", ws)
+	}
+	if !reflect.DeepEqual(ws, wos) {
+		t.Fatalf("adapt loop without metrics diverged:\n with    %+v\n without %+v", ws, wos)
+	}
+	if !reflect.DeepEqual(with.Controller().Region(), without.Controller().Region()) {
+		t.Fatalf("controller regions diverged: %+v vs %+v", with.Controller().Region(), without.Controller().Region())
+	}
+}
+
 // The adapt loop panics loudly on wiring errors rather than silently
 // estimating from missing telemetry.
 func TestPipelineAdaptRequiresTelemetry(t *testing.T) {
@@ -123,12 +149,6 @@ func TestPipelineAdaptRequiresTelemetry(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("beta without metrics", func() {
-		New(des.New(), Options{Stages: 2, Adapt: &adapt.Config{
-			DeadlineRef: 1,
-			Beta:        adapt.BetaConfig{Enabled: true},
-		}})
-	})
 	mustPanic("demand without guard", func() {
 		New(des.New(), Options{Stages: 2, Metrics: metrics.NewRegistry(), Adapt: &adapt.Config{
 			DeadlineRef: 1,

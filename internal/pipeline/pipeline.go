@@ -193,6 +193,12 @@ type Options struct {
 	// histograms, and pipeline-level departure/deadline-miss counters.
 	// Unlike the measurement-window Snapshot, these span the pipeline's
 	// whole lifetime and cost nothing when nil.
+	//
+	// Most series are read at scrape time from the simulation's own
+	// state (ledgers, stage queues and tallies, counters), which only
+	// the goroutine driving the simulator writes: render the registry
+	// (WritePrometheus, Snapshot, Handler) on that goroutine or while
+	// the simulator is stopped, never concurrently with a run.
 	Metrics *metrics.Registry
 
 	// Health, when non-nil, receives a (declared, actual) service-time
@@ -209,7 +215,7 @@ type Options struct {
 
 	// Adapt, when non-nil, builds an adaptive estimation loop over the
 	// pipeline's telemetry: the β/α estimators read the per-stage
-	// sojourn/service histograms (Metrics is therefore required), the
+	// sojourn/service tallies (sched.Stage.KeepTallies), the
 	// demand estimator reads the overrun guard's per-class detections
 	// (OverrunPolicy must then not be OverrunIgnore), and region
 	// updates flow back into the default controller. The caller drives
@@ -246,16 +252,15 @@ type Pipeline struct {
 	// rate.
 	classEntered map[string]uint64
 
-	// Lifetime instruments; nil (free no-ops) without Options.Metrics.
-	metDeparted  *metrics.Counter
+	// departed counts tasks that completed all stages over the
+	// pipeline's whole lifetime (feasregion_departed_total).
+	departed uint64
+
+	// Lifetime instruments for rare events; nil (free no-ops) without
+	// Options.Metrics.
 	metMissed    *metrics.Counter
 	metShed      *metrics.Counter
 	metMissStage []*metrics.Counter // deadline misses attributed to the stage the task died in
-
-	// sojournHist/serviceHist retain the per-stage histograms for the
-	// adapt loop's telemetry sources; nil without Options.Metrics.
-	sojournHist []*metrics.Histogram
-	serviceHist []*metrics.Histogram
 
 	measuring      bool
 	measureStart   des.Time
@@ -393,26 +398,25 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 	}
 	p.health = opts.Health
 	p.healthReplica = opts.HealthReplica
+	if opts.Metrics != nil || opts.Adapt != nil {
+		buckets := metrics.ExponentialBuckets(1e-3, 4, 12)
+		for _, st := range p.stages {
+			st.KeepTallies(buckets)
+		}
+	}
 	if opts.Metrics != nil {
 		if p.ctrl != nil {
 			p.ctrl.SetMetrics(opts.Metrics)
 		}
-		buckets := metrics.ExponentialBuckets(1e-3, 4, 12)
-		p.sojournHist = make([]*metrics.Histogram, len(p.stages))
-		p.serviceHist = make([]*metrics.Histogram, len(p.stages))
 		p.metMissStage = make([]*metrics.Counter, len(p.stages))
 		for j, st := range p.stages {
-			p.serviceHist[j] = opts.Metrics.Histogram("feasregion_stage_service_time", "executed computation time per completed job (simulated seconds)", buckets, metrics.Stage(j))
-			p.sojournHist[j] = opts.Metrics.Histogram("feasregion_stage_sojourn_time", "submission-to-completion time per job at the stage (simulated seconds)", buckets, metrics.Stage(j))
+			opts.Metrics.HistogramFunc("feasregion_stage_service_time", "executed computation time per completed job (simulated seconds)", st.ServiceTally(), metrics.Stage(j))
+			opts.Metrics.HistogramFunc("feasregion_stage_sojourn_time", "submission-to-completion time per job at the stage (simulated seconds)", st.SojournTally(), metrics.Stage(j))
 			p.metMissStage[j] = opts.Metrics.Counter("feasregion_pipeline_misses", "deadline misses attributed to the stage whose tenure the deadline expired in", metrics.Stage(j))
-			st.SetInstruments(sched.Instruments{
-				QueueDepth:  opts.Metrics.Gauge("feasregion_stage_queue_depth", "ready jobs queued at the stage", metrics.Stage(j)),
-				ServiceTime: p.serviceHist[j],
-				Sojourn:     p.sojournHist[j],
-				Overruns:    opts.Metrics.Counter("feasregion_stage_overruns_total", "budget-watchdog firings at the stage", metrics.Stage(j)),
-			})
+			opts.Metrics.GaugeFunc("feasregion_stage_queue_depth", "ready jobs queued at the stage", func() float64 { return float64(st.ReadyLen()) }, metrics.Stage(j))
+			opts.Metrics.CounterFunc("feasregion_stage_overruns_total", "budget-watchdog firings at the stage", func() float64 { return float64(st.Stats().Overruns) }, metrics.Stage(j))
 		}
-		p.metDeparted = opts.Metrics.Counter("feasregion_departed_total", "tasks that completed all stages")
+		opts.Metrics.CounterFunc("feasregion_departed_total", "tasks that completed all stages", func() float64 { return float64(p.departed) })
 		p.metMissed = opts.Metrics.Counter("feasregion_deadline_miss_total", "completed tasks that missed their end-to-end deadline")
 		p.metShed = opts.Metrics.Counter("feasregion_shed_total", "in-flight tasks aborted (semantic shedding or overrun eviction)")
 	}
@@ -487,29 +491,25 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 }
 
 // wireAdapt builds the adaptive estimation loop over the pipeline's own
-// telemetry: sojourn/service histogram tails and ledger utilizations
-// feed the β/α estimators, guard per-class detections against lifetime
-// per-class admissions feed the demand estimator, and region updates
-// flow back into the controller. The demand estimator's inflation is
-// installed by wrapping the controller's estimator, so the guard's
-// budgets (EstimateFor) follow the inflated estimates automatically.
+// telemetry: the stages' sojourn/service tally tails and ledger
+// utilizations feed the β/α estimators, guard per-class detections
+// against lifetime per-class admissions feed the demand estimator, and
+// region updates flow back into the controller. The demand estimator's
+// inflation is installed by wrapping the controller's estimator, so the
+// guard's budgets (EstimateFor) follow the inflated estimates
+// automatically.
 func (p *Pipeline) wireAdapt(cfg adapt.Config, opts Options) {
 	if p.ctrl == nil {
 		panic("pipeline: the adapt loop requires the default feasible-region controller")
-	}
-	if p.sojournHist == nil && (cfg.Beta.Enabled || cfg.Alpha.Enabled) {
-		panic("pipeline: the adapt β/α estimators require Options.Metrics (sojourn histograms)")
 	}
 	if cfg.Demand.Enabled && p.guard == nil {
 		panic("pipeline: the adapt demand estimator requires an overrun policy (its detection source)")
 	}
 	src := adapt.Sources{
 		StageUtilization: func(j int) float64 { return p.ctrl.Ledger(j).Utilization() },
-	}
-	if p.sojournHist != nil {
-		src.SojournQuantile = func(j int, q float64) float64 { return p.sojournHist[j].Quantile(q) }
-		src.SojournCount = func(j int) uint64 { return p.sojournHist[j].Count() }
-		src.ServiceQuantile = func(j int, q float64) float64 { return p.serviceHist[j].Quantile(q) }
+		SojournQuantile:  func(j int, q float64) float64 { return p.stages[j].SojournTally().Quantile(q) },
+		SojournCount:     func(j int) uint64 { return p.stages[j].SojournTally().Count() },
+		ServiceQuantile:  func(j int, q float64) float64 { return p.stages[j].ServiceTally().Quantile(q) },
 	}
 	if cfg.Demand.Enabled {
 		src.OverrunsByClass = p.guard.DetectedByClass
@@ -944,7 +944,7 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 	level, missStage := f.level, f.missStage
 	p.release(f)
 	miss := now > t.AbsoluteDeadline()+1e-9
-	p.metDeparted.Inc()
+	p.departed++
 	p.trace(t.ID, "pipeline", "depart")
 	if miss {
 		p.metMissed.Inc()

@@ -86,6 +86,8 @@ type Stats struct {
 	// the unit of analysis in the stage delay theorem's proof.
 	BusyPeriods       uint64
 	LongestBusyPeriod float64
+	// Overruns counts budget-watchdog firings (see SubmitBudgeted).
+	Overruns uint64
 }
 
 // Stage is one preemptive fixed-priority resource. Create it with New;
@@ -122,31 +124,33 @@ type Stage struct {
 	idleFns []func(now des.Time)
 	observe func(Event)
 
-	ins Instruments
+	// service and sojourn are the completed-job tallies; nil (free
+	// no-ops) until KeepTallies.
+	service, sojourn *metrics.PlainHistogram
 
 	seq   uint64
 	stats Stats
 }
 
-// Instruments are the stage's observability hooks. Every field may be
-// nil: a nil instrument's methods are free no-ops, so the dispatch path
-// carries no conditionals for the disabled case.
-type Instruments struct {
-	// QueueDepth tracks the number of ready (queued, dispatchable) jobs.
-	QueueDepth *metrics.Gauge
-	// ServiceTime observes each completed job's executed computation
-	// time (inflated by the exec model when faults are injected).
-	ServiceTime *metrics.Histogram
-	// Sojourn observes each completed job's total time at the stage,
-	// submission to completion (queueing + preemption + execution).
-	Sojourn *metrics.Histogram
-	// Overruns counts budget-watchdog firings.
-	Overruns *metrics.Counter
+// KeepTallies makes the stage tally every completed job from now on
+// into two histograms over the given bucket bounds: its executed
+// computation time (inflated by the exec model when faults are
+// injected; ServiceTally) and its sojourn, submission to completion
+// (queueing + preemption + execution; SojournTally). The tallies are
+// the stage's own single-writer state: read them on the simulation's
+// goroutine or while it is stopped.
+func (s *Stage) KeepTallies(buckets []float64) {
+	s.service = metrics.NewPlainHistogram(buckets)
+	s.sojourn = metrics.NewPlainHistogram(buckets)
 }
 
-// SetInstruments wires the stage's observability instruments; the zero
-// Instruments value detaches them.
-func (s *Stage) SetInstruments(ins Instruments) { s.ins = ins }
+// ServiceTally returns the executed-computation-time tally, or nil
+// without KeepTallies.
+func (s *Stage) ServiceTally() *metrics.PlainHistogram { return s.service }
+
+// SojournTally returns the sojourn-time tally, or nil without
+// KeepTallies.
+func (s *Stage) SojournTally() *metrics.PlainHistogram { return s.sojourn }
 
 // New returns an idle stage driven by the given simulator clock.
 func New(sim *des.Simulator, name string) *Stage {
@@ -337,18 +341,12 @@ func (s *Stage) SubmitJob(j *Job, id task.ID, priority float64, sub task.Subtask
 		s.preempt()
 	}
 	s.start(j)
-	s.ins.QueueDepth.Set(float64(len(s.ready)))
 }
 
 // schedule enforces the scheduling invariant: the running job is the most
 // urgent dispatchable job. It preempts, dispatches, applies PCP blocking,
 // and transitions to idle as needed.
 func (s *Stage) schedule() {
-	s.scheduleLoop()
-	s.ins.QueueDepth.Set(float64(len(s.ready)))
-}
-
-func (s *Stage) scheduleLoop() {
 	if s.paused {
 		return // stalled: nothing dispatches until Resume
 	}
@@ -469,7 +467,7 @@ func (s *Stage) armWatch(j *Job) {
 func (s *Stage) onWatch(j *Job) {
 	j.watch = des.Event{}
 	j.overrunFired = true
-	s.ins.Overruns.Inc()
+	s.stats.Overruns++
 	consumed := j.consumed + (s.sim.Now() - j.segStart)
 	// j.consumed excludes the in-flight dispatch and j.Remaining()
 	// still counts the whole current segment, so their sum is the
@@ -529,8 +527,8 @@ func (s *Stage) onSegmentDone(j *Job) {
 	}
 
 	s.stats.Completed++
-	s.ins.ServiceTime.Observe(j.consumed)
-	s.ins.Sojourn.Observe(now - j.submitted)
+	s.service.Observe(j.consumed)
+	s.sojourn.Observe(now - j.submitted)
 	s.emit(EventComplete, j.TaskID)
 	if j.done != nil {
 		j.done.Complete(now)
@@ -583,7 +581,6 @@ func (s *Stage) Cancel(j *Job) bool {
 		return true
 	case s.ready.holds(j):
 		s.ready.remove(j.heapIdx)
-		s.ins.QueueDepth.Set(float64(len(s.ready)))
 		if j.heldLock != nil {
 			s.release(j) // preempted inside its critical section
 			s.schedule() // a flushed waiter may now outrank the runner
@@ -742,7 +739,6 @@ func (s *Stage) Pause() {
 	}
 	if s.running != nil {
 		s.preempt()
-		s.ins.QueueDepth.Set(float64(len(s.ready)))
 	}
 	s.paused = true
 }
