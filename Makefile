@@ -52,10 +52,11 @@ bench-degrade:
 bench-cluster:
 	$(GO) test -run '^$$' -bench '^BenchmarkClusterRoute' -benchmem -count 3 -json . > BENCH_cluster.json
 
-# Event-core benchmarks (frozen container/heap calendar vs the ladder
-# queue: self-clocking timer streams, schedule/drain, cancel-heavy) as
-# go-test JSON. The ladder rows must report 0 allocs/op; the rebuild's
-# acceptance floor is ≥ 3× the heap's self-clocking event throughput.
+# Event-core benchmarks (the ladder calendar: self-clocking timer
+# streams, schedule/drain, cancel-heavy, near-future holds; alarms vs
+# the calendar at 4 and 16 self-re-arming streams) as go-test JSON.
+# Every row must report 0 allocs/op; `bash bench/pairs.sh <commit>` is
+# the end-to-end before/after.
 bench-des:
 	$(GO) test -run '^$$' -bench '^BenchmarkDes' -benchmem -count 3 -json . > BENCH_des.json
 
@@ -103,6 +104,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAlphaBounds -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzQualitySearch -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
+	$(GO) test -fuzz FuzzAlarmDifferential -fuzztime 30s ./internal/des/
 
 clean:
 	rm -rf results

@@ -1,142 +1,38 @@
 package feasregion_test
 
 import (
-	"container/heap"
-	"math"
+	"fmt"
 	"testing"
 
 	"feasregion/internal/des"
 	"feasregion/internal/dist"
 )
 
-// Event-core benchmarks: the before/after for the calendar rebuild.
-// `heapSim` below is a frozen copy of the pre-rewrite des.Simulator hot
-// path (container/heap calendar, one *Event allocation per schedule,
-// closure dispatch), kept so every future run re-measures the "before"
-// on current hardware instead of trusting a stale number. The
-// BenchmarkDes* pairs measure, heap vs ladder:
+// Event-core benchmarks. The BenchmarkDesLadder* rows measure the
+// ladder calendar; the before/after of a change to the event core is
+// `bash bench/pairs.sh <commit>` plus these rows run on both commits.
 //
-//   - SelfClocking: n independent recurring timers (the arrival-source
-//     shape that dominates replay) firing and rescheduling — pure
-//     schedule+fire throughput at a steady calendar population;
-//   - ScheduleDrain: bulk-schedule n random events, then drain — the
-//     insert- then pop-heavy phases separately exercised;
-//   - CancelHeavy: schedule, cancel half, drain — the watchdog pattern
-//     (most timers are disarmed before they fire).
+//   - LadderSelfClocking: n independent recurring timers firing and
+//     rescheduling on the calendar — pure schedule+fire throughput at a
+//     steady calendar population;
+//   - LadderScheduleDrain: bulk-schedule n random events, then drain —
+//     the insert- then pop-heavy phases separately exercised;
+//   - LadderCancelHeavy: schedule, cancel half, drain (most timers are
+//     disarmed before they fire);
+//   - LadderNearFuture: the hold model of a preemptive pipeline;
+//   - AlarmSelfClocking and LadderFewStreams: k = 4 and 16 recurring
+//     streams (a pipeline's stage completions and arrival source; the
+//     simulated fleet has 13), each re-arming an alarm versus
+//     rescheduling through the calendar.
 //
-// The ladder rows must report 0 allocs/op on the Timer dispatch path;
-// the acceptance floor for the rebuild is ≥ 3× the frozen heap's
-// self-clocking event throughput. `make bench-des` emits these as
+// Every row must report 0 allocs/op. `make bench-des` emits them as
 // BENCH_des.json.
-
-// --- frozen pre-rewrite implementation (trimmed to the measured path) ---
-
-type heapEvent struct {
-	time      float64
-	seq       uint64
-	index     int
-	fn        func()
-	cancelled bool
-}
-
-type heapEventQueue []*heapEvent
-
-func (q heapEventQueue) Len() int { return len(q) }
-
-func (q heapEventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q heapEventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *heapEventQueue) Push(x any) {
-	e := x.(*heapEvent)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *heapEventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
-type heapSim struct {
-	queue heapEventQueue
-	now   float64
-	seq   uint64
-}
-
-func (s *heapSim) At(t float64, fn func()) *heapEvent {
-	e := &heapEvent{time: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, e)
-	return e
-}
-
-func (s *heapSim) Cancel(e *heapEvent) {
-	if e == nil || e.cancelled || e.index < 0 {
-		return
-	}
-	e.cancelled = true
-	heap.Remove(&s.queue, e.index)
-	e.index = -1
-}
-
-func (s *heapSim) Step() bool {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*heapEvent)
-		if e.cancelled {
-			continue
-		}
-		s.now = e.time
-		e.fn()
-		return true
-	}
-	return false
-}
-
-// --- workload shapes ---
 
 // benchStreams is the steady calendar population for the self-clocking
 // shape: the event core's working set in a large replay.
 const benchStreams = 1024
 
-// heapTicker is one self-rescheduling stream on the frozen heap.
-type heapTicker struct {
-	sim  *heapSim
-	rng  *dist.RNG
-	fire func()
-}
-
-func benchHeapSelfClocking(b *testing.B, streams int) {
-	s := &heapSim{}
-	for i := 0; i < streams; i++ {
-		t := &heapTicker{sim: s, rng: dist.NewRNG(int64(i + 1))}
-		t.fire = func() {
-			s.At(s.now+t.rng.ExpFloat64(), t.fire)
-		}
-		s.At(t.rng.ExpFloat64(), t.fire)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// ladderTicker is the same stream on the current core's Timer path.
+// ladderTicker is one self-rescheduling stream on the calendar.
 type ladderTicker struct {
 	sim *des.Simulator
 	rng *dist.RNG
@@ -159,8 +55,49 @@ func benchLadderSelfClocking(b *testing.B, streams int) {
 	}
 }
 
-func BenchmarkDesHeapSelfClocking(b *testing.B)   { benchHeapSelfClocking(b, benchStreams) }
 func BenchmarkDesLadderSelfClocking(b *testing.B) { benchLadderSelfClocking(b, benchStreams) }
+
+// alarmTicker is the same stream on an alarm: it re-arms itself.
+type alarmTicker struct {
+	a   des.Alarm
+	rng *dist.RNG
+}
+
+func (t *alarmTicker) Fire(now des.Time) {
+	t.a.Arm(now + t.rng.ExpFloat64())
+}
+
+func newAlarmTickers(s *des.Simulator, streams int) {
+	for i := 0; i < streams; i++ {
+		t := &alarmTicker{rng: dist.NewRNG(int64(i + 1))}
+		t.a = s.NewAlarm(t)
+		t.a.Arm(t.rng.ExpFloat64())
+	}
+}
+
+// fewStreams are the alarm counts of the simulated stacks: a pipeline's
+// three stages plus its replayer, and a fleet-sized set.
+var fewStreams = []int{4, 16}
+
+func BenchmarkDesAlarmSelfClocking(b *testing.B) {
+	for _, k := range fewStreams {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			s := des.New()
+			newAlarmTickers(s, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
+	}
+}
+
+func BenchmarkDesLadderFewStreams(b *testing.B) {
+	for _, k := range fewStreams {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) { benchLadderSelfClocking(b, k) })
+	}
+}
 
 // nop is the shared no-op payload for drain shapes.
 type nop struct{}
@@ -168,21 +105,6 @@ type nop struct{}
 func (nop) Fire(des.Time) {}
 
 var sharedNop nop
-
-func BenchmarkDesHeapScheduleDrain(b *testing.B) {
-	rng := dist.NewRNG(7)
-	cb := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &heapSim{}
-		for j := 0; j < benchStreams; j++ {
-			s.At(rng.Float64()*1000, cb)
-		}
-		for s.Step() {
-		}
-	}
-}
 
 func BenchmarkDesLadderScheduleDrain(b *testing.B) {
 	rng := dist.NewRNG(7)
@@ -193,25 +115,6 @@ func BenchmarkDesLadderScheduleDrain(b *testing.B) {
 		base := s.Now()
 		for j := 0; j < benchStreams; j++ {
 			s.AtTimer(base+rng.Float64()*1000, sharedNop)
-		}
-		for s.Step() {
-		}
-	}
-}
-
-func BenchmarkDesHeapCancelHeavy(b *testing.B) {
-	rng := dist.NewRNG(11)
-	cb := func() {}
-	events := make([]*heapEvent, benchStreams)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &heapSim{}
-		for j := range events {
-			events[j] = s.At(rng.Float64()*1000, cb)
-		}
-		for j := 0; j < len(events); j += 2 {
-			s.Cancel(events[j])
 		}
 		for s.Step() {
 		}
@@ -298,23 +201,36 @@ func TestDesLadderSelfClockingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDesBenchShapesAgree cross-checks that both cores drain the drain
-// shapes to the same final clock — guarding the benchmark pair against
-// measuring different work.
-func TestDesBenchShapesAgree(t *testing.T) {
-	rng1 := dist.NewRNG(3)
-	rng2 := dist.NewRNG(3)
-	h := &heapSim{}
-	l := des.New()
-	for j := 0; j < 4096; j++ {
-		h.At(rng1.Float64()*500, func() {})
-		l.AtTimer(rng2.Float64()*500, sharedNop)
+// TestDesAlarmShapeAgrees cross-checks that the alarm and calendar
+// versions of the few-stream shape do the same work: the same streams
+// fire at the same instants, so the clocks agree after every step.
+func TestDesAlarmShapeAgrees(t *testing.T) {
+	for _, k := range fewStreams {
+		l, a := des.New(), des.New()
+		for i := 0; i < k; i++ {
+			tk := &ladderTicker{sim: l, rng: dist.NewRNG(int64(i + 1))}
+			l.AtTimer(tk.rng.ExpFloat64(), tk)
+		}
+		newAlarmTickers(a, k)
+		for i := 0; i < 10_000; i++ {
+			l.Step()
+			a.Step()
+			if l.Now() != a.Now() {
+				t.Fatalf("k=%d, step %d: calendar clock %v, alarm clock %v", k, i, l.Now(), a.Now())
+			}
+		}
+		if l.Pending() != k || a.Pending() != k {
+			t.Fatalf("k=%d: Pending() calendar %d, alarms %d", k, l.Pending(), a.Pending())
+		}
 	}
-	for h.Step() {
-	}
-	for l.Step() {
-	}
-	if math.Abs(h.now-l.Now()) != 0 {
-		t.Fatalf("final clocks differ: heap %v, ladder %v", h.now, l.Now())
+}
+
+// TestDesAlarmSelfClockingZeroAlloc: self-re-arming alarms allocate
+// nothing per fire.
+func TestDesAlarmSelfClockingZeroAlloc(t *testing.T) {
+	s := des.New()
+	newAlarmTickers(s, 16)
+	if per := testing.AllocsPerRun(2000, func() { s.Step() }); per != 0 {
+		t.Fatalf("alarm Step allocates %v per fire, want 0", per)
 	}
 }

@@ -94,8 +94,9 @@ type record struct {
 	state uint8
 }
 
-// Simulator is a discrete-event simulation clock and calendar.
-// The zero value is a simulator at time 0 with an empty calendar.
+// Simulator is a discrete-event simulation clock and calendar, with a
+// set of re-armable alarms beside the calendar (see Alarm). The zero
+// value is a simulator at time 0 with an empty calendar and no alarms.
 type Simulator struct {
 	recs []record
 	free []int32
@@ -103,9 +104,10 @@ type Simulator struct {
 	now   Time
 	seq   uint64
 	steps uint64
-	live  int // scheduled events that have neither fired nor been cancelled
+	live  int // scheduled events and armed alarms not yet fired or withdrawn
 
-	q ladder
+	q  ladder
+	al alarms
 }
 
 // New returns an empty simulator at time zero.
@@ -114,12 +116,14 @@ func New() *Simulator { return &Simulator{} }
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Steps returns the number of events executed so far.
+// Steps returns the number of events executed so far, alarm fires
+// included.
 func (s *Simulator) Steps() uint64 { return s.steps }
 
-// Pending returns the number of events currently scheduled: neither
-// fired nor cancelled. (Cancelled events are withdrawn lazily, so they
-// may still occupy calendar memory, but they are not counted here.)
+// Pending returns the number of events currently scheduled — neither
+// fired nor cancelled — plus the number of armed alarms. (Cancelled
+// events are withdrawn lazily, so they may still occupy calendar
+// memory, but they are not counted here.)
 func (s *Simulator) Pending() int { return s.live }
 
 // schedule validates, allocates a pooled record, and files it in the
@@ -257,13 +261,18 @@ func (s *Simulator) freeSlot(slot int32) {
 	s.free = append(s.free, slot)
 }
 
-// Step executes the earliest pending event. It returns false when the
-// calendar is empty.
+// Step executes the earliest pending event or alarm, by (time, seq).
+// It returns false when the calendar is empty and no alarm is armed.
 func (s *Simulator) Step() bool {
-	slot, ok := s.q.pop(s)
+	slot, ok := s.q.front(s)
+	if i, armed := s.al.first(); armed && (!ok || s.al.keys[i].before(&s.q.bottom[s.q.bottomHead])) {
+		s.fireAlarm(i)
+		return true
+	}
 	if !ok {
 		return false
 	}
+	s.q.bottomHead++
 	r := &s.recs[slot]
 	t, fn, tm := r.time, r.fn, r.tm
 	r.state = stateFired
@@ -282,12 +291,20 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// RunUntil executes events in order until the calendar is exhausted or
-// the next event is strictly after horizon, then advances the clock to
-// horizon.
+// peek returns the instant of the earliest pending event or alarm.
+func (s *Simulator) peek() (Time, bool) {
+	t, ok := s.q.peek(s)
+	if i, armed := s.al.first(); armed && (!ok || s.al.keys[i].t < t) {
+		return s.al.keys[i].t, true
+	}
+	return t, ok
+}
+
+// RunUntil executes events and alarms in order until none is left at or
+// before horizon, then advances the clock to horizon.
 func (s *Simulator) RunUntil(horizon Time) {
 	for {
-		t, ok := s.q.peek(s)
+		t, ok := s.peek()
 		if !ok || t > horizon {
 			break
 		}
@@ -298,9 +315,9 @@ func (s *Simulator) RunUntil(horizon Time) {
 	}
 }
 
-// Run executes every pending event, including events scheduled by other
-// events, until the calendar drains. Use RunUntil for open-loop workloads
-// that schedule arrivals indefinitely.
+// Run executes every pending event and alarm, including those scheduled
+// by other events, until the calendar drains and no alarm is armed. Use
+// RunUntil for open-loop workloads that schedule arrivals indefinitely.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}

@@ -485,3 +485,340 @@ func TestRescheduleStorm(t *testing.T) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Alarm differential harness: one op stream drives the simulator (ladder
+// events plus alarms) and refSim, where every alarm arm is a cancel of
+// the alarm's previous reference event plus a fresh schedule. Both sides
+// draw sequence numbers in lockstep, so an event's seq is its id.
+// ---------------------------------------------------------------------------
+
+// opBytes feeds the harness: each decision consumes one byte.
+type opBytes struct {
+	b []byte
+	i int
+}
+
+func (o *opBytes) next() (byte, bool) {
+	if o.i >= len(o.b) {
+		return 0, false
+	}
+	o.i++
+	return o.b[o.i-1], true
+}
+
+type alarmHarness struct {
+	t   *testing.T
+	in  *opBytes
+	lad *Simulator
+	ref *refSim
+
+	alarms []Alarm
+	refArm []*refEvent // each alarm's pending reference event, or nil
+	armSeq []uint64    // the seq each alarm's last Arm drew
+
+	events  []Event     // ladder events scheduled so far
+	refEvs  []*refEvent // their reference twins
+	refLive int         // reference events neither popped nor cancelled
+	pops    int
+	fired   []uint64 // ids in fire order
+}
+
+// harnessAlarm is one alarm's target.
+type harnessAlarm struct {
+	h *alarmHarness
+	k int
+}
+
+func (a *harnessAlarm) Fire(now Time) {
+	h := a.h
+	if h.refArm[a.k] == nil {
+		h.t.Fatalf("alarm %d fired at %v, reference has it disarmed", a.k, now)
+	}
+	h.refArm[a.k] = nil
+	h.popRef(h.armSeq[a.k], now)
+	h.react(a.k)
+}
+
+// when decodes one scheduling instant relative to the clock. The shapes
+// are the ones that stress (time, seq) order: exact ties with the clock,
+// quantized and integer-grid ties between any two events or alarms,
+// sub-ulp clusters, far futures, and +Inf.
+func (h *alarmHarness) when() Time {
+	b, _ := h.in.next()
+	now := h.lad.Now()
+	v := Time(b >> 3)
+	switch b & 7 {
+	case 0:
+		return now
+	case 1:
+		return now + 0.25*Time(int(v)%4)
+	case 2:
+		return now + v*1e-12
+	case 3:
+		if int(v)%8 == 0 {
+			return math.Inf(1)
+		}
+		return now + 1000 + v*37
+	case 4, 5:
+		return now + v/16
+	case 6:
+		return now + 5 + v*7
+	default:
+		return math.Floor(now) + 1 + Time(int(v)%3)
+	}
+}
+
+// pick decodes an index in [0, n).
+func (h *alarmHarness) pick(n int) int {
+	b, _ := h.in.next()
+	return int(b) % n
+}
+
+func (h *alarmHarness) schedule() {
+	at := h.when()
+	id := h.lad.seq
+	e := h.lad.At(at, func() { h.popRef(id, h.lad.Now()); h.react(-1) })
+	h.events = append(h.events, e)
+	h.refEvs = append(h.refEvs, h.ref.schedule(at, int(id)))
+	h.refLive++
+	h.sync()
+}
+
+func (h *alarmHarness) cancel() {
+	if len(h.events) == 0 {
+		return
+	}
+	k := h.pick(len(h.events))
+	got := h.lad.Cancel(h.events[k])
+	r := h.refEvs[k]
+	want := !r.cancelled && containsRef(h.ref.queue, r)
+	if got != want {
+		h.t.Fatalf("Cancel returned %v, reference liveness %v", got, want)
+	}
+	if want {
+		r.cancelled = true
+		h.refLive--
+	}
+}
+
+func (h *alarmHarness) arm(k int, at Time) {
+	id := h.lad.seq
+	h.alarms[k].Arm(at)
+	h.armSeq[k] = id
+	if r := h.refArm[k]; r != nil {
+		r.cancelled = true
+		h.refLive--
+	}
+	h.refArm[k] = h.ref.schedule(at, int(id))
+	h.refLive++
+	h.sync()
+}
+
+func (h *alarmHarness) disarm(k int) {
+	got := h.alarms[k].Disarm()
+	r := h.refArm[k]
+	if got != (r != nil) {
+		h.t.Fatalf("alarm %d: Disarm returned %v, reference armed %v", k, got, r != nil)
+	}
+	if r != nil {
+		r.cancelled = true
+		h.refArm[k] = nil
+		h.refLive--
+	}
+}
+
+func (h *alarmHarness) register() {
+	k := len(h.alarms)
+	h.alarms = append(h.alarms, h.lad.NewAlarm(&harnessAlarm{h: h, k: k}))
+	h.refArm = append(h.refArm, nil)
+	h.armSeq = append(h.armSeq, 0)
+}
+
+// storm is a preemption burst: disarms and re-arms of random alarms.
+func (h *alarmHarness) storm() {
+	n := 1 + h.pick(8)
+	for i := 0; i < n; i++ {
+		k := h.pick(len(h.alarms))
+		if h.pick(2) == 0 {
+			h.disarm(k)
+		} else {
+			h.arm(k, h.when())
+		}
+	}
+}
+
+// react is what a firing event or alarm (k ≥ 0) does next: nothing,
+// re-arm itself (a ladder event schedules a successor), arm any alarm,
+// or a disarm plus re-arm, as a preemption withdraws one completion
+// and arms another. Once the input is spent it does nothing, so the
+// final drain terminates.
+func (h *alarmHarness) react(k int) {
+	b, ok := h.in.next()
+	if !ok {
+		return
+	}
+	switch b % 4 {
+	case 1:
+		if k >= 0 {
+			h.arm(k, h.when())
+		} else {
+			h.schedule()
+		}
+	case 2:
+		h.arm(h.pick(len(h.alarms)), h.when())
+	case 3:
+		h.disarm(h.pick(len(h.alarms)))
+		h.arm(h.pick(len(h.alarms)), h.when())
+	}
+}
+
+// popRef pops the reference and checks it yields the event the
+// simulator is firing.
+func (h *alarmHarness) popRef(id uint64, now Time) {
+	re, ok := h.ref.pop()
+	if !ok {
+		h.t.Fatalf("simulator fired %d at %v, reference is empty", id, now)
+	}
+	if uint64(re.id) != id || re.time != now {
+		h.t.Fatalf("simulator fired %d at %v, reference %d at %v", id, now, re.id, re.time)
+	}
+	h.refLive--
+	h.pops++
+	h.fired = append(h.fired, id)
+}
+
+// sync checks the sequence counters still run in lockstep.
+func (h *alarmHarness) sync() {
+	if h.lad.seq != h.ref.seq {
+		h.t.Fatalf("seq drifted: simulator %d, reference %d", h.lad.seq, h.ref.seq)
+	}
+}
+
+// check compares the observable state after a top-level op.
+func (h *alarmHarness) check() {
+	h.t.Helper()
+	if h.lad.Pending() != h.refLive {
+		h.t.Fatalf("Pending() = %d, reference %d", h.lad.Pending(), h.refLive)
+	}
+	if h.lad.Steps() != uint64(h.pops) {
+		h.t.Fatalf("Steps() = %d, reference pops %d", h.lad.Steps(), h.pops)
+	}
+	if h.lad.Now() != h.ref.now {
+		h.t.Fatalf("clock %v, reference %v", h.lad.Now(), h.ref.now)
+	}
+	for k, a := range h.alarms {
+		at, armed := a.When()
+		if r := h.refArm[k]; armed != (r != nil) || (armed && at != r.time) {
+			h.t.Fatalf("alarm %d: When() = (%v, %v), reference %v", k, at, armed, r)
+		}
+	}
+}
+
+// refPeek returns the reference's earliest live instant.
+func (h *alarmHarness) refPeek() (Time, bool) {
+	for len(h.ref.queue) > 0 {
+		if e := h.ref.queue[0]; !e.cancelled {
+			return e.time, true
+		}
+		heap.Pop(&h.ref.queue)
+	}
+	return 0, false
+}
+
+// runUntil runs to a horizon decoded from the input, half the time
+// exactly at an armed alarm's instant.
+func (h *alarmHarness) runUntil() {
+	horizon := h.when()
+	if at, ok := h.alarms[h.pick(len(h.alarms))].When(); ok && h.pick(2) == 0 {
+		horizon = at
+	}
+	h.lad.RunUntil(horizon)
+	if t, ok := h.refPeek(); ok && t <= horizon {
+		h.t.Fatalf("RunUntil(%v) left an event at %v", horizon, t)
+	}
+	if h.ref.now < horizon {
+		h.ref.now = horizon
+	}
+}
+
+// runAlarmDifferential decodes data into an op stream over a zero-value
+// simulator and the reference, then drains both, and returns the fired
+// ids.
+func runAlarmDifferential(t *testing.T, data []byte) []uint64 {
+	t.Helper()
+	h := &alarmHarness{t: t, in: &opBytes{b: data}, lad: &Simulator{}, ref: &refSim{}}
+	for n := 1 + h.pick(16); n > 0; n-- {
+		h.register()
+	}
+	for {
+		b, ok := h.in.next()
+		if !ok {
+			break
+		}
+		switch op := b % 16; {
+		case op < 4:
+			h.schedule()
+		case op == 4:
+			h.cancel()
+		case op < 8:
+			h.arm(h.pick(len(h.alarms)), h.when())
+		case op == 8:
+			h.disarm(h.pick(len(h.alarms)))
+		case op == 9:
+			h.storm()
+		case op < 14:
+			if !h.lad.Step() {
+				if _, ok := h.refPeek(); ok {
+					t.Fatal("simulator empty, reference is not")
+				}
+			}
+		case op == 14:
+			h.runUntil()
+		default:
+			if len(h.alarms) < 40 {
+				h.register()
+			}
+		}
+		h.check()
+	}
+	h.lad.Run()
+	h.check()
+	if h.refLive != 0 || h.lad.Pending() != 0 {
+		t.Fatalf("after Run: Pending() = %d, reference %d", h.lad.Pending(), h.refLive)
+	}
+	return h.fired
+}
+
+// TestDifferentialAlarms drives alarms and ladder events through random
+// op streams — alarms re-arming from their own Fire, disarm/re-arm
+// storms, exact-time ties between alarms and events and among alarms,
+// arms at the clock and at +Inf, RunUntil at an alarm's instant, alarms
+// registered mid-run — and requires the reference heap's fire sequence,
+// Pending() and Steps() throughout.
+func TestDifferentialAlarms(t *testing.T) {
+	n := 20000
+	if testing.Short() {
+		n = 4000
+	}
+	alarmFires := 0
+	for seed := int64(1); seed <= 16; seed++ {
+		data := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(data)
+		fired := runAlarmDifferential(t, data)
+		alarmFires += len(fired)
+	}
+	if alarmFires == 0 {
+		t.Fatal("nothing fired: the op decoding misses its target")
+	}
+}
+
+// FuzzAlarmDifferential decodes arbitrary bytes into ladder and alarm
+// ops and checks the simulator against the reference heap.
+func FuzzAlarmDifferential(f *testing.F) {
+	f.Add([]byte{3, 5, 0, 0, 6, 1, 0, 11, 1, 0})
+	f.Add([]byte{0, 7, 0, 7, 8, 7, 0, 7, 16, 12, 1, 12, 2, 12, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runAlarmDifferential(t, data)
+	})
+}

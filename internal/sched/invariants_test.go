@@ -16,9 +16,11 @@ import (
 //     (running or preempted-in-ready, never blocked or completed),
 //  3. every blocked job waits on a lock with a holder other than itself,
 //  4. heap indices are consistent,
-//  5. the idle flag matches the absence of work.
+//  5. the idle flag matches the absence of work,
+//  6. the stage's alarms follow the running job (checkAlarms).
 func checkInvariants(t *testing.T, s *Stage) {
 	t.Helper()
+	checkAlarms(t, s)
 	if s.running != nil && len(s.ready) > 0 {
 		if less(s.ready[0], s.running) {
 			t.Fatalf("ready job %d (eff %v) outranks running job %d (eff %v)",
@@ -178,5 +180,82 @@ func TestSchedulerDeterministicUnderRandomLoad(t *testing.T) {
 	c2, b2 := run()
 	if c1 != c2 || b1 != b2 {
 		t.Fatalf("replay diverged: (%d, %v) vs (%d, %v)", c1, b1, c2, b2)
+	}
+}
+
+// checkAlarms asserts the stage's alarm invariants: the completion alarm
+// is armed exactly while a job runs, at the end of its current segment;
+// the watchdog alarm is pending only for a running job; and without an
+// overrun handler no watchdog alarm exists.
+func checkAlarms(t *testing.T, s *Stage) {
+	t.Helper()
+	at, armed := s.done.When()
+	if armed != (s.running != nil) {
+		t.Fatalf("completion alarm armed %v with running job %v", armed, s.running)
+	}
+	if armed && at != s.running.segStart+s.running.segRemaining {
+		t.Fatalf("completion alarm at %v, running segment ends at %v",
+			at, s.running.segStart+s.running.segRemaining)
+	}
+	if s.watch.Armed() && s.running == nil {
+		t.Fatal("watchdog alarm armed with no running job")
+	}
+	if s.onOverrun == nil && s.watch != (des.Alarm{}) {
+		t.Fatal("watchdog alarm registered without an overrun handler")
+	}
+}
+
+// TestStageAlarmFollowsRunningJob walks a stage through every path that
+// starts, stops or reshapes the running job — direct dispatch, the heap
+// path, preemption, Cancel and TrimTo of the running job, Pause/Resume
+// and DropProgress, completion — and checks the alarm invariants after
+// each, with and without an overrun handler.
+func TestStageAlarmFollowsRunningJob(t *testing.T) {
+	for _, guarded := range []bool{false, true} {
+		sim := des.New()
+		s := New(sim, "s")
+		overruns := 0
+		if guarded {
+			s.OnOverrun(func(*Job, float64, float64) { overruns++ })
+		}
+		var jobs [5]Job
+		submit := func(k int, prio, demand float64) {
+			s.SubmitJob(&jobs[k], task.ID(k), prio, task.NewSubtask(demand), demand/2, nil)
+			checkAlarms(t, s)
+		}
+		step := func(what string, fn func()) {
+			fn()
+			checkAlarms(t, s)
+			if t.Failed() {
+				t.Fatalf("guarded=%v: after %s", guarded, what)
+			}
+		}
+		submit(0, 5, 4) // idle stage: direct dispatch
+		step("run", func() { sim.RunUntil(1) })
+		submit(1, 1, 3) // more urgent: preempts job 0, direct dispatch
+		if s.running != &jobs[1] {
+			t.Fatal("job 1 did not preempt")
+		}
+		submit(2, 9, 2) // less urgent: heap path
+		submit(3, 7, 2)
+		step("Cancel of the running job", func() { s.Cancel(&jobs[1]) })
+		if s.running != &jobs[0] {
+			t.Fatal("job 0 did not resume after the cancel")
+		}
+		step("TrimTo of the running job", func() { s.TrimTo(&jobs[0], 3, 3) })
+		step("Pause", s.Pause)
+		step("DropProgress", func() { s.DropProgress() })
+		step("run while paused", func() { sim.RunUntil(2) })
+		step("Resume", s.Resume)
+		step("TrimTo below executed", func() { s.TrimTo(&jobs[0], 0, 0) })
+		step("run to completion", sim.Run)
+		submit(4, 1, 5)
+		step("Cancel of the lone running job", func() { s.Cancel(&jobs[4]) })
+		if !s.Idle() {
+			t.Fatal("stage did not drain")
+		}
+		if guarded && overruns == 0 {
+			t.Fatal("no budget crossed: the watchdog path went unexercised")
+		}
 	}
 }

@@ -21,7 +21,8 @@ func (f completeFunc) Complete(now des.Time) { f(now) }
 // Job is one subtask instance executing on a Stage. Stage.Submit
 // allocates one; Stage.SubmitJob runs one in storage the caller owns.
 // Either way the stage uses it from submission until completion or
-// Cancel.
+// Cancel. A job holds no simulator events: its completion and budget
+// watchdog are pending only while it runs, on the stage's alarms.
 type Job struct {
 	TaskID task.ID
 
@@ -40,25 +41,15 @@ type Job struct {
 	heldLock  *lock
 	blockedOn *lock
 
-	completion des.Event
-	segStart   des.Time
-	submitted  des.Time
-
-	// doneT and watchT are the job's embedded des.Timer targets for the
-	// segment-completion and budget-watchdog events: scheduling through a
-	// pointer to a field the job already owns keeps dispatch at zero
-	// allocations (a capturing closure per dispatch would be a heap object).
-	doneT  segmentDone
-	watchT watchdog
+	segStart  des.Time
+	submitted des.Time
 
 	// Budget accounting for the overrun guard: consumed accumulates the
 	// computation time actually executed; budget is the admitted demand
-	// estimate (+Inf when unguarded); watch is the pending
-	// budget-exhaustion event; overrunFired latches so each job trips the
-	// guard at most once.
+	// estimate (+Inf when unguarded); overrunFired latches so each job
+	// trips the guard at most once.
 	consumed     float64
 	budget       float64
-	watch        des.Event
 	overrunFired bool
 
 	done Completer // nil: nobody waits for the completion

@@ -9,24 +9,18 @@ import (
 	"feasregion/internal/task"
 )
 
-// segmentDone is the des.Timer for a job's segment-completion event; one
-// lives inside each Job so dispatch schedules without allocating.
-type segmentDone struct {
-	s *Stage
-	j *Job
-}
+// completionTimer and watchTimer are the stage's two alarm targets: the
+// Stage itself under a type whose Fire handles one alarm, so registering
+// them allocates nothing.
+type completionTimer Stage
 
-// Fire completes the job's current segment.
-func (t *segmentDone) Fire(des.Time) { t.s.onSegmentDone(t.j) }
+// Fire completes the running job's current segment.
+func (t *completionTimer) Fire(des.Time) { (*Stage)(t).onSegmentDone() }
 
-// watchdog is the des.Timer for a job's budget-exhaustion event.
-type watchdog struct {
-	s *Stage
-	j *Job
-}
+type watchTimer Stage
 
-// Fire trips the overrun guard.
-func (t *watchdog) Fire(des.Time) { t.s.onWatch(t.j) }
+// Fire trips the overrun guard for the running job.
+func (t *watchTimer) Fire(des.Time) { (*Stage)(t).onWatch() }
 
 // lock is a stage-local single-unit resource managed under the priority
 // ceiling protocol.
@@ -91,7 +85,10 @@ type Stats struct {
 }
 
 // Stage is one preemptive fixed-priority resource. Create it with New;
-// the zero value is not usable.
+// the zero value is not usable. A stage registers one des.Alarm with its
+// simulator for the running job's completion, plus one for the budget
+// watchdog once OnOverrun sets a handler; the alarms live as long as the
+// simulator.
 type Stage struct {
 	sim  *des.Simulator
 	name string
@@ -99,6 +96,13 @@ type Stage struct {
 	ready   readyHeap
 	blocked []*Job // jobs blocked under PCP, waiting for a lock release
 	running *Job
+
+	// done is armed exactly while a job runs, at the instant its current
+	// segment completes. watch is the running job's budget watchdog; it
+	// is registered by OnOverrun and armed only for a dispatch that would
+	// cross the job's budget. Only the running job ever has a pending
+	// completion or watchdog, so one alarm each serves every job.
+	done, watch des.Alarm
 
 	locks map[int]*lock
 
@@ -154,7 +158,9 @@ func (s *Stage) SojournTally() *metrics.PlainHistogram { return s.sojourn }
 
 // New returns an idle stage driven by the given simulator clock.
 func New(sim *des.Simulator, name string) *Stage {
-	return &Stage{sim: sim, name: name, locks: map[int]*lock{}, idle: true}
+	s := &Stage{sim: sim, name: name, locks: map[int]*lock{}, idle: true}
+	s.done = sim.NewAlarm((*completionTimer)(s))
+	return s
 }
 
 // Name returns the stage's label.
@@ -203,6 +209,9 @@ func (s *Stage) SetExecModel(fn func(id task.ID, nominal float64) float64) {
 // may Cancel it. At most one observer is supported.
 func (s *Stage) OnOverrun(fn func(j *Job, consumed, observedTotal float64)) {
 	s.onOverrun = fn
+	if fn != nil && s.watch == (des.Alarm{}) {
+		s.watch = s.sim.NewAlarm((*watchTimer)(s))
+	}
 }
 
 // OnEvent registers an observer for scheduling events (dispatch,
@@ -308,8 +317,6 @@ func (s *Stage) SubmitJob(j *Job, id task.ID, priority float64, sub task.Subtask
 			j.segments[i].Duration = d
 		}
 	}
-	j.doneT = segmentDone{s: s, j: j}
-	j.watchT = watchdog{s: s, j: j}
 	s.seq++
 	j.segRemaining = j.segments[0].Duration
 	for _, seg := range j.segments {
@@ -440,15 +447,16 @@ func (s *Stage) block(j *Job, l *lock) {
 func (s *Stage) start(j *Job) {
 	s.running = j
 	j.segStart = s.sim.Now()
-	j.completion = s.sim.AfterTimer(j.segRemaining, &j.doneT)
+	s.done.ArmAfter(j.segRemaining)
 	s.armWatch(j)
 	s.emit(EventStart, j.TaskID)
 }
 
-// armWatch schedules the budget-exhaustion event for this dispatch if
-// the job will cross its budget before the segment completes. The
-// completion event is scheduled first, so a job that consumes exactly
-// its budget completes without tripping the watchdog.
+// armWatch arms the budget watchdog for this dispatch if the job will
+// cross its budget before the segment completes. The completion alarm
+// is armed first, so at a tie it holds the smaller sequence number and
+// a job that consumes exactly its budget completes without tripping the
+// watchdog.
 func (s *Stage) armWatch(j *Job) {
 	if s.onOverrun == nil || j.overrunFired || math.IsInf(j.budget, 1) {
 		return
@@ -460,12 +468,12 @@ func (s *Stage) armWatch(j *Job) {
 	if slack < 0 {
 		slack = 0
 	}
-	j.watch = s.sim.AfterTimer(slack, &j.watchT)
+	s.watch.ArmAfter(slack)
 }
 
-// onWatch is the budget-exhaustion event body (watchdog.Fire).
-func (s *Stage) onWatch(j *Job) {
-	j.watch = des.Event{}
+// onWatch is the budget-exhaustion alarm body (watchTimer.Fire).
+func (s *Stage) onWatch() {
+	j := s.running
 	j.overrunFired = true
 	s.stats.Overruns++
 	consumed := j.consumed + (s.sim.Now() - j.segStart)
@@ -473,14 +481,6 @@ func (s *Stage) onWatch(j *Job) {
 	// still counts the whole current segment, so their sum is the
 	// job's total actual work.
 	s.onOverrun(j, consumed, j.consumed+j.Remaining())
-}
-
-// disarmWatch withdraws a pending budget-exhaustion event.
-func (s *Stage) disarmWatch(j *Job) {
-	if j.watch.Valid() {
-		s.sim.Cancel(j.watch)
-		j.watch = des.Event{}
-	}
 }
 
 // preempt pauses the running job, records its remaining work, and returns
@@ -495,22 +495,22 @@ func (s *Stage) preempt() {
 		j.segRemaining = 0
 	}
 	j.segRemaining += s.preemptionOverhead
-	s.sim.Cancel(j.completion)
-	j.completion = des.Event{}
-	s.disarmWatch(j)
+	s.done.Disarm()
+	s.watch.Disarm()
 	s.ready.push(j)
 	s.stats.Preemptions++
 	s.emit(EventPreempt, j.TaskID)
 }
 
-// onSegmentDone fires when the running job finishes its current segment.
-func (s *Stage) onSegmentDone(j *Job) {
+// onSegmentDone is the completion alarm body (completionTimer.Fire): the
+// running job has finished its current segment.
+func (s *Stage) onSegmentDone() {
 	now := s.sim.Now()
+	j := s.running
 	s.running = nil
-	j.completion = des.Event{}
 	j.consumed += now - j.segStart
 	j.segRemaining = 0
-	s.disarmWatch(j)
+	s.watch.Disarm()
 
 	seg := j.segments[j.segIdx]
 	if seg.Lock != task.NoLock && j.heldLock != nil && j.heldLock.id == seg.Lock {
@@ -568,9 +568,8 @@ func (s *Stage) release(j *Job) {
 func (s *Stage) Cancel(j *Job) bool {
 	switch {
 	case s.running == j:
-		s.sim.Cancel(j.completion)
-		j.completion = des.Event{}
-		s.disarmWatch(j)
+		s.done.Disarm()
+		s.watch.Disarm()
 		s.running = nil
 		if j.heldLock != nil {
 			s.release(j)
@@ -640,8 +639,8 @@ func (s *Stage) TrimTo(j *Job, newDemand, newBudget float64) bool {
 	switch {
 	case s.running == j:
 		// Fold the in-flight dispatch into consumed and restart the
-		// segment clock so the completion event and budget watchdog are
-		// re-derived from a consistent state.
+		// segment clock so the completion and budget watchdog alarms
+		// are re-derived from a consistent state.
 		now := s.sim.Now()
 		elapsed := now - j.segStart
 		rem := j.segRemaining - elapsed
@@ -658,10 +657,9 @@ func (s *Stage) TrimTo(j *Job, newDemand, newBudget float64) bool {
 		j.consumed += elapsed
 		j.segStart = now
 		j.segRemaining = newRem
-		s.sim.Cancel(j.completion)
-		j.completion = s.sim.AfterTimer(newRem, &j.doneT)
+		s.done.ArmAfter(newRem)
 		j.budget = newBudget
-		s.disarmWatch(j)
+		s.watch.Disarm()
 		s.armWatch(j)
 		return true
 	case s.ready.holds(j):

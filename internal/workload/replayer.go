@@ -45,10 +45,12 @@ const replayChunk = 256
 // Replayer streams a binary trace through a simulator, offering each
 // record at its (scaled) recorded arrival time. Unlike Replay.Schedule,
 // which pre-schedules every arrival, the replayer keeps exactly one
-// pending arrival event and reads the next record when it fires —
-// O(1) memory for traces of any length. It implements des.Timer.
+// pending arrival — an alarm it re-arms from its own Fire — and reads
+// the next record when it fires: O(1) memory for traces of any length,
+// and no calendar traffic. It implements des.Timer.
 type Replayer struct {
 	sim   *des.Simulator
+	next  des.Alarm // the pending record's arrival
 	tr    *TraceReader
 	offer func(*task.Task)
 	opts  ReplayOptions
@@ -89,6 +91,7 @@ func NewReplayer(sim *des.Simulator, tr *TraceReader, opts ReplayOptions, offer 
 		timeDiv: opts.TimeCompress * opts.RateMultiplier,
 		nextID:  opts.FirstID,
 	}
+	rp.next = sim.NewAlarm(rp)
 	if opts.ReuseTask {
 		rp.reused = task.Chain(0, 0, 1, make([]float64, tr.Stages())...)
 	}
@@ -140,7 +143,7 @@ func (rp *Replayer) schedule() {
 	if at < rp.sim.Now() {
 		at = rp.sim.Now() // guard against rounding on scaled times
 	}
-	rp.sim.AtTimer(at, rp)
+	rp.next.Arm(at)
 }
 
 // Fire offers the pending record and schedules the next one.

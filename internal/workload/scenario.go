@@ -262,14 +262,14 @@ func (sc *Scenario) PeakLoad() (load, at float64) {
 }
 
 // ScenarioSource generates the scenario's arrivals inside a simulator
-// via Poisson thinning against the peak rate. It implements des.Timer;
-// one candidate event is outstanding at a time.
+// via Poisson thinning against the peak rate. It implements des.Timer,
+// the target of its one alarm: the next arrival is the only event it
+// ever has outstanding.
 type ScenarioSource struct {
-	sim    *des.Simulator
-	sc     *Scenario
-	gen    *scenarioGen
-	offer  func(*task.Task)
-	maxSim float64
+	next  des.Alarm
+	sc    *Scenario
+	gen   *scenarioGen
+	offer func(*task.Task)
 }
 
 // Compile validates the scenario and binds it to a simulator and sink.
@@ -281,26 +281,26 @@ func (sc *Scenario) Compile(sim *des.Simulator, offer func(*task.Task)) (*Scenar
 	if offer == nil {
 		return nil, fmt.Errorf("workload: scenario needs an offer sink")
 	}
-	s := &ScenarioSource{sim: sim, sc: sc, gen: newScenarioGen(sc), offer: offer}
+	s := &ScenarioSource{sc: sc, gen: newScenarioGen(sc), offer: offer}
+	s.next = sim.NewAlarm(s)
 	return s, nil
 }
 
 // Start schedules the first arrival (if any occur before Horizon).
 func (s *ScenarioSource) Start() {
 	if at, ok := s.gen.next(); ok {
-		s.maxSim = at
-		s.sim.AtTimer(at, s)
+		s.next.Arm(at)
 	}
 }
 
 // Generated returns how many tasks the source has offered.
 func (s *ScenarioSource) Generated() uint64 { return s.gen.count }
 
-// Fire emits the due arrival and schedules the next one.
+// Fire emits the due arrival and arms the next one.
 func (s *ScenarioSource) Fire(now des.Time) {
 	s.offer(s.gen.emit(now))
 	if at, ok := s.gen.next(); ok {
-		s.sim.AtTimer(at, s)
+		s.next.Arm(at)
 	}
 }
 

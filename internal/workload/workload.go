@@ -96,6 +96,7 @@ func (s PipelineSpec) MeanDeadline() float64 {
 // Source is an open-loop Poisson arrival generator feeding a sink.
 type Source struct {
 	sim    *des.Simulator
+	next   des.Alarm // the pending arrival of the unmodulated schedule
 	rng    *dist.RNG
 	offer  func(*task.Task)
 	demand []dist.Distribution
@@ -136,6 +137,7 @@ func NewSource(sim *des.Simulator, spec PipelineSpec, seed int64, horizon des.Ti
 		rate:   spec.ArrivalRate(),
 		horiz:  horizon,
 	}
+	s.next = sim.NewAlarm(s)
 	s.start = s.scheduleNext
 	return s
 }
@@ -160,12 +162,12 @@ func (s *Source) scheduleNext() {
 	if at > s.horiz {
 		return
 	}
-	s.sim.AtTimer(at, s)
+	s.next.Arm(at)
 }
 
-// Fire delivers the pending arrival and schedules the next one. It makes
-// Source a des.Timer, so the steady-state arrival loop allocates nothing
-// beyond the task itself (the closure-per-arrival of the old func path).
+// Fire delivers the pending arrival and arms the next one. It makes
+// Source a des.Timer, the target of its arrival alarm, so the
+// steady-state arrival loop allocates nothing beyond the task itself.
 func (s *Source) Fire(des.Time) {
 	s.emit()
 	s.scheduleNext()
