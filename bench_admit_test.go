@@ -1,7 +1,6 @@
 package feasregion_test
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,166 +8,28 @@ import (
 
 	"feasregion/internal/core"
 	"feasregion/internal/online"
-	"feasregion/internal/task"
 )
 
-// Admission hot-path benchmarks: the scaling trajectory demanded by the
-// hot-path rebuild. `baselineAdmitController` below is a frozen copy of
-// the pre-change online.Controller hot path (one big mutex, per-admit
-// delta allocation, container/heap + pending-map expiry, broadcast
-// close/remake wake channel), kept so every future run re-measures the
-// "before" on current hardware instead of trusting a stale number. The
-// Benchmark(Baseline)?Admit* pairs measure:
+// Admission hot-path benchmarks over online.Controller, single-shard
+// (BenchmarkAdmit*) and K=8 sharded (BenchmarkShardedAdmit*):
 //
-//   - Uncontended: serial admit+release ns/op and allocs/op (the new
-//     path must report 0 allocs/op);
+//   - Uncontended: serial admit+release ns/op and allocs/op (must
+//     report 0 allocs/op);
 //   - Parallel1/4/16/64/128/256: g goroutines splitting b.N over
 //     admit+release — the throughput scaling curve;
-//   - RejectParallel16: a full region hammered by 16 goroutines — the
-//     new path rejects through the shard plane's lock-free overload
-//     gate, the baseline serializes every rejection.
+//   - RejectParallel16: a full region hammered by 16 goroutines, which
+//     the shard plane rejects through its lock-free overload gate.
 //
-// The BenchmarkShardedAdmit* set runs the same harness over the K=8
-// sharded controller (online.Config{Shards: 8}): admits charge a
+// The sharded set (online.Config{Shards: 8}) charges a
 // cache-line-isolated home shard instead of one shared mutex, so the
 // wide fan-outs (64+) are where the partition pays — the acceptance
 // floor is ≥ 3× the single-shard 64-goroutine throughput at 0
-// allocs/op.
+// allocs/op. A before/after comparison against an older commit runs
+// both trees on the same host: bash bench/pairs.sh <commit>.
 //
 // `make bench-admit` emits these as BENCH_admit.json.
 
-// --- frozen pre-change implementation (trimmed to the measured path) ---
-
-type baselineExpiry struct {
-	at time.Time
-	id uint64
-}
-
-type baselineExpiryHeap []baselineExpiry
-
-func (h baselineExpiryHeap) Len() int           { return len(h) }
-func (h baselineExpiryHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h baselineExpiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *baselineExpiryHeap) Push(x any)        { *h = append(*h, x.(baselineExpiry)) }
-func (h *baselineExpiryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-type baselineAdmitController struct {
-	region core.Region
-
-	mu       sync.Mutex
-	ledgers  []*core.Ledger
-	expiries baselineExpiryHeap
-	pending  map[uint64]time.Time
-	scales   []float64
-	maxNow   time.Time
-	waitCh   chan struct{}
-	admitted uint64
-	rejected uint64
-	expired  uint64
-}
-
-func newBaselineAdmitController(region core.Region) *baselineAdmitController {
-	ledgers := make([]*core.Ledger, region.Stages)
-	scales := make([]float64, region.Stages)
-	for j := range ledgers {
-		ledgers[j] = core.NewLedger(0)
-		scales[j] = 1
-	}
-	return &baselineAdmitController{
-		region:  region,
-		ledgers: ledgers,
-		scales:  scales,
-		pending: map[uint64]time.Time{},
-		waitCh:  make(chan struct{}),
-	}
-}
-
-func (c *baselineAdmitController) bumpLocked() {
-	close(c.waitCh)
-	c.waitCh = make(chan struct{})
-}
-
-func (c *baselineAdmitController) purgeLocked(now time.Time) time.Time {
-	if now.Before(c.maxNow) {
-		now = c.maxNow
-	} else {
-		c.maxNow = now
-	}
-	purged := false
-	for len(c.expiries) > 0 && !c.expiries[0].at.After(now) {
-		e := heap.Pop(&c.expiries).(baselineExpiry)
-		delete(c.pending, e.id)
-		for _, l := range c.ledgers {
-			if _, ok := l.Contribution(task.ID(e.id)); ok {
-				l.Remove(task.ID(e.id))
-				c.expired++
-			}
-		}
-		purged = true
-	}
-	if purged {
-		c.bumpLocked()
-	}
-	return now
-}
-
-func (c *baselineAdmitController) TryAdmit(r online.Request) bool {
-	if r.Deadline <= 0 || len(r.Demands) != c.region.Stages {
-		c.mu.Lock()
-		c.rejected++
-		c.mu.Unlock()
-		return false
-	}
-	d := r.Deadline.Seconds()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.purgeLocked(time.Now())
-
-	deltas := make([]float64, len(r.Demands))
-	for j, dem := range r.Demands {
-		deltas[j] = dem.Seconds() * c.scales[j] / d
-	}
-	sum := 0.0
-	for j, l := range c.ledgers {
-		sum += core.StageDelayFactor(l.Utilization() + deltas[j])
-	}
-	if sum > c.region.Bound() {
-		c.rejected++
-		return false
-	}
-	for j, l := range c.ledgers {
-		l.Add(task.ID(r.ID), deltas[j])
-	}
-	at := now.Add(r.Deadline)
-	heap.Push(&c.expiries, baselineExpiry{at: at, id: r.ID})
-	c.pending[r.ID] = at
-	c.admitted++
-	return true
-}
-
-func (c *baselineAdmitController) Release(id uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, l := range c.ledgers {
-		l.Remove(task.ID(id))
-	}
-	c.bumpLocked()
-}
-
 // --- shared harness ---
-
-// admitReleaser is the surface both implementations expose to the bench.
-type admitReleaser interface {
-	TryAdmit(online.Request) bool
-	Release(uint64)
-}
 
 var benchDemands = []time.Duration{time.Microsecond, time.Microsecond, time.Microsecond}
 
@@ -176,7 +37,7 @@ func benchRegion() core.Region { return core.NewRegion(3) }
 
 // admitReleaseSerial is the uncontended cycle: one in-flight request at
 // a time, admit then release.
-func admitReleaseSerial(b *testing.B, c admitReleaser) {
+func admitReleaseSerial(b *testing.B, c *online.Controller) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -192,7 +53,7 @@ func admitReleaseSerial(b *testing.B, c admitReleaser) {
 // goroutines (hand-rolled rather than b.RunParallel so the fan-out is
 // exactly g regardless of GOMAXPROCS, giving a comparable 1/4/16 curve
 // on any host).
-func admitReleaseParallel(b *testing.B, c admitReleaser, g int) {
+func admitReleaseParallel(b *testing.B, c *online.Controller, g int) {
 	var ids atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -219,7 +80,7 @@ func admitReleaseParallel(b *testing.B, c admitReleaser, g int) {
 // rejectParallel fills the region once, then hammers it with g
 // goroutines whose every attempt is rejected — the overload shape where
 // the lock-free read path matters most.
-func rejectParallel(b *testing.B, c admitReleaser, g int) {
+func rejectParallel(b *testing.B, c *online.Controller, g int) {
 	// 0.25 utilization per stage (Σ f ≈ 0.87 of the bound 1): the
 	// remaining headroom is far smaller than the probe's contribution,
 	// so every benchmark attempt rejects.
@@ -290,7 +151,7 @@ func BenchmarkAdmitRejectParallel16(b *testing.B) {
 
 // --- sharded controller (K=8) ---
 
-func shardedController() admitReleaser {
+func shardedController() *online.Controller {
 	return online.NewWithConfig(benchRegion(), online.Config{Shards: 8})
 }
 
@@ -324,26 +185,4 @@ func BenchmarkShardedAdmitParallel256(b *testing.B) {
 
 func BenchmarkShardedAdmitRejectParallel16(b *testing.B) {
 	rejectParallel(b, shardedController(), 16)
-}
-
-// --- frozen pre-change baseline ---
-
-func BenchmarkBaselineAdmitUncontended(b *testing.B) {
-	admitReleaseSerial(b, newBaselineAdmitController(benchRegion()))
-}
-
-func BenchmarkBaselineAdmitParallel1(b *testing.B) {
-	admitReleaseParallel(b, newBaselineAdmitController(benchRegion()), 1)
-}
-
-func BenchmarkBaselineAdmitParallel4(b *testing.B) {
-	admitReleaseParallel(b, newBaselineAdmitController(benchRegion()), 4)
-}
-
-func BenchmarkBaselineAdmitParallel16(b *testing.B) {
-	admitReleaseParallel(b, newBaselineAdmitController(benchRegion()), 16)
-}
-
-func BenchmarkBaselineAdmitRejectParallel16(b *testing.B) {
-	rejectParallel(b, newBaselineAdmitController(benchRegion()), 16)
 }

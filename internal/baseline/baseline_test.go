@@ -162,3 +162,62 @@ func TestSplitDeadlineAdmitsFewerThanRegion(t *testing.T) {
 		t.Fatalf("split-deadline utilization %.3f should be below region %.3f", splitUtil, regionUtil)
 	}
 }
+
+// TestSplitDeadlineStaleExpiryAfterReadmit: a task departs and is
+// idle-reset away, its ID is re-admitted, and the first admission's
+// deadline must leave the new charge alone.
+func TestSplitDeadlineStaleExpiryAfterReadmit(t *testing.T) {
+	sim := des.New()
+	c := NewSplitDeadlineController(sim, 1)
+	if !c.TryAdmit(task.Chain(7, 0, 10, 1)) {
+		t.Fatal("first admission rejected")
+	}
+	c.MarkDeparted(0, 7)
+	c.HandleStageIdle(0)
+	sim.RunUntil(5)
+	if !c.TryAdmit(task.Chain(7, 5, 10, 1)) {
+		t.Fatal("re-admission rejected")
+	}
+	want := c.Utilizations()[0]
+	sim.RunUntil(12) // past the first admission's deadline (10)
+	if u := c.Utilizations()[0]; u != want || u != 0.1 {
+		t.Fatalf("utilization %v after the stale deadline, want the live task's %v", u, want)
+	}
+}
+
+// TestSplitDeadlineStaleIntermediateDeadline is the N=3 variant: the
+// first admission's stage-1 and stage-2 intermediate deadlines (8, 12)
+// come after the re-admission at 5, whose own deadlines are 9, 13, 17.
+// Neither may strip the new charges; each stage clears at its own.
+func TestSplitDeadlineStaleIntermediateDeadline(t *testing.T) {
+	sim := des.New()
+	c := NewSplitDeadlineController(sim, 3)
+	if !c.TryAdmit(task.Chain(7, 0, 12, 1, 1, 1)) {
+		t.Fatal("first admission rejected")
+	}
+	for j := 0; j < 3; j++ {
+		c.MarkDeparted(j, 7)
+		c.HandleStageIdle(j)
+	}
+	sim.RunUntil(5)
+	if !c.TryAdmit(task.Chain(7, 5, 12, 1, 1, 1)) {
+		t.Fatal("re-admission rejected")
+	}
+	for _, step := range []struct {
+		until float64
+		want  []float64
+	}{
+		{8.5, []float64{0.25, 0.25, 0.25}}, // first admission's stage-1 deadline passed
+		{12.5, []float64{0, 0.25, 0.25}},   // its stage-2 deadline passed; ours cleared stage 0
+		{13.5, []float64{0, 0, 0.25}},
+		{17.5, []float64{0, 0, 0}},
+	} {
+		sim.RunUntil(step.until)
+		us := c.Utilizations()
+		for j, want := range step.want {
+			if us[j] != want {
+				t.Fatalf("t=%v: utilizations %v, want %v", step.until, us, step.want)
+			}
+		}
+	}
+}

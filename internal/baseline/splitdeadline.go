@@ -6,6 +6,7 @@ import (
 	"feasregion/internal/core"
 	"feasregion/internal/des"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable"
 )
 
 // SplitDeadlineController is the traditional pipeline-analysis baseline
@@ -20,11 +21,18 @@ import (
 // controller is sound but more pessimistic than the end-to-end feasible
 // region, which is exactly what the comparison experiments demonstrate.
 //
+// Contributions live in one region state, a row per admitted task
+// stamped with its admission sequence number: each intermediate deadline
+// clears its stage only while the row still carries that admission's
+// stamp, and the last one drops the row.
+//
 // It implements pipeline.Admitter.
 type SplitDeadlineController struct {
-	sim     *des.Simulator
-	ledgers []*core.Ledger
-	stats   core.Stats
+	sim   *des.Simulator
+	st    tasktable.State
+	seq   int64 // admissions so far: the stamp of the latest row
+	d     []float64
+	stats core.Stats
 }
 
 // NewSplitDeadlineController builds the baseline for an N-stage pipeline.
@@ -32,11 +40,11 @@ func NewSplitDeadlineController(sim *des.Simulator, stages int) *SplitDeadlineCo
 	if stages <= 0 {
 		panic(fmt.Sprintf("baseline: need stages, got %d", stages))
 	}
-	ledgers := make([]*core.Ledger, stages)
-	for j := range ledgers {
-		ledgers[j] = core.NewLedger(0)
+	return &SplitDeadlineController{
+		sim: sim,
+		st:  tasktable.NewState(stages, nil),
+		d:   make([]float64, stages),
 	}
-	return &SplitDeadlineController{sim: sim, ledgers: ledgers}
 }
 
 // Stats returns a snapshot of admission counters.
@@ -45,9 +53,9 @@ func (c *SplitDeadlineController) Stats() core.Stats { return c.stats }
 // Utilizations returns the per-stage synthetic utilizations (computed
 // against intermediate deadlines).
 func (c *SplitDeadlineController) Utilizations() []float64 {
-	us := make([]float64, len(c.ledgers))
-	for j, l := range c.ledgers {
-		us[j] = l.Utilization()
+	us := make([]float64, len(c.d))
+	for j := range us {
+		us[j] = c.st.Util(j)
 	}
 	return us
 }
@@ -56,35 +64,50 @@ func (c *SplitDeadlineController) Utilizations() []float64 {
 // stay within the uniprocessor aperiodic bound under its intermediate
 // deadline.
 func (c *SplitDeadlineController) TryAdmit(t *task.Task) bool {
-	n := len(c.ledgers)
+	n := len(c.d)
 	if t.Deadline <= 0 || len(t.Subtasks) != n {
 		c.stats.Rejected++
 		return false
 	}
 	stageDeadline := t.Deadline / float64(n)
-	for j, l := range c.ledgers {
-		if l.Utilization()+t.StageDemand(j)/stageDeadline > core.UniprocessorBound {
+	for j := range c.d {
+		c.d[j] = t.StageDemand(j) / stageDeadline
+		if c.st.Util(j)+c.d[j] > core.UniprocessorBound {
 			c.stats.Rejected++
 			return false
 		}
 	}
-	for j, l := range c.ledgers {
-		l.Add(t.ID, t.StageDemand(j)/stageDeadline)
-		id, lj := t.ID, l
+	c.seq++
+	c.st.Insert(key(t.ID), c.seq, task.QualityLevels, c.d)
+	for j := range c.d {
+		k, stamp, last := key(t.ID), c.seq, j == n-1
 		c.sim.At(t.Arrival+float64(j+1)*stageDeadline, func() {
-			lj.Remove(id)
+			slot, ok := c.st.Lookup(k)
+			switch {
+			case !ok || c.st.Stamp(slot) != stamp:
+			case last:
+				c.st.Drop(slot)
+			case c.st.Present(slot, j):
+				c.st.ClearStage(slot, j)
+			}
 		})
 	}
 	c.stats.Admitted++
 	return true
 }
 
+// key maps a task ID to a table key in ID order.
+func key(id task.ID) uint64 { return tasktable.SignedKey(int64(id)) }
+
 // MarkDeparted implements pipeline.Admitter.
 func (c *SplitDeadlineController) MarkDeparted(stage int, id task.ID) {
-	c.ledgers[stage].MarkDeparted(id)
+	k := key(id)
+	if slot, ok := c.st.Lookup(k); ok && c.st.Present(slot, stage) {
+		c.st.MarkDeparted(slot, stage, k)
+	}
 }
 
 // HandleStageIdle implements pipeline.Admitter.
 func (c *SplitDeadlineController) HandleStageIdle(stage int) {
-	c.ledgers[stage].ResetIdle()
+	c.st.ResetIdle(stage)
 }

@@ -46,8 +46,9 @@ type Stats struct {
 // Controller is the paper's utilization-based admission controller for an
 // N-stage pipeline. Each admission test is O(N): it evaluates
 // Σ f(U_j + ΔU_j) ≤ α(1−Σβ_j) against the stages' synthetic-utilization
-// ledgers, independent of how many tasks are active. The ledgers share
-// one task table: an admitted task is one row.
+// ledgers, independent of how many tasks are active. The ledgers are
+// views of one region state (tasktable.State): an admitted task is one
+// row.
 //
 // Wire it to a simulation by forwarding stage-idle events to
 // HandleStageIdle and stage completions to MarkDeparted; the controller
@@ -55,8 +56,8 @@ type Stats struct {
 type Controller struct {
 	sim      *des.Simulator
 	region   Region
-	tab      tasktable.Table // one row per admitted task
-	ledgers  []StageLedger   // per-stage sums over tab
+	st       tasktable.State // one row per admitted task, per-stage sums and floors
+	ledgers  []StageLedger   // per-stage views of st
 	estimate Estimator
 	scales   []float64 // per-stage demand multipliers; nil until first SetStageScale
 	scratch  []float64 // reusable deltas buffer; the controller is single-threaded (DES)
@@ -81,20 +82,18 @@ func NewController(sim *des.Simulator, region Region, reserved []float64) *Contr
 	if reserved != nil && len(reserved) != region.Stages {
 		panic(fmt.Sprintf("core: %d reserved values for %d stages", len(reserved), region.Stages))
 	}
+	for _, f := range reserved {
+		checkReserved(f)
+	}
 	c := &Controller{
 		sim:      sim,
 		region:   region,
-		tab:      tasktable.New(region.Stages),
+		st:       tasktable.NewState(region.Stages, reserved),
 		ledgers:  make([]StageLedger, region.Stages),
 		estimate: ActualDemand,
 	}
 	for j := range c.ledgers {
-		f := 0.0
-		if reserved != nil {
-			f = reserved[j]
-		}
-		checkReserved(f)
-		c.ledgers[j] = StageLedger{c: c, j: j, reserved: f}
+		c.ledgers[j] = StageLedger{c: c, j: j}
 	}
 	return c
 }
@@ -301,8 +300,8 @@ func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
 // admissible evaluates the region test for the given increments.
 func (c *Controller) admissible(d []float64) bool {
 	sum := 0.0
-	for j := range c.ledgers {
-		sum += StageDelayFactor(c.ledgers[j].Utilization() + d[j])
+	for j, dj := range d {
+		sum += StageDelayFactor(c.st.Util(j) + dj)
 	}
 	return sum <= c.region.Bound()
 }
@@ -355,14 +354,17 @@ func (c *Controller) commitAdmit(t *task.Task) {
 // commit inserts the task's row, stamped with the admission sequence
 // number, charges every stage, and schedules the row's expiry.
 func (c *Controller) commit(t *task.Task, d []float64, level int) {
-	c.seq++
-	slot := c.tab.Insert(key(t.ID), c.seq, uint8(level))
-	for j, v := range d {
+	for _, v := range d {
 		if v < 0 {
 			panic("core: negative synthetic-utilization contribution")
 		}
-		c.tab.SetContrib(slot, j, v)
-		c.ledgers[j].charge(v)
+	}
+	c.seq++
+	c.st.Insert(key(t.ID), c.seq, uint8(level), d)
+	for j := range d {
+		if u := c.st.Util(j); u > c.ledgers[j].peak {
+			c.ledgers[j].peak = u
+		}
 	}
 	e := c.expiries
 	if e != nil {
@@ -393,24 +395,14 @@ func (e *expiry) Fire(des.Time) {
 	c := e.c
 	// Recycle first: the release hooks below may admit, and reuse e.
 	e.next, c.expiries = c.expiries, e
-	if slot, ok := c.tab.Lookup(key(e.id)); ok {
-		if c.tab.Stamp(slot) != e.stamp {
+	if slot, ok := c.st.Lookup(key(e.id)); ok {
+		if c.st.Stamp(slot) != e.stamp {
 			return
 		}
-		c.drop(slot)
+		c.st.Drop(slot)
 	}
 	c.notifyChange()
 	c.fireRelease()
-}
-
-// drop credits back every stage the row still charges, then deletes it.
-func (c *Controller) drop(slot int) {
-	for j := range c.ledgers {
-		if c.tab.Present(slot, j) {
-			c.ledgers[j].sum.Sub(c.tab.Contrib(slot, j), c.tab.DropStage(slot, j))
-		}
-	}
-	c.tab.Delete(slot)
 }
 
 // EstimateFor returns the demand estimate the admission test would use
@@ -430,8 +422,8 @@ func (c *Controller) Recharge(id task.ID, stage int, contribution float64) bool 
 	if contribution < 0 {
 		panic("core: negative synthetic-utilization contribution")
 	}
-	slot, ok := c.tab.Lookup(key(id))
-	if !ok || !c.tab.Present(slot, stage) {
+	slot, ok := c.st.Lookup(key(id))
+	if !ok || !c.st.Present(slot, stage) {
 		return false
 	}
 	c.recharge(slot, stage, contribution)
@@ -443,9 +435,8 @@ func (c *Controller) Recharge(id task.ID, stage int, contribution float64) bool 
 
 // recharge replaces the row's contribution at the stage (Ledger.Update).
 func (c *Controller) recharge(slot, stage int, v float64) {
-	old := c.tab.Contrib(slot, stage)
-	c.tab.SetContrib(slot, stage, v)
-	c.ledgers[stage].charge(v - old)
+	c.st.Recharge(slot, stage, v)
+	c.ledgers[stage].notePeak()
 }
 
 // Evict removes a task's contribution from every stage immediately —
@@ -455,12 +446,12 @@ func (c *Controller) recharge(slot, stage int, v float64) {
 // re-enters the region. The task's already-scheduled deadline decrement
 // becomes a no-op. Evicting an unknown or expired task does nothing.
 func (c *Controller) Evict(id task.ID) {
-	slot, ok := c.tab.Lookup(key(id))
+	slot, ok := c.st.Lookup(key(id))
 	if !ok {
 		return
 	}
-	removed := c.tab.Live(slot)
-	c.drop(slot)
+	removed := c.st.Live(slot)
+	c.st.Drop(slot)
 	if removed {
 		c.metEvicted.Inc()
 		c.notifyChange()
@@ -482,9 +473,9 @@ func (c *Controller) PlanShedding(t *task.Task, candidates []task.ID) (shed []ta
 		return nil, true
 	}
 	for _, id := range candidates {
-		slot, present := c.tab.Lookup(key(id))
+		slot, present := c.st.Lookup(key(id))
 		for j := 0; present && j < len(c.ledgers); j++ {
-			if v := c.tab.Contrib(slot, j); v != 0 { // 0 once cleared
+			if v := c.st.Contrib(slot, j); v != 0 { // 0 once cleared
 				p.sub(j, v)
 			}
 		}
@@ -574,8 +565,8 @@ func (c *Controller) Reconfigure(reserved []float64) float64 {
 // making its contribution there eligible for the idle reset.
 func (c *Controller) MarkDeparted(stage int, id task.ID) {
 	k := key(id)
-	if slot, ok := c.tab.Lookup(k); ok && c.tab.Present(slot, stage) {
-		c.tab.MarkDeparted(slot, stage, k)
+	if slot, ok := c.st.Lookup(k); ok && c.st.Present(slot, stage) {
+		c.st.MarkDeparted(slot, stage, k)
 	}
 }
 
@@ -583,9 +574,8 @@ func (c *Controller) MarkDeparted(stage int, id task.ID) {
 // departed it stop charging it, drained in ascending-ID order. Wire it
 // to sched.Stage.OnIdle.
 func (c *Controller) HandleStageIdle(stage int) {
-	l := &c.ledgers[stage]
-	if c.tab.ResetIdle(stage, &l.sum) > 0 {
-		l.resets++
+	if c.st.ResetIdle(stage) > 0 {
+		c.ledgers[stage].resets++
 		if c.onChange != nil {
 			c.onChange(stage, c.sim.Now(), c.ledgers[stage].Utilization())
 		}

@@ -5,6 +5,7 @@ import (
 
 	"feasregion/internal/des"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable"
 )
 
 // GraphController is the Theorem 2 admission controller for tasks shaped
@@ -15,13 +16,16 @@ import (
 // currently active (adding utilization can only tighten their paths).
 //
 // The test is O(Σ shapes' graph sizes), still independent of the number
-// of active task instances.
+// of active task instances. Contributions live in one region state, a
+// row per admitted task stamped with its admission sequence number, so
+// a deadline decrement removes only its own admission's row.
 type GraphController struct {
 	sim       *des.Simulator
 	resources int
 	alpha     float64
-	betas     []float64 // nil means no blocking
-	ledgers   []*Ledger
+	betas     []float64       // nil means no blocking
+	st        tasktable.State // one column per resource
+	seq       int64           // admissions so far: the stamp of the latest row
 
 	shapes map[*task.Graph]int // active instance count per distinct shape
 
@@ -42,16 +46,12 @@ func NewGraphController(sim *des.Simulator, resources int, alpha float64, betas 
 	if betas != nil && len(betas) != resources {
 		panic(fmt.Sprintf("core: %d betas for %d resources", len(betas), resources))
 	}
-	ledgers := make([]*Ledger, resources)
-	for i := range ledgers {
-		ledgers[i] = NewLedger(0)
-	}
 	return &GraphController{
 		sim:       sim,
 		resources: resources,
 		alpha:     alpha,
 		betas:     append([]float64(nil), betas...),
-		ledgers:   ledgers,
+		st:        tasktable.NewState(resources, nil),
 		shapes:    map[*task.Graph]int{},
 	}
 }
@@ -64,11 +64,14 @@ func (c *GraphController) SetReserved(reserved []float64) {
 	if len(reserved) != c.resources {
 		panic(fmt.Sprintf("core: %d reserved values for %d resources", len(reserved), c.resources))
 	}
-	for i, l := range c.ledgers {
-		if l.ActiveTasks() > 0 {
+	for i, v := range reserved {
+		checkReserved(v)
+		if c.st.Charging(i) > 0 {
 			panic("core: SetReserved after admissions began")
 		}
-		c.ledgers[i] = NewLedger(reserved[i])
+	}
+	for i, v := range reserved {
+		c.st.SetFloor(i, v)
 	}
 }
 
@@ -77,9 +80,9 @@ func (c *GraphController) Stats() Stats { return c.stats }
 
 // Utilizations returns the current synthetic utilization per resource.
 func (c *GraphController) Utilizations() []float64 {
-	us := make([]float64, len(c.ledgers))
-	for i, l := range c.ledgers {
-		us[i] = l.Utilization()
+	us := make([]float64, c.resources)
+	for i := range us {
+		us[i] = c.st.Util(i)
 	}
 	return us
 }
@@ -155,15 +158,17 @@ func (c *GraphController) commitAdmit(t *task.Task) {
 	}
 }
 
+// commit charges the task's row and schedules its deadline decrement,
+// which drops the row only while it still carries this admission's
+// stamp: a re-admitted ID keeps its new charge.
 func (c *GraphController) commit(t *task.Task, d []float64) {
-	for i, l := range c.ledgers {
-		l.Add(t.ID, d[i])
-	}
+	c.seq++
+	c.st.Insert(key(t.ID), c.seq, task.QualityLevels, d)
 	c.shapes[t.Graph]++
-	id, g := t.ID, t.Graph
+	k, stamp, g := key(t.ID), c.seq, t.Graph
 	c.sim.At(t.AbsoluteDeadline(), func() {
-		for _, l := range c.ledgers {
-			l.Remove(id)
+		if slot, ok := c.st.Lookup(k); ok && c.st.Stamp(slot) == stamp {
+			c.st.Drop(slot)
 		}
 		if c.shapes[g]--; c.shapes[g] == 0 {
 			delete(c.shapes, g)
@@ -176,12 +181,15 @@ func (c *GraphController) commit(t *task.Task, d []float64) {
 // MarkDeparted records that the task has no remaining work on the
 // resource, making its contribution there eligible for the idle reset.
 func (c *GraphController) MarkDeparted(resource int, id task.ID) {
-	c.ledgers[resource].MarkDeparted(id)
+	k := key(id)
+	if slot, ok := c.st.Lookup(k); ok && c.st.Present(slot, resource) {
+		c.st.MarkDeparted(slot, resource, k)
+	}
 }
 
 // HandleResourceIdle performs the idle reset for a resource.
 func (c *GraphController) HandleResourceIdle(resource int) {
-	if c.ledgers[resource].ResetIdle() > 0 {
+	if c.st.ResetIdle(resource) > 0 {
 		c.fireRelease()
 	}
 }

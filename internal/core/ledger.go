@@ -19,6 +19,12 @@ import (
 //
 // The running sum uses Kahan compensation so that millions of
 // add/subtract pairs do not drift the admission test.
+//
+// Ledger is the reference oracle, not a runtime path: every controller
+// keeps its contributions in a tasktable.State, and the differential
+// tests (TestControllerMatchesLedgers, TestOneShardMatchesLedgers, the
+// tasktable fuzz target) require those states to match a set of Ledgers
+// fed the same operations bit for bit.
 type Ledger struct {
 	reserved float64
 	sum      float64 // compensated running sum of contributions

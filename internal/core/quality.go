@@ -4,7 +4,7 @@ import "feasregion/internal/task"
 
 // This file implements quality-aware (imprecise-computation) admission:
 // the three-step cascade of the "degrade before you reject" design. An
-// arrival is first tested at full demand; on rejection the controller
+// arrival is first tested at full demand; on rejection FitLevel
 // binary-searches the highest quality level whose degraded demand vector
 // still fits the region; and before evicting anyone, PlanDegradation
 // trims optional demand across already-admitted tasks in victim order,
@@ -25,60 +25,72 @@ func (c *Controller) QualityOf(id task.ID) (level int, present bool) {
 	if !ok {
 		return 0, false
 	}
-	return int(c.tab.Level(slot)), true
+	return int(c.st.Level(slot)), true
 }
 
 // live returns the task's table row when it still charges some stage.
 func (c *Controller) live(id task.ID) (int, bool) {
-	slot, ok := c.tab.Lookup(key(id))
-	return slot, ok && c.tab.Live(slot)
+	slot, ok := c.st.Lookup(key(id))
+	return slot, ok && c.st.Live(slot)
 }
 
 // TryAdmitQuality runs the quality-aware admission cascade: test the task
 // at maxLevel (callers pass the governor's quality cap, or MaxQuality()
 // when ungoverned); if that fails and the task carries optional demand,
-// binary-search the highest level in [0, maxLevel) whose degraded demand
-// vector fits the region, and commit there. The region test is monotone
-// in the level (demand only grows with quality), so the search needs
-// O(log QualityLevels) region evaluations, each O(stages). On success it
-// returns the admitted level; contributions are committed at that level's
-// demand so the scheduled deadline decrement automatically credits the
-// degraded (not the full) demand back.
+// FitLevel finds the highest level in [0, maxLevel) whose degraded
+// demand vector fits the region, and the task is committed there. Each
+// region evaluation is O(stages). On success it returns the admitted
+// level; contributions are committed at that level's demand so the
+// scheduled deadline decrement automatically credits the degraded (not
+// the full) demand back.
 func (c *Controller) TryAdmitQuality(t *task.Task, maxLevel int) (level int, ok bool) {
-	if maxLevel > task.QualityLevels {
-		maxLevel = task.QualityLevels
-	}
-	if maxLevel < 0 {
-		maxLevel = 0
-	}
+	maxLevel = min(max(maxLevel, 0), task.QualityLevels)
 	d := c.deltasAt(t, maxLevel)
 	if d == nil {
 		c.reject()
 		return 0, false
 	}
-	if c.admissible(d) {
-		c.commitAt(t, d, maxLevel)
-		return maxLevel, true
-	}
-	if maxLevel == 0 || !t.HasOptional() {
+	at := maxLevel // the level d holds
+	level, ok = FitLevel(maxLevel, t.HasOptional(), func(lv int) bool {
+		if lv != at {
+			d, at = c.deltasAt(t, lv), lv
+		}
+		return c.admissible(d)
+	})
+	if !ok {
 		c.reject()
 		return 0, false
 	}
-	// Even the mandatory-only vector must fit before searching.
-	if !c.admissible(c.deltasAt(t, 0)) {
-		c.reject()
+	if level != at {
+		d = c.deltasAt(t, level)
+	}
+	c.commitAt(t, d, level)
+	return level, true
+}
+
+// FitLevel is the quality cascade's search, shared by every admission
+// plane: it returns maxLevel when fits(maxLevel) holds and otherwise,
+// when the request carries optional demand (hasOpt), binary-searches the
+// highest level below maxLevel that fits. fits must be monotone in the
+// level (demand only grows with quality), so a failing mandatory-only
+// test (level 0) rejects every level and the search needs O(log
+// maxLevel) evaluations. It reports false when no level fits.
+func FitLevel(maxLevel int, hasOpt bool, fits func(level int) bool) (int, bool) {
+	switch {
+	case fits(maxLevel):
+		return maxLevel, true
+	case !hasOpt || maxLevel == 0 || !fits(0):
 		return 0, false
 	}
 	lo, hi := 0, maxLevel-1
 	for lo < hi {
 		mid := lo + (hi-lo+1)/2
-		if c.admissible(c.deltasAt(t, mid)) {
+		if fits(mid) {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	c.commitAt(t, c.deltasAt(t, lo), lo)
 	return lo, true
 }
 
@@ -113,12 +125,12 @@ func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bo
 	if !present {
 		return 0, false
 	}
-	cur := int(c.tab.Level(slot))
+	cur := int(c.st.Level(slot))
 	if newLevel >= cur || !t.HasOptional() {
 		return 0, false
 	}
 	for j := range c.ledgers {
-		contrib := c.tab.Contrib(slot, j) // 0 once cleared
+		contrib := c.st.Contrib(slot, j) // 0 once cleared
 		if contrib == 0 {
 			continue
 		}
@@ -130,7 +142,7 @@ func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bo
 		c.recharge(slot, j, next)
 		trimmed += contrib - next
 	}
-	c.tab.SetLevel(slot, uint8(newLevel))
+	c.st.SetLevel(slot, uint8(newLevel))
 	c.stats.Trims++
 	c.metTrimmed.Add(trimmed)
 	c.notifyChange()
@@ -180,10 +192,10 @@ func (c *Controller) PlanDegradation(t *task.Task, candidates []*task.Task) (pla
 		if !present {
 			continue
 		}
-		cur := int(c.tab.Level(slot))
+		cur := int(c.st.Level(slot))
 		rem := make([]float64, len(c.ledgers))
 		for j := range c.ledgers {
-			rem[j] = c.tab.Contrib(slot, j) // 0 once cleared
+			rem[j] = c.st.Contrib(slot, j) // 0 once cleared
 		}
 		remaining[v.ID] = rem
 		if cur == 0 || !v.HasOptional() {

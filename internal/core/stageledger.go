@@ -5,26 +5,23 @@ import (
 	"feasregion/internal/tasktable"
 )
 
-// StageLedger is one stage of a Controller: a view of its task table
-// plus the stage's Kahan-compensated sum, reserved floor, peak, and
+// StageLedger is one stage of a Controller: a view of its region state
+// (the stage's sum and reserved floor) plus the stage's peak and
 // idle-reset count. Its arithmetic is Ledger's, so its utilization is
 // bit-identical to a Ledger fed the same operations.
 type StageLedger struct {
-	c        *Controller
-	j        int
-	reserved float64
-	sum      tasktable.Sum
-	peak     float64
-	resets   uint64
+	c      *Controller
+	j      int
+	peak   float64
+	resets uint64
 }
 
-// key maps a task ID to a table key. Flipping the sign bit keeps the
-// order, so the idle reset drains in Ledger's ascending-ID order.
-func key(id task.ID) uint64 { return uint64(id) ^ 1<<63 }
+// key maps a task ID to a table key in ID order, so the idle reset
+// drains in Ledger's ascending-ID order.
+func key(id task.ID) uint64 { return tasktable.SignedKey(int64(id)) }
 
-// charge adds a contribution (or a re-charge's difference).
-func (l *StageLedger) charge(v float64) {
-	l.sum.Add(v)
+// notePeak raises the peak to the current utilization after a charge.
+func (l *StageLedger) notePeak() {
 	if u := l.Utilization(); u > l.peak {
 		l.peak = u
 	}
@@ -38,23 +35,15 @@ func checkReserved(v float64) {
 
 func (l *StageLedger) setReserved(v float64) {
 	checkReserved(v)
-	l.reserved = v
-	if u := l.Utilization(); u > l.peak {
-		l.peak = u
-	}
+	l.c.st.SetFloor(l.j, v)
+	l.notePeak()
 }
 
 // Utilization returns the stage's current synthetic utilization.
-func (l *StageLedger) Utilization() float64 {
-	u := l.reserved + l.sum.Value()
-	if u < l.reserved {
-		return l.reserved
-	}
-	return u
-}
+func (l *StageLedger) Utilization() float64 { return l.c.st.Util(l.j) }
 
 // Reserved returns the stage's non-resettable floor.
-func (l *StageLedger) Reserved() float64 { return l.reserved }
+func (l *StageLedger) Reserved() float64 { return l.c.st.Floor(l.j) }
 
 // Peak returns the highest synthetic utilization observed since the last
 // ResetPeak.
@@ -68,14 +57,14 @@ func (l *StageLedger) ResetPeak() { l.peak = l.Utilization() }
 func (l *StageLedger) Resets() uint64 { return l.resets }
 
 // ActiveTasks returns how many tasks currently contribute at the stage.
-func (l *StageLedger) ActiveTasks() int { return l.c.tab.Charging(l.j) }
+func (l *StageLedger) ActiveTasks() int { return l.c.st.Charging(l.j) }
 
 // Contribution returns the task's contribution at the stage and whether
 // it is still present.
 func (l *StageLedger) Contribution(id task.ID) (float64, bool) {
-	slot, ok := l.c.tab.Lookup(key(id))
-	if !ok || !l.c.tab.Present(slot, l.j) {
+	slot, ok := l.c.st.Lookup(key(id))
+	if !ok || !l.c.st.Present(slot, l.j) {
 		return 0, false
 	}
-	return l.c.tab.Contrib(slot, l.j), true
+	return l.c.st.Contrib(slot, l.j), true
 }

@@ -330,6 +330,34 @@ func TestStaleExpiryAfterRecycledRow(t *testing.T) {
 	}
 }
 
+// TestGraphStaleExpiryAfterReadmit is the DAG controller's stale-timer
+// check: a task departs and is idle-reset away, its ID is re-admitted,
+// and the first admission's deadline must leave the new charge alone.
+func TestGraphStaleExpiryAfterReadmit(t *testing.T) {
+	sim := des.New()
+	c := NewGraphController(sim, 1, 1, nil)
+	g := task.NewGraph()
+	g.AddNode(0, task.NewSubtask(1))
+	if !c.TryAdmit(&task.Task{ID: 7, Arrival: 0, Deadline: 10, Graph: g}) {
+		t.Fatal("first admission rejected")
+	}
+	c.MarkDeparted(0, 7)
+	c.HandleResourceIdle(0)
+	sim.RunUntil(5)
+	if !c.TryAdmit(&task.Task{ID: 7, Arrival: 5, Deadline: 10, Graph: g}) {
+		t.Fatal("re-admission rejected")
+	}
+	want := c.Utilizations()[0]
+	sim.RunUntil(12) // past the first admission's deadline (10)
+	if u := c.Utilizations()[0]; u != want || u != 0.1 {
+		t.Fatalf("utilization %v after the stale deadline, want the live task's %v", u, want)
+	}
+	sim.RunUntil(16)
+	if u := c.Utilizations()[0]; u != 0 {
+		t.Fatalf("utilization %v after the live task's deadline, want 0", u)
+	}
+}
+
 // TestControllerFullIDRange admits, departs, idle-resets, and expires
 // the extreme IDs — -1 and math.MaxInt64 sit next to the table's empty
 // marker in key space — alongside ordinary ones.

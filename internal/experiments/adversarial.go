@@ -8,6 +8,7 @@ import (
 	"feasregion/internal/sched"
 	"feasregion/internal/stats"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable"
 )
 
 // AdversarialConfig parameterizes the worst-case-pattern tightness study.
@@ -64,16 +65,20 @@ func AdversarialTightness(cfg AdversarialConfig) *stats.Table {
 func runAdversarial(target, dmax float64) (delay, peak float64) {
 	sim := des.New()
 	st := sched.New(sim, "s0")
-	ledger := core.NewLedger(0)
+	region := tasktable.NewState(1, nil)
+	charge := func(id task.ID, v float64) {
+		region.Insert(tasktable.SignedKey(int64(id)), int64(id), 0, []float64{v})
+		peak = max(peak, region.Util(0))
+	}
 
 	const victimDeadline = 1e9 // lowest DM priority
 	var victimDone des.Time
 	st.Submit(0, victimDeadline, task.NewSubtask(0.5), func(now des.Time) { victimDone = now })
-	ledger.Add(0, 0.5/victimDeadline)
+	charge(0, 0.5/victimDeadline)
 
 	// Interferers: C chosen so each contributes c/dmax of utilization;
 	// arrive back-to-back while the victim is still queued and the
-	// ledger stays under the target.
+	// utilization stays under the target.
 	const c = 1.0
 	at := 0.0
 	id := task.ID(1)
@@ -82,19 +87,23 @@ func runAdversarial(target, dmax float64) (delay, peak float64) {
 		if victimDone > 0 {
 			return
 		}
-		if ledger.Utilization()+c/dmax > target {
+		if region.Util(0)+c/dmax > target {
 			// Past the target: stop injecting; the victim drains.
 			return
 		}
-		ledger.Add(id, c/dmax)
+		charge(id, c/dmax)
 		st.Submit(id, dmax, task.NewSubtask(c), nil)
-		expireID := id
-		sim.At(at+dmax, func() { ledger.Remove(expireID) })
+		k := tasktable.SignedKey(int64(id))
+		sim.At(at+dmax, func() {
+			if slot, ok := region.Lookup(k); ok {
+				region.Drop(slot)
+			}
+		})
 		id++
 		at += c
 		sim.At(at, schedule)
 	}
 	sim.At(0, schedule)
 	sim.Run()
-	return victimDone, ledger.Peak()
+	return victimDone, peak
 }

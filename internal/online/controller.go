@@ -36,12 +36,14 @@ type waiter struct {
 }
 
 // Controller is a thread-safe wall-clock admission controller enforcing
-// the multi-dimensional feasible region. Its data plane is a
-// shard.Controller; Controller adds the AdmitWithin waiter FIFO, the
-// background watchdog, and metrics export. The zero value is not
-// usable; construct with New.
+// the multi-dimensional feasible region. It embeds its data plane, a
+// shard.Controller, whose methods (TryAdmit, TryAdmitAll, TryAdmitQuality,
+// SetQuality, Release, MarkDeparted, StageIdle, SetStageScale,
+// SetRegionInputs, RegionValue, Reconcile, Stats, ...) it exposes as its
+// own, and adds the AdmitWithin waiter FIFO, the background watchdog,
+// and metrics export. The zero value is not usable; construct with New.
 type Controller struct {
-	sh     *shard.Controller
+	*shard.Controller
 	stages int
 	clock  Clock // AdmitWithin's view of time
 
@@ -79,21 +81,24 @@ func New(region core.Region, reserved []float64, clock Clock) *Controller {
 // NewWithConfig builds a controller with the full option set.
 func NewWithConfig(region core.Region, cfg Config) *Controller {
 	c := &Controller{
-		sh:     shard.New(region, cfg.Reserved, shard.Clock(cfg.Clock), max(1, cfg.Shards)),
 		stages: region.Stages,
 		clock:  cfg.Clock,
 	}
 	if c.clock == nil {
 		c.clock = time.Now
 	}
-	c.sh.SetWakeHook(func() {
-		if c.nwaiters.Load() > 0 {
-			c.mu.Lock()
-			c.wakeLocked()
-			c.mu.Unlock()
-		}
-	})
+	c.Controller = shard.New(region, cfg.Reserved, shard.Clock(cfg.Clock), max(1, cfg.Shards), c.wake)
 	return c
+}
+
+// wake is the data plane's capacity-freed hook: it hands a wake token
+// to the head waiter, touching mu only when somebody waits.
+func (c *Controller) wake() {
+	if c.nwaiters.Load() > 0 {
+		c.mu.Lock()
+		c.wakeLocked()
+		c.mu.Unlock()
+	}
 }
 
 // wakeLocked hands one wake token to the head waiter. Wake-one (not
@@ -151,16 +156,6 @@ func (c *Controller) dequeueLocked(w *waiter) bool {
 	return true
 }
 
-// TryAdmit tests the request against the region and commits it on
-// success. It is safe for concurrent use, allocation-free, and — under
-// sustained overload, while no capacity has been freed and no purge is
-// due — lock-free: rejection does not serialize on the controller. A
-// purge is due only once the earliest deadline's 1 ms expiry bucket has
-// ended, since before that it could free nothing.
-func (c *Controller) TryAdmit(r Request) bool {
-	return c.sh.Admit(&r, true, nil)
-}
-
 // TryAdmitValue is TryAdmit that, on admission, also returns the region
 // value Σ_j f(U_j) right after the commit: the value RegionValue would
 // read next. With one shard it is computed inside the admit's own
@@ -168,19 +163,8 @@ func (c *Controller) TryAdmit(r Request) bool {
 // more, the admit is followed by a RegionValue call. A cluster replica
 // publishes bound − value from it.
 func (c *Controller) TryAdmitValue(r Request) (ok bool, value float64) {
-	ok = c.sh.Admit(&r, true, &value)
+	ok = c.Admit(&r, true, &value)
 	return ok, value
-}
-
-// TryAdmitAll tests and commits a burst of requests, amortizing the
-// admission overhead across a batch of arrivals. With one shard that is
-// one lock acquisition and one purge, and requests are tested in order,
-// each against the state left by its predecessors; see
-// shard.Controller.TryAdmitAll for the sharded grouping. out[i], when
-// out is non-nil, reports request i's outcome. It returns the number
-// admitted.
-func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
-	return c.sh.TryAdmitAll(rs, out)
 }
 
 // AdmitWithin blocks for up to maxWait until the request fits the
@@ -207,7 +191,7 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 // lost.
 func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 	if r.Deadline <= 0 || len(r.Demands) != c.stages {
-		c.sh.CountRejected()
+		c.CountRejected()
 		return false
 	}
 	start := c.clock()
@@ -220,7 +204,7 @@ func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 		late.Deadline = r.Deadline - now.Sub(start)
 		if late.Deadline <= 0 {
 			c.abandonWait(w)
-			c.sh.CountRejected()
+			c.CountRejected()
 			return false
 		}
 		timedOut := !now.Before(waitDeadline)
@@ -229,7 +213,7 @@ func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 			c.enqueueLocked(w)
 			c.mu.Unlock()
 		}
-		if c.sh.Admit(&late, false, nil) {
+		if c.Admit(&late, false, nil) {
 			if !first {
 				c.abandonWait(w)
 				// Pass the baton: the drop that woke us may have freed
@@ -242,7 +226,7 @@ func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 		}
 		if timedOut {
 			c.abandonWait(w)
-			c.sh.CountRejected()
+			c.CountRejected()
 			return false
 		}
 		if first {
@@ -252,7 +236,7 @@ func (c *Controller) AdmitWithin(r Request, maxWait time.Duration) bool {
 			continue
 		}
 		sleep := waitDeadline.Sub(now)
-		if next := c.sh.NextExpiry(); next != math.MaxInt64 {
+		if next := c.NextExpiry(); next != math.MaxInt64 {
 			if d := time.Unix(0, next).Sub(now); d < sleep {
 				sleep = d
 			}
@@ -288,85 +272,6 @@ func (c *Controller) abandonWait(w *waiter) {
 	c.mu.Unlock()
 }
 
-// MarkDeparted records that the request finished its work at the stage,
-// making its contribution eligible for the stage's idle reset.
-func (c *Controller) MarkDeparted(stage int, id uint64) { c.sh.MarkDeparted(stage, id) }
-
-// MarkDepartedAll records that a burst of requests finished their work
-// at the stage, one lock acquisition and one purge per shard — the
-// batch mirror of MarkDeparted. Contributions whose deadlines already
-// passed are purged rather than marked.
-func (c *Controller) MarkDepartedAll(stage int, ids []uint64) { c.sh.MarkDepartedAll(stage, ids) }
-
-// StageIdle performs the idle reset for a stage; call it when the
-// stage's worker pool drains (no queued or running work).
-func (c *Controller) StageIdle(stage int) { c.sh.StageIdle(stage) }
-
-// Release drops the request's contribution on all stages immediately —
-// call it when a request is cancelled or finishes well before its
-// deadline and the caller prefers eager accounting over the idle reset.
-// Its pending expiry is discarded lazily when it comes due. Waiters are
-// woken only when a contribution was actually removed; an
-// already-expired or unknown ID is a silent no-op.
-func (c *Controller) Release(id uint64) { c.sh.Release(id) }
-
-// ReleaseAll drops the contributions of a burst of requests, one lock
-// acquisition and one purge per shard — the batch mirror of Release,
-// for services that complete requests in bursts. It returns how many of
-// the IDs still had a live contribution. Waiters are woken once for the
-// whole batch, including anything the accompanying purge expired.
-func (c *Controller) ReleaseAll(ids []uint64) int { return c.sh.ReleaseAll(ids) }
-
-// SetStageScale sets a demand multiplier for future admissions at the
-// stage — the self-healing hook for degraded stages: a replica running
-// at half speed effectively doubles every request's computation time
-// there, so scale 2 keeps the admission test honest until the stage
-// recovers (scale 1 restores nominal). Already-admitted contributions
-// are unchanged. scale must be positive and finite.
-func (c *Controller) SetStageScale(stage int, scale float64) { c.sh.SetStageScale(stage, scale) }
-
-// StageScales returns the current per-stage demand multipliers.
-func (c *Controller) StageScales() []float64 { return c.sh.StageScales() }
-
-// StageScale returns stage j's demand multiplier without locking.
-func (c *Controller) StageScale(j int) float64 { return c.sh.StageScale(j) }
-
-// StageUtilization returns stage j's current synthetic utilization,
-// purging due expiries first.
-func (c *Controller) StageUtilization(j int) float64 { return c.sh.StageUtilization(j) }
-
-// Utilizations returns the current per-stage synthetic utilization,
-// purging due expiries first.
-func (c *Controller) Utilizations() []float64 { return c.sh.Utilizations() }
-
-// Headroom returns how much additional synthetic utilization the stage
-// can absorb right now.
-func (c *Controller) Headroom(stage int) float64 { return c.sh.Headroom(stage) }
-
-// Bound returns the current admission bound α·(1 − Σβ_j) without
-// locking.
-func (c *Controller) Bound() float64 { return c.sh.Bound() }
-
-// RegionValue returns the region value Σ_j f(U_j), summed in stage
-// order, together with the admission bound, from one clock sample and
-// one purged pass over the shards. The read allocates nothing;
-// bound − value is the headroom a cluster replica publishes.
-func (c *Controller) RegionValue() (value, bound float64) { return c.sh.RegionValue() }
-
-// Region returns a copy of the controller's current feasible region
-// (the base configuration, or the latest SetRegionInputs update).
-func (c *Controller) Region() core.Region { return c.sh.Region() }
-
-// SetRegionInputs replaces the region's urgency-inversion parameter α
-// and per-stage blocking terms β_j at runtime — the actuator of the
-// adaptive estimation loop (internal/adapt). alpha must be in (0, 1];
-// betas, when non-nil, must have one non-negative entry per stage (nil
-// keeps the current blocking terms). Already-admitted contributions are
-// unchanged. When the bound relaxes, one waiter is woken to retry.
-func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
-	c.sh.SetRegionInputs(alpha, betas)
-}
-
 // Reprioritize recomputes the urgency-inversion parameter α from a new
 // priority order's (priority, deadline) pairs and republishes the
 // region bound through SetRegionInputs — the online actuator of a
@@ -387,39 +292,6 @@ func (c *Controller) Reprioritize(params []core.TaskParams) float64 {
 	c.SetRegionInputs(alpha, nil)
 	return alpha
 }
-
-// QualityOf returns the quality level the request was admitted (or since
-// retuned) at, and whether it currently contributes to any stage.
-// Requests admitted by the plain TryAdmit path report full quality.
-func (c *Controller) QualityOf(id uint64) (level int, present bool) { return c.sh.QualityOf(id) }
-
-// TryAdmitQuality runs the quality-aware admission cascade against the
-// live region: test at maxLevel (callers pass the governor's quality
-// cap, or task.QualityLevels when ungoverned); if that fails and the
-// request carries optional demand (Request.Optional), binary-search the
-// highest level in [0, maxLevel) whose degraded demand still fits, and
-// commit there. On success it returns the admitted level. Like
-// TryAdmit, the path is allocation-free and rejects lock-free under
-// sustained overload.
-func (c *Controller) TryAdmitQuality(r Request, maxLevel int) (level int, ok bool) {
-	return c.sh.TryAdmitQuality(r, maxLevel)
-}
-
-// SetQuality retunes an in-flight request's quality level: lowering
-// scales its contribution down on every stage (always permitted — it
-// only frees capacity and retries waiters); raising re-runs the region
-// test with the enlarged contribution and is refused when it would
-// leave the region. The request must carry the same Demands/Optional
-// it was admitted with. It reports whether the level changed.
-func (c *Controller) SetQuality(r Request, level int) bool { return c.sh.SetQuality(r, level) }
-
-// Reconcile runs one watchdog pass: it purges expired contributions
-// using the monotone clock (so skew cannot stall expiry) and, with more
-// than one shard, re-centers the shard caps. Embedding applications
-// call it periodically (or via StartWatchdog) as a safety net; on a
-// healthy controller it is cheap. It returns how many contributions the
-// purge expired.
-func (c *Controller) Reconcile() int { return c.sh.Reconcile() }
 
 // StartWatchdog runs Reconcile every interval on a background goroutine
 // until the returned stop function is called (stop is idempotent and
@@ -449,7 +321,3 @@ func (c *Controller) StartWatchdog(interval time.Duration) (stop func()) {
 		<-exited
 	}
 }
-
-// Stats returns a snapshot of the counters (summed over the shards
-// under each shard's lock in turn; not one atomic cut).
-func (c *Controller) Stats() Stats { return c.sh.Stats() }

@@ -26,7 +26,7 @@ import (
 func TestShardConservationConcurrent(t *testing.T) {
 	region := core.NewRegion(3)
 	bound := region.Bound()
-	c := New(region, nil, nil, 8) // real clock: expiry churn is part of the mix
+	c := New(region, nil, nil, 8, nil) // real clock: expiry churn is part of the mix
 	const workers = 8
 	const opsPerWorker = 1200
 
@@ -143,11 +143,11 @@ func TestShardConservationConcurrent(t *testing.T) {
 	c.Reconcile()
 	c.lockShards()
 	for ki, s := range c.shards {
-		if s.tbl.Len() != 0 {
-			t.Errorf("shard %d: %d rows still live after quiesce", ki, s.tbl.Len())
+		if s.st.Len() != 0 {
+			t.Errorf("shard %d: %d rows still live after quiesce", ki, s.st.Len())
 		}
 		for j := 0; j < c.stages; j++ {
-			if u := s.util(j); u != 0 {
+			if u := s.st.Util(j); u != 0 {
 				t.Errorf("shard %d stage %d: residual utilization %v after quiesce", ki, j, u)
 			}
 		}
@@ -168,7 +168,7 @@ func TestShardConservationConcurrent(t *testing.T) {
 func TestShardConservationDeterministic(t *testing.T) {
 	const stages = 2
 	clk := newFakeClock()
-	c := New(core.NewRegion(stages), nil, clk.Now, 4)
+	c := New(core.NewRegion(stages), nil, clk.Now, 4, nil)
 
 	live := map[uint64][]float64{}
 	check := func(step int) {

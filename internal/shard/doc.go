@@ -4,18 +4,18 @@
 // optionally partitioned across K shards for near-linear multi-core
 // admit throughput.
 //
-// Each shard keeps its contributions in a task table (internal/tasktable,
-// shared with core.Controller; one row per admitted request: deadline,
-// quality level, per-stage charges, and departed/cleared bits) with
-// Kahan-compensated per-stage sums, and
-// runs its own hierarchical timer wheel (internal/expiry, unindexed).
-// Released requests leave stale wheel entries that the purge discards
-// lazily by matching (id, deadline) against the table. Per stage, each
-// shard also keeps core.Ledger's bookkeeping: the count of rows still
-// charging the stage (its sum is rebaselined to exactly zero when the
-// count reaches zero) and the departed list that the idle reset drains
-// in ascending-ID order — so a K=1 controller's sums are bit-identical
-// to a set of core.Ledgers fed the same operations.
+// Each shard keeps its contributions in a region state
+// (tasktable.State, the same one core.Controller keeps: one row per
+// admitted request, stamped with its absolute deadline, plus
+// Kahan-compensated per-stage sums over the shard's share of the
+// reserved floors) and runs its own hierarchical timer wheel
+// (internal/expiry, unindexed). The state owns rows, sums and floors;
+// the shard owns the clock, the wheel, the lock, the gate and the
+// demand scaling. Released requests leave stale wheel entries that the
+// purge discards lazily by matching (id, deadline) against the row's
+// stamp. The state's arithmetic is core.Ledger's, so a K=1 controller's
+// sums are bit-identical to a set of core.Ledgers fed the same
+// operations.
 //
 // A purge is due only once it can flush something: each shard keeps
 // the earliest time a wheel or staged entry can flush (the end of its

@@ -101,7 +101,7 @@ func (c *Controller) repartitionLocked(weighted bool) {
 			if weighted {
 				w = float64(s.releasedTraffic) + 1
 			}
-			s.caps[j] = s.util(j) + extra*(w/totW)
+			s.caps[j] = s.st.Util(j) + extra*(w/totW)
 		}
 	}
 	for _, s := range c.shards {
@@ -174,7 +174,7 @@ func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, raw,
 			if rem[j] <= 0 {
 				continue
 			}
-			avail := s.caps[j] - s.util(j)
+			avail := s.caps[j] - s.st.Util(j)
 			if avail <= 0 {
 				continue
 			}
@@ -293,7 +293,7 @@ func (c *Controller) globalUtilsLocked(utils []float64) {
 	for j := range utils {
 		u := 0.0
 		for _, s := range c.shards {
-			u += s.util(j)
+			u += s.st.Util(j)
 		}
 		utils[j] = u
 	}
@@ -397,7 +397,7 @@ func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float
 			c.rejectedInvalid.Add(1)
 		} else {
 			for j := range utils {
-				utils[j] = s.util(j)
+				utils[j] = s.st.Util(j)
 			}
 			if _, ok = fitLevel(utils, s.scales, raw, nil, task.QualityLevels, bound); ok {
 				s.commitLocked(r.ID, mnow+int64(r.Deadline), raw, nil, task.QualityLevels)
@@ -413,7 +413,7 @@ func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float
 	}
 	if rejected {
 		for j := range utils {
-			utils[j] = s.util(j)
+			utils[j] = s.st.Util(j)
 		}
 		c.armGateLocked(utils)
 	}
@@ -424,11 +424,13 @@ func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float
 	return admitted
 }
 
-// SetRegionInputs replaces the region's α and per-stage β_j at runtime,
-// then re-partitions the new bound across shards: alpha must be in
-// (0, 1], betas non-negative with one entry per stage (nil keeps
-// current), admitted contributions are unchanged, and a raised bound
-// runs the wake hook.
+// SetRegionInputs replaces the region's urgency-inversion parameter α
+// and per-stage blocking terms β_j at runtime — the actuator of the
+// adaptive estimation loop (internal/adapt) — then re-partitions the
+// new bound across shards: alpha must be in (0, 1], betas non-negative
+// with one entry per stage (nil keeps current), admitted contributions
+// are unchanged, and a raised bound runs the wake hook (one waiter
+// retries).
 func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
 	if c.setRegion(alpha, betas) {
 		c.hook()
@@ -460,8 +462,9 @@ func (c *Controller) setRegion(alpha float64, betas []float64) (raised bool) {
 // stage, on every shard atomically — the self-healing hook for degraded
 // stages: a replica running at half speed doubles every request's
 // computation time there, so scale 2 keeps the admission test honest.
-// scale must be positive and finite; admitted contributions are
-// unchanged, and a relaxed (lowered) scale runs the wake hook.
+// scale must be positive and finite (scale 1 restores nominal);
+// admitted contributions are unchanged, and a relaxed (lowered) scale
+// runs the wake hook.
 func (c *Controller) SetStageScale(stage int, scale float64) {
 	if scale <= 0 || scale != scale || scale > 1e9 {
 		panic(fmt.Sprintf("shard: stage scale %v must be positive and finite", scale))
@@ -506,9 +509,11 @@ func (c *Controller) Headroom(stage int) float64 {
 	return c.Region().Headroom(us, stage)
 }
 
-// Reconcile runs one watchdog pass: a monotone purge on every shard
-// plus, at K>1, the slow rebalance — caps re-centered toward the shards
-// with the most release traffic since the last pass. The task table
+// Reconcile runs one watchdog pass: a monotone purge on every shard (so
+// clock skew cannot stall expiry) plus, at K>1, the slow rebalance —
+// caps re-centered toward the shards with the most release traffic
+// since the last pass. Embedding applications call it periodically as a
+// safety net; on a healthy controller it is cheap. The task table
 // cannot leak orphans (a row and its charge are one record), so there
 // is nothing to reap; it returns the number of contributions the purge
 // expired.

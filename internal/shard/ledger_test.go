@@ -26,7 +26,7 @@ import (
 func TestOneShardMatchesLedgers(t *testing.T) {
 	const stages = 3
 	clk := newFakeClock()
-	c := New(core.NewRegion(stages), nil, clk.Now, 1)
+	c := New(core.NewRegion(stages), nil, clk.Now, 1, nil)
 	ledgers := make([]*core.Ledger, stages)
 	for j := range ledgers {
 		ledgers[j] = core.NewLedger(0)

@@ -84,12 +84,12 @@ func (c *Controller) SetQuality(r Request, level int) bool {
 	s.mu.Lock()
 	mnow := s.monotoneLocked(c.nowNano())
 	s.purgeLocked(c, mnow)
-	slot, present := s.tbl.Lookup(r.ID)
-	if !present || !s.tbl.Live(slot) {
+	slot, present := s.st.Lookup(r.ID)
+	if !present || !s.st.Live(slot) {
 		s.mu.Unlock()
 		return false
 	}
-	cur := int(s.tbl.Level(slot))
+	cur := int(s.st.Level(slot))
 	if level == cur {
 		s.mu.Unlock()
 		return false
@@ -108,7 +108,7 @@ func (c *Controller) SetQuality(r Request, level int) bool {
 // s.mu.
 func (c *Controller) trimLocked(s *shard, slot int, raw, opt []float64, cur, level int) {
 	c.retuneLocked(s, slot, raw, opt, cur, level)
-	s.tbl.SetLevel(slot, uint8(level))
+	s.st.SetLevel(slot, uint8(level))
 	s.trimmed++
 	s.updateHintLocked()
 	c.noteFreed()
@@ -119,14 +119,10 @@ func (c *Controller) trimLocked(s *shard, slot int, raw, opt []float64, cur, lev
 // current level's demand is zero), updating the shard sums in place.
 // Callers hold s.mu.
 func (c *Controller) retuneLocked(s *shard, slot int, raw, opt []float64, cur, level int) {
-	for j := range s.sums {
-		if !s.tbl.Present(slot, j) {
-			continue
+	for j := 0; j < c.stages; j++ {
+		if s.st.Present(slot, j) {
+			s.st.Recharge(slot, j, c.retuned(raw, opt, j, s.st.Contrib(slot, j), cur, level))
 		}
-		contrib := s.tbl.Contrib(slot, j)
-		next := c.retuned(raw, opt, j, contrib, cur, level)
-		s.tbl.SetContrib(slot, j, next)
-		s.sums[j].Add(next - contrib)
 	}
 }
 
@@ -158,11 +154,11 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 	defer c.unlockShards()
 	expired := c.purgeAllLocked()
 	s := c.shardOf(id)
-	slot, present := s.tbl.Lookup(id)
-	if !present || !s.tbl.Live(slot) {
+	slot, present := s.st.Lookup(id)
+	if !present || !s.st.Live(slot) {
 		return false, expired
 	}
-	cur := int(s.tbl.Level(slot))
+	cur := int(s.st.Level(slot))
 	if level == cur {
 		return false, expired
 	}
@@ -178,10 +174,10 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 	for j := 0; j < c.stages; j++ {
 		u := 0.0
 		for _, sh := range c.shards {
-			u += sh.util(j)
+			u += sh.st.Util(j)
 		}
-		if s.tbl.Present(slot, j) {
-			contrib := s.tbl.Contrib(slot, j)
+		if s.st.Present(slot, j) {
+			contrib := s.st.Contrib(slot, j)
 			u += c.retuned(raw, opt, j, contrib, cur, level) - contrib
 		}
 		sum += core.StageDelayFactor(u)
@@ -190,7 +186,7 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 		return false, expired
 	}
 	c.retuneLocked(s, slot, raw, opt, cur, level)
-	s.tbl.SetLevel(slot, uint8(level))
+	s.st.SetLevel(slot, uint8(level))
 	s.restored++
 	// The raised contribution may exceed the home shard's cap; rebuild
 	// the partition from the new truth.
@@ -200,13 +196,14 @@ func (c *Controller) raiseQualityLocked(id uint64, raw, opt []float64, level int
 
 // QualityOf returns the quality level the request was admitted (or
 // since retuned) at, and whether it currently contributes anywhere.
+// Requests admitted by the plain TryAdmit path report full quality.
 func (c *Controller) QualityOf(id uint64) (level int, present bool) {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.tbl.Lookup(id)
-	if !ok || !s.tbl.Live(slot) {
+	slot, ok := s.st.Lookup(id)
+	if !ok || !s.st.Live(slot) {
 		return 0, false
 	}
-	return int(s.tbl.Level(slot)), true
+	return int(s.st.Level(slot)), true
 }

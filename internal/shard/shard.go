@@ -129,15 +129,14 @@ type Stats struct {
 type shard struct {
 	mu sync.Mutex
 
-	// sums are per-stage sums of the local contributions; utilization
-	// at stage j is floors[j]+sums[j]
-	// (clamped at the floor, like core.Ledger's reserved floor).
-	sums   []tasktable.Sum
-	floors []float64 // reserved_j / K: this shard's share of the floors
-	caps   []float64 // per-stage budget; invariant: util(j) ≤ caps[j]
+	// st holds the local contributions, one row per admitted request
+	// stamped with its absolute deadline, with per-stage sums over this
+	// shard's share of the reserved floors (reserved_j / K).
+	st     tasktable.State
+	caps   []float64 // per-stage budget; invariant: st.Util(j) ≤ caps[j]
 	scales []float64 // per-stage demand multipliers (copies, kept equal)
+	vec    []float64 // commitLocked's scratch: the vector it charges
 
-	tbl    tasktable.Table
 	whl    *expiry.Wheel
 	origin int64 // the wheel's tick-0 time (UnixNano)
 	maxNow int64 // monotone high-water mark of observed time
@@ -168,7 +167,7 @@ type shard struct {
 	// sleep, reject gate, steal probe).
 	nextExp atomic.Int64
 
-	// slackHint publishes min_j(caps[j]−util(j)) with hysteresis so
+	// slackHint publishes min_j(caps[j]−st.Util(j)) with hysteresis so
 	// peers can order steal probes richest-first without locking. Stale
 	// by up to 1/4 relative — it is an ordering hint, never a charge.
 	// hintOps amortizes the refresh: plain commits and releases only
@@ -196,8 +195,8 @@ const stagedCap = 256
 // ones are filed for flush. Callers hold s.mu.
 func (s *shard) drainStagedLocked() {
 	for _, e := range s.staged {
-		slot, ok := s.tbl.Lookup(e.ID)
-		if !ok || s.tbl.Stamp(slot) != e.At {
+		slot, ok := s.st.Lookup(e.ID)
+		if !ok || s.st.Stamp(slot) != e.At {
 			s.cancelled++
 			continue
 		}
@@ -215,21 +214,13 @@ func (s *shard) noteHintOpLocked() {
 	}
 }
 
-func (s *shard) util(j int) float64 {
-	u := s.floors[j] + s.sums[j].Value()
-	if u < s.floors[j] {
-		return s.floors[j]
-	}
-	return u
-}
-
 // updateHintLocked republishes the slack hint when it drifted by more
 // than 1/4 relative (or crossed zero) — rare under steady churn, so the
 // hot path almost never pays the atomic store.
 func (s *shard) updateHintLocked() {
 	min := math.Inf(1)
 	for j := range s.caps {
-		if sl := s.caps[j] - s.util(j); sl < min {
+		if sl := s.caps[j] - s.st.Util(j); sl < min {
 			min = sl
 		}
 	}
@@ -294,10 +285,7 @@ type Controller struct {
 	gateBits     []atomic.Uint64
 	freedGen     atomic.Uint64
 
-	// wakeHook, when set, is invoked (outside all shard locks) after
-	// any operation that frees capacity: release, expiry, idle reset,
-	// quality trim, scale relaxation, bound raise. The wrapping
-	// controller uses it to hand a wake token to its AdmitWithin FIFO.
+	// wakeHook is New's wake callback; nil when none.
 	wakeHook func()
 
 	// The counters below are written on every lock-free reject; the pad
@@ -317,8 +305,12 @@ type Controller struct {
 // New builds a sharded controller for the region with k shards (rounded
 // up to a power of two, clamped to [1, MaxShards]). reserved, when
 // non-nil, sets per-stage reserved utilization floors, split evenly
-// across shards. clock may be nil (monotonic fast path).
-func New(region core.Region, reserved []float64, clock Clock, k int) *Controller {
+// across shards. clock may be nil (monotonic fast path). wake, when
+// non-nil, runs outside all shard locks after any operation that frees
+// capacity (release, expiry, idle reset, quality trim, scale
+// relaxation, bound raise); a wrapping controller hands a wake token to
+// its waiters from it.
+func New(region core.Region, reserved []float64, clock Clock, k int, wake func()) *Controller {
 	if reserved != nil && len(reserved) != region.Stages {
 		panic(fmt.Sprintf("shard: %d reserved values for %d stages", len(reserved), region.Stages))
 	}
@@ -346,6 +338,7 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 		k:         k,
 		shift:     64 - bits, // shift 64 on uint64 yields 0 in Go: k=1 → shard 0
 		clock:     clock,
+		wakeHook:  wake,
 		region:    region,
 		bound:     region.Bound(),
 		scaleBits: make([]atomic.Uint64, region.Stages),
@@ -363,14 +356,20 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 		c.epoch = now
 		c.epochNano = now.UnixNano()
 	}
+	var floors []float64
+	if reserved != nil {
+		floors = make([]float64, c.stages)
+		for j, v := range reserved {
+			floors[j] = v / float64(k)
+		}
+	}
 	c.shards = make([]*shard, k)
 	for i := range c.shards {
 		s := &shard{
-			sums:   make([]tasktable.Sum, c.stages),
-			floors: make([]float64, c.stages),
+			st:     tasktable.NewState(c.stages, floors),
 			caps:   make([]float64, c.stages),
 			scales: make([]float64, c.stages),
-			tbl:    tasktable.New(c.stages),
+			vec:    make([]float64, c.stages),
 			whl:    expiry.New(wheelGranularity, now, false),
 			staged: make([]expiry.Entry, 0, stagedCap),
 			origin: now.UnixNano(),
@@ -378,9 +377,6 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 		}
 		for j := range s.scales {
 			s.scales[j] = 1
-			if reserved != nil {
-				s.floors[j] = reserved[j] / float64(k)
-			}
 		}
 		s.nextExp.Store(math.MaxInt64)
 		c.shards[i] = s
@@ -391,10 +387,6 @@ func New(region core.Region, reserved []float64, clock Clock, k int) *Controller
 	c.repartitionLocked(false)
 	return c
 }
-
-// SetWakeHook installs the capacity-freed callback. Call before any
-// concurrent use.
-func (c *Controller) SetWakeHook(fn func()) { c.wakeHook = fn }
 
 func (c *Controller) hook() {
 	if c.wakeHook != nil {
@@ -464,15 +456,15 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 	}
 	expired := 0
 	flushed := s.whl.AdvanceTo(mnow, func(e expiry.Entry) {
-		slot, ok := s.tbl.Lookup(e.ID)
-		if !ok || s.tbl.Stamp(slot) != e.At {
+		slot, ok := s.st.Lookup(e.ID)
+		if !ok || s.st.Stamp(slot) != e.At {
 			s.cancelled++
 			return
 		}
-		if s.tbl.Live(slot) {
+		if s.st.Live(slot) {
 			expired++
 		}
-		s.dropLocked(slot)
+		s.st.Drop(slot)
 	})
 	if flushed > 0 || s.nextExp.Load() <= mnow {
 		if at, ok := s.whl.NextFlush(); ok {
@@ -490,18 +482,6 @@ func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 	return expired
 }
 
-// dropLocked subtracts every charge the row still holds, then deletes
-// it. Callers hold s.mu.
-func (s *shard) dropLocked(slot int) {
-	t := &s.tbl
-	for j := range s.sums {
-		if t.Present(slot, j) {
-			s.sums[j].Sub(t.Contrib(slot, j), t.DropStage(slot, j))
-		}
-	}
-	t.Delete(slot)
-}
-
 // commitLocked inserts the admitted row, charging each stage
 // rawAt(raw, opt, j, lv) times its demand multiplier, and schedules the
 // row's expiry at the absolute deadline at. A degraded admit (opt
@@ -513,12 +493,10 @@ func (s *shard) commitLocked(id uint64, at int64, raw, opt []float64, lv int) {
 		level = uint8(lv)
 		s.degraded++
 	}
-	slot := s.tbl.Insert(id, at, level)
-	for j := range raw {
-		v := rawAt(raw, opt, j, lv) * s.scales[j]
-		s.tbl.SetContrib(slot, j, v)
-		s.sums[j].Add(v)
+	for j := range s.vec {
+		s.vec[j] = rawAt(raw, opt, j, lv) * s.scales[j]
 	}
+	s.st.Insert(id, at, level, s.vec)
 	if len(s.staged) >= stagedCap {
 		s.drainStagedLocked()
 	}
@@ -550,7 +528,7 @@ func (s *shard) purgeDueLocked(c *Controller) (mnow int64, expired int) {
 func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt []float64, lv int) (bool, int) {
 	mnow, expired := s.purgeDueLocked(c)
 	for j := range raw {
-		if s.util(j)+rawAt(raw, opt, j, lv)*s.scales[j] > s.caps[j] {
+		if s.st.Util(j)+rawAt(raw, opt, j, lv)*s.scales[j] > s.caps[j] {
 			return false, expired
 		}
 	}
@@ -559,8 +537,11 @@ func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt [
 }
 
 // TryAdmit tests the request against the region and commits it on
-// success. Allocation-free; under sustained overload rejects are
-// lock-free via the gate snapshot.
+// success. It is safe for concurrent use, allocation-free, and — under
+// sustained overload, while no capacity has been freed and no purge is
+// due — lock-free: rejection does not serialize on the controller. A
+// purge is due only once the earliest deadline's 1 ms expiry bucket has
+// ended, since before that it could free nothing.
 func (c *Controller) TryAdmit(r Request) bool {
 	return c.admit(&r, true, nil)
 }
@@ -680,7 +661,7 @@ func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, max
 	s.mu.Lock()
 	mnow, expired := s.purgeDueLocked(c)
 	for j := range utils {
-		utils[j] = s.util(j)
+		utils[j] = s.st.Util(j)
 	}
 	lv, ok := fitLevel(utils, s.scales, raw, opt, maxLevel, c.boundNow())
 	if ok {
@@ -688,7 +669,7 @@ func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, max
 		if value != nil {
 			v := 0.0
 			for j := range utils {
-				v += core.StageDelayFactor(s.util(j))
+				v += core.StageDelayFactor(s.st.Util(j))
 			}
 			*value = v
 		}
@@ -705,35 +686,18 @@ func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, max
 	return lv, ok
 }
 
-// fitLevel is the exact region test Σ_j f(utils_j + d_j·scales_j) ≤
-// bound for the demand d at maxLevel. When that fails and the request
-// carries optional demand (opt non-nil), it binary-searches the highest
-// level below maxLevel that fits: demand only grows with the level, so
-// a failing mandatory-only test rejects every level.
+// fitLevel runs the quality cascade (core.FitLevel) over the exact
+// region test Σ_j f(utils_j + d_j·scales_j) ≤ bound, where d is the
+// demand at the level; only a request with optional demand (opt
+// non-nil) is searched below maxLevel.
 func fitLevel(utils, scales, raw, opt []float64, maxLevel int, bound float64) (int, bool) {
-	sumAt := func(lv int) float64 {
+	return core.FitLevel(maxLevel, opt != nil, func(lv int) bool {
 		sum := 0.0
 		for j, u := range utils {
 			sum += core.StageDelayFactor(u + rawAt(raw, opt, j, lv)*scales[j])
 		}
-		return sum
-	}
-	switch {
-	case sumAt(maxLevel) <= bound:
-		return maxLevel, true
-	case opt == nil || maxLevel == 0 || sumAt(0) > bound:
-		return 0, false
-	}
-	lo, hi := 0, maxLevel-1
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if sumAt(mid) <= bound {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, true
+		return sum <= bound
+	})
 }
 
 // gateRejects is the lock-free overload reject: valid only while the
@@ -775,7 +739,9 @@ func (c *Controller) gateRejects(raw, opt []float64) bool {
 	return sum > c.boundNow()
 }
 
-// Release drops the request's contribution on all stages immediately.
+// Release drops the request's contribution on all stages immediately —
+// call it when a request is cancelled or finishes well before its
+// deadline and the caller prefers eager accounting over the idle reset.
 // The wheel entry is left to be discarded lazily at its flush (the
 // table no longer matches it). There is no purge, and the wake hook
 // runs only when a contribution was removed; an expired or unknown ID
@@ -793,12 +759,12 @@ func (c *Controller) Release(id uint64) {
 // releaseLocked removes one row; reports whether any stage still
 // charged it. Callers hold s.mu.
 func (s *shard) releaseLocked(c *Controller, id uint64) bool {
-	slot, ok := s.tbl.Lookup(id)
+	slot, ok := s.st.Lookup(id)
 	if !ok {
 		return false
 	}
-	removed := s.tbl.Live(slot)
-	s.dropLocked(slot)
+	removed := s.st.Live(slot)
+	s.st.Drop(slot)
 	if removed {
 		s.releasedTraffic++
 		s.noteHintOpLocked()
@@ -832,10 +798,12 @@ func (c *Controller) eachByShard(ids []uint64, fn func(s *shard, id uint64)) (ex
 	return expired
 }
 
-// ReleaseAll drops a burst of contributions, one lock acquisition and
-// one purge per shard, with a single coalesced wake at the end — so a
-// burst release hands out exactly one wake token. Returns how many IDs
-// still had a live contribution.
+// ReleaseAll drops a burst of contributions — the batch mirror of
+// Release, for services that complete requests in bursts — with one
+// lock acquisition and one purge per shard and a single coalesced wake
+// at the end (covering anything the purges expired), so a burst release
+// hands out exactly one wake token. Returns how many IDs still had a
+// live contribution.
 func (c *Controller) ReleaseAll(ids []uint64) int {
 	if len(ids) == 0 {
 		return 0
@@ -862,8 +830,8 @@ func (c *Controller) MarkDeparted(stage int, id uint64) {
 }
 
 func (s *shard) markDepartedLocked(stage int, id uint64) {
-	if slot, ok := s.tbl.Lookup(id); ok && s.tbl.Present(slot, stage) {
-		s.tbl.MarkDeparted(slot, stage, id)
+	if slot, ok := s.st.Lookup(id); ok && s.st.Present(slot, stage) {
+		s.st.MarkDeparted(slot, stage, id)
 	}
 }
 
@@ -881,8 +849,11 @@ func (c *Controller) MarkDepartedAll(stage int, ids []uint64) {
 }
 
 // StageIdle performs the paper's idle reset for a stage on every shard:
-// rows that departed the stage stop charging it. Each shard drains its
-// departed list, so the reset costs what departed, not the table size.
+// rows that departed the stage stop charging it, drained in
+// ascending-ID order (cleared rows stay in the table until their
+// deadline expiry). Call it when the stage's worker pool drains (no
+// queued or running work). Each shard drains its departed list, so the
+// reset costs what departed, not the table size.
 func (c *Controller) StageIdle(stage int) {
 	now := c.nowNano()
 	freed := 0
@@ -890,7 +861,7 @@ func (c *Controller) StageIdle(stage int) {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		expired += s.purgeLocked(c, s.monotoneLocked(now))
-		if n := s.resetIdleLocked(stage); n > 0 {
+		if n := s.st.ResetIdle(stage); n > 0 {
 			s.releasedTraffic += uint64(n)
 			s.updateHintLocked()
 			c.noteFreed()
@@ -904,15 +875,6 @@ func (c *Controller) StageIdle(stage int) {
 	if freed > 0 || expired > 0 {
 		c.hook()
 	}
-}
-
-// resetIdleLocked clears stage from every row flagged departed there,
-// draining the departed list in ascending-ID order as
-// core.Ledger.ResetIdle does. Cleared rows stay in the table until
-// their deadline expiry. Returns how many rows it cleared. Callers hold
-// s.mu.
-func (s *shard) resetIdleLocked(stage int) int {
-	return s.tbl.ResetIdle(stage, &s.sums[stage])
 }
 
 // NextExpiry returns the earliest time (UnixNano) a purge on any shard
@@ -938,7 +900,7 @@ func (c *Controller) StageUtilization(j int) float64 {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		expired += s.purgeLocked(c, s.monotoneLocked(now))
-		sum += s.util(j)
+		sum += s.st.Util(j)
 		s.mu.Unlock()
 	}
 	if expired > 0 {
@@ -967,7 +929,7 @@ func (c *Controller) addUtils(utils []float64) {
 		s.mu.Lock()
 		expired += s.purgeLocked(c, s.monotoneLocked(now))
 		for j := range utils {
-			utils[j] += s.util(j)
+			utils[j] += s.st.Util(j)
 		}
 		s.mu.Unlock()
 	}
@@ -981,7 +943,7 @@ func (c *Controller) addUtils(utils []float64) {
 func (c *Controller) ShardStageUtilization(k, j int) float64 {
 	s := c.shards[k]
 	s.mu.Lock()
-	u := s.util(j)
+	u := s.st.Util(j)
 	s.mu.Unlock()
 	return u
 }
@@ -1007,6 +969,7 @@ func (c *Controller) Bound() float64 { return c.boundNow() }
 // admission bound — one clock sample and one pass over the shards, each
 // purged first, without allocating. Like Utilizations it is not one
 // atomic cut under concurrent admits; at quiesce it is exact.
+// bound − value is the headroom a cluster replica publishes.
 func (c *Controller) RegionValue() (value, bound float64) {
 	var stack [maxStackStages]float64
 	utils, pooled := c.scratch(stack[:], 1)
@@ -1021,7 +984,8 @@ func (c *Controller) RegionValue() (value, bound float64) {
 	return value, c.boundNow()
 }
 
-// Region returns a copy of the controller's current feasible region.
+// Region returns a copy of the controller's current feasible region
+// (the base configuration, or the latest SetRegionInputs update).
 func (c *Controller) Region() core.Region {
 	c.gmu.Lock()
 	defer c.gmu.Unlock()

@@ -1,24 +1,33 @@
-// Package tasktable is the task table both admission planes keep their
-// per-task contributions in: core.Controller (simulated time) and each
-// shard of internal/shard (wall clock).
+// Package tasktable is the region state every admission plane keeps:
+// per-stage synthetic utilization U_j = reserved_j + Σ_i C_ij/D_i over
+// the tasks still charging stage j. core.Controller (simulated time),
+// each shard of internal/shard (wall clock), core.GraphController and
+// the split-deadline baseline all hold one State.
 //
-// A Table is an open-addressing hash table (linear probing,
-// backward-shift deletion, full uint64 key range) over parallel
-// pointer-free stride arrays. One admitted task is one row: an opaque
-// stamp, a quality level, per-stage contributions, and departed/cleared
-// bitmaps. An admit is one probe and row write, a release one probe and
-// backward shift, where per-stage map ledgers pay a map operation per
-// stage.
+// A State owns the rows, one Kahan-compensated sum per stage and the
+// stages' reserved floors. It is clock-free and lock-free: the owning
+// driver keeps the clock, schedules expiry, serializes access, and
+// computes each admission's contribution vector (estimator, scales,
+// quality level) before handing it over. Every add, subtract and
+// rebaseline happens in core.Ledger's order, so a State's utilizations
+// are bit-identical to a set of core.Ledgers fed the same operations.
 //
-// Stage-level semantics mirror core.Ledger: an idle reset clears a row
-// at one stage (contribution 0, cleared bit set) while other stages
-// still charge it. A fully-cleared row lingers until its owner deletes
-// it at its deadline; inserting its ID again recycles it in place under
-// the new stamp. Per stage the table counts the rows still charging it
-// (the owner rebaselines its sum to exactly 0 when the count reaches 0)
-// and keeps the departed list the idle reset drains in ascending-ID
-// order (in list order when the reset empties the stage). The owner keeps a Kahan-compensated Sum per stage next to the
-// table and serializes access.
+// The rows live in a Table, an open-addressing hash table (linear
+// probing, backward-shift deletion, full uint64 key range) over
+// parallel pointer-free stride arrays. One admitted task is one row: an
+// opaque stamp, a quality level, per-stage contributions, and
+// departed/cleared bitmaps. An admit is one probe and row write, a
+// release one probe and backward shift.
+//
+// An idle reset clears a row at one stage (contribution 0, cleared bit
+// set) while other stages still charge it. A fully-cleared row lingers
+// until its owner drops it at its deadline; inserting its ID again
+// recycles it in place under the new stamp, and the stamp lets an
+// owner's expiry tell its own admission from a later one. Per stage the
+// table counts the rows still charging it (the sum is rebaselined to
+// exactly 0 when the count reaches 0) and keeps the departed list the
+// idle reset drains in ascending-ID order (in list order when the reset
+// empties the stage).
 package tasktable
 
 import (
@@ -26,7 +35,7 @@ import (
 	"slices"
 )
 
-// Table stores one row per admitted task; create it with New.
+// Table stores one row per admitted task: the row store of a State.
 type Table struct {
 	stages int
 	words  int    // bitmap words per row: ceil(stages/64)
@@ -61,8 +70,8 @@ const minSize = 16
 // worth a sort (core.Ledger's threshold).
 const compactMin = 64
 
-// New returns an empty table for up to 65535 stages.
-func New(stages int) Table {
+// newTable returns an empty table for up to 65535 stages.
+func newTable(stages int) Table {
 	t := Table{
 		stages:  stages,
 		words:   (stages + 63) / 64,
@@ -109,10 +118,10 @@ func (t *Table) Lookup(id uint64) (int, bool) {
 	}
 }
 
-// Insert claims a row charging every stage and returns its slot for the
-// caller's SetContrib calls. A fully-cleared row for id is recycled in
+// insert claims a row charging every stage and returns its slot for the
+// caller's setContrib calls. A fully-cleared row for id is recycled in
 // place; inserting an id whose row still charges a stage panics.
-func (t *Table) Insert(id uint64, stamp int64, level uint8) int {
+func (t *Table) insert(id uint64, stamp int64, level uint8) int {
 	if t.live*4 >= len(t.keys)*3 {
 		t.grow()
 	}
@@ -174,10 +183,10 @@ func (t *Table) copyRow(dst int, from *Table, src int) {
 	copy(t.cleared[dst*t.words:(dst+1)*t.words], from.cleared[src*t.words:(src+1)*t.words])
 }
 
-// Delete removes the row by backward shift (so lookups need no
+// deleteRow removes the row by backward shift (so lookups need no
 // tombstones; other rows may move). The caller first drops every stage
-// the row still charges (DropStage).
-func (t *Table) Delete(slot int) {
+// the row still charges (dropStage).
+func (t *Table) deleteRow(slot int) {
 	t.live--
 	if slot == len(t.keys) {
 		t.spill = false
@@ -210,8 +219,8 @@ func (t *Table) SetLevel(slot int, level uint8) { t.levels[slot] = level }
 // Contrib returns the row's contribution at stage j (0 once cleared).
 func (t *Table) Contrib(slot, j int) float64 { return t.contribs[slot*t.stages+j] }
 
-// SetContrib writes the row's contribution at stage j.
-func (t *Table) SetContrib(slot, j int, v float64) { t.contribs[slot*t.stages+j] = v }
+// setContrib writes the row's contribution at stage j.
+func (t *Table) setContrib(slot, j int, v float64) { t.contribs[slot*t.stages+j] = v }
 
 // Live reports whether the row still charges at least one stage.
 func (t *Table) Live(slot int) bool { return t.liveN[slot] != 0 }
@@ -254,7 +263,7 @@ func (t *Table) MarkDeparted(slot, j int, id uint64) {
 
 // sortDeparted sorts stage j's departed list in place and returns it:
 // the idle reset drains in core.Ledger's ascending-ID order, keeping the
-// owners' Kahan sums bit-identical to a Ledger's.
+// State's Kahan sums bit-identical to a Ledger's.
 func (t *Table) sortDeparted(j int) []uint64 {
 	slices.Sort(t.dep[j])
 	return t.dep[j]
@@ -274,10 +283,10 @@ func (t *Table) flagged(ids []uint64, i, j int) (int, bool) {
 	return slot, true
 }
 
-// DropStage removes the row's charge at stage j (which must be Present)
+// dropStage removes the row's charge at stage j (which must be Present)
 // from the per-stage counts and returns how many rows still charge the
-// stage; the caller subtracts the contribution from its Sum.
-func (t *Table) DropStage(slot, j int) int {
+// stage; the caller subtracts the contribution from its sum.
+func (t *Table) dropStage(slot, j int) int {
 	if t.departedAt(slot, j) {
 		t.pending[j]--
 	}
@@ -285,7 +294,7 @@ func (t *Table) DropStage(slot, j int) int {
 	return t.nlive[j]
 }
 
-// ResetIdle clears stage j from every row flagged departed there,
+// resetIdle clears stage j from every row flagged departed there,
 // subtracting each contribution from sum in ascending-ID order. It
 // returns how many rows it cleared.
 //
@@ -294,7 +303,7 @@ func (t *Table) DropStage(slot, j int) int {
 // so the rows are cleared in list order, unsorted: a lookup miss skips
 // a stale entry, and a cleared row's departed bit is off, which skips
 // its duplicates.
-func (t *Table) ResetIdle(j int, sum *Sum) int {
+func (t *Table) resetIdle(j int, sum *kahan) int {
 	n := t.pending[j]
 	switch {
 	case n == 0:
@@ -317,38 +326,12 @@ func (t *Table) ResetIdle(j int, sum *Sum) int {
 	return n
 }
 
-// clearStage is DropStage for a row that stays in the table (idle
+// clearStage is dropStage for a row that stays in the table (idle
 // reset): stage j's charge is zeroed and marked cleared.
-func (t *Table) clearStage(slot, j int, sum *Sum) {
-	sum.Sub(t.Contrib(slot, j), t.DropStage(slot, j))
+func (t *Table) clearStage(slot, j int, sum *kahan) {
+	sum.sub(t.Contrib(slot, j), t.dropStage(slot, j))
 	t.contribs[slot*t.stages+j] = 0
 	t.cleared[slot*t.words+j>>6] |= 1 << (uint(j) & 63)
 	t.departed[slot*t.words+j>>6] &^= 1 << (uint(j) & 63)
 	t.liveN[slot]--
-}
-
-// Sum is one stage's Kahan-compensated running sum of contributions,
-// with core.Ledger's arithmetic: millions of add/subtract pairs do not
-// drift it, and a fixed operation order gives bit-identical results.
-type Sum struct{ v, comp float64 }
-
-// Value returns the sum.
-func (s *Sum) Value() float64 { return s.v }
-
-// Add accumulates x.
-func (s *Sum) Add(x float64) {
-	y := x - s.comp
-	t := s.v + y
-	s.comp = (t - s.v) - y
-	s.v = t
-}
-
-// Sub removes x; left is how many rows still charge the stage. At 0 the
-// sum is rebaselined to exactly 0, killing residual floating error
-// before the stage's next busy period.
-func (s *Sum) Sub(x float64, left int) {
-	s.Add(-x)
-	if left == 0 {
-		*s = Sum{}
-	}
 }

@@ -14,9 +14,9 @@ func xorshift(seed uint64) func(n uint64) uint64 {
 
 // insertRow inserts id charging stage j with v(j) and returns its slot.
 func insertRow(t *Table, id uint64, stamp int64, v func(j int) float64) int {
-	slot := t.Insert(id, stamp, 0)
+	slot := t.insert(id, stamp, 0)
 	for j := 0; j < t.stages; j++ {
-		t.SetContrib(slot, j, v(j))
+		t.setContrib(slot, j, v(j))
 	}
 	return slot
 }
@@ -25,10 +25,10 @@ func insertRow(t *Table, id uint64, stamp int64, v func(j int) float64) int {
 func remove(t *Table, slot int) {
 	for j := 0; j < t.stages; j++ {
 		if t.Present(slot, j) {
-			t.DropStage(slot, j)
+			t.dropStage(slot, j)
 		}
 	}
-	t.Delete(slot)
+	t.deleteRow(slot)
 }
 
 // checkModel requires every key of the model to be findable with its
@@ -62,7 +62,7 @@ func checkModel(t *testing.T, tab *Table, model map[uint64]int64, step int) {
 // checks every remaining key stays findable with its own row after each
 // backward-shift deletion.
 func TestBackwardShiftDeleteKeepsKeysFindable(t *testing.T) {
-	tab := New(2)
+	tab := newTable(2)
 	next := xorshift(0x9E3779B97F4A7C15)
 	model := map[uint64]int64{}
 	for step := 0; step < 20000; step++ {
@@ -94,16 +94,16 @@ func TestBackwardShiftDeleteKeepsKeysFindable(t *testing.T) {
 // and cleared bits.
 func TestGrowPreservesRows(t *testing.T) {
 	const n = 1000
-	tab := New(3)
+	tab := newTable(3)
 	contrib := func(id uint64, j int) float64 { return float64(id)*10 + float64(j) }
 	for id := uint64(0); id < n; id++ {
 		key := id
 		if id == n-1 {
 			key = MaxID
 		}
-		slot := tab.Insert(key, int64(id)+7, uint8(id%8))
+		slot := tab.insert(key, int64(id)+7, uint8(id%8))
 		for j := 0; j < 3; j++ {
-			tab.SetContrib(slot, j, contrib(id, j))
+			tab.setContrib(slot, j, contrib(id, j))
 		}
 		switch id % 3 {
 		case 1:
@@ -116,7 +116,7 @@ func TestGrowPreservesRows(t *testing.T) {
 		t.Fatalf("table never grew: %d slots", len(tab.keys))
 	}
 	// Stage 0's idle reset clears exactly the id%3 == 2 rows.
-	if cleared := tab.ResetIdle(0, &Sum{}); cleared != n/3 {
+	if cleared := tab.resetIdle(0, &kahan{}); cleared != n/3 {
 		t.Fatalf("idle reset cleared %d rows, want %d", cleared, n/3)
 	}
 	for id := uint64(0); id < n; id++ {
@@ -158,27 +158,27 @@ func TestGrowPreservesRows(t *testing.T) {
 // again. A row that still charges a stage cannot be re-inserted.
 func TestClearedRowRecycledInPlace(t *testing.T) {
 	for _, id := range []uint64{5, MaxID} {
-		tab := New(2)
+		tab := newTable(2)
 		slot := insertRow(&tab, id, 1, func(int) float64 { return 0.25 })
 		tab.MarkDeparted(slot, 0, id)
-		tab.ResetIdle(0, &Sum{})
+		tab.resetIdle(0, &kahan{})
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("id %#x: insert over a row still charging stage 1 did not panic", id)
 				}
 			}()
-			tab.Insert(id, 2, 0)
+			tab.insert(id, 2, 0)
 		}()
 		tab.MarkDeparted(slot, 1, id)
-		sum := Sum{}
-		sum.Add(0.25)
-		sum.Add(1e-17) // residue the rebaseline must drop
-		tab.ResetIdle(1, &sum)
-		if sum != (Sum{}) || tab.Live(slot) || tab.Len() != 1 {
+		sum := kahan{}
+		sum.add(0.25)
+		sum.add(1e-17) // residue the rebaseline must drop
+		tab.resetIdle(1, &sum)
+		if sum != (kahan{}) || tab.Live(slot) || tab.Len() != 1 {
 			t.Fatalf("id %#x: after both resets sum=%+v live=%v len=%d", id, sum, tab.Live(slot), tab.Len())
 		}
-		if got := tab.Insert(id, 2, 3); got != slot {
+		if got := tab.insert(id, 2, 3); got != slot {
 			t.Fatalf("id %#x: recycled into slot %d, want %d", id, got, slot)
 		}
 		if tab.Stamp(slot) != 2 || tab.Level(slot) != 3 || !tab.Live(slot) || tab.Len() != 1 {
@@ -199,32 +199,32 @@ func TestClearedRowRecycledInPlace(t *testing.T) {
 // the last bit, so it must equal the sum fed in ascending-ID order. Row
 // 5 never departs, so the sum is not rebaselined.
 func TestResetIdleDrainsAscending(t *testing.T) {
-	tab := New(1)
+	tab := newTable(1)
 	ids := []uint64{40, 3, MaxID, 17, 0, 99, 1 << 40, 5}
 	contrib := map[uint64]float64{40: 0.1, 3: 0.7, MaxID: 1e-9, 17: 0.5, 0: 0.3, 99: 1.0 / 3, 1 << 40: 0.2, 5: 0.05}
-	var sum Sum
+	var sum kahan
 	for i, id := range ids {
 		slot := insertRow(&tab, id, int64(i), func(int) float64 { return contrib[id] })
-		sum.Add(contrib[id])
+		sum.add(contrib[id])
 		if id != 5 {
 			tab.MarkDeparted(slot, 0, id)
 			tab.MarkDeparted(slot, 0, id) // a second mark is a no-op
 		}
 	}
 	slot, _ := tab.Lookup(17)
-	sum.Sub(0.5, tab.DropStage(slot, 0))
-	tab.Delete(slot) // stale entry: row gone
+	sum.sub(0.5, tab.dropStage(slot, 0))
+	tab.deleteRow(slot) // stale entry: row gone
 	want, inserted := sum, sum
 	for _, id := range []uint64{0, 3, 40, 99, 1 << 40, MaxID} {
-		want.Sub(contrib[id], 1)
+		want.sub(contrib[id], 1)
 	}
 	for _, id := range []uint64{40, 3, MaxID, 0, 99, 1 << 40} {
-		inserted.Sub(contrib[id], 1)
+		inserted.sub(contrib[id], 1)
 	}
 	if want == inserted {
 		t.Fatal("values do not tell the drain orders apart")
 	}
-	if n := tab.ResetIdle(0, &sum); n != 6 || sum != want {
+	if n := tab.resetIdle(0, &sum); n != 6 || sum != want {
 		t.Fatalf("drained %d rows to %+v, want 6 rows to %+v", n, sum, want)
 	}
 	if tab.Charging(0) != 1 || len(tab.dep[0]) != 0 || tab.pending[0] != 0 {
@@ -239,25 +239,25 @@ func TestResetIdleDrainsAscending(t *testing.T) {
 // mark and the spill row. The sum must end exactly 0 and the counts
 // must match the rows left charging stage 1.
 func TestResetIdleEmptiesStage(t *testing.T) {
-	tab := New(2)
-	var sum Sum
+	tab := newTable(2)
+	var sum kahan
 	add := func(id uint64, v float64) int {
 		slot := insertRow(&tab, id, int64(id), func(int) float64 { return v })
-		sum.Add(v)
+		sum.add(v)
 		return slot
 	}
 	drop := func(id uint64) {
 		slot, _ := tab.Lookup(id)
-		sum.Sub(tab.Contrib(slot, 0), tab.DropStage(slot, 0))
-		tab.DropStage(slot, 1)
-		tab.Delete(slot)
+		sum.sub(tab.Contrib(slot, 0), tab.dropStage(slot, 0))
+		tab.dropStage(slot, 1)
+		tab.deleteRow(slot)
 	}
 	// Recycle row 3 in place: clear both stages, then insert it again.
 	slot3 := add(3, 0.3)
 	tab.MarkDeparted(slot3, 0, 3)
 	tab.MarkDeparted(slot3, 1, 3)
-	tab.ResetIdle(0, &sum)
-	tab.ResetIdle(1, &Sum{})
+	tab.resetIdle(0, &sum)
+	tab.resetIdle(1, &kahan{})
 	if got := add(3, 0.3); got != slot3 {
 		t.Fatalf("row 3 recycled into slot %d, want %d", got, slot3)
 	}
@@ -272,15 +272,15 @@ func TestResetIdleEmptiesStage(t *testing.T) {
 	tab.MarkDeparted(slot4, 0, 4) // no-op
 	tab.MarkDeparted(add(MaxID, 1e-9), 0, MaxID)
 	tab.MarkDeparted(slot3, 0, 3)
-	sum.Add(1e-17) // residue the rebaseline must drop
+	sum.add(1e-17) // residue the rebaseline must drop
 
 	if p, c := tab.pending[0], tab.Charging(0); p != 4 || c != 4 {
 		t.Fatalf("before reset: %d flagged of %d charging, want 4 of 4", p, c)
 	}
-	if n := tab.ResetIdle(0, &sum); n != 4 {
+	if n := tab.resetIdle(0, &sum); n != 4 {
 		t.Fatalf("reset cleared %d rows, want 4", n)
 	}
-	if sum != (Sum{}) {
+	if sum != (kahan{}) {
 		t.Fatalf("sum after emptying the stage = %+v, want exactly 0", sum)
 	}
 	if tab.Charging(0) != 0 || tab.Charging(1) != 4 || tab.pending[0] != 0 || len(tab.dep[0]) != 0 {
@@ -304,7 +304,7 @@ func TestResetIdleEmptiesStage(t *testing.T) {
 // reset, and once stale entries make up half the list it is compacted
 // rather than grown.
 func TestDepartedListBounded(t *testing.T) {
-	tab := New(2)
+	tab := newTable(2)
 	var inflight []uint64 // rows live for 10 admissions, then expire
 	longest := 0
 	for id := uint64(1); id <= 5000; id++ {
@@ -320,7 +320,7 @@ func TestDepartedListBounded(t *testing.T) {
 	if longest > 2*compactMin {
 		t.Fatalf("departed list reached %d entries on a stage that never idles, want ≤ %d", longest, 2*compactMin)
 	}
-	if n := tab.ResetIdle(0, &Sum{}); n != len(inflight) {
+	if n := tab.resetIdle(0, &kahan{}); n != len(inflight) {
 		t.Fatalf("idle reset cleared %d rows, want %d", n, len(inflight))
 	}
 	if n := len(tab.dep[0]); n != 0 {
@@ -332,7 +332,7 @@ func TestDepartedListBounded(t *testing.T) {
 // departures and idle resets) at zero allocations once the table and
 // departed lists have reached their working size.
 func TestChurnAllocationFree(t *testing.T) {
-	tab := New(3)
+	tab := newTable(3)
 	const window = 1000
 	id := uint64(0)
 	churn := func() {
@@ -344,7 +344,7 @@ func TestChurnAllocationFree(t *testing.T) {
 				remove(&tab, old)
 			}
 			if id%50 == 0 {
-				tab.ResetIdle(int(id%3), &Sum{})
+				tab.resetIdle(int(id%3), &kahan{})
 			}
 		}
 	}
