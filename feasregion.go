@@ -246,7 +246,8 @@ func NewGraphController(sim *Simulator, resources int, alpha float64, betas []fl
 	return core.NewGraphController(sim, resources, alpha, betas)
 }
 
-// WaitQueue holds non-admissible arrivals for a bounded time (§5).
+// WaitQueue holds non-admissible arrivals for a bounded time (§5). Unlike
+// the pipelines, it keeps the submitted task pointer while it holds it.
 type WaitQueue = core.WaitQueue
 
 // NewWaitQueue wraps a controller with hold-and-retry admission.
@@ -269,6 +270,8 @@ type Simulator = des.Simulator
 func NewSimulator() *Simulator { return des.New() }
 
 // Pipeline simulates an N-stage resource pipeline with admission control.
+// Its Offer and Inject, like the other pipelines', copy the task they
+// keep, so the caller may reuse its task once the call returns.
 type Pipeline = pipeline.Pipeline
 
 // PipelineOptions configures NewPipeline.
@@ -717,7 +720,7 @@ func OpenTrace(r io.Reader) (*TraceReader, error) { return workload.OpenTrace(r)
 func ImportTraceCSV(r io.Reader, w io.Writer) (uint64, error) { return workload.ImportCSV(r, w) }
 
 // ReplayOptions are the stress knobs of a trace replay (time
-// compression, rate multiplication, limits, task reuse).
+// compression, rate multiplication, limits).
 type ReplayOptions = workload.ReplayOptions
 
 // Replayer streams a binary trace through a simulator with one pending
@@ -725,7 +728,8 @@ type ReplayOptions = workload.ReplayOptions
 type Replayer = workload.Replayer
 
 // NewReplayer wraps an open trace reader for streaming replay into
-// offer.
+// offer. Every record arrives as one reused task value, so offer must
+// not keep the pointer; the pipelines' Offer copies what it keeps.
 func NewReplayer(sim *Simulator, tr *TraceReader, opts ReplayOptions, offer func(*Task)) (*Replayer, error) {
 	return workload.NewReplayer(sim, tr, opts, offer)
 }

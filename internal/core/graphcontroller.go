@@ -124,6 +124,8 @@ func (c *GraphController) WouldAdmit(t *task.Task) bool {
 // TryAdmit runs the test and, on success, commits the task's
 // contributions and schedules their removal at its absolute deadline.
 // The increments are computed once and shared between test and commit.
+// An admitted task's graph is kept, and re-tested against later
+// arrivals, until that deadline: do not change it meanwhile.
 func (c *GraphController) TryAdmit(t *task.Task) bool {
 	d := c.deltas(t)
 	if d == nil || !c.wouldAdmitDeltas(t, d) {

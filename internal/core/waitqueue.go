@@ -76,7 +76,8 @@ func (w *WaitQueue) Stats() WaitStats { return w.stats }
 // PendingLen returns the number of tasks currently held.
 func (w *WaitQueue) PendingLen() int { return len(w.pending) }
 
-// Submit runs the admission test, holding the task on failure.
+// Submit runs the admission test, holding the task on failure. A held
+// task is kept by pointer: the caller must not reuse it.
 func (w *WaitQueue) Submit(t *task.Task) {
 	if w.c.WouldAdmit(t) {
 		w.c.commitAdmit(t)

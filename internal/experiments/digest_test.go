@@ -46,7 +46,6 @@ func digestScenario(seed int64) *workload.Scenario {
 // digestStack is one simulated stack under test.
 type digestStack struct {
 	offer func(*task.Task) bool
-	reuse bool          // the stack retains no offered task
 	text  func() []byte // renders the metrics page, nil for none
 }
 
@@ -67,7 +66,6 @@ func digestReplay(t *testing.T, trace []byte, rate, mid float64, mk func(*des.Si
 	rp, err := workload.NewReplayer(sim, r, workload.ReplayOptions{
 		RateMultiplier: rate,
 		Limit:          digestRecords,
-		ReuseTask:      st.reuse,
 	}, func(tk *task.Task) {
 		d := uint64(0)
 		if st.offer(tk) {
@@ -120,7 +118,7 @@ func TestSimStackDigests(t *testing.T) {
 		}
 		admit, _, _ := digestReplay(t, trace.Bytes(), 6, 0, func(sim *des.Simulator) digestStack {
 			ctl := core.NewController(sim, core.NewRegion(3), nil)
-			return digestStack{offer: ctl.TryAdmit, reuse: true}
+			return digestStack{offer: ctl.TryAdmit}
 		})
 		pipe, midPage, page := digestReplay(t, trace.Bytes(), 12, digestMidScrape, func(sim *des.Simulator) digestStack {
 			reg := metrics.NewRegistry()

@@ -146,7 +146,6 @@ func replayOnce(path string, cfg ReplayConfig) (ReplayRun, error) {
 	rp, err := workload.NewReplayer(sim, tr, workload.ReplayOptions{
 		TimeCompress:   cfg.TimeCompress,
 		RateMultiplier: cfg.RateMultiplier,
-		ReuseTask:      true, // admission never retains the task
 	}, offer)
 	if err != nil {
 		return ReplayRun{}, err

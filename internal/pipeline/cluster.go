@@ -188,7 +188,9 @@ func (cp *ClusterPipeline) Pipe(id int) *Pipeline {
 // Offer routes one arriving task: the policy nominates up to two
 // candidate replicas, the first is offered the task through its own
 // pipeline (admission included), and a refusal rolls the placement back
-// to the second. It reports whether any replica admitted the task.
+// to the second. It reports whether any replica admitted the task. Like
+// Pipeline.Offer, it keeps only a copy: the caller may reuse t once
+// Offer returns.
 func (cp *ClusterPipeline) Offer(t *task.Task) bool {
 	if cp.measuring {
 		cp.offered++

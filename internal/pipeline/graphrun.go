@@ -119,9 +119,12 @@ func (g *GraphSystem) Resource(k int) *sched.Stage { return g.resources[k] }
 // Offer presents an arriving DAG task: priority assignment, Theorem 2
 // admission, then execution. With a wait queue configured the task may
 // instead be held; Offer then returns false and the task may still enter
-// later. It reports whether the task entered service immediately.
+// later. It reports whether the task entered service immediately. Offer
+// sets t.Priority, then works on a copy of t and its graph, so the
+// caller may reuse t once Offer returns.
 func (g *GraphSystem) Offer(t *task.Task) bool {
 	t.Priority = g.policy.Assign(t, g.prng)
+	t = own(t)
 	if g.wq != nil {
 		g.wq.Submit(t)
 		return false
@@ -134,10 +137,23 @@ func (g *GraphSystem) Offer(t *task.Task) bool {
 }
 
 // Inject bypasses admission and starts the DAG task immediately — for
-// certified critical tasks covered by the reserved floors.
+// certified critical tasks covered by the reserved floors. Like Offer,
+// it copies the task it keeps.
 func (g *GraphSystem) Inject(t *task.Task) {
 	t.Priority = g.policy.Assign(t, g.prng)
-	g.run(t)
+	g.run(own(t))
+}
+
+// own copies a DAG task and its graph's nodes and edges.
+func own(t *task.Task) *task.Task {
+	c := *t
+	if g := t.Graph; g != nil {
+		c.Graph = &task.Graph{Nodes: append([]task.Node(nil), g.Nodes...), Edges: make([][]int, len(g.Edges))}
+		for i, succs := range g.Edges {
+			c.Graph.Edges[i] = append([]int(nil), succs...)
+		}
+	}
+	return &c
 }
 
 // run executes the task's DAG: source nodes start at once; each

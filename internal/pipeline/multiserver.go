@@ -58,7 +58,7 @@ func (m *MultiServerPipeline) resource(stage, server int) int {
 // Offer admits and starts a chain task: for each stage the least-
 // utilized CPU is chosen, the task is rewritten as a chain over those
 // CPUs, and Theorem 2 admission decides. It reports whether the task
-// entered service.
+// entered service. The caller may reuse t once Offer returns.
 func (m *MultiServerPipeline) Offer(t *task.Task) bool {
 	if len(t.Subtasks) != m.stages {
 		panic(fmt.Sprintf("pipeline: task %d has %d subtasks for %d stages", t.ID, len(t.Subtasks), m.stages))

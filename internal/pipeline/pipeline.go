@@ -24,7 +24,8 @@ import (
 // paper's core.Controller, or an alternative policy such as the
 // intermediate-deadline baseline.
 type Admitter interface {
-	// TryAdmit tests and, on success, commits an arriving task.
+	// TryAdmit tests and, on success, commits an arriving task. It
+	// must not keep t: the pipeline's caller may reuse it.
 	TryAdmit(t *task.Task) bool
 	// MarkDeparted records that the task finished service at the stage.
 	MarkDeparted(stage int, id task.ID)
@@ -299,10 +300,11 @@ type ClassMetrics struct {
 // inflight tracks one chain task's progress through the stages. A chain
 // task is resident on one stage at a time, so the record carries that
 // stage's job and is its completion target: advancing a task allocates
-// nothing. Records recycle through the pipeline's free list.
+// nothing. It holds the pipeline's copy of the task, subtasks in a slice
+// the record reuses. Records recycle through the pipeline's free list.
 type inflight struct {
 	p        *Pipeline
-	t        *task.Task
+	t        task.Task
 	stage    int
 	job      sched.Job // the current (or last) stage's job
 	injected bool      // bypassed admission (certified critical): never guarded
@@ -553,7 +555,7 @@ func (p *Pipeline) handleOverrun(stage int, job *sched.Job, consumed, observed f
 		return // already shed/finished, or a certified task (never evicted)
 	}
 	p.trace(f.t.ID, "guard", "overrun")
-	if !p.guard.HandleOverrun(f.t, stage, consumed, observed) {
+	if !p.guard.HandleOverrun(&f.t, stage, consumed, observed) {
 		return
 	}
 	p.abort(f, "overrun-evict")
@@ -585,6 +587,8 @@ func (p *Pipeline) RegisterLock(stage, lockID int, ceiling float64) {
 // scheduling priority, runs admission control, and injects the task into
 // stage 1 if admitted. With a wait queue configured the task may instead
 // be held; Offer then returns false and the task may still enter later.
+// Offer sets t.Priority but keeps only copies of t, so the caller may
+// reuse t once Offer returns (explicit Segments stay shared, unchanged).
 func (p *Pipeline) Offer(t *task.Task) bool {
 	if p.measuring {
 		p.offered++
@@ -592,7 +596,9 @@ func (p *Pipeline) Offer(t *task.Task) bool {
 	}
 	p.assignPriority(t)
 	if p.wq != nil {
-		p.wq.Submit(t)
+		held := *t
+		held.Subtasks = append([]task.Subtask(nil), t.Subtasks...)
+		p.wq.Submit(&held)
 		return false
 	}
 	if p.adm != nil && p.degradation {
@@ -674,7 +680,7 @@ func (p *Pipeline) victims(t *task.Task) ([]*task.Task, map[task.ID]*inflight) {
 		if f.injected || f.t.Importance >= t.Importance {
 			continue
 		}
-		vs = append(vs, f.t)
+		vs = append(vs, &f.t)
 		byID[f.t.ID] = f
 	}
 	task.OrderVictims(vs)
@@ -741,7 +747,7 @@ func (p *Pipeline) applyTrim(f *inflight, level int) bool {
 	if f == nil || level >= f.level || !f.t.HasOptional() {
 		return false
 	}
-	if _, ok := p.ctrl.Degrade(f.t, level); !ok {
+	if _, ok := p.ctrl.Degrade(&f.t, level); !ok {
 		return false
 	}
 	f.level = level
@@ -755,7 +761,7 @@ func (p *Pipeline) applyTrim(f *inflight, level int) bool {
 		d := f.t.StageDemandAt(j, level)
 		budget := math.Inf(1)
 		if p.guard != nil && !f.injected {
-			budget = p.guard.Budget(f.t, j) * d / sub.Demand
+			budget = p.guard.Budget(&f.t, j) * d / sub.Demand
 		}
 		p.stages[j].TrimTo(&f.job, d, budget) // a no-op unless the job is resident
 	}
@@ -787,10 +793,9 @@ func (p *Pipeline) Governor() *degrade.Governor { return p.governor }
 // contributions evicted, and it is counted as shed rather than
 // completed.
 func (p *Pipeline) abort(f *inflight, kind string) {
-	t := f.t
+	t := &f.t
 	p.stages[f.stage].Cancel(&f.job)
 	delete(p.inflight, t.ID)
-	p.release(f)
 	p.ctrl.Evict(t.ID)
 	p.metShed.Inc()
 	p.trace(t.ID, "admission", kind)
@@ -798,14 +803,15 @@ func (p *Pipeline) abort(f *inflight, kind string) {
 		p.shed++
 		p.class(t).Shed++
 	}
+	p.release(f)
 }
 
-// release returns a finished or aborted record to the free list. Its job
-// is no longer resident anywhere and the record is unreachable from
-// p.inflight, so nothing can pass it to Stage.Cancel or TrimTo again;
-// clearing it drops the task pointer for the garbage collector.
+// release returns a finished or aborted record to the free list. Callers
+// release last: the next startAs overwrites the record's task copy. Its
+// job is no longer resident anywhere and the record is unreachable from
+// p.inflight, so nothing can pass it to Stage.Cancel or TrimTo again.
 func (p *Pipeline) release(f *inflight) {
-	*f = inflight{next: p.free}
+	f.next = p.free
 	p.free = f
 }
 
@@ -837,7 +843,8 @@ func (p *Pipeline) class(t *task.Task) *ClassMetrics {
 // Inject bypasses admission control and starts the task immediately —
 // for certified critical tasks whose utilization is covered by the
 // reserved floor (paper §5). Injected tasks are exempt from the overrun
-// guard: their capacity was certified offline, not estimated.
+// guard: their capacity was certified offline, not estimated. Like
+// Offer, Inject copies the task it keeps.
 func (p *Pipeline) Inject(t *task.Task) {
 	p.assignPriority(t)
 	p.startAs(t, true, task.QualityLevels)
@@ -866,9 +873,12 @@ func (p *Pipeline) startAs(t *task.Task, injected bool, level int) {
 	if f != nil {
 		p.free = f.next
 	} else {
-		f = new(inflight)
+		f = &inflight{p: p}
 	}
-	*f = inflight{p: p, t: t, injected: injected, missStage: -1, level: level}
+	subs := append(f.t.Subtasks[:0], t.Subtasks...)
+	f.t = *t
+	f.t.Subtasks = subs
+	f.stage, f.injected, f.level, f.missStage = 0, injected, level, -1
 	if p.inflight != nil {
 		p.inflight[t.ID] = f
 	}
@@ -878,7 +888,7 @@ func (p *Pipeline) startAs(t *task.Task, injected bool, level int) {
 // advance submits the current stage's subtask, skipping zero-demand
 // stages, and finishes the task past the last stage.
 func (p *Pipeline) advance(f *inflight, now des.Time) {
-	t := f.t
+	t := &f.t
 	for f.stage < len(p.stages) {
 		j := f.stage
 		sub := t.Subtasks[j]
@@ -911,7 +921,7 @@ func (p *Pipeline) advance(f *inflight, now des.Time) {
 // Complete is the current stage's job completion: it records the stage
 // tenure, departs the task from the stage, and advances it.
 func (f *inflight) Complete(done des.Time) {
-	p, t, j := f.p, f.t, f.stage
+	p, t, j := f.p, &f.t, f.stage
 	enq := f.job.Submitted()
 	if f.missStage < 0 {
 		// The deadline fell inside this stage's tenure: the task died
@@ -937,12 +947,11 @@ func (f *inflight) Complete(done des.Time) {
 }
 
 func (p *Pipeline) finish(f *inflight, now des.Time) {
-	t := f.t
+	t := &f.t
 	if p.inflight != nil {
 		delete(p.inflight, t.ID)
 	}
-	level, missStage := f.level, f.missStage
-	p.release(f)
+	defer p.release(f) // after the last read of the task copy
 	miss := now > t.AbsoluteDeadline()+1e-9
 	p.departed++
 	p.trace(t.ID, "pipeline", "depart")
@@ -951,7 +960,7 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 		if p.metMissStage != nil {
 			// A deadline that expired before the first stage's tenure
 			// (e.g. while held in the wait queue) charges the entry stage.
-			j := missStage
+			j := f.missStage
 			if j < 0 {
 				j = 0
 			}
@@ -970,7 +979,7 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 	p.respP99.Add(resp)
 	p.missRatio.Observe(miss)
 	if !miss {
-		p.utility += t.Utility(level)
+		p.utility += t.Utility(f.level)
 	}
 	cm := p.class(t)
 	cm.Completed++

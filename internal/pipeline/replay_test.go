@@ -46,8 +46,8 @@ func replayIntoPipeline(t *testing.T, data []byte, opts workload.ReplayOptions) 
 	sim := des.New()
 	p := New(sim, Options{Stages: tr.Stages()})
 	p.BeginMeasurement()
-	// The pipeline retains admitted tasks in-flight, so the replayer
-	// must allocate per record (ReuseTask stays false).
+	// The replayer offers one reused task; the pipeline copies what it
+	// keeps in flight.
 	rp, err := workload.NewReplayer(sim, tr, opts, func(tk *task.Task) { p.Offer(tk) })
 	if err != nil {
 		t.Fatal(err)

@@ -26,21 +26,10 @@ type ReplayOptions struct {
 	// FirstID is the task ID assigned to the first record; subsequent
 	// records count up from it.
 	FirstID task.ID
-	// ReuseTask makes the replayer mutate and re-offer a single Task
-	// value instead of allocating one per record — zero steady-state
-	// allocations. Only safe when the sink consumes the task
-	// synchronously and does not retain it (admission testing does not;
-	// pipeline injection does — leave this false there). Without it,
-	// tasks and their subtasks are carved from chunks of replayChunk
-	// tasks, so one live task keeps its whole chunk reachable: a sink
-	// that retains a sparse subset of tasks holds up to replayChunk
-	// times their memory.
+	// Deprecated: ReuseTask is ignored. The replayer always offers one
+	// reused task value.
 	ReuseTask bool
 }
-
-// replayChunk is how many tasks the replayer allocates at once when it
-// does not reuse one task.
-const replayChunk = 256
 
 // Replayer streams a binary trace through a simulator, offering each
 // record at its (scaled) recorded arrival time. Unlike Replay.Schedule,
@@ -59,15 +48,16 @@ type Replayer struct {
 	rec     TraceRecord
 	pending bool // rec holds a record not yet offered
 	nextID  task.ID
-	reused  *task.Task
-	tasks   []task.Task    // unused rest of the current task chunk
-	subs    []task.Subtask // its subtask storage, Stages() per task
+	t       task.Task      // the one task value offered for every record
+	subs    []task.Subtask // its subtasks, Stages() of them
 	count   uint64
 	err     error
 }
 
 // NewReplayer wraps an open trace reader. The replayer takes over the
-// reader: do not call Next on it afterwards.
+// reader: do not call Next on it afterwards. It offers every record as
+// one reused task value, rewritten before each call, so offer must not
+// keep the pointer past the call; the pipelines copy what they keep.
 func NewReplayer(sim *des.Simulator, tr *TraceReader, opts ReplayOptions, offer func(*task.Task)) (*Replayer, error) {
 	if offer == nil {
 		return nil, fmt.Errorf("workload: replayer needs an offer sink")
@@ -90,11 +80,9 @@ func NewReplayer(sim *des.Simulator, tr *TraceReader, opts ReplayOptions, offer 
 		opts:    opts,
 		timeDiv: opts.TimeCompress * opts.RateMultiplier,
 		nextID:  opts.FirstID,
+		subs:    make([]task.Subtask, tr.Stages()),
 	}
 	rp.next = sim.NewAlarm(rp)
-	if opts.ReuseTask {
-		rp.reused = task.Chain(0, 0, 1, make([]float64, tr.Stages())...)
-	}
 	return rp, nil
 }
 
@@ -149,40 +137,19 @@ func (rp *Replayer) schedule() {
 // Fire offers the pending record and schedules the next one.
 func (rp *Replayer) Fire(now des.Time) {
 	rec := &rp.rec
-	t := rp.reused
-	if t == nil {
-		t = rp.newTask()
-	}
-	t.ID = rp.nextID
-	t.Arrival = now
-	t.Deadline = rec.Deadline / rp.opts.TimeCompress
 	for j, c := range rec.Demands {
-		t.Subtasks[j] = task.NewSubtask(c)
+		rp.subs[j] = task.NewSubtask(c)
 	}
-	t.Class = rp.className(rec.Class)
+	// A whole-value rewrite: nothing a sink wrote reaches the next record.
+	rp.t = task.Task{ID: rp.nextID, Arrival: now, Deadline: rec.Deadline / rp.opts.TimeCompress,
+		Subtasks: rp.subs, Class: rp.className(rec.Class)}
 	rp.nextID++
 	rp.count++
 	rp.pending = false
-	rp.offer(t)
+	rp.offer(&rp.t)
 	if rp.advance() {
 		rp.schedule()
 	}
-}
-
-// newTask hands out the next zeroed task of the current chunk, with its
-// subtask slice capped so an append by the sink cannot reach a
-// neighbour's subtasks.
-func (rp *Replayer) newTask() *task.Task {
-	k := rp.tr.Stages()
-	if len(rp.tasks) == 0 {
-		rp.tasks = make([]task.Task, replayChunk)
-		rp.subs = make([]task.Subtask, replayChunk*k)
-	}
-	t := &rp.tasks[0]
-	rp.tasks = rp.tasks[1:]
-	t.Subtasks = rp.subs[:k:k]
-	rp.subs = rp.subs[k:]
-	return t
 }
 
 func (rp *Replayer) className(c int) string {

@@ -221,8 +221,9 @@ func TestImportCSVRejectsUnordered(t *testing.T) {
 	}
 }
 
-// collectReplayed drives a replayer to completion and returns copies of
-// the offered tasks.
+// collectReplayed drives a replayer to completion and returns deep
+// copies of the offered tasks: the replayer rewrites one task value,
+// subtasks included, for every record.
 func collectReplayed(t *testing.T, data []byte, opts ReplayOptions) []task.Task {
 	t.Helper()
 	tr, err := OpenTrace(bytes.NewReader(data))
@@ -231,7 +232,11 @@ func collectReplayed(t *testing.T, data []byte, opts ReplayOptions) []task.Task 
 	}
 	sim := des.New()
 	var got []task.Task
-	rp, err := NewReplayer(sim, tr, opts, func(tk *task.Task) { got = append(got, *tk) })
+	rp, err := NewReplayer(sim, tr, opts, func(tk *task.Task) {
+		c := *tk
+		c.Subtasks = append([]task.Subtask(nil), tk.Subtasks...)
+		got = append(got, c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,22 +250,32 @@ func collectReplayed(t *testing.T, data []byte, opts ReplayOptions) []task.Task 
 	return got
 }
 
-func traceBytes(t *testing.T) []byte {
+// sampleReplay parses sampleTrace, labels its tasks with classes (one
+// left unlabelled) and records it as a binary trace.
+func sampleReplay(t *testing.T) (*Replay, []byte) {
 	t.Helper()
 	rep, err := ParseReplay(strings.NewReader(sampleTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, c := range []string{"tracking", "", "control"} {
+		rep.Tasks[i].Class = c
+	}
 	var buf bytes.Buffer
 	if _, err := rep.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return rep, buf.Bytes()
+}
+
+func traceBytes(t *testing.T) []byte {
+	t.Helper()
+	_, data := sampleReplay(t)
+	return data
 }
 
 func TestReplayerPlaysRecordedTimes(t *testing.T) {
-	data := traceBytes(t)
-	rep, _ := ParseReplay(strings.NewReader(sampleTrace))
+	rep, data := sampleReplay(t)
 	got := collectReplayed(t, data, ReplayOptions{})
 	if len(got) != len(rep.Tasks) {
 		t.Fatalf("replayed %d tasks, want %d", len(got), len(rep.Tasks))
@@ -272,6 +287,17 @@ func TestReplayerPlaysRecordedTimes(t *testing.T) {
 		}
 		if got[i].ID != task.ID(i) {
 			t.Fatalf("task %d has ID %d", i, got[i].ID)
+		}
+		if got[i].Class != want.Class {
+			t.Fatalf("task %d: class %q, want %q", i, got[i].Class, want.Class)
+		}
+		if len(got[i].Subtasks) != len(want.Subtasks) {
+			t.Fatalf("task %d: %d subtasks, want %d", i, len(got[i].Subtasks), len(want.Subtasks))
+		}
+		for j, sub := range want.Subtasks {
+			if g := got[i].Subtasks[j]; g.Demand != sub.Demand || g.Optional != 0 || g.Segments != nil {
+				t.Fatalf("task %d stage %d: subtask %+v, want demand %v", i, j, got[i].Subtasks[j], sub.Demand)
+			}
 		}
 	}
 }
@@ -315,38 +341,51 @@ func TestReplayerLimitAndFirstID(t *testing.T) {
 	}
 }
 
+// TestReplayerReuseTask pins the replayer's contract: one task value
+// for every record, whatever ReuseTask says, rewritten whole before each
+// offer, so what a sink writes into it never reaches the next record.
 func TestReplayerReuseTask(t *testing.T) {
-	data := traceBytes(t)
-	rep, _ := ParseReplay(strings.NewReader(sampleTrace))
-	tr, err := OpenTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := des.New()
-	var seen []*task.Task
-	var arrivals []float64
-	rp, err := NewReplayer(sim, tr, ReplayOptions{ReuseTask: true}, func(tk *task.Task) {
-		seen = append(seen, tk)
-		arrivals = append(arrivals, tk.Arrival)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	if rp.Replayed() != uint64(len(rep.Tasks)) {
-		t.Fatalf("replayed %d, want %d", rp.Replayed(), len(rep.Tasks))
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] != seen[0] {
-			t.Fatal("ReuseTask must offer one task value")
+	rep, data := sampleReplay(t)
+	for _, reuse := range []bool{false, true} {
+		tr, err := OpenTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, want := range rep.Tasks {
-		if arrivals[i] != want.Arrival {
-			t.Fatalf("arrival %d: %v != %v", i, arrivals[i], want.Arrival)
+		sim := des.New()
+		var seen []*task.Task
+		var got []task.Task
+		rp, err := NewReplayer(sim, tr, ReplayOptions{ReuseTask: reuse}, func(tk *task.Task) {
+			seen = append(seen, tk)
+			c := *tk
+			c.Subtasks = append([]task.Subtask(nil), tk.Subtasks...)
+			got = append(got, c)
+			// A careless sink: none of this may leak into the next record.
+			tk.Priority, tk.Importance, tk.Graph = 7, 3, task.NewGraph()
+			tk.Subtasks[0].Optional, tk.Subtasks[1].Segments = 0.1, []task.Segment{{Duration: 1}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+		if rp.Replayed() != uint64(len(rep.Tasks)) {
+			t.Fatalf("ReuseTask=%v: replayed %d, want %d", reuse, rp.Replayed(), len(rep.Tasks))
+		}
+		for i := 1; i < len(seen); i++ {
+			if seen[i] != seen[0] {
+				t.Fatalf("ReuseTask=%v: record %d offered a second task value", reuse, i)
+			}
+		}
+		for i, want := range rep.Tasks {
+			g := got[i]
+			if g.Arrival != want.Arrival || g.Class != want.Class || g.Priority != 0 || g.Importance != 0 || g.Graph != nil {
+				t.Fatalf("ReuseTask=%v: record %d offered %+v", reuse, i, g)
+			}
+			if g.Subtasks[0].Optional != 0 || g.Subtasks[1].Segments != nil {
+				t.Fatalf("ReuseTask=%v: record %d inherited the previous sink's subtask writes: %+v", reuse, i, g.Subtasks)
+			}
 		}
 	}
 }
