@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-race test-short bench bench-json bench-admit bench-degrade bench-cluster bench-des bench-priority profile-des docs-check experiments experiments-quick examples fuzz verify clean
+.PHONY: all build vet test race test-race test-short bench bench-json bench-admit bench-degrade bench-cluster bench-des bench-priority profile-des docs-check loc experiments experiments-quick examples fuzz verify clean
 
 all: build vet test
 
@@ -41,8 +41,8 @@ bench-admit:
 	$(GO) test -run '^$$' -bench '^Benchmark(Sharded)?Admit' -benchmem -count 3 -json . > BENCH_admit.json
 
 # Quality-cascade benchmarks (full-quality admit vs degraded fallback
-# vs mandatory-only lock-free reject, plus the SetQuality actuator) as
-# go-test JSON; the degraded path must stay at 0 allocs/op.
+# vs mandatory-only lock-free reject) as go-test JSON; the degraded
+# path must stay at 0 allocs/op.
 bench-degrade:
 	$(GO) test -run '^$$' -bench '^BenchmarkDegrade' -benchmem -count 3 -json . > BENCH_degrade.json
 
@@ -79,6 +79,11 @@ profile-des:
 docs-check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck
+
+# Net non-test Go lines in the module (the build output under
+# .bench_build excluded): the tracked size of the tree.
+loc:
+	@find . -path ./.git -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Regenerates every table and figure of the paper's evaluation.
 experiments:

@@ -109,28 +109,3 @@ func BenchmarkDegradeAdmitRejectMandatory(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDegradeSetQuality measures the governor's actuator: retuning
-// an admitted request one level down and back up.
-func BenchmarkDegradeSetQuality(b *testing.B) {
-	c := online.New(benchRegion(), nil, nil)
-	r := online.Request{
-		ID:       1,
-		Deadline: time.Hour,
-		Demands:  []time.Duration{time.Minute, time.Minute, time.Minute},
-		Optional: []time.Duration{54 * time.Second, 54 * time.Second, 54 * time.Second},
-	}
-	if lv, ok := c.TryAdmitQuality(r, task.QualityLevels); !ok || lv != task.QualityLevels {
-		b.Fatalf("setup admit (%d, %v)", lv, ok)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !c.SetQuality(r, task.QualityLevels-1) {
-			b.Fatal("lowering refused")
-		}
-		if !c.SetQuality(r, task.QualityLevels) {
-			b.Fatal("restore refused")
-		}
-	}
-}

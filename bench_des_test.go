@@ -213,14 +213,12 @@ func TestDesAlarmShapeAgrees(t *testing.T) {
 		}
 		newAlarmTickers(a, k)
 		for i := 0; i < 10_000; i++ {
-			l.Step()
-			a.Step()
+			if !l.Step() || !a.Step() {
+				t.Fatalf("k=%d, step %d: a stream ran dry", k, i)
+			}
 			if l.Now() != a.Now() {
 				t.Fatalf("k=%d, step %d: calendar clock %v, alarm clock %v", k, i, l.Now(), a.Now())
 			}
-		}
-		if l.Pending() != k || a.Pending() != k {
-			t.Fatalf("k=%d: Pending() calendar %d, alarms %d", k, l.Pending(), a.Pending())
 		}
 	}
 }

@@ -152,8 +152,8 @@ func BenchmarkAdmissionDecisionTaskCount(b *testing.B) {
 			c := core.NewController(sim, core.NewRegion(3), nil)
 			// Preload the ledgers with `active` tiny tasks.
 			for i := 0; i < active; i++ {
-				if err := c.ForceAdmit(task.Chain(task.ID(i), 0, 1e9, 1, 1, 1)); err != nil {
-					b.Fatal(err)
+				if !c.TryAdmit(task.Chain(task.ID(i), 0, 1e9, 1, 1, 1)) {
+					b.Fatal("preload rejected")
 				}
 			}
 			probe := task.Chain(task.ID(active+1), 0, 100, 0.1, 0.1, 0.1)
@@ -241,18 +241,6 @@ func benchName(prefix string, n int) string {
 		return prefix + "-" + strconv.Itoa(n/1_000) + "k"
 	default:
 		return prefix + "-" + strconv.Itoa(n)
-	}
-}
-
-// BenchmarkLedgerChurn measures synthetic-utilization ledger operations
-// (one add + one remove), the per-task bookkeeping cost of admission.
-func BenchmarkLedgerChurn(b *testing.B) {
-	l := core.NewLedger(0.1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		id := task.ID(i)
-		l.Add(id, 0.001)
-		l.Remove(id)
 	}
 }
 

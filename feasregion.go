@@ -461,7 +461,7 @@ func NewClusterPipeline(sim *Simulator, opts ClusterPipelineOptions) *ClusterPip
 
 // MetricsRegistry is the dependency-free instrument registry: counters,
 // gauges, histograms, and EWMAs with a zero-alloc hot path, exported in
-// Prometheus text format (Handler/WritePrometheus) and via expvar. A nil
+// Prometheus text format (Handler/WritePrometheus). A nil
 // registry disables metrics at no cost. Series over a simulated pipeline
 // or Controller read the simulation's own state at scrape time: render
 // such a registry on the goroutine driving the simulator, or while it is
@@ -748,6 +748,3 @@ type Cohort = workload.Cohort
 
 // FlashCrowd is a temporary rate surge layered on a scenario's curve.
 type FlashCrowd = workload.FlashCrowd
-
-// ScenarioSource generates a scenario's arrivals inside a simulator.
-type ScenarioSource = workload.ScenarioSource

@@ -11,51 +11,6 @@ import (
 	"feasregion/internal/workload"
 )
 
-func TestLiuLaylandBoundValues(t *testing.T) {
-	if got := LiuLaylandBound(1); got != 1 {
-		t.Fatalf("LL(1) = %v, want 1", got)
-	}
-	if got := LiuLaylandBound(2); math.Abs(got-0.8284) > 1e-4 {
-		t.Fatalf("LL(2) = %v, want ≈0.8284", got)
-	}
-	if got := LiuLaylandBound(1000); math.Abs(got-math.Ln2) > 1e-3 {
-		t.Fatalf("LL(1000) = %v, want ≈ln2", got)
-	}
-	if got := LiuLaylandBound(0); got != 0 {
-		t.Fatalf("LL(0) = %v, want 0", got)
-	}
-}
-
-func TestLiuLaylandFeasible(t *testing.T) {
-	ok := []PeriodicTask{{Cost: 1, Period: 4}, {Cost: 1, Period: 4}} // U=0.5
-	if !LiuLaylandFeasible(ok) {
-		t.Fatal("0.5 utilization must pass LL(2)=0.828")
-	}
-	bad := []PeriodicTask{{Cost: 2, Period: 4}, {Cost: 2, Period: 5}} // U=0.9
-	if LiuLaylandFeasible(bad) {
-		t.Fatal("0.9 utilization must fail LL(2)")
-	}
-}
-
-func TestHyperbolicDominatesLiuLayland(t *testing.T) {
-	// A set that fails LL but passes the hyperbolic test.
-	set := []PeriodicTask{{Cost: 0.5, Period: 1}, {Cost: 1, Period: 3}} // U = 0.8333
-	if LiuLaylandFeasible(set) {
-		t.Fatal("set should fail LL(2)=0.828")
-	}
-	if !HyperbolicFeasible(set) {
-		// (1.5)(1.3333) = 2.0 exactly.
-		t.Fatal("set should pass the hyperbolic bound")
-	}
-}
-
-func TestHyperbolicRejectsOverload(t *testing.T) {
-	set := []PeriodicTask{{Cost: 0.9, Period: 1}, {Cost: 0.9, Period: 1}}
-	if HyperbolicFeasible(set) {
-		t.Fatal("1.8 utilization must fail")
-	}
-}
-
 func TestSplitDeadlineAdmitsLight(t *testing.T) {
 	sim := des.New()
 	c := NewSplitDeadlineController(sim, 2)

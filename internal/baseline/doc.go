@@ -1,6 +1,5 @@
-// Package baseline implements the comparators the paper positions itself
-// against: classic periodic utilization bounds (Liu & Layland, the
-// Bini-Buttazzo hyperbolic bound) and the traditional pipeline-analysis
-// approach of splitting the end-to-end deadline into per-stage
-// intermediate deadlines, plus the no-admission baseline implied by §4.
+// Package baseline implements the comparator the paper positions itself
+// against: the traditional pipeline-analysis approach of splitting the
+// end-to-end deadline into per-stage intermediate deadlines, plus the
+// no-admission baseline implied by §4.
 package baseline

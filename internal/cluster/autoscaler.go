@@ -196,15 +196,6 @@ func (a *Autoscaler) record(t Transition) {
 	}
 }
 
-// Signals returns the scaler's current aggregate inputs without
-// ticking: the fleet headroom fraction and the reject rate since the
-// last tick.
-func (a *Autoscaler) Signals() (headroomFrac, rejectRate float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.headroomFracLocked(), a.rejectRateLocked(false)
-}
-
 // headroomFracLocked aggregates Σ headroom / Σ bound over the active
 // replicas, refreshing each snapshot first so deadline expiries are
 // visible. An empty fleet reads as zero headroom (maximally starved).
@@ -223,14 +214,12 @@ func (a *Autoscaler) headroomFracLocked() float64 {
 }
 
 // rejectRateLocked computes the fraction of requests the router
-// rejected since the previous tick; advance moves the per-tick window.
-func (a *Autoscaler) rejectRateLocked(advance bool) float64 {
+// rejected since the previous tick and moves the per-tick window.
+func (a *Autoscaler) rejectRateLocked() float64 {
 	st := a.c.Router().Stats()
 	dp := st.Placed - a.lastPlaced
 	dr := st.Rejected - a.lastReject
-	if advance {
-		a.lastPlaced, a.lastReject = st.Placed, st.Rejected
-	}
+	a.lastPlaced, a.lastReject = st.Placed, st.Rejected
 	if dp+dr == 0 {
 		return 0
 	}
@@ -245,7 +234,7 @@ func (a *Autoscaler) Tick() {
 	defer a.mu.Unlock()
 	a.tick++
 	frac := a.headroomFracLocked()
-	rate := a.rejectRateLocked(true)
+	rate := a.rejectRateLocked()
 
 	// Retire drained replicas regardless of cooldown: removal frees no
 	// capacity and cannot oscillate.

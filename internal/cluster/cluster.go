@@ -195,20 +195,9 @@ func (c *Cluster) ActiveCount() int {
 	return n
 }
 
-// AddReplica manually grows the fleet by one (subject to the scaler's
-// Max) and returns the new replica, or nil when at capacity.
-func (c *Cluster) AddReplica() *Replica {
-	rep, fresh, ok := c.grow(c.scaler.cfg.Max)
-	if !ok || !fresh {
-		return nil
-	}
-	return rep
-}
-
 // grow adds placement capacity: a draining replica is returned to
 // service when one exists (fresh=false), otherwise a new replica is
-// spawned unless the fleet is at max. The scaler and AddReplica call
-// it.
+// spawned unless the fleet is at max. The scaler calls it.
 func (c *Cluster) grow(max int) (rep *Replica, fresh bool, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

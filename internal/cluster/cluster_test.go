@@ -376,10 +376,20 @@ func TestAutoscalerRejectRateSignal(t *testing.T) {
 	}
 }
 
+// addReplica grows the fleet by one spawned replica (subject to the
+// scaler's Max) and returns it, or nil when none was spawned.
+func addReplica(c *Cluster) *Replica {
+	rep, fresh, ok := c.grow(c.scaler.cfg.Max)
+	if !ok || !fresh {
+		return nil
+	}
+	return rep
+}
+
 func TestAutoscalerUndrainsBeforeSpawning(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(0, 0)}
 	c := scalerCluster(clk)
-	if c.AddReplica() == nil {
+	if addReplica(c) == nil {
 		t.Fatal("manual grow refused")
 	}
 	// Park a request on replica 1 so it stays draining (not removable),
@@ -457,7 +467,7 @@ func TestClusterSoakJoinDrainUnderAdmits(t *testing.T) {
 	for time.Now().Before(deadline) {
 		switch i % 4 {
 		case 0:
-			c.AddReplica()
+			addReplica(c)
 		case 1:
 			if act := c.Active(); len(act) > 1 {
 				c.Drain(act[len(act)-1].ID())

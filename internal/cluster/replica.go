@@ -116,14 +116,6 @@ func (r *Replica) Release(id uint64) {
 	r.Refresh()
 }
 
-// ReleaseAll drops a burst of contributions under one republish and
-// returns how many were still live.
-func (r *Replica) ReleaseAll(ids []uint64) int {
-	n := r.ctrl.ReleaseAll(ids)
-	r.Refresh()
-	return n
-}
-
 // MarkDeparted records that the request finished its work at the stage.
 func (r *Replica) MarkDeparted(stage int, id uint64) {
 	r.ctrl.MarkDeparted(stage, id)

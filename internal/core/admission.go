@@ -183,15 +183,6 @@ func (c *Controller) SetStageScale(stage int, scale float64) {
 	c.scales[stage] = scale
 }
 
-// StageScales returns the current per-stage demand multipliers.
-func (c *Controller) StageScales() []float64 {
-	out := make([]float64, len(c.ledgers))
-	for j := range out {
-		out[j] = c.scaleFor(j)
-	}
-	return out
-}
-
 // scaleFor returns the stage's demand multiplier (1 when never scaled).
 func (c *Controller) scaleFor(stage int) float64 {
 	if c.scales == nil {
@@ -325,21 +316,6 @@ func (c *Controller) TryAdmit(t *task.Task) bool {
 	}
 	c.commit(t, d, task.QualityLevels)
 	return true
-}
-
-// ForceAdmit commits a task's contributions without testing the region.
-// It exists for certified critical tasks that were already accounted for
-// in the reserved floor to keep statistics honest; typical callers should
-// submit such tasks directly to the pipeline instead. A task with a
-// non-positive deadline has no finite utilization contribution and is
-// rejected with an error rather than committed.
-func (c *Controller) ForceAdmit(t *task.Task) error {
-	d := c.deltas(t)
-	if d == nil {
-		return fmt.Errorf("core: cannot force-admit task %d: non-positive deadline %v", t.ID, t.Deadline)
-	}
-	c.commit(t, d, task.QualityLevels)
-	return nil
 }
 
 // commitAdmit implements regionAdmitter for the wait queue. It is only
@@ -534,32 +510,6 @@ func (p *regionSum) sub(j int, delta float64) {
 
 // fits reports whether the point is inside the region.
 func (p *regionSum) fits() bool { return p.infinite == 0 && p.sum <= p.bound }
-
-// Reconfigure replaces every stage's reserved utilization floor at
-// runtime (paper §5: the TSCE reconfigures dynamically on mission-mode
-// changes, e.g. enabling the urgent self-defense mode). Already-admitted
-// contributions are untouched; lowering floors immediately frees
-// admission capacity (waiters are retried), raising them tightens future
-// admissions. It returns the region value at the new point so callers
-// can observe whether the system is transiently outside the region
-// (admissions then resume only as load drains).
-func (c *Controller) Reconfigure(reserved []float64) float64 {
-	if len(reserved) != len(c.ledgers) {
-		panic(fmt.Sprintf("core: %d reserved values for %d stages", len(reserved), len(c.ledgers)))
-	}
-	lowered := false
-	for j := range c.ledgers {
-		if reserved[j] < c.ledgers[j].Reserved() {
-			lowered = true
-		}
-		c.ledgers[j].setReserved(reserved[j])
-	}
-	c.notifyChange()
-	if lowered {
-		c.fireRelease()
-	}
-	return c.Value()
-}
 
 // MarkDeparted records that the task has finished service at the stage,
 // making its contribution there eligible for the idle reset.

@@ -189,7 +189,7 @@ func TestWaitQueueAdmitsAfterRelease(t *testing.T) {
 		w.Submit(task.Chain(1, 0, 2, 0.8)) // fills the stage (0.4)
 		w.Submit(task.Chain(2, 0, 2, 0.8)) // 0.8 total: outside, must wait
 	})
-	if got := w.PendingLen(); got != 0 {
+	if got := len(w.pending); got != 0 {
 		t.Fatalf("pending before run = %d", got)
 	}
 	// Simulate the first task departing and the stage idling at t=0.6.
@@ -226,8 +226,8 @@ func TestWaitQueueTimeout(t *testing.T) {
 	if st.TimedOut != 1 || len(admitted) != 1 {
 		t.Fatalf("stats %+v admitted=%d, want timeout of the second task", st, len(admitted))
 	}
-	if w.PendingLen() != 0 {
-		t.Fatalf("pending = %d after timeout, want 0", w.PendingLen())
+	if len(w.pending) != 0 {
+		t.Fatalf("pending = %d after timeout, want 0", len(w.pending))
 	}
 }
 
@@ -293,7 +293,7 @@ func TestGraphControllerChecksActiveShapes(t *testing.T) {
 	sim := des.New()
 	c := NewGraphController(sim, 2, 1, nil)
 	// Shape A: chain over both resources — the tighter condition.
-	a := task.ChainGraph(3, 3)
+	a := chainGraph(3, 3)
 	// Shape B: single node on resource 0 only.
 	b := task.NewGraph()
 	b.AddNode(0, task.NewSubtask(1))
@@ -332,85 +332,12 @@ func TestGraphControllerIdleReset(t *testing.T) {
 	}
 }
 
-func TestReconfigureRaisesFloor(t *testing.T) {
-	sim := des.New()
-	c := NewController(sim, NewRegion(1), nil)
-	if !c.TryAdmit(task.Chain(1, 0, 10, 1)) { // 0.1
-		t.Fatal("rejected")
-	}
-	// Mission-mode change: reserve 0.5 for critical work.
-	v := c.Reconfigure([]float64{0.5})
-	if v <= 0 {
-		t.Fatalf("region value %v", v)
-	}
-	if got := c.Utilizations()[0]; math.Abs(got-0.6) > 1e-12 {
-		t.Fatalf("utilization after reconfigure %v, want 0.6", got)
-	}
-	// Admission is now much tighter.
-	if c.TryAdmit(task.Chain(2, 0, 10, 1)) {
-		t.Fatal("admitted past the raised floor")
-	}
-}
-
-func TestReconfigureLoweringFiresRelease(t *testing.T) {
-	sim := des.New()
-	c := NewController(sim, NewRegion(1), []float64{0.5})
-	releases := 0
-	c.OnRelease(func(des.Time) { releases++ })
-	c.Reconfigure([]float64{0.1})
-	if releases != 1 {
-		t.Fatalf("release hook fired %d times, want 1 (floor lowered)", releases)
-	}
-	if got := c.Utilizations()[0]; got != 0.1 {
-		t.Fatalf("utilization %v, want 0.1", got)
-	}
-	// Raising only must not fire release.
-	c.Reconfigure([]float64{0.3})
-	if releases != 1 {
-		t.Fatalf("release fired on raise: %d", releases)
-	}
-}
-
-func TestReconfigureWithWaitQueue(t *testing.T) {
-	// Lowering a reservation must wake held arrivals.
-	sim := des.New()
-	c := NewController(sim, NewRegion(1), []float64{0.5})
-	var admitted []*task.Task
-	w := NewWaitQueue(sim, c, 5, func(tk *task.Task) { admitted = append(admitted, tk) })
-	sim.At(0, func() {
-		w.Submit(task.Chain(1, 0, 10, 2)) // 0.2 on top of 0.5: f(0.7) > 1, waits
-	})
-	sim.At(1, func() { c.Reconfigure([]float64{0.1}) })
-	sim.RunUntil(6)
-	if len(admitted) != 1 {
-		t.Fatalf("admitted %d after reconfiguration, want 1", len(admitted))
-	}
-}
-
-func TestReconfigureValidation(t *testing.T) {
-	sim := des.New()
-	c := NewController(sim, NewRegion(2), nil)
-	for _, fn := range []func(){
-		func() { c.Reconfigure([]float64{0.1}) },
-		func() { c.Reconfigure([]float64{0.1, 1.5}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestGraphWaitQueueAdmitsAfterRelease(t *testing.T) {
 	sim := des.New()
 	c := NewGraphController(sim, 1, 1, nil)
-	g := task.ChainGraph(1)
+	g := chainGraph(1)
 	mk := func(id task.ID, at, d, demand float64) *task.Task {
-		gg := task.ChainGraph(demand)
+		gg := chainGraph(demand)
 		return &task.Task{ID: id, Arrival: at, Deadline: d, Graph: gg}
 	}
 	_ = g
@@ -435,7 +362,7 @@ func TestGraphWaitQueueTimeout(t *testing.T) {
 	sim := des.New()
 	c := NewGraphController(sim, 1, 1, nil)
 	mk := func(id task.ID, d, demand float64) *task.Task {
-		return &task.Task{ID: id, Deadline: d, Graph: task.ChainGraph(demand)}
+		return &task.Task{ID: id, Deadline: d, Graph: chainGraph(demand)}
 	}
 	var admitted int
 	w := NewGraphWaitQueue(sim, c, 0.5, func(*task.Task) { admitted++ })

@@ -3,9 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-
-	"feasregion/internal/dist"
-	"feasregion/internal/task"
 )
 
 // TaskParams is the (priority, relative deadline) pair the urgency-
@@ -90,16 +87,4 @@ func RegionForOrder(stages int, params []TaskParams, betas []float64) Region {
 		r = r.WithBetas(betas)
 	}
 	return r
-}
-
-// AlphaForPolicy estimates a policy's urgency-inversion parameter over a
-// representative task sample by assigning priorities and running Alpha.
-// Randomized policies should be estimated over a sample at least as large
-// as the expected concurrent task population.
-func AlphaForPolicy(p task.Policy, sample []*task.Task, g *dist.RNG) float64 {
-	params := make([]TaskParams, len(sample))
-	for i, t := range sample {
-		params[i] = TaskParams{Priority: p.Assign(t, g), Deadline: t.Deadline}
-	}
-	return Alpha(params)
 }

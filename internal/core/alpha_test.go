@@ -51,6 +51,16 @@ func TestAlphaEmptySetIsOne(t *testing.T) {
 	}
 }
 
+// alphaForPolicy assigns the policy's priorities over the sample and
+// runs Alpha on the resulting (priority, deadline) pairs.
+func alphaForPolicy(p task.Policy, sample []*task.Task, g *dist.RNG) float64 {
+	params := make([]TaskParams, len(sample))
+	for i, t := range sample {
+		params[i] = TaskParams{Priority: p.Assign(t, g), Deadline: t.Deadline}
+	}
+	return Alpha(params)
+}
+
 func TestAlphaRandomApproachesDeadlineRatio(t *testing.T) {
 	// Paper §2: with random priorities, α = Dleast/Dmost over the set.
 	g := dist.NewRNG(9)
@@ -59,7 +69,7 @@ func TestAlphaRandomApproachesDeadlineRatio(t *testing.T) {
 		d := 1 + 9*g.Float64() // deadlines in [1, 10]
 		tasks = append(tasks, task.Chain(task.ID(i), 0, d, 0.1))
 	}
-	got := AlphaForPolicy(task.Random{}, tasks, g)
+	got := alphaForPolicy(task.Random{}, tasks, g)
 	// With 500 tasks the sampled min/max deadlines are close to 1 and 10,
 	// and random priorities almost surely invert that extreme pair.
 	if got > 0.25 || got < 0.05 {
@@ -73,7 +83,7 @@ func TestAlphaForDMPolicyIsOne(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tasks = append(tasks, task.Chain(task.ID(i), 0, 1+g.Float64()*9, 0.1))
 	}
-	if got := AlphaForPolicy(task.DeadlineMonotonic{}, tasks, g); got != 1 {
+	if got := alphaForPolicy(task.DeadlineMonotonic{}, tasks, g); got != 1 {
 		t.Fatalf("Alpha(DM policy) = %v, want 1", got)
 	}
 }
@@ -85,7 +95,7 @@ func TestAlphaSemanticImportanceInversion(t *testing.T) {
 	relaxed := task.Chain(2, 0, 20, 0.1)
 	relaxed.Importance = 9
 	g := dist.NewRNG(1)
-	got := AlphaForPolicy(task.SemanticImportance{}, []*task.Task{urgent, relaxed}, g)
+	got := alphaForPolicy(task.SemanticImportance{}, []*task.Task{urgent, relaxed}, g)
 	if !almostEqual(got, 0.05, 1e-12) {
 		t.Fatalf("Alpha(semantic) = %v, want 1/20", got)
 	}

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"feasregion/internal/task"
-)
-
 // CriticalSection describes one critical section a task executes at a
 // stage: which stage-local lock it takes and for how long.
 type CriticalSection struct {
@@ -19,20 +15,6 @@ type BlockingTaskInfo struct {
 	Priority float64
 	Deadline float64
 	Sections []CriticalSection
-}
-
-// BlockingTaskInfoFromTask extracts the blocking-relevant view of a chain
-// task (its segments with locks).
-func BlockingTaskInfoFromTask(t *task.Task) BlockingTaskInfo {
-	info := BlockingTaskInfo{Priority: t.Priority, Deadline: t.Deadline}
-	for j, sub := range t.Subtasks {
-		for _, seg := range sub.Segments {
-			if seg.Lock != task.NoLock {
-				info.Sections = append(info.Sections, CriticalSection{Stage: j, Lock: seg.Lock, Duration: seg.Duration})
-			}
-		}
-	}
-	return info
 }
 
 // Betas computes the per-stage normalized blocking terms β_j =

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"feasregion/internal/task"
 )
 
 func TestBetasNoCriticalSectionsZero(t *testing.T) {
@@ -77,28 +75,6 @@ func TestBetasOnlyLowerPriorityBlocks(t *testing.T) {
 	// by nothing lower. So β0 = 0.1 (not 5/100).
 	if math.Abs(betas[0]-0.1) > 1e-12 {
 		t.Fatalf("beta[0] = %v, want 0.1", betas[0])
-	}
-}
-
-func TestBlockingTaskInfoFromTask(t *testing.T) {
-	tk := &task.Task{
-		ID:       1,
-		Deadline: 10,
-		Priority: 3,
-		Subtasks: []task.Subtask{
-			{Demand: 2, Segments: []task.Segment{
-				{Duration: 1, Lock: task.NoLock},
-				{Duration: 1, Lock: 7},
-			}},
-			task.NewSubtask(1),
-		},
-	}
-	info := BlockingTaskInfoFromTask(tk)
-	if info.Priority != 3 || info.Deadline != 10 {
-		t.Fatalf("info header %+v", info)
-	}
-	if len(info.Sections) != 1 || info.Sections[0] != (CriticalSection{Stage: 0, Lock: 7, Duration: 1}) {
-		t.Fatalf("sections %+v", info.Sections)
 	}
 }
 

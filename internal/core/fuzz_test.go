@@ -90,13 +90,13 @@ func FuzzQualitySearch(f *testing.F) {
 				}
 			}
 			tk := task.Chain(2, 0, deadline, demand).SetOptionalFraction(frac)
-			level, ok := c.TryAdmitQuality(tk, MaxQuality())
+			level, ok := c.TryAdmitQuality(tk, task.QualityLevels)
 			if ok {
 				// Degraded demand between mandatory and full on every stage.
 				d := tk.StageDemandAt(0, level)
-				if d < tk.MandatoryDemand(0)-1e-12 || d > tk.StageDemand(0)+1e-12 {
+				if d < tk.StageDemandAt(0, 0)-1e-12 || d > tk.StageDemand(0)+1e-12 {
 					t.Fatalf("level %d demand %v outside [%v, %v]",
-						level, d, tk.MandatoryDemand(0), tk.StageDemand(0))
+						level, d, tk.StageDemandAt(0, 0), tk.StageDemand(0))
 				}
 				// Committed point never leaves the region by more than
 				// float round-off.

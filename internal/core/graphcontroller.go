@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"feasregion/internal/des"
 	"feasregion/internal/task"
@@ -15,7 +16,11 @@ import (
 // satisfies the condition of the incoming task AND of every task shape
 // currently active (adding utilization can only tighten their paths).
 //
-// The test is O(Σ shapes' graph sizes), still independent of the number
+// The condition reads only a graph's structure — each node's resource
+// and the edges — so the controller keeps one entry per distinct active
+// structure, with its own copy of the structure and its topological
+// order, whatever graph values the callers pass. The test is
+// O(distinct active structures × graph size), independent of the number
 // of active task instances. Contributions live in one region state, a
 // row per admitted task stamped with its admission sequence number, so
 // a deadline decrement removes only its own admission's row.
@@ -27,10 +32,26 @@ type GraphController struct {
 	st        tasktable.State // one column per resource
 	seq       int64           // admissions so far: the stamp of the latest row
 
-	shapes map[*task.Graph]int // active instance count per distinct shape
+	shapes   []*shape     // distinct active structures
+	expiries *graphExpiry // free list of deadline-decrement timers
+
+	// Scratch: the increments, the tested utilization point, the
+	// longest-path weights, and the in-degrees and topological order of
+	// a caller's graph whose structure is not active.
+	d, utils, best []float64
+	in, ord        []int
 
 	onRelease []func(now des.Time)
 	stats     Stats
+}
+
+// shape is one distinct active task structure: the controller's copy of
+// a graph's node resources and edge lists (demands zeroed), its
+// topological order, and how many admitted tasks of it are active.
+type shape struct {
+	g     task.Graph
+	order []int
+	n     int
 }
 
 // NewGraphController builds a controller over the given number of
@@ -52,7 +73,8 @@ func NewGraphController(sim *des.Simulator, resources int, alpha float64, betas 
 		alpha:     alpha,
 		betas:     append([]float64(nil), betas...),
 		st:        tasktable.NewState(resources, nil),
-		shapes:    map[*task.Graph]int{},
+		d:         make([]float64, resources),
+		utils:     make([]float64, resources),
 	}
 }
 
@@ -100,12 +122,13 @@ func (c *GraphController) fireRelease() {
 }
 
 // deltas returns the per-resource utilization increments of t, summing
-// nodes that share a resource.
+// nodes that share a resource, in the controller's scratch.
 func (c *GraphController) deltas(t *task.Task) []float64 {
 	if t.Graph == nil || t.Deadline <= 0 {
 		return nil
 	}
-	d := make([]float64, c.resources)
+	d := c.d
+	clear(d)
 	for _, n := range t.Graph.Nodes {
 		if n.Resource >= c.resources {
 			return nil
@@ -118,66 +141,162 @@ func (c *GraphController) deltas(t *task.Task) []float64 {
 // WouldAdmit evaluates the Theorem 2 test without committing.
 func (c *GraphController) WouldAdmit(t *task.Task) bool {
 	d := c.deltas(t)
-	return d != nil && c.wouldAdmitDeltas(t, d)
+	if d == nil {
+		return false
+	}
+	ok, _ := c.wouldAdmit(t.Graph, d)
+	return ok
 }
 
 // TryAdmit runs the test and, on success, commits the task's
 // contributions and schedules their removal at its absolute deadline.
 // The increments are computed once and shared between test and commit.
-// An admitted task's graph is kept, and re-tested against later
-// arrivals, until that deadline: do not change it meanwhile.
 func (c *GraphController) TryAdmit(t *task.Task) bool {
 	d := c.deltas(t)
-	if d == nil || !c.wouldAdmitDeltas(t, d) {
+	if d == nil {
 		c.stats.Rejected++
 		return false
 	}
-	c.commit(t, d)
+	ok, own := c.wouldAdmit(t.Graph, d)
+	if !ok {
+		c.stats.Rejected++
+		return false
+	}
+	c.commit(t, d, own)
 	return true
 }
 
-// wouldAdmitDeltas evaluates the Theorem 2 test for precomputed deltas.
-func (c *GraphController) wouldAdmitDeltas(t *task.Task, d []float64) bool {
-	utils := c.Utilizations()
-	for i := range utils {
-		utils[i] += d[i]
+// wouldAdmit evaluates the Theorem 2 test for precomputed deltas: g's
+// structure first, then every other active structure once. It also
+// returns the active shape of g's structure, nil when there is none.
+func (c *GraphController) wouldAdmit(g *task.Graph, d []float64) (bool, *shape) {
+	for i := range c.utils {
+		c.utils[i] = c.st.Util(i) + d[i]
 	}
-	if !GraphFeasible(t.Graph, utils, c.betas, c.alpha) {
-		return false
-	}
-	for g, n := range c.shapes {
-		if n > 0 && g != t.Graph && !GraphFeasible(g, utils, c.betas, c.alpha) {
-			return false
+	own := c.find(g)
+	if own != nil {
+		if !c.holds(&own.g, own.order) {
+			return false, own
+		}
+	} else {
+		n := len(g.Nodes)
+		if cap(c.in) < n {
+			c.in, c.ord = make([]int, n), make([]int, 0, n)
+		}
+		order, err := g.TopoOrderInto(c.in[:n], c.ord[:0])
+		if err != nil {
+			panic("core: Theorem 2 test: " + err.Error())
+		}
+		if !c.holds(g, order) {
+			return false, nil
 		}
 	}
-	return true
+	for _, s := range c.shapes {
+		if s != own && !c.holds(&s.g, s.order) {
+			return false, own
+		}
+	}
+	return true, own
+}
+
+// holds reports whether g's Theorem 2 condition holds at the tested
+// utilization point, evaluated over g's topological order.
+func (c *GraphController) holds(g *task.Graph, order []int) bool {
+	if cap(c.best) < len(g.Nodes) {
+		c.best = make([]float64, len(g.Nodes))
+	}
+	w := nodeDelay{g, c.utils, c.betas}
+	return g.LongestPathOrder(order, c.best[:len(g.Nodes)], w.of) <= c.alpha
+}
+
+// find returns the active shape with g's structure, or nil.
+func (c *GraphController) find(g *task.Graph) *shape {
+next:
+	for _, s := range c.shapes {
+		if len(s.g.Nodes) != len(g.Nodes) {
+			continue
+		}
+		for i, n := range g.Nodes {
+			if n.Resource != s.g.Nodes[i].Resource || !slices.Equal(g.Edges[i], s.g.Edges[i]) {
+				continue next
+			}
+		}
+		return s
+	}
+	return nil
 }
 
 // commitAdmit commits a task WouldAdmit accepted (regionAdmitter).
 func (c *GraphController) commitAdmit(t *task.Task) {
 	if d := c.deltas(t); d != nil {
-		c.commit(t, d)
+		c.commit(t, d, c.find(t.Graph))
 	}
 }
 
-// commit charges the task's row and schedules its deadline decrement,
-// which drops the row only while it still carries this admission's
-// stamp: a re-admitted ID keeps its new charge.
-func (c *GraphController) commit(t *task.Task, d []float64) {
+// commit charges the task's row, counts it against its structure's
+// shape (copying the structure when own is nil, its first active
+// admission), and schedules its deadline decrement.
+func (c *GraphController) commit(t *task.Task, d []float64, own *shape) {
 	c.seq++
 	c.st.Insert(key(t.ID), c.seq, task.QualityLevels, d)
-	c.shapes[t.Graph]++
-	k, stamp, g := key(t.ID), c.seq, t.Graph
-	c.sim.At(t.AbsoluteDeadline(), func() {
-		if slot, ok := c.st.Lookup(k); ok && c.st.Stamp(slot) == stamp {
-			c.st.Drop(slot)
-		}
-		if c.shapes[g]--; c.shapes[g] == 0 {
-			delete(c.shapes, g)
-		}
-		c.fireRelease()
-	})
+	if own == nil {
+		own = newShape(t.Graph)
+		c.shapes = append(c.shapes, own)
+	}
+	own.n++
+	e := c.expiries
+	if e != nil {
+		c.expiries = e.next
+	} else {
+		e = &graphExpiry{c: c}
+	}
+	e.id, e.stamp, e.s = t.ID, c.seq, own
+	c.sim.AtTimer(t.AbsoluteDeadline(), e)
 	c.stats.Admitted++
+}
+
+// newShape copies g's structure and computes its topological order.
+func newShape(g *task.Graph) *shape {
+	s := &shape{}
+	for i, nd := range g.Nodes {
+		s.g.AddNode(nd.Resource, task.Subtask{})
+		s.g.Edges[i] = slices.Clone(g.Edges[i])
+	}
+	order, err := s.g.TopoOrder()
+	if err != nil {
+		panic("core: Theorem 2 test: " + err.Error())
+	}
+	s.order = order
+	return s
+}
+
+// graphExpiry is the pooled des.Timer behind an admitted task's deadline
+// decrement, as expiry is for Controller.
+type graphExpiry struct {
+	c     *GraphController
+	id    task.ID
+	stamp int64 // the row's admission stamp
+	s     *shape
+	next  *graphExpiry
+}
+
+// Fire drops the task's row at its absolute deadline, unless the ID has
+// since been re-admitted (a newer stamp), and retires one instance of
+// its shape.
+func (e *graphExpiry) Fire(des.Time) {
+	c, s := e.c, e.s
+	// Recycle first: the release hooks below may admit, and reuse e.
+	e.next, c.expiries = c.expiries, e
+	if slot, ok := c.st.Lookup(key(e.id)); ok && c.st.Stamp(slot) == e.stamp {
+		c.st.Drop(slot)
+	}
+	if s.n--; s.n == 0 {
+		i := slices.Index(c.shapes, s)
+		last := len(c.shapes) - 1
+		c.shapes[i], c.shapes[last] = c.shapes[last], nil
+		c.shapes = c.shapes[:last]
+	}
+	c.fireRelease()
 }
 
 // MarkDeparted records that the task has no remaining work on the

@@ -6,31 +6,8 @@ import (
 
 	"feasregion/internal/des"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable/oracle"
 )
-
-// TestForceAdmitNonPositiveDeadline is the regression test for the
-// deltas-returns-nil panic: ForceAdmit on a task with a non-positive
-// deadline must error instead of indexing a nil slice.
-func TestForceAdmitNonPositiveDeadline(t *testing.T) {
-	sim := des.New()
-	c := NewController(sim, NewRegion(2), nil)
-	for _, deadline := range []float64{0, -1} {
-		bad := task.Chain(1, 0, deadline, 1, 1)
-		if err := c.ForceAdmit(bad); err == nil {
-			t.Errorf("ForceAdmit with deadline %v: want error, got nil", deadline)
-		}
-	}
-	if s := c.Stats(); s.Admitted != 0 {
-		t.Errorf("rejected force-admissions counted as admitted: %+v", s)
-	}
-	// A valid task still commits.
-	if err := c.ForceAdmit(task.Chain(2, 0, 10, 1, 1)); err != nil {
-		t.Fatalf("valid ForceAdmit errored: %v", err)
-	}
-	if s := c.Stats(); s.Admitted != 1 {
-		t.Errorf("admitted = %d, want 1", s.Admitted)
-	}
-}
 
 // TestCommitAdmitNonPositiveDeadline checks the wait-queue commit path
 // no-ops rather than panics on the same degenerate input.
@@ -46,7 +23,7 @@ func TestCommitAdmitNonPositiveDeadline(t *testing.T) {
 // TestLedgerUpdate checks the re-charge primitive adjusts the sum and
 // peak, and refuses absent tasks.
 func TestLedgerUpdate(t *testing.T) {
-	l := NewLedger(0.1)
+	l := oracle.NewLedger(0.1)
 	l.Add(1, 0.2)
 	if !l.Update(1, 0.5) {
 		t.Fatal("Update of present task reported absent")

@@ -112,7 +112,7 @@ func TestGraphControllerSetReserved(t *testing.T) {
 		t.Fatalf("reserved utilizations %v", us)
 	}
 	// Admission now accounts for the floors.
-	g := task.ChainGraph(1, 1)
+	g := chainGraph(1, 1)
 	admitted := 0
 	for i := 0; i < 10; i++ {
 		if c.TryAdmit(&task.Task{ID: task.ID(i), Deadline: 10, Graph: g}) {
@@ -131,7 +131,7 @@ func TestGraphControllerSetReserved(t *testing.T) {
 func TestGraphControllerSetReservedAfterAdmissionPanics(t *testing.T) {
 	sim := des.New()
 	c := NewGraphController(sim, 1, 1, nil)
-	g := task.ChainGraph(1)
+	g := chainGraph(1)
 	c.TryAdmit(&task.Task{ID: 1, Deadline: 10, Graph: g})
 	defer func() {
 		if recover() == nil {

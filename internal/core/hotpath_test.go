@@ -153,3 +153,32 @@ func TestPlanSheddingMatchesRecompute(t *testing.T) {
 		}
 	}
 }
+
+// TestTryAdmitExpiryAllocationFree pins an admission and its deadline
+// decrement at zero allocations: the decrement runs on a pooled timer.
+func TestTryAdmitExpiryAllocationFree(t *testing.T) {
+	sim := des.New()
+	c := NewController(sim, NewRegion(3), nil)
+	tk := task.Chain(1, 0, 1, 0.1, 0.1, 0.1)
+	const cycles = 100
+	run := func() {
+		for i := 0; i < cycles; i++ {
+			tk.Arrival = sim.Now()
+			if !c.TryAdmit(tk) {
+				t.Fatal("admission rejected on an empty pipeline")
+			}
+			c.MarkDeparted(0, tk.ID)
+			sim.Run() // the deadline decrement
+		}
+	}
+	// One run of many cycles: AllocsPerRun truncates the per-run mean.
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Fatalf("%d admit + deadline expiry cycles: %v allocs, want 0", cycles, allocs)
+	}
+	if got := c.Stats().Admitted; got != 2*cycles {
+		t.Fatalf("admitted %d, want %d", got, 2*cycles)
+	}
+	if u := c.Ledger(0).Utilization(); u != 0 {
+		t.Fatalf("utilization %v after every deadline passed, want 0", u)
+	}
+}

@@ -6,10 +6,11 @@ import (
 
 	"feasregion/internal/dist"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable/oracle"
 )
 
 func TestLedgerAddRemove(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.Add(1, 0.25)
 	l.Add(2, 0.25)
 	if got := l.Utilization(); got != 0.5 {
@@ -29,7 +30,7 @@ func TestLedgerAddRemove(t *testing.T) {
 }
 
 func TestLedgerReservedFloor(t *testing.T) {
-	l := NewLedger(0.4)
+	l := oracle.NewLedger(0.4)
 	if got := l.Utilization(); got != 0.4 {
 		t.Fatalf("empty ledger utilization %v, want reserved 0.4", got)
 	}
@@ -45,7 +46,7 @@ func TestLedgerReservedFloor(t *testing.T) {
 }
 
 func TestLedgerRemoveAbsentIsNoOp(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.Remove(99)
 	l.Add(1, 0.3)
 	l.Remove(1)
@@ -56,7 +57,7 @@ func TestLedgerRemoveAbsentIsNoOp(t *testing.T) {
 }
 
 func TestLedgerDoubleAddPanics(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.Add(1, 0.1)
 	defer func() {
 		if recover() == nil {
@@ -67,7 +68,7 @@ func TestLedgerDoubleAddPanics(t *testing.T) {
 }
 
 func TestLedgerIdleResetOnlyDropsDeparted(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.Add(1, 0.2) // departed
 	l.Add(2, 0.3) // still in the pipeline upstream
 	l.MarkDeparted(1)
@@ -85,7 +86,7 @@ func TestLedgerIdleResetOnlyDropsDeparted(t *testing.T) {
 }
 
 func TestLedgerMarkDepartedUnknownTask(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.MarkDeparted(42) // contribution already expired: must not resurrect
 	if n := l.ResetIdle(); n != 0 {
 		t.Fatalf("ResetIdle dropped %d, want 0", n)
@@ -93,7 +94,7 @@ func TestLedgerMarkDepartedUnknownTask(t *testing.T) {
 }
 
 func TestLedgerResetsCounter(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.Add(1, 0.1)
 	l.MarkDeparted(1)
 	l.ResetIdle()
@@ -106,7 +107,7 @@ func TestLedgerResetsCounter(t *testing.T) {
 func TestLedgerNoDriftUnderChurn(t *testing.T) {
 	// A million add/remove pairs must leave utilization exactly zero
 	// thanks to compensated summation and empty-rebaseline.
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	g := dist.NewRNG(3)
 	id := task.ID(0)
 	for i := 0; i < 1_000_000; i++ {
@@ -128,7 +129,7 @@ func TestLedgerNoDriftUnderChurn(t *testing.T) {
 func TestLedgerPartialChurnDriftBounded(t *testing.T) {
 	// Keep a standing population while churning others; the running sum
 	// must stay within fly-speck distance of the exact recomputation.
-	l := NewLedger(0.1)
+	l := oracle.NewLedger(0.1)
 	g := dist.NewRNG(4)
 	standing := map[task.ID]float64{}
 	for i := 0; i < 50; i++ {
@@ -153,7 +154,7 @@ func TestLedgerPartialChurnDriftBounded(t *testing.T) {
 }
 
 func TestLedgerPeakTracking(t *testing.T) {
-	l := NewLedger(0.1)
+	l := oracle.NewLedger(0.1)
 	l.Add(1, 0.3)
 	l.Add(2, 0.2) // peak 0.6
 	l.Remove(1)
@@ -176,13 +177,13 @@ func TestLedgerInvalidParameters(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewLedger(%v) should panic", reserved)
+					t.Errorf("oracle.NewLedger(%v) should panic", reserved)
 				}
 			}()
-			NewLedger(reserved)
+			oracle.NewLedger(reserved)
 		}()
 	}
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative contribution should panic")
@@ -192,7 +193,7 @@ func TestLedgerInvalidParameters(t *testing.T) {
 }
 
 func TestLedgerRangeTasks(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	want := map[task.ID]float64{1: 0.1, 2: 0.2, 3: 0.3}
 	for id, c := range want {
 		l.Add(id, c)
@@ -216,7 +217,7 @@ func TestLedgerRangeTasks(t *testing.T) {
 }
 
 func TestLedgerRangeTasksEarlyStop(t *testing.T) {
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	for id := task.ID(1); id <= 10; id++ {
 		l.Add(id, 0.01)
 	}
@@ -233,7 +234,7 @@ func TestLedgerRangeTasksEarlyStop(t *testing.T) {
 func TestLedgerRangeTasksRemoveCurrent(t *testing.T) {
 	// The reconciliation pass removes orphans mid-iteration; the iterator
 	// must tolerate deleting the entry it was called with.
-	l := NewLedger(0)
+	l := oracle.NewLedger(0)
 	l.Add(1, 0.1)
 	l.Add(2, 0.2)
 	l.Add(3, 0.3)

@@ -12,11 +12,6 @@ import "feasregion/internal/task"
 // tests reuse the controller's scratch deltas buffer, so the degraded
 // path allocates exactly as much as the full-demand path: nothing.
 
-// MaxQuality returns the top of the quality ladder (full demand). It
-// mirrors task.QualityLevels so callers of the admission cascade need not
-// import the task package for the constant.
-func MaxQuality() int { return task.QualityLevels }
-
 // QualityOf returns the quality level the task was admitted (or since
 // degraded) at, and whether the task currently contributes to any stage
 // ledger. Tasks admitted by the plain TryAdmit path report full quality.
@@ -35,8 +30,8 @@ func (c *Controller) live(id task.ID) (int, bool) {
 }
 
 // TryAdmitQuality runs the quality-aware admission cascade: test the task
-// at maxLevel (callers pass the governor's quality cap, or MaxQuality()
-// when ungoverned); if that fails and the task carries optional demand,
+// at maxLevel (callers pass the governor's quality cap, or
+// task.QualityLevels when ungoverned); if that fails and the task carries optional demand,
 // FitLevel finds the highest level in [0, maxLevel) whose degraded
 // demand vector fits the region, and the task is committed there. Each
 // region evaluation is O(stages). On success it returns the admitted
@@ -160,10 +155,6 @@ type DegradePlan struct {
 	Trim  []task.ID
 	Evict []task.ID
 }
-
-// Empty reports whether the plan requires no action (the task already
-// fits at mandatory-only demand).
-func (p DegradePlan) Empty() bool { return len(p.Trim) == 0 && len(p.Evict) == 0 }
 
 // PlanDegradation is the graceful successor of PlanShedding: it finds the
 // shortest prefix of candidates (in the given order — callers pass the

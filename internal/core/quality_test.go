@@ -17,14 +17,14 @@ func TestTryAdmitQualityFullWhenRoom(t *testing.T) {
 	sim := des.New()
 	c := NewController(sim, NewRegion(1), nil)
 	tk := imprecise(1, 0, 4, 0.5, 1)
-	level, ok := c.TryAdmitQuality(tk, MaxQuality())
-	if !ok || level != MaxQuality() {
+	level, ok := c.TryAdmitQuality(tk, task.QualityLevels)
+	if !ok || level != task.QualityLevels {
 		t.Fatalf("TryAdmitQuality = (%d, %v), want full quality", level, ok)
 	}
 	if got := c.Utilizations()[0]; math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("utilization %v, want full contribution 0.25", got)
 	}
-	if lv, present := c.QualityOf(1); !present || lv != MaxQuality() {
+	if lv, present := c.QualityOf(1); !present || lv != task.QualityLevels {
 		t.Fatalf("QualityOf = (%d, %v)", lv, present)
 	}
 	if c.Stats().Degraded != 0 {
@@ -42,11 +42,11 @@ func TestTryAdmitQualityFallsBackToHighestFit(t *testing.T) {
 	}
 	// Full contribution 0.2 does not fit; mandatory-only is 0.02.
 	tk := imprecise(2, 0, 10, 0.9, 2)
-	level, ok := c.TryAdmitQuality(tk, MaxQuality())
+	level, ok := c.TryAdmitQuality(tk, task.QualityLevels)
 	if !ok {
 		t.Fatal("cascade rejected a task whose mandatory part fits")
 	}
-	if level >= MaxQuality() {
+	if level >= task.QualityLevels {
 		t.Fatalf("level %d, expected a degraded admit", level)
 	}
 	// The admitted level must itself fit, and level+1 must not have fit at
@@ -67,7 +67,7 @@ func TestTryAdmitQualityFallsBackToHighestFit(t *testing.T) {
 	if math.Abs(u-(0.4+want)) > 1e-9 {
 		t.Fatalf("utilization %v, want %v", u, 0.4+want)
 	}
-	d := c.deltasAt(task.Chain(99, 0, 10, tk.StageDemandAt(0, level+1)-tk.StageDemandAt(0, level)), MaxQuality())
+	d := c.deltasAt(task.Chain(99, 0, 10, tk.StageDemandAt(0, level+1)-tk.StageDemandAt(0, level)), task.QualityLevels)
 	if c.admissible(d) {
 		t.Fatal("one more quality step would still have fit: search not maximal")
 	}
@@ -81,7 +81,7 @@ func TestTryAdmitQualityRejectsWhenMandatoryUnfit(t *testing.T) {
 	}
 	// Mandatory-only contribution 0.2 already breaks the bound.
 	tk := imprecise(2, 0, 10, 0.5, 4)
-	if _, ok := c.TryAdmitQuality(tk, MaxQuality()); ok {
+	if _, ok := c.TryAdmitQuality(tk, task.QualityLevels); ok {
 		t.Fatal("admitted a task whose mandatory demand does not fit")
 	}
 	if c.Stats().Rejected != 1 {
@@ -113,10 +113,10 @@ func TestTryAdmitQualityRigidTaskFallsThrough(t *testing.T) {
 		t.Fatal("setup task rejected")
 	}
 	// No optional demand: the cascade must behave exactly like TryAdmit.
-	if _, ok := c.TryAdmitQuality(task.Chain(2, 0, 10, 3), MaxQuality()); ok {
+	if _, ok := c.TryAdmitQuality(task.Chain(2, 0, 10, 3), task.QualityLevels); ok {
 		t.Fatal("rigid task admitted despite not fitting")
 	}
-	if _, ok := c.TryAdmitQuality(task.Chain(3, 0, 10, 1), MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(task.Chain(3, 0, 10, 1), task.QualityLevels); !ok {
 		t.Fatal("rigid task rejected despite fitting")
 	}
 }
@@ -128,8 +128,8 @@ func TestDeadlineExpiryCreditsDegradedDemand(t *testing.T) {
 		t.Fatal("setup task rejected")
 	}
 	tk := imprecise(2, 0, 10, 0.9, 2)
-	level, ok := c.TryAdmitQuality(tk, MaxQuality())
-	if !ok || level >= MaxQuality() {
+	level, ok := c.TryAdmitQuality(tk, task.QualityLevels)
+	if !ok || level >= task.QualityLevels {
 		t.Fatalf("expected degraded admit, got (%d, %v)", level, ok)
 	}
 	before := c.Utilizations()[0]
@@ -149,7 +149,7 @@ func TestDegradeInPlace(t *testing.T) {
 	sim := des.New()
 	c := NewController(sim, NewRegion(1), nil)
 	tk := imprecise(1, 0, 10, 0.5, 2)
-	if _, ok := c.TryAdmitQuality(tk, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(tk, task.QualityLevels); !ok {
 		t.Fatal("admit failed")
 	}
 	before := c.Utilizations()[0]
@@ -161,7 +161,7 @@ func TestDegradeInPlace(t *testing.T) {
 	if math.Abs((before-after)-trimmed) > 1e-12 {
 		t.Fatalf("Degrade reported %v trimmed, ledgers moved %v", trimmed, before-after)
 	}
-	if want := tk.OptionalDemand(0) / 10; math.Abs(trimmed-want) > 1e-12 {
+	if want := tk.Subtasks[0].Optional / 10; math.Abs(trimmed-want) > 1e-12 {
 		t.Fatalf("trimmed %v, want the full optional contribution %v", trimmed, want)
 	}
 	if lv, _ := c.QualityOf(1); lv != 0 {
@@ -174,7 +174,7 @@ func TestDegradeInPlace(t *testing.T) {
 	if _, ok := c.Degrade(tk, 0); ok {
 		t.Fatal("re-degrading to the same level must be a no-op")
 	}
-	if _, ok := c.Degrade(tk, MaxQuality()); ok {
+	if _, ok := c.Degrade(tk, task.QualityLevels); ok {
 		t.Fatal("Degrade must never raise quality")
 	}
 	if _, ok := c.Degrade(imprecise(99, 0, 10, 0.5, 1), 0); ok {
@@ -187,10 +187,10 @@ func TestDegradeFreesRoomForAdmission(t *testing.T) {
 	c := NewController(sim, NewRegion(1), nil)
 	a := imprecise(1, 0, 10, 0.8, 3)
 	b := imprecise(2, 0, 10, 0.8, 3)
-	if _, ok := c.TryAdmitQuality(a, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(a, task.QualityLevels); !ok {
 		t.Fatal("a rejected")
 	}
-	if _, ok := c.TryAdmitQuality(b, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(b, task.QualityLevels); !ok {
 		t.Fatal("b rejected")
 	}
 	rigid := task.Chain(3, 0, 10, 2.5)
@@ -211,10 +211,10 @@ func TestPlanDegradationTrimsBeforeEvicting(t *testing.T) {
 	low.Importance = 1
 	high := imprecise(2, 0, 10, 0.8, 3)
 	high.Importance = 5
-	if _, ok := c.TryAdmitQuality(low, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(low, task.QualityLevels); !ok {
 		t.Fatal("low rejected")
 	}
-	if _, ok := c.TryAdmitQuality(high, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(high, task.QualityLevels); !ok {
 		t.Fatal("high rejected")
 	}
 	// Arrival whose mandatory part fits once one victim is trimmed.
@@ -254,10 +254,10 @@ func TestPlanDegradationEscalatesToEviction(t *testing.T) {
 	low.Importance = 1
 	high := imprecise(2, 0, 10, 0.05, 3)
 	high.Importance = 5
-	if _, ok := c.TryAdmitQuality(low, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(low, task.QualityLevels); !ok {
 		t.Fatal("low rejected")
 	}
-	if _, ok := c.TryAdmitQuality(high, MaxQuality()); !ok {
+	if _, ok := c.TryAdmitQuality(high, task.QualityLevels); !ok {
 		t.Fatal("high rejected")
 	}
 	arrival := task.Chain(3, 0, 10, 3)
@@ -301,7 +301,7 @@ func TestPlanDegradationAlreadyFits(t *testing.T) {
 	sim := des.New()
 	c := NewController(sim, NewRegion(1), nil)
 	plan, ok := c.PlanDegradation(imprecise(1, 0, 10, 0.5, 1), nil)
-	if !ok || !plan.Empty() {
+	if !ok || len(plan.Trim) != 0 || len(plan.Evict) != 0 {
 		t.Fatalf("plan = %+v ok=%v, want empty plan / true", plan, ok)
 	}
 }
@@ -315,8 +315,8 @@ func TestQualityCascadeWithMeanEstimator(t *testing.T) {
 	}
 	// Approximate admission scales the mean by the degraded/full ratio.
 	tk := imprecise(2, 0, 10, 0.9, 2)
-	level, ok := c.TryAdmitQuality(tk, MaxQuality())
-	if !ok || level >= MaxQuality() {
+	level, ok := c.TryAdmitQuality(tk, task.QualityLevels)
+	if !ok || level >= task.QualityLevels {
 		t.Fatalf("expected degraded admit under mean estimator, got (%d, %v)", level, ok)
 	}
 	want := 0.4 + (4.0*tk.StageDemandAt(0, level)/2.0)/10
@@ -337,11 +337,11 @@ func TestQualityAdmitZeroAlloc(t *testing.T) {
 	tk := imprecise(2, 0, 10, 0.9, 2, 2)
 	probe := func() {
 		// deltasAt + admissible + binary search, no commit.
-		d := c.deltasAt(tk, MaxQuality())
+		d := c.deltasAt(tk, task.QualityLevels)
 		if c.admissible(d) {
 			t.Fatal("probe task unexpectedly fits at full quality")
 		}
-		lo, hi := 0, MaxQuality()-1
+		lo, hi := 0, task.QualityLevels-1
 		for lo < hi {
 			mid := lo + (hi-lo+1)/2
 			if c.admissible(c.deltasAt(tk, mid)) {

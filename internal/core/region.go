@@ -182,14 +182,24 @@ func (r Region) SurfacePoint(u1 float64) float64 {
 // when non-nil) index the system's resources; multiple nodes on one
 // resource share its utilization.
 func GraphValue(g *task.Graph, utils, betas []float64) float64 {
-	return g.LongestPath(func(n int) float64 {
-		k := g.Nodes[n].Resource
-		w := StageDelayFactor(utils[k])
-		if betas != nil {
-			w += betas[k]
-		}
-		return w
-	})
+	w := nodeDelay{g, utils, betas}
+	return g.LongestPath(w.of)
+}
+
+// nodeDelay is Theorem 2's per-node weight at the utilization point
+// utils: f(U_k) + β_k of the node's resource k.
+type nodeDelay struct {
+	g            *task.Graph
+	utils, betas []float64
+}
+
+func (w *nodeDelay) of(n int) float64 {
+	k := w.g.Nodes[n].Resource
+	v := StageDelayFactor(w.utils[k])
+	if w.betas != nil {
+		v += w.betas[k]
+	}
+	return v
 }
 
 // GraphFeasible reports whether the DAG task's feasible-region condition

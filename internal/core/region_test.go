@@ -242,7 +242,7 @@ func TestGraphValueSharedResource(t *testing.T) {
 }
 
 func TestGraphValueChainMatchesRegionValue(t *testing.T) {
-	g := task.ChainGraph(1, 1, 1)
+	g := chainGraph(1, 1, 1)
 	utils := []float64{0.2, 0.25, 0.15}
 	r := NewRegion(3)
 	if got, want := GraphValue(g, utils, nil), r.Value(utils); !almostEqual(got, want, 1e-12) {
@@ -251,7 +251,7 @@ func TestGraphValueChainMatchesRegionValue(t *testing.T) {
 }
 
 func TestGraphValueWithBetas(t *testing.T) {
-	g := task.ChainGraph(1, 1)
+	g := chainGraph(1, 1)
 	utils := []float64{0.2, 0.2}
 	betas := []float64{0.05, 0.1}
 	want := StageDelayFactor(0.2)*2 + 0.15

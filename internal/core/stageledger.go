@@ -33,12 +33,6 @@ func checkReserved(v float64) {
 	}
 }
 
-func (l *StageLedger) setReserved(v float64) {
-	checkReserved(v)
-	l.c.st.SetFloor(l.j, v)
-	l.notePeak()
-}
-
 // Utilization returns the stage's current synthetic utilization.
 func (l *StageLedger) Utilization() float64 { return l.c.st.Util(l.j) }
 

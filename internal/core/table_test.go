@@ -7,6 +7,7 @@ import (
 
 	"feasregion/internal/des"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable/oracle"
 )
 
 // refAdmission is the differential test's record of one admission: the
@@ -19,8 +20,26 @@ type refAdmission struct {
 	at    float64
 }
 
+// reconfigure replaces every stage's reserved floor in place, as a
+// mission-mode change would: admitted contributions are untouched, and
+// a lowered floor retries held arrivals.
+func reconfigure(c *Controller, floors []float64) {
+	lowered := false
+	for j, v := range floors {
+		if v < c.st.Floor(j) {
+			lowered = true
+		}
+		c.st.SetFloor(j, v)
+		c.ledgers[j].notePeak()
+	}
+	c.notifyChange()
+	if lowered {
+		c.fireRelease()
+	}
+}
+
 // TestControllerMatchesLedgers pins the controller's task-table
-// bookkeeping to the reference core.Ledger, one per stage: both see the
+// bookkeeping to the reference oracle.Ledger, one per stage: both see the
 // same random admissions (tested and forced), deadline expiries, evictions,
 // re-charges, quality trims, departures, idle resets, and floor
 // reconfigurations, and after every operation each stage's utilization
@@ -40,9 +59,9 @@ func TestControllerMatchesLedgers(t *testing.T) {
 	const stages = 3
 	sim := des.New()
 	c := NewController(sim, NewRegion(stages), nil)
-	ledgers := make([]*Ledger, stages)
+	ledgers := make([]*oracle.Ledger, stages)
 	for j := range ledgers {
-		ledgers[j] = NewLedger(0)
+		ledgers[j] = oracle.NewLedger(0)
 	}
 
 	rng := uint64(0x2545F4914F6CDD1D)
@@ -120,9 +139,7 @@ func TestControllerMatchesLedgers(t *testing.T) {
 			}
 			force := next(8) == 0
 			if force {
-				if err := c.ForceAdmit(tk); err != nil {
-					t.Fatal(err)
-				}
+				c.commit(tk, c.deltas(tk), task.QualityLevels) // untested commit
 			} else {
 				want := sum <= c.Region().Bound()
 				if got := c.TryAdmit(tk); got != want {
@@ -237,7 +254,7 @@ func TestControllerMatchesLedgers(t *testing.T) {
 				floors[j] = float64(next(100)) / 1000
 				ledgers[j].SetReserved(floors[j])
 			}
-			c.Reconfigure(floors)
+			reconfigure(c, floors)
 		}
 		for j, l := range ledgers {
 			got := c.Ledger(j)

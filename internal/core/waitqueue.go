@@ -73,9 +73,6 @@ func newWaitQueue(sim *des.Simulator, c regionAdmitter, maxWait float64, admit f
 // Stats returns a snapshot of the wait-queue counters.
 func (w *WaitQueue) Stats() WaitStats { return w.stats }
 
-// PendingLen returns the number of tasks currently held.
-func (w *WaitQueue) PendingLen() int { return len(w.pending) }
-
 // Submit runs the admission test, holding the task on failure. A held
 // task is kept by pointer: the caller must not reuse it.
 func (w *WaitQueue) Submit(t *task.Task) {

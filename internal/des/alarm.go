@@ -142,9 +142,6 @@ func (a Alarm) Arm(t Time) {
 		panic(fmt.Sprintf("des: arming alarm at %v, before now %v or NaN", t, s.now))
 	}
 	k := &s.al.keys[a.i]
-	if !k.armed {
-		s.live++
-	}
 	k.t, k.seq, k.armed = t, s.seq, true
 	s.seq++
 	s.al.fix(a.i)
@@ -166,7 +163,6 @@ func (a Alarm) Disarm() bool {
 		return false
 	}
 	*k = idleKey
-	s.live--
 	s.al.fix(a.i)
 	return true
 }
@@ -199,7 +195,6 @@ func (s *Simulator) fireAlarm(i int32) {
 	*k = idleKey
 	s.now = t
 	s.steps++
-	s.live--
 	s.al.tms[i].Fire(t)
 	if !s.al.keys[i].armed { // re-index: Fire may have grown keys
 		s.al.fix(i)

@@ -27,7 +27,7 @@ func TestAlarmOrderAtTies(t *testing.T) {
 	b.Arm(1)
 	s.AtTimer(1, tag{&log, "e2"})
 	a.Arm(1) // re-arm: now behind e2
-	if got := s.Pending(); got != 4 {
+	if got := pending(&s); got != 4 {
 		t.Fatalf("Pending() = %d, want 4", got)
 	}
 	s.Run()
@@ -35,8 +35,8 @@ func TestAlarmOrderAtTies(t *testing.T) {
 	if got := strings.Join(log, " "); got != want {
 		t.Fatalf("fired %q, want %q", got, want)
 	}
-	if s.Steps() != 4 || s.Pending() != 0 {
-		t.Fatalf("Steps() = %d, Pending() = %d; want 4, 0", s.Steps(), s.Pending())
+	if s.Steps() != 4 || pending(&s) != 0 {
+		t.Fatalf("Steps() = %d, Pending() = %d; want 4, 0", s.Steps(), pending(&s))
 	}
 }
 
@@ -53,8 +53,8 @@ func TestAlarmRunUntilHorizon(t *testing.T) {
 	if strings.Join(log, " ") != "at" || s.Now() != 2 {
 		t.Fatalf("fired %q, clock %v; want \"at\", 2", strings.Join(log, " "), s.Now())
 	}
-	if !past.Armed() || at.Armed() || s.Pending() != 1 {
-		t.Fatalf("armed: at %v, past %v, Pending() %d", at.Armed(), past.Armed(), s.Pending())
+	if !past.Armed() || at.Armed() || pending(s) != 1 {
+		t.Fatalf("armed: at %v, past %v, Pending() %d", at.Armed(), past.Armed(), pending(s))
 	}
 }
 

@@ -12,18 +12,18 @@ import (
 type Time = float64
 
 // Timer is the allocation-free dispatch target: a value scheduled with
-// AtTimer or AfterTimer has its Fire method invoked when the event
-// matures. Recurring processes (arrival generators, per-job completion
-// events) implement Timer once and reschedule themselves from inside
-// Fire, so steady-state scheduling allocates nothing — unlike the func()
-// path, where each capturing closure is a fresh heap object.
+// AtTimer has its Fire method invoked when the event matures. Recurring
+// processes (arrival generators, per-job completion events) implement
+// Timer once and reschedule themselves from inside Fire, so
+// steady-state scheduling allocates nothing — unlike the func() path,
+// where each capturing closure is a fresh heap object.
 type Timer interface {
 	// Fire runs the event's action at its scheduled instant.
 	Fire(now Time)
 }
 
 // Event is a handle to a scheduled callback, returned by At, After,
-// AtTimer, and AfterTimer. It is a value (an index plus a generation
+// and AtTimer. It is a value (an index plus a generation
 // check into the simulator's pooled event records), so handles can be
 // stored, copied, and dropped freely without keeping event memory
 // alive. The zero Event is invalid and safe to Cancel or query: it
@@ -32,11 +32,6 @@ type Event struct {
 	slot int32
 	gen  uint32
 }
-
-// Valid reports whether the handle was issued by a simulator (the zero
-// Event is not). A valid handle's event may still have fired or been
-// cancelled; see Simulator.State.
-func (e Event) Valid() bool { return e.gen != 0 }
 
 // EventState is the lifecycle position of a scheduled event as reported
 // by Simulator.State.
@@ -104,7 +99,6 @@ type Simulator struct {
 	now   Time
 	seq   uint64
 	steps uint64
-	live  int // scheduled events and armed alarms not yet fired or withdrawn
 
 	q  ladder
 	al alarms
@@ -119,12 +113,6 @@ func (s *Simulator) Now() Time { return s.now }
 // Steps returns the number of events executed so far, alarm fires
 // included.
 func (s *Simulator) Steps() uint64 { return s.steps }
-
-// Pending returns the number of events currently scheduled — neither
-// fired nor cancelled — plus the number of armed alarms. (Cancelled
-// events are withdrawn lazily, so they may still occupy calendar
-// memory, but they are not counted here.)
-func (s *Simulator) Pending() int { return s.live }
 
 // schedule validates, allocates a pooled record, and files it in the
 // calendar. Exactly one of fn and tm must be non-nil.
@@ -154,7 +142,6 @@ func (s *Simulator) schedule(t Time, fn func(), tm Timer) Event {
 	}
 	r.state = statePending
 	s.seq++
-	s.live++
 	s.q.insert(s, slot, t)
 	return Event{slot: slot, gen: r.gen}
 }
@@ -185,12 +172,6 @@ func (s *Simulator) AtTimer(t Time, tm Timer) Event {
 	return s.schedule(t, nil, tm)
 }
 
-// AfterTimer schedules tm.Fire to run d seconds from now. Negative
-// delays panic.
-func (s *Simulator) AfterTimer(d Time, tm Timer) Event {
-	return s.AtTimer(s.now+d, tm)
-}
-
 // rec resolves a handle to its record, or nil if the handle is zero,
 // foreign, or its slot has been reissued to a later event.
 func (s *Simulator) rec(e Event) *record {
@@ -218,7 +199,6 @@ func (s *Simulator) Cancel(e Event) bool {
 	}
 	r.state = stateCancelled
 	r.fn, r.tm = nil, nil // release the callback now; the slot drains later
-	s.live--
 	return true
 }
 
@@ -239,17 +219,6 @@ func (s *Simulator) State(e Event) EventState {
 	default:
 		return StateCancelled
 	}
-}
-
-// EventTime returns the instant the event is (or was) scheduled to fire.
-// The second result is false when the handle no longer resolves (see
-// State).
-func (s *Simulator) EventTime(e Event) (Time, bool) {
-	r := s.rec(e)
-	if r == nil {
-		return 0, false
-	}
-	return r.time, true
 }
 
 // freeSlot returns a drained record to the pool. The generation is
@@ -278,7 +247,6 @@ func (s *Simulator) Step() bool {
 	r.state = stateFired
 	s.now = t
 	s.steps++
-	s.live--
 	// The callback may schedule events, growing recs and invalidating r;
 	// everything needed was copied out above. The slot is recycled after
 	// the callback so reentrant State queries see StateFired.

@@ -165,7 +165,6 @@ func runDifferential(t *testing.T, seed int64, ops int, shape diffShape) diffSta
 			lad.now = r.time
 			ladID = int(r.seq) // seq doubles as id: both sides schedule in lockstep
 			lad.recs[slot].state = stateFired
-			lad.live--
 			lad.freeSlot(slot)
 		}
 		re, rok := ref.pop()
@@ -233,8 +232,8 @@ func runDifferential(t *testing.T, seed int64, ops int, shape diffShape) diffSta
 	if len(firedLad) != len(firedRef) {
 		t.Fatalf("seed %d: ladder fired %d, heap fired %d", seed, len(firedLad), len(firedRef))
 	}
-	if lad.Pending() != 0 {
-		t.Fatalf("seed %d: %d events stranded in the ladder", seed, lad.Pending())
+	if pending(lad) != 0 {
+		t.Fatalf("seed %d: %d events stranded in the ladder", seed, pending(lad))
 	}
 	return st
 }
@@ -358,7 +357,6 @@ func TestDifferentialMassTies(t *testing.T) {
 		lad.now = r.time
 		id := int(r.seq)
 		r.state = stateFired
-		lad.live--
 		lad.freeSlot(slot)
 		re, _ := ref.pop()
 		if id != re.id || lad.now != ref.now {
@@ -480,7 +478,6 @@ func TestRescheduleStorm(t *testing.T) {
 			}
 			s.now = r.time
 			r.state = stateFired
-			s.live--
 			s.freeSlot(slot)
 		}
 	}
@@ -698,8 +695,8 @@ func (h *alarmHarness) sync() {
 // check compares the observable state after a top-level op.
 func (h *alarmHarness) check() {
 	h.t.Helper()
-	if h.lad.Pending() != h.refLive {
-		h.t.Fatalf("Pending() = %d, reference %d", h.lad.Pending(), h.refLive)
+	if pending(h.lad) != h.refLive {
+		h.t.Fatalf("Pending() = %d, reference %d", pending(h.lad), h.refLive)
 	}
 	if h.lad.Steps() != uint64(h.pops) {
 		h.t.Fatalf("Steps() = %d, reference pops %d", h.lad.Steps(), h.pops)
@@ -784,8 +781,8 @@ func runAlarmDifferential(t *testing.T, data []byte) []uint64 {
 	}
 	h.lad.Run()
 	h.check()
-	if h.refLive != 0 || h.lad.Pending() != 0 {
-		t.Fatalf("after Run: Pending() = %d, reference %d", h.lad.Pending(), h.refLive)
+	if h.refLive != 0 || pending(h.lad) != 0 {
+		t.Fatalf("after Run: Pending() = %d, reference %d", pending(h.lad), h.refLive)
 	}
 	return h.fired
 }

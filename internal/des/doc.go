@@ -22,7 +22,7 @@
 // sequence number where AtTimer would, and a re-arm is a cancel plus a
 // fresh schedule, so moving such a process from the calendar to an alarm
 // leaves the fire order bit-identical; Step fires the earlier, by (time,
-// seq), of the calendar's front and the earliest alarm. Pending counts
-// armed alarms and Steps counts their fires. An alarm lives as long as its
-// simulator, so register one per long-lived process, not per event.
+// seq), of the calendar's front and the earliest alarm. Steps counts
+// alarm fires. An alarm lives as long as its simulator, so register one
+// per long-lived process, not per event.
 package des

@@ -233,21 +233,4 @@ func TestRNGUtilityMethods(t *testing.T) {
 		t.Fatalf("Int63 negative: %d", v)
 	}
 	_ = g.NormFloat64()
-	perm := g.Perm(5)
-	seen := map[int]bool{}
-	for _, v := range perm {
-		seen[v] = true
-	}
-	if len(seen) != 5 {
-		t.Fatalf("Perm not a permutation: %v", perm)
-	}
-	vals := []int{1, 2, 3, 4}
-	g.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	if sum != 10 {
-		t.Fatalf("Shuffle lost elements: %v", vals)
-	}
 }

@@ -285,17 +285,6 @@ func placementCV(m pipeline.ClusterMetrics) float64 {
 	return w.StdDev() / w.Mean()
 }
 
-// MissesAt sums one policy's misses across seeds at one load factor,
-// with the health loop open (health=false) or closed.
-func (r ClusterResult) MissesAt(pol cluster.Policy, load float64, health bool) uint64 {
-	for _, v := range r.Variants {
-		if v.Policy == pol && v.Load == load && v.Health == health {
-			return v.Missed
-		}
-	}
-	return 0
-}
-
 // Tables renders the routing comparison and the scaling timeline.
 func (r ClusterResult) Tables() []*stats.Table {
 	rt := &stats.Table{

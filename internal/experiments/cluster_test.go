@@ -14,6 +14,17 @@ var clusterResultOnce = sync.OnceValue(func() ClusterResult {
 	return Cluster(DefaultCluster())
 })
 
+// missesAt sums one policy's misses across seeds at one load factor,
+// with the health loop open (health=false) or closed.
+func missesAt(r ClusterResult, pol cluster.Policy, load float64, health bool) uint64 {
+	for _, v := range r.Variants {
+		if v.Policy == pol && v.Load == load && v.Health == health {
+			return v.Missed
+		}
+	}
+	return 0
+}
+
 // TestClusterP2CBeatsRoundRobin is the headline routing claim: with the
 // health loop open, power-of-two-choices placement strictly beats
 // round-robin on deadline misses at and above 1.5x fleet load, and
@@ -21,13 +32,13 @@ var clusterResultOnce = sync.OnceValue(func() ClusterResult {
 func TestClusterP2CBeatsRoundRobin(t *testing.T) {
 	res := clusterResultOnce()
 	for _, load := range []float64{1.5, 2.0} {
-		rr := res.MissesAt(cluster.RoundRobin, load, false)
-		p2c := res.MissesAt(cluster.PowerOfTwo, load, false)
+		rr := missesAt(res, cluster.RoundRobin, load, false)
+		p2c := missesAt(res, cluster.PowerOfTwo, load, false)
 		if p2c >= rr {
 			t.Errorf("open loop at %.1fx: p2c misses %d, want strictly below round-robin's %d", load, p2c, rr)
 		}
-		rrC := res.MissesAt(cluster.RoundRobin, load, true)
-		p2cC := res.MissesAt(cluster.PowerOfTwo, load, true)
+		rrC := missesAt(res, cluster.RoundRobin, load, true)
+		p2cC := missesAt(res, cluster.PowerOfTwo, load, true)
 		if p2cC > rrC {
 			t.Errorf("closed loop at %.1fx: p2c misses %d > round-robin's %d", load, p2cC, rrC)
 		}
@@ -42,10 +53,10 @@ func TestClusterHealthLoopCollapsesMisses(t *testing.T) {
 	for _, load := range res.Cfg.Loads {
 		openMin, closedMax := ^uint64(0), uint64(0)
 		for _, pol := range cluster.Policies {
-			if m := res.MissesAt(pol, load, false); m < openMin {
+			if m := missesAt(res, pol, load, false); m < openMin {
 				openMin = m
 			}
-			if m := res.MissesAt(pol, load, true); m > closedMax {
+			if m := missesAt(res, pol, load, true); m > closedMax {
 				closedMax = m
 			}
 		}

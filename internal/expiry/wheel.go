@@ -393,24 +393,5 @@ func (w *Wheel) NextFlush() (int64, bool) {
 	return w.timeOf(first + 1), true
 }
 
-// ForEach visits every pending entry in no particular order — the
-// reconciliation pass uses it as the membership scan that replaced the
-// old pending map.
-func (w *Wheel) ForEach(fn func(e Entry)) {
-	for _, e := range w.ripe {
-		fn(e)
-	}
-	for lvl := range w.lvls {
-		for idx := range w.lvls[lvl] {
-			for _, e := range w.lvls[lvl][idx] {
-				fn(e)
-			}
-		}
-	}
-	for _, e := range w.overflow {
-		fn(e)
-	}
-}
-
 // indexSize reports the cancellation-index cardinality (tests only).
 func (w *Wheel) indexSize() int { return len(w.slots) }

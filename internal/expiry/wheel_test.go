@@ -8,6 +8,24 @@ import (
 	"time"
 )
 
+// forEach visits every pending entry of the wheel in no particular
+// order: ripe, then each level's buckets, then overflow.
+func forEach(w *Wheel, fn func(e Entry)) {
+	for _, e := range w.ripe {
+		fn(e)
+	}
+	for lvl := range w.lvls {
+		for idx := range w.lvls[lvl] {
+			for _, e := range w.lvls[lvl][idx] {
+				fn(e)
+			}
+		}
+	}
+	for _, e := range w.overflow {
+		fn(e)
+	}
+}
+
 // TestWheelNeverEarly pins the boundary case: an entry filed in the
 // cursor's own bucket (deadline within the current granule) must not
 // flush until the cursor moves past that bucket — draining it on the
@@ -128,7 +146,7 @@ func TestWheelPropertyVsReference(t *testing.T) {
 		}
 		if step%400 == 0 { // ForEach visits exactly the pending set
 			seen := map[uint64]bool{}
-			w.ForEach(func(e Entry) {
+			forEach(w, func(e Entry) {
 				if seen[e.ID] {
 					t.Fatalf("ForEach visited %d twice", e.ID)
 				}
@@ -316,7 +334,7 @@ func TestWheelOccupancyBitmap(t *testing.T) {
 			}
 			checkOccupancy(t, w, step)
 			if next, ok := w.NextFlush(); ok {
-				w.ForEach(func(e Entry) {
+				forEach(w, func(e Entry) {
 					if end := w.timeOf(w.tickOf(e.At) + 1); next > end {
 						t.Fatalf("step %d: NextFlush %d is after pending entry %d's tick ends (%d)", step, next, e.At, end)
 					}
@@ -377,7 +395,7 @@ func (w *Wheel) advanceReference(now int64, expire func(e Entry)) int {
 // sortedEntries lists a wheel's pending entries in (At, ID) order.
 func sortedEntries(w *Wheel) []Entry {
 	var es []Entry
-	w.ForEach(func(e Entry) { es = append(es, e) })
+	forEach(w, func(e Entry) { es = append(es, e) })
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].At != es[j].At {
 			return es[i].At < es[j].At

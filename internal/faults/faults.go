@@ -2,8 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"feasregion/internal/des"
 	"feasregion/internal/dist"
@@ -163,12 +161,6 @@ func New(cfg Config, seed int64) *Injector {
 	return in
 }
 
-// Windows returns the schedule's stall and slowdown windows (for
-// inspection and assertions).
-func (in *Injector) Windows() ([]StallWindow, []SlowWindow) {
-	return append([]StallWindow(nil), in.stalls...), append([]SlowWindow(nil), in.slows...)
-}
-
 // Stats returns a snapshot of the injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
@@ -266,32 +258,5 @@ func (in *Injector) Attach(sim *des.Simulator, stages []*sched.Stage) {
 			st.Resume()
 			in.stats.Restarts++
 		})
-	}
-}
-
-// SkewedClock wraps a wall clock with a deterministic sawtooth drift of
-// the given amplitude and period: the returned clock runs ahead, falls
-// behind, and even steps backwards across the sawtooth reset — the
-// adversary for the online controller's lazy expiry, which must stay
-// monotone under it. base may be nil (time.Now). The drift is anchored
-// at the first call.
-func SkewedClock(base func() time.Time, amplitude, period time.Duration) func() time.Time {
-	if base == nil {
-		base = time.Now
-	}
-	if period <= 0 {
-		panic("faults: skew period must be positive")
-	}
-	var anchor time.Time
-	return func() time.Time {
-		now := base()
-		if anchor.IsZero() {
-			anchor = now
-		}
-		phase := math.Mod(now.Sub(anchor).Seconds(), period.Seconds()) / period.Seconds()
-		// Sawtooth in [-1, 1): ramps up, then snaps back (a step change,
-		// like an NTP correction).
-		saw := 2*phase - 1
-		return now.Add(time.Duration(saw * float64(amplitude)))
 	}
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -137,12 +136,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[rw.name] = rw.s.value()
 	}
 	return out
-}
-
-// PublishExpvar exposes the registry's snapshot under the given expvar
-// name (on the standard expvar page, typically /debug/vars). Publishing
-// the same name twice panics (an expvar property), so call it once per
-// process; a nil registry publishes an always-empty map.
-func (r *Registry) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -210,72 +210,3 @@ func TestOnlinePanicsOnBadReserved(t *testing.T) {
 	}()
 	New(core.NewRegion(2), []float64{0.1}, nil)
 }
-
-func TestAdmitWithinImmediate(t *testing.T) {
-	c := New(core.NewRegion(1), nil, nil)
-	if !c.AdmitWithin(req(1, time.Second, 100*time.Millisecond), 50*time.Millisecond) {
-		t.Fatal("immediate admission failed")
-	}
-}
-
-func TestAdmitWithinAfterRelease(t *testing.T) {
-	c := New(core.NewRegion(1), nil, nil)
-	// Fill the region.
-	if !c.TryAdmit(req(1, time.Second, 500*time.Millisecond)) {
-		t.Fatal("filler rejected")
-	}
-	done := make(chan bool, 1)
-	go func() {
-		done <- c.AdmitWithin(req(2, time.Second, 400*time.Millisecond), 2*time.Second)
-	}()
-	time.Sleep(30 * time.Millisecond)
-	c.Release(1) // frees the region; the waiter must wake promptly
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("waiter rejected after release")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter did not wake after release")
-	}
-}
-
-func TestAdmitWithinTimesOut(t *testing.T) {
-	c := New(core.NewRegion(1), nil, nil)
-	if !c.TryAdmit(req(1, 10*time.Second, 5*time.Second)) {
-		t.Fatal("filler rejected")
-	}
-	start := time.Now()
-	if c.AdmitWithin(req(2, 10*time.Second, 5*time.Second), 40*time.Millisecond) {
-		t.Fatal("admitted into a full region")
-	}
-	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Fatalf("timed out too early: %v", elapsed)
-	}
-	if got := c.Stats().Rejected; got != 1 {
-		t.Fatalf("Rejected = %d, want 1 (retries must not inflate)", got)
-	}
-}
-
-func TestAdmitWithinWakesOnExpiry(t *testing.T) {
-	c := New(core.NewRegion(1), nil, nil)
-	// Filler expires naturally in 50 ms.
-	if !c.TryAdmit(req(1, 50*time.Millisecond, 25*time.Millisecond)) {
-		t.Fatal("filler rejected")
-	}
-	if !c.AdmitWithin(req(2, time.Second, 400*time.Millisecond), time.Second) {
-		t.Fatal("waiter not admitted after natural expiry")
-	}
-}
-
-func TestAdmitWithinShortensDeadline(t *testing.T) {
-	// A request whose remaining deadline becomes non-positive while held
-	// must be rejected even if capacity eventually frees.
-	c := New(core.NewRegion(1), nil, nil)
-	if !c.TryAdmit(req(1, 10*time.Second, 5*time.Second)) {
-		t.Fatal("filler rejected")
-	}
-	if c.AdmitWithin(req(2, 20*time.Millisecond, 10*time.Millisecond), 200*time.Millisecond) {
-		t.Fatal("request admitted after its own deadline passed")
-	}
-}

@@ -18,9 +18,8 @@
 // paper's §4 accounting.
 //
 // This package adds what a service needs around the data plane: the
-// AdmitWithin admission hold with its FIFO of waiters woken one at a
-// time, the Reconcile watchdog, and Prometheus metrics. SetRegionInputs
-// swaps the α/β inputs at runtime (the adaptive loop's entry point);
-// ReleaseAll and MarkDepartedAll batch-apply departures. See DESIGN.md
-// §7 and §11 for the concurrency design.
+// Reconcile watchdog and Prometheus metrics. SetRegionInputs swaps the
+// α/β inputs at runtime (the adaptive loop's entry point); ReleaseAll
+// batch-applies releases. See DESIGN.md §7 and §11 for the concurrency
+// design.
 package online

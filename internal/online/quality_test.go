@@ -139,72 +139,6 @@ func TestDegradedExpiryCreditsDegradedDemand(t *testing.T) {
 	}
 }
 
-func TestSetQualityLowerFreesCapacity(t *testing.T) {
-	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now)
-	r := qreq(1, time.Second, 500*time.Millisecond, 400*time.Millisecond)
-	if lv, ok := c.TryAdmitQuality(r, task.QualityLevels); !ok || lv != task.QualityLevels {
-		t.Fatalf("initial admit level %d ok=%v", lv, ok)
-	}
-	// A 0.2 rigid arrival does not fit next to 0.5.
-	if c.TryAdmit(req(2, time.Second, 200*time.Millisecond)) {
-		t.Fatal("rigid arrival fit though region is full")
-	}
-	if !c.SetQuality(r, 0) {
-		t.Fatal("SetQuality refused to lower")
-	}
-	if got, _ := c.QualityOf(1); got != 0 {
-		t.Fatalf("QualityOf = %d after trim, want 0", got)
-	}
-	// Mandatory-only is 0.1: the rigid arrival fits now.
-	if !c.TryAdmit(req(2, time.Second, 200*time.Millisecond)) {
-		t.Fatal("rigid arrival still rejected after trim freed capacity")
-	}
-	if s := c.Stats(); s.Trimmed != 1 {
-		t.Fatalf("Trimmed = %d, want 1", s.Trimmed)
-	}
-}
-
-func TestSetQualityRaiseRetestsRegion(t *testing.T) {
-	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now)
-	r := qreq(1, time.Second, 500*time.Millisecond, 400*time.Millisecond)
-	if _, ok := c.TryAdmitQuality(r, task.QualityLevels); !ok {
-		t.Fatal("initial admit failed")
-	}
-	if !c.SetQuality(r, 0) {
-		t.Fatal("trim refused")
-	}
-	// Fill the freed room; the raise must now be refused.
-	if !c.TryAdmit(req(2, time.Second, 400*time.Millisecond)) {
-		t.Fatal("filler rejected")
-	}
-	if c.SetQuality(r, task.QualityLevels) {
-		t.Fatal("raise accepted though the region is full")
-	}
-	if got, _ := c.QualityOf(1); got != 0 {
-		t.Fatalf("refused raise moved the level to %d", got)
-	}
-	// Release the filler: the raise fits again and clears the record.
-	c.Release(2)
-	if !c.SetQuality(r, task.QualityLevels) {
-		t.Fatal("raise refused with room to spare")
-	}
-	if got, _ := c.QualityOf(1); got != task.QualityLevels {
-		t.Fatalf("QualityOf = %d after restore, want full", got)
-	}
-	if s := c.Stats(); s.Restored != 1 {
-		t.Fatalf("Restored = %d, want 1", s.Restored)
-	}
-	// No-ops report false.
-	if c.SetQuality(r, task.QualityLevels) {
-		t.Fatal("no-op SetQuality reported a change")
-	}
-	if c.SetQuality(req(99, time.Second, time.Millisecond), 0) {
-		t.Fatal("SetQuality on a rigid/unknown request reported a change")
-	}
-}
-
 // TestReleaseCancelsPendingExpiry checks a released request's pending
 // expiry is discarded, not credited: once a purge runs past the
 // deadlines, both released requests count as Cancelled and none as
@@ -262,7 +196,6 @@ func TestQualityAdmitZeroAlloc(t *testing.T) {
 		if lv == task.QualityLevels {
 			t.Fatal("probe did not exercise the fallback search")
 		}
-		c.SetQuality(r, 0)
 		c.Release(id)
 	})
 	if allocs != 0 {
@@ -271,12 +204,11 @@ func TestQualityAdmitZeroAlloc(t *testing.T) {
 }
 
 // TestOnlineConcurrentQualitySoundness is the quality-path analogue of
-// TestOnlineConcurrentSoundness: TryAdmitQuality, SetQuality (trims and
-// raises), Release, and expiry churn race while a checker asserts,
-// through the public RegionValue read, that the committed utilization
-// point never leaves the region. Degraded admits commit a tested point,
-// trims only shrink it, and raises re-test under the lock, so
-// Σ f(U_j) ≤ bound must hold at every instant.
+// TestOnlineConcurrentSoundness: TryAdmitQuality, Release, and expiry
+// churn race while a checker asserts, through the public RegionValue
+// read, that the committed utilization point never leaves the region.
+// Degraded admits commit a tested point, so Σ f(U_j) ≤ bound must hold
+// at every instant.
 func TestOnlineConcurrentQualitySoundness(t *testing.T) {
 	region := core.NewRegion(2)
 	bound := region.Bound()
@@ -322,13 +254,8 @@ func TestOnlineConcurrentQualitySoundness(t *testing.T) {
 					if _, ok := c.TryAdmitQuality(r, task.QualityLevels); ok {
 						mine = append(mine, r)
 					}
-				case 3:
+				case 3, 4:
 					if len(mine) > 0 {
-						c.SetQuality(mine[len(mine)-1], op%task.QualityLevels)
-					}
-				case 4:
-					if len(mine) > 0 {
-						c.SetQuality(mine[0], task.QualityLevels) // raise: re-tested
 						c.Release(mine[0].ID)
 						mine = mine[1:]
 					}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"feasregion/internal/core"
-	"feasregion/internal/faults"
 )
 
 // TestOnlineClockRegression steps the wall clock backwards and checks
@@ -48,14 +47,33 @@ func TestOnlineClockRegression(t *testing.T) {
 	}
 }
 
-// TestOnlineUnderSkewedClock drives the controller with the fault
-// injector's sawtooth clock — drifting, and stepping backwards at every
-// period reset — and checks accounting survives: regressions are
-// observed, every admitted contribution eventually expires, and
-// utilization returns to zero.
+// skewedClock wraps a wall clock with a deterministic sawtooth drift of
+// the given amplitude and period: the returned clock runs ahead, falls
+// behind, and even steps backwards across the sawtooth reset — the
+// adversary for the online controller's lazy expiry, which must stay
+// monotone under it. The drift is anchored at the first call.
+func skewedClock(base func() time.Time, amplitude, period time.Duration) func() time.Time {
+	var anchor time.Time
+	return func() time.Time {
+		now := base()
+		if anchor.IsZero() {
+			anchor = now
+		}
+		phase := math.Mod(now.Sub(anchor).Seconds(), period.Seconds()) / period.Seconds()
+		// Sawtooth in [-1, 1): ramps up, then snaps back (a step change,
+		// like an NTP correction).
+		saw := 2*phase - 1
+		return now.Add(time.Duration(saw * float64(amplitude)))
+	}
+}
+
+// TestOnlineUnderSkewedClock drives the controller with a sawtooth
+// clock — drifting, and stepping backwards at every period reset — and
+// checks accounting survives: regressions are observed, every admitted
+// contribution eventually expires, and utilization returns to zero.
 func TestOnlineUnderSkewedClock(t *testing.T) {
 	clk := newFakeClock()
-	skewed := faults.SkewedClock(clk.Now, 80*time.Millisecond, 300*time.Millisecond)
+	skewed := skewedClock(clk.Now, 80*time.Millisecond, 300*time.Millisecond)
 	c := New(core.NewRegion(1), nil, Clock(skewed))
 	admitted := 0
 	for i := 0; i < 200; i++ {
@@ -96,9 +114,6 @@ func TestOnlineStageScale(t *testing.T) {
 	c.SetStageScale(0, 1)
 	if !c.TryAdmit(req(2, 4*time.Second, 1500*time.Millisecond)) {
 		t.Fatal("rejected after the stage recovered")
-	}
-	if got := c.StageScales(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("StageScales() = %v", got)
 	}
 	defer func() {
 		if recover() == nil {

@@ -112,7 +112,7 @@ func decisionDigest(ds []bool) uint64 {
 // must match the reference — the sharded controller's local caps,
 // steals, and reject gate may change who pays for an admit, but never
 // whether it happens. The reference is the single-lock plane with
-// per-stage core.Ledger maps that this package ran before the shard
+// per-stage Ledger maps (now oracle.Ledger) that this package ran before the shard
 // controller became its only data plane: the constants below were
 // recorded from it on these traces (decision count, digest, and the
 // quiesce Utilizations() float bits). Decisions must match exactly at

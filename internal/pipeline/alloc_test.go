@@ -27,7 +27,7 @@ func (a *arrivals) Fire(now des.Time) {
 	t.Arrival = now
 	a.p.Offer(t)
 	if a.next++; a.next < len(a.tasks) {
-		a.sim.AfterTimer(a.gap, a)
+		a.sim.AtTimer(now+a.gap, a)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestOfferDrainAllocationFree(t *testing.T) {
 	run := func() {
 		for i := 0; i < cycles; i++ {
 			a.next = 0
-			sim.AfterTimer(0, a)
+			sim.AtTimer(sim.Now(), a)
 			sim.Run()
 		}
 	}

@@ -10,6 +10,19 @@ import (
 	"feasregion/internal/trace"
 )
 
+// chainGraph builds the degenerate pipeline graph: node j runs on
+// resource j with the given demands, with edges 0->1->...->n-1.
+func chainGraph(demands ...float64) *task.Graph {
+	g := task.NewGraph()
+	for j, d := range demands {
+		g.AddNode(j, task.NewSubtask(d))
+		if j > 0 {
+			g.AddEdge(j-1, j)
+		}
+	}
+	return g
+}
+
 // figure3Graph builds the paper's Figure 3 DAG: node 0 -> {1, 2} -> 3 on
 // resources 0..3 with the given demands.
 func figure3Graph(d1, d2, d3, d4 float64) *task.Graph {
@@ -159,7 +172,7 @@ func TestGraphUtilizationMeasurement(t *testing.T) {
 	sim := des.New()
 	gs := NewGraphSystem(sim, GraphOptions{Resources: 2, NoAdmission: true})
 	sim.At(0, func() { gs.BeginMeasurement() })
-	g := task.ChainGraph(4, 1)
+	g := chainGraph(4, 1)
 	sim.At(0, func() { gs.Offer(&task.Task{ID: 1, Deadline: 100, Graph: g}) })
 	sim.At(10, func() {
 		m := gs.Snapshot()
@@ -214,17 +227,17 @@ func TestGraphSystemReservedAndWaitQueue(t *testing.T) {
 		at := float64(k) * 10
 		id := task.ID(1000 + k)
 		sim.At(at, func() {
-			gs.Inject(&task.Task{ID: id, Arrival: at, Deadline: 10, Graph: task.ChainGraph(3, 1)})
+			gs.Inject(&task.Task{ID: id, Arrival: at, Deadline: 10, Graph: chainGraph(3, 1)})
 		})
 	}
 	// Dynamic flows: the first fills remaining capacity, the second holds
 	// until the first's deadline decrement frees it.
 	entered := 0
 	sim.At(0, func() {
-		if gs.Offer(&task.Task{ID: 1, Arrival: 0, Deadline: 10, Graph: task.ChainGraph(1.5, 1)}) {
+		if gs.Offer(&task.Task{ID: 1, Arrival: 0, Deadline: 10, Graph: chainGraph(1.5, 1)}) {
 			entered++
 		}
-		gs.Offer(&task.Task{ID: 2, Arrival: 0, Deadline: 30, Graph: task.ChainGraph(4, 1)})
+		gs.Offer(&task.Task{ID: 2, Arrival: 0, Deadline: 30, Graph: chainGraph(4, 1)})
 	})
 	sim.Run()
 	m := gs.Snapshot()

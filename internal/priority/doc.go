@@ -42,6 +42,5 @@
 // shows any feasible slot can be bubbled to the deadline slot, so one
 // placement check decides admission and the frozen order stays
 // DM-compatible by induction. pipeline.Options.PriorityPolicy selects
-// it; online.Controller.Reprioritize republishes the α a new order
-// earns without dropping admitted work.
+// it.
 package priority

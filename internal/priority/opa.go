@@ -19,12 +19,7 @@ type Assignment struct {
 	Order []Candidate
 
 	levels map[task.ID]int
-	test   string
 }
-
-// TestName returns the name of the schedulability test that drove the
-// search.
-func (a *Assignment) TestName() string { return a.test }
 
 // PriorityOf returns the assigned priority value for the task (its level
 // index, lower = more urgent) and whether the task was part of the
@@ -146,7 +141,7 @@ func Assign(cands []Candidate, stages int, test Test) (*Assignment, error) {
 	for k, c := range order {
 		levels[c.ID] = k
 	}
-	return &Assignment{Order: order, levels: levels, test: test.Name()}, nil
+	return &Assignment{Order: order, levels: levels}, nil
 }
 
 // AssignTasks is Assign over *task.Task values, returning the

@@ -188,12 +188,9 @@ func TestAssignTasksSetsPriorities(t *testing.T) {
 		task.Chain(1, 0, 2.0, 0.1, 0.1),
 		task.Chain(2, 0, 1.0, 0.1, 0.1),
 	}
-	a, err := AssignTasks(ts, 2, nil)
+	_, err := AssignTasks(ts, 2, nil)
 	if err != nil {
 		t.Fatalf("AssignTasks: %v", err)
-	}
-	if a.TestName() != "region-exact" {
-		t.Fatalf("nil test should default to region-exact, got %s", a.TestName())
 	}
 	if ts[1].Priority != 0 || ts[0].Priority != 1 {
 		t.Fatalf("priorities not applied: %v, %v", ts[0].Priority, ts[1].Priority)

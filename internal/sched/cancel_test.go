@@ -68,7 +68,7 @@ func TestCancelLastJobTriggersIdle(t *testing.T) {
 	if idles != 1 {
 		t.Fatalf("idle hook fired %d times, want 1 (after cancellation)", idles)
 	}
-	if !st.Idle() {
+	if !st.idle {
 		t.Fatal("stage should be idle")
 	}
 }

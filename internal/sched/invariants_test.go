@@ -133,9 +133,9 @@ func TestSchedulerInvariantsUnderRandomLoad(t *testing.T) {
 			}
 
 			// Terminal state: no work left anywhere.
-			if !st.Idle() || st.ReadyLen() != 0 || st.BlockedLen() != 0 {
+			if !st.idle || st.ReadyLen() != 0 || len(st.blocked) != 0 {
 				t.Fatalf("stage not drained: idle=%v ready=%d blocked=%d",
-					st.Idle(), st.ReadyLen(), st.BlockedLen())
+					st.idle, st.ReadyLen(), len(st.blocked))
 			}
 			stats := st.Stats()
 			if stats.Completed+stats.Cancelled != uint64(n) {
@@ -251,7 +251,7 @@ func TestStageAlarmFollowsRunningJob(t *testing.T) {
 		step("run to completion", sim.Run)
 		submit(4, 1, 5)
 		step("Cancel of the lone running job", func() { s.Cancel(&jobs[4]) })
-		if !s.Idle() {
+		if !s.idle {
 			t.Fatal("stage did not drain")
 		}
 		if guarded && overruns == 0 {

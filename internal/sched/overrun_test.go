@@ -121,7 +121,7 @@ func TestPauseResumeStall(t *testing.T) {
 	if doneAt != 6 {
 		t.Errorf("completion at %v, want 6", doneAt)
 	}
-	if !s.Idle() {
+	if !s.idle {
 		t.Error("stage should be idle after draining")
 	}
 }

@@ -233,12 +233,12 @@ func TestBlockedCountVisible(t *testing.T) {
 		st.Submit(2, 0, cs(0, 1, 0, 1), nil)
 	})
 	sim.At(1.5, func() {
-		if st.BlockedLen() != 1 {
-			t.Errorf("BlockedLen = %d, want 1", st.BlockedLen())
+		if len(st.blocked) != 1 {
+			t.Errorf("BlockedLen = %d, want 1", len(st.blocked))
 		}
 	})
 	sim.Run()
-	if st.BlockedLen() != 0 {
-		t.Fatalf("BlockedLen at end = %d, want 0", st.BlockedLen())
+	if len(st.blocked) != 0 {
+		t.Fatalf("BlockedLen at end = %d, want 0", len(st.blocked))
 	}
 }

@@ -169,15 +169,9 @@ func (s *Stage) Name() string { return s.name }
 // Stats returns a snapshot of the stage's counters.
 func (s *Stage) Stats() Stats { return s.stats }
 
-// Idle reports whether the stage has no running, ready, or blocked work.
-func (s *Stage) Idle() bool { return s.idle }
-
 // ReadyLen returns the number of ready (queued, dispatchable) jobs,
 // excluding the running job.
 func (s *Stage) ReadyLen() int { return len(s.ready) }
-
-// BlockedLen returns the number of jobs blocked under PCP.
-func (s *Stage) BlockedLen() int { return len(s.blocked) }
 
 // SetPreemptionOverhead charges the given extra computation time to a
 // job every time it is preempted (modeling context-switch and cache
@@ -721,9 +715,6 @@ func (s *Stage) goIdle() {
 		fn(now)
 	}
 }
-
-// Paused reports whether the stage is stalled (see Pause).
-func (s *Stage) Paused() bool { return s.paused }
 
 // Pause stalls the stage: the running job (if any) is preempted back to
 // the ready queue and nothing dispatches until Resume. Work keeps

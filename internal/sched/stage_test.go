@@ -30,7 +30,7 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 	if got := st.BusyTime(sim.Now()); got != 2.5 {
 		t.Fatalf("busy time %v, want 2.5", got)
 	}
-	if !st.Idle() {
+	if !st.idle {
 		t.Fatal("stage should be idle after completion")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // TestShardConservationConcurrent is the sharded conservation property
 // test: it hammers a K=8 controller from every mutation path at once —
 // TryAdmit, TryAdmitQuality, TryAdmitAll, Release, ReleaseAll,
-// MarkDeparted, StageIdle, SetQuality, Reconcile, lock-free reads —
+// MarkDeparted, StageIdle, Reconcile, lock-free reads —
 // while a checker repeatedly asserts against the locked ground truth
 // that the sum of per-shard charges never exceeds the global bound:
 // Σ_j f(Σ_k util_jk) ≤ α(1−Σβ). Every admit (local, stolen, or exact
@@ -26,7 +26,7 @@ import (
 func TestShardConservationConcurrent(t *testing.T) {
 	region := core.NewRegion(3)
 	bound := region.Bound()
-	c := New(region, nil, nil, 8, nil) // real clock: expiry churn is part of the mix
+	c := New(region, nil, nil, 8) // real clock: expiry churn is part of the mix
 	const workers = 8
 	const opsPerWorker = 1200
 
@@ -93,7 +93,6 @@ func TestShardConservationConcurrent(t *testing.T) {
 					}
 					if _, ok := c.TryAdmitQuality(r, task.QualityLevels); ok {
 						mine = append(mine, id)
-						c.SetQuality(r, op%task.QualityLevels)
 					}
 				case 5:
 					if len(mine) > 0 {
@@ -168,7 +167,7 @@ func TestShardConservationConcurrent(t *testing.T) {
 func TestShardConservationDeterministic(t *testing.T) {
 	const stages = 2
 	clk := newFakeClock()
-	c := New(core.NewRegion(stages), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(stages), nil, clk.Now, 4)
 
 	live := map[uint64][]float64{}
 	check := func(step int) {

@@ -13,8 +13,8 @@
 // the shard owns the clock, the wheel, the lock, the gate and the
 // demand scaling. Released requests leave stale wheel entries that the
 // purge discards lazily by matching (id, deadline) against the row's
-// stamp. The state's arithmetic is core.Ledger's, so a K=1 controller's
-// sums are bit-identical to a set of core.Ledgers fed the same
+// stamp. The state's arithmetic is oracle.Ledger's, so a K=1 controller's
+// sums are bit-identical to a set of oracle.Ledgers fed the same
 // operations.
 //
 // A purge is due only once it can flush something: each shard keeps

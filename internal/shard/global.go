@@ -153,7 +153,6 @@ func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, raw,
 		probes = n
 	}
 	stole := false
-	expired := 0
 	now := c.nowNano()
 	for p := 0; p < probes; p++ {
 		best := p
@@ -168,7 +167,7 @@ func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, raw,
 		s.mu.Lock()
 		mnow := s.monotoneLocked(now)
 		if s.nextExp.Load() <= mnow {
-			expired += s.purgeLocked(c, mnow)
+			s.purgeLocked(c, mnow)
 		}
 		for j := range rem {
 			if rem[j] <= 0 {
@@ -200,9 +199,6 @@ func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, raw,
 			break
 		}
 	}
-	if expired > 0 {
-		c.hook()
-	}
 	if !stole {
 		return false
 	}
@@ -215,12 +211,9 @@ func (c *Controller) stealThenAdmit(home *shard, id uint64, deadline int64, raw,
 	for j := range taken {
 		home.caps[j] += taken[j]
 	}
-	ok, e := home.admitLocked(c, id, deadline, raw, opt, lv)
+	ok := home.admitLocked(c, id, deadline, raw, opt, lv)
 	home.updateHintLocked()
 	home.mu.Unlock()
-	if e > 0 {
-		c.hook()
-	}
 	if ok {
 		c.steals.Add(1)
 	}
@@ -248,21 +241,13 @@ func (c *Controller) armGateLocked(utils []float64) {
 // slack. On admit it commits to the home shard and re-partitions, so
 // the slack the request exposed is spread back over the shards; on
 // reject it arms the lock-free gate. Returns the admitted level.
-func (c *Controller) globalAdmit(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool) {
-	lv, ok, expired := c.globalAdmitLocked(id, deadline, raw, opt, maxLevel, countReject)
-	if expired > 0 {
-		c.hook()
-	}
-	return lv, ok
-}
-
-func (c *Controller) globalAdmitLocked(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool) (int, bool, int) {
+func (c *Controller) globalAdmit(id uint64, deadline int64, raw, opt []float64, maxLevel int) (int, bool) {
 	c.globalFallbacks.Add(1)
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
 	c.lockShards()
 	defer c.unlockShards()
-	expired := c.purgeAllLocked()
+	c.purgeAllLocked()
 
 	var stack [maxStackStages]float64
 	utils, pooled := c.scratch(stack[:], 1)
@@ -273,18 +258,16 @@ func (c *Controller) globalAdmitLocked(id uint64, deadline int64, raw, opt []flo
 	home := c.shardOf(id)
 	lv, ok := fitLevel(utils, home.scales, raw, opt, maxLevel, c.bound)
 	if !ok {
-		if countReject {
-			home.rejected++
-		}
+		home.rejected++
 		c.armGateLocked(utils)
-		return 0, false, expired
+		return 0, false
 	}
 	if c.gateArmed.Load() {
 		c.gateArmed.Store(false)
 	}
 	home.commitLocked(id, home.maxNow+deadline, raw, opt, lv)
 	c.repartitionLocked(false)
-	return lv, true, expired
+	return lv, true
 }
 
 // globalUtilsLocked fills utils with each stage's utilization summed
@@ -339,7 +322,6 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 	out = out[:len(rs)]
 	clear(out)
 	admitted := 0
-	expired := 0
 	for si, s := range c.shards {
 		locked := false
 		for i := range rs {
@@ -355,9 +337,7 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 				s.mu.Lock()
 				locked = true
 			}
-			ok, e := s.admitLocked(c, r.ID, int64(r.Deadline), raw, nil, task.QualityLevels)
-			expired += e
-			if ok {
+			if s.admitLocked(c, r.ID, int64(r.Deadline), raw, nil, task.QualityLevels) {
 				out[i] = true
 				admitted++
 			}
@@ -366,14 +346,11 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 			s.mu.Unlock()
 		}
 	}
-	if expired > 0 {
-		c.hook()
-	}
 	for i := range rs {
 		if out[i] || !c.valid(&rs[i]) {
 			continue // admitted locally, or already counted as malformed
 		}
-		if c.admit(&rs[i], true, nil) {
+		if c.Admit(&rs[i], nil) {
 			out[i] = true
 			admitted++
 		}
@@ -388,7 +365,7 @@ func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float
 	admitted := 0
 	rejected := false
 	s.mu.Lock()
-	mnow, expired := s.purgeDueLocked(c)
+	mnow := s.purgeDueLocked(c)
 	bound := c.boundNow()
 	for i := range rs {
 		r := &rs[i]
@@ -418,9 +395,6 @@ func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float
 		c.armGateLocked(utils)
 	}
 	s.mu.Unlock()
-	if expired > 0 {
-		c.hook()
-	}
 	return admitted
 }
 
@@ -428,16 +402,9 @@ func (c *Controller) tryAdmitAllOne(rs []Request, out []bool, raw, utils []float
 // and per-stage blocking terms β_j at runtime — the actuator of the
 // adaptive estimation loop (internal/adapt) — then re-partitions the
 // new bound across shards: alpha must be in (0, 1], betas non-negative
-// with one entry per stage (nil keeps current), admitted contributions
-// are unchanged, and a raised bound runs the wake hook (one waiter
-// retries).
+// with one entry per stage (nil keeps current), and admitted
+// contributions are unchanged.
 func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
-	if c.setRegion(alpha, betas) {
-		c.hook()
-	}
-}
-
-func (c *Controller) setRegion(alpha float64, betas []float64) (raised bool) {
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
 	r := c.region.WithAlpha(alpha) // may panic: shards not yet locked
@@ -453,9 +420,7 @@ func (c *Controller) setRegion(alpha float64, betas []float64) (raised bool) {
 	c.repartitionLocked(false)
 	if c.bound > old {
 		c.noteFreed()
-		return true
 	}
-	return false
 }
 
 // SetStageScale sets a demand multiplier for future admissions at the
@@ -463,18 +428,11 @@ func (c *Controller) setRegion(alpha float64, betas []float64) (raised bool) {
 // stages: a replica running at half speed doubles every request's
 // computation time there, so scale 2 keeps the admission test honest.
 // scale must be positive and finite (scale 1 restores nominal);
-// admitted contributions are unchanged, and a relaxed (lowered) scale
-// runs the wake hook.
+// admitted contributions are unchanged.
 func (c *Controller) SetStageScale(stage int, scale float64) {
 	if scale <= 0 || scale != scale || scale > 1e9 {
 		panic(fmt.Sprintf("shard: stage scale %v must be positive and finite", scale))
 	}
-	if c.applyScale(stage, scale) {
-		c.hook()
-	}
-}
-
-func (c *Controller) applyScale(stage int, scale float64) (lowered bool) {
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
 	c.lockShards()
@@ -488,18 +446,7 @@ func (c *Controller) applyScale(stage int, scale float64) (lowered bool) {
 		// A relaxed scale shrinks future demand charges: the armed gate's
 		// reject proof no longer covers them.
 		c.noteFreed()
-		return true
 	}
-	return false
-}
-
-// StageScales returns the current per-stage demand multipliers.
-func (c *Controller) StageScales() []float64 {
-	out := make([]float64, c.stages)
-	for j := range out {
-		out[j] = c.stageScale(j)
-	}
-	return out
 }
 
 // Headroom returns how much additional synthetic utilization the stage
@@ -525,8 +472,5 @@ func (c *Controller) Reconcile() (expired int) {
 	c.reconciles.Add(1)
 	c.unlockShards()
 	c.gmu.Unlock()
-	if expired > 0 {
-		c.hook()
-	}
 	return expired
 }

@@ -8,9 +8,10 @@ import (
 
 	"feasregion/internal/core"
 	"feasregion/internal/task"
+	"feasregion/internal/tasktable/oracle"
 )
 
-// TestOneShardMatchesLedgers pins the K=1 data plane to core.Ledger's
+// TestOneShardMatchesLedgers pins the K=1 data plane to oracle.Ledger's
 // arithmetic: a K=1 controller and one ledger per stage see the same
 // random admits, releases, expiries, departures, and idle resets, and
 // every stage's utilization must agree bit for bit after every
@@ -26,10 +27,10 @@ import (
 func TestOneShardMatchesLedgers(t *testing.T) {
 	const stages = 3
 	clk := newFakeClock()
-	c := New(core.NewRegion(stages), nil, clk.Now, 1, nil)
-	ledgers := make([]*core.Ledger, stages)
+	c := New(core.NewRegion(stages), nil, clk.Now, 1)
+	ledgers := make([]*oracle.Ledger, stages)
 	for j := range ledgers {
-		ledgers[j] = core.NewLedger(0)
+		ledgers[j] = oracle.NewLedger(0)
 	}
 
 	rng := uint64(0x2545F4914F6CDD1D)

@@ -34,7 +34,7 @@ type Request struct {
 	// Optional, when non-nil, marks the trailing portion of each stage's
 	// demand as optional (imprecise computation): TryAdmitQuality may
 	// admit the request with Optional[j] scaled down by the quality
-	// ladder, and SetQuality retunes it in flight. Each entry must be in
+	// ladder. Each entry must be in
 	// [0, Demands[j]]. Nil means the request is rigid — all demand
 	// mandatory.
 	Optional []time.Duration
@@ -99,10 +99,6 @@ type Stats struct {
 	// Degraded counts admissions that entered below full quality via
 	// TryAdmitQuality's fallback search.
 	Degraded uint64
-	// Trimmed counts SetQuality calls that lowered an in-flight
-	// request's level; Restored counts the ones that raised it.
-	Trimmed  uint64
-	Restored uint64
 	// Cancelled counts the lazy discards of expiry entries whose request
 	// had been released (or re-admitted with a new deadline) before the
 	// entry came due: Release leaves the entry behind, and the purge
@@ -153,8 +149,7 @@ type shard struct {
 
 	// Counters are plain (guarded by mu); Stats sums across shards.
 	admitted, rejected, expired, cancelled uint64
-	degraded, trimmed, restored            uint64
-	clockRegressions                       uint64
+	degraded, clockRegressions             uint64
 	// releasedTraffic weights the watchdog rebalance: shards that
 	// released or expired the most capacity since the last re-partition
 	// get the larger slack share.
@@ -163,8 +158,8 @@ type shard struct {
 	// nextExp gates the purge: the earliest time (UnixNano) a purge can
 	// flush a wheel or staged entry — the end of its level-0 bucket —
 	// math.MaxInt64 when none. Before it, a purge flushes nothing.
-	// Written under mu, read without it (admit fast path, AdmitWithin
-	// sleep, reject gate, steal probe).
+	// Written under mu, read without it (admit fast path, reject gate,
+	// steal probe).
 	nextExp atomic.Int64
 
 	// slackHint publishes min_j(caps[j]−st.Util(j)) with hysteresis so
@@ -285,9 +280,6 @@ type Controller struct {
 	gateBits     []atomic.Uint64
 	freedGen     atomic.Uint64
 
-	// wakeHook is New's wake callback; nil when none.
-	wakeHook func()
-
 	// The counters below are written on every lock-free reject; the pad
 	// keeps them off the cache line of the gate state that every reject
 	// reads.
@@ -305,12 +297,8 @@ type Controller struct {
 // New builds a sharded controller for the region with k shards (rounded
 // up to a power of two, clamped to [1, MaxShards]). reserved, when
 // non-nil, sets per-stage reserved utilization floors, split evenly
-// across shards. clock may be nil (monotonic fast path). wake, when
-// non-nil, runs outside all shard locks after any operation that frees
-// capacity (release, expiry, idle reset, quality trim, scale
-// relaxation, bound raise); a wrapping controller hands a wake token to
-// its waiters from it.
-func New(region core.Region, reserved []float64, clock Clock, k int, wake func()) *Controller {
+// across shards. clock may be nil (monotonic fast path).
+func New(region core.Region, reserved []float64, clock Clock, k int) *Controller {
 	if reserved != nil && len(reserved) != region.Stages {
 		panic(fmt.Sprintf("shard: %d reserved values for %d stages", len(reserved), region.Stages))
 	}
@@ -338,7 +326,6 @@ func New(region core.Region, reserved []float64, clock Clock, k int, wake func()
 		k:         k,
 		shift:     64 - bits, // shift 64 on uint64 yields 0 in Go: k=1 → shard 0
 		clock:     clock,
-		wakeHook:  wake,
 		region:    region,
 		bound:     region.Bound(),
 		scaleBits: make([]atomic.Uint64, region.Stages),
@@ -386,12 +373,6 @@ func New(region core.Region, reserved []float64, clock Clock, k int, wake func()
 	// locks repartitionLocked asks for are not needed.
 	c.repartitionLocked(false)
 	return c
-}
-
-func (c *Controller) hook() {
-	if c.wakeHook != nil {
-		c.wakeHook()
-	}
 }
 
 // Shards returns the shard count (after rounding).
@@ -449,7 +430,7 @@ func (s *shard) monotoneLocked(now int64) int64 {
 // whose (id, deadline) matches a row removes the row and credits its
 // contributions; a mismatch is a lazily-cancelled stale entry. Callers
 // hold s.mu and pass a monotone now. Returns how many live rows
-// expired; the caller invokes the wake hook outside the lock when > 0.
+// expired.
 func (s *shard) purgeLocked(c *Controller, mnow int64) int {
 	if len(s.staged) > 0 {
 		s.drainStagedLocked()
@@ -513,27 +494,26 @@ func (s *shard) commitLocked(id uint64, at int64, raw, opt []float64, lv int) {
 
 // purgeDueLocked folds one clock sample into the monotone view and
 // flushes the wheel when an expiry is due. Callers hold s.mu. Returns
-// the monotone now and how many live rows expired.
-func (s *shard) purgeDueLocked(c *Controller) (mnow int64, expired int) {
-	mnow = s.monotoneLocked(c.nowNano())
+// the monotone now.
+func (s *shard) purgeDueLocked(c *Controller) int64 {
+	mnow := s.monotoneLocked(c.nowNano())
 	if s.nextExp.Load() <= mnow {
-		expired = s.purgeLocked(c, mnow)
+		s.purgeLocked(c, mnow)
 	}
-	return mnow, expired
+	return mnow
 }
 
 // admitLocked runs a due purge and the pointwise cap test at level lv,
-// committing on success. Callers hold s.mu. Returns (admitted,
-// expiredByPurge).
-func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt []float64, lv int) (bool, int) {
-	mnow, expired := s.purgeDueLocked(c)
+// committing on success. Callers hold s.mu.
+func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt []float64, lv int) bool {
+	mnow := s.purgeDueLocked(c)
 	for j := range raw {
 		if s.st.Util(j)+rawAt(raw, opt, j, lv)*s.scales[j] > s.caps[j] {
-			return false, expired
+			return false
 		}
 	}
 	s.commitLocked(id, mnow+deadline, raw, opt, lv)
-	return true, expired
+	return true
 }
 
 // TryAdmit tests the request against the region and commits it on
@@ -543,38 +523,27 @@ func (s *shard) admitLocked(c *Controller, id uint64, deadline int64, raw, opt [
 // purge is due only once the earliest deadline's 1 ms expiry bucket has
 // ended, since before that it could free nothing.
 func (c *Controller) TryAdmit(r Request) bool {
-	return c.admit(&r, true, nil)
+	return c.Admit(&r, nil)
 }
 
 // Admit is the by-reference admission entry point for wrapping
 // controllers on their hot path: it skips the Request copy TryAdmit's
-// value signature costs. The request is only read, never retained. A
-// failed attempt counts as a rejection only when countReject is set.
+// value signature costs. The request is only read, never retained.
 // When value is non-nil and the request is admitted, *value receives
 // the post-admit region value Σ_j f(U_j) as RegionValue computes it:
 // at K=1 from inside the admit's own critical section, at K>1 from a
 // RegionValue call after the admit.
-func (c *Controller) Admit(r *Request, countReject bool, value *float64) bool {
-	return c.admit(r, countReject, value)
-}
-
-// CountRejected adds one terminal rejection to the counters (the
-// wrapping controller's AdmitWithin accounts its give-ups here).
-func (c *Controller) CountRejected() { c.rejectedInvalid.Add(1) }
-
-func (c *Controller) admit(r *Request, countReject bool, value *float64) bool {
+func (c *Controller) Admit(r *Request, value *float64) bool {
 	var stack [maxStackStages]float64
 	raw, pooled := c.scratch(stack[:], 1)
 	if pooled != nil {
 		defer scratchPool.Put(pooled)
 	}
 	if _, ok := c.vectors(r, raw, nil); !ok {
-		if countReject {
-			c.rejectedInvalid.Add(1)
-		}
+		c.rejectedInvalid.Add(1)
 		return false
 	}
-	_, ok := c.admitReq(r.ID, int64(r.Deadline), raw, nil, task.QualityLevels, countReject, value)
+	_, ok := c.admitReq(r.ID, int64(r.Deadline), raw, nil, task.QualityLevels, value)
 	if ok && value != nil && c.k > 1 {
 		*value, _ = c.RegionValue()
 	}
@@ -623,27 +592,22 @@ func (c *Controller) vectors(r *Request, raw, opt []float64) (hasOpt, ok bool) {
 // reject, and only the exact test searches below maxLevel, so every K
 // decides exactly as the single exact test does. Returns the admitted
 // level; at K=1 a non-nil value receives the post-admit region value.
-func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool, value *float64) (int, bool) {
+func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, maxLevel int, value *float64) (int, bool) {
 	if c.gateRejects(raw, opt) {
-		if countReject {
-			c.rejectedGate.Add(1)
-		}
+		c.rejectedGate.Add(1)
 		return 0, false
 	}
 	if c.k == 1 {
-		return c.admitOne(id, deadline, raw, opt, maxLevel, countReject, value)
+		return c.admitOne(id, deadline, raw, opt, maxLevel, value)
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
-	ok, expired := s.admitLocked(c, id, deadline, raw, opt, maxLevel)
+	ok := s.admitLocked(c, id, deadline, raw, opt, maxLevel)
 	s.mu.Unlock()
-	if expired > 0 {
-		c.hook()
-	}
 	if ok || c.stealThenAdmit(s, id, deadline, raw, opt, maxLevel) {
 		return maxLevel, true
 	}
-	return c.globalAdmit(id, deadline, raw, opt, maxLevel, countReject)
+	return c.globalAdmit(id, deadline, raw, opt, maxLevel)
 }
 
 // admitOne is the exact test at K=1, where the caps, steal, and global
@@ -651,7 +615,7 @@ func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, max
 // reject arms the gate. On admit, a non-nil value receives the region
 // value right after the commit, summed in stage order as RegionValue
 // does, so a publishing caller needs no second lock round.
-func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, maxLevel int, countReject bool, value *float64) (int, bool) {
+func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, maxLevel int, value *float64) (int, bool) {
 	var stack [maxStackStages]float64
 	utils, pooled := c.scratch(stack[:], 1)
 	if pooled != nil {
@@ -659,7 +623,7 @@ func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, max
 	}
 	s := c.shards[0]
 	s.mu.Lock()
-	mnow, expired := s.purgeDueLocked(c)
+	mnow := s.purgeDueLocked(c)
 	for j := range utils {
 		utils[j] = s.st.Util(j)
 	}
@@ -674,15 +638,10 @@ func (c *Controller) admitOne(id uint64, deadline int64, raw, opt []float64, max
 			*value = v
 		}
 	} else {
-		if countReject {
-			s.rejected++
-		}
+		s.rejected++
 		c.armGateLocked(utils)
 	}
 	s.mu.Unlock()
-	if expired > 0 {
-		c.hook()
-	}
 	return lv, ok
 }
 
@@ -743,17 +702,13 @@ func (c *Controller) gateRejects(raw, opt []float64) bool {
 // call it when a request is cancelled or finishes well before its
 // deadline and the caller prefers eager accounting over the idle reset.
 // The wheel entry is left to be discarded lazily at its flush (the
-// table no longer matches it). There is no purge, and the wake hook
-// runs only when a contribution was removed; an expired or unknown ID
-// is a silent no-op.
+// table no longer matches it). There is no purge; an expired or
+// unknown ID is a silent no-op.
 func (c *Controller) Release(id uint64) {
 	s := c.shardOf(id)
 	s.mu.Lock()
-	removed := s.releaseLocked(c, id)
+	s.releaseLocked(c, id)
 	s.mu.Unlock()
-	if removed {
-		c.hook()
-	}
 }
 
 // releaseLocked removes one row; reports whether any stage still
@@ -773,10 +728,12 @@ func (s *shard) releaseLocked(c *Controller, id uint64) bool {
 	return removed
 }
 
-// eachByShard runs fn on every id under its shard's lock, one lock
-// acquisition and one purge (at one clock sample) per shard touched.
-// Returns how many live rows the purges expired.
-func (c *Controller) eachByShard(ids []uint64, fn func(s *shard, id uint64)) (expired int) {
+// ReleaseAll drops a burst of contributions — the batch mirror of
+// Release, for services that complete requests in bursts — with one
+// lock acquisition and one purge (at one clock sample) per shard
+// touched. Returns how many IDs still had a live contribution.
+func (c *Controller) ReleaseAll(ids []uint64) int {
+	released := 0
 	now := c.nowNano()
 	for si, s := range c.shards {
 		locked := false
@@ -787,35 +744,15 @@ func (c *Controller) eachByShard(ids []uint64, fn func(s *shard, id uint64)) (ex
 			if !locked {
 				s.mu.Lock()
 				locked = true
-				expired += s.purgeLocked(c, s.monotoneLocked(now))
+				s.purgeLocked(c, s.monotoneLocked(now))
 			}
-			fn(s, id)
+			if s.releaseLocked(c, id) {
+				released++
+			}
 		}
 		if locked {
 			s.mu.Unlock()
 		}
-	}
-	return expired
-}
-
-// ReleaseAll drops a burst of contributions — the batch mirror of
-// Release, for services that complete requests in bursts — with one
-// lock acquisition and one purge per shard and a single coalesced wake
-// at the end (covering anything the purges expired), so a burst release
-// hands out exactly one wake token. Returns how many IDs still had a
-// live contribution.
-func (c *Controller) ReleaseAll(ids []uint64) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	released := 0
-	expired := c.eachByShard(ids, func(s *shard, id uint64) {
-		if s.releaseLocked(c, id) {
-			released++
-		}
-	})
-	if released > 0 || expired > 0 {
-		c.hook()
 	}
 	return released
 }
@@ -835,19 +772,6 @@ func (s *shard) markDepartedLocked(stage int, id uint64) {
 	}
 }
 
-// MarkDepartedAll is the batch mirror of MarkDeparted: one lock and one
-// purge per shard. Contributions whose deadlines already passed are
-// purged rather than marked.
-func (c *Controller) MarkDepartedAll(stage int, ids []uint64) {
-	if len(ids) == 0 {
-		return
-	}
-	expired := c.eachByShard(ids, func(s *shard, id uint64) { s.markDepartedLocked(stage, id) })
-	if expired > 0 {
-		c.hook()
-	}
-}
-
 // StageIdle performs the paper's idle reset for a stage on every shard:
 // rows that departed the stage stop charging it, drained in
 // ascending-ID order (cleared rows stay in the table until their
@@ -857,10 +781,9 @@ func (c *Controller) MarkDepartedAll(stage int, ids []uint64) {
 func (c *Controller) StageIdle(stage int) {
 	now := c.nowNano()
 	freed := 0
-	expired := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		expired += s.purgeLocked(c, s.monotoneLocked(now))
+		s.purgeLocked(c, s.monotoneLocked(now))
 		if n := s.st.ResetIdle(stage); n > 0 {
 			s.releasedTraffic += uint64(n)
 			s.updateHintLocked()
@@ -872,23 +795,6 @@ func (c *Controller) StageIdle(stage int) {
 	if freed > 0 {
 		c.idleResets.Add(1)
 	}
-	if freed > 0 || expired > 0 {
-		c.hook()
-	}
-}
-
-// NextExpiry returns the earliest time (UnixNano) a purge on any shard
-// can flush an expiry — the end of the earliest deadline's wheel
-// bucket — math.MaxInt64 when none is pending. AdmitWithin sleeps
-// until then.
-func (c *Controller) NextExpiry() int64 {
-	min := int64(math.MaxInt64)
-	for _, s := range c.shards {
-		if at := s.nextExp.Load(); at < min {
-			min = at
-		}
-	}
-	return min
 }
 
 // StageUtilization returns stage j's current global synthetic
@@ -896,15 +802,11 @@ func (c *Controller) NextExpiry() int64 {
 func (c *Controller) StageUtilization(j int) float64 {
 	now := c.nowNano()
 	sum := 0.0
-	expired := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		expired += s.purgeLocked(c, s.monotoneLocked(now))
+		s.purgeLocked(c, s.monotoneLocked(now))
 		sum += s.st.Util(j)
 		s.mu.Unlock()
-	}
-	if expired > 0 {
-		c.hook()
 	}
 	return sum
 }
@@ -924,17 +826,13 @@ func (c *Controller) Utilizations() []float64 {
 // sample, then one pass over the shards in order, each purged first.
 func (c *Controller) addUtils(utils []float64) {
 	now := c.nowNano()
-	expired := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		expired += s.purgeLocked(c, s.monotoneLocked(now))
+		s.purgeLocked(c, s.monotoneLocked(now))
 		for j := range utils {
 			utils[j] += s.st.Util(j)
 		}
 		s.mu.Unlock()
-	}
-	if expired > 0 {
-		c.hook()
 	}
 }
 
@@ -1015,8 +913,6 @@ func (c *Controller) Stats() Stats {
 		st.Expired += s.expired
 		st.ClockRegressions += s.clockRegressions
 		st.Degraded += s.degraded
-		st.Trimmed += s.trimmed
-		st.Restored += s.restored
 		st.Cancelled += s.cancelled
 		s.mu.Unlock()
 	}

@@ -54,7 +54,7 @@ func regionValue(c *Controller) float64 {
 func TestShardAdmitUntilFull(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		clk := newFakeClock()
-		c := New(core.NewRegion(1), nil, clk.Now, k, nil)
+		c := New(core.NewRegion(1), nil, clk.Now, k)
 		// Each request: 1s of work within 4s -> contribution 0.25.
 		if !c.TryAdmit(req(1, 4*time.Second, time.Second)) {
 			t.Fatalf("k=%d: first rejected", k)
@@ -76,7 +76,7 @@ func TestShardRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {100, MaxShards},
 	} {
-		c := New(core.NewRegion(1), nil, nil, tc.in, nil)
+		c := New(core.NewRegion(1), nil, nil, tc.in)
 		if c.Shards() != tc.want {
 			t.Fatalf("New(k=%d).Shards() = %d, want %d", tc.in, c.Shards(), tc.want)
 		}
@@ -85,7 +85,7 @@ func TestShardRoundsToPowerOfTwo(t *testing.T) {
 
 func TestShardExpiryFreesCapacity(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 4)
 	// Each: 0.25 utilization. Two fit (f(0.5)=0.75 ≤ 1); a third does not
 	// (f(0.75) > 1) until the first two expire.
 	if !c.TryAdmit(req(1, 2*time.Second, 500*time.Millisecond)) {
@@ -111,7 +111,7 @@ func TestShardExpiryFreesCapacity(t *testing.T) {
 
 func TestShardReleaseFreesCapacity(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(2), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(2), nil, clk.Now, 4)
 	if !c.TryAdmit(req(7, 2*time.Second, 500*time.Millisecond, 500*time.Millisecond)) {
 		t.Fatal("admit rejected")
 	}
@@ -135,7 +135,7 @@ func TestShardReleaseFreesCapacity(t *testing.T) {
 // via steal or the exact global pass.
 func TestShardStealOrGlobalPass(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 8, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 8)
 	bound := c.Bound()
 	// Fill roughly half the region with small admits.
 	var small []uint64
@@ -185,7 +185,7 @@ func TestShardStealOrGlobalPass(t *testing.T) {
 // to a point inside the region.
 func TestShardCapInvariant(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(3), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(3), nil, clk.Now, 4)
 	var ids []uint64
 	for i := uint64(1); i <= 200; i++ {
 		d := time.Duration(1+i%7) * 10 * time.Millisecond
@@ -219,7 +219,7 @@ func TestShardCapInvariant(t *testing.T) {
 }
 
 func TestShardInvalidRequests(t *testing.T) {
-	c := New(core.NewRegion(2), nil, nil, 4, nil)
+	c := New(core.NewRegion(2), nil, nil, 4)
 	bad := []Request{
 		{ID: 1, Deadline: 0, Demands: []time.Duration{1, 1}},
 		{ID: 2, Deadline: time.Second, Demands: []time.Duration{1}},
@@ -236,7 +236,7 @@ func TestShardInvalidRequests(t *testing.T) {
 }
 
 func TestShardDuplicateAdmitPanics(t *testing.T) {
-	c := New(core.NewRegion(1), nil, nil, 2, nil)
+	c := New(core.NewRegion(1), nil, nil, 2)
 	if !c.TryAdmit(req(42, time.Hour, time.Millisecond)) {
 		t.Fatal("admit rejected")
 	}
@@ -250,7 +250,7 @@ func TestShardDuplicateAdmitPanics(t *testing.T) {
 
 func TestShardStageIdleAndMarkDeparted(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(2), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(2), nil, clk.Now, 4)
 	for i := uint64(1); i <= 8; i++ {
 		if !c.TryAdmit(req(i, time.Hour, 10*time.Millisecond, 10*time.Millisecond)) {
 			t.Fatalf("admit %d rejected", i)
@@ -273,7 +273,7 @@ func TestShardStageIdleAndMarkDeparted(t *testing.T) {
 
 func TestShardBatchGroupsByShard(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 4)
 	rs := make([]Request, 16)
 	for i := range rs {
 		rs[i] = req(uint64(i+1), time.Hour, time.Millisecond)
@@ -297,9 +297,9 @@ func TestShardBatchGroupsByShard(t *testing.T) {
 	}
 }
 
-func TestShardQualityDegradesAndRetunes(t *testing.T) {
+func TestShardQualityDegrades(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 4)
 	// Full demand 0.4 (0.3 of it optional): the first fits at full
 	// quality (f(0.4) ≈ 0.53), a second full-quality copy would need
 	// f(0.8) > 1, but its mandatory-only demand (0.1) still fits.
@@ -325,28 +325,17 @@ func TestShardQualityDegradesAndRetunes(t *testing.T) {
 	if got, present := c.QualityOf(2); !present || got != lv2 {
 		t.Fatalf("QualityOf(2) = %d,%v want %d,true", got, present, lv2)
 	}
-	// Trim request 1 down, then request 2 can be raised.
-	if !c.SetQuality(mk(1), 0) {
-		t.Fatal("lowering request 1 failed")
-	}
-	if !c.SetQuality(mk(2), task.QualityLevels) {
-		t.Fatal("raising request 2 after the trim failed")
-	}
-	if got, _ := c.QualityOf(2); got != task.QualityLevels {
-		t.Fatalf("QualityOf(2) = %d after raise", got)
-	}
-	s := c.Stats()
-	if s.Degraded == 0 || s.Trimmed == 0 || s.Restored == 0 {
-		t.Fatalf("quality counters not moving: %+v", s)
+	if s := c.Stats(); s.Degraded != 1 {
+		t.Fatalf("Degraded = %d, want 1", s.Degraded)
 	}
 	if v := regionValue(c); v > c.Bound()+1e-9 {
-		t.Fatalf("quality churn left the region: %v > %v", v, c.Bound())
+		t.Fatalf("degraded admit left the region: %v > %v", v, c.Bound())
 	}
 }
 
 func TestShardScaleAndRegionMoves(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 4)
 	c.SetStageScale(0, 4.0)
 	// Raw demand 0.1, scaled to 0.4: the first charges 0.4; the second
 	// tests at 0.4+0.4=0.8 → f(0.8) > 1, rejected. After the scale
@@ -373,7 +362,7 @@ func TestShardScaleAndRegionMoves(t *testing.T) {
 
 func TestShardGateRejectsWithoutLock(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 4, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 4)
 	var id uint64
 	for {
 		id++
@@ -403,7 +392,7 @@ func TestShardGateRejectsWithoutLock(t *testing.T) {
 
 func TestShardUtilizationsMatchPerShardSums(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(2), nil, clk.Now, 8, nil)
+	c := New(core.NewRegion(2), nil, clk.Now, 8)
 	for i := uint64(1); i <= 50; i++ {
 		c.TryAdmit(req(i, time.Hour, 5*time.Millisecond, 3*time.Millisecond))
 	}
@@ -435,7 +424,7 @@ func TestShardUtilizationsMatchPerShardSums(t *testing.T) {
 func TestAdmitValueMatchesRegionValue(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		clk := newFakeClock()
-		c := New(core.NewRegion(3), []float64{0.05, 0.1, 0}, clk.Now, k, nil)
+		c := New(core.NewRegion(3), []float64{0.05, 0.1, 0}, clk.Now, k)
 		c.SetStageScale(0, 1.5)
 		c.SetStageScale(2, 0.75)
 		admitted := 0
@@ -443,7 +432,7 @@ func TestAdmitValueMatchesRegionValue(t *testing.T) {
 			r := req(id, time.Duration(5+id%40)*time.Millisecond,
 				time.Duration(id%7)*50*time.Microsecond, time.Duration(id%5)*80*time.Microsecond, 120*time.Microsecond)
 			value := math.NaN()
-			if !c.Admit(&r, true, &value) {
+			if !c.Admit(&r, &value) {
 				if !math.IsNaN(value) {
 					t.Fatalf("k=%d id %d: a reject wrote value %v", k, id, value)
 				}
@@ -478,7 +467,7 @@ func TestAdmitValueMatchesRegionValue(t *testing.T) {
 // through to the lock.
 func TestGateFiresWithinPurgedBucket(t *testing.T) {
 	clk := newFakeClock()
-	c := New(core.NewRegion(1), nil, clk.Now, 1, nil)
+	c := New(core.NewRegion(1), nil, clk.Now, 1)
 	if !c.TryAdmit(req(1, 5*time.Millisecond, time.Millisecond)) {
 		t.Fatal("short request rejected")
 	}

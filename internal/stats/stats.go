@@ -56,29 +56,6 @@ func (w Welford) Min() float64 { return w.min }
 // Max returns the largest observation (0 when empty).
 func (w Welford) Max() float64 { return w.max }
 
-// Merge combines another accumulator into this one (parallel reduction),
-// using Chan et al.'s pairwise update. Min/max merge directly.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // Ratio is a hit/total counter (e.g. miss ratio, rejection ratio).
 type Ratio struct {
 	Hits  uint64

@@ -18,15 +18,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddFloatRow appends a row of floats rendered with %.4g.
-func (t *Table) AddFloatRow(values ...float64) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		cells[i] = fmt.Sprintf("%.4g", v)
-	}
-	t.Rows = append(t.Rows, cells)
-}
-
 // Render returns a column-aligned plain-text rendering.
 func (t *Table) Render() string {
 	var b strings.Builder

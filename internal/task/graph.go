@@ -50,27 +50,36 @@ func (g *Graph) Predecessors() []int {
 // TopoOrder returns a topological ordering of the nodes, or an error if
 // the graph has a cycle.
 func (g *Graph) TopoOrder() ([]int, error) {
-	in := g.Predecessors()
-	var queue []int
-	for i, d := range in {
-		if d == 0 {
-			queue = append(queue, i)
+	n := len(g.Nodes)
+	return g.TopoOrderInto(make([]int, n), make([]int, 0, n))
+}
+
+// TopoOrderInto appends the topological order to order and returns it,
+// using in (one entry per node) as in-degree scratch: Kahn's algorithm,
+// sources in index order, first in first out. It returns an error if the
+// graph has a cycle, and allocates nothing when order has room.
+func (g *Graph) TopoOrderInto(in, order []int) ([]int, error) {
+	clear(in)
+	for _, succs := range g.Edges {
+		for _, v := range succs {
+			in[v]++
 		}
 	}
-	order := make([]int, 0, len(g.Nodes))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.Edges[u] {
-			in[v]--
-			if in[v] == 0 {
-				queue = append(queue, v)
+	start := len(order)
+	for i, d := range in {
+		if d == 0 {
+			order = append(order, i)
+		}
+	}
+	for h := start; h < len(order); h++ {
+		for _, v := range g.Edges[order[h]] {
+			if in[v]--; in[v] == 0 {
+				order = append(order, v)
 			}
 		}
 	}
-	if len(order) != len(g.Nodes) {
-		return nil, fmt.Errorf("task: graph has a cycle (%d of %d nodes orderable)", len(order), len(g.Nodes))
+	if n := len(order) - start; n != len(g.Nodes) {
+		return nil, fmt.Errorf("task: graph has a cycle (%d of %d nodes orderable)", n, len(g.Nodes))
 	}
 	return order, nil
 }
@@ -108,17 +117,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// MaxResource returns the largest resource index referenced by the graph.
-func (g *Graph) MaxResource() int {
-	max := -1
-	for _, n := range g.Nodes {
-		if n.Resource > max {
-			max = n.Resource
-		}
-	}
-	return max
-}
-
 // LongestPath computes the maximum, over all source-to-sink paths, of the
 // sum of weight(node) along the path. This is the paper's end-to-end delay
 // expression d(L_1, ..., L_M) for a DAG: with weight(i) = L_i it returns
@@ -133,8 +131,15 @@ func (g *Graph) LongestPath(weight func(node int) float64) float64 {
 	if err != nil {
 		panic("task: LongestPath on cyclic graph: " + err.Error())
 	}
+	return g.LongestPathOrder(order, make([]float64, len(g.Nodes)), weight)
+}
+
+// LongestPathOrder is LongestPath over a topological order the caller
+// already holds, with best (one entry per node) as scratch; it allocates
+// nothing.
+func (g *Graph) LongestPathOrder(order []int, best []float64, weight func(node int) float64) float64 {
 	// best[i] = max path weight ending at node i (inclusive).
-	best := make([]float64, len(g.Nodes))
+	clear(best)
 	for _, u := range order {
 		best[u] += weight(u)
 		for _, v := range g.Edges[u] {
@@ -150,17 +155,4 @@ func (g *Graph) LongestPath(weight func(node int) float64) float64 {
 		}
 	}
 	return max
-}
-
-// ChainGraph builds the degenerate pipeline graph: node j runs on resource
-// j with the given demands, with edges 0->1->...->n-1.
-func ChainGraph(demands ...float64) *Graph {
-	g := NewGraph()
-	for j, d := range demands {
-		g.AddNode(j, NewSubtask(d))
-		if j > 0 {
-			g.AddEdge(j-1, j)
-		}
-	}
-	return g
 }

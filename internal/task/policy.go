@@ -58,8 +58,8 @@ func (EDF) Fixed() bool { return false }
 // fixed-priority policy, so the feasible region applies with the α the
 // concurrent population earns — at least Dleast/Dmost, and typically
 // much closer to 1 because absolute-deadline order inverts relative
-// deadlines only across staggered arrivals (estimate it with
-// core.AlphaForPolicy over a representative arrival sample).
+// deadlines only across staggered arrivals (estimate it with core.Alpha
+// over a representative arrival sample's assigned priorities).
 type EDFApprox struct{}
 
 // Name implements Policy.

@@ -60,10 +60,6 @@ func NewSubtask(demand float64) Subtask {
 	return Subtask{Demand: demand}
 }
 
-// Mandatory returns M_ij = Demand - Optional, the part of the subtask
-// that quality degradation can never trim.
-func (s Subtask) Mandatory() float64 { return s.Demand - s.Optional }
-
 // DemandAt returns the subtask's computation demand when executed at the
 // given quality level: the mandatory part plus level/QualityLevels of the
 // optional part. Levels outside [0, QualityLevels] are clamped.
@@ -178,19 +174,6 @@ func (t *Task) StageDemandAt(j, level int) float64 {
 		return 0
 	}
 	return t.Subtasks[j].DemandAt(level)
-}
-
-// MandatoryDemand returns M_ij for stage j: the demand that remains at
-// quality level 0.
-func (t *Task) MandatoryDemand(j int) float64 { return t.StageDemandAt(j, 0) }
-
-// OptionalDemand returns O_ij for stage j: the demand trimmed away when
-// the task degrades from full quality to mandatory-only.
-func (t *Task) OptionalDemand(j int) float64 {
-	if j < 0 || j >= len(t.Subtasks) {
-		return 0
-	}
-	return t.Subtasks[j].Optional
 }
 
 // HasOptional reports whether any stage of the task carries optional

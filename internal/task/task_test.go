@@ -2,6 +2,7 @@ package task
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -55,7 +56,7 @@ func TestValidateRejectsBadTasks(t *testing.T) {
 		{"negative demand", Chain(1, 0, 1, -0.5)},
 		{"chain and graph", func() *Task {
 			tk := Chain(1, 0, 1, 0.5)
-			tk.Graph = ChainGraph(0.5)
+			tk.Graph = chainGraph(0.5)
 			return tk
 		}()},
 		{"segment sum mismatch", &Task{ID: 1, Deadline: 1, Subtasks: []Subtask{{
@@ -113,6 +114,39 @@ func TestGraphTopoOrder(t *testing.T) {
 	}
 }
 
+// TestScratchFormsMatch: TopoOrderInto and LongestPathOrder over dirty
+// caller scratch give TopoOrder's order and LongestPath's value, without
+// allocating.
+func TestScratchFormsMatch(t *testing.T) {
+	g := NewGraph()
+	for r := 0; r < 5; r++ {
+		g.AddNode(r%3, NewSubtask(1))
+	}
+	g.AddEdge(3, 1)
+	g.AddEdge(0, 1)
+	g.AddEdge(3, 4)
+	g.AddEdge(1, 2)
+	w := func(n int) float64 { return float64(n%3) + 0.5 }
+	want, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, order, best := []int{9, 9, 9, 9, 9}, make([]int, 0, 5), []float64{7, 7, 7, 7, 7}
+	var got []int
+	var v float64
+	allocs := testing.AllocsPerRun(10, func() {
+		got, _ = g.TopoOrderInto(in, order[:0])
+		v = g.LongestPathOrder(got, best, w)
+	})
+	if !slices.Equal(got, want) || v != g.LongestPath(w) || allocs != 0 {
+		t.Fatalf("order %v value %v allocs %v; want %v, %v, 0", got, v, allocs, want, g.LongestPath(w))
+	}
+	g.AddEdge(2, 3)
+	if _, err := g.TopoOrderInto(in, order[:0]); err == nil {
+		t.Fatal("cycle not detected")
+	}
+}
+
 func TestGraphCycleDetected(t *testing.T) {
 	g := NewGraph()
 	a := g.AddNode(0, NewSubtask(1))
@@ -159,7 +193,7 @@ func TestLongestPathFigure3(t *testing.T) {
 }
 
 func TestLongestPathChainIsSum(t *testing.T) {
-	g := ChainGraph(1, 1, 1, 1)
+	g := chainGraph(1, 1, 1, 1)
 	w := []float64{0.5, 1.5, 2.5, 3.5}
 	got := g.LongestPath(func(n int) float64 { return w[n] })
 	if got != 8 {
@@ -178,13 +212,23 @@ func TestLongestPathDisconnected(t *testing.T) {
 	}
 }
 
+// chainGraph builds the degenerate pipeline graph: node j runs on
+// resource j with the given demands, with edges 0->1->...->n-1.
+func chainGraph(demands ...float64) *Graph {
+	g := NewGraph()
+	for j, d := range demands {
+		g.AddNode(j, NewSubtask(d))
+		if j > 0 {
+			g.AddEdge(j-1, j)
+		}
+	}
+	return g
+}
+
 func TestChainGraphStructure(t *testing.T) {
-	g := ChainGraph(0.1, 0.2, 0.3)
+	g := chainGraph(0.1, 0.2, 0.3)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if g.MaxResource() != 2 {
-		t.Fatalf("MaxResource = %d, want 2", g.MaxResource())
 	}
 	in := g.Predecessors()
 	if in[0] != 0 || in[1] != 1 || in[2] != 1 {
@@ -286,11 +330,11 @@ func TestQualityLadder(t *testing.T) {
 	if !tk.HasOptional() {
 		t.Fatal("SetOptionalFraction did not mark optional demand")
 	}
-	if got := tk.MandatoryDemand(0); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("MandatoryDemand(0) = %v, want 0.5", got)
+	if got := tk.StageDemandAt(0, 0); math.Abs(got-0.5) > 1e-12 {
+		t.Fatalf("StageDemandAt(0, 0) = %v, want 0.5", got)
 	}
-	if got := tk.OptionalDemand(1); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("OptionalDemand(1) = %v, want 1.0", got)
+	if got := tk.Subtasks[1].Optional; math.Abs(got-1.0) > 1e-12 {
+		t.Fatalf("Subtasks[1].Optional = %v, want 1.0", got)
 	}
 	// Level endpoints and monotonicity of the ladder.
 	if got := tk.StageDemandAt(0, QualityLevels); got != tk.StageDemand(0) {
@@ -305,13 +349,13 @@ func TestQualityLadder(t *testing.T) {
 		if d < prev {
 			t.Fatalf("demand not monotone in level: level %d demand %v < %v", q, d, prev)
 		}
-		if d < tk.MandatoryDemand(1)-1e-12 || d > tk.StageDemand(1)+1e-12 {
+		if d < tk.StageDemandAt(1, 0)-1e-12 || d > tk.StageDemand(1)+1e-12 {
 			t.Fatalf("level %d demand %v outside [mandatory, full]", q, d)
 		}
 		prev = d
 	}
 	// Clamping.
-	if tk.StageDemandAt(0, -3) != tk.MandatoryDemand(0) {
+	if tk.StageDemandAt(0, -3) != tk.StageDemandAt(0, 0) {
 		t.Fatal("negative level should clamp to mandatory")
 	}
 	if tk.StageDemandAt(0, QualityLevels+5) != tk.StageDemand(0) {
@@ -335,7 +379,7 @@ func TestUtilityModel(t *testing.T) {
 	// Utility is concave in executed demand: the mandatory prefix is worth
 	// more per unit than the optional tail (the reason degradation wins
 	// under overload).
-	if MandatoryUtility <= imp.MandatoryDemand(0)/imp.StageDemand(0) {
+	if MandatoryUtility <= imp.StageDemandAt(0, 0)/imp.StageDemand(0) {
 		t.Fatal("utility model must be concave: mandatory value share must exceed its demand share")
 	}
 	rigid := Chain(2, 0, 10, 1)

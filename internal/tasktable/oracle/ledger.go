@@ -1,4 +1,7 @@
-package core
+// Package oracle holds the reference Ledger that the region-state
+// differential tests and fuzz targets compare every controller against.
+// It is test support, not a runtime path: no controller imports it.
+package oracle
 
 import (
 	"slices"
@@ -55,7 +58,7 @@ const compactMin = 64
 // NewLedger returns a ledger with the given reserved utilization floor.
 func NewLedger(reserved float64) *Ledger {
 	if reserved < 0 || reserved >= 1 {
-		panic("core: reserved utilization must be in [0, 1)")
+		panic("oracle: reserved utilization must be in [0, 1)")
 	}
 	return &Ledger{
 		reserved: reserved,
@@ -90,7 +93,7 @@ func (l *Ledger) Reserved() float64 { return l.reserved }
 // floor.
 func (l *Ledger) SetReserved(v float64) {
 	if v < 0 || v >= 1 {
-		panic("core: reserved utilization must be in [0, 1)")
+		panic("oracle: reserved utilization must be in [0, 1)")
 	}
 	l.reserved = v
 	if u := l.Utilization(); u > l.peak {
@@ -109,10 +112,10 @@ func (l *Ledger) Resets() uint64 { return l.resets }
 // Adding an already-present task is a programming error and panics.
 func (l *Ledger) Add(id task.ID, contribution float64) {
 	if _, ok := l.contrib[id]; ok {
-		panic("core: task added to ledger twice")
+		panic("oracle: task added to ledger twice")
 	}
 	if contribution < 0 {
-		panic("core: negative synthetic-utilization contribution")
+		panic("oracle: negative synthetic-utilization contribution")
 	}
 	l.contrib[id] = entry{c: contribution}
 	l.add(contribution)
@@ -136,7 +139,7 @@ func (l *Ledger) ResetPeak() { l.peak = l.Utilization() }
 // present (an expired or reset contribution is not resurrected).
 func (l *Ledger) Update(id task.ID, contribution float64) bool {
 	if contribution < 0 {
-		panic("core: negative synthetic-utilization contribution")
+		panic("oracle: negative synthetic-utilization contribution")
 	}
 	e, ok := l.contrib[id]
 	if !ok {

@@ -40,7 +40,7 @@ func NewState(stages int, floors []float64) State {
 
 // SignedKey maps a signed task ID to a table key. Flipping the sign bit
 // keeps the order, so the idle reset drains in ascending signed-ID order
-// (core.Ledger's).
+// (oracle.Ledger's).
 func SignedKey(id int64) uint64 { return uint64(id) ^ 1<<63 }
 
 // Util returns stage j's synthetic utilization: its floor plus the sum
@@ -104,7 +104,7 @@ func (s *State) ClearStage(slot, j int) { s.clearStage(slot, j, &s.stages[j].sum
 func (s *State) ResetIdle(j int) int { return s.resetIdle(j, &s.stages[j].sum) }
 
 // kahan is one stage's Kahan-compensated running sum of contributions,
-// with core.Ledger's arithmetic: millions of add/subtract pairs do not
+// with oracle.Ledger's arithmetic: millions of add/subtract pairs do not
 // drift it, and a fixed operation order gives bit-identical results.
 type kahan struct{ v, comp float64 }
 

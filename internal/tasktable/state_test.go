@@ -5,9 +5,9 @@ import (
 	"slices"
 	"testing"
 
-	"feasregion/internal/core"
 	"feasregion/internal/task"
 	"feasregion/internal/tasktable"
+	"feasregion/internal/tasktable/oracle"
 )
 
 // ops reads an operation stream from fuzz bytes; past the end it reads
@@ -34,7 +34,7 @@ func (o *ops) value() float64 {
 }
 
 // checkStateMatchesLedgers replays data against a State and one
-// core.Ledger per stage and requires every stage's utilization to agree
+// oracle.Ledger per stage and requires every stage's utilization to agree
 // bit for bit, with equal charging counts, after every operation. The
 // first byte picks 1-3 stages; each following op byte picks insert,
 // recharge, ClearStage, MarkDeparted, a partial or an all-departed idle
@@ -45,9 +45,9 @@ func checkStateMatchesLedgers(t *testing.T, data []byte) {
 	o := &ops{b: data}
 	stages := 1 + int(o.next()%3)
 	st := tasktable.NewState(stages, nil)
-	ref := make([]*core.Ledger, stages)
+	ref := make([]*oracle.Ledger, stages)
 	for j := range ref {
-		ref[j] = core.NewLedger(0)
+		ref[j] = oracle.NewLedger(0)
 	}
 	key := func(id task.ID) uint64 { return tasktable.SignedKey(int64(id)) }
 	present := func(id task.ID, j int) (int, bool) {

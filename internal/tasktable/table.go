@@ -9,8 +9,8 @@
 // driver keeps the clock, schedules expiry, serializes access, and
 // computes each admission's contribution vector (estimator, scales,
 // quality level) before handing it over. Every add, subtract and
-// rebaseline happens in core.Ledger's order, so a State's utilizations
-// are bit-identical to a set of core.Ledgers fed the same operations.
+// rebaseline happens in oracle.Ledger's order, so a State's utilizations
+// are bit-identical to a set of oracle.Ledgers fed the same operations.
 //
 // The rows live in a Table, an open-addressing hash table (linear
 // probing, backward-shift deletion, full uint64 key range) over
@@ -67,7 +67,7 @@ const MaxID = ^uint64(0)
 const minSize = 16
 
 // compactMin is the departed-list length below which compaction is not
-// worth a sort (core.Ledger's threshold).
+// worth a sort (oracle.Ledger's threshold).
 const compactMin = 64
 
 // newTable returns an empty table for up to 65535 stages.
@@ -262,7 +262,7 @@ func (t *Table) MarkDeparted(slot, j int, id uint64) {
 }
 
 // sortDeparted sorts stage j's departed list in place and returns it:
-// the idle reset drains in core.Ledger's ascending-ID order, keeping the
+// the idle reset drains in oracle.Ledger's ascending-ID order, keeping the
 // State's Kahan sums bit-identical to a Ledger's.
 func (t *Table) sortDeparted(j int) []uint64 {
 	slices.Sort(t.dep[j])

@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"feasregion/internal/des"
 	"feasregion/internal/dist"
-	"feasregion/internal/task"
 )
 
 // RatePoint is one breakpoint of a piecewise-linear arrival-rate curve:
@@ -52,9 +50,8 @@ type FlashCrowd struct {
 // Scenario is a declarative workload specification: a diurnal
 // piecewise-linear rate curve, user-class cohorts drawing from scaled
 // per-stage demand distributions, and flash crowds layered on the
-// baseline. It compiles into the generator interfaces (Compile) or
-// streams directly into a binary trace (RecordTrace) without a
-// simulator.
+// baseline. RecordTrace streams it into a binary trace without a
+// simulator; a Replayer plays that trace into one.
 type Scenario struct {
 	// Stages is the pipeline length; demands are exponential per stage.
 	Stages int
@@ -261,75 +258,28 @@ func (sc *Scenario) PeakLoad() (load, at float64) {
 	return load, at
 }
 
-// ScenarioSource generates the scenario's arrivals inside a simulator
-// via Poisson thinning against the peak rate. It implements des.Timer,
-// the target of its one alarm: the next arrival is the only event it
-// ever has outstanding.
-type ScenarioSource struct {
-	next  des.Alarm
-	sc    *Scenario
-	gen   *scenarioGen
-	offer func(*task.Task)
-}
-
-// Compile validates the scenario and binds it to a simulator and sink.
-// Call Start to schedule the first arrival.
-func (sc *Scenario) Compile(sim *des.Simulator, offer func(*task.Task)) (*ScenarioSource, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if offer == nil {
-		return nil, fmt.Errorf("workload: scenario needs an offer sink")
-	}
-	s := &ScenarioSource{sc: sc, gen: newScenarioGen(sc), offer: offer}
-	s.next = sim.NewAlarm(s)
-	return s, nil
-}
-
-// Start schedules the first arrival (if any occur before Horizon).
-func (s *ScenarioSource) Start() {
-	if at, ok := s.gen.next(); ok {
-		s.next.Arm(at)
-	}
-}
-
-// Generated returns how many tasks the source has offered.
-func (s *ScenarioSource) Generated() uint64 { return s.gen.count }
-
-// Fire emits the due arrival and arms the next one.
-func (s *ScenarioSource) Fire(now des.Time) {
-	s.offer(s.gen.emit(now))
-	if at, ok := s.gen.next(); ok {
-		s.next.Arm(at)
-	}
-}
-
-// scenarioGen is the simulator-independent sampling core shared by the
-// DES source and the offline trace recorder: a nonhomogeneous Poisson
+// scenarioGen is RecordTrace's sampling core: a nonhomogeneous Poisson
 // process by thinning against the peak rate, cohort selection by share,
 // and per-cohort demand/deadline sampling. Sampling order is fixed, so
-// one seed yields one arrival sequence regardless of the consumer.
+// one seed yields one arrival sequence.
 type scenarioGen struct {
-	sc      *Scenario
-	rng     *dist.RNG
-	lambda  float64 // thinning envelope: peak effective rate
-	clock   float64
-	count   uint64
-	means   []float64 // baseline per-stage means (before cohort scale)
-	demand  []dist.Distribution
-	dlines  []dist.Distribution // per-cohort deadline distributions
-	cumul   []float64           // cumulative cohort shares
-	scratch []float64
+	sc     *Scenario
+	rng    *dist.RNG
+	lambda float64 // thinning envelope: peak effective rate
+	clock  float64
+	means  []float64 // baseline per-stage means (before cohort scale)
+	demand []dist.Distribution
+	dlines []dist.Distribution // per-cohort deadline distributions
+	cumul  []float64           // cumulative cohort shares
 }
 
 func newScenarioGen(sc *Scenario) *scenarioGen {
 	g := &scenarioGen{
-		sc:      sc,
-		rng:     dist.NewRNG(sc.Seed),
-		lambda:  sc.MaxRate(),
-		means:   make([]float64, sc.Stages),
-		demand:  make([]dist.Distribution, sc.Stages),
-		scratch: make([]float64, sc.Stages),
+		sc:     sc,
+		rng:    dist.NewRNG(sc.Seed),
+		lambda: sc.MaxRate(),
+		means:  make([]float64, sc.Stages),
+		demand: make([]dist.Distribution, sc.Stages),
 	}
 	for j := range g.means {
 		g.means[j] = sc.MeanDemand
@@ -374,29 +324,15 @@ func (g *scenarioGen) next() (float64, bool) {
 	}
 }
 
-// emit samples the accepted arrival's cohort, demands, and deadline.
-// The returned task's demand slice is freshly allocated.
-func (g *scenarioGen) emit(at float64) *task.Task {
-	k := g.pickCohort()
-	c := &g.sc.Cohorts[k]
-	for j, d := range g.demand {
-		g.scratch[j] = d.Sample(g.rng) * c.DemandScale
-	}
-	t := task.Chain(task.ID(g.count), at, g.dlines[k].Sample(g.rng), g.scratch...)
-	t.Class = c.Name
-	g.count++
-	return t
-}
-
-// emitRecord is emit without the task allocation: it fills demands and
-// returns (cohort, deadline) for direct trace writing.
+// emitRecord samples the accepted arrival's cohort, demands, and
+// deadline: it fills demands and returns (cohort, deadline) for direct
+// trace writing.
 func (g *scenarioGen) emitRecord(demands []float64) (cohort int, deadline float64) {
 	k := g.pickCohort()
 	c := &g.sc.Cohorts[k]
 	for j, d := range g.demand {
 		demands[j] = d.Sample(g.rng) * c.DemandScale
 	}
-	g.count++
 	return k, g.dlines[k].Sample(g.rng)
 }
 

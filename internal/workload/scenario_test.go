@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-
-	"feasregion/internal/des"
-	"feasregion/internal/task"
 )
 
 func testScenario() *Scenario {
@@ -118,46 +115,6 @@ func TestScenarioRecordTraceDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a.Bytes(), c.Bytes()) {
 		t.Fatal("different seeds produced identical traces")
-	}
-}
-
-func TestScenarioCompileMatchesRecordTrace(t *testing.T) {
-	sc := testScenario()
-	var buf bytes.Buffer
-	if _, err := sc.RecordTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recorded, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sim := des.New()
-	var live []*task.Task
-	src, err := sc.Compile(sim, func(tk *task.Task) { live = append(live, tk) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	sim.Run()
-
-	if len(live) != len(recorded.Tasks) {
-		t.Fatalf("live generation made %d tasks, trace has %d", len(live), len(recorded.Tasks))
-	}
-	for i, want := range recorded.Tasks {
-		got := live[i]
-		if got.Arrival != want.Arrival || got.Deadline != want.Deadline || got.Class != want.Class {
-			t.Fatalf("task %d: live (%v, %v, %q) != recorded (%v, %v, %q)",
-				i, got.Arrival, got.Deadline, got.Class, want.Arrival, want.Deadline, want.Class)
-		}
-		for j := range want.Subtasks {
-			if got.StageDemand(j) != want.StageDemand(j) {
-				t.Fatalf("task %d stage %d demand mismatch", i, j)
-			}
-		}
-	}
-	if src.Generated() != uint64(len(live)) {
-		t.Fatalf("Generated() = %d, offered %d", src.Generated(), len(live))
 	}
 }
 

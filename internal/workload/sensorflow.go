@@ -59,6 +59,3 @@ func (s SensorFlowSpec) Build(g *dist.RNG) *task.Graph {
 	gr.AddEdge(fuse, display)
 	return gr
 }
-
-// NodeCount returns the number of subtasks per flow.
-func (s SensorFlowSpec) NodeCount() int { return 5 + s.ExtraBranches }

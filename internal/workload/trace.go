@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"feasregion/internal/task"
 )
 
 // Binary trace format v1 ("FRTRACE"), little-endian throughout:
@@ -159,25 +157,6 @@ func (tw *TraceWriter) Write(arrival, deadline float64, class int, demands []flo
 	tw.lastAt = arrival
 	tw.count++
 	return nil
-}
-
-// WriteTask appends a chain task as a record, resolving its Class via
-// the writer's class table (unknown or empty class → unclassed).
-func (tw *TraceWriter) WriteTask(t *task.Task) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	class := -1
-	if t.Class != "" {
-		if i, ok := tw.classes[t.Class]; ok {
-			class = i
-		}
-	}
-	demands := make([]float64, 0, 8)
-	for _, s := range t.Subtasks {
-		demands = append(demands, s.Demand)
-	}
-	return tw.Write(t.Arrival, t.Deadline, class, demands)
 }
 
 func (tw *TraceWriter) fail(err error) error {
@@ -364,63 +343,4 @@ func ImportCSV(r io.Reader, w io.Writer) (uint64, error) {
 		return 0, err
 	}
 	return tw.Count(), nil
-}
-
-// WriteTrace saves the replay in the binary trace format, deriving the
-// class table from the tasks' Class labels in first-seen order. It
-// returns the record count written.
-func (r *Replay) WriteTrace(w io.Writer) (uint64, error) {
-	if len(r.Tasks) == 0 {
-		return 0, fmt.Errorf("workload: empty replay")
-	}
-	var classes []string
-	seen := map[string]bool{}
-	for _, t := range r.Tasks {
-		if t.Class != "" && !seen[t.Class] {
-			seen[t.Class] = true
-			classes = append(classes, t.Class)
-		}
-	}
-	tw, err := NewTraceWriter(w, r.Stages(), classes)
-	if err != nil {
-		return 0, err
-	}
-	for _, t := range r.Tasks {
-		if err := tw.WriteTask(t); err != nil {
-			return 0, err
-		}
-	}
-	if err := tw.Close(); err != nil {
-		return 0, err
-	}
-	return tw.Count(), nil
-}
-
-// ReadTrace materializes a binary trace as a Replay (task IDs assigned
-// by position, classes resolved from the table). Intended for small
-// traces; for tens of millions of records drive a Replayer instead.
-func ReadTrace(r io.Reader) (*Replay, error) {
-	tr, err := OpenTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Replay{}
-	var rec TraceRecord
-	for {
-		if err := tr.Next(&rec); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		t := task.Chain(task.ID(len(rep.Tasks)), rec.Arrival, rec.Deadline, rec.Demands...)
-		if rec.Class >= 0 {
-			t.Class = tr.classes[rec.Class]
-		}
-		rep.Tasks = append(rep.Tasks, t)
-	}
-	if len(rep.Tasks) == 0 {
-		return nil, fmt.Errorf("workload: empty trace")
-	}
-	return rep, nil
 }

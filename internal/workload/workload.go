@@ -248,15 +248,6 @@ func (ps PeriodicStream) TotalDemand() float64 {
 	return sum
 }
 
-// RateLoad returns the per-stage long-run real load ρ_j = C_j/Period.
-func (ps PeriodicStream) RateLoad() []float64 {
-	us := make([]float64, len(ps.Demands))
-	for j, c := range ps.Demands {
-		us[j] = c / ps.Period
-	}
-	return us
-}
-
 // HeavyTailedSource mirrors NewSource but draws demands from a bounded
 // Pareto distribution — a stress case for approximate admission (§4.4),
 // where using the mean underestimates occasional huge tasks.

@@ -187,10 +187,6 @@ func TestPeriodicStreamHelpers(t *testing.T) {
 	if u[0] != 0.25 || u[1] != 0.5 {
 		t.Fatalf("utilization %v", u)
 	}
-	r := ps.RateLoad()
-	if r[0] != 0.5 || r[1] != 1 {
-		t.Fatalf("rate load %v", r)
-	}
 	if ps.TotalDemand() != 3 {
 		t.Fatalf("total demand %v", ps.TotalDemand())
 	}
@@ -327,8 +323,8 @@ func TestSensorFlowShape(t *testing.T) {
 	if err := flow.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(flow.Nodes) != spec.NodeCount() {
-		t.Fatalf("nodes %d, want %d", len(flow.Nodes), spec.NodeCount())
+	if want := 5 + spec.ExtraBranches; len(flow.Nodes) != want {
+		t.Fatalf("nodes %d, want %d", len(flow.Nodes), want)
 	}
 	// Structure: one source (ingest), one sink (display).
 	in := flow.Predecessors()
