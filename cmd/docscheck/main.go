@@ -8,13 +8,16 @@
 //  4. every qualified identifier (`pkg.Ident`, and `pkg.Type.Member`
 //     where resolvable) named in README.md, DESIGN.md, THEORY.md, and
 //     EXPERIMENTS.md code spans exists in the named package — the
-//     mechanical guard against documentation rot when APIs are renamed.
+//     mechanical guard against documentation rot when APIs are renamed;
+//  5. every number in README.md's Performance table equals the last row
+//     set of BENCH_e2e.json at the precision the cell shows.
 //
 // It prints one line per violation and exits non-zero if any were
 // found. Run via `make docs-check`; CI runs it on every push.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/doc"
@@ -24,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -40,6 +44,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkGoDocs(root)...)
 	problems = append(problems, checkDocIdentifiers(root)...)
+	problems = append(problems, checkPerformanceTable(root)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
@@ -402,6 +407,99 @@ func undocumentedExported(dp *doc.Package, path string) []string {
 			for _, n := range v.Names {
 				if ast.IsExported(n) {
 					problems = append(problems, fmt.Sprintf("%s: exported value %s is undocumented", path, n))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// perfColumns maps the headers of README.md's Performance table to the
+// BENCH_e2e.json metrics their cells show, in order ("a / b" cells show
+// two).
+var perfColumns = map[string][]string{
+	"arrivals/s":           {"arrivals_per_s"},
+	"admit p50 / p99 (ns)": {"admit_p50_ns", "admit_p99_ns"},
+	"accept ratio":         {"accept_ratio"},
+	"B / arrival":          {"bytes_per_arrival"},
+	"peak RSS (MiB)":       {"peak_rss_mb"},
+}
+
+// perfNumber matches one number in a Performance table cell: an opening
+// bracket for the held-out seed 7, the digits with their decimals, and a
+// k (10^3) or M (10^6) suffix.
+var perfNumber = regexp.MustCompile(`(\[?)([0-9]+(?:\.([0-9]+))?)([kM]?)`)
+
+// checkPerformanceTable pins every number in README.md's Performance
+// table to the last row set of BENCH_e2e.json (the rows of the last
+// commit label in file order): it must equal that set's median for the
+// row's workload, the seed (42 unless bracketed) and the column's
+// metric, rounded to the decimals the cell shows.
+func checkPerformanceTable(root string) []string {
+	data, err := os.ReadFile(filepath.Join(root, "BENCH_e2e.json"))
+	readme, err2 := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil || err2 != nil {
+		return nil // nothing to pin
+	}
+	var bench struct {
+		Rows []struct {
+			Workload, Metric, Commit string
+			Seed                     int
+			Value                    float64
+		}
+	}
+	if err := json.Unmarshal(data, &bench); err != nil || len(bench.Rows) == 0 {
+		return []string{fmt.Sprintf("BENCH_e2e.json: no rows (%v)", err)}
+	}
+	last := bench.Rows[len(bench.Rows)-1].Commit
+	median := map[string]float64{}
+	for _, r := range bench.Rows {
+		if r.Commit == last {
+			median[fmt.Sprint(r.Workload, "/", r.Seed, "/", r.Metric)] = r.Value
+		}
+	}
+	var problems []string
+	inPerf, cols := false, [][]string(nil) // cols: each column's metrics, nil outside a table
+	for i, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inPerf = line == "## Performance"
+		}
+		if !inPerf || !strings.HasPrefix(line, "|") {
+			cols = nil
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		for k := range cells {
+			cells[k] = strings.TrimSpace(cells[k])
+		}
+		if cols == nil { // the header row
+			for _, h := range cells {
+				cols = append(cols, perfColumns[h])
+			}
+			continue
+		}
+		workload := strings.Trim(cells[0], "`")
+		for k := 1; k < len(cells) && !strings.HasPrefix(cells[0], "---"); k++ {
+			parts := strings.Split(cells[k], " / ")
+			if k >= len(cols) || len(parts) != len(cols[k]) {
+				problems = append(problems, fmt.Sprintf("README.md:%d: Performance table cell %q matches no metric", i+1, cells[k]))
+				continue
+			}
+			for n, part := range parts {
+				for _, m := range perfNumber.FindAllStringSubmatch(part, -1) {
+					seed, scale := 42, map[string]float64{"": 1, "k": 1e3, "M": 1e6}[m[4]]
+					if m[1] == "[" {
+						seed = 7
+					}
+					key := fmt.Sprint(workload, "/", seed, "/", cols[k][n])
+					v, ok := median[key]
+					want := strconv.FormatFloat(v/scale, 'f', len(m[3]), 64)
+					if !ok {
+						want = "no row"
+					}
+					if want != m[2] {
+						problems = append(problems, fmt.Sprintf("README.md:%d: Performance table shows %s for %s; BENCH_e2e.json commit %q: %s", i+1, m[2], key, last, want))
+					}
 				}
 			}
 		}

@@ -82,3 +82,43 @@ func TestDocIdentifiersSkipsNonGoFences(t *testing.T) {
 		t.Fatalf("expected no problems, got %v", problems)
 	}
 }
+
+// perfTree writes a README whose Performance table has the given rows
+// beside a two-commit BENCH_e2e.json; only the last commit's rows count.
+func perfTree(t *testing.T, rows string) string {
+	t.Helper()
+	root := t.TempDir()
+	readme := "## Performance\n\n" +
+		"| workload | arrivals/s | admit p50 / p99 (ns) | accept ratio |\n|---|---|---|---|\n" + rows +
+		"\n## Next\n\n| not | pinned |\n|---|---|\n| x | 1 |\n"
+	bench := `{"rows": [
+  {"workload": "w", "seed": 42, "metric": "arrivals_per_s", "value": 1, "commit": "old"},
+  {"workload": "w", "seed": 42, "metric": "arrivals_per_s", "value": 4568200, "commit": "new"},
+  {"workload": "w", "seed": 7, "metric": "arrivals_per_s", "value": 862197, "commit": "new"},
+  {"workload": "w", "seed": 42, "metric": "admit_p50_ns", "value": 92.8799, "commit": "new"},
+  {"workload": "w", "seed": 42, "metric": "admit_p99_ns", "value": 203.279, "commit": "new"},
+  {"workload": "w", "seed": 42, "metric": "accept_ratio", "value": 0.84445, "commit": "new"}]}`
+	for name, body := range map[string]string{"README.md": readme, "BENCH_e2e.json": bench} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+func TestPerformanceTablePinned(t *testing.T) {
+	if problems := checkPerformanceTable(perfTree(t, "| `w` | 4.57M [862k] | 93 / 203 | 0.844 |\n")); len(problems) != 0 {
+		t.Fatalf("expected no problems, got %v", problems)
+	}
+	for _, row := range []string{
+		"| `w` | 4.56M [862k] | 93 / 203 | 0.844 |\n",  // off in the last shown digit
+		"| `w` | 4.57M [862k] | 93 / 203 | 0.845 |\n",  // 0.84445 rounds down
+		"| `w` | 4.57M [862k] | 93 | 0.844 |\n",        // one number for two metrics
+		"| `v` | 4.57M [862k] | 93 / 203 | 0.844 |\n",  // no rows for the workload
+		"| `w` | 4.57M [4.57M] | 93 / 203 | 0.844 |\n", // seed 7 read as seed 42
+	} {
+		if problems := checkPerformanceTable(perfTree(t, row)); len(problems) == 0 {
+			t.Errorf("row %q: expected a problem", row)
+		}
+	}
+}

@@ -181,8 +181,8 @@ func NewExplicitOrderPolicy(ids []TaskID, prios []float64, fallback Policy) Poli
 // PriorityAdmitter is the online OPA admission controller: it keeps
 // per-task interference sets, places each arrival at its deadline slot
 // with a strict frozen priority, and admits iff the per-task test holds
-// for the newcomer and everything below it. It implements Admitter for
-// PipelineOptions.Admitter (or use PriorityOPA declaratively).
+// for the newcomer and everything below it. It implements Admitter:
+// set it as PipelineOptions.Admitter to run a pipeline under online OPA.
 type PriorityAdmitter = priority.Admitter
 
 // PriorityAdmitterStats is a PriorityAdmitter decision snapshot.
@@ -282,26 +282,6 @@ type PipelineMetrics = pipeline.Metrics
 
 // Admitter is the pluggable admission-policy interface a Pipeline drives.
 type Admitter = pipeline.Admitter
-
-// PipelinePriorityPolicy declaratively selects a priority-assignment
-// policy in PipelineOptions (DM, EDF-approx, online OPA, explicit
-// order); the zero value defers to PipelineOptions.Policy.
-type PipelinePriorityPolicy = pipeline.PriorityPolicy
-
-// PipelinePriorityPolicy values for PipelineOptions.PriorityPolicy.
-const (
-	// PriorityDefault defers to PipelineOptions.Policy.
-	PriorityDefault = pipeline.PriorityDefault
-	// PriorityDM selects deadline-monotonic assignment (α = 1).
-	PriorityDM = pipeline.PriorityDM
-	// PriorityEDFApprox freezes EDF priorities at arrival.
-	PriorityEDFApprox = pipeline.PriorityEDFApprox
-	// PriorityOPA replaces the admission controller with the online
-	// Audsley search (PriorityAdmitter, RegionExactTest).
-	PriorityOPA = pipeline.PriorityOPA
-	// PriorityExplicit replays PipelineOptions.ExplicitOrder.
-	PriorityExplicit = pipeline.PriorityExplicit
-)
 
 // NewPipeline builds a pipeline simulator.
 func NewPipeline(sim *Simulator, opts PipelineOptions) *Pipeline { return pipeline.New(sim, opts) }

@@ -458,7 +458,7 @@ func TestClusterSoakJoinDrainUnderAdmits(t *testing.T) {
 						ids = ids[:0]
 					}
 				}
-				_, _ = c.Router().Replicas()[0].Snapshot()
+				_, _ = c.Replicas()[0].Snapshot()
 			}
 		}()
 	}

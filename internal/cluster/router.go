@@ -90,9 +90,6 @@ func NewRouter(policy Policy, seed uint64) *Router {
 	return r
 }
 
-// Policy returns the router's placement policy.
-func (r *Router) Policy() Policy { return r.policy }
-
 // SetReplicas publishes a new active-replica set. The slice is copied;
 // callers pass the replicas eligible for placement (Active state) in ID
 // order, which is also the tie-break and round-robin order.
@@ -102,12 +99,6 @@ func (r *Router) SetReplicas(reps []*Replica) {
 	r.mu.Lock()
 	r.set.Store(&cp)
 	r.mu.Unlock()
-}
-
-// Replicas returns a copy of the current active-replica set.
-func (r *Router) Replicas() []*Replica {
-	cur := *r.set.Load()
-	return append([]*Replica(nil), cur...)
 }
 
 // splitmix64 advances the probe RNG one step and returns a mixed word.

@@ -3,7 +3,6 @@ package curve
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -98,67 +97,6 @@ func (r *Recorder) Area(stage int, from, to float64) float64 {
 		area += p.Value * (segEnd - segStart)
 	}
 	return area
-}
-
-// Max returns the curve's maximum value over [from, to].
-func (r *Recorder) Max(stage int, from, to float64) float64 {
-	pts := r.curves[stage].points
-	max := 0.0
-	for i, p := range pts {
-		segEnd := to
-		if i+1 < len(pts) {
-			segEnd = pts[i+1].Time
-		}
-		if segEnd <= from || p.Time >= to {
-			continue
-		}
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	return max
-}
-
-// WriteCSV writes "time,u_1,...,u_N" rows at every step instant of any
-// stage (a merged step trace).
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	header := "time"
-	for j := range r.curves {
-		header += fmt.Sprintf(",u%d", j+1)
-	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	// Merge all step instants.
-	instants := map[float64]struct{}{}
-	for _, c := range r.curves {
-		for _, p := range c.points {
-			instants[p.Time] = struct{}{}
-		}
-	}
-	times := make([]float64, 0, len(instants))
-	for t := range instants {
-		times = append(times, t)
-	}
-	sort.Float64s(times)
-	idx := make([]int, len(r.curves))
-	for _, t := range times {
-		if _, err := fmt.Fprintf(w, "%.9g", t); err != nil {
-			return err
-		}
-		for j, c := range r.curves {
-			for idx[j]+1 < len(c.points) && c.points[idx[j]+1].Time <= t {
-				idx[j]++
-			}
-			if _, err := fmt.Fprintf(w, ",%.6g", c.points[idx[j]].Value); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Render draws the stage's curve as an ASCII plot over [from, to] with

@@ -68,40 +68,10 @@ func TestArea(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	r := NewRecorder(1, nil)
-	r.Observe(0, 1, 0.4)
-	r.Observe(0, 2, 0.9)
-	r.Observe(0, 3, 0.2)
-	if got := r.Max(0, 0, 10); got != 0.9 {
-		t.Fatalf("max %v, want 0.9", got)
-	}
-	if got := r.Max(0, 3, 10); got != 0.2 {
-		t.Fatalf("max over tail %v, want 0.2", got)
-	}
-}
-
 func TestInitialFloor(t *testing.T) {
 	r := NewRecorder(2, []float64{0.4, 0.1})
 	if got := r.Area(0, 0, 2); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("area with floor %v, want 0.8", got)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	r := NewRecorder(2, nil)
-	r.Observe(0, 1, 0.5)
-	r.Observe(1, 2, 0.25)
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "time,u1,u2\n") {
-		t.Fatalf("csv header: %q", out)
-	}
-	if !strings.Contains(out, "1,0.5,0") || !strings.Contains(out, "2,0.5,0.25") {
-		t.Fatalf("csv rows:\n%s", out)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/dist"
 	"feasregion/internal/pipeline"
+	"feasregion/internal/priority"
 	"feasregion/internal/stats"
 	"feasregion/internal/task"
 	"feasregion/internal/workload"
@@ -76,10 +77,10 @@ func priorityModes(stages int, alpha float64, seed int64) []struct {
 		opts func() pipeline.Options
 	}{
 		{"opa", func() pipeline.Options {
-			return pipeline.Options{Stages: stages, PriorityPolicy: pipeline.PriorityOPA}
+			return pipeline.Options{Stages: stages, Admitter: priority.NewAdmitter(stages, priority.ModeOPA, nil, nil)}
 		}},
 		{"dm", func() pipeline.Options {
-			return pipeline.Options{Stages: stages, PriorityPolicy: pipeline.PriorityDM}
+			return pipeline.Options{Stages: stages}
 		}},
 		{"random", func() pipeline.Options {
 			r := core.NewRegion(stages).WithAlpha(alpha)

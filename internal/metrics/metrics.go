@@ -17,7 +17,6 @@ const (
 	KindCounter Kind = iota + 1
 	KindGauge
 	KindHistogram
-	KindEWMA // exported as a gauge
 )
 
 // String returns the Prometheus TYPE keyword for the kind.
@@ -25,21 +24,13 @@ func (k Kind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge, KindEWMA:
+	case KindGauge:
 		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	default:
 		return "untyped"
 	}
-}
-
-// kindName is String, except that it tells an EWMA from a gauge.
-func kindName(k Kind) string {
-	if k == KindEWMA {
-		return "ewma"
-	}
-	return k.String()
 }
 
 // Label is one name="value" pair attached to a series.
@@ -58,8 +49,8 @@ func Replica(i int) Label { return Label{Name: "replica", Value: fmt.Sprintf("%d
 // series is the common identity of one registered instrument.
 type series struct {
 	labels string // rendered {a="b",...} suffix, "" when unlabeled
-	// value reads the series' current scalar value (counter, gauge,
-	// EWMA, or func instruments); nil for histograms.
+	// value reads the series' current scalar value (counter, gauge, or
+	// func instruments); nil for histograms.
 	value func() float64
 	hist  histSource
 }
@@ -95,9 +86,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
-
-// Enabled reports whether the registry records anything (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
 
 // labelKey renders labels into the canonical {k="v",...} suffix, sorted
 // by label name. Values are escaped per the Prometheus text format.
@@ -156,7 +144,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) (f *fa
 		r.names = append(r.names, name)
 	}
 	if f.kind != kind {
-		panic(fmt.Sprintf("metrics: %s registered as %s, re-registered as %s", name, kindName(f.kind), kindName(kind)))
+		panic(fmt.Sprintf("metrics: %s registered as %s, re-registered as %s", name, f.kind, kind))
 	}
 	key = labelKey(labels)
 	return f, key, f.owners[key]
@@ -185,8 +173,6 @@ func ownerName(owner any) string {
 		return "a Histogram"
 	case *PlainHistogram:
 		return "a HistogramFunc"
-	case *EWMA:
-		return "an EWMA"
 	case func() float64:
 		return "a CounterFunc or GaugeFunc"
 	default:
@@ -308,24 +294,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	h := newHistogram(buckets)
 	f.installOwner(key, h, nil, h)
 	return h
-}
-
-// EWMA returns the exponentially-weighted moving average for the series,
-// registering it on first use. alpha in (0, 1] is the per-observation
-// smoothing weight; it is fixed at first registration.
-func (r *Registry) EWMA(name, help string, alpha float64, labels ...Label) *EWMA {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, key, existing := r.register(name, help, KindEWMA, labels)
-	if existing != nil {
-		return ownedAs[*EWMA](f, key, existing)
-	}
-	e := NewEWMA(alpha)
-	f.installOwner(key, e, e.Value, nil)
-	return e
 }
 
 // ---- Counter ----
@@ -618,60 +586,4 @@ func quantile(bounds []float64, counts []uint64, q float64) float64 {
 		cum += c
 	}
 	return bounds[len(bounds)-1]
-}
-
-// ---- EWMA ----
-
-// EWMA is an exponentially-weighted moving average over a stream of
-// observations: after each Observe(x), value ← α·x + (1−α)·value, with
-// the first observation seeding the average. It is the building block of
-// the stage-health monitor. All methods are nil-receiver-safe no-ops.
-type EWMA struct {
-	alpha float64
-	mu    sync.Mutex
-	value float64
-	n     uint64
-}
-
-// NewEWMA returns an EWMA with per-observation weight alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		panic(fmt.Sprintf("metrics: EWMA alpha %v outside (0, 1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds one observation into the average. NaN is dropped.
-func (e *EWMA) Observe(x float64) {
-	if e == nil || math.IsNaN(x) {
-		return
-	}
-	e.mu.Lock()
-	if e.n == 0 {
-		e.value = x
-	} else {
-		e.value = e.alpha*x + (1-e.alpha)*e.value
-	}
-	e.n++
-	e.mu.Unlock()
-}
-
-// Value returns the current average (0 before any observation or nil).
-func (e *EWMA) Value() float64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.value
-}
-
-// Count returns the number of observations folded in (0 for nil).
-func (e *EWMA) Count() uint64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
 }

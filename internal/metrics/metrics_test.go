@@ -25,21 +25,16 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	c := r.Counter("a", "")
 	g := r.Gauge("b", "")
 	h := r.Histogram("c", "", []float64{1})
-	e := r.EWMA("d", "", 0.5)
 	r.GaugeFunc("e", "", func() float64 { return 1 })
 	c.Inc()
 	c.Add(2)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	e.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || e.Value() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	var sb strings.Builder
@@ -101,21 +96,6 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(4) // seeds
-	if e.Value() != 4 {
-		t.Fatalf("seed = %v, want 4", e.Value())
-	}
-	e.Observe(8)
-	if e.Value() != 6 {
-		t.Fatalf("ewma = %v, want 6", e.Value())
-	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
-	}
-}
-
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("feas_admitted_total", "admitted tasks").Add(7)
@@ -125,7 +105,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(5)
 	r.CounterFunc("feas_expired_total", "expired", func() float64 { return 3 })
-	r.EWMA("feas_health", `ratio with "quotes" and \slash`, 0.2, Label{Name: "stage", Value: `a"b`}).Observe(2)
+	r.Gauge("feas_health", `ratio with "quotes" and \slash`, Label{Name: "stage", Value: `a"b`}).Set(2)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -177,28 +157,26 @@ func TestConcurrentUpdatesAndExport(t *testing.T) {
 	c := r.Counter("c_total", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", ExponentialBuckets(0.001, 4, 8))
-	e := r.EWMA("e", "", 0.1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i%7) / 10)
-				e.Observe(float64(w))
 				if i%100 == 0 {
 					var sb strings.Builder
 					_ = r.WritePrometheus(&sb)
 					_ = r.Snapshot()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if c.Value() != 4000 || g.Value() != 4000 || h.Count() != 4000 || e.Count() != 4000 {
-		t.Fatalf("lost updates: c=%d g=%v h=%d e=%d", c.Value(), g.Value(), h.Count(), e.Count())
+	if c.Value() != 4000 || g.Value() != 4000 || h.Count() != 4000 {
+		t.Fatalf("lost updates: c=%d g=%v h=%d", c.Value(), g.Value(), h.Count())
 	}
 }
 
@@ -293,8 +271,8 @@ func TestReplicaAndStageLabelsCompose(t *testing.T) {
 // TestOwnerMismatchPanicsByName asks for a series as a different
 // instrument than the one that owns it: every accessor panics with a
 // message naming the series and its owner, not an interface conversion.
-// An EWMA is its own kind of family, so EWMA-versus-gauge mismatches
-// are named at the family level.
+// A mismatch of kinds (a gauge asked of a counter family) is named at
+// the family level.
 func TestOwnerMismatchPanicsByName(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("c_total", "", func() float64 { return 1 }, Stage(0))
@@ -302,8 +280,6 @@ func TestOwnerMismatchPanicsByName(t *testing.T) {
 	r.HistogramFunc("h", "", NewPlainHistogram([]float64{1}))
 	r.Histogram("ah", "", []float64{1})
 	r.Counter("n_total", "")
-	r.EWMA("e", "", 0.5)
-	r.Gauge("pg", "")
 	cases := []struct {
 		name string
 		fn   func()
@@ -319,10 +295,8 @@ func TestOwnerMismatchPanicsByName(t *testing.T) {
 			"metrics: series ah is registered as a Histogram, not a HistogramFunc"},
 		{"CounterFunc over Counter", func() { r.CounterFunc("n_total", "", func() float64 { return 0 }) },
 			"metrics: series n_total is registered as a Counter, not a CounterFunc or GaugeFunc"},
-		{"GaugeFunc over EWMA", func() { r.GaugeFunc("e", "", func() float64 { return 0 }) },
-			"metrics: e registered as ewma, re-registered as gauge"},
-		{"EWMA over Gauge", func() { r.EWMA("pg", "", 0.5) },
-			"metrics: pg registered as gauge, re-registered as ewma"},
+		{"Gauge over Counter", func() { r.Gauge("n_total", "") },
+			"metrics: n_total registered as counter, re-registered as gauge"},
 	}
 	for _, tc := range cases {
 		func() {

@@ -137,28 +137,3 @@ func TestPipelineAdaptWithoutMetrics(t *testing.T) {
 		t.Fatalf("controller regions diverged: %+v vs %+v", with.Controller().Region(), without.Controller().Region())
 	}
 }
-
-// The adapt loop panics loudly on wiring errors rather than silently
-// estimating from missing telemetry.
-func TestPipelineAdaptRequiresTelemetry(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("demand without guard", func() {
-		New(des.New(), Options{Stages: 2, Metrics: metrics.NewRegistry(), Adapt: &adapt.Config{
-			DeadlineRef: 1,
-			Demand:      adapt.DemandConfig{Enabled: true},
-		}})
-	})
-	mustPanic("adapt without default controller", func() {
-		New(des.New(), Options{Stages: 2, NoAdmission: true, Adapt: &adapt.Config{
-			DeadlineRef: 1,
-			Beta:        adapt.BetaConfig{Enabled: true},
-		}})
-	})
-}

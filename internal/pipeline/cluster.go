@@ -18,8 +18,9 @@ import (
 // every admission decision goes through the replica (which republishes
 // its headroom snapshot), and departures and idle resets flow back so
 // the routing signal tracks the replica's real occupancy. Demands and
-// deadlines convert from simulated seconds to nanosecond durations,
-// exactly as the sharded wall-clock admitter does.
+// deadlines convert from simulated seconds to nanosecond durations; the
+// replica's controller reads the simulated clock, so its contributions
+// release on the expiry wheel's 1 ms purge granularity.
 type replicaAdmitter struct {
 	rep     *cluster.Replica
 	demands []time.Duration
@@ -162,10 +163,10 @@ func (cp *ClusterPipeline) spawn(id int) *cluster.Replica {
 	}
 	if cp.opts.Health != nil {
 		po.Health = cp.opts.Health
-		po.HealthReplica = id
 		cp.opts.Health.SetReplicaScaler(id, ctrl)
 	}
 	pipe := New(cp.sim, po)
+	pipe.healthReplica = id
 	cp.pipes[id] = &replicaPipe{rep: rep, pipe: pipe}
 	if cp.measuring {
 		pipe.BeginMeasurement()

@@ -8,6 +8,14 @@ import (
 	"feasregion/internal/workload"
 )
 
+// shardedReplica is a one-replica fleet whose online controller splits
+// admission across shards (internal/shard) on the simulated clock: the
+// production wall-clock data plane — caps, steals, gate, global pass —
+// under a reproducible workload. Its one pipeline is replica 0's.
+func shardedReplica(sim *des.Simulator, stages, shards int) *Pipeline {
+	return NewCluster(sim, ClusterOptions{Stages: stages, Shards: shards}).Pipe(0)
+}
+
 // TestShardedPipelineSoundness runs the paper's headline property
 // through the sharded wall-clock controller driven by the simulated
 // clock: with Shards > 1 doing exact feasible-region admission, no
@@ -34,7 +42,7 @@ func TestShardedPipelineSoundness(t *testing.T) {
 				Resolution: 30,
 			}
 			sim := des.New()
-			p := New(sim, Options{Stages: tc.stages, Shards: tc.shards})
+			p := shardedReplica(sim, tc.stages, tc.shards)
 			src := workload.NewSource(sim, spec, tc.seed, 800, func(tk *task.Task) { p.Offer(tk) })
 			sim.At(0, func() { p.BeginMeasurement() })
 			src.Start()
@@ -64,11 +72,10 @@ func TestShardedPipelineMatchesDefaultThroughput(t *testing.T) {
 	run := func(shards int) (completed, offered uint64) {
 		spec := workload.PipelineSpec{Stages: 3, Load: 1.4, MeanDemand: 1, Resolution: 25}
 		sim := des.New()
-		opts := Options{Stages: 3}
+		p := New(sim, Options{Stages: 3})
 		if shards > 1 {
-			opts.Shards = shards
+			p = shardedReplica(sim, 3, shards)
 		}
-		p := New(sim, opts)
 		src := workload.NewSource(sim, spec, 42, 600, func(tk *task.Task) { p.Offer(tk) })
 		sim.At(0, func() { p.BeginMeasurement() })
 		src.Start()
@@ -86,13 +93,4 @@ func TestShardedPipelineMatchesDefaultThroughput(t *testing.T) {
 		t.Fatalf("sharded pipeline completed %d vs default %d (offered %d); beyond 5%% of the exact controller",
 			shardedC, base, offered)
 	}
-}
-
-func TestShardsRejectsIncompatibleOptions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Shards with MaxWait did not panic")
-		}
-	}()
-	New(des.New(), Options{Stages: 2, Shards: 4, MaxWait: 1})
 }

@@ -193,23 +193,3 @@ func TestGovernorCapsAdmissionsAndTrimsInFlight(t *testing.T) {
 		t.Fatalf("UtilityDelivered = %v, want %v", m.UtilityDelivered, 2*lvl)
 	}
 }
-
-func TestDegradationRequiresDefaultController(t *testing.T) {
-	sim := des.New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: degradation with NoAdmission")
-		}
-	}()
-	New(sim, Options{Stages: 1, NoAdmission: true, EnableDegradation: true})
-}
-
-func TestDegradationRejectsMaxWaitCombo(t *testing.T) {
-	sim := des.New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: degradation with MaxWait")
-		}
-	}()
-	New(sim, Options{Stages: 1, MaxWait: 0.2, EnableDegradation: true})
-}

@@ -6,11 +6,16 @@
 // executes DAG-structured tasks over a set of resources (paper §3.3,
 // Theorem 2).
 //
-// Optional subsystems attach through Options: the overrun guard
-// (OverrunPolicy), fault injection (Faults), semantic load shedding
-// (EnableShedding), runtime metrics (Metrics) — including per-stage
-// deadline-miss attribution, feasregion_pipeline_misses{stage=...},
-// charged to the stage whose tenure the deadline expired in — the
-// stage-health feedback monitor (Health), and the closed-loop α/β/demand
-// estimation loop (Adapt).
+// Options.Admitter alone picks the admission plane: nil selects
+// core.Controller, any other Admitter (the online OPA search, the
+// split-deadline baseline, a cluster replica) replaces it, and
+// NoAdmission admits everything. The paper's §5 extensions of the
+// controller — semantic load shedding (EnableShedding), quality
+// degradation (EnableDegradation, Governor), the overrun guard
+// (OverrunPolicy) and the estimation loop (Adapt) — need
+// core.Controller, and New refuses them beside another plane. Fault
+// injection (Faults), runtime metrics (Metrics, with per-stage
+// deadline-miss attribution: feasregion_pipeline_misses{stage=...}
+// charges the stage whose tenure the deadline expired in) and the
+// stage-health feedback monitor (Health) attach to any plane.
 package pipeline

@@ -7,7 +7,6 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/dist"
 	"feasregion/internal/sched"
-	"feasregion/internal/stats"
 	"feasregion/internal/task"
 	"feasregion/internal/trace"
 )
@@ -49,17 +48,7 @@ type GraphSystem struct {
 	policy    task.Policy
 	prng      *dist.RNG
 
-	measuring    bool
-	measureStart des.Time
-	busyAtStart  []float64
-
-	responseTimes stats.Welford
-	respP50       *stats.Quantile
-	respP95       *stats.Quantile
-	respP99       *stats.Quantile
-	missRatio     stats.Ratio
-	completed     uint64
-	missed        uint64
+	window
 }
 
 // NewGraphSystem builds a DAG execution system on the simulator.
@@ -181,9 +170,10 @@ func (g *GraphSystem) run(t *task.Task) {
 		if perResource[res]--; perResource[res] == 0 && g.ctrl != nil {
 			g.ctrl.MarkDeparted(res, t.ID)
 		}
-		remaining--
-		if remaining == 0 {
-			g.finish(t, now)
+		if remaining--; remaining == 0 {
+			if g.measuring {
+				g.complete(now-t.Arrival, now > t.AbsoluteDeadline()+1e-9)
+			}
 			return
 		}
 		for _, succ := range graph.Edges[node] {
@@ -210,67 +200,8 @@ func (g *GraphSystem) run(t *task.Task) {
 	}
 }
 
-func (g *GraphSystem) finish(t *task.Task, now des.Time) {
-	if !g.measuring {
-		return
-	}
-	g.completed++
-	resp := now - t.Arrival
-	g.responseTimes.Add(resp)
-	g.respP50.Add(resp)
-	g.respP95.Add(resp)
-	g.respP99.Add(resp)
-	miss := now > t.AbsoluteDeadline()+1e-9
-	g.missRatio.Observe(miss)
-	if miss {
-		g.missed++
-	}
-}
-
 // BeginMeasurement starts the statistics window.
-func (g *GraphSystem) BeginMeasurement() {
-	now := g.sim.Now()
-	g.measuring = true
-	g.measureStart = now
-	g.busyAtStart = make([]float64, len(g.resources))
-	for k, st := range g.resources {
-		g.busyAtStart[k] = st.BusyTime(now)
-	}
-	g.responseTimes = stats.Welford{}
-	g.respP50 = stats.NewQuantile(0.50)
-	g.respP95 = stats.NewQuantile(0.95)
-	g.respP99 = stats.NewQuantile(0.99)
-	g.missRatio = stats.Ratio{}
-	g.completed, g.missed = 0, 0
-}
+func (g *GraphSystem) BeginMeasurement() { g.begin(g.sim.Now(), g.resources) }
 
 // Snapshot computes metrics over [BeginMeasurement, now].
-func (g *GraphSystem) Snapshot() Metrics {
-	now := g.sim.Now()
-	if !g.measuring {
-		panic("pipeline: Snapshot before BeginMeasurement")
-	}
-	window := now - g.measureStart
-	m := Metrics{
-		StageUtilization: make([]float64, len(g.resources)),
-		Completed:        g.completed,
-		Missed:           g.missed,
-		MissRatio:        g.missRatio.Value(),
-		ResponseTimes:    g.responseTimes,
-		ResponseP50:      g.respP50.Value(),
-		ResponseP95:      g.respP95.Value(),
-		ResponseP99:      g.respP99.Value(),
-	}
-	for k, st := range g.resources {
-		u := 0.0
-		if window > 0 {
-			u = (st.BusyTime(now) - g.busyAtStart[k]) / window
-		}
-		m.StageUtilization[k] = u
-		m.MeanUtilization += u / float64(len(g.resources))
-		if u > m.BottleneckUtilization {
-			m.BottleneckUtilization = u
-		}
-	}
-	return m
-}
+func (g *GraphSystem) Snapshot() Metrics { return g.snapshot(g.sim.Now(), g.resources) }

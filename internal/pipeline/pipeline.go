@@ -14,7 +14,6 @@ import (
 	"feasregion/internal/faults"
 	"feasregion/internal/metrics"
 	"feasregion/internal/obs"
-	"feasregion/internal/priority"
 	"feasregion/internal/sched"
 	"feasregion/internal/stats"
 	"feasregion/internal/task"
@@ -33,40 +32,14 @@ type Admitter interface {
 	HandleStageIdle(stage int)
 }
 
-// PriorityPolicy names a priority-assignment policy for
-// Options.PriorityPolicy — the declarative alternative to constructing
-// an Options.Policy value.
-type PriorityPolicy int
-
-const (
-	// PriorityDefault defers to Options.Policy (deadline-monotonic when
-	// that is nil too).
-	PriorityDefault PriorityPolicy = iota
-	// PriorityDM selects deadline-monotonic assignment (α = 1).
-	PriorityDM
-	// PriorityEDFApprox freezes each task's EDF priority at arrival
-	// (task.EDFApprox): fixed-priority, so the region applies with the
-	// α the concurrent population earns.
-	PriorityEDFApprox
-	// PriorityOPA replaces the admission controller with the online
-	// Audsley search (priority.Admitter, RegionExact test): each
-	// arrival is placed at its deadline slot with a strict priority
-	// level — provably the slot the search settles on under the
-	// monotone per-task tests — admitted iff it and every task below it
-	// pass the Theorem 1 per-task composition, and the searched level
-	// overrides the policy-assigned priority. Plain configuration only
-	// — incompatible with Policy,
-	// Admitter, NoAdmission, Shards, Region, Reserved, Estimator,
-	// MaxWait, shedding, degradation, governor, overrun guard, and
-	// Adapt; Pipeline.Controller() returns nil.
-	PriorityOPA
-	// PriorityExplicit replays Options.ExplicitOrder (most urgent
-	// first); tasks outside the order fall back to deadline-monotonic.
-	PriorityExplicit
-)
-
 // Options configures a Pipeline. Zero values select the paper's defaults:
 // deadline-monotonic scheduling with exact admission control.
+//
+// The admission plane is chosen by Admitter alone: nil selects the
+// default feasible-region controller (core.Controller), and NoAdmission
+// selects none. EnableShedding, EnableDegradation, Governor,
+// OverrunPolicy and Adapt extend the default controller; New panics,
+// naming the field, when one is set beside Admitter or NoAdmission.
 type Options struct {
 	// Stages is the pipeline length N. Required.
 	Stages int
@@ -74,35 +47,17 @@ type Options struct {
 	// Policy assigns task priorities; nil selects deadline-monotonic.
 	Policy task.Policy
 
-	// PriorityPolicy selects a named assignment policy (DM, EDF-approx,
-	// OPA, explicit order) declaratively; the zero value defers to
-	// Policy. Setting both panics.
-	PriorityPolicy PriorityPolicy
-
-	// ExplicitOrder is the task order replayed by PriorityExplicit,
-	// most urgent first; it is ignored by every other PriorityPolicy.
-	ExplicitOrder []task.ID
-
 	// NoAdmission disables admission control entirely (baseline: every
 	// offered task enters the pipeline).
 	NoAdmission bool
 
 	// Admitter replaces the default feasible-region controller with a
-	// custom admission policy (e.g. the intermediate-deadline baseline).
-	// When set, Region/Reserved/Estimator/MaxWait are ignored.
+	// custom admission policy: the intermediate-deadline baseline, or
+	// the online OPA search (priority.NewAdmitter with ModeOPA), whose
+	// searched level overrides the Policy-assigned priority. When set,
+	// Region/Reserved/Estimator/MaxWait are ignored and Controller()
+	// returns nil.
 	Admitter Admitter
-
-	// Shards, when > 1, replaces the default controller with the
-	// sharded wall-clock admission controller (internal/shard) driven
-	// by a simulated clock — the same data plane a deployment would run
-	// multi-core, exercised under the simulator. It admits the same
-	// task sets as the default controller up to the expiry wheel's 1 ms
-	// purge granularity (the sim controller releases contributions at
-	// exact deadlines). Plain configuration only: incompatible with
-	// Admitter, Estimator, MaxWait, shedding, degradation, governor,
-	// overrun guard, and Adapt, which all require the sim-time
-	// controller; Pipeline.Controller() returns nil.
-	Shards int
 
 	// Region overrides the admission region; nil selects the
 	// deadline-monotonic independent-task region for Stages stages.
@@ -208,12 +163,6 @@ type Options struct {
 	// controller (obs.Monitor.SetScaler) to close the loop.
 	Health *obs.Monitor
 
-	// HealthReplica tags this pipeline's health observations with a
-	// replica index when several pipelines share one obs.Monitor (the
-	// cluster layer), so stage-scale actuation lands on the owning
-	// replica's controller. Default 0, the single-pipeline identity.
-	HealthReplica int
-
 	// Adapt, when non-nil, builds an adaptive estimation loop over the
 	// pipeline's telemetry: the β/α estimators read the per-stage
 	// sojourn/service tallies (sched.Stage.KeepTallies), the
@@ -244,7 +193,7 @@ type Pipeline struct {
 	free          *inflight // recycled in-flight records (see release)
 	tracer        *trace.Recorder
 	health        *obs.Monitor
-	healthReplica int
+	healthReplica int // the owning replica's index in a ClusterPipeline
 	loop          *adapt.Loop
 
 	// classEntered counts started tasks per class over the pipeline's
@@ -263,22 +212,13 @@ type Pipeline struct {
 	metShed      *metrics.Counter
 	metMissStage []*metrics.Counter // deadline misses attributed to the stage the task died in
 
-	measuring      bool
-	measureStart   des.Time
+	window
 	degraded       uint64  // window: admissions below full quality
 	trimmedTasks   uint64  // window: in-flight quality trims
 	utility        float64 // window: Σ task.Utility over on-time completions
-	busyAtStart    []float64
-	responseTimes  stats.Welford
-	respP50        *stats.Quantile
-	respP95        *stats.Quantile
-	respP99        *stats.Quantile
 	stageDelays    []stats.Welford
-	missRatio      stats.Ratio
 	offered        uint64
 	enteredService uint64
-	completed      uint64
-	missed         uint64
 	shed           uint64
 	overrunEvicted uint64
 	classes        map[string]*ClassMetrics
@@ -329,33 +269,6 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 		prng:        opts.PriorityRNG,
 		stageDelays: make([]stats.Welford, opts.Stages),
 	}
-	if opts.PriorityPolicy != PriorityDefault && opts.Policy != nil {
-		panic("pipeline: PriorityPolicy and Policy are mutually exclusive")
-	}
-	switch opts.PriorityPolicy {
-	case PriorityDefault:
-	case PriorityDM:
-		p.policy = task.DeadlineMonotonic{}
-	case PriorityEDFApprox:
-		p.policy = task.EDFApprox{}
-	case PriorityOPA:
-		if opts.Admitter != nil || opts.NoAdmission || opts.Shards > 1 ||
-			opts.Region != nil || opts.Reserved != nil || opts.Estimator != nil ||
-			opts.MaxWait > 0 || opts.EnableShedding || opts.EnableDegradation ||
-			opts.Governor != nil || opts.OverrunPolicy != core.OverrunIgnore ||
-			opts.Adapt != nil {
-			panic("pipeline: PriorityOPA requires the plain configuration (it replaces the admission controller)")
-		}
-		opts.Admitter = priority.NewAdmitter(opts.Stages, priority.ModeOPA, nil, opts.PriorityRNG)
-	case PriorityExplicit:
-		prios := make([]float64, len(opts.ExplicitOrder))
-		for i := range prios {
-			prios[i] = float64(i)
-		}
-		p.policy = priority.NewExplicitOrder(opts.ExplicitOrder, prios, nil)
-	default:
-		panic(fmt.Sprintf("pipeline: unknown PriorityPolicy %d", opts.PriorityPolicy))
-	}
 	if p.policy == nil {
 		p.policy = task.DeadlineMonotonic{}
 	}
@@ -373,17 +286,6 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 	case opts.NoAdmission:
 	case opts.Admitter != nil:
 		p.adm = opts.Admitter
-	case opts.Shards > 1:
-		if opts.Estimator != nil || opts.MaxWait > 0 || opts.EnableShedding ||
-			opts.EnableDegradation || opts.Governor != nil ||
-			opts.OverrunPolicy != core.OverrunIgnore || opts.Adapt != nil {
-			panic("pipeline: Shards requires the plain feasible-region configuration")
-		}
-		region := core.NewRegion(opts.Stages)
-		if opts.Region != nil {
-			region = *opts.Region
-		}
-		p.adm = newShardAdmitter(sim, region, opts.Reserved, opts.Shards, opts.Metrics)
 	default:
 		region := core.NewRegion(opts.Stages)
 		if opts.Region != nil {
@@ -398,8 +300,10 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 			p.wq = core.NewWaitQueue(sim, p.ctrl, opts.MaxWait, func(t *task.Task) { p.start(t) })
 		}
 	}
+	if name := controllerOnly(opts); name != "" && p.ctrl == nil {
+		panic("pipeline: " + name + " requires the default feasible-region controller")
+	}
 	p.health = opts.Health
-	p.healthReplica = opts.HealthReplica
 	if opts.Metrics != nil || opts.Adapt != nil {
 		buckets := metrics.ExponentialBuckets(1e-3, 4, 12)
 		for _, st := range p.stages {
@@ -430,25 +334,14 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 			})
 		}
 	}
-	if opts.EnableShedding {
-		if p.ctrl == nil {
-			panic("pipeline: shedding requires the default feasible-region controller")
-		}
-		p.shedding = true
-	}
+	p.shedding = opts.EnableShedding
 	if opts.EnableDegradation || opts.Governor != nil {
-		if p.ctrl == nil {
-			panic("pipeline: quality-aware degradation requires the default feasible-region controller")
-		}
 		if p.wq != nil {
-			panic("pipeline: degradation does not compose with MaxWait (the wait queue admits at full quality)")
+			panic("pipeline: EnableDegradation and Governor do not compose with MaxWait (the wait queue admits at full quality)")
 		}
 		p.degradation = true
 	}
 	if opts.OverrunPolicy != core.OverrunIgnore {
-		if p.ctrl == nil {
-			panic("pipeline: the overrun guard requires the default feasible-region controller")
-		}
 		p.guard = core.NewGuard(p.ctrl, opts.OverrunPolicy, opts.OverrunTolerance)
 		for j := range p.stages {
 			j := j
@@ -492,6 +385,24 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 	return p
 }
 
+// controllerOnly names the first option set in opts that extends the
+// default feasible-region controller, or returns "" when none is.
+func controllerOnly(opts Options) string {
+	switch {
+	case opts.EnableShedding:
+		return "EnableShedding"
+	case opts.EnableDegradation:
+		return "EnableDegradation"
+	case opts.Governor != nil:
+		return "Governor"
+	case opts.OverrunPolicy != core.OverrunIgnore:
+		return "OverrunPolicy"
+	case opts.Adapt != nil:
+		return "Adapt"
+	}
+	return ""
+}
+
 // wireAdapt builds the adaptive estimation loop over the pipeline's own
 // telemetry: the stages' sojourn/service tally tails and ledger
 // utilizations feed the β/α estimators, guard per-class detections
@@ -501,11 +412,8 @@ func New(sim *des.Simulator, opts Options) *Pipeline {
 // guard's budgets (EstimateFor) follow the inflated estimates
 // automatically.
 func (p *Pipeline) wireAdapt(cfg adapt.Config, opts Options) {
-	if p.ctrl == nil {
-		panic("pipeline: the adapt loop requires the default feasible-region controller")
-	}
 	if cfg.Demand.Enabled && p.guard == nil {
-		panic("pipeline: the adapt demand estimator requires an overrun policy (its detection source)")
+		panic("pipeline: Adapt.Demand requires an OverrunPolicy (its detection source)")
 	}
 	src := adapt.Sources{
 		StageUtilization: func(j int) float64 { return p.ctrl.Ledger(j).Utilization() },
@@ -971,20 +879,13 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 	if !p.measuring {
 		return
 	}
-	p.completed++
-	resp := now - t.Arrival
-	p.responseTimes.Add(resp)
-	p.respP50.Add(resp)
-	p.respP95.Add(resp)
-	p.respP99.Add(resp)
-	p.missRatio.Observe(miss)
+	p.complete(now-t.Arrival, miss)
 	if !miss {
 		p.utility += t.Utility(f.level)
 	}
 	cm := p.class(t)
 	cm.Completed++
 	if miss {
-		p.missed++
 		cm.Missed++
 	}
 }
@@ -993,21 +894,9 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 // are captured and task counters reset, so warmup transients are
 // excluded. Call it via sim.At at the warmup instant.
 func (p *Pipeline) BeginMeasurement() {
-	now := p.sim.Now()
-	p.measuring = true
-	p.measureStart = now
-	p.busyAtStart = make([]float64, len(p.stages))
-	for j, st := range p.stages {
-		p.busyAtStart[j] = st.BusyTime(now)
-	}
-	p.responseTimes = stats.Welford{}
-	p.respP50 = stats.NewQuantile(0.50)
-	p.respP95 = stats.NewQuantile(0.95)
-	p.respP99 = stats.NewQuantile(0.99)
+	p.begin(p.sim.Now(), p.stages)
 	p.stageDelays = make([]stats.Welford, len(p.stages))
-	p.missRatio = stats.Ratio{}
-	p.offered, p.enteredService, p.completed, p.missed, p.shed = 0, 0, 0, 0, 0
-	p.overrunEvicted = 0
+	p.offered, p.enteredService, p.shed, p.overrunEvicted = 0, 0, 0, 0
 	p.degraded, p.trimmedTasks, p.utility = 0, 0, 0
 	p.classes = map[string]*ClassMetrics{}
 	p.nclassRefs = 0
@@ -1067,46 +956,21 @@ type Metrics struct {
 
 // Snapshot computes metrics over [BeginMeasurement, now].
 func (p *Pipeline) Snapshot() Metrics {
-	now := p.sim.Now()
-	if !p.measuring {
-		panic("pipeline: Snapshot before BeginMeasurement")
-	}
-	window := now - p.measureStart
-	m := Metrics{
-		StageUtilization: make([]float64, len(p.stages)),
-		Offered:          p.offered,
-		EnteredService:   p.enteredService,
-		Completed:        p.completed,
-		Missed:           p.missed,
-		Shed:             p.shed,
-		OverrunEvicted:   p.overrunEvicted,
-		Degraded:         p.degraded,
-		TrimmedTasks:     p.trimmedTasks,
-		UtilityDelivered: p.utility,
-		MissRatio:        p.missRatio.Value(),
-		ResponseTimes:    p.responseTimes,
-		ResponseP50:      p.respP50.Value(),
-		ResponseP95:      p.respP95.Value(),
-		ResponseP99:      p.respP99.Value(),
-		StageDelays:      append([]stats.Welford(nil), p.stageDelays...),
-		ByClass:          map[string]ClassMetrics{},
-	}
-	if p.guard != nil {
-		m.GuardStats = p.guard.Stats()
-	}
+	m := p.snapshot(p.sim.Now(), p.stages)
+	m.Offered = p.offered
+	m.EnteredService = p.enteredService
+	m.Shed = p.shed
+	m.OverrunEvicted = p.overrunEvicted
+	m.Degraded = p.degraded
+	m.TrimmedTasks = p.trimmedTasks
+	m.UtilityDelivered = p.utility
+	m.StageDelays = append([]stats.Welford(nil), p.stageDelays...)
+	m.ByClass = make(map[string]ClassMetrics, len(p.classes))
 	for name, cm := range p.classes {
 		m.ByClass[name] = *cm
 	}
-	for j, st := range p.stages {
-		u := 0.0
-		if window > 0 {
-			u = (st.BusyTime(now) - p.busyAtStart[j]) / window
-		}
-		m.StageUtilization[j] = u
-		m.MeanUtilization += u / float64(len(p.stages))
-		if u > m.BottleneckUtilization {
-			m.BottleneckUtilization = u
-		}
+	if p.guard != nil {
+		m.GuardStats = p.guard.Stats()
 	}
 	if p.offered > 0 {
 		m.AcceptRatio = float64(p.enteredService) / float64(p.offered)

@@ -38,8 +38,13 @@ func offerMixedSpan(sim *des.Simulator, p *Pipeline, seed int64, n int, rate flo
 	}
 }
 
+// opaOptions runs the pipeline under the online OPA admitter.
+func opaOptions(stages int) Options {
+	return Options{Stages: stages, Admitter: priority.NewAdmitter(stages, priority.ModeOPA, nil, nil)}
+}
+
 // TestPriorityOPAZeroMisses is the soundness half of the widening
-// claim: under PriorityOPA every admitted task still meets its
+// claim: under the online OPA admitter every admitted task still meets its
 // end-to-end deadline — on full-span suite workloads and on the
 // mixed-span streams where OPA admits beyond the global region.
 func TestPriorityOPAZeroMisses(t *testing.T) {
@@ -62,7 +67,7 @@ func TestPriorityOPAZeroMisses(t *testing.T) {
 				Resolution: tc.resolution,
 			}
 			sim := des.New()
-			p := New(sim, Options{Stages: tc.stages, PriorityPolicy: PriorityOPA})
+			p := New(sim, opaOptions(tc.stages))
 			src := workload.NewSource(sim, spec, tc.seed, 1500, func(tk *task.Task) { p.Offer(tk) })
 			sim.At(0, func() { p.BeginMeasurement() })
 			src.Start()
@@ -81,7 +86,7 @@ func TestPriorityOPAZeroMisses(t *testing.T) {
 		for _, seed := range []int64{3, 17, 99} {
 			for _, rate := range []float64{1.0, 2.0, 4.0} {
 				sim := des.New()
-				p := New(sim, Options{Stages: 3, PriorityPolicy: PriorityOPA})
+				p := New(sim, opaOptions(3))
 				sim.At(0, func() { p.BeginMeasurement() })
 				offerMixedSpan(sim, p, seed, 1200, rate)
 				sim.Run()
@@ -106,15 +111,14 @@ func TestPriorityOPAZeroMisses(t *testing.T) {
 func TestPriorityOPAWidensOverDefault(t *testing.T) {
 	run := func(opts Options) Metrics {
 		sim := des.New()
-		opts.Stages = 3
 		p := New(sim, opts)
 		sim.At(0, func() { p.BeginMeasurement() })
 		offerMixedSpan(sim, p, 7, 1500, 2.0)
 		sim.Run()
 		return p.Snapshot()
 	}
-	dm := run(Options{})
-	opa := run(Options{PriorityPolicy: PriorityOPA})
+	dm := run(Options{Stages: 3})
+	opa := run(opaOptions(3))
 	if dm.Missed != 0 || opa.Missed != 0 {
 		t.Fatalf("soundness violated: dm missed %d, opa missed %d", dm.Missed, opa.Missed)
 	}
@@ -122,54 +126,4 @@ func TestPriorityOPAWidensOverDefault(t *testing.T) {
 		t.Fatalf("OPA admitted %d, default global region admitted %d; expected strict widening on a mixed-span stream",
 			opa.EnteredService, dm.EnteredService)
 	}
-}
-
-// TestPriorityPolicyWiring: each declarative PriorityPolicy value
-// installs the policy (or admitter) it documents.
-func TestPriorityPolicyWiring(t *testing.T) {
-	sim := des.New()
-	if p := New(sim, Options{Stages: 1, PriorityPolicy: PriorityDM}); p.policy.Name() != "deadline-monotonic" {
-		t.Fatalf("PriorityDM installed %q", p.policy.Name())
-	}
-	if p := New(sim, Options{Stages: 1, PriorityPolicy: PriorityEDFApprox}); p.policy.Name() != "edf-approx" {
-		t.Fatalf("PriorityEDFApprox installed %q", p.policy.Name())
-	}
-	p := New(sim, Options{Stages: 1, PriorityPolicy: PriorityOPA})
-	if _, ok := p.adm.(*priority.Admitter); !ok {
-		t.Fatalf("PriorityOPA installed admitter %T", p.adm)
-	}
-	if p.Controller() != nil {
-		t.Fatal("PriorityOPA should replace the core controller")
-	}
-
-	p = New(sim, Options{Stages: 1, PriorityPolicy: PriorityExplicit, ExplicitOrder: []task.ID{9, 4}})
-	if p.policy.Name() != "explicit-order" {
-		t.Fatalf("PriorityExplicit installed %q", p.policy.Name())
-	}
-	g := dist.NewRNG(1)
-	if got := p.policy.Assign(task.Chain(4, 0, 5, 0.1), g); got != 1 {
-		t.Fatalf("explicit order: task 4 priority = %v, want 1", got)
-	}
-	if got := p.policy.Assign(task.Chain(77, 0, 2.5, 0.1), g); got != 2.5 {
-		t.Fatalf("explicit order fallback: priority = %v, want deadline 2.5", got)
-	}
-}
-
-// TestPriorityPolicyConflictsPanic: the declarative selector refuses
-// ambiguous configurations loudly.
-func TestPriorityPolicyConflictsPanic(t *testing.T) {
-	mustPanic := func(name string, opts Options) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		New(des.New(), opts)
-	}
-	mustPanic("policy+prioritypolicy", Options{Stages: 1, PriorityPolicy: PriorityDM, Policy: task.Random{}})
-	mustPanic("opa+shards", Options{Stages: 1, PriorityPolicy: PriorityOPA, Shards: 2})
-	mustPanic("opa+noadmission", Options{Stages: 1, PriorityPolicy: PriorityOPA, NoAdmission: true})
-	mustPanic("opa+maxwait", Options{Stages: 1, PriorityPolicy: PriorityOPA, MaxWait: 0.2})
-	mustPanic("unknown", Options{Stages: 1, PriorityPolicy: PriorityPolicy(99)})
 }

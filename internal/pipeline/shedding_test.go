@@ -145,16 +145,6 @@ func TestSheddingDisabledByDefault(t *testing.T) {
 	sim.Run()
 }
 
-func TestSheddingRequiresDefaultController(t *testing.T) {
-	sim := des.New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: shedding with NoAdmission")
-		}
-	}()
-	New(sim, Options{Stages: 1, NoAdmission: true, EnableShedding: true})
-}
-
 func TestShedVictimStopsExecuting(t *testing.T) {
 	sim := des.New()
 	p := New(sim, Options{Stages: 2, EnableShedding: true})

@@ -41,6 +41,6 @@
 // monotone deadline-scaled tests the exchange lemma (THEORY.md §9)
 // shows any feasible slot can be bubbled to the deadline slot, so one
 // placement check decides admission and the frozen order stays
-// DM-compatible by induction. pipeline.Options.PriorityPolicy selects
-// it.
+// DM-compatible by induction. It implements pipeline.Admitter: set it
+// as pipeline.Options.Admitter to run a pipeline under it.
 package priority

@@ -31,8 +31,9 @@ func TestSubmitJobAllocationFree(t *testing.T) {
 	}
 	run() // grow the event pool and ready heap
 	before := st.Stats()
-	// One run of many cycles: AllocsPerRun truncates the per-run mean.
-	allocs := testing.AllocsPerRun(1, run)
+	// Ten runs of many cycles: AllocsPerRun truncates the per-run mean,
+	// so a stray runtime allocation reads 0 and one per run reads 1.
+	allocs := testing.AllocsPerRun(10, run)
 	after := st.Stats()
 	if allocs != 0 {
 		t.Fatalf("%d SubmitJob dispatch/preempt/complete cycles: %v allocs, want 0", cycles, allocs)

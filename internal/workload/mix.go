@@ -39,7 +39,8 @@ func (c ClassSpec) validate(stages int) {
 
 // MixedSource generates a superposition of per-class Poisson streams.
 type MixedSource struct {
-	counts map[string]uint64
+	names  []string // class names, by class index
+	counts []uint64 // arrivals so far, by class index
 }
 
 // NewMixedSource schedules all classes' arrivals into offer until
@@ -54,7 +55,7 @@ func NewMixedSource(sim *des.Simulator, stages int, classes []ClassSpec, seed in
 	if offer == nil {
 		panic("workload: nil offer sink")
 	}
-	ms := &MixedSource{counts: map[string]uint64{}}
+	ms := &MixedSource{names: make([]string, len(classes)), counts: make([]uint64, len(classes))}
 	root := dist.NewRNG(seed)
 	id := firstID
 	nextID := func() task.ID {
@@ -62,9 +63,10 @@ func NewMixedSource(sim *des.Simulator, stages int, classes []ClassSpec, seed in
 		id++
 		return v
 	}
-	for _, c := range classes {
+	for k, c := range classes {
 		c := c
 		c.validate(stages)
+		ms.names[k] = c.Name
 		stream := root.Split()
 		var arrive func()
 		at := 0.0
@@ -83,7 +85,7 @@ func NewMixedSource(sim *des.Simulator, stages int, classes []ClassSpec, seed in
 				t := task.Chain(taskID, releaseAt, c.Deadline.Sample(stream), demands...)
 				t.Class = c.Name
 				t.Importance = c.Importance
-				ms.counts[c.Name]++
+				ms.counts[k]++
 				offer(t)
 				arrive()
 			})
@@ -93,11 +95,15 @@ func NewMixedSource(sim *des.Simulator, stages int, classes []ClassSpec, seed in
 	return ms
 }
 
-// Generated returns per-class arrival counts so far.
+// Generated returns per-class arrival counts so far, keyed by class
+// name (classes sharing a name share a count; classes without arrivals
+// are absent).
 func (ms *MixedSource) Generated() map[string]uint64 {
-	out := make(map[string]uint64, len(ms.counts))
-	for k, v := range ms.counts {
-		out[k] = v
+	out := make(map[string]uint64, len(ms.names))
+	for k, name := range ms.names {
+		if n := ms.counts[k]; n > 0 {
+			out[name] += n
+		}
 	}
 	return out
 }
