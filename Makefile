@@ -31,14 +31,12 @@ bench:
 bench-json:
 	$(GO) test -run '^$$' -bench 'Metrics(Off|On)' -benchmem -count 3 -json . > BENCH_metrics.json
 
-# Admission hot-path scaling benchmarks (single-shard vs K=8 sharded;
-# uncontended ns/op + allocs/op, 1/4/16/64/128/256-goroutine curves,
-# lock-free reject path) as go-test JSON. The sharded acceptance floor
-# is ≥ 3× single-shard throughput at 64 goroutines with 0 allocs/op.
-# For a before/after against an older commit, run
+# Admission hot-path scaling benchmarks (uncontended ns/op +
+# allocs/op, 1/4/16/64/128/256-goroutine curves, lock-free reject path)
+# as go-test JSON. For a before/after against an older commit, run
 # bash bench/pairs.sh <commit>.
 bench-admit:
-	$(GO) test -run '^$$' -bench '^Benchmark(Sharded)?Admit' -benchmem -count 3 -json . > BENCH_admit.json
+	$(GO) test -run '^$$' -bench '^BenchmarkAdmit' -benchmem -count 3 -json . > BENCH_admit.json
 
 # Quality-cascade benchmarks (full-quality admit vs degraded fallback
 # vs mandatory-only lock-free reject) as go-test JSON; the degraded

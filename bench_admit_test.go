@@ -10,22 +10,17 @@ import (
 	"feasregion/internal/online"
 )
 
-// Admission hot-path benchmarks over online.Controller, single-shard
-// (BenchmarkAdmit*) and K=8 sharded (BenchmarkShardedAdmit*):
+// Admission hot-path benchmarks over online.Controller:
 //
 //   - Uncontended: serial admit+release ns/op and allocs/op (must
 //     report 0 allocs/op);
 //   - Parallel1/4/16/64/128/256: g goroutines splitting b.N over
 //     admit+release — the throughput scaling curve;
 //   - RejectParallel16: a full region hammered by 16 goroutines, which
-//     the shard plane rejects through its lock-free overload gate.
+//     the controller rejects through its lock-free overload gate.
 //
-// The sharded set (online.Config{Shards: 8}) charges a
-// cache-line-isolated home shard instead of one shared mutex, so the
-// wide fan-outs (64+) are where the partition pays — the acceptance
-// floor is ≥ 3× the single-shard 64-goroutine throughput at 0
-// allocs/op. A before/after comparison against an older commit runs
-// both trees on the same host: bash bench/pairs.sh <commit>.
+// A before/after comparison against an older commit runs both trees on
+// the same host: bash bench/pairs.sh <commit>.
 //
 // `make bench-admit` emits these as BENCH_admit.json.
 
@@ -115,8 +110,6 @@ func rejectParallel(b *testing.B, c *online.Controller, g int) {
 	wg.Wait()
 }
 
-// --- current implementation ---
-
 func BenchmarkAdmitUncontended(b *testing.B) {
 	admitReleaseSerial(b, online.New(benchRegion(), nil, nil))
 }
@@ -147,42 +140,4 @@ func BenchmarkAdmitParallel256(b *testing.B) {
 
 func BenchmarkAdmitRejectParallel16(b *testing.B) {
 	rejectParallel(b, online.New(benchRegion(), nil, nil), 16)
-}
-
-// --- sharded controller (K=8) ---
-
-func shardedController() *online.Controller {
-	return online.NewWithConfig(benchRegion(), online.Config{Shards: 8})
-}
-
-func BenchmarkShardedAdmitUncontended(b *testing.B) {
-	admitReleaseSerial(b, shardedController())
-}
-
-func BenchmarkShardedAdmitParallel1(b *testing.B) {
-	admitReleaseParallel(b, shardedController(), 1)
-}
-
-func BenchmarkShardedAdmitParallel4(b *testing.B) {
-	admitReleaseParallel(b, shardedController(), 4)
-}
-
-func BenchmarkShardedAdmitParallel16(b *testing.B) {
-	admitReleaseParallel(b, shardedController(), 16)
-}
-
-func BenchmarkShardedAdmitParallel64(b *testing.B) {
-	admitReleaseParallel(b, shardedController(), 64)
-}
-
-func BenchmarkShardedAdmitParallel128(b *testing.B) {
-	admitReleaseParallel(b, shardedController(), 128)
-}
-
-func BenchmarkShardedAdmitParallel256(b *testing.B) {
-	admitReleaseParallel(b, shardedController(), 256)
-}
-
-func BenchmarkShardedAdmitRejectParallel16(b *testing.B) {
-	rejectParallel(b, shardedController(), 16)
 }

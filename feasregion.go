@@ -328,13 +328,10 @@ func NewOnlineController(region Region, reserved []float64, clock OnlineClock) *
 	return online.New(region, reserved, clock)
 }
 
-// OnlineConfig is the full configuration for an OnlineController,
-// including the shard count for multi-core admission. Shards 0 or 1
-// means one shard: one exact region test under one lock. Shards > 1
-// partitions the region bound across cache-line-isolated shards so
-// concurrent admits stop contending on one mutex, while staying
-// work-conserving (every shard count admits exactly the same
-// requests).
+// OnlineConfig is the full configuration for an OnlineController:
+// reserved per-stage floors and the clock. Admission is one exact
+// region test under one lock; to spread admission across cores, run a
+// cluster of replicas (NewCluster).
 type OnlineConfig = online.Config
 
 // NewOnlineControllerWithConfig builds a wall-clock controller from the

@@ -17,8 +17,8 @@ type Options struct {
 	Region core.Region
 
 	// Online configures each replica's admission controller (clock,
-	// reserved floors, shard count). The zero value is the production
-	// default: time.Now and a single-shard data plane.
+	// reserved floors). The zero value is the production default: the
+	// monotonic system clock and no floors.
 	Online online.Config
 
 	// Policy selects the routing policy. Default RoundRobin (the zero

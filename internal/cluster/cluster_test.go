@@ -66,40 +66,38 @@ func TestReplicaSnapshotTracksAdmissions(t *testing.T) {
 // controller: a single clock sample per publish, with and without a due
 // purge (a per-stage loop samples once per stage), and a published
 // headroom equal to Bound() − Region().Value(Utilizations()) exactly at
-// quiescence, for one shard and for four.
+// quiescence.
 func TestReplicaRefreshOneRead(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		var reads atomic.Int64
-		now := time.Unix(0, 0)
-		clock := func() time.Time { reads.Add(1); return now }
-		ctrl := online.NewWithConfig(core.NewRegion(3), online.Config{Clock: clock, Shards: shards})
-		rep := NewReplica(0, ctrl)
-		for id := uint64(1); id <= 8; id++ {
-			d := time.Duration(id) * 10 * time.Millisecond
-			rep.TryAdmit(online.Request{ID: id, Deadline: d, Demands: []time.Duration{d / 20, d / 30, d / 40}})
+	var reads atomic.Int64
+	now := time.Unix(0, 0)
+	clock := func() time.Time { reads.Add(1); return now }
+	ctrl := online.New(core.NewRegion(3), nil, clock)
+	rep := NewReplica(0, ctrl)
+	for id := uint64(1); id <= 8; id++ {
+		d := time.Duration(id) * 10 * time.Millisecond
+		rep.TryAdmit(online.Request{ID: id, Deadline: d, Demands: []time.Duration{d / 20, d / 30, d / 40}})
+	}
+	check := func(phase string) {
+		t.Helper()
+		reads.Store(0)
+		rep.Refresh()
+		if n := reads.Load(); n != 1 {
+			t.Fatalf("%s: Refresh read the clock %d times, want 1", phase, n)
 		}
-		check := func(phase string) {
-			t.Helper()
-			reads.Store(0)
-			rep.Refresh()
-			if n := reads.Load(); n != 1 {
-				t.Fatalf("shards=%d %s: Refresh read the clock %d times, want 1", shards, phase, n)
-			}
-			h, v := rep.Snapshot()
-			want := ctrl.Region().Value(ctrl.Utilizations())
-			if v != want || h != ctrl.Bound()-want {
-				t.Fatalf("shards=%d %s: snapshot (%v, %v), want (%v, %v)", shards, phase, h, v, ctrl.Bound()-want, want)
-			}
+		h, v := rep.Snapshot()
+		want := ctrl.Region().Value(ctrl.Utilizations())
+		if v != want || h != ctrl.Bound()-want {
+			t.Fatalf("%s: snapshot (%v, %v), want (%v, %v)", phase, h, v, ctrl.Bound()-want, want)
 		}
-		check("quiescent")
-		if allocs := testing.AllocsPerRun(100, rep.Refresh); allocs != 0 {
-			t.Fatalf("shards=%d: Refresh allocates %v times, want 0", shards, allocs)
-		}
-		now = now.Add(45 * time.Millisecond) // four deadlines pass: the purge is due
-		check("purge due")
-		if v := ctrl.Region().Value(ctrl.Utilizations()); v == 0 {
-			t.Fatalf("shards=%d: every contribution expired; the test needs survivors", shards)
-		}
+	}
+	check("quiescent")
+	if allocs := testing.AllocsPerRun(100, rep.Refresh); allocs != 0 {
+		t.Fatalf("Refresh allocates %v times, want 0", allocs)
+	}
+	now = now.Add(45 * time.Millisecond) // four deadlines pass: the purge is due
+	check("purge due")
+	if v := ctrl.Region().Value(ctrl.Utilizations()); v == 0 {
+		t.Fatal("every contribution expired; the test needs survivors")
 	}
 }
 

@@ -6,7 +6,7 @@
 // The package is a control-plane/data-plane split:
 //
 //   - Replica wraps a per-replica online.Controller (a full admission
-//     data plane, shards and all) behind a placement lifecycle
+//     data plane) behind a placement lifecycle
 //     (Active → Draining → Stopped) and publishes a seqlock-mirrored
 //     (headroom, value) snapshot that the router reads lock-free.
 //   - Router places each arriving request on a replica chosen by

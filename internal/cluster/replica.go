@@ -35,7 +35,7 @@ func (s State) String() string {
 }
 
 // Replica wraps one feasible-region admission controller — a full
-// per-replica data plane, shards and all — behind the cluster's
+// per-replica data plane — behind the cluster's
 // placement lifecycle, and publishes a seqlock-mirrored headroom
 // snapshot the router reads lock-free.
 //

@@ -10,7 +10,7 @@
 //     the tasks currently contributing — admitted, not yet past their
 //     deadline, not yet cleared by an idle reset. Every controller keeps
 //     these contributions in one region state (internal/tasktable, also
-//     the shard plane's): one row per task, a Kahan sum per stage, and
+//     the online controller's): one row per task, a Kahan sum per stage, and
 //     the reserved floors; StageLedger is Controller's per-stage view.
 //     Ledger is the standalone map-based account, kept as the reference
 //     the region state is tested against.

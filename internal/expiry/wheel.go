@@ -1,6 +1,6 @@
 // Package expiry provides the hierarchical timer wheel that backs
-// deadline expiry in the wall-clock admission controllers
-// (internal/online and internal/shard).
+// deadline expiry in the wall-clock admission controller
+// (internal/online).
 //
 // The wheel replaces a binary heap + pending map: Push is one slice
 // append (O(1), no interface boxing, no heap sift), and a purge flushes
@@ -11,13 +11,11 @@
 // occupancy bitmaps drive the cursor's advance as well as NextFlush, so
 // a purge skips empty buckets instead of stepping through every tick.
 //
-// The O(1) cancellation index is optional. The single-mutex controller
-// keeps it (eager unlink on Release halves purge cost under high
-// release traffic); the sharded controller skips it and cancels lazily
-// — its open-addressing task table already answers "is this (id,
-// deadline) still live?" in one probe, so a stale wheel entry is
-// filtered at flush time for free, and the hot admit path saves the
-// index's map insert + delete.
+// The wheel keeps no id index: cancellation is the caller's job. The
+// online controller's task table already answers "is this (id,
+// deadline) still live?" in one probe, so a stale entry (its request
+// released, or the id re-admitted with a new deadline) is filtered at
+// flush time, and the admit path pays no map insert and delete.
 package expiry
 
 import (
@@ -51,25 +49,9 @@ const (
 	Span = 1 << (bits * levels)
 )
 
-// slot records where an id's entry currently lives, for O(1)
-// cancellation: the containing area (a wheel level, ripe, or overflow),
-// the bucket index within a level, and the position within the slice.
-// Every structural move (place, spill, refile, flush) keeps it current.
-type slot struct {
-	area uint8 // 0..levels-1: level; areaRipe; areaOverflow
-	idx  uint8 // bucket index within a level area
-	pos  int32 // position within the containing slice
-}
-
-// Non-level slot areas.
-const (
-	areaRipe     = levels
-	areaOverflow = levels + 1
-)
-
 // Wheel is a 3-level hierarchical timer wheel over UnixNano deadlines.
 // It is not safe for concurrent use; callers serialize access (the
-// controllers hold it under their mutex / shard mutex).
+// online controller holds it under its mutex).
 type Wheel struct {
 	granularity int64  // bucket width in nanoseconds
 	base        int64  // UnixNano origin of tick 0
@@ -82,39 +64,22 @@ type Wheel struct {
 	overflow    []Entry        // further than Span ticks ahead
 	overflowMin int64          // math.MaxInt64 when overflow is empty
 	refile      []Entry        // scratch copy of a bucket being re-filed
-
-	// slots is the id→location cancellation index: Remove unlinks an
-	// entry eagerly in O(1) (swap-remove from its bucket) instead of
-	// leaving a stale entry for the purge to flush. At most one entry
-	// per id: a Push for an id that is still filed (possible when a
-	// released id is reused before its old deadline passes) replaces
-	// the stale entry. nil when the wheel was built without the index —
-	// then Remove always reports false, duplicate Pushes coexist, and
-	// the caller filters stale entries at flush time (lazy
-	// cancellation).
-	slots map[uint64]slot
 }
 
 // New builds a wheel with the given bucket granularity and time origin.
-// indexed selects the O(1) cancellation index; without it Remove is a
-// no-op and cancellation is the caller's job (lazy filtering at flush).
-func New(granularity time.Duration, base time.Time, indexed bool) *Wheel {
+func New(granularity time.Duration, base time.Time) *Wheel {
 	if granularity <= 0 {
 		panic("expiry: wheel granularity must be positive")
 	}
-	w := &Wheel{
+	return &Wheel{
 		granularity: int64(granularity),
 		base:        base.UnixNano(),
 		overflowMin: math.MaxInt64,
 	}
-	if indexed {
-		w.slots = map[uint64]slot{}
-	}
-	return w
 }
 
 // Count reports the number of pending entries (including any stale
-// lazily-cancelled ones when the wheel is unindexed).
+// ones the caller will discard at flush).
 func (w *Wheel) Count() int { return w.count }
 
 func (w *Wheel) tickOf(at int64) uint64 {
@@ -131,33 +96,18 @@ func (w *Wheel) timeOf(tick uint64) int64 {
 	return w.base + int64(tick)*w.granularity
 }
 
-// Push schedules the id's expiry: one append, O(1). With the
-// cancellation index, a stale entry for the same id (released, then the
-// id reused) is unlinked first so the index stays one-entry-per-id;
-// without it the caller must disambiguate duplicates by deadline.
+// Push schedules the id's expiry: one append, O(1). Pushes for the
+// same id coexist; the caller disambiguates them by deadline.
 func (w *Wheel) Push(at int64, id uint64) {
-	if w.slots != nil {
-		if _, dup := w.slots[id]; dup {
-			w.Remove(id)
-		}
-	}
 	w.count++
 	tick := w.tickOf(at)
 	if tick < w.cur {
 		// Already due (its bucket was flushed before it arrived);
 		// drained by the next advance.
-		w.fileRipe(Entry{At: at, ID: id})
+		w.ripe = append(w.ripe, Entry{At: at, ID: id})
 		return
 	}
 	w.place(Entry{At: at, ID: id}, tick)
-}
-
-// fileRipe appends to the ripe list and indexes the entry.
-func (w *Wheel) fileRipe(e Entry) {
-	w.ripe = append(w.ripe, e)
-	if w.slots != nil {
-		w.slots[e.ID] = slot{area: areaRipe, pos: int32(len(w.ripe) - 1)}
-	}
 }
 
 // place files an item under its tick at the innermost level whose
@@ -170,9 +120,6 @@ func (w *Wheel) place(e Entry, tick uint64) {
 			w.lvls[lvl][idx] = append(w.lvls[lvl][idx], e)
 			w.occ[lvl] |= 1 << idx
 			w.inLevels++
-			if w.slots != nil {
-				w.slots[e.ID] = slot{area: uint8(lvl), idx: uint8(idx), pos: int32(len(w.lvls[lvl][idx]) - 1)}
-			}
 			return
 		}
 	}
@@ -180,9 +127,6 @@ func (w *Wheel) place(e Entry, tick uint64) {
 		w.overflowMin = e.At
 	}
 	w.overflow = append(w.overflow, e)
-	if w.slots != nil {
-		w.slots[e.ID] = slot{area: areaOverflow, pos: int32(len(w.overflow) - 1)}
-	}
 }
 
 // AdvanceTo moves the cursor to now, invoking expire for every item
@@ -214,9 +158,6 @@ func (w *Wheel) AdvanceTo(now int64, expire func(e Entry)) int {
 			w.count -= len(b)
 			flushed += len(b)
 			for _, e := range b {
-				if w.slots != nil {
-					delete(w.slots, e.ID)
-				}
 				expire(e)
 			}
 			w.cur++
@@ -232,54 +173,11 @@ func (w *Wheel) AdvanceTo(now int64, expire func(e Entry)) int {
 		flushed += len(w.ripe)
 		w.count -= len(w.ripe)
 		for _, e := range w.ripe {
-			if w.slots != nil {
-				delete(w.slots, e.ID)
-			}
 			expire(e)
 		}
 		w.ripe = w.ripe[:0]
 	}
 	return flushed
-}
-
-// Remove unlinks a pending entry in O(1): swap-remove from whatever
-// bucket holds it, fixing the moved entry's index slot. Reports whether
-// the id was pending. Always false on an unindexed wheel. Removing an
-// overflow entry may leave overflowMin stale-low; that only makes
-// NextFlush early, never late.
-func (w *Wheel) Remove(id uint64) bool {
-	if w.slots == nil {
-		return false
-	}
-	s, ok := w.slots[id]
-	if !ok {
-		return false
-	}
-	delete(w.slots, id)
-	var b *[]Entry
-	switch s.area {
-	case areaRipe:
-		b = &w.ripe
-	case areaOverflow:
-		b = &w.overflow
-	default:
-		b = &w.lvls[s.area][s.idx]
-		w.inLevels--
-	}
-	last := len(*b) - 1
-	if int(s.pos) != last {
-		moved := (*b)[last]
-		(*b)[s.pos] = moved
-		ms := w.slots[moved.ID]
-		ms.pos = s.pos
-		w.slots[moved.ID] = ms
-	}
-	*b = (*b)[:last]
-	if last == 0 && s.area < levels {
-		w.occ[s.area] &^= 1 << s.idx
-	}
-	w.count--
-	return true
 }
 
 // skip returns the first tick after the cursor, capped at target, where
@@ -344,7 +242,7 @@ func (w *Wheel) refileAll(bucket *[]Entry) {
 	*bucket = (*bucket)[:0]
 	for _, e := range w.refile {
 		if tick := w.tickOf(e.At); tick < w.cur {
-			w.fileRipe(e)
+			w.ripe = append(w.ripe, e)
 		} else {
 			w.place(e, tick)
 		}
@@ -392,6 +290,3 @@ func (w *Wheel) NextFlush() (int64, bool) {
 	}
 	return w.timeOf(first + 1), true
 }
-
-// indexSize reports the cancellation-index cardinality (tests only).
-func (w *Wheel) indexSize() int { return len(w.slots) }

@@ -32,7 +32,7 @@ func forEach(w *Wheel, fn func(e Entry)) {
 // same tick would purge before the deadline.
 func TestWheelNeverEarly(t *testing.T) {
 	base := time.Unix(1_000_000, 0)
-	w := New(time.Millisecond, base, true)
+	w := New(time.Millisecond, base)
 	w.Push(base.UnixNano(), 1) // tick == cur: due within the current granule
 	fired := 0
 	w.AdvanceTo(base.UnixNano(), func(Entry) { fired++ })
@@ -47,24 +47,21 @@ func TestWheelNeverEarly(t *testing.T) {
 
 // TestWheelPropertyVsReference drives the wheel with randomized pushes
 // (already-due, level-0-near, mid-level, and beyond-horizon overflow
-// deadlines), random cancellations, and advances, cross-checking against
-// a reference pending set — the moral equivalent of the old binary heap
-// + pending map. The properties: every entry fires at or after its
-// deadline and at most one granularity late (relative to the purge
-// time), none is lost or duplicated, a removed entry never fires,
-// Remove reports membership exactly, the cancellation index stays in
-// lockstep with the pending count, NextFlush is no later than the end
-// of the earliest pending deadline's tick, and ForEach visits exactly
-// the pending set.
+// deadlines) and advances, cross-checking against a reference pending
+// set — the moral equivalent of the old binary heap + pending map. The
+// properties: every entry fires at or after its deadline and at most
+// one granularity late (relative to the purge time), none is lost or
+// duplicated, the count stays in lockstep with the pending set,
+// NextFlush is no later than the end of the earliest pending deadline's
+// tick, and ForEach visits exactly the pending set.
 func TestWheelPropertyVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	base := time.Unix(1_000_000, 0)
 	g := time.Millisecond
-	w := New(g, base, true)
+	w := New(g, base)
 	pending := map[uint64]int64{} // the reference "heap" (UnixNano deadlines)
 	now := base.UnixNano()
 	var nextID uint64
-	var ids []uint64 // every id ever pushed, for cancellation picks
 
 	expire := func(e Entry) {
 		at, ok := pending[e.ID]
@@ -104,9 +101,6 @@ func TestWheelPropertyVsReference(t *testing.T) {
 		if w.Count() != len(pending) {
 			t.Fatalf("wheel count %d, reference %d", w.Count(), len(pending))
 		}
-		if w.indexSize() != len(pending) {
-			t.Fatalf("cancellation index has %d entries, %d pending", w.indexSize(), len(pending))
-		}
 	}
 
 	for step := 0; step < 4000; step++ {
@@ -127,17 +121,7 @@ func TestWheelPropertyVsReference(t *testing.T) {
 				}
 				at := now + int64(off)
 				pending[nextID] = at
-				ids = append(ids, nextID)
 				w.Push(at, nextID)
-			}
-		case 2: // cancel: Remove must mirror reference membership exactly
-			for i := rng.Intn(3) + 1; i > 0 && len(ids) > 0; i-- {
-				id := ids[rng.Intn(len(ids))]
-				_, live := pending[id]
-				if w.Remove(id) != live {
-					t.Fatalf("Remove(%d) = %v, reference pending %v", id, !live, live)
-				}
-				delete(pending, id)
 			}
 		default: // advance (possibly by zero: ripe still drains)
 			now += int64(time.Duration(rng.Intn(20_000)) * time.Millisecond)
@@ -167,74 +151,26 @@ func TestWheelPropertyVsReference(t *testing.T) {
 	if len(pending) != 0 {
 		t.Fatalf("%d entries lost after full drain", len(pending))
 	}
-	if w.Count() != 0 || w.inLevels != 0 || len(w.overflow) != 0 || len(w.ripe) != 0 || w.indexSize() != 0 {
-		t.Fatalf("wheel not empty after drain: count=%d inLevels=%d overflow=%d ripe=%d slots=%d",
-			w.Count(), w.inLevels, len(w.overflow), len(w.ripe), w.indexSize())
+	if w.Count() != 0 || w.inLevels != 0 || len(w.overflow) != 0 || len(w.ripe) != 0 {
+		t.Fatalf("wheel not empty after drain: count=%d inLevels=%d overflow=%d ripe=%d",
+			w.Count(), w.inLevels, len(w.overflow), len(w.ripe))
 	}
 }
 
-// TestWheelRemove pins the cancellation basics the property test only
-// reaches statistically: a removed entry never fires, removing an
-// unknown or already-fired id reports false, swap-removal keeps the
-// surviving entries firing, and re-pushing a still-filed id replaces the
-// stale entry instead of duplicating it.
-func TestWheelRemove(t *testing.T) {
-	base := time.Unix(1_000_000, 0)
-	g := time.Millisecond
-	w := New(g, base, true)
-	at := base.Add(10 * time.Millisecond).UnixNano()
-	for id := uint64(1); id <= 3; id++ {
-		w.Push(at, id) // same bucket: removal must swap-fix neighbours
-	}
-	if !w.Remove(2) {
-		t.Fatal("Remove of a pending id reported false")
-	}
-	if w.Remove(2) || w.Remove(99) {
-		t.Fatal("Remove of an absent id reported true")
-	}
-	fired := map[uint64]bool{}
-	w.AdvanceTo(base.Add(20*time.Millisecond).UnixNano(), func(e Entry) { fired[e.ID] = true })
-	if fired[2] {
-		t.Fatal("cancelled entry fired")
-	}
-	if !fired[1] || !fired[3] {
-		t.Fatalf("surviving entries lost after swap-removal: fired %v", fired)
-	}
-	if w.Remove(1) {
-		t.Fatal("Remove of an already-fired id reported true")
-	}
-
-	// Re-pushing a filed id replaces the stale entry: only the second
-	// deadline fires, once.
-	w.Push(base.Add(30*time.Millisecond).UnixNano(), 7)
-	w.Push(base.Add(40*time.Millisecond).UnixNano(), 7)
-	if w.Count() != 1 {
-		t.Fatalf("duplicate push left count %d, want 1", w.Count())
-	}
-	var fires []int64
-	w.AdvanceTo(base.Add(60*time.Millisecond).UnixNano(), func(e Entry) { fires = append(fires, e.At) })
-	if len(fires) != 1 || fires[0] != base.Add(40*time.Millisecond).UnixNano() {
-		t.Fatalf("re-pushed id fired %v, want the replacement deadline only", fires)
-	}
-}
-
-// TestWheelUnindexed pins the lazy-cancellation contract the sharded
-// controller relies on: without the index, Remove always reports false,
-// duplicate pushes for a reused id coexist (both fire, disambiguated by
+// TestWheelUnindexed pins the lazy-cancellation contract the online
+// controller relies on: the wheel keeps no id index, so duplicate
+// pushes for a reused id coexist (both fire, disambiguated by
 // deadline), and nothing is lost — the caller filters stale entries by
 // matching (id, deadline) against its own table.
 func TestWheelUnindexed(t *testing.T) {
 	base := time.Unix(1_000_000, 0)
-	w := New(time.Millisecond, base, false)
+	w := New(time.Millisecond, base)
 	at1 := base.Add(5 * time.Millisecond).UnixNano()
 	at2 := base.Add(8 * time.Millisecond).UnixNano()
 	w.Push(at1, 1)
 	w.Push(at2, 1) // id reuse: both entries stay filed
 	if w.Count() != 2 {
 		t.Fatalf("unindexed duplicate push collapsed: count %d, want 2", w.Count())
-	}
-	if w.Remove(1) {
-		t.Fatal("Remove on an unindexed wheel reported true")
 	}
 	var fires []int64
 	w.AdvanceTo(base.Add(20*time.Millisecond).UnixNano(), func(e Entry) { fires = append(fires, e.At) })
@@ -245,8 +181,7 @@ func TestWheelUnindexed(t *testing.T) {
 		t.Fatalf("count %d after drain, want 0", w.Count())
 	}
 
-	// A randomized pass mirroring the indexed property test's push/advance
-	// mix, minus cancellation: entries must fire at-or-after deadline, at
+	// A randomized push/advance pass: entries must fire at-or-after deadline, at
 	// most one granule late, none lost.
 	rng := rand.New(rand.NewSource(7))
 	now := base.UnixNano()
@@ -301,47 +236,34 @@ func checkOccupancy(t *testing.T, w *Wheel, step int) {
 	}
 }
 
-// TestWheelOccupancyBitmap drives random pushes, removes, and advances
-// through both wheel flavors and checks after every operation that the
+// TestWheelOccupancyBitmap drives random pushes and advances and checks after every operation that the
 // occupancy bitmaps track bucket emptiness exactly, and that NextFlush
 // (which reads only the bitmaps) is never later than any pending
 // entry's flush, the end of its tick.
 func TestWheelOccupancyBitmap(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		base := time.Unix(0, 0)
-		w := New(time.Millisecond, base, indexed)
-		rng := rand.New(rand.NewSource(7))
-		now := int64(0)
-		var ids []uint64
-		var id uint64
-		for step := 0; step < 4000; step++ {
-			switch rng.Intn(4) {
-			case 0, 1:
-				id++
-				// Spread across level 0, levels 1-2, and overflow.
-				at := now + rng.Int63n(int64(Span)*int64(time.Millisecond)*3/2)
-				w.Push(at, id)
-				ids = append(ids, id)
-			case 2:
-				if indexed && len(ids) > 0 {
-					i := rng.Intn(len(ids))
-					w.Remove(ids[i])
-					ids = append(ids[:i], ids[i+1:]...)
+	w := New(time.Millisecond, time.Unix(0, 0))
+	rng := rand.New(rand.NewSource(7))
+	now := int64(0)
+	var id uint64
+	for step := 0; step < 4000; step++ {
+		if rng.Intn(2) == 0 {
+			id++
+			// Spread across level 0, levels 1-2, and overflow.
+			at := now + rng.Int63n(int64(Span)*int64(time.Millisecond)*3/2)
+			w.Push(at, id)
+		} else {
+			now += rng.Int63n(int64(40 * time.Millisecond))
+			w.AdvanceTo(now, func(e Entry) {})
+		}
+		checkOccupancy(t, w, step)
+		if next, ok := w.NextFlush(); ok {
+			forEach(w, func(e Entry) {
+				if end := w.timeOf(w.tickOf(e.At) + 1); next > end {
+					t.Fatalf("step %d: NextFlush %d is after pending entry %d's tick ends (%d)", step, next, e.At, end)
 				}
-			default:
-				now += rng.Int63n(int64(40 * time.Millisecond))
-				w.AdvanceTo(now, func(e Entry) {})
-			}
-			checkOccupancy(t, w, step)
-			if next, ok := w.NextFlush(); ok {
-				forEach(w, func(e Entry) {
-					if end := w.timeOf(w.tickOf(e.At) + 1); next > end {
-						t.Fatalf("step %d: NextFlush %d is after pending entry %d's tick ends (%d)", step, next, e.At, end)
-					}
-				})
-			} else if w.Count() != 0 {
-				t.Fatalf("step %d: NextFlush empty with %d pending", step, w.Count())
-			}
+			})
+		} else if w.Count() != 0 {
+			t.Fatalf("step %d: NextFlush empty with %d pending", step, w.Count())
 		}
 	}
 }
@@ -367,9 +289,6 @@ func (w *Wheel) advanceReference(now int64, expire func(e Entry)) int {
 			w.count -= len(b)
 			flushed += len(b)
 			for _, e := range b {
-				if w.slots != nil {
-					delete(w.slots, e.ID)
-				}
 				expire(e)
 			}
 		}
@@ -382,9 +301,6 @@ func (w *Wheel) advanceReference(now int64, expire func(e Entry)) int {
 		flushed += len(w.ripe)
 		w.count -= len(w.ripe)
 		for _, e := range w.ripe {
-			if w.slots != nil {
-				delete(w.slots, e.ID)
-			}
 			expire(e)
 		}
 		w.ripe = w.ripe[:0]
@@ -408,119 +324,106 @@ func sortedEntries(w *Wheel) []Entry {
 // TestWheelAdvanceMatchesTickWalk drives a skipping wheel and a
 // tick-by-tick reference wheel with identical random operations —
 // pushes already due, at level 0, 1 or 2, or in overflow (a few reusing
-// an id), Remove on the indexed flavour, and advances across every
-// level boundary shape — and requires after every call the same expire
-// sequence, in order, and the same Count, NextFlush, occupancy
-// bitmaps, cursor and pending set. Some advances stop just short of
-// NextFlush and some land just past it: no advance, on either wheel,
-// may flush anything before NextFlush.
+// an id), and advances across every level boundary shape — and requires
+// after every call the same expire sequence, in order, and the same
+// Count, NextFlush, occupancy bitmaps, cursor and pending set. Some
+// advances stop just short of NextFlush and some land just past it: no
+// advance, on either wheel, may flush anything before NextFlush.
 func TestWheelAdvanceMatchesTickWalk(t *testing.T) {
 	g := int64(time.Millisecond)
 	edges := []int64{0, 1, 63, 64, 65, 4095, 4096, 4097, Span - 1, Span, Span + 1}
-	for _, indexed := range []bool{false, true} {
-		base := time.Unix(1_000_000, 0)
-		fast, ref := New(time.Millisecond, base, indexed), New(time.Millisecond, base, indexed)
-		rng := rand.New(rand.NewSource(13))
-		now := base.UnixNano()
-		var nextID uint64
-		var gotSeq, wantSeq []Entry
-		check := func(step int, op string) {
-			t.Helper()
-			if len(gotSeq) != len(wantSeq) {
-				t.Fatalf("indexed=%v step %d (%s): flushed %d entries, reference %d", indexed, step, op, len(gotSeq), len(wantSeq))
-			}
-			for i := range gotSeq {
-				if gotSeq[i] != wantSeq[i] {
-					t.Fatalf("indexed=%v step %d (%s): expire %d = %+v, reference %+v", indexed, step, op, i, gotSeq[i], wantSeq[i])
-				}
-			}
-			if fast.cur != ref.cur || fast.occ != ref.occ || fast.Count() != ref.Count() {
-				t.Fatalf("indexed=%v step %d (%s): cur/occ/count %d/%x/%d, reference %d/%x/%d",
-					indexed, step, op, fast.cur, fast.occ, fast.Count(), ref.cur, ref.occ, ref.Count())
-			}
-			fa, oka := fast.NextFlush()
-			fb, okb := ref.NextFlush()
-			if fa != fb || oka != okb || oka != (fast.Count() > 0) {
-				t.Fatalf("indexed=%v step %d (%s): NextFlush (%d, %v), reference (%d, %v), count %d", indexed, step, op, fa, oka, fb, okb, fast.Count())
-			}
-			a, b := sortedEntries(fast), sortedEntries(ref)
-			if len(a) != len(b) {
-				t.Fatalf("indexed=%v step %d (%s): ForEach visited %d, reference %d", indexed, step, op, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("indexed=%v step %d (%s): ForEach entry %d = %+v, reference %+v", indexed, step, op, i, a[i], b[i])
-				}
+	base := time.Unix(1_000_000, 0)
+	fast, ref := New(time.Millisecond, base), New(time.Millisecond, base)
+	rng := rand.New(rand.NewSource(13))
+	now := base.UnixNano()
+	var nextID uint64
+	var gotSeq, wantSeq []Entry
+	check := func(step int, op string) {
+		t.Helper()
+		if len(gotSeq) != len(wantSeq) {
+			t.Fatalf("step %d (%s): flushed %d entries, reference %d", step, op, len(gotSeq), len(wantSeq))
+		}
+		for i := range gotSeq {
+			if gotSeq[i] != wantSeq[i] {
+				t.Fatalf("step %d (%s): expire %d = %+v, reference %+v", step, op, i, gotSeq[i], wantSeq[i])
 			}
 		}
-		flushes := 0
-		for step := 0; step < 2000; step++ {
-			switch op := rng.Intn(6); {
-			case op <= 1: // push a small burst
-				for i := rng.Intn(4) + 1; i > 0; i-- {
-					var ticks int64
-					switch rng.Intn(5) {
-					case 0: // already due
-						ticks = -rng.Int63n(5000)
-					case 1: // level 0
-						ticks = rng.Int63n(Size)
-					case 2: // level 1
-						ticks = Size + rng.Int63n(Size*Size-Size)
-					case 3: // level 2
-						ticks = Size*Size + rng.Int63n(Span-Size*Size)
-					default: // overflow
-						ticks = Span + rng.Int63n(2*Span)
-					}
-					id := nextID + 1
-					if nextID > 0 && rng.Intn(8) == 0 {
-						id = uint64(rng.Int63n(int64(nextID))) + 1 // reuse: replaced or duplicated
-					} else {
-						nextID++
-					}
-					at := now + ticks*g + rng.Int63n(g)
-					fast.Push(at, id)
-					ref.Push(at, id)
-				}
-				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
-				check(step, "push")
-			case op == 2: // remove
-				if nextID == 0 {
-					continue
-				}
-				id := uint64(rng.Int63n(int64(nextID))) + 1
-				if a, b := fast.Remove(id), ref.Remove(id); a != b {
-					t.Fatalf("indexed=%v step %d: Remove(%d) = %v, reference %v", indexed, step, id, a, b)
-				}
-				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
-				check(step, "remove")
-			default: // advance
-				nf, pending := fast.NextFlush()
-				switch r := rng.Intn(8); {
-				case r == 0 && pending && nf > now: // just short of the next flush
-					now = max(now, nf-1-rng.Int63n(g))
-				case r == 1 && pending && nf > now: // at it or just past it
-					now = nf + rng.Int63n(g)
-				case r == 2:
-					now += rng.Int63n(3*Span)*g + rng.Int63n(g)
-				default:
-					now += edges[rng.Intn(len(edges))]*g + rng.Int63n(g)
-				}
-				gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
-				n := fast.AdvanceTo(now, func(e Entry) { gotSeq = append(gotSeq, e) })
-				m := ref.advanceReference(now, func(e Entry) { wantSeq = append(wantSeq, e) })
-				if n != m {
-					t.Fatalf("indexed=%v step %d: AdvanceTo flushed %d, reference %d", indexed, step, n, m)
-				}
-				if m > 0 && now < nf {
-					t.Fatalf("indexed=%v step %d: the reference flushed %d entries at %d, before NextFlush %d", indexed, step, m, now, nf)
-				}
-				flushes += n
-				check(step, "advance")
+		if fast.cur != ref.cur || fast.occ != ref.occ || fast.Count() != ref.Count() {
+			t.Fatalf("step %d (%s): cur/occ/count %d/%x/%d, reference %d/%x/%d",
+				step, op, fast.cur, fast.occ, fast.Count(), ref.cur, ref.occ, ref.Count())
+		}
+		fa, oka := fast.NextFlush()
+		fb, okb := ref.NextFlush()
+		if fa != fb || oka != okb || oka != (fast.Count() > 0) {
+			t.Fatalf("step %d (%s): NextFlush (%d, %v), reference (%d, %v), count %d", step, op, fa, oka, fb, okb, fast.Count())
+		}
+		a, b := sortedEntries(fast), sortedEntries(ref)
+		if len(a) != len(b) {
+			t.Fatalf("step %d (%s): ForEach visited %d, reference %d", step, op, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("step %d (%s): ForEach entry %d = %+v, reference %+v", step, op, i, a[i], b[i])
 			}
 		}
-		if flushes == 0 {
-			t.Fatalf("indexed=%v: the run flushed nothing", indexed)
+	}
+	flushes := 0
+	for step := 0; step < 2000; step++ {
+		if rng.Intn(5) <= 1 { // push a small burst
+			for i := rng.Intn(4) + 1; i > 0; i-- {
+				var ticks int64
+				switch rng.Intn(5) {
+				case 0: // already due
+					ticks = -rng.Int63n(5000)
+				case 1: // level 0
+					ticks = rng.Int63n(Size)
+				case 2: // level 1
+					ticks = Size + rng.Int63n(Size*Size-Size)
+				case 3: // level 2
+					ticks = Size*Size + rng.Int63n(Span-Size*Size)
+				default: // overflow
+					ticks = Span + rng.Int63n(2*Span)
+				}
+				id := nextID + 1
+				if nextID > 0 && rng.Intn(8) == 0 {
+					id = uint64(rng.Int63n(int64(nextID))) + 1 // reuse: both entries stay filed
+				} else {
+					nextID++
+				}
+				at := now + ticks*g + rng.Int63n(g)
+				fast.Push(at, id)
+				ref.Push(at, id)
+			}
+			gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
+			check(step, "push")
+			continue
 		}
+		// advance
+		nf, pending := fast.NextFlush()
+		switch r := rng.Intn(8); {
+		case r == 0 && pending && nf > now: // just short of the next flush
+			now = max(now, nf-1-rng.Int63n(g))
+		case r == 1 && pending && nf > now: // at it or just past it
+			now = nf + rng.Int63n(g)
+		case r == 2:
+			now += rng.Int63n(3*Span)*g + rng.Int63n(g)
+		default:
+			now += edges[rng.Intn(len(edges))]*g + rng.Int63n(g)
+		}
+		gotSeq, wantSeq = gotSeq[:0], wantSeq[:0]
+		n := fast.AdvanceTo(now, func(e Entry) { gotSeq = append(gotSeq, e) })
+		m := ref.advanceReference(now, func(e Entry) { wantSeq = append(wantSeq, e) })
+		if n != m {
+			t.Fatalf("step %d: AdvanceTo flushed %d, reference %d", step, n, m)
+		}
+		if m > 0 && now < nf {
+			t.Fatalf("step %d: the reference flushed %d entries at %d, before NextFlush %d", step, m, now, nf)
+		}
+		flushes += n
+		check(step, "advance")
+	}
+	if flushes == 0 {
+		t.Fatal("the run flushed nothing")
 	}
 }
 
@@ -545,14 +448,13 @@ func BenchmarkWheelAdvanceDense(b *testing.B) {
 	})
 }
 
-// benchWheel runs push/advance cycles on an indexed wheel (the
-// unsharded controller's flavour): per op, pushes entries at the given
+// benchWheel runs push/advance cycles: per op, pushes entries at the given
 // number of ticks ahead, then advances the clock by step ticks. The
 // wheel is warmed up first so its buckets have grown.
 func benchWheel(b *testing.B, pushes int, shape func(id uint64) (ahead, step int64)) {
 	g := int64(time.Millisecond)
 	base := time.Unix(1_000_000, 0)
-	w := New(time.Millisecond, base, true)
+	w := New(time.Millisecond, base)
 	now := base.UnixNano()
 	var id uint64
 	expire := func(Entry) {}
@@ -583,47 +485,38 @@ func benchWheel(b *testing.B, pushes int, shape func(id uint64) (ahead, step int
 // re-files run, and none of them may throw a bucket's backing array
 // away.
 func TestWheelCascadeAllocationFree(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		base := time.Unix(1_000_000, 0)
-		g := time.Millisecond
-		w := New(g, base, indexed)
-		now := base.UnixNano()
-		deltas := []int64{3, 70, 5000, 2 * Span} // ticks ahead: level 0, 1, 2, overflow
-		var id uint64
-		fired := 0
-		expire := func(Entry) { fired++ }
-		cycle := func() {
-			w.Push(now+deltas[id%uint64(len(deltas))]*int64(g), id)
-			id++
-			now += int64(g)
-			w.AdvanceTo(now, expire)
-		}
-		// Two overflow periods bring every bucket to its peak. The
-		// indexed wheel's id map also regrows under the delete/insert
-		// churn (about a thousand allocations spread over its first
-		// dozen periods, none after), so it warms up for sixteen.
-		warm := 2 * Span
-		if indexed {
-			warm = 16 * Span
-		}
-		for i := 0; i < warm; i++ {
+	base := time.Unix(1_000_000, 0)
+	g := time.Millisecond
+	w := New(g, base)
+	now := base.UnixNano()
+	deltas := []int64{3, 70, 5000, 2 * Span} // ticks ahead: level 0, 1, 2, overflow
+	var id uint64
+	fired := 0
+	expire := func(Entry) { fired++ }
+	cycle := func() {
+		w.Push(now+deltas[id%uint64(len(deltas))]*int64(g), id)
+		id++
+		now += int64(g)
+		w.AdvanceTo(now, expire)
+	}
+	// Two overflow periods bring every bucket to its peak.
+	for i := 0; i < 2*Span; i++ {
+		cycle()
+	}
+	// One run is a Span of cycles: every level-1 and level-2 bucket
+	// cascades and the overflow list is re-filed. AllocsPerRun
+	// truncates the per-run mean, so a run must cover a whole period;
+	// over ten runs a stray runtime allocation reads 0 and one per
+	// period still reads 1.
+	span := func() {
+		for i := 0; i < Span; i++ {
 			cycle()
 		}
-		// One run is a Span of cycles: every level-1 and level-2 bucket
-		// cascades and the overflow list is re-filed. AllocsPerRun
-		// truncates the per-run mean, so a run must cover a whole period;
-		// over ten runs a stray runtime allocation reads 0 and one per
-		// period still reads 1.
-		span := func() {
-			for i := 0; i < Span; i++ {
-				cycle()
-			}
-		}
-		if allocs := testing.AllocsPerRun(10, span); allocs != 0 {
-			t.Fatalf("indexed=%v: push/advance cycle: %v allocs, want 0", indexed, allocs)
-		}
-		if fired == 0 || w.Count() == 0 {
-			t.Fatalf("indexed=%v: cycle did not exercise the wheel (fired %d, pending %d)", indexed, fired, w.Count())
-		}
+	}
+	if allocs := testing.AllocsPerRun(10, span); allocs != 0 {
+		t.Fatalf("push/advance cycle: %v allocs, want 0", allocs)
+	}
+	if fired == 0 || w.Count() == 0 {
+		t.Fatalf("cycle did not exercise the wheel (fired %d, pending %d)", fired, w.Count())
 	}
 }

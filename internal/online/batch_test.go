@@ -34,7 +34,7 @@ func TestTryAdmitAllFillsRegion(t *testing.T) {
 	}
 }
 
-// TestTryAdmitAllArrivalOrder checks the one-shard batch tests requests
+// TestTryAdmitAllArrivalOrder checks the batch tests requests
 // strictly in arrival order: a big request that fits alone goes first
 // and takes the room a later small one would need, although the small
 // one alone would fit too.
@@ -53,32 +53,30 @@ func TestTryAdmitAllArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestTryAdmitAllZeroAlloc checks the batch path allocates nothing, at
-// one shard and at four, with and without a result slice: each run
-// offers a batch that is part admitted, part rejected, then releases it.
+// TestTryAdmitAllZeroAlloc checks the batch path allocates nothing,
+// with and without a result slice: each run offers a batch that is part
+// admitted, part rejected, then releases it.
 func TestTryAdmitAllZeroAlloc(t *testing.T) {
 	dem := []time.Duration{150 * time.Millisecond, 150 * time.Millisecond}
-	for _, k := range []int{1, 4} {
-		clk := newFakeClock()
-		c := NewWithConfig(core.NewRegion(2), Config{Clock: clk.Now, Shards: k})
-		rs := make([]Request, 8)
-		ids := make([]uint64, len(rs))
-		var id uint64
-		for _, out := range [][]bool{make([]bool, len(rs)), nil} {
-			allocs := testing.AllocsPerRun(100, func() {
-				for i := range rs {
-					id++
-					rs[i] = Request{ID: id, Deadline: time.Second, Demands: dem}
-					ids[i] = id
-				}
-				if n := c.TryAdmitAll(rs, out); n == 0 || n == len(rs) {
-					t.Fatalf("K=%d: batch admitted %d of %d; want a mix", k, n, len(rs))
-				}
-				c.ReleaseAll(ids)
-			})
-			if allocs != 0 {
-				t.Fatalf("K=%d (out nil: %v): TryAdmitAll allocates %v per batch, want 0", k, out == nil, allocs)
+	clk := newFakeClock()
+	c := New(core.NewRegion(2), nil, clk.Now)
+	rs := make([]Request, 8)
+	ids := make([]uint64, len(rs))
+	var id uint64
+	for _, out := range [][]bool{make([]bool, len(rs)), nil} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := range rs {
+				id++
+				rs[i] = Request{ID: id, Deadline: time.Second, Demands: dem}
+				ids[i] = id
 			}
+			if n := c.TryAdmitAll(rs, out); n == 0 || n == len(rs) {
+				t.Fatalf("batch admitted %d of %d; want a mix", n, len(rs))
+			}
+			c.ReleaseAll(ids)
+		})
+		if allocs != 0 {
+			t.Fatalf("out nil: %v: TryAdmitAll allocates %v per batch, want 0", out == nil, allocs)
 		}
 	}
 }

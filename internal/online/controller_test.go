@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"feasregion/internal/core"
+	"feasregion/internal/task"
 )
 
 // fakeClock is a settable clock for deterministic tests.
@@ -30,10 +31,6 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.now = f.now.Add(d)
 	f.mu.Unlock()
 }
-
-// wheelGranularity is the data plane's expiry precision: a purge may
-// run up to this late, so tests advance past a deadline by a margin.
-const wheelGranularity = time.Millisecond
 
 func req(id uint64, deadline time.Duration, demands ...time.Duration) Request {
 	return Request{ID: id, Deadline: deadline, Demands: demands}
@@ -135,6 +132,45 @@ func TestOnlineRejectsMalformedRequests(t *testing.T) {
 	if c.TryAdmit(req(2, time.Second, time.Second)) {
 		t.Fatal("wrong demand count admitted")
 	}
+}
+
+// TestNegativeDemandRejected checks a negative demand is malformed on
+// every admit path: charged, it would subtract from the stage sums and
+// create capacity. Each path rejects it, counts it as rejected, and
+// leaves the utilizations untouched.
+func TestNegativeDemandRejected(t *testing.T) {
+	clk := newFakeClock()
+	c := New(core.NewRegion(1), nil, clk.Now)
+	neg := req(1, time.Second, -10*time.Second)
+	if c.TryAdmit(neg) {
+		t.Fatal("TryAdmit admitted a negative demand")
+	}
+	if _, ok := c.TryAdmitQuality(neg, task.QualityLevels); ok {
+		t.Fatal("TryAdmitQuality admitted a negative demand")
+	}
+	out := make([]bool, 2)
+	if n := c.TryAdmitAll([]Request{neg, req(2, time.Second, 100*time.Millisecond)}, out); n != 1 || out[0] || !out[1] {
+		t.Fatalf("TryAdmitAll admitted %d with outcomes %v, want 1 with [false true]", n, out)
+	}
+	if s := c.Stats(); s.Rejected != 3 || s.Admitted != 1 {
+		t.Fatalf("stats %+v, want 3 rejected and 1 admitted", s)
+	}
+	if got := c.Utilizations()[0]; got != 0.1 {
+		t.Fatalf("utilization %v, want the one valid request's 0.1", got)
+	}
+}
+
+func TestOnlineDuplicateAdmitPanics(t *testing.T) {
+	c := New(core.NewRegion(1), nil, nil)
+	if !c.TryAdmit(req(42, time.Hour, time.Millisecond)) {
+		t.Fatal("admit rejected")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second admit of a live ID did not panic")
+		}
+	}()
+	c.TryAdmit(req(42, time.Hour, time.Millisecond))
 }
 
 func TestOnlineHeadroom(t *testing.T) {

@@ -2,24 +2,43 @@
 // feasible-region admission controller for use inside real services
 // (as opposed to the simulation controller in internal/core, which is
 // driven by a discrete-event clock). The admission test is the same
-// point-in-region check Σ_j f(U_j) ≤ α(1 − Σ_j β_j) (Eq. 15).
+// point-in-region check Σ_j f(U_j) ≤ α(1 − Σ_j β_j) (Eq. 15), run
+// exactly under one lock.
 //
-// The data plane is internal/shard: per-stage synthetic utilization in
-// a task table, one exact region test under one lock by default, or the
-// bound partitioned across Config.Shards shards for multi-core admit
-// throughput — every shard count admits the same requests. Under
-// sustained overload TryAdmit rejects without taking a lock, and the
-// admission test allocates nothing. Contributions are expired lazily:
-// locked operations first purge entries whose absolute deadline has
-// passed, using a hierarchical timer wheel keyed by deadline, so no
-// background goroutine or timer is needed. Departure marking and idle
-// resets are driven by the embedding application (e.g. from
-// request-completion handlers and worker-idle callbacks), mirroring the
-// paper's §4 accounting.
+// The controller keeps its contributions in a region state
+// (tasktable.State, the same one core.Controller keeps: one row per
+// admitted request, stamped with its absolute deadline, plus
+// Kahan-compensated per-stage sums over the reserved floors), and owns
+// the clock, a hierarchical timer wheel (internal/expiry), the lock,
+// the reject gate and the demand scaling. The state's arithmetic is
+// oracle.Ledger's, so the controller's sums are bit-identical to a set
+// of oracle.Ledgers fed the same operations.
 //
-// This package adds what a service needs around the data plane: the
-// Reconcile watchdog and Prometheus metrics. SetRegionInputs swaps the
-// α/β inputs at runtime (the adaptive loop's entry point); ReleaseAll
-// batch-applies releases. See DESIGN.md §7 and §11 for the concurrency
-// design.
+// Contributions are expired lazily: locked operations first purge
+// entries whose absolute deadline has passed, so no background
+// goroutine or timer is needed. A purge is due only once it can flush
+// something: the controller keeps the earliest time a wheel or staged
+// entry can flush (the end of its 1 ms level-0 bucket,
+// expiry.Wheel.NextFlush). Released requests leave stale wheel entries
+// that the purge discards by matching (id, deadline) against the row's
+// stamp.
+//
+// Under sustained overload TryAdmit rejects without taking the lock: a
+// rejecting exact test arms a snapshot of the per-stage utilizations.
+// Admits only grow utilization, so while no capacity has been freed
+// (freedGen, bumped inside every freeing critical section) and no purge
+// is due, the snapshot is a componentwise lower bound — a request that
+// fails even against it is rejected lock-free. The gate probes
+// mandatory-only demand, the quality cascade's weakest test. Past the
+// gate the admit's critical section can hand back the post-admit region
+// value (TryAdmitValue), which a cluster replica publishes without a
+// second lock round. Every admit path allocates nothing.
+//
+// Departure marking and idle resets are driven by the embedding
+// application (e.g. from request-completion handlers and worker-idle
+// callbacks), mirroring the paper's §4 accounting. Around the data
+// plane the package adds the Reconcile watchdog and Prometheus metrics;
+// SetRegionInputs swaps the α/β inputs at runtime (the adaptive loop's
+// entry point); TryAdmitAll and ReleaseAll batch admissions and
+// releases under one lock. See DESIGN.md §7 for the concurrency design.
 package online

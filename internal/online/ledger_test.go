@@ -1,4 +1,4 @@
-package shard
+package online
 
 import (
 	"math"
@@ -11,8 +11,8 @@ import (
 	"feasregion/internal/tasktable/oracle"
 )
 
-// TestOneShardMatchesLedgers pins the K=1 data plane to oracle.Ledger's
-// arithmetic: a K=1 controller and one ledger per stage see the same
+// TestOneShardMatchesLedgers pins the controller to oracle.Ledger's
+// arithmetic: a controller and one ledger per stage see the same
 // random admits, releases, expiries, departures, and idle resets, and
 // every stage's utilization must agree bit for bit after every
 // operation. Both keep Kahan-compensated sums, so this holds only if
@@ -27,7 +27,7 @@ import (
 func TestOneShardMatchesLedgers(t *testing.T) {
 	const stages = 3
 	clk := newFakeClock()
-	c := New(core.NewRegion(stages), nil, clk.Now, 1)
+	c := New(core.NewRegion(stages), nil, clk.Now)
 	ledgers := make([]*oracle.Ledger, stages)
 	for j := range ledgers {
 		ledgers[j] = oracle.NewLedger(0)
@@ -105,7 +105,7 @@ func TestOneShardMatchesLedgers(t *testing.T) {
 			op = "advance"
 			clk.Advance(time.Duration(1+next(40)) * time.Millisecond)
 			// A whole-millisecond deadline's tick has elapsed once the
-			// clock is past it; the check's read purges the shard.
+			// clock is past it; the check's read purges the controller.
 			now := clk.Now().UnixNano()
 			slices.SortFunc(inflight, func(a, b row) int { return int(a.at - b.at) })
 			n := 0

@@ -1,8 +1,6 @@
 package online
 
 import (
-	"fmt"
-
 	"feasregion/internal/core"
 	"feasregion/internal/metrics"
 )
@@ -10,10 +8,8 @@ import (
 // RegisterMetrics describes the controller's state to the registry as
 // read-on-scrape series, so the admission hot path is untouched: counter
 // funcs mirror the Stats counters and gauge funcs read the per-stage
-// synthetic utilization, demand scales, and region value/headroom; with
-// more than one shard, the sharding counters and per-shard
-// utilization/cap gauges are exported too. A nil registry is a no-op.
-// Call it once, at wiring time.
+// synthetic utilization, demand scales, and region value/headroom. A nil
+// registry is a no-op. Call it once, at wiring time.
 func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -35,24 +31,6 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 		stat(func(s Stats) uint64 { return s.Reconciles }))
 	r.CounterFunc("feasregion_online_clock_regressions_total", "observations of the wall clock stepping backwards",
 		stat(func(s Stats) uint64 { return s.ClockRegressions }))
-	if c.Shards() > 1 {
-		r.CounterFunc("feasregion_online_steals_total", "admits that needed headroom stolen from peer shards",
-			stat(func(s Stats) uint64 { return s.Steals }))
-		r.CounterFunc("feasregion_online_global_fallbacks_total", "exact all-shard admission passes",
-			stat(func(s Stats) uint64 { return s.GlobalFallbacks }))
-		r.CounterFunc("feasregion_online_rebalances_total", "shard cap re-partitions (fallback admits, watchdog ticks, region moves)",
-			stat(func(s Stats) uint64 { return s.Rebalances }))
-		for k := 0; k < c.Shards(); k++ {
-			for j := 0; j < c.stages; j++ {
-				k, j := k, j
-				labels := []metrics.Label{metrics.Stage(j), {Name: "shard", Value: fmt.Sprintf("%d", k)}}
-				r.GaugeFunc("feasregion_online_shard_stage_utilization", "per-shard per-stage synthetic utilization",
-					func() float64 { return c.ShardStageUtilization(k, j) }, labels...)
-				r.GaugeFunc("feasregion_online_shard_stage_cap", "per-shard per-stage utilization cap (partitioned bound)",
-					func() float64 { return c.ShardStageCap(k, j) }, labels...)
-			}
-		}
-	}
 
 	for j := 0; j < c.stages; j++ {
 		j := j

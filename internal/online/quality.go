@@ -1,4 +1,4 @@
-package shard
+package online
 
 import (
 	"feasregion/internal/task"
@@ -6,12 +6,7 @@ import (
 
 // Quality-aware admission. The lock-free gate probes mandatory-only
 // demand, the cascade's weakest test, so a gate reject implies every
-// level fails. At K=1 the whole cascade is then the one exact test. At
-// K>1 the routing rule that keeps decisions identical to that test is:
-// the local fast path and the steal path only ever admit at maxLevel (a
-// cap-test pass at maxLevel implies the exact region test passes there,
-// the cascade's first branch); every degraded outcome — the binary
-// search below the cap — runs inside the exact all-shard pass.
+// level fails; past the gate the whole cascade is the one exact test.
 
 // rawAt is the stage's synthetic utilization at a quality level: full
 // demand minus the untaken share of the optional portion (opt nil
@@ -58,12 +53,11 @@ func (c *Controller) TryAdmitQuality(r Request, maxLevel int) (level int, ok boo
 // since retuned) at, and whether it currently contributes anywhere.
 // Requests admitted by the plain TryAdmit path report full quality.
 func (c *Controller) QualityOf(id uint64) (level int, present bool) {
-	s := c.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot, ok := s.st.Lookup(id)
-	if !ok || !s.st.Live(slot) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot, ok := c.st.Lookup(id)
+	if !ok || !c.st.Live(slot) {
 		return 0, false
 	}
-	return int(s.st.Level(slot)), true
+	return int(c.st.Level(slot)), true
 }

@@ -106,23 +106,18 @@ func decisionDigest(ds []bool) uint64 {
 	return h.Sum64()
 }
 
-// TestShardedWorkConservationDifferential is the work-conservation
-// proof by replay: the same generated workload trace runs through
-// controllers at K=1, 4 and 8, and every single admit/reject decision
-// must match the reference — the sharded controller's local caps,
-// steals, and reject gate may change who pays for an admit, but never
-// whether it happens. The reference is the single-lock plane with
-// per-stage Ledger maps (now oracle.Ledger) that this package ran before the shard
-// controller became its only data plane: the constants below were
-// recorded from it on these traces (decision count, digest, and the
-// quiesce Utilizations() float bits). Decisions must match exactly at
-// every K. Utilizations must match to within rounding: the old plane
-// unlinked a released request's expiry at once (a swap-remove that
-// reorders its wheel bucket), while the shard wheel leaves it for the
-// purge to discard, so later expiries are credited in a different
-// order and the Kahan sums differ in the last bits; K>1 also sums
-// per-shard Kahan sums.
-func TestShardedWorkConservationDifferential(t *testing.T) {
+// TestReplayMatchesSingleLockReference pins the controller's decisions
+// on replayed workload traces: every admit/reject must match the
+// reference recorded from the single-lock plane with per-stage Ledger
+// maps (now oracle.Ledger) that this package ran before the task-table
+// data plane replaced it (decision count, digest, and the quiesce
+// Utilizations() float bits). Decisions must match exactly.
+// Utilizations must match to within rounding: the old plane unlinked a
+// released request's expiry at once (a swap-remove that reorders its
+// wheel bucket), while the wheel now leaves it for the purge to
+// discard, so later expiries are credited in a different order and the
+// Kahan sums differ in the last bits.
+func TestReplayMatchesSingleLockReference(t *testing.T) {
 	region := core.NewRegion(3)
 	for _, tc := range []struct {
 		name      string
@@ -141,26 +136,20 @@ func TestShardedWorkConservationDifferential(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			events := generateTrace(t, tc.seed, tc.load)
-			for _, k := range []int{1, 4, 8} {
-				clk := newFakeClock()
-				c := NewWithConfig(region, Config{Clock: clk.Now, Shards: k})
-				got := replay(c, clk, time.Unix(1_000_000, 0), events)
-				if len(got) != tc.decisions || decisionDigest(got) != tc.digest {
-					t.Fatalf("K=%d: %d decisions with digest %#x, reference %d with %#x (stats %+v)",
-						k, len(got), decisionDigest(got), tc.decisions, tc.digest, c.Stats())
+			clk := newFakeClock()
+			c := New(region, nil, clk.Now)
+			got := replay(c, clk, time.Unix(1_000_000, 0), events)
+			if len(got) != tc.decisions || decisionDigest(got) != tc.digest {
+				t.Fatalf("%d decisions with digest %#x, reference %d with %#x (stats %+v)",
+					len(got), decisionDigest(got), tc.decisions, tc.digest, c.Stats())
+			}
+			for j, u := range c.Utilizations() {
+				if want := math.Float64frombits(tc.utilBits[j]); math.Abs(u-want) > 1e-12 {
+					t.Fatalf("stage %d: utilization %v != reference %v", j, u, want)
 				}
-				for j, u := range c.Utilizations() {
-					if want := math.Float64frombits(tc.utilBits[j]); math.Abs(u-want) > 1e-12 {
-						t.Fatalf("K=%d stage %d: utilization %v != reference %v", k, j, u, want)
-					}
-				}
-				s := c.Stats()
-				if s.Admitted == 0 || s.Rejected == 0 {
-					t.Fatalf("K=%d: trace exercises only one decision branch: %+v", k, s)
-				}
-				if k > 1 && s.Steals == 0 && s.GlobalFallbacks == 0 {
-					t.Fatalf("K=%d: trace never left the local path; differential is vacuous (stats %+v)", k, s)
-				}
+			}
+			if s := c.Stats(); s.Admitted == 0 || s.Rejected == 0 {
+				t.Fatalf("trace exercises only one decision branch: %+v", s)
 			}
 		})
 	}

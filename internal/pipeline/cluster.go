@@ -66,9 +66,6 @@ type ClusterOptions struct {
 	Seed   uint64
 	Scaler cluster.AutoscalerConfig
 
-	// Shards is each replica's admission shard count. Default 1.
-	Shards int
-
 	// Region overrides each replica's admission region; nil selects the
 	// deadline-monotonic independent-task region for Stages stages.
 	Region *core.Region
@@ -151,7 +148,6 @@ func (cp *ClusterPipeline) spawn(id int) *cluster.Replica {
 	ctrl := online.NewWithConfig(region, online.Config{
 		Reserved: cp.opts.Reserved,
 		Clock:    func() time.Time { return time.Unix(0, int64(cp.sim.Now()*float64(time.Second))) },
-		Shards:   cp.opts.Shards,
 	})
 	rep := cluster.NewReplica(id, ctrl)
 	po := Options{

@@ -88,7 +88,10 @@ type Options struct {
 	// when an arrival more important than current work would leave the
 	// feasible region, less important in-flight tasks are shed (least
 	// important first) until the arrival fits. Requires the default
-	// feasible-region controller.
+	// feasible-region controller. With EnableDegradation it adds
+	// nothing: the degradation plan already escalates to evicting the
+	// same victims, in the same order, under the governor's eviction
+	// gate.
 	EnableShedding bool
 
 	// EnableDegradation activates quality-aware (imprecise-computation)
@@ -530,9 +533,9 @@ func (p *Pipeline) Offer(t *task.Task) bool {
 // offerQuality runs the degrade-before-you-reject admission sequence:
 // (1) the core cascade — full demand under the governor's quality cap,
 // then the highest fitting ladder level; (2) trim less important
-// in-flight tasks toward mandatory-only (PlanDegradation) and retry; (3)
-// only when the governor permits eviction (or no governor is attached),
-// fall back to semantic shedding and retry once more.
+// in-flight tasks toward mandatory-only (PlanDegradation, which
+// escalates to evicting them when trimming is not enough and the
+// governor, if any, permits eviction) and retry.
 func (p *Pipeline) offerQuality(t *task.Task) bool {
 	lvCap := task.QualityLevels
 	if p.governor != nil {
@@ -543,12 +546,6 @@ func (p *Pipeline) offerQuality(t *task.Task) bool {
 		return true
 	}
 	if p.degradeFor(t) {
-		if lv, ok := p.ctrl.TryAdmitQuality(t, lvCap); ok {
-			p.admitAt(t, lv)
-			return true
-		}
-	}
-	if p.shedding && (p.governor == nil || p.governor.AllowEviction()) && p.shedFor(t) {
 		if lv, ok := p.ctrl.TryAdmitQuality(t, lvCap); ok {
 			p.admitAt(t, lv)
 			return true

@@ -1,8 +1,8 @@
 // Package tasktable is the region state every admission plane keeps:
 // per-stage synthetic utilization U_j = reserved_j + Σ_i C_ij/D_i over
 // the tasks still charging stage j. core.Controller (simulated time),
-// each shard of internal/shard (wall clock), core.GraphController and
-// the split-deadline baseline all hold one State.
+// online.Controller (wall clock), core.GraphController and the
+// split-deadline baseline all hold one State.
 //
 // A State owns the rows, one Kahan-compensated sum per stage and the
 // stages' reserved floors. It is clock-free and lock-free: the owning
