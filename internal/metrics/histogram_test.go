@@ -181,3 +181,59 @@ func TestPlainHistogramNilIsNoOp(t *testing.T) {
 	var r *Registry
 	r.HistogramFunc("h", "", NewPlainHistogram([]float64{1}))
 }
+
+// TestBucketOfMatchesLinearScan checks that both histogram forms file
+// every observation where a linear scan of the bounds puts it: each
+// bound, both float64 neighbours of each bound, ±0, a negative value,
+// +Inf and NaN, over exponential, linear (several bounds per binade),
+// irregular (negative and subnormal bounds), very wide (bounds past the
+// exponent index), huge (an index reaching the top binade) and very
+// long (no index) layouts.
+func TestBucketOfMatchesLinearScan(t *testing.T) {
+	linear := func(bounds []float64, v float64) int {
+		i := 0
+		for i < len(bounds) && v > bounds[i] {
+			i++
+		}
+		return i
+	}
+	var lin, long []float64
+	for i := 1; i <= 40; i++ {
+		lin = append(lin, 0.05*float64(i))
+	}
+	for i := 0; i < 300; i++ {
+		long = append(long, float64(i)-10)
+	}
+	layouts := map[string][]float64{
+		"exponential": ExponentialBuckets(1e-3, 4, 12),
+		"linear":      lin,
+		"irregular":   {-7, -0.5, 0, 5e-324, 1e-310, 3e-9, 0.3, 0.31, 2, 1e10, math.MaxFloat64},
+		"wide":        ExponentialBuckets(1e-300, 1e25, 24),
+		"huge":        {1e300, math.MaxFloat64},
+		"long":        long,
+	}
+	for name, bounds := range layouts {
+		values := []float64{0, math.Copysign(0, -1), -3.5, math.Inf(1), math.NaN()}
+		for _, b := range bounds {
+			values = append(values, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+		}
+		for _, v := range values {
+			want := linear(bounds, v)
+			h, p := newHistogram(bounds), NewPlainHistogram(bounds)
+			if got := h.bucketOf(v); got != want {
+				t.Errorf("%s: Histogram files %v in bucket %d, linear scan %d", name, v, got, want)
+			}
+			if got := p.bucketOf(v); got != want {
+				t.Errorf("%s: PlainHistogram files %v in bucket %d, linear scan %d", name, v, got, want)
+			}
+			if math.IsNaN(v) {
+				continue // dropped by Observe
+			}
+			h.Observe(v)
+			p.Observe(v)
+			if h.counts[want].Load() != 1 || p.counts[want] != 1 {
+				t.Errorf("%s: Observe(%v) did not count in bucket %d", name, v, want)
+			}
+		}
+	}
+}

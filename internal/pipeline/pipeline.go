@@ -199,11 +199,11 @@ type Pipeline struct {
 	healthReplica int // the owning replica's index in a ClusterPipeline
 	loop          *adapt.Loop
 
-	// classEntered counts started tasks per class over the pipeline's
-	// whole lifetime (unlike the measurement-window ClassMetrics) — the
-	// denominator of the adapt demand estimator's per-class overrun
-	// rate.
-	classEntered map[string]uint64
+	// classes holds every task class seen, in first-seen order. classIdx
+	// indexes them by name once there are more than eight: a linear scan
+	// of a few names beats hashing one.
+	classes  []classEntry
+	classIdx map[string]int
 
 	// departed counts tasks that completed all stages over the
 	// pipeline's whole lifetime (feasregion_departed_total).
@@ -224,11 +224,6 @@ type Pipeline struct {
 	enteredService uint64
 	shed           uint64
 	overrunEvicted uint64
-	classes        map[string]*ClassMetrics
-	// classRefs[:nclassRefs] caches the first entries of classes in
-	// first-seen order: a linear scan of a few names beats hashing one.
-	classRefs  [8]classRef
-	nclassRefs int
 }
 
 // ClassMetrics breaks the measurement window down by Task.Class.
@@ -251,6 +246,7 @@ type inflight struct {
 	stage    int
 	job      sched.Job // the current (or last) stage's job
 	injected bool      // bypassed admission (certified critical): never guarded
+	class    int       // the task's index in the pipeline's classes
 	// level is the task's current quality level (task.QualityLevels when
 	// admitted at full quality or rigid); trims lower it in place.
 	level int
@@ -447,9 +443,11 @@ func (p *Pipeline) AdaptLoop() *adapt.Loop { return p.loop }
 // the admission denominator of the adapt demand estimator. The returned
 // map is a copy.
 func (p *Pipeline) EnteredByClass() map[string]uint64 {
-	out := make(map[string]uint64, len(p.classEntered))
-	for k, v := range p.classEntered {
-		out[k] = v
+	out := make(map[string]uint64, len(p.classes))
+	for _, c := range p.classes {
+		if c.entered > 0 {
+			out[c.name] = c.entered
+		}
 	}
 	return out
 }
@@ -503,7 +501,7 @@ func (p *Pipeline) RegisterLock(stage, lockID int, ceiling float64) {
 func (p *Pipeline) Offer(t *task.Task) bool {
 	if p.measuring {
 		p.offered++
-		p.class(t).Offered++
+		p.classWindow(p.classOf(t.Class)).Offered++
 	}
 	p.assignPriority(t)
 	if p.wq != nil {
@@ -706,7 +704,7 @@ func (p *Pipeline) abort(f *inflight, kind string) {
 	p.trace(t.ID, "admission", kind)
 	if p.measuring {
 		p.shed++
-		p.class(t).Shed++
+		p.classWindow(f.class).Shed++
 	}
 	p.release(f)
 }
@@ -720,29 +718,49 @@ func (p *Pipeline) release(f *inflight) {
 	p.free = f
 }
 
-// classRef pairs a class label with its accumulator.
-type classRef struct {
-	name string
-	cm   *ClassMetrics
+// classEntry is one task class: its lifetime count of started tasks (the
+// adapt demand estimator's denominator) and its measurement-window
+// accumulator, nil until the class shows up in the current window.
+type classEntry struct {
+	name    string
+	entered uint64
+	window  *ClassMetrics
 }
 
-// class returns the per-class accumulator for the task's class label.
-func (p *Pipeline) class(t *task.Task) *ClassMetrics {
-	for _, r := range p.classRefs[:p.nclassRefs] {
-		if r.name == t.Class {
-			return r.cm
+// classOf returns the index of the class's entry, adding one for a
+// class not seen before.
+func (p *Pipeline) classOf(name string) int {
+	if p.classIdx == nil {
+		for i := range p.classes {
+			if p.classes[i].name == name {
+				return i
+			}
 		}
+	} else if i, ok := p.classIdx[name]; ok {
+		return i
 	}
-	cm, ok := p.classes[t.Class]
-	if !ok {
-		cm = &ClassMetrics{}
-		p.classes[t.Class] = cm
-		if p.nclassRefs < len(p.classRefs) {
-			p.classRefs[p.nclassRefs] = classRef{t.Class, cm}
-			p.nclassRefs++
+	i := len(p.classes)
+	p.classes = append(p.classes, classEntry{name: name})
+	if i >= 8 {
+		if p.classIdx == nil {
+			p.classIdx = make(map[string]int)
+			for k, c := range p.classes[:i] {
+				p.classIdx[c.name] = k
+			}
 		}
+		p.classIdx[name] = i
 	}
-	return cm
+	return i
+}
+
+// classWindow returns the measurement-window accumulator of the class
+// at index i.
+func (p *Pipeline) classWindow(i int) *ClassMetrics {
+	c := &p.classes[i]
+	if c.window == nil {
+		c.window = &ClassMetrics{}
+	}
+	return c.window
 }
 
 // Inject bypasses admission control and starts the task immediately —
@@ -766,14 +784,12 @@ func (p *Pipeline) startAs(t *task.Task, injected bool, level int) {
 	if len(t.Subtasks) != len(p.stages) {
 		panic(fmt.Sprintf("pipeline: task %d has %d subtasks for %d stages", t.ID, len(t.Subtasks), len(p.stages)))
 	}
+	class := p.classOf(t.Class)
+	p.classes[class].entered++
 	if p.measuring {
 		p.enteredService++
-		p.class(t).Entered++
+		p.classWindow(class).Entered++
 	}
-	if p.classEntered == nil {
-		p.classEntered = map[string]uint64{}
-	}
-	p.classEntered[t.Class]++
 	f := p.free
 	if f != nil {
 		p.free = f.next
@@ -783,7 +799,7 @@ func (p *Pipeline) startAs(t *task.Task, injected bool, level int) {
 	subs := append(f.t.Subtasks[:0], t.Subtasks...)
 	f.t = *t
 	f.t.Subtasks = subs
-	f.stage, f.injected, f.level, f.missStage = 0, injected, level, -1
+	f.stage, f.injected, f.class, f.level, f.missStage = 0, injected, class, level, -1
 	if p.inflight != nil {
 		p.inflight[t.ID] = f
 	}
@@ -880,7 +896,7 @@ func (p *Pipeline) finish(f *inflight, now des.Time) {
 	if !miss {
 		p.utility += t.Utility(f.level)
 	}
-	cm := p.class(t)
+	cm := p.classWindow(f.class)
 	cm.Completed++
 	if miss {
 		cm.Missed++
@@ -895,8 +911,9 @@ func (p *Pipeline) BeginMeasurement() {
 	p.stageDelays = make([]stats.Welford, len(p.stages))
 	p.offered, p.enteredService, p.shed, p.overrunEvicted = 0, 0, 0, 0
 	p.degraded, p.trimmedTasks, p.utility = 0, 0, 0
-	p.classes = map[string]*ClassMetrics{}
-	p.nclassRefs = 0
+	for i := range p.classes {
+		p.classes[i].window = nil
+	}
 	if p.ctrl != nil {
 		for j := 0; j < len(p.stages); j++ {
 			p.ctrl.Ledger(j).ResetPeak()
@@ -963,8 +980,10 @@ func (p *Pipeline) Snapshot() Metrics {
 	m.UtilityDelivered = p.utility
 	m.StageDelays = append([]stats.Welford(nil), p.stageDelays...)
 	m.ByClass = make(map[string]ClassMetrics, len(p.classes))
-	for name, cm := range p.classes {
-		m.ByClass[name] = *cm
+	for _, c := range p.classes {
+		if c.window != nil {
+			m.ByClass[c.name] = *c.window
+		}
 	}
 	if p.guard != nil {
 		m.GuardStats = p.guard.Stats()

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +301,42 @@ func TestPerClassMetrics(t *testing.T) {
 	}
 	if batch.Offered != 2 || batch.Entered != 1 || batch.Completed != 1 {
 		t.Fatalf("batch metrics %+v", batch)
+	}
+}
+
+// TestClassCountsAcrossWindowAndManyClasses runs twelve classes (past
+// the names the pipeline scans before it hashes) and opens the
+// measurement window while some are in flight: lifetime entry counts
+// keep every start, and the window counts only what happens inside it.
+func TestClassCountsAcrossWindowAndManyClasses(t *testing.T) {
+	sim := des.New()
+	p := New(sim, Options{Stages: 1, NoAdmission: true})
+	offer := func(id task.ID, class int) {
+		tk := task.Chain(id, sim.Now(), 100, 1)
+		tk.Class = fmt.Sprint("c", class)
+		p.Offer(tk)
+	}
+	sim.At(0, func() {
+		for c := 0; c < 12; c++ {
+			offer(task.ID(c), c) // one job a second, in offer order
+		}
+	})
+	sim.At(5.5, p.BeginMeasurement)
+	sim.At(6, func() { offer(12, 0); offer(13, 11) })
+	sim.Run()
+	entered := p.EnteredByClass()
+	for c := 0; c < 12; c++ {
+		want := map[bool]uint64{false: 1, true: 2}[c == 0 || c == 11]
+		if got := entered[fmt.Sprint("c", c)]; got != want {
+			t.Errorf("class c%d entered %d times over the lifetime, want %d", c, got, want)
+		}
+	}
+	want := map[string]ClassMetrics{"c0": {Offered: 1, Entered: 1, Completed: 1}, "c11": {Offered: 1, Entered: 1, Completed: 2}}
+	for c := 5; c <= 10; c++ {
+		want[fmt.Sprint("c", c)] = ClassMetrics{Completed: 1} // started before the window
+	}
+	if got := p.Snapshot().ByClass; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window ByClass %+v, want %+v", got, want)
 	}
 }
 

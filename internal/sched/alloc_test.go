@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"feasregion/internal/des"
@@ -44,5 +45,40 @@ func TestSubmitJobAllocationFree(t *testing.T) {
 	}
 	if done.n != int(after.Completed) {
 		t.Fatalf("completer saw %d completions, stage %d", done.n, after.Completed)
+	}
+}
+
+// TestSubmitJobResetsReusedJob submits a job whose every field holds
+// stale state next to a fresh one with the same arguments: apart from
+// the sequence number and heap slot, the two must be identical, so no
+// field of a reused job leaks into its next submission.
+func TestSubmitJobResetsReusedJob(t *testing.T) {
+	stale := Job{TaskID: 99, base: -3, inherited: -4, seq: 1234,
+		segments: []task.Segment{{Duration: 7, Lock: 1}}, segIdx: 3, segRemaining: 8,
+		acquired: true, heldLock: &lock{id: 1}, blockedOn: &lock{id: 2},
+		segStart: 5, submitted: 6, consumed: 9, budget: 10, overrunFired: true,
+		done: &countDone{}, heapIdx: 4}
+	stale.whole[0] = task.Segment{Duration: 11, Lock: 2}
+	v := reflect.ValueOf(stale)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Job.%s is zero in the stale job: give it a stale value", v.Type().Field(i).Name)
+		}
+	}
+	sim := des.New()
+	sim.RunUntil(2)
+	st := New(sim, "s")
+	st.RegisterLock(1, 0)
+	st.Pause() // queue both jobs without dispatching either
+	var done countDone
+	for _, sub := range []task.Subtask{task.NewSubtask(3), {Demand: 3, Segments: []task.Segment{{Duration: 1, Lock: task.NoLock}, {Duration: 2, Lock: 1}}}} {
+		var fresh Job
+		reused := stale
+		st.SubmitJob(&fresh, 7, 2, sub, 5, &done)
+		st.SubmitJob(&reused, 7, 2, sub, 5, &done)
+		reused.seq, reused.heapIdx = fresh.seq, fresh.heapIdx
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Fatalf("reused job after SubmitJob:\n%+v\nfresh job:\n%+v", reused, fresh)
+		}
 	}
 }

@@ -18,7 +18,7 @@ func TestCancelRunningJob(t *testing.T) {
 			t.Error("Cancel returned false for running job")
 		}
 	})
-	sim.Run()
+	runChecked(t, sim, st)
 	if _, ok := done[1]; ok {
 		t.Fatal("cancelled job's completion callback fired")
 	}
@@ -48,7 +48,7 @@ func TestCancelQueuedJob(t *testing.T) {
 			t.Error("Cancel returned false for queued job")
 		}
 	})
-	sim.Run()
+	runChecked(t, sim, st)
 	if _, ok := done[2]; ok {
 		t.Fatal("cancelled queued job ran")
 	}
@@ -64,7 +64,7 @@ func TestCancelLastJobTriggersIdle(t *testing.T) {
 	st.OnIdle(func(des.Time) { idles++ })
 	j := st.Submit(1, 1, task.NewSubtask(10), nil)
 	sim.At(2, func() { st.Cancel(j) })
-	sim.Run()
+	runChecked(t, sim, st)
 	if idles != 1 {
 		t.Fatalf("idle hook fired %d times, want 1 (after cancellation)", idles)
 	}
@@ -77,7 +77,7 @@ func TestCancelCompletedJobReturnsFalse(t *testing.T) {
 	sim := des.New()
 	st := New(sim, "s0")
 	j := st.Submit(1, 1, task.NewSubtask(1), nil)
-	sim.Run()
+	runChecked(t, sim, st)
 	if st.Cancel(j) {
 		t.Fatal("Cancel of completed job must return false")
 	}
@@ -94,7 +94,7 @@ func TestCancelRunningJobInsideCriticalSectionReleasesLock(t *testing.T) {
 	// Cancel the holder at t=3: the lock must be released and the waiter
 	// unblocked immediately.
 	sim.At(3, func() { st.Cancel(holder) })
-	sim.Run()
+	runChecked(t, sim, st)
 	if done[2] != 5 {
 		t.Fatalf("waiter finished at %v, want 5 (unblocked at cancellation)", done[2])
 	}
@@ -112,7 +112,7 @@ func TestCancelPreemptedJobInCriticalSectionReleasesLock(t *testing.T) {
 	// the lock), cancel it; a later same-lock job must not wait.
 	sim.At(2, func() { st.Cancel(holder) })
 	submitAt(sim, st, 3, 3, 5, cs(0, 1, 0, 1), done)
-	sim.Run()
+	runChecked(t, sim, st)
 	if done[2] != 6 {
 		t.Fatalf("urgent job finished at %v, want 6", done[2])
 	}
@@ -142,7 +142,7 @@ func TestCancelBlockedJobRemovesInheritance(t *testing.T) {
 			t.Error("Cancel returned false for blocked job")
 		}
 	})
-	sim.Run()
+	runChecked(t, sim, st)
 	if _, ok := done[2]; ok {
 		t.Fatal("cancelled blocked job ran")
 	}
@@ -173,7 +173,7 @@ func TestCancelForeignJobReturnsFalse(t *testing.T) {
 	if n := stB.ReadyLen(); n != 1 {
 		t.Fatalf("stage B ready queue holds %d jobs, want 1", n)
 	}
-	sim.Run()
+	runChecked(t, sim, stA, stB)
 	if got := stB.Stats().Completed; got != 2 {
 		t.Fatalf("stage B completed %d jobs, want 2", got)
 	}

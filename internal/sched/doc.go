@@ -1,5 +1,7 @@
 // Package sched models a single preemptive fixed-priority resource (one
-// pipeline stage): a ready queue ordered by priority, preemption of the
+// pipeline stage): a ready queue ordered by priority (a binary heap
+// whose slots cache each job's effective priority, refreshed wherever
+// priority inheritance changes it), preemption of the
 // running subtask by more urgent arrivals, idle notification (which the
 // admission controller's synthetic-utilization reset hooks into), and the
 // priority ceiling protocol for stage-local critical sections (whose

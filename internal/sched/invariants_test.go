@@ -15,19 +15,24 @@ import (
 //  2. every lock has at most one holder, and holders are live jobs
 //     (running or preempted-in-ready, never blocked or completed),
 //  3. every blocked job waits on a lock with a holder other than itself,
-//  4. heap indices are consistent,
+//  4. heap indices are consistent, and every ready slot caches its
+//     job's current effective priority,
 //  5. the idle flag matches the absence of work,
 //  6. the stage's alarms follow the running job (checkAlarms).
 func checkInvariants(t *testing.T, s *Stage) {
 	t.Helper()
 	checkAlarms(t, s)
 	if s.running != nil && len(s.ready) > 0 {
-		if less(s.ready[0], s.running) {
+		if top := s.ready[0].j; less(top, s.running) {
 			t.Fatalf("ready job %d (eff %v) outranks running job %d (eff %v)",
-				s.ready[0].TaskID, s.ready[0].Effective(), s.running.TaskID, s.running.Effective())
+				top.TaskID, top.Effective(), s.running.TaskID, s.running.Effective())
 		}
 	}
-	for i, j := range s.ready {
+	for i, e := range s.ready {
+		j := e.j
+		if math.Float64bits(e.eff) != math.Float64bits(j.Effective()) {
+			t.Fatalf("ready slot %d caches priority %v, job %d has %v", i, e.eff, j.TaskID, j.Effective())
+		}
 		if j.heapIdx != i {
 			t.Fatalf("heap index of job %d is %d, stored at %d", j.TaskID, j.heapIdx, i)
 		}
@@ -62,6 +67,17 @@ func checkInvariants(t *testing.T, s *Stage) {
 	hasWork := s.running != nil || len(s.ready) > 0 || len(s.blocked) > 0
 	if s.idle == hasWork {
 		t.Fatalf("idle flag %v inconsistent with work presence %v", s.idle, hasWork)
+	}
+}
+
+// runChecked runs the simulation to completion, checking the stages'
+// invariants after every event.
+func runChecked(t *testing.T, sim *des.Simulator, stages ...*Stage) {
+	t.Helper()
+	for sim.Step() {
+		for _, s := range stages {
+			checkInvariants(t, s)
+		}
 	}
 }
 

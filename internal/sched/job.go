@@ -102,29 +102,56 @@ func less(a, b *Job) bool {
 	return a.seq < b.seq
 }
 
-// readyHeap is a binary heap of ready jobs keyed by less. Its sift
-// algorithms are exactly container/heap's (push, pop, remove, fix,
-// init), so jobs leave in the same order, without interface dispatch.
-type readyHeap []*Job
-
-func (h readyHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+// readyEntry is one ready-heap slot: the job and its effective priority,
+// so a sift dereferences jobs only to break a tie.
+type readyEntry struct {
+	eff float64
+	j   *Job
 }
 
+// keyOf returns j's heap slot with its current key.
+func keyOf(j *Job) readyEntry { return readyEntry{j.Effective(), j} }
+
+// before is less over cached priorities.
+func (e readyEntry) before(f readyEntry) bool {
+	if e.eff != f.eff {
+		return e.eff < f.eff
+	}
+	return e.j.seq < f.j.seq
+}
+
+// b2i is b as 0 or 1.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// readyHeap is a binary heap of ready jobs keyed by less. Its sifts make
+// container/heap's comparisons (moving a hole instead of swapping), so
+// jobs leave in the same order and the layout is the same. A slot's
+// cached priority must equal its job's: whoever changes a queued job's
+// inheritance refreshes it through fix (one job) or init (every job).
+type readyHeap []readyEntry
+
 func (h readyHeap) up(j int) {
+	e := h[j]
 	for {
 		i := (j - 1) / 2 // parent
-		if i == j || !less(h[j], h[i]) {
+		if i == j || !e.before(h[i]) {
 			break
 		}
-		h.swap(i, j)
+		h[j] = h[i]
+		h[j].j.heapIdx = j
 		j = i
 	}
+	h[j] = e
+	e.j.heapIdx = j
 }
 
 func (h readyHeap) down(i0, n int) bool {
+	e := h[i0]
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -132,47 +159,52 @@ func (h readyHeap) down(i0, n int) bool {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && less(h[j2], h[j1]) {
-			j = j2 // right child
+		if j1+1 < n {
+			j += b2i(h[j1+1].before(h[j1])) // right child: no branch to mispredict
 		}
-		if !less(h[j], h[i]) {
+		if !h[j].before(e) {
 			break
 		}
-		h.swap(i, j)
+		h[i] = h[j]
+		h[i].j.heapIdx = i
 		i = j
 	}
+	h[i] = e
+	e.j.heapIdx = i
 	return i > i0
 }
 
 // push adds j.
 func (h *readyHeap) push(j *Job) {
-	j.heapIdx = len(*h)
-	*h = append(*h, j)
-	h.up(j.heapIdx)
+	*h = append(*h, keyOf(j))
+	h.up(len(*h) - 1)
 }
 
 // pop removes and returns the most urgent job.
 func (h *readyHeap) pop() *Job {
-	n := len(*h) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	return h.removeLast()
+	return h.remove(0)
 }
 
 // remove removes and returns the job at index i.
 func (h *readyHeap) remove(i int) *Job {
-	n := len(*h) - 1
+	old := *h
+	n := len(old) - 1
+	j := old[i].j
 	if n != i {
-		h.swap(i, n)
-		if !h.down(i, n) {
-			h.up(i)
+		old[i] = old[n]
+		if !old.down(i, n) {
+			old.up(i)
 		}
 	}
-	return h.removeLast()
+	old[n] = readyEntry{}
+	j.heapIdx = -1
+	*h = old[:n]
+	return j
 }
 
 // fix restores the heap after the job at index i changed priority.
 func (h readyHeap) fix(i int) {
+	h[i].eff = h[i].j.Effective()
 	if !h.down(i, len(h)) {
 		h.up(i)
 	}
@@ -180,24 +212,17 @@ func (h readyHeap) fix(i int) {
 
 // init re-establishes the heap after arbitrary key changes.
 func (h readyHeap) init() {
+	for i := range h {
+		h[i].eff = h[i].j.Effective()
+	}
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
 		h.down(i, n)
 	}
 }
 
-func (h *readyHeap) removeLast() *Job {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	j.heapIdx = -1
-	*h = old[:n-1]
-	return j
-}
-
 // holds reports whether j is queued in this heap: its index may be
 // stale, or belong to another stage's heap, so the slot is checked.
 func (h readyHeap) holds(j *Job) bool {
-	return j.heapIdx >= 0 && j.heapIdx < len(h) && h[j.heapIdx] == j
+	return j.heapIdx >= 0 && j.heapIdx < len(h) && h[j.heapIdx].j == j
 }

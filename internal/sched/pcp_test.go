@@ -34,7 +34,7 @@ func TestMutualExclusion(t *testing.T) {
 	done := map[task.ID]des.Time{}
 	submitAt(sim, st, 0, 1, 5, cs(0, 1, 0, 1), done)
 	submitAt(sim, st, 0, 2, 5, cs(0, 1, 0, 1), done)
-	sim.Run()
+	runChecked(t, sim, st)
 	if done[1] != 1 || done[2] != 2 {
 		t.Fatalf("critical sections overlapped: completions %v", done)
 	}
@@ -61,7 +61,7 @@ func TestDirectBlockingAndInheritance(t *testing.T) {
 	submitAt(sim, st, 2, high, 0, cs(1, 1, 0, 1), done)
 	// M arrives at 2.5 with priority between H and L, pure computation 2s.
 	submitAt(sim, st, 2.5, med, 5, task.NewSubtask(2), done)
-	sim.Run()
+	runChecked(t, sim, st)
 	// Timeline: L runs [0,2) (1 pre + 1 CS). H preempts at 2, runs pre
 	// [2,3), tries lock at 3 -> blocked; L inherits prio 0, resumes CS
 	// [3,6); at 6 L releases; H acquires, CS [6,7), done 7. Then M
@@ -92,7 +92,7 @@ func TestCeilingBlockingPreventsDeadlockPattern(t *testing.T) {
 	// H (priority 3) arrives at 1 and wants B, which is free. Ceiling of
 	// A is 0, which is not numerically greater than 3, so H blocks.
 	submitAt(sim, st, 1, 2, 3, cs(0, 1, 0, 2), done)
-	sim.Run()
+	runChecked(t, sim, st)
 	// L inherits 3 (no change in behavior, nothing else ready), finishes
 	// CS at 4 (it ran [0,4)); H then runs [4,5).
 	if done[1] != 4 {
@@ -113,7 +113,7 @@ func TestHigherThanCeilingProceedsConcurrently(t *testing.T) {
 	done := map[task.ID]des.Time{}
 	submitAt(sim, st, 0, 1, 9, cs(0, 10, 0, 1), done) // L in CS on lock 1
 	submitAt(sim, st, 2, 2, 0, cs(0, 1, 0, 2), done)  // H: priority 0 < ceiling 5
-	sim.Run()
+	runChecked(t, sim, st)
 	if done[2] != 3 {
 		t.Fatalf("H done at %v, want 3 (preempts, lock 2 granted: prio above system ceiling)", done[2])
 	}
@@ -139,7 +139,7 @@ func TestBlockingBoundedByOneCriticalSection(t *testing.T) {
 	sim.At(1, func() {
 		st.Submit(3, 0, cs(0, 0.5, 0, 1), func(now des.Time) { hDone = now })
 	})
-	sim.Run()
+	runChecked(t, sim, st)
 	// H arrives at 1. Job 1 is in its CS (holds lock 1, started 0, ends
 	// 3). Job 2 preempted job... job 2 arrives 0.5 with higher prio (9 <
 	// 10): preempts, tries lock 2; ceiling of held lock 1 is 0 >= 9's
@@ -172,7 +172,7 @@ func TestPreemptedInsideCriticalSectionKeepsLock(t *testing.T) {
 	submitAt(sim, st, 0, 1, 10, cs(0, 4, 0, 1), done)
 	submitAt(sim, st, 1, 2, 0, task.NewSubtask(2), done) // preempts [1,3)
 	submitAt(sim, st, 2, 3, 5, cs(0, 1, 0, 1), done)     // wants lock 1
-	sim.Run()
+	runChecked(t, sim, st)
 	if done[2] != 3 {
 		t.Fatalf("urgent job done at %v, want 3", done[2])
 	}
@@ -215,7 +215,7 @@ func TestMultiSegmentJobRunsAllSegments(t *testing.T) {
 	st.RegisterLock(1, 0)
 	done := map[task.ID]des.Time{}
 	submitAt(sim, st, 0, 1, 1, cs(1, 2, 3, 1), done)
-	sim.Run()
+	runChecked(t, sim, st)
 	if done[1] != 6 {
 		t.Fatalf("multi-segment job done at %v, want 6", done[1])
 	}
@@ -237,8 +237,54 @@ func TestBlockedCountVisible(t *testing.T) {
 			t.Errorf("BlockedLen = %d, want 1", len(st.blocked))
 		}
 	})
-	sim.Run()
+	runChecked(t, sim, st)
 	if len(st.blocked) != 0 {
 		t.Fatalf("BlockedLen at end = %d, want 0", len(st.blocked))
 	}
+}
+
+// TestInheritanceChangesReorderQueuedHolder covers the two ways a lock
+// holder waiting in the ready queue loses inherited priority: another
+// job's lock release (which re-readies the blocked jobs and clears
+// every holder's inheritance) and the Cancel of the job it inherited
+// from. The queued holder must be re-ranked at once.
+func TestInheritanceChangesReorderQueuedHolder(t *testing.T) {
+	t.Run("release", func(t *testing.T) {
+		sim := des.New()
+		st := New(sim, "s0")
+		st.RegisterLock(1, 5)
+		st.RegisterLock(2, 0)
+		done := map[task.ID]des.Time{}
+		submitAt(sim, st, 0, 1, 9, cs(0, 10, 0, 1), done) // L holds lock 1
+		submitAt(sim, st, 1, 2, 6, cs(0, 1, 0, 1), done)  // B blocks; L inherits 6
+		submitAt(sim, st, 2, 3, 0, cs(0, 1, 1, 2), done)  // H preempts L, takes lock 2
+		submitAt(sim, st, 2.5, 4, 7, task.NewSubtask(1), done)
+		// H's release at 3 re-readies B and clears L's inheritance while L
+		// is queued; B re-blocks at 4 and L inherits again.
+		runChecked(t, sim, st)
+		for id, want := range map[task.ID]des.Time{3: 4, 1: 12, 2: 13, 4: 14} {
+			if done[id] != want {
+				t.Errorf("task %d done at %v, want %v", id, done[id], want)
+			}
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		sim := des.New()
+		st := New(sim, "s0")
+		st.RegisterLock(1, 0)
+		done := map[task.ID]des.Time{}
+		submitAt(sim, st, 0, 1, 10, cs(0, 6, 0, 1), done) // L holds lock 1
+		var blocked *Job
+		sim.At(1, func() { blocked = st.Submit(2, 2, cs(0, 1, 0, 1), nil) }) // L inherits 2
+		submitAt(sim, st, 2, 3, 0, task.NewSubtask(2), done)                 // U preempts L
+		submitAt(sim, st, 2.5, 4, 5, task.NewSubtask(1), done)               // M queues
+		sim.At(3, func() { st.Cancel(blocked) })                             // L back to 10
+		runChecked(t, sim, st)
+		// M now outranks the queued holder: U [2,4), M [4,5), L [5,9).
+		for id, want := range map[task.ID]des.Time{3: 4, 4: 5, 1: 9} {
+			if done[id] != want {
+				t.Errorf("task %d done at %v, want %v", id, done[id], want)
+			}
+		}
+	})
 }

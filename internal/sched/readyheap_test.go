@@ -58,7 +58,7 @@ func TestReadyHeapMatchesContainerHeap(t *testing.T) {
 		if rng.Intn(3) > 0 {
 			v = prio() - 1
 		}
-		got[i].inherited = v
+		got[i].j.inherited = v
 		want[i].inherited = v
 	}
 	var popped []uint64
@@ -102,11 +102,11 @@ func TestReadyHeapMatchesContainerHeap(t *testing.T) {
 			t.Fatalf("step %d: %d jobs queued, reference %d", step, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].seq != want[i].seq {
-				t.Fatalf("step %d: slot %d holds seq %d, reference %d", step, i, got[i].seq, want[i].seq)
+			if g := got[i].j; g.seq != want[i].seq {
+				t.Fatalf("step %d: slot %d holds seq %d, reference %d", step, i, g.seq, want[i].seq)
 			}
-			if got[i].heapIdx != i {
-				t.Fatalf("step %d: slot %d records heap index %d", step, i, got[i].heapIdx)
+			if g := got[i].j; g.heapIdx != i {
+				t.Fatalf("step %d: slot %d records heap index %d", step, i, g.heapIdx)
 			}
 		}
 	}

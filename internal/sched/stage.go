@@ -281,21 +281,15 @@ func (s *Stage) SubmitJob(j *Job, id task.ID, priority float64, sub task.Subtask
 	if math.IsNaN(budget) || budget < 0 {
 		panic(fmt.Sprintf("sched: stage %q: invalid budget %v for task %d", s.name, budget, id))
 	}
-	*j = Job{
-		TaskID:    id,
-		base:      priority,
-		inherited: math.Inf(1),
-		seq:       s.seq,
-		budget:    budget,
-		submitted: s.sim.Now(),
-		done:      done,
-		heapIdx:   -1,
-	}
+	// Reset every field in place: a Job literal would be built, then copied.
+	j.TaskID, j.base, j.inherited, j.seq = id, priority, math.Inf(1), s.seq
+	j.segIdx, j.acquired, j.heldLock, j.blockedOn = 0, false, nil, nil
+	j.segStart, j.submitted, j.consumed, j.budget = 0, s.sim.Now(), 0, budget
+	j.overrunFired, j.done, j.heapIdx = false, done, -1
+	j.whole[0] = task.Segment{Duration: sub.Demand, Lock: task.NoLock}
+	j.segments = j.whole[:]
 	if len(sub.Segments) > 0 {
 		j.segments = sub.Segments
-	} else {
-		j.whole[0] = task.Segment{Duration: sub.Demand, Lock: task.NoLock}
-		j.segments = j.whole[:]
 	}
 	if s.execModel != nil {
 		if len(sub.Segments) > 0 {
@@ -329,7 +323,7 @@ func (s *Stage) SubmitJob(j *Job, id task.ID, priority float64, sub task.Subtask
 		s.stats.MaxReady = n // j counts as queued, even when dispatched directly
 	}
 	if s.paused || j.segments[0].Lock != task.NoLock ||
-		(len(s.ready) > 0 && !less(j, s.ready[0])) || (s.running != nil && !less(j, s.running)) {
+		(len(s.ready) > 0 && !keyOf(j).before(s.ready[0])) || (s.running != nil && !less(j, s.running)) {
 		s.ready.push(j)
 		s.schedule()
 		return
@@ -353,7 +347,7 @@ func (s *Stage) schedule() {
 	}
 	for {
 		if s.running != nil {
-			if len(s.ready) == 0 || !less(s.ready[0], s.running) {
+			if len(s.ready) == 0 || !s.ready[0].before(keyOf(s.running)) {
 				return
 			}
 			s.preempt()
@@ -753,7 +747,8 @@ func (s *Stage) DropProgress() int {
 		panic(fmt.Sprintf("sched: stage %q: DropProgress while a job is running; Pause first", s.name))
 	}
 	n := 0
-	for _, j := range s.ready {
+	for _, e := range s.ready {
+		j := e.j
 		full := j.segments[j.segIdx].Duration
 		if j.segRemaining != full {
 			j.segRemaining = full

@@ -140,9 +140,12 @@ func (rp *Replayer) Fire(now des.Time) {
 	for j, c := range rec.Demands {
 		rp.subs[j] = task.NewSubtask(c)
 	}
-	// A whole-value rewrite: nothing a sink wrote reaches the next record.
-	rp.t = task.Task{ID: rp.nextID, Arrival: now, Deadline: rec.Deadline / rp.opts.TimeCompress,
-		Subtasks: rp.subs, Class: rp.className(rec.Class)}
+	// Every field is rewritten, in place: nothing a sink wrote reaches
+	// the next record.
+	t := &rp.t
+	t.ID, t.Arrival, t.Deadline = rp.nextID, now, rec.Deadline/rp.opts.TimeCompress
+	t.Subtasks, t.Graph, t.Priority, t.Importance = rp.subs, nil, 0, 0
+	t.Class = rp.className(rec.Class)
 	rp.nextID++
 	rp.count++
 	rp.pending = false

@@ -200,23 +200,23 @@ type TraceRecord struct {
 	Demands  []float64
 }
 
-// TraceReader streams records from a v1 binary trace with O(1) memory.
+// TraceReader streams records from a v1 binary trace with O(1) memory,
+// decoding each in place from a read buffer the header sizes to fit one.
 type TraceReader struct {
 	r       *bufio.Reader
 	stages  int
+	recSize int // 17 + 8·stages bytes
 	classes []string
 	count   uint64 // header count; 0 when unknown
 	read    uint64
 	lastAt  float64
-	rec     []byte
 }
 
 // OpenTrace validates the header and class table of a v1 binary trace
 // and positions the reader at the first record.
 func OpenTrace(r io.Reader) (*TraceReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [traceHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("workload: reading trace header: %w", err)
 	}
 	if string(hdr[:7]) != TraceMagic {
@@ -234,12 +234,14 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 		return nil, fmt.Errorf("workload: trace declares %d classes, format max %d", nclasses, maxTraceClasses)
 	}
 	count := binary.LittleEndian.Uint64(hdr[16:24])
+	recSize := 17 + 8*stages
+	br := bufio.NewReaderSize(r, max(1<<16, recSize)) // Next peeks a whole record
 	tr := &TraceReader{
-		r:      br,
-		stages: stages,
-		count:  count,
-		lastAt: math.Inf(-1),
-		rec:    make([]byte, 17+8*stages),
+		r:       br,
+		stages:  stages,
+		recSize: recSize,
+		count:   count,
+		lastAt:  math.Inf(-1),
 	}
 	var lb [2]byte
 	for i := 0; i < nclasses; i++ {
@@ -273,18 +275,25 @@ func (tr *TraceReader) Records() uint64 { return tr.read }
 // descriptive error on truncation or corruption: class out of range,
 // non-positive deadline, negative demand, or time-travelling arrivals.
 func (tr *TraceReader) Next(rec *TraceRecord) error {
-	if _, err := io.ReadFull(tr.r, tr.rec); err != nil {
-		if err == io.EOF {
+	b, err := tr.r.Peek(tr.recSize)
+	if err != nil {
+		if err == io.EOF && len(b) == 0 {
 			if tr.count != 0 && tr.read != tr.count {
 				return fmt.Errorf("workload: trace truncated: header declares %d records, found %d", tr.count, tr.read)
 			}
 			return io.EOF
 		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a partial record, as io.ReadFull reports it
+		}
 		return fmt.Errorf("workload: trace record %d truncated: %w", tr.read, err)
 	}
-	arrival := math.Float64frombits(binary.LittleEndian.Uint64(tr.rec[0:8]))
-	deadline := math.Float64frombits(binary.LittleEndian.Uint64(tr.rec[8:16]))
-	classByte := tr.rec[16]
+	// The record is consumed whether or not it decodes. Discarding bytes
+	// Peek buffered reads nothing, so it cannot fail and b stays valid.
+	tr.r.Discard(tr.recSize)
+	arrival := math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
+	deadline := math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
+	classByte := b[16]
 	if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
 		return fmt.Errorf("workload: trace record %d: non-finite arrival", tr.read)
 	}
@@ -306,7 +315,7 @@ func (tr *TraceReader) Next(rec *TraceRecord) error {
 	}
 	rec.Demands = rec.Demands[:tr.stages]
 	for j := 0; j < tr.stages; j++ {
-		c := math.Float64frombits(binary.LittleEndian.Uint64(tr.rec[17+8*j:]))
+		c := math.Float64frombits(binary.LittleEndian.Uint64(b[17+8*j:]))
 		if !(c >= 0) || math.IsInf(c, 0) {
 			return fmt.Errorf("workload: trace record %d: invalid demand[%d] %v", tr.read, j, c)
 		}

@@ -2,12 +2,16 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"feasregion/internal/des"
 	"feasregion/internal/task"
@@ -243,6 +247,156 @@ func TestTraceTruncationDetected(t *testing.T) {
 	}
 }
 
+// truncationGolden is what the decoder reports for the sample trace
+// cut at each byte length from the row's on: records decoded before the
+// error, and the error ("" for a clean end). Captured from the decoder
+// that copied each record out of its buffer with io.ReadFull; the
+// second table is the same trace with its record count in the header.
+var truncationGolden = [2][]struct {
+	from, records int
+	err           string
+}{{
+	{0, 0, "workload: reading trace header: EOF"},
+	{1, 0, "workload: reading trace header: unexpected EOF"},
+	{24, 0, "workload: reading trace class table: EOF"},
+	{25, 0, "workload: reading trace class table: unexpected EOF"},
+	{26, 0, "workload: reading trace class table: EOF"},
+	{27, 0, "workload: reading trace class table: unexpected EOF"},
+	{34, 0, "workload: reading trace class table: EOF"},
+	{35, 0, "workload: reading trace class table: unexpected EOF"},
+	{36, 0, "workload: reading trace class table: EOF"},
+	{37, 0, "workload: reading trace class table: unexpected EOF"},
+	{43, 0, ""},
+	{44, 0, "workload: trace record 0 truncated: unexpected EOF"},
+	{76, 1, ""},
+	{77, 1, "workload: trace record 1 truncated: unexpected EOF"},
+	{109, 2, ""},
+	{110, 2, "workload: trace record 2 truncated: unexpected EOF"},
+	{142, 3, ""},
+}, {
+	{0, 0, "workload: reading trace header: EOF"},
+	{1, 0, "workload: reading trace header: unexpected EOF"},
+	{24, 0, "workload: reading trace class table: EOF"},
+	{25, 0, "workload: reading trace class table: unexpected EOF"},
+	{26, 0, "workload: reading trace class table: EOF"},
+	{27, 0, "workload: reading trace class table: unexpected EOF"},
+	{34, 0, "workload: reading trace class table: EOF"},
+	{35, 0, "workload: reading trace class table: unexpected EOF"},
+	{36, 0, "workload: reading trace class table: EOF"},
+	{37, 0, "workload: reading trace class table: unexpected EOF"},
+	{43, 0, "workload: trace truncated: header declares 3 records, found 0"},
+	{44, 0, "workload: trace record 0 truncated: unexpected EOF"},
+	{76, 1, "workload: trace truncated: header declares 3 records, found 1"},
+	{77, 1, "workload: trace record 1 truncated: unexpected EOF"},
+	{109, 2, "workload: trace truncated: header declares 3 records, found 2"},
+	{110, 2, "workload: trace record 2 truncated: unexpected EOF"},
+	{142, 3, ""},
+}}
+
+// decodeAll decodes a whole trace, returning deep copies of the
+// records before the first error and that error (nil at a clean end).
+func decodeAll(r io.Reader) ([]TraceRecord, error) {
+	tr, err := OpenTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	var recs []TraceRecord
+	var rec TraceRecord
+	for {
+		if err := tr.Next(&rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return recs, err
+		}
+		cp := rec
+		cp.Demands = append([]float64(nil), rec.Demands...)
+		recs = append(recs, cp)
+	}
+}
+
+// TestTraceTruncationMatchesGolden cuts the sample trace at every byte
+// length and reads it whole, through readers that return it all at
+// once, one byte at a time, half of each request, and with the final
+// data alongside EOF: every cut must yield the golden error and the
+// first records of the whole trace.
+func TestTraceTruncationMatchesGolden(t *testing.T) {
+	_, data := sampleReplay(t)
+	counted := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(counted[16:24], 3)
+	want, err := decodeAll(bytes.NewReader(data))
+	if err != nil || len(want) != 3 {
+		t.Fatalf("whole trace: %d records, %v", len(want), err)
+	}
+	wrappers := map[string]func(io.Reader) io.Reader{
+		"whole":    func(r io.Reader) io.Reader { return r },
+		"one byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data+EOF": iotest.DataErrReader,
+	}
+	for v, trace := range [][]byte{data, counted} {
+		golden := truncationGolden[v]
+		if last := golden[len(golden)-1].from; last != len(trace) {
+			t.Fatalf("golden ends at %d bytes, trace is %d", last, len(trace))
+		}
+		row := 0
+		for cut := 0; cut <= len(trace); cut++ {
+			if row+1 < len(golden) && golden[row+1].from <= cut {
+				row++
+			}
+			g := golden[row]
+			for name, wrap := range wrappers {
+				recs, err := decodeAll(wrap(bytes.NewReader(trace[:cut])))
+				if got := fmt.Sprint(err); (err == nil) != (g.err == "") || (err != nil && got != g.err) {
+					t.Errorf("table %d, cut %d, %s reader: error %v, want %q", v, cut, name, err, g.err)
+				}
+				if len(recs) != g.records || (len(recs) > 0 && !reflect.DeepEqual(recs, want[:len(recs)])) {
+					t.Errorf("table %d, cut %d, %s reader: records %+v, want %+v", v, cut, name, recs, want[:g.records])
+				}
+			}
+		}
+	}
+}
+
+// TestTraceWideRecordsRoundTrip round-trips a trace whose records
+// (10,000 stages, 80 KB each) are wider than the default read buffer.
+func TestTraceWideRecordsRoundTrip(t *testing.T) {
+	const stages = 10000
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf, stages, []string{"wide"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demands := make([]float64, stages)
+	for i := 0; i < 3; i++ {
+		for j := range demands {
+			demands[j] = float64(i*stages+j) / 7
+		}
+		if err := tw.Write(float64(i), 10, i%2-1, demands); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, wrap := range []func(io.Reader) io.Reader{func(r io.Reader) io.Reader { return r }, iotest.HalfReader} {
+		recs, err := decodeAll(wrap(bytes.NewReader(buf.Bytes())))
+		if err != nil || len(recs) != 3 {
+			t.Fatalf("decoded %d records, %v", len(recs), err)
+		}
+		for i, r := range recs {
+			if r.Arrival != float64(i) || r.Deadline != 10 || r.Class != i%2-1 || len(r.Demands) != stages {
+				t.Fatalf("record %d: arrival %v deadline %v class %d, %d demands", i, r.Arrival, r.Deadline, r.Class, len(r.Demands))
+			}
+			for j, c := range r.Demands {
+				if c != float64(i*stages+j)/7 {
+					t.Fatalf("record %d demand[%d] = %v", i, j, c)
+				}
+			}
+		}
+	}
+}
+
 func TestOpenTraceRejectsGarbage(t *testing.T) {
 	for _, in := range []string{"", "FRTRACE", "not a trace at all........", "FRTRACE\x02" + strings.Repeat("\x00", 16)} {
 		if _, err := OpenTrace(strings.NewReader(in)); err == nil {
@@ -408,6 +562,9 @@ func TestReplayerLimitAndFirstID(t *testing.T) {
 // for every record, whatever ReuseTask says, rewritten whole before each
 // offer, so what a sink writes into it never reaches the next record.
 func TestReplayerReuseTask(t *testing.T) {
+	if n := reflect.TypeOf(task.Task{}).NumField(); n != 8 {
+		t.Fatalf("task.Task has %d fields: make the careless sink below write the new ones", n)
+	}
 	rep, data := sampleReplay(t)
 	for _, reuse := range []bool{false, true} {
 		tr, err := OpenTrace(bytes.NewReader(data))
@@ -422,9 +579,11 @@ func TestReplayerReuseTask(t *testing.T) {
 			c := *tk
 			c.Subtasks = append([]task.Subtask(nil), tk.Subtasks...)
 			got = append(got, c)
-			// A careless sink: none of this may leak into the next record.
+			// A careless sink writes every field: none of it may leak into
+			// the next record.
 			tk.Priority, tk.Importance, tk.Graph = 7, 3, task.NewGraph()
 			tk.Subtasks[0].Optional, tk.Subtasks[1].Segments = 0.1, []task.Segment{{Duration: 1}}
+			tk.ID, tk.Arrival, tk.Deadline, tk.Class, tk.Subtasks = -1, -1, -1, "stale", tk.Subtasks[:1]
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -443,7 +602,8 @@ func TestReplayerReuseTask(t *testing.T) {
 		}
 		for i, want := range rep.Tasks {
 			g := got[i]
-			if g.Arrival != want.Arrival || g.Class != want.Class || g.Priority != 0 || g.Importance != 0 || g.Graph != nil {
+			if g.ID != task.ID(i) || g.Arrival != want.Arrival || g.Deadline != want.Deadline || g.Class != want.Class ||
+				len(g.Subtasks) != 2 || g.Priority != 0 || g.Importance != 0 || g.Graph != nil {
 				t.Fatalf("ReuseTask=%v: record %d offered %+v", reuse, i, g)
 			}
 			if g.Subtasks[0].Optional != 0 || g.Subtasks[1].Segments != nil {
