@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-race test-short bench bench-json bench-admit bench-degrade bench-cluster bench-des bench-priority profile-des docs-check loc experiments experiments-quick examples fuzz verify clean
+.PHONY: all build vet test race test-race test-short bench bench-json bench-admit bench-degrade bench-cluster bench-des bench-priority profile-des docs-check loc experiments experiments-quick experiments-md5 examples fuzz verify clean
 
 all: build vet test
 
@@ -89,6 +89,15 @@ experiments:
 
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
+
+# Checks the -quick output of every experiment without a timing column
+# against the md5s pinned in cmd/experiments/testdata/quick.md5 (taken
+# on amd64): a change that must not move decisions keeps every line.
+experiments-md5:
+	$(GO) build -o .bench_build/experiments ./cmd/experiments
+	@for x in $$(awk '{print $$2}' cmd/experiments/testdata/quick.md5); do \
+		echo "$$(.bench_build/experiments -run $$x -quick | md5sum | cut -d' ' -f1)  $$x"; \
+	done | diff cmd/experiments/testdata/quick.md5 -
 
 examples:
 	$(GO) run ./examples/quickstart

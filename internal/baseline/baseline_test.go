@@ -130,12 +130,12 @@ func TestSplitDeadlineStaleExpiryAfterReadmit(t *testing.T) {
 	c.MarkDeparted(0, 7)
 	c.HandleStageIdle(0)
 	sim.RunUntil(5)
-	if !c.TryAdmit(task.Chain(7, 5, 10, 1)) {
+	if !c.TryAdmit(task.Chain(7, 5, 10, 1.25)) {
 		t.Fatal("re-admission rejected")
 	}
 	want := c.Utilizations()[0]
 	sim.RunUntil(12) // past the first admission's deadline (10)
-	if u := c.Utilizations()[0]; u != want || u != 0.1 {
+	if u := c.Utilizations()[0]; u != want || u != 0.125 {
 		t.Fatalf("utilization %v after the stale deadline, want the live task's %v", u, want)
 	}
 }
@@ -174,5 +174,37 @@ func TestSplitDeadlineStaleIntermediateDeadline(t *testing.T) {
 				t.Fatalf("t=%v: utilizations %v, want %v", step.until, us, step.want)
 			}
 		}
+	}
+}
+
+// TestSplitDeadlineRejectsMalformed checks the baseline rejects a task
+// with a negative or NaN demand, or a deadline that is not positive and
+// finite. Charged, the {-4, 0.1} task would give stage 0 negative
+// utilization, and three of the {2, 0.01} tasks (0.4 each at stage 0)
+// would fit under the 0.586 bound instead of one.
+func TestSplitDeadlineRejectsMalformed(t *testing.T) {
+	sim := des.New()
+	c := NewSplitDeadlineController(sim, 2)
+	for _, tk := range []*task.Task{
+		task.Chain(1, 0, 10, -4, 0.1),
+		task.Chain(2, 0, math.Inf(1), 1, 1),
+		task.Chain(3, 0, math.NaN(), 1, 1),
+		task.Chain(4, 0, 10, 1, math.NaN()),
+	} {
+		if c.TryAdmit(tk) {
+			t.Errorf("task %d admitted", tk.ID)
+		}
+	}
+	admitted := 0
+	for id := task.ID(10); id < 13; id++ {
+		if c.TryAdmit(task.Chain(id, 0, 10, 2, 0.01)) {
+			admitted++
+		}
+	}
+	if admitted != 1 {
+		t.Fatalf("%d of three 0.4-utilization tasks fit stage 0, want 1", admitted)
+	}
+	if s := c.Stats(); s.Rejected != 6 || s.Admitted != 1 {
+		t.Fatalf("stats %+v, want 6 rejected and 1 admitted", s)
 	}
 }

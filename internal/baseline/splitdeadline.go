@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 
 	"feasregion/internal/core"
 	"feasregion/internal/des"
@@ -62,17 +63,20 @@ func (c *SplitDeadlineController) Utilizations() []float64 {
 
 // TryAdmit implements pipeline.Admitter: every stage must independently
 // stay within the uniprocessor aperiodic bound under its intermediate
-// deadline.
+// deadline. A task with a deadline that is not positive and finite, or
+// with a negative demand, is rejected as malformed.
 func (c *SplitDeadlineController) TryAdmit(t *task.Task) bool {
 	n := len(c.d)
-	if t.Deadline <= 0 || len(t.Subtasks) != n {
+	if !(t.Deadline > 0 && t.Deadline <= math.MaxFloat64) || len(t.Subtasks) != n {
 		c.stats.Rejected++
 		return false
 	}
 	stageDeadline := t.Deadline / float64(n)
 	for j := range c.d {
 		c.d[j] = t.StageDemand(j) / stageDeadline
-		if c.st.Util(j)+c.d[j] > core.UniprocessorBound {
+		// A negative demand would create capacity, so it is malformed;
+		// !(≤ bound) also rejects NaN.
+		if !(c.d[j] >= 0 && c.st.Util(j)+c.d[j] <= core.UniprocessorBound) {
 			c.stats.Rejected++
 			return false
 		}
@@ -96,14 +100,13 @@ func (c *SplitDeadlineController) TryAdmit(t *task.Task) bool {
 	return true
 }
 
-// key maps a task ID to a table key in ID order.
-func key(id task.ID) uint64 { return tasktable.SignedKey(int64(id)) }
+// key maps a task ID to its table key.
+func key(id task.ID) uint64 { return uint64(id) }
 
 // MarkDeparted implements pipeline.Admitter.
 func (c *SplitDeadlineController) MarkDeparted(stage int, id task.ID) {
-	k := key(id)
-	if slot, ok := c.st.Lookup(k); ok && c.st.Present(slot, stage) {
-		c.st.MarkDeparted(slot, stage, k)
+	if slot, ok := c.st.Lookup(key(id)); ok {
+		c.st.MarkDeparted(slot, stage)
 	}
 }
 

@@ -262,9 +262,14 @@ func (c *Controller) deltas(t *task.Task) []float64 {
 // deltas (the degraded admission path stays allocation-free). Each
 // stage's estimate is scaled by the ratio of degraded to full demand, so
 // the quality ladder composes with approximate (mean-demand) estimators
-// and stage scales alike.
+// and stage scales alike. It returns nil for a malformed task, which
+// every admit path rejects: a deadline that is not positive and finite
+// (an infinite one would charge nothing and never expire), or a
+// negative estimate, which would charge negative utilization and create
+// capacity. A NaN or infinite increment needs no check: the region test
+// it enters is NaN or +Inf, and fails.
 func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
-	if t.Deadline <= 0 {
+	if !validDeadline(t.Deadline) {
 		return nil
 	}
 	if c.scratch == nil {
@@ -278,6 +283,9 @@ func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
 				est *= t.StageDemandAt(j, level) / full
 			}
 		}
+		if est < 0 {
+			return nil
+		}
 		d[j] = est / t.Deadline
 	}
 	if c.scales != nil {
@@ -287,6 +295,28 @@ func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
 	}
 	return d
 }
+
+// validDeadline reports whether a relative deadline is positive and
+// finite: an infinite one would charge nothing and never expire.
+func validDeadline(d float64) bool { return d > 0 && d <= math.MaxFloat64 }
+
+// validOptional reports whether every stage's optional demand lies in
+// [0, Demand] (NaN fails), so that demand shrinks with quality and
+// never falls below zero. Only the quality paths read optional demand:
+// a rigid admission charges the full demand and ignores it.
+func validOptional(t *task.Task) bool {
+	for _, s := range t.Subtasks {
+		if !(s.Optional >= 0 && s.Optional <= s.Demand) {
+			return false
+		}
+	}
+	return true
+}
+
+// chargeable reports whether a contribution is finite and non-negative:
+// a negative one would create capacity and a NaN one poisons the region
+// test.
+func chargeable(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // admissible evaluates the region test for the given increments.
 func (c *Controller) admissible(d []float64) bool {
@@ -319,8 +349,8 @@ func (c *Controller) TryAdmit(t *task.Task) bool {
 }
 
 // commitAdmit implements regionAdmitter for the wait queue. It is only
-// called after WouldAdmit accepted the task, which rejects non-positive
-// deadlines; the guard here keeps a misuse from panicking in commit.
+// called after WouldAdmit accepted the task, which rejects malformed
+// tasks; the guard here keeps a misuse from charging one.
 func (c *Controller) commitAdmit(t *task.Task) {
 	if d := c.deltas(t); d != nil {
 		c.commit(t, d, task.QualityLevels)
@@ -330,11 +360,6 @@ func (c *Controller) commitAdmit(t *task.Task) {
 // commit inserts the task's row, stamped with the admission sequence
 // number, charges every stage, and schedules the row's expiry.
 func (c *Controller) commit(t *task.Task, d []float64, level int) {
-	for _, v := range d {
-		if v < 0 {
-			panic("core: negative synthetic-utilization contribution")
-		}
-	}
 	c.seq++
 	c.st.Insert(key(t.ID), c.seq, uint8(level), d)
 	for j := range d {
@@ -426,9 +451,7 @@ func (c *Controller) Evict(id task.ID) {
 	if !ok {
 		return
 	}
-	removed := c.st.Live(slot)
-	c.st.Drop(slot)
-	if removed {
+	if c.st.Drop(slot) {
 		c.metEvicted.Inc()
 		c.notifyChange()
 		c.fireRelease()
@@ -514,15 +537,14 @@ func (p *regionSum) fits() bool { return p.infinite == 0 && p.sum <= p.bound }
 // MarkDeparted records that the task has finished service at the stage,
 // making its contribution there eligible for the idle reset.
 func (c *Controller) MarkDeparted(stage int, id task.ID) {
-	k := key(id)
-	if slot, ok := c.st.Lookup(k); ok && c.st.Present(slot, stage) {
-		c.st.MarkDeparted(slot, stage, k)
+	if slot, ok := c.st.Lookup(key(id)); ok {
+		c.st.MarkDeparted(slot, stage)
 	}
 }
 
 // HandleStageIdle performs the idle reset for a stage: tasks that
-// departed it stop charging it, drained in ascending-ID order. Wire it
-// to sched.Stage.OnIdle.
+// departed it stop charging it, at a cost independent of how many
+// departed. Wire it to sched.Stage.OnIdle.
 func (c *Controller) HandleStageIdle(stage int) {
 	if c.st.ResetIdle(stage) > 0 {
 		c.ledgers[stage].resets++

@@ -412,3 +412,97 @@ func TestWaitQueueRegionInvariantQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMalformedTasksRejected checks every admit path rejects a task
+// that would charge a negative or non-finite contribution, or whose
+// deadline is not positive and finite: it counts as rejected and charges
+// nothing. Charged, a negative demand would create capacity, and an
+// infinite deadline would charge nothing while parking its expiry at
+// +Inf, where draining the simulator would take the clock. On the
+// quality path an optional demand outside [0, Demand] is malformed too:
+// below full quality it makes the demand negative.
+func TestMalformedTasksRejected(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	withOptional := func(tk *task.Task, opt ...float64) *task.Task {
+		for j, o := range opt {
+			tk.Subtasks[j].Optional = o
+		}
+		return tk
+	}
+	bad := []*task.Task{
+		task.Chain(1, 0, 10, -4, 0.1),
+		task.Chain(2, 0, inf, 1, 1),
+		task.Chain(3, 0, nan, 1, 1),
+		task.Chain(4, 0, 10, nan, 1),
+		task.Chain(5, 0, 10, 1, inf),
+	}
+	badOptional := []*task.Task{
+		withOptional(task.Chain(7, 0, 10, 1, 1), 0, 2),
+		withOptional(task.Chain(8, 0, 10, 1, 1), -0.5, 0),
+		withOptional(task.Chain(9, 0, 10, 1, 1), nan, 0),
+	}
+	sim := des.New()
+	c := NewController(sim, NewRegion(2), nil)
+	for _, tk := range bad {
+		if c.WouldAdmit(tk) {
+			t.Errorf("task %d: WouldAdmit accepted it", tk.ID)
+		}
+		if c.TryAdmit(tk) {
+			t.Errorf("task %d: TryAdmit admitted it", tk.ID)
+		}
+		if _, ok := c.TryAdmitQuality(tk, task.QualityLevels); ok {
+			t.Errorf("task %d: TryAdmitQuality admitted it", tk.ID)
+		}
+	}
+	for _, tk := range badOptional {
+		if _, ok := c.TryAdmitQuality(tk, task.QualityLevels); ok {
+			t.Errorf("task %d: TryAdmitQuality admitted it", tk.ID)
+		}
+	}
+	if s, want := c.Stats(), uint64(2*len(bad)+len(badOptional)); s.Rejected != want || s.Admitted != 0 {
+		t.Fatalf("stats %+v, want %d rejected and none admitted", s, want)
+	}
+	for j, u := range c.Utilizations() {
+		if u != 0 {
+			t.Fatalf("stage %d charged %v by rejected tasks", j, u)
+		}
+	}
+	if !c.TryAdmit(task.Chain(6, 0, 8, 1, 1)) {
+		t.Fatal("well-formed task rejected")
+	}
+	// Degrading an admitted task through a malformed copy charges
+	// nothing: an optional demand above the full one, or an infinite
+	// demand, whose ratio of levels is NaN.
+	before := c.Utilizations()
+	if _, ok := c.Degrade(withOptional(task.Chain(6, 0, 8, 1, 1), 0, 2), 0); ok {
+		t.Error("Degrade applied a malformed optional demand")
+	}
+	c.Degrade(withOptional(task.Chain(6, 0, 8, inf, 1), 1, 0), 0)
+	if got := c.Utilizations(); got[0] != before[0] || got[1] != before[1] {
+		t.Errorf("Degrade moved utilizations %v -> %v", before, got)
+	}
+	sim.Run()
+	if now := sim.Now(); now != 8 {
+		t.Fatalf("simulator drained to %v, want the admitted task's deadline 8", now)
+	}
+
+	// In a full region the quality search falls to the lower levels,
+	// where an optional demand above the full one is negative.
+	sim = des.New()
+	c = NewController(sim, NewRegion(2), nil)
+	for id := task.ID(1); c.TryAdmit(task.Chain(id, 0, 10, 2, 2)); id++ {
+	}
+	full := c.Utilizations()
+	if _, ok := c.TryAdmitQuality(withOptional(task.Chain(100, 0, 10, 1, 1), 0, 3), task.QualityLevels); ok {
+		t.Error("TryAdmitQuality admitted an optional demand above the full demand")
+	}
+	if got := c.Utilizations(); got[0] != full[0] || got[1] != full[1] {
+		t.Fatalf("rejected task moved utilizations %v -> %v", full, got)
+	}
+	sim.Run()
+	for j, u := range c.Utilizations() {
+		if u != 0 {
+			t.Fatalf("stage %d reads %v after every task expired", j, u)
+		}
+	}
+}

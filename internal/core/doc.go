@@ -10,10 +10,11 @@
 //     the tasks currently contributing — admitted, not yet past their
 //     deadline, not yet cleared by an idle reset. Every controller keeps
 //     these contributions in one region state (internal/tasktable, also
-//     the online controller's): one row per task, a Kahan sum per stage, and
-//     the reserved floors; StageLedger is Controller's per-stage view.
-//     Ledger is the standalone map-based account, kept as the reference
-//     the region state is tested against.
+//     the online controller's): one row per task, an exact sum of quantized
+//     charges per stage, and the reserved floors; StageLedger is
+//     Controller's per-stage view. oracle.Ledger is the standalone
+//     map-based account, kept as the reference the region state is tested
+//     against.
 //   - Stage delay theorem (Theorem 1). While U_j stays below a threshold,
 //     no task waits at stage j longer than L_j = f(U_j)·Dmax with
 //     f(U) = U(1 − U/2)/(1 − U) (Eq. 10, StageDelayFactor).

@@ -122,18 +122,22 @@ func (c *GraphController) fireRelease() {
 }
 
 // deltas returns the per-resource utilization increments of t, summing
-// nodes that share a resource, in the controller's scratch.
+// nodes that share a resource, in the controller's scratch. It returns
+// nil for a malformed task: no graph, a node off the resources, a
+// deadline that is not positive and finite, or a node whose demand
+// charges a negative or non-finite increment.
 func (c *GraphController) deltas(t *task.Task) []float64 {
-	if t.Graph == nil || t.Deadline <= 0 {
+	if t.Graph == nil || !validDeadline(t.Deadline) {
 		return nil
 	}
 	d := c.d
 	clear(d)
 	for _, n := range t.Graph.Nodes {
-		if n.Resource >= c.resources {
+		v := n.Subtask.Demand / t.Deadline
+		if n.Resource < 0 || n.Resource >= c.resources || !chargeable(v) {
 			return nil
 		}
-		d[n.Resource] += n.Subtask.Demand / t.Deadline
+		d[n.Resource] += v
 	}
 	return d
 }
@@ -302,9 +306,8 @@ func (e *graphExpiry) Fire(des.Time) {
 // MarkDeparted records that the task has no remaining work on the
 // resource, making its contribution there eligible for the idle reset.
 func (c *GraphController) MarkDeparted(resource int, id task.ID) {
-	k := key(id)
-	if slot, ok := c.st.Lookup(k); ok && c.st.Present(slot, resource) {
-		c.st.MarkDeparted(slot, resource, k)
+	if slot, ok := c.st.Lookup(key(id)); ok {
+		c.st.MarkDeparted(slot, resource)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"feasregion/internal/des"
@@ -163,5 +164,51 @@ func TestGraphControllerSteadyStateAllocationFree(t *testing.T) {
 	// so a stray runtime allocation reads 0 and one per run reads 1.
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Fatalf("%d admit + expiry cycles: %v allocs, want 0", cycles, allocs)
+	}
+}
+
+// TestGraphControllerRejectsMalformed is TestMalformedTasksRejected for
+// the DAG controller: a node demand that charges a negative or
+// non-finite increment, a node on a negative resource, or a deadline
+// that is not positive and finite, is rejected and charges nothing.
+func TestGraphControllerRejectsMalformed(t *testing.T) {
+	graph := func(d0, d1 float64) *task.Graph {
+		g := task.NewGraph()
+		g.AddNode(0, task.NewSubtask(d0))
+		g.AddNode(1, task.NewSubtask(d1))
+		return g
+	}
+	offResources := task.NewGraph()
+	offResources.AddNode(-1, task.NewSubtask(1))
+	inf, nan := math.Inf(1), math.NaN()
+	bad := []*task.Task{
+		{ID: 1, Deadline: 10, Graph: graph(-4, 0.1)},
+		{ID: 2, Deadline: inf, Graph: graph(1, 1)},
+		{ID: 3, Deadline: nan, Graph: graph(1, 1)},
+		{ID: 4, Deadline: 10, Graph: graph(nan, 1)},
+		{ID: 5, Deadline: 10, Graph: graph(1, inf)},
+		{ID: 7, Deadline: 10, Graph: offResources},
+	}
+	sim := des.New()
+	c := NewGraphController(sim, 2, 1, nil)
+	for _, tk := range bad {
+		if c.WouldAdmit(tk) || c.TryAdmit(tk) {
+			t.Errorf("task %d admitted", tk.ID)
+		}
+	}
+	if s := c.Stats(); s.Rejected != uint64(len(bad)) || s.Admitted != 0 {
+		t.Fatalf("stats %+v, want %d rejected and none admitted", s, len(bad))
+	}
+	for j, u := range c.Utilizations() {
+		if u != 0 {
+			t.Fatalf("resource %d charged %v by rejected tasks", j, u)
+		}
+	}
+	if !c.TryAdmit(&task.Task{ID: 6, Deadline: 8, Graph: graph(1, 1)}) {
+		t.Fatal("well-formed task rejected")
+	}
+	sim.Run()
+	if now := sim.Now(); now != 8 {
+		t.Fatalf("simulator drained to %v, want the admitted task's deadline 8", now)
 	}
 }

@@ -106,7 +106,7 @@ func TestLedgerResetsCounter(t *testing.T) {
 
 func TestLedgerNoDriftUnderChurn(t *testing.T) {
 	// A million add/remove pairs must leave utilization exactly zero
-	// thanks to compensated summation and empty-rebaseline.
+	// because the charges are summed exactly.
 	l := oracle.NewLedger(0)
 	g := dist.NewRNG(3)
 	id := task.ID(0)

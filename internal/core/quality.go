@@ -37,11 +37,13 @@ func (c *Controller) live(id task.ID) (int, bool) {
 // region evaluation is O(stages). On success it returns the admitted
 // level; contributions are committed at that level's demand so the
 // scheduled deadline decrement automatically credits the degraded (not
-// the full) demand back.
+// the full) demand back. Besides what TryAdmit rejects, a task whose
+// optional demand lies outside [0, Demand] at some stage is rejected as
+// malformed: below full quality its demand would be negative.
 func (c *Controller) TryAdmitQuality(t *task.Task, maxLevel int) (level int, ok bool) {
 	maxLevel = min(max(maxLevel, 0), task.QualityLevels)
 	d := c.deltasAt(t, maxLevel)
-	if d == nil {
+	if d == nil || !validOptional(t) {
 		c.reject()
 		return 0, false
 	}
@@ -50,7 +52,7 @@ func (c *Controller) TryAdmitQuality(t *task.Task, maxLevel int) (level int, ok 
 		if lv != at {
 			d, at = c.deltasAt(t, lv), lv
 		}
-		return c.admissible(d)
+		return d != nil && c.admissible(d)
 	})
 	if !ok {
 		c.reject()
@@ -110,8 +112,9 @@ func (c *Controller) commitAt(t *task.Task, d []float64, level int) {
 // degraded demand — the actuator PlanDegradation's trim list is applied
 // with. It returns the total synthetic utilization freed and reports
 // whether anything changed; raising quality or degrading an unknown,
-// expired, or fully-mandatory task is a no-op. Freed utilization retries
-// admission waiters, exactly like a deadline decrement.
+// expired, fully-mandatory or malformed (optional demand outside
+// [0, Demand]) task is a no-op. Freed utilization retries admission
+// waiters, exactly like a deadline decrement.
 func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bool) {
 	if newLevel < 0 {
 		newLevel = 0
@@ -121,7 +124,7 @@ func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bo
 		return 0, false
 	}
 	cur := int(c.st.Level(slot))
-	if newLevel >= cur || !t.HasOptional() {
+	if newLevel >= cur || !t.HasOptional() || !validOptional(t) {
 		return 0, false
 	}
 	for j := range c.ledgers {
@@ -134,6 +137,9 @@ func (c *Controller) Degrade(t *task.Task, newLevel int) (trimmed float64, ok bo
 			continue
 		}
 		next := contrib * t.StageDemandAt(j, newLevel) / curDemand
+		if !chargeable(next) { // an infinite demand
+			continue
+		}
 		c.recharge(slot, j, next)
 		trimmed += contrib - next
 	}

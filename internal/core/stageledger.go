@@ -1,14 +1,11 @@
 package core
 
-import (
-	"feasregion/internal/task"
-	"feasregion/internal/tasktable"
-)
+import "feasregion/internal/task"
 
 // StageLedger is one stage of a Controller: a view of its region state
 // (the stage's sum and reserved floor) plus the stage's peak and
-// idle-reset count. Its arithmetic is Ledger's, so its utilization is
-// bit-identical to a Ledger fed the same operations.
+// idle-reset count. Its utilization equals an oracle.Ledger's fed the
+// same operations.
 type StageLedger struct {
 	c      *Controller
 	j      int
@@ -16,9 +13,8 @@ type StageLedger struct {
 	resets uint64
 }
 
-// key maps a task ID to a table key in ID order, so the idle reset
-// drains in Ledger's ascending-ID order.
-func key(id task.ID) uint64 { return tasktable.SignedKey(int64(id)) }
+// key maps a task ID to its table key.
+func key(id task.ID) uint64 { return uint64(id) }
 
 // notePeak raises the peak to the current utilization after a charge.
 func (l *StageLedger) notePeak() {

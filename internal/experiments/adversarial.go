@@ -67,7 +67,7 @@ func runAdversarial(target, dmax float64) (delay, peak float64) {
 	st := sched.New(sim, "s0")
 	region := tasktable.NewState(1, nil)
 	charge := func(id task.ID, v float64) {
-		region.Insert(tasktable.SignedKey(int64(id)), int64(id), 0, []float64{v})
+		region.Insert(uint64(id), int64(id), 0, []float64{v})
 		peak = max(peak, region.Util(0))
 	}
 
@@ -93,7 +93,7 @@ func runAdversarial(target, dmax float64) (delay, peak float64) {
 		}
 		charge(id, c/dmax)
 		st.Submit(id, dmax, task.NewSubtask(c), nil)
-		k := tasktable.SignedKey(int64(id))
+		k := uint64(id)
 		sim.At(at+dmax, func() {
 			if slot, ok := region.Lookup(k); ok {
 				region.Drop(slot)

@@ -86,10 +86,10 @@ pol=round-robin load=2 health=true offered=1588 admitted=572 completed=574 misse
 pol=headroom-greedy load=2 health=true offered=1588 admitted=640 completed=645 missed=8 rollbacks=103 ratio=0.40302267002518893 balance=0.3928963555362038
 pol=p2c load=2 health=true offered=1588 admitted=595 completed=587 missed=10 rollbacks=57 ratio=0.37468513853904284 balance=0.40512921404489943
 scale final=5 up=4 down=0 late=0 transitions=4
-  {Tick:32 Action:scale-up Replica:1 Active:2 HeadroomFrac:0.008647374886599724 RejectRate:0.8571428571428571}
-  {Tick:40 Action:scale-up Replica:2 Active:3 HeadroomFrac:0.10005780488475507 RejectRate:0.5}
-  {Tick:46 Action:scale-up Replica:3 Active:4 HeadroomFrac:0.15095678673673707 RejectRate:0.15384615384615385}
-  {Tick:62 Action:scale-up Replica:4 Active:5 HeadroomFrac:0.422600488727786 RejectRate:0.25}
+  {Tick:32 Action:scale-up Replica:1 Active:2 HeadroomFrac:0.008647374856609824 RejectRate:0.8571428571428571}
+  {Tick:40 Action:scale-up Replica:2 Active:3 HeadroomFrac:0.10005780486924643 RejectRate:0.5}
+  {Tick:46 Action:scale-up Replica:3 Active:4 HeadroomFrac:0.15095678672228882 RejectRate:0.15384615384615385}
+  {Tick:62 Action:scale-up Replica:4 Active:5 HeadroomFrac:0.4226004887187108 RejectRate:0.25}
 `
 
 // TestAdaptGoldenUnchanged asserts the adapt experiment reproduces the

@@ -306,10 +306,9 @@ func (c *Controller) purgeLocked(mnow int64) int {
 			c.cancelled++
 			return
 		}
-		if c.st.Live(slot) {
+		if c.st.Drop(slot) {
 			expired++
 		}
-		c.st.Drop(slot)
 	})
 	if flushed > 0 || c.nextExp.Load() <= mnow {
 		if at, ok := c.whl.NextFlush(); ok {
@@ -563,8 +562,7 @@ func (c *Controller) releaseLocked(id uint64) bool {
 	if !ok {
 		return false
 	}
-	removed := c.st.Live(slot)
-	c.st.Drop(slot)
+	removed := c.st.Drop(slot)
 	if removed {
 		c.noteFreed()
 	}
@@ -595,18 +593,17 @@ func (c *Controller) ReleaseAll(ids []uint64) int {
 // making its contribution eligible for the stage's idle reset.
 func (c *Controller) MarkDeparted(stage int, id uint64) {
 	c.mu.Lock()
-	if slot, ok := c.st.Lookup(id); ok && c.st.Present(slot, stage) {
-		c.st.MarkDeparted(slot, stage, id)
+	if slot, ok := c.st.Lookup(id); ok {
+		c.st.MarkDeparted(slot, stage)
 	}
 	c.mu.Unlock()
 }
 
 // StageIdle performs the paper's idle reset for a stage: rows that
-// departed the stage stop charging it, drained in ascending-ID order
-// (cleared rows stay in the table until their deadline expiry). Call it
-// when the stage's worker pool drains (no queued or running work). The
-// reset drains the stage's departed list, so it costs what departed,
-// not the table size.
+// departed the stage stop charging it (cleared rows stay in the table
+// until their deadline expiry). Call it when the stage's worker pool
+// drains (no queued or running work). The reset costs O(1), whatever
+// departed and however large the table.
 func (c *Controller) StageIdle(stage int) {
 	c.mu.Lock()
 	c.purgeNowLocked()

@@ -149,14 +149,14 @@ func TestNegativeDemandRejected(t *testing.T) {
 		t.Fatal("TryAdmitQuality admitted a negative demand")
 	}
 	out := make([]bool, 2)
-	if n := c.TryAdmitAll([]Request{neg, req(2, time.Second, 100*time.Millisecond)}, out); n != 1 || out[0] || !out[1] {
+	if n := c.TryAdmitAll([]Request{neg, req(2, time.Second, 125*time.Millisecond)}, out); n != 1 || out[0] || !out[1] {
 		t.Fatalf("TryAdmitAll admitted %d with outcomes %v, want 1 with [false true]", n, out)
 	}
 	if s := c.Stats(); s.Rejected != 3 || s.Admitted != 1 {
 		t.Fatalf("stats %+v, want 3 rejected and 1 admitted", s)
 	}
-	if got := c.Utilizations()[0]; got != 0.1 {
-		t.Fatalf("utilization %v, want the one valid request's 0.1", got)
+	if got := c.Utilizations()[0]; got != 0.125 {
+		t.Fatalf("utilization %v, want the one valid request's 0.125", got)
 	}
 }
 

@@ -8,11 +8,10 @@
 // The controller keeps its contributions in a region state
 // (tasktable.State, the same one core.Controller keeps: one row per
 // admitted request, stamped with its absolute deadline, plus
-// Kahan-compensated per-stage sums over the reserved floors), and owns
-// the clock, a hierarchical timer wheel (internal/expiry), the lock,
-// the reject gate and the demand scaling. The state's arithmetic is
-// oracle.Ledger's, so the controller's sums are bit-identical to a set
-// of oracle.Ledgers fed the same operations.
+// exact per-stage sums over the reserved floors), and owns the clock, a
+// hierarchical timer wheel (internal/expiry), the lock, the reject gate
+// and the demand scaling. The controller's utilizations equal a set of
+// oracle.Ledgers' fed the same operations.
 //
 // Contributions are expired lazily: locked operations first purge
 // entries whose absolute deadline has passed, so no background

@@ -111,12 +111,11 @@ func decisionDigest(ds []bool) uint64 {
 // reference recorded from the single-lock plane with per-stage Ledger
 // maps (now oracle.Ledger) that this package ran before the task-table
 // data plane replaced it (decision count, digest, and the quiesce
-// Utilizations() float bits). Decisions must match exactly.
-// Utilizations must match to within rounding: the old plane unlinked a
-// released request's expiry at once (a swap-remove that reorders its
-// wheel bucket), while the wheel now leaves it for the purge to
-// discard, so later expiries are credited in a different order and the
-// Kahan sums differ in the last bits.
+// Utilizations() float bits). Decisions must match exactly. The
+// reference plane kept Kahan sums of the unrounded contributions; the
+// state charges each one rounded up to a quantum of 2^-40, so each
+// quiesce utilization may lie above the reference by less than 2^-40
+// per row still charging the stage, and never below it.
 func TestReplayMatchesSingleLockReference(t *testing.T) {
 	region := core.NewRegion(3)
 	for _, tc := range []struct {
@@ -144,8 +143,11 @@ func TestReplayMatchesSingleLockReference(t *testing.T) {
 					len(got), decisionDigest(got), tc.decisions, tc.digest, c.Stats())
 			}
 			for j, u := range c.Utilizations() {
-				if want := math.Float64frombits(tc.utilBits[j]); math.Abs(u-want) > 1e-12 {
-					t.Fatalf("stage %d: utilization %v != reference %v", j, u, want)
+				ref := math.Float64frombits(tc.utilBits[j])
+				rows := c.st.Charging(j)
+				if over := u - ref; !(over >= 0 && over < float64(rows)*0x1p-40) {
+					t.Fatalf("stage %d: utilization %v is %g above reference %v, outside [0, %d·2^-40)",
+						j, u, over, ref, rows)
 				}
 			}
 			if s := c.Stats(); s.Admitted == 0 || s.Rejected == 0 {

@@ -4,7 +4,8 @@
 package oracle
 
 import (
-	"slices"
+	"math"
+	"math/big"
 
 	"feasregion/internal/task"
 )
@@ -20,28 +21,25 @@ import (
 // utilization set aside for certified critical tasks (§5) and never
 // resets.
 //
-// The running sum uses Kahan compensation so that millions of
-// add/subtract pairs do not drift the admission test.
+// The ledger keeps each contribution as given and recomputes the sum
+// from scratch whenever it is read, in integers: each contribution is
+// rounded up to a whole number of quanta of 2^-40 (capped at 4096, as
+// tasktable.State caps it), the quanta are summed exactly, and rounding
+// happens only when the sum converts back to float64 and adds the
+// floor. No order of operations can move the result.
 //
 // Ledger is the reference oracle, not a runtime path: every controller
 // keeps its contributions in a tasktable.State, and the differential
 // tests (TestControllerMatchesLedgers, TestOneShardMatchesLedgers, the
-// tasktable fuzz target) require those states to match a set of Ledgers
-// fed the same operations bit for bit.
+// tasktable fuzz target) require those states to equal a set of Ledgers
+// fed the same operations.
 type Ledger struct {
 	reserved float64
-	sum      float64 // compensated running sum of contributions
-	comp     float64 // Kahan compensation term
 	contrib  map[task.ID]entry
-	// departed lists the IDs flagged by MarkDeparted since the last idle
-	// reset, append-only: an entry goes stale (its task expired, or was
-	// removed and re-added) without being unlinked, and ResetIdle skips
-	// stale and duplicate IDs as it drains. pending counts the flagged
-	// entries the list must still deliver.
-	departed []task.ID
-	pending  int
 	resets   uint64
 	peak     float64
+	sum, q   big.Int   // Utilization's scratch
+	f        big.Float // Utilization's scratch
 }
 
 // entry is one task's recorded contribution and whether it has departed
@@ -51,9 +49,9 @@ type entry struct {
 	departed bool
 }
 
-// compactMin is the departed-list length below which compaction is not
-// worth a sort.
-const compactMin = 64
+// maxContrib is tasktable.State's cap, kept here on its own: larger
+// contributions are charged as this much.
+const maxContrib = 1 << 12
 
 // NewLedger returns a ledger with the given reserved utilization floor.
 func NewLedger(reserved float64) *Ledger {
@@ -66,21 +64,17 @@ func NewLedger(reserved float64) *Ledger {
 	}
 }
 
-// add accumulates v into the compensated sum.
-func (l *Ledger) add(v float64) {
-	y := v - l.comp
-	t := l.sum + y
-	l.comp = (t - l.sum) - y
-	l.sum = t
-}
-
-// Utilization returns the stage's current synthetic utilization.
+// Utilization returns the stage's current synthetic utilization: the
+// floor plus the exact sum of the contributions' quanta, converted to
+// the nearest float64.
 func (l *Ledger) Utilization() float64 {
-	u := l.reserved + l.sum
-	if u < l.reserved {
-		return l.reserved
+	l.sum.SetUint64(0)
+	for _, e := range l.contrib {
+		q := math.Ceil(min(e.c, maxContrib) * (1 << 40))
+		l.sum.Add(&l.sum, l.q.SetUint64(uint64(q)))
 	}
-	return u
+	f, _ := l.f.SetInt(&l.sum).Float64()
+	return l.reserved + f/(1<<40)
 }
 
 // Reserved returns the non-resettable floor.
@@ -114,11 +108,10 @@ func (l *Ledger) Add(id task.ID, contribution float64) {
 	if _, ok := l.contrib[id]; ok {
 		panic("oracle: task added to ledger twice")
 	}
-	if contribution < 0 {
+	if !(contribution >= 0) {
 		panic("oracle: negative synthetic-utilization contribution")
 	}
 	l.contrib[id] = entry{c: contribution}
-	l.add(contribution)
 	if u := l.Utilization(); u > l.peak {
 		l.peak = u
 	}
@@ -138,17 +131,15 @@ func (l *Ledger) ResetPeak() { l.peak = l.Utilization() }
 // the admission test sees the truth. It reports whether the task was
 // present (an expired or reset contribution is not resurrected).
 func (l *Ledger) Update(id task.ID, contribution float64) bool {
-	if contribution < 0 {
+	if !(contribution >= 0) {
 		panic("oracle: negative synthetic-utilization contribution")
 	}
 	e, ok := l.contrib[id]
 	if !ok {
 		return false
 	}
-	old := e.c
 	e.c = contribution
 	l.contrib[id] = e
-	l.add(contribution - old)
 	if u := l.Utilization(); u > l.peak {
 		l.peak = u
 	}
@@ -190,20 +181,10 @@ func (l *Ledger) Contribution(id task.ID) (float64, bool) {
 // a no-op: the contribution may already have been cleared by an idle
 // reset.
 func (l *Ledger) Remove(id task.ID) bool {
-	e, ok := l.contrib[id]
-	if !ok {
+	if _, ok := l.contrib[id]; !ok {
 		return false
 	}
-	delete(l.contrib, id) // a departed-list entry for id is now stale
-	if e.departed {
-		l.pending--
-	}
-	l.add(-e.c)
-	if len(l.contrib) == 0 {
-		// Exact rebaseline whenever the ledger empties: kills any
-		// residual floating error before the next busy period.
-		l.sum, l.comp = 0, 0
-	}
+	delete(l.contrib, id)
 	return true
 }
 
@@ -211,19 +192,10 @@ func (l *Ledger) Remove(id task.ID) bool {
 // stage (it can no longer affect this stage's schedule), making its
 // contribution eligible for the idle reset.
 func (l *Ledger) MarkDeparted(id task.ID) {
-	e, ok := l.contrib[id]
-	if !ok || e.departed {
-		return // contribution already expired or reset, or already marked
+	if e, ok := l.contrib[id]; ok {
+		e.departed = true
+		l.contrib[id] = e
 	}
-	e.departed = true
-	l.contrib[id] = e
-	l.pending++
-	if n := len(l.departed); n >= compactMin && n >= 2*l.pending {
-		// Stale entries dominate (a stage that never idles sees its
-		// departed tasks expire instead): compact before growing.
-		l.departed = l.drain(false)
-	}
-	l.departed = append(l.departed, id)
 }
 
 // ResetIdle implements the paper's idle reset: when the stage has no
@@ -231,44 +203,15 @@ func (l *Ledger) MarkDeparted(id task.ID) {
 // schedule, so their contributions are removed. It returns the number of
 // contributions dropped.
 func (l *Ledger) ResetIdle() int {
-	if l.pending == 0 {
-		l.departed = l.departed[:0] // only stale entries remain
-		return 0
-	}
-	n := len(l.drain(true))
-	l.departed = l.departed[:0]
-	l.pending = 0
-	if len(l.contrib) == 0 {
-		l.sum, l.comp = 0, 0
+	n := 0
+	for id, e := range l.contrib {
+		if e.departed {
+			delete(l.contrib, id)
+			n++
+		}
 	}
 	if n > 0 {
 		l.resets++
 	}
 	return n
-}
-
-// drain sorts the departed list and compacts it in place to the live
-// flagged IDs, each once, in ascending order; with remove set it also
-// drops their contributions from the running sum, in that order. The
-// compensated sum is order-sensitive at the ULP level, so a fixed
-// (sorted) order keeps identically-seeded simulations bit-identical.
-func (l *Ledger) drain(remove bool) []task.ID {
-	ids := l.departed
-	slices.Sort(ids)
-	live := ids[:0]
-	for i, id := range ids {
-		if i > 0 && id == ids[i-1] {
-			continue // duplicate: the task was removed, re-added and re-marked
-		}
-		e, ok := l.contrib[id]
-		if !ok || !e.departed {
-			continue // stale: expired, or re-added and not yet departed
-		}
-		if remove {
-			delete(l.contrib, id)
-			l.add(-e.c)
-		}
-		live = append(live, id)
-	}
-	return live
 }

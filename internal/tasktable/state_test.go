@@ -27,20 +27,30 @@ func (o *ops) next() byte {
 // and are re-used often.
 func (o *ops) id() task.ID { return task.ID(int8(o.next()<<4) >> 4) }
 
-// value draws a contribution whose mantissa makes the Kahan sums
-// sensitive to the order of their adds and subtracts.
+// value draws a contribution whose mantissa is not a whole number of
+// quanta, so every charge rounds up. One in 256 is huge (+Inf among
+// them): capped at maxContrib, it carries the stage sum past
+// maxContrib.
 func (o *ops) value() float64 {
-	return float64(uint16(o.next())<<8|uint16(o.next())) / 65521 / 4
+	hi, lo := o.next(), o.next()
+	switch {
+	case hi < 0xFF:
+		return float64(uint16(hi)<<8|uint16(lo)) / 65521 / 4
+	case lo == 0xFF:
+		return math.Inf(1)
+	}
+	return float64(lo) * 100
 }
 
 // checkStateMatchesLedgers replays data against a State and one
-// oracle.Ledger per stage and requires every stage's utilization to agree
-// bit for bit, with equal charging counts, after every operation. The
+// oracle.Ledger per stage and requires every stage's utilization to be
+// equal, with equal charging counts, after every operation. The
 // first byte picks 1-3 stages; each following op byte picks insert,
-// recharge, ClearStage, MarkDeparted, a partial or an all-departed idle
-// reset, drop, or a floor change. Inserting an ID whose row was cleared
-// at every stage by idle resets recycles the lingering row, the ID
-// reuse the controllers' stamps guard.
+// recharge, ClearStage, MarkDeparted (of any row, charging the stage
+// or not), a partial or an all-departed idle reset, drop, or a floor
+// change. Inserting an ID whose row was cleared at every stage by idle
+// resets recycles the lingering row, the ID reuse the controllers'
+// stamps guard.
 func checkStateMatchesLedgers(t *testing.T, data []byte) {
 	o := &ops{b: data}
 	stages := 1 + int(o.next()%3)
@@ -49,7 +59,7 @@ func checkStateMatchesLedgers(t *testing.T, data []byte) {
 	for j := range ref {
 		ref[j] = oracle.NewLedger(0)
 	}
-	key := func(id task.ID) uint64 { return tasktable.SignedKey(int64(id)) }
+	key := func(id task.ID) uint64 { return uint64(id) }
 	present := func(id task.ID, j int) (int, bool) {
 		slot, ok := st.Lookup(key(id))
 		return slot, ok && st.Present(slot, j)
@@ -88,9 +98,9 @@ func checkStateMatchesLedgers(t *testing.T, data []byte) {
 			if ref[j].Remove(id) != ok {
 				t.Fatalf("step %d: clear of %d at stage %d: state present %v, ledger not", step, id, j, ok)
 			}
-		case 3:
-			if slot, ok := present(id, j); ok {
-				st.MarkDeparted(slot, j, key(id))
+		case 3: // a no-op on a row cleared at j
+			if slot, ok := st.Lookup(key(id)); ok {
+				st.MarkDeparted(slot, j)
 			}
 			ref[j].MarkDeparted(id)
 		case 4: // partial idle reset: whatever departed so far
@@ -105,7 +115,7 @@ func checkStateMatchesLedgers(t *testing.T, data []byte) {
 				if !ok {
 					t.Fatalf("step %d: ledger %d charges %d, state does not", step, j, id)
 				}
-				st.MarkDeparted(slot, j, key(id))
+				st.MarkDeparted(slot, j)
 				ref[j].MarkDeparted(id)
 			}
 			if got, want := st.ResetIdle(j), ref[j].ResetIdle(); got != want || st.Charging(j) != 0 {
@@ -125,7 +135,7 @@ func checkStateMatchesLedgers(t *testing.T, data []byte) {
 			ref[j].SetReserved(v)
 		}
 		for k, l := range ref {
-			if got, want := st.Util(k), l.Utilization(); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := st.Util(k), l.Utilization(); got != want {
 				t.Fatalf("step %d (op %d): stage %d utilization %v, ledger %v", step, op, k, got, want)
 			}
 			if got, want := st.Charging(k), l.ActiveTasks(); got != want {
