@@ -379,8 +379,10 @@ const (
 	RouteRoundRobin = cluster.RoundRobin
 	// RouteHeadroomGreedy scans every snapshot and picks the roomiest.
 	RouteHeadroomGreedy = cluster.HeadroomGreedy
-	// RoutePowerOfTwo probes two random replicas and keeps the roomier —
+	// RoutePowerOfTwo probes two replicas and keeps the roomier —
 	// near-greedy balance at O(1) cost, with the runner-up as rollback.
+	// Route's first probe is the richer of the calling P's two probes
+	// at its last placement, while that replica stays active.
 	RoutePowerOfTwo = cluster.PowerOfTwo
 )
 

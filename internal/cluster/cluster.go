@@ -26,7 +26,8 @@ type Options struct {
 	Policy Policy
 
 	// Seed drives the PowerOfTwo probe sequence (fixed seeds give
-	// deterministic placements in single-threaded tests).
+	// deterministic Router.Candidates sequences; Route's per-P probes
+	// also depend on the scheduler).
 	Seed uint64
 
 	// Initial is the starting replica count. Default Scaler.Min (or 1).

@@ -232,6 +232,127 @@ func TestRouterP2CSeedDeterminism(t *testing.T) {
 	}
 }
 
+// TestRouterCandidatesGolden pins the first 64 PowerOfTwo Candidates
+// pairs (replica IDs, preferred first) for seed 42 over four replicas
+// of equal headroom, so the order is the probe order. The simulated
+// fleet routes through Candidates, so a drift here moves its decisions;
+// TestRouterP2CSeedDeterminism only compares two routers to each other.
+func TestRouterCandidatesGolden(t *testing.T) {
+	const want = "1232200323201001102332232131022313133101031010100310123232311020" +
+		"1321103212100303231001103223203123311001023110301323032323202321"
+	clk := &fixedClock{now: time.Unix(0, 0)}
+	reps := []*Replica{newTestReplica(t, 0, clk), newTestReplica(t, 1, clk), newTestReplica(t, 2, clk), newTestReplica(t, 3, clk)}
+	r := NewRouter(PowerOfTwo, 42)
+	r.SetReplicas(reps)
+	var buf [2]*Replica
+	got := make([]byte, 0, len(want))
+	for i := 0; i < 64; i++ {
+		if k := r.Candidates(buf[:]); k != 2 {
+			t.Fatalf("pair %d: %d candidates, want 2", i, k)
+		}
+		got = append(got, byte('0'+buf[0].ID()), byte('0'+buf[1].ID()))
+	}
+	if string(got) != want {
+		t.Fatalf("Candidates pairs\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRouteConcurrentExpiring is the online-wall shape under -race: two
+// goroutines Route into four PowerOfTwo replicas on a shared virtual
+// clock that each request advances, so reservations leave by deadline
+// expiry. Per-P routing memory must not starve any replica, and no
+// admit may leave its replica outside the region.
+func TestRouteConcurrentExpiring(t *testing.T) {
+	var clock atomic.Int64
+	c := New(Options{
+		Region: core.NewRegion(3),
+		Online: online.Config{Clock: func() time.Time { return time.Unix(0, clock.Load()) }},
+		Policy: PowerOfTwo,
+		Seed:   7,
+		Scaler: AutoscalerConfig{Min: 4, Max: 4},
+	})
+	const perCaller = 20_000
+	var next atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			demands := make([]time.Duration, 3)
+			for n := 0; n < perCaller; n++ {
+				id := next.Add(1)
+				at := int64(id) * 200 * int64(time.Microsecond)
+				for cur := clock.Load(); at > cur && !clock.CompareAndSwap(cur, at); cur = clock.Load() {
+				}
+				deadline := time.Duration(5+id*7919%40) * time.Millisecond
+				for j := range demands {
+					demands[j] = deadline / time.Duration(30+(id>>j)%50)
+				}
+				rep, ok := c.Route(online.Request{ID: id, Deadline: deadline, Demands: demands})
+				if !ok {
+					continue
+				}
+				if v, b := rep.Controller().RegionValue(); v > b+1e-9 {
+					t.Errorf("request %d left replica %d at region value %v > bound %v", id, rep.ID(), v, b)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, rep := range c.Replicas() {
+		if rep.Placed() == 0 {
+			t.Errorf("replica %d received no placements", rep.ID())
+		}
+	}
+	st := c.Stats().Router
+	if st.Placed+st.Rejected != 2*perCaller || st.Rejected == 0 {
+		t.Fatalf("router stats %+v: want %d routed, some rejected", st, 2*perCaller)
+	}
+}
+
+// TestRouteForgetsRemovedReplica: once a replica leaves the active set,
+// no Route probes it again, even though every P's routing memory holds
+// it and it stays Active with the most headroom (so any probe of it
+// would admit there). Its index now holds another replica, and
+// the memory falls back to a random first probe.
+func TestRouteForgetsRemovedReplica(t *testing.T) {
+	clk := &fixedClock{now: time.Unix(0, 0)}
+	reps := []*Replica{newTestReplica(t, 0, clk), newTestReplica(t, 1, clk), newTestReplica(t, 2, clk), newTestReplica(t, 3, clk)}
+	for i, rep := range reps[1:] {
+		if !rep.TryAdmit(req(uint64(1<<40+i), 0.3)) {
+			t.Fatal("setup admit refused")
+		}
+	}
+	r := NewRouter(PowerOfTwo, 42)
+	r.SetReplicas(reps)
+	var id uint64
+	for n := 0; n < 64; n++ {
+		id++
+		rep, ok := r.Route(req(id, 1e-4))
+		if !ok {
+			t.Fatalf("route %d refused", id)
+		}
+		rep.Release(id)
+	}
+	if reps[0].Placed() == 0 {
+		t.Fatal("the richest replica never won a placement")
+	}
+	r.SetReplicas(reps[1:])
+	before := reps[0].Placed()
+	for n := 0; n < 256; n++ {
+		id++
+		rep, ok := r.Route(req(id, 1e-4))
+		if !ok || rep == reps[0] {
+			t.Fatalf("route %d landed on %v (ok %v), want one of replicas 1–3", id, rep, ok)
+		}
+		rep.Release(id)
+	}
+	if got := reps[0].Placed(); got != before {
+		t.Fatalf("removed replica admitted %d more requests", got-before)
+	}
+}
+
 func TestRouterRollbackOnRacedDrain(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(0, 0)}
 	reps := []*Replica{newTestReplica(t, 0, clk), newTestReplica(t, 1, clk)}

@@ -15,6 +15,11 @@
 //     takes no locks and performs no allocations; when a
 //     headroom-aware policy's first choice races a concurrent admit
 //     and rejects, the placement rolls back to the second choice.
+//     Power of two choices runs with memory on Route: each P re-probes
+//     the richer of its two probes at its last placement, so concurrent
+//     callers keep to their own replicas' caches. Candidates, the simulated
+//     fleet's path, draws both probes from the router's seeded stream
+//     and stays deterministic.
 //   - Autoscaler watches the fleet's aggregate headroom fraction and
 //     the router's reject rate and adds or drains replicas with
 //     hysteresis: scale-up is fast, scale-down is slow and goes

@@ -41,14 +41,14 @@ func (s State) String() string {
 //
 // The snapshot (region headroom and region value, mutually consistent)
 // is republished after every state-changing operation through the
-// replica and on every Refresh; reads never allocate. An admit
-// publishes the value its controller computed inside the admit's own
-// critical section, so it costs no second lock round; releases, idle
-// resets and the autoscaler tick publish through Refresh. Concurrent
-// publishers serialize on the seqlock. Staleness between publishes is
-// tolerated by design: routing policies treat the snapshot as a hint
-// and roll back to their second choice when a placement races a
-// reject.
+// replica and on every Refresh; reads never allocate. An admit, a
+// release and an idle reset each publish the value their controller
+// computed inside the operation's own critical section, so none costs
+// a second lock round; the autoscaler tick publishes through Refresh.
+// Concurrent publishers serialize on the seqlock. Staleness between
+// publishes is tolerated by design: routing policies treat the
+// snapshot as a hint and roll back to their second choice when a
+// placement races a reject.
 type Replica struct {
 	id    int
 	ctrl  *online.Controller
@@ -110,10 +110,10 @@ func (r *Replica) TryAdmit(req online.Request) bool {
 }
 
 // Release drops the request's contribution on all stages immediately
-// and republishes the snapshot.
+// and republishes the snapshot from the region value the release
+// computed under the same lock.
 func (r *Replica) Release(id uint64) {
-	r.ctrl.Release(id)
-	r.Refresh()
+	r.publish(r.ctrl.Release(id), r.ctrl.Bound())
 }
 
 // MarkDeparted records that the request finished its work at the stage.
@@ -122,18 +122,17 @@ func (r *Replica) MarkDeparted(stage int, id uint64) {
 }
 
 // StageIdle performs the stage's idle reset and republishes the
-// snapshot (the reset may have freed capacity the router should see).
+// snapshot (the reset may have freed capacity the router should see)
+// from the region value the reset computed under the same lock.
 func (r *Replica) StageIdle(stage int) {
-	r.ctrl.StageIdle(stage)
-	r.Refresh()
+	r.publish(r.ctrl.StageIdle(stage), r.ctrl.Bound())
 }
 
 // Refresh recomputes the replica's region headroom and value from the
-// controller and publishes them through the seqlock. It is called
-// automatically after releases and idle resets; the autoscaler calls it
-// on every tick so deadline expiries (which free capacity inside the
-// controller without a callback) become visible to routing within one
-// tick.
+// controller and publishes them through the seqlock. The autoscaler
+// calls it on every tick so deadline expiries (which free capacity
+// inside the controller without a callback) become visible to routing
+// within one tick.
 func (r *Replica) Refresh() {
 	value, bound := r.ctrl.RegionValue()
 	r.publish(value, bound)

@@ -22,10 +22,11 @@ const (
 	// the first admit races to a reject. Ties break toward the earlier
 	// (lower-ID) replica.
 	HeadroomGreedy
-	// PowerOfTwo probes two distinct seeded-random replicas, tries the
-	// one with more published headroom, and rolls back to the other
-	// when the first admit races to a reject. Equal headroom breaks
-	// toward the first probe. O(1) per placement, no scan.
+	// PowerOfTwo probes two distinct replicas, tries the one with more
+	// published headroom, and rolls back to the other when the first
+	// admit races to a reject. Equal headroom breaks toward the first
+	// probe. O(1) per placement, no scan. Route's first probe is the
+	// calling P's memory of its richer probe (see Router.Route).
 	PowerOfTwo
 )
 
@@ -62,6 +63,10 @@ type RouterStats struct {
 // so the placement hot path is lock-free and allocation-free; set
 // mutations (replicas joining, draining) serialize on an internal
 // mutex and publish a fresh slice.
+//
+// Under PowerOfTwo, equal seeds give identical Candidates sequences;
+// Route's probes come from per-P state (see Route), so its sequence
+// depends on the scheduler.
 type Router struct {
 	policy Policy
 
@@ -69,16 +74,27 @@ type Router struct {
 	mu  sync.Mutex // serializes SetReplicas copy-on-write swaps
 
 	rr  atomic.Uint64 // round-robin cursor
-	rng atomic.Uint64 // splitmix64 state for the p2c probes
+	rng atomic.Uint64 // splitmix64 state: Candidates' probes, hint seeds
+
+	hints sync.Pool // *hint, PowerOfTwo's per-P Route state
 
 	placed    atomic.Uint64
 	rollbacks atomic.Uint64
 	rejected  atomic.Uint64
 }
 
+// hint is one P's PowerOfTwo routing memory: a private probe stream and
+// the richer of the two replicas its last placement probed, with its
+// index in the active set it was read from.
+type hint struct {
+	rng  uint64
+	last *Replica
+	at   int
+}
+
 // NewRouter builds a router for the policy. seed determines the p2c
-// probe sequence (any value is fine; equal seeds give identical probe
-// sequences for deterministic tests).
+// probe sequence of Candidates (equal seeds give identical sequences
+// for deterministic tests) and seeds Route's per-P probe streams.
 func NewRouter(policy Policy, seed uint64) *Router {
 	if policy != RoundRobin && policy != HeadroomGreedy && policy != PowerOfTwo {
 		panic(fmt.Sprintf("cluster: unknown routing policy %d", int(policy)))
@@ -101,16 +117,28 @@ func (r *Router) SetReplicas(reps []*Replica) {
 	r.mu.Unlock()
 }
 
-// splitmix64 advances the probe RNG one step and returns a mixed word.
-// The atomic add keeps concurrent routers race-free while a fixed seed
-// keeps single-threaded tests deterministic.
-func (r *Router) splitmix64() uint64 {
-	x := r.rng.Add(0x9E3779B97F4A7C15)
+// golden is splitmix64's stream increment.
+const golden = 0x9E3779B97F4A7C15
+
+// splitmix64 advances the router's seeded stream one step and returns
+// a mixed word. The atomic add keeps concurrent callers race-free while
+// a fixed seed keeps single-threaded sequences deterministic.
+func (r *Router) splitmix64() uint64 { return mix(r.rng.Add(golden)) }
+
+// mix is splitmix64's output function.
+func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	return x ^ (x >> 31)
+}
+
+// other returns a second probe, uniform over the n−1 indices other
+// than i, from the high half of the random word w (the low half picks
+// a random first probe).
+func other(w uint64, i, n int) int {
+	return (i + 1 + int((w>>32)%uint64(n-1))) % n
 }
 
 // pick fills cand (capacity ≥ 2) with up to two candidate replicas in
@@ -149,14 +177,20 @@ func (r *Router) pick(set []*Replica, cand *[2]*Replica) int {
 	default: // PowerOfTwo
 		w := r.splitmix64()
 		i := int(w % uint64(n))
-		j := (i + 1 + int((w>>32)%uint64(n-1))) % n
-		if set[j].Headroom() > set[i].Headroom() {
-			i, j = j, i
-		}
+		i, j := richerFirst(set, i, other(w, i, n))
 		cand[0] = set[i]
 		cand[1] = set[j]
 		return 2
 	}
+}
+
+// richerFirst orders two probes by published headroom, richer first;
+// equal headroom keeps the first probe first.
+func richerFirst(set []*Replica, i, j int) (int, int) {
+	if set[j].Headroom() > set[i].Headroom() {
+		return j, i
+	}
+	return i, j
 }
 
 // Route places the request: the policy nominates up to two candidates,
@@ -165,28 +199,83 @@ func (r *Router) pick(set []*Replica, cand *[2]*Replica) int {
 // second choice. It returns the replica that admitted the request, or
 // nil and false when every candidate refused. The hot path takes no
 // locks and performs no allocations.
+//
+// Under PowerOfTwo the probes come from the calling P's hint, held in
+// a router-owned sync.Pool, rather than the router's shared stream:
+// the first probe is the replica this P remembers, when it still sits
+// at its remembered index of the active set, else a random one; the
+// second is random and distinct. The richer goes first, as in
+// Candidates. After a placement the P remembers whichever of its two
+// probes then has more published headroom, not the one that admitted
+// (the rule of Mitzenmacher, Prabhakar and Shah, "Load Balancing with
+// Memory", FOCS 2002, which keeps p2c's balance; remembering the
+// admitter instead cost online-wall 0.04 % of its admitted work). The
+// memory is also cache affinity: each concurrent caller keeps hitting
+// a replica whose lock, table and wheel are already in its cache, and
+// no call writes the shared stream. Candidates, the simulated fleet's
+// single-threaded path, keeps drawing both probes from that seeded
+// stream, so its decisions stay reproducible; Route draws from it only
+// to seed a new hint, when the pool has none to give.
 func (r *Router) Route(req online.Request) (*Replica, bool) {
 	set := *r.set.Load()
 	var cand [2]*Replica
-	k := r.pick(set, &cand)
-	for i := 0; i < k; i++ {
-		if cand[i].TryAdmit(req) {
+	if r.policy != PowerOfTwo || len(set) < 2 {
+		k := r.pick(set, &cand)
+		if i := r.admit(cand[:k], req); i >= 0 {
+			return cand[i], true
+		}
+		return nil, false
+	}
+	h, _ := r.hints.Get().(*hint)
+	if h == nil {
+		h = &hint{rng: r.splitmix64()}
+	}
+	h.rng += golden
+	w, n := mix(h.rng), len(set)
+	i := h.at
+	if i >= n || set[i] != h.last {
+		i = int(w % uint64(n))
+	}
+	i, j := richerFirst(set, i, other(w, i, n))
+	cand[0], cand[1] = set[i], set[j]
+	k := r.admit(cand[:], req)
+	if k >= 0 {
+		h.at, _ = richerFirst(set, i, j)
+		h.last = set[h.at]
+	}
+	r.hints.Put(h)
+	if k < 0 {
+		return nil, false
+	}
+	return cand[k], true
+}
+
+// admit tries the candidates in preference order and counts the
+// outcome. It returns the index of the candidate that admitted the
+// request, or −1 when every candidate refused.
+func (r *Router) admit(cand []*Replica, req online.Request) int {
+	for i, c := range cand {
+		if c.TryAdmit(req) {
 			r.placed.Add(1)
 			if i > 0 {
 				r.rollbacks.Add(1)
 			}
-			return cand[i], true
+			return i
 		}
 	}
 	r.rejected.Add(1)
-	return nil, false
+	return -1
 }
 
 // Candidates fills buf with the policy's current candidate replicas in
 // preference order and returns how many it chose, without admitting —
 // for integrations (e.g. the simulated cluster pipeline) that run
 // admission through their own task-shaped path and implement the
-// rollback themselves. buf must hold at least two entries.
+// rollback themselves. buf must hold at least two entries. Under
+// PowerOfTwo both probes come from the router's seeded stream and
+// Candidates keeps no memory, so a single-threaded caller sees the same
+// sequence for the same seed (Route moves the stream only when it seeds
+// a new hint).
 func (r *Router) Candidates(buf []*Replica) int {
 	if len(buf) < 2 {
 		panic(fmt.Sprintf("cluster: candidate buffer of %d needs at least 2 entries", len(buf)))

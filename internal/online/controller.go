@@ -465,11 +465,7 @@ func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, max
 	if ok {
 		c.commitLocked(id, mnow+deadline, raw, opt, lv)
 		if value != nil {
-			v := 0.0
-			for j := range utils {
-				v += core.StageDelayFactor(c.st.Util(j))
-			}
-			*value = v
+			*value = c.valueLocked()
 		}
 	} else {
 		c.rejected++
@@ -546,13 +542,21 @@ func (c *Controller) gateRejects(raw, opt []float64) bool {
 // Release drops the request's contribution on all stages immediately —
 // call it when a request is cancelled or finishes well before its
 // deadline and the caller prefers eager accounting over the idle reset.
-// The wheel entry is left to be discarded lazily at its flush (the
-// table no longer matches it). There is no purge; an expired or
-// unknown ID is a silent no-op.
-func (c *Controller) Release(id uint64) {
+// It then purges what has expired. The released row's wheel entry is
+// discarded lazily: at that purge's drain if the admit's entry is
+// still staged (so an admit released at once never enters the wheel),
+// else at its flush (the table no longer matches it). An expired or
+// unknown ID is a silent no-op. It returns the region value right
+// after, from the same critical section and clock sample: the value
+// RegionValue would read next, which a cluster replica publishes
+// without a second lock round.
+func (c *Controller) Release(id uint64) (value float64) {
 	c.mu.Lock()
 	c.releaseLocked(id)
+	c.purgeNowLocked()
+	value = c.valueLocked()
 	c.mu.Unlock()
+	return value
 }
 
 // releaseLocked removes one row; reports whether any stage still
@@ -603,18 +607,30 @@ func (c *Controller) MarkDeparted(stage int, id uint64) {
 // departed the stage stop charging it (cleared rows stay in the table
 // until their deadline expiry). Call it when the stage's worker pool
 // drains (no queued or running work). The reset costs O(1), whatever
-// departed and however large the table.
-func (c *Controller) StageIdle(stage int) {
+// departed and however large the table. It returns the region value
+// right after the reset, from the same critical section and clock
+// sample: the value RegionValue would read next, which a cluster
+// replica publishes without a second lock round.
+func (c *Controller) StageIdle(stage int) (value float64) {
 	c.mu.Lock()
 	c.purgeNowLocked()
-	n := c.st.ResetIdle(stage)
-	if n > 0 {
+	if c.st.ResetIdle(stage) > 0 {
 		c.noteFreed()
-	}
-	c.mu.Unlock()
-	if n > 0 {
 		c.idleResets.Add(1)
 	}
+	value = c.valueLocked()
+	c.mu.Unlock()
+	return value
+}
+
+// valueLocked returns the region value Σ_j f(U_j), summed in stage
+// order. Callers hold mu.
+func (c *Controller) valueLocked() float64 {
+	v := 0.0
+	for j := 0; j < c.stages; j++ {
+		v += core.StageDelayFactor(c.st.Util(j))
+	}
+	return v
 }
 
 // StageUtilization returns stage j's current synthetic utilization,
@@ -657,15 +673,10 @@ func (c *Controller) Bound() float64 { return c.boundNow() }
 // purge and one lock round, without allocating. bound − value is the
 // headroom a cluster replica publishes.
 func (c *Controller) RegionValue() (value, bound float64) {
-	var stack [maxStackStages]float64
-	utils, pooled := c.scratch(stack[:], 1)
-	if pooled != nil {
-		defer scratchPool.Put(pooled)
-	}
-	c.readUtils(utils)
-	for _, u := range utils {
-		value += core.StageDelayFactor(u)
-	}
+	c.mu.Lock()
+	c.purgeNowLocked()
+	value = c.valueLocked()
+	c.mu.Unlock()
 	return value, c.boundNow()
 }
 

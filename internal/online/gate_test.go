@@ -83,6 +83,41 @@ func TestAdmitValueMatchesRegionValue(t *testing.T) {
 	}
 }
 
+// TestReleaseAndIdleValueMatchRegionValue pins the same fused publish
+// for Release and StageIdle: the value each returns equals, bit for
+// bit, what a RegionValue call right after it reads. Requests are
+// admitted, some depart a stage and some are released while the clock
+// moves, so the releases, idle resets and their purges all change the
+// value.
+func TestReleaseAndIdleValueMatchRegionValue(t *testing.T) {
+	clk := newFakeClock()
+	c := New(core.NewRegion(3), []float64{0.05, 0.1, 0}, clk.Now)
+	check := func(op string, id uint64, v float64) {
+		t.Helper()
+		if got, _ := c.RegionValue(); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("id %d: %s value %v, RegionValue %v", id, op, v, got)
+		}
+	}
+	for id := uint64(1); id <= 3000; id++ {
+		c.TryAdmit(req(id, time.Duration(5+id%40)*time.Millisecond,
+			time.Duration(id%7)*50*time.Microsecond, time.Duration(id%5)*80*time.Microsecond, 120*time.Microsecond))
+		if id > 2 {
+			c.MarkDeparted(int(id%3), id-2)
+		}
+		// Move the clock first, so the operation's own purge has work.
+		clk.Advance(time.Duration(1+id%3) * 200 * time.Microsecond)
+		switch id % 6 {
+		case 0:
+			check("Release", id, c.Release(id-3))
+		case 3:
+			check("StageIdle", id, c.StageIdle(int(id%3)))
+		}
+	}
+	if st := c.Stats(); st.Admitted == 0 || st.Expired == 0 || st.IdleResets == 0 {
+		t.Fatalf("the run did not exercise admits, expiries and idle resets: %+v", st)
+	}
+}
+
 // TestGateFiresWithinPurgedBucket pins the exact purge-due time: inside
 // the wheel bucket that holds the earliest pending deadline, once a
 // purge has run, no purge can flush anything until the bucket ends. So
