@@ -547,8 +547,10 @@ func TestAutoscalerUndrainsBeforeSpawning(t *testing.T) {
 }
 
 // TestClusterSoakJoinDrainUnderAdmits hammers routing from many
-// goroutines while the control plane grows, drains, and ticks — the
-// -race soak from the issue checklist.
+// goroutines while the control plane grows, drains, and ticks; each
+// goroutine releases every request on the replica that admitted it, in
+// batches, so admits keep finding room. The clock is frozen, so nothing
+// expires: once everything held is released, every replica reads 0.
 func TestClusterSoakJoinDrainUnderAdmits(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(0, 0)}
 	c := New(Options{
@@ -558,27 +560,33 @@ func TestClusterSoakJoinDrainUnderAdmits(t *testing.T) {
 		Seed:   7,
 		Scaler: AutoscalerConfig{Min: 1, Max: 6},
 	})
+	type placed struct {
+		rep *Replica
+		id  uint64
+	}
 	var stop atomic.Bool
 	var next atomic.Uint64
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	held := make([][]placed, 8)
+	for g := range held {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ids := make([]uint64, 0, 16)
+			ps := make([]placed, 0, 16)
 			for !stop.Load() {
 				id := next.Add(1)
 				if rep, ok := c.Route(req(id, 0.02)); ok {
-					ids = append(ids, id)
-					if len(ids) == cap(ids) {
-						for _, rid := range ids {
-							rep.Release(rid)
+					ps = append(ps, placed{rep, id})
+					if len(ps) == cap(ps) {
+						for _, p := range ps {
+							p.rep.Release(p.id)
 						}
-						ids = ids[:0]
+						ps = ps[:0]
 					}
 				}
 				_, _ = c.Replicas()[0].Snapshot()
 			}
+			held[g] = ps
 		}()
 	}
 	deadline := time.Now().Add(100 * time.Millisecond)
@@ -601,7 +609,26 @@ func TestClusterSoakJoinDrainUnderAdmits(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if st := c.Stats(); st.Router.Placed == 0 {
+	reps := map[*Replica]bool{}
+	for _, rep := range c.Replicas() {
+		reps[rep] = true
+	}
+	for _, ps := range held {
+		for _, p := range ps {
+			p.rep.Release(p.id)
+			reps[p.rep] = true
+		}
+	}
+	st := c.Stats()
+	if st.Router.Placed == 0 {
 		t.Fatal("soak placed nothing")
 	}
+	for rep := range reps {
+		for j, u := range rep.Controller().Utilizations() {
+			if u != 0 {
+				t.Fatalf("replica %d stage %d: utilization %v after every request was released", rep.ID(), j, u)
+			}
+		}
+	}
+	t.Logf("placed %d, rejected %d", st.Router.Placed, st.Router.Rejected)
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"feasregion/internal/des"
 	"feasregion/internal/metrics"
@@ -44,22 +44,23 @@ type Stats struct {
 }
 
 // Controller is the paper's utilization-based admission controller for an
-// N-stage pipeline. Each admission test is O(N): it evaluates
-// Σ f(U_j + ΔU_j) ≤ α(1−Σβ_j) against the stages' synthetic-utilization
-// ledgers, independent of how many tasks are active. The ledgers are
-// views of one region state (tasktable.State): an admitted task is one
-// row.
+// N-stage pipeline, on the simulation clock: an Engine (the region, its
+// state and the one region test) plus the demand estimator, pooled des
+// expiry timers, per-stage peaks and release hooks. Each admission test
+// is O(N): it evaluates Σ f(U_j + ΔU_j) ≤ α(1−Σβ_j) against the stages'
+// synthetic-utilization ledgers, independent of how many tasks are
+// active. The ledgers are views of the engine's region state
+// (tasktable.State): an admitted task is one row.
 //
 // Wire it to a simulation by forwarding stage-idle events to
 // HandleStageIdle and stage completions to MarkDeparted; the controller
 // schedules the deadline decrements itself.
 type Controller struct {
 	sim      *des.Simulator
-	region   Region
-	st       tasktable.State // one row per admitted task, per-stage sums and floors
-	ledgers  []StageLedger   // per-stage views of st
+	eng      Engine
+	st       *tasktable.State // the engine's state: one row per admitted task
+	ledgers  []StageLedger    // per-stage views of st
 	estimate Estimator
-	scales   []float64 // per-stage demand multipliers; nil until first SetStageScale
 	scratch  []float64 // reusable deltas buffer; the controller is single-threaded (DES)
 	seq      int64     // admissions so far: the stamp of the latest row
 	expiries *expiry   // free list of deadline-decrement timers
@@ -79,19 +80,14 @@ type Controller struct {
 // pre-certified critical tasks (paper §5); it must have one entry per
 // stage.
 func NewController(sim *des.Simulator, region Region, reserved []float64) *Controller {
-	if reserved != nil && len(reserved) != region.Stages {
-		panic(fmt.Sprintf("core: %d reserved values for %d stages", len(reserved), region.Stages))
-	}
-	for _, f := range reserved {
-		checkReserved(f)
-	}
 	c := &Controller{
 		sim:      sim,
-		region:   region,
-		st:       tasktable.NewState(region.Stages, reserved),
+		eng:      NewEngine(region, reserved),
 		ledgers:  make([]StageLedger, region.Stages),
+		scratch:  make([]float64, region.Stages),
 		estimate: ActualDemand,
 	}
+	c.st = c.eng.State()
 	for j := range c.ledgers {
 		c.ledgers[j] = StageLedger{c: c, j: j}
 	}
@@ -124,71 +120,37 @@ func (c *Controller) SetMetrics(r *metrics.Registry) {
 	r.CounterFunc("feasregion_rejected_total", "tasks rejected by the admission test", func() float64 { return float64(c.stats.Rejected) })
 	c.metEvicted = r.Counter("feasregion_evicted_total", "in-flight tasks evicted (shedding or overrun)")
 	r.GaugeFunc("feasregion_region_value", "current region value sum f(U_j)", c.Value)
-	r.GaugeFunc("feasregion_region_headroom", "region bound minus current value; admission stops at 0", func() float64 { return c.region.Bound() - c.Value() })
+	r.GaugeFunc("feasregion_region_headroom", "region bound minus current value; admission stops at 0", func() float64 { return c.eng.Bound() - c.Value() })
 	r.CounterFunc("feasregion_degraded_admits_total", "tasks admitted below full quality", func() float64 { return float64(c.stats.Degraded) })
 	c.metTrimmed = r.Gauge("feasregion_optional_trimmed_total", "cumulative synthetic utilization trimmed from admitted tasks by quality degradation")
 	for j := range c.ledgers {
 		r.GaugeFunc("feasregion_stage_synthetic_utilization", "per-stage synthetic utilization U_j(t)", c.ledgers[j].Utilization, metrics.Stage(j))
-		r.GaugeFunc("feasregion_stage_scale", "per-stage admission demand multiplier (1 = nominal)", func() float64 { return c.scaleFor(j) }, metrics.Stage(j))
+		r.GaugeFunc("feasregion_stage_scale", "per-stage admission demand multiplier (1 = nominal)", func() float64 { return c.eng.scales[j] }, metrics.Stage(j))
 	}
 }
 
-// Region returns the controller's feasible region.
-func (c *Controller) Region() Region { return c.region }
+// Region returns the controller's feasible region. Its Betas are shared
+// and must not be written.
+func (c *Controller) Region() Region { return c.eng.Region() }
 
 // SetRegionInputs replaces the region's urgency-inversion parameter α
-// and per-stage blocking terms β_j at runtime — the actuator of the
-// adaptive estimation loop (internal/adapt): estimators that observe
-// blocking tails or urgency inversion feed tightened (or recovered)
-// inputs back into the admission bound α·(1 − Σβ_j) without touching
-// admitted contributions. A nil betas keeps the current blocking terms;
-// otherwise betas must have one non-negative entry per stage. alpha must
-// be in (0, 1]. When the bound relaxes, waiters are retried (a larger
-// bound may admit queued tasks); when it tightens, future admissions
-// simply face the smaller bound.
+// (in (0, 1]) and, unless betas is nil, its per-stage blocking terms β_j
+// at runtime — the actuator of the adaptive estimation loop
+// (internal/adapt). Admitted contributions are untouched. When the
+// bound relaxes, waiters are retried.
 func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
-	r := c.region.WithAlpha(alpha)
-	if betas != nil {
-		r = r.WithBetas(betas)
-	}
-	oldBound := c.region.Bound()
-	c.region = r
-	if r.Bound() > oldBound {
+	if c.eng.SetRegionInputs(alpha, betas) {
 		c.fireRelease()
 	}
 }
 
-// SetStageScale sets a demand multiplier for future admissions at the
-// stage — the simulation-side analogue of online.Controller.SetStageScale
-// and the actuator of the stage-health feedback loop: when a stage is
-// observed running slow, scaling its admission-time demand estimates up
-// keeps the admission test honest until it recovers (scale 1 restores
-// nominal). Already-admitted contributions are unchanged. The overrun
-// guard's budgets (EstimateFor) stay at the declared estimates: a
-// degraded stage is the platform's fault, not the task's. scale must be
-// positive and finite.
+// SetStageScale sets a positive, finite demand multiplier for future
+// admissions at the stage (1 restores nominal) — the actuator of the
+// stage-health feedback loop. Admitted contributions are unchanged. The
+// overrun guard's budgets (EstimateFor) stay at the declared estimates:
+// a degraded stage is the platform's fault, not the task's.
 func (c *Controller) SetStageScale(stage int, scale float64) {
-	if scale <= 0 || scale != scale || scale > 1e9 {
-		panic(fmt.Sprintf("core: stage scale %v must be positive and finite", scale))
-	}
-	if c.scales == nil {
-		if scale == 1 {
-			return
-		}
-		c.scales = make([]float64, len(c.ledgers))
-		for j := range c.scales {
-			c.scales[j] = 1
-		}
-	}
-	c.scales[stage] = scale
-}
-
-// scaleFor returns the stage's demand multiplier (1 when never scaled).
-func (c *Controller) scaleFor(stage int) float64 {
-	if c.scales == nil {
-		return 1
-	}
-	return c.scales[stage]
+	c.eng.SetStageScale(stage, scale)
 }
 
 // Stats returns a snapshot of admission counters.
@@ -200,21 +162,15 @@ func (c *Controller) Ledger(stage int) *StageLedger { return &c.ledgers[stage] }
 
 // Utilizations returns the current synthetic utilization of every stage.
 func (c *Controller) Utilizations() []float64 {
-	us := make([]float64, len(c.ledgers))
-	for j := range c.ledgers {
-		us[j] = c.ledgers[j].Utilization()
-	}
-	return us
+	return slices.Clone(c.st.Utils())
 }
 
-// Value returns the current region value Σ f(U_j).
-func (c *Controller) Value() float64 { return c.region.Value(c.Utilizations()) }
+// Value returns the current region value Σ f(U_j), without allocating.
+func (c *Controller) Value() float64 { return c.eng.Value() }
 
 // Headroom returns how much additional synthetic utilization stage j
-// could absorb right now (see Region.Headroom).
-func (c *Controller) Headroom(stage int) float64 {
-	return c.region.Headroom(c.Utilizations(), stage)
-}
+// could absorb right now (see Region.Headroom), without allocating.
+func (c *Controller) Headroom(stage int) float64 { return c.eng.Headroom(stage) }
 
 // OnRelease registers fn to run whenever synthetic utilization decreases
 // (deadline decrement or idle reset). Wait-queue admission retries from
@@ -261,19 +217,16 @@ func (c *Controller) deltas(t *task.Task) []float64 {
 // executed at the given quality level, reusing the same scratch buffer as
 // deltas (the degraded admission path stays allocation-free). Each
 // stage's estimate is scaled by the ratio of degraded to full demand, so
-// the quality ladder composes with approximate (mean-demand) estimators
-// and stage scales alike. It returns nil for a malformed task, which
-// every admit path rejects: a deadline that is not positive and finite
-// (an infinite one would charge nothing and never expire), or a
-// negative estimate, which would charge negative utilization and create
-// capacity. A NaN or infinite increment needs no check: the region test
-// it enters is NaN or +Inf, and fails.
+// the quality ladder composes with approximate (mean-demand) estimators;
+// the engine applies the stage scales. It returns nil for a malformed
+// task, which every admit path rejects: a deadline that is not positive
+// and finite (an infinite one would charge nothing and never expire), or
+// a negative estimate, which would charge negative utilization and
+// create capacity. A NaN or infinite increment needs no check: the
+// region test it enters is NaN or +Inf, and fails.
 func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
 	if !validDeadline(t.Deadline) {
 		return nil
-	}
-	if c.scratch == nil {
-		c.scratch = make([]float64, len(c.ledgers))
 	}
 	d := c.scratch
 	for j := range d {
@@ -287,11 +240,6 @@ func (c *Controller) deltasAt(t *task.Task, level int) []float64 {
 			return nil
 		}
 		d[j] = est / t.Deadline
-	}
-	if c.scales != nil {
-		for j := range d {
-			d[j] *= c.scales[j]
-		}
 	}
 	return d
 }
@@ -318,20 +266,11 @@ func validOptional(t *task.Task) bool {
 // test.
 func chargeable(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
-// admissible evaluates the region test for the given increments.
-func (c *Controller) admissible(d []float64) bool {
-	sum := 0.0
-	for j, dj := range d {
-		sum += StageDelayFactor(c.st.Util(j) + dj)
-	}
-	return sum <= c.region.Bound()
-}
-
 // WouldAdmit evaluates the admission test without committing: it reports
 // whether the post-admission utilization point stays inside the region.
 func (c *Controller) WouldAdmit(t *task.Task) bool {
 	d := c.deltas(t)
-	return d != nil && c.admissible(d)
+	return d != nil && c.eng.Fits(d)
 }
 
 // TryAdmit runs the admission test and, on success, commits the task's
@@ -340,7 +279,7 @@ func (c *Controller) WouldAdmit(t *task.Task) bool {
 // once and shared between the test and the commit.
 func (c *Controller) TryAdmit(t *task.Task) bool {
 	d := c.deltas(t)
-	if d == nil || !c.admissible(d) {
+	if d == nil || !c.eng.Fits(d) {
 		c.stats.Rejected++
 		return false
 	}
@@ -361,11 +300,9 @@ func (c *Controller) commitAdmit(t *task.Task) {
 // number, charges every stage, and schedules the row's expiry.
 func (c *Controller) commit(t *task.Task, d []float64, level int) {
 	c.seq++
-	c.st.Insert(key(t.ID), c.seq, uint8(level), d)
-	for j := range d {
-		if u := c.st.Util(j); u > c.ledgers[j].peak {
-			c.ledgers[j].peak = u
-		}
+	c.eng.Commit(key(t.ID), c.seq, uint8(level), d)
+	for j := range c.ledgers {
+		c.ledgers[j].notePeak()
 	}
 	e := c.expiries
 	if e != nil {
@@ -467,7 +404,7 @@ func (c *Controller) PlanShedding(t *task.Task, candidates []task.ID) (shed []ta
 	if d == nil {
 		return nil, false
 	}
-	p := c.newRegionSum(d)
+	p := c.eng.newRegionSum(d)
 	if p.fits() {
 		return nil, true
 	}
@@ -485,54 +422,6 @@ func (c *Controller) PlanShedding(t *task.Task, candidates []task.ID) (shed []ta
 	}
 	return nil, false
 }
-
-// regionSum maintains Σ f(U_j) over a tentative utilization point while
-// the shedding planners subtract contributions from it: each costs O(1)
-// instead of an O(N) re-sum. Infinite terms (U_j ≥ 1, f = +Inf) are
-// counted, never summed — Inf − Inf is NaN.
-type regionSum struct {
-	utils, terms []float64
-	sum, bound   float64
-	infinite     int
-}
-
-func (c *Controller) newRegionSum(d []float64) *regionSum {
-	p := &regionSum{
-		utils: make([]float64, len(c.ledgers)),
-		terms: make([]float64, len(c.ledgers)),
-		bound: c.region.Bound(),
-	}
-	for j := range c.ledgers {
-		p.utils[j] = c.ledgers[j].Utilization() + d[j]
-		p.terms[j] = StageDelayFactor(p.utils[j])
-		if math.IsInf(p.terms[j], 1) {
-			p.infinite++
-		} else {
-			p.sum += p.terms[j]
-		}
-	}
-	return p
-}
-
-// sub lowers stage j's utilization by delta.
-func (p *regionSum) sub(j int, delta float64) {
-	p.utils[j] -= delta
-	term := StageDelayFactor(p.utils[j])
-	if math.IsInf(p.terms[j], 1) {
-		p.infinite--
-	} else {
-		p.sum -= p.terms[j]
-	}
-	if math.IsInf(term, 1) {
-		p.infinite++
-	} else {
-		p.sum += term
-	}
-	p.terms[j] = term
-}
-
-// fits reports whether the point is inside the region.
-func (p *regionSum) fits() bool { return p.infinite == 0 && p.sum <= p.bound }
 
 // MarkDeparted records that the task has finished service at the stage,
 // making its contribution there eligible for the idle reset.

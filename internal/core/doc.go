@@ -26,12 +26,15 @@
 //     blocking. GraphRegion generalizes the sum to the longest path of a
 //     task DAG (Theorem 2, Eq. 16).
 //
-// Admission control (Controller) is then a point-in-region test: admit a
-// task iff the ledger stays inside the region with its contributions
-// added. The overrun guard (Guard), wait queue, shedding planner, and
-// reservation floors are the §5 extensions that keep the test sound when
-// declared demands lie or when certified-critical traffic bypasses it.
-//
-// Everything in this package is driven by the discrete-event simulation
-// clock; package online is the wall-clock, thread-safe counterpart.
+// Admission control is then a point-in-region test: admit a task iff
+// the ledger stays inside the region with its contributions added. The
+// clock-free Engine owns the region, the region state and the demand
+// scales, and runs the one test (Fits), the quality search (FitLevel)
+// and the commit. Controller is the engine plus the discrete-event
+// simulation clock (pooled expiry timers, the estimator, peaks, release
+// hooks); package online's controller is the same engine plus the wall
+// clock, a lock and a lock-free reject gate. The overrun guard (Guard),
+// wait queue, shedding planner, and reservation floors are the §5
+// extensions that keep the test sound when declared demands lie or when
+// certified-critical traffic bypasses it.
 package core

@@ -25,12 +25,10 @@ import (
 // row per admitted task stamped with its admission sequence number, so
 // a deadline decrement removes only its own admission's row.
 type GraphController struct {
-	sim       *des.Simulator
-	resources int
-	alpha     float64
-	betas     []float64       // nil means no blocking
-	st        tasktable.State // one column per resource
-	seq       int64           // admissions so far: the stamp of the latest row
+	sim    *des.Simulator
+	region Region          // one stage per resource; Betas nil means no blocking
+	st     tasktable.State // one column per resource
+	seq    int64           // admissions so far: the stamp of the latest row
 
 	shapes   []*shape     // distinct active structures
 	expiries *graphExpiry // free list of deadline-decrement timers
@@ -56,25 +54,19 @@ type shape struct {
 
 // NewGraphController builds a controller over the given number of
 // resources with urgency-inversion parameter alpha. betas, when non-nil,
-// holds one normalized blocking term per resource.
+// holds one normalized blocking term per resource. Both are validated
+// as Region's are.
 func NewGraphController(sim *des.Simulator, resources int, alpha float64, betas []float64) *GraphController {
-	if resources <= 0 {
-		panic(fmt.Sprintf("core: graph controller needs resources, got %d", resources))
-	}
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("core: alpha must be in (0, 1], got %v", alpha))
-	}
-	if betas != nil && len(betas) != resources {
-		panic(fmt.Sprintf("core: %d betas for %d resources", len(betas), resources))
+	r := NewRegion(resources).WithAlpha(alpha)
+	if betas != nil {
+		r = r.WithBetas(betas)
 	}
 	return &GraphController{
-		sim:       sim,
-		resources: resources,
-		alpha:     alpha,
-		betas:     append([]float64(nil), betas...),
-		st:        tasktable.NewState(resources, nil),
-		d:         make([]float64, resources),
-		utils:     make([]float64, resources),
+		sim:    sim,
+		region: r,
+		st:     tasktable.NewState(resources, nil),
+		d:      make([]float64, resources),
+		utils:  make([]float64, resources),
 	}
 }
 
@@ -83,8 +75,8 @@ func NewGraphController(sim *des.Simulator, resources int, alpha float64, betas 
 // workflow applied to Theorem 2). It must be called before the first
 // admission; calling it with active contributions panics.
 func (c *GraphController) SetReserved(reserved []float64) {
-	if len(reserved) != c.resources {
-		panic(fmt.Sprintf("core: %d reserved values for %d resources", len(reserved), c.resources))
+	if len(reserved) != c.region.Stages {
+		panic(fmt.Sprintf("core: %d reserved values for %d resources", len(reserved), c.region.Stages))
 	}
 	for i, v := range reserved {
 		checkReserved(v)
@@ -102,7 +94,7 @@ func (c *GraphController) Stats() Stats { return c.stats }
 
 // Utilizations returns the current synthetic utilization per resource.
 func (c *GraphController) Utilizations() []float64 {
-	us := make([]float64, c.resources)
+	us := make([]float64, c.region.Stages)
 	for i := range us {
 		us[i] = c.st.Util(i)
 	}
@@ -134,7 +126,7 @@ func (c *GraphController) deltas(t *task.Task) []float64 {
 	clear(d)
 	for _, n := range t.Graph.Nodes {
 		v := n.Subtask.Demand / t.Deadline
-		if n.Resource < 0 || n.Resource >= c.resources || !chargeable(v) {
+		if n.Resource < 0 || n.Resource >= c.region.Stages || !chargeable(v) {
 			return nil
 		}
 		d[n.Resource] += v
@@ -209,8 +201,8 @@ func (c *GraphController) holds(g *task.Graph, order []int) bool {
 	if cap(c.best) < len(g.Nodes) {
 		c.best = make([]float64, len(g.Nodes))
 	}
-	w := nodeDelay{g, c.utils, c.betas}
-	return g.LongestPathOrder(order, c.best[:len(g.Nodes)], w.of) <= c.alpha
+	w := nodeDelay{g, c.utils, c.region.Betas}
+	return g.LongestPathOrder(order, c.best[:len(g.Nodes)], w.of) <= c.region.Alpha
 }
 
 // find returns the active shape with g's structure, or nil.

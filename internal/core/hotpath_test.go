@@ -125,7 +125,7 @@ func TestPlanSheddingMatchesRecompute(t *testing.T) {
 		for _, u := range utils {
 			sum += StageDelayFactor(u)
 		}
-		return sum <= c.region.Bound()
+		return sum <= c.Region().Bound()
 	}
 	var want []task.ID
 	found := fits()

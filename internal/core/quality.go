@@ -4,13 +4,12 @@ import "feasregion/internal/task"
 
 // This file implements quality-aware (imprecise-computation) admission:
 // the three-step cascade of the "degrade before you reject" design. An
-// arrival is first tested at full demand; on rejection FitLevel
+// arrival is first tested at full demand; on rejection Engine.FitLevel
 // binary-searches the highest quality level whose degraded demand vector
 // still fits the region; and before evicting anyone, PlanDegradation
 // trims optional demand across already-admitted tasks in victim order,
-// evicting only tasks that are already at mandatory-only. All region
-// tests reuse the controller's scratch deltas buffer, so the degraded
-// path allocates exactly as much as the full-demand path: nothing.
+// evicting only tasks that are already at mandatory-only. The degraded
+// path, like the full-demand one, allocates nothing.
 
 // QualityOf returns the quality level the task was admitted (or since
 // degraded) at, and whether the task currently contributes to any stage
@@ -42,69 +41,23 @@ func (c *Controller) live(id task.ID) (int, bool) {
 // malformed: below full quality its demand would be negative.
 func (c *Controller) TryAdmitQuality(t *task.Task, maxLevel int) (level int, ok bool) {
 	maxLevel = min(max(maxLevel, 0), task.QualityLevels)
-	d := c.deltasAt(t, maxLevel)
-	if d == nil || !validOptional(t) {
-		c.reject()
-		return 0, false
+	var d []float64
+	if validOptional(t) {
+		level, d, ok = c.eng.FitLevel(maxLevel, t.HasOptional(), func(lv int) []float64 {
+			return c.deltasAt(t, lv)
+		})
 	}
-	at := maxLevel // the level d holds
-	level, ok = FitLevel(maxLevel, t.HasOptional(), func(lv int) bool {
-		if lv != at {
-			d, at = c.deltasAt(t, lv), lv
-		}
-		return d != nil && c.admissible(d)
-	})
 	if !ok {
-		c.reject()
+		c.stats.Rejected++
 		return 0, false
 	}
-	if level != at {
-		d = c.deltasAt(t, level)
-	}
-	c.commitAt(t, d, level)
-	return level, true
-}
-
-// FitLevel is the quality cascade's search, shared by every admission
-// plane: it returns maxLevel when fits(maxLevel) holds and otherwise,
-// when the request carries optional demand (hasOpt), binary-searches the
-// highest level below maxLevel that fits. fits must be monotone in the
-// level (demand only grows with quality), so a failing mandatory-only
-// test (level 0) rejects every level and the search needs O(log
-// maxLevel) evaluations. It reports false when no level fits.
-func FitLevel(maxLevel int, hasOpt bool, fits func(level int) bool) (int, bool) {
-	switch {
-	case fits(maxLevel):
-		return maxLevel, true
-	case !hasOpt || maxLevel == 0 || !fits(0):
-		return 0, false
-	}
-	lo, hi := 0, maxLevel-1
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if fits(mid) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, true
-}
-
-// reject records a rejected admission.
-func (c *Controller) reject() {
-	c.stats.Rejected++
-}
-
-// commitAt commits the (possibly degraded) deltas, recording the task's
-// quality level when it entered below full quality.
-func (c *Controller) commitAt(t *task.Task, d []float64, level int) {
 	if level < task.QualityLevels && t.HasOptional() {
 		c.stats.Degraded++
+		c.commit(t, d, level)
 	} else {
-		level = task.QualityLevels
+		c.commit(t, d, task.QualityLevels)
 	}
-	c.commit(t, d, level)
+	return level, true
 }
 
 // Degrade lowers an admitted task's quality level in place, scaling its
@@ -177,7 +130,7 @@ func (c *Controller) PlanDegradation(t *task.Task, candidates []*task.Task) (pla
 	if d == nil {
 		return DegradePlan{}, false
 	}
-	p := c.newRegionSum(d)
+	p := c.eng.newRegionSum(d)
 	if p.fits() {
 		return DegradePlan{}, true
 	}

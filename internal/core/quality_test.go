@@ -54,7 +54,7 @@ func TestTryAdmitQualityFallsBackToHighestFit(t *testing.T) {
 	if lv, present := c.QualityOf(2); !present || lv != level {
 		t.Fatalf("QualityOf = (%d, %v), want (%d, true)", lv, present, level)
 	}
-	if !c.region.Contains(c.Utilizations()) {
+	if !c.Region().Contains(c.Utilizations()) {
 		t.Fatal("degraded admit left the region")
 	}
 	s := c.Stats()
@@ -68,7 +68,7 @@ func TestTryAdmitQualityFallsBackToHighestFit(t *testing.T) {
 		t.Fatalf("utilization %v, want %v", u, 0.4+want)
 	}
 	d := c.deltasAt(task.Chain(99, 0, 10, tk.StageDemandAt(0, level+1)-tk.StageDemandAt(0, level)), task.QualityLevels)
-	if c.admissible(d) {
+	if c.eng.Fits(d) {
 		t.Fatal("one more quality step would still have fit: search not maximal")
 	}
 }
@@ -241,7 +241,7 @@ func TestPlanDegradationTrimsBeforeEvicting(t *testing.T) {
 			t.Fatalf("applying trim for %d failed", id)
 		}
 	}
-	if !c.admissible(c.deltasAt(arrival, 0)) {
+	if !c.eng.Fits(c.deltasAt(arrival, 0)) {
 		t.Fatal("arrival still unfit after applying the plan")
 	}
 }
@@ -336,15 +336,15 @@ func TestQualityAdmitZeroAlloc(t *testing.T) {
 	}
 	tk := imprecise(2, 0, 10, 0.9, 2, 2)
 	probe := func() {
-		// deltasAt + admissible + binary search, no commit.
+		// deltasAt + eng.Fits + binary search, no commit.
 		d := c.deltasAt(tk, task.QualityLevels)
-		if c.admissible(d) {
+		if c.eng.Fits(d) {
 			t.Fatal("probe task unexpectedly fits at full quality")
 		}
 		lo, hi := 0, task.QualityLevels-1
 		for lo < hi {
 			mid := lo + (hi-lo+1)/2
-			if c.admissible(c.deltasAt(tk, mid)) {
+			if c.eng.Fits(c.deltasAt(tk, mid)) {
 				lo = mid
 			} else {
 				hi = mid - 1

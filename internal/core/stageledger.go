@@ -23,12 +23,6 @@ func (l *StageLedger) notePeak() {
 	}
 }
 
-func checkReserved(v float64) {
-	if v < 0 || v >= 1 {
-		panic("core: reserved utilization must be in [0, 1)")
-	}
-}
-
 // Utilization returns the stage's current synthetic utilization.
 func (l *StageLedger) Utilization() float64 { return l.c.st.Util(l.j) }
 

@@ -21,28 +21,23 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 	if len(rs) == 0 {
 		return 0
 	}
-	var stack [2 * maxStackStages]float64
-	buf, pooled := c.scratch(stack[:], 2)
+	var stack [maxStackStages]float64
+	raw, pooled := c.scratch(stack[:], 1)
 	if pooled != nil {
 		defer scratchPool.Put(pooled)
 	}
-	raw, utils := buf[:c.stages], buf[c.stages:]
 	admitted := 0
 	rejected := false
 	c.mu.Lock()
 	mnow := c.purgeDueLocked()
-	bound := c.boundNow()
 	for i := range rs {
 		r := &rs[i]
 		_, ok := c.vectors(r, raw, nil)
 		if !ok {
 			c.rejectedInvalid.Add(1)
 		} else {
-			for j := range utils {
-				utils[j] = c.st.Util(j)
-			}
-			if _, ok = fitLevel(utils, c.scales, raw, nil, task.QualityLevels, bound); ok {
-				c.commitLocked(r.ID, mnow+int64(r.Deadline), raw, nil, task.QualityLevels)
+			if ok = c.eng.Fits(raw); ok {
+				c.commitLocked(r.ID, mnow+int64(r.Deadline), raw, false, task.QualityLevels)
 				admitted++
 			} else {
 				c.rejected++
@@ -54,10 +49,7 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 		}
 	}
 	if rejected {
-		for j := range utils {
-			utils[j] = c.st.Util(j)
-		}
-		c.armGateLocked(utils)
+		c.armGateLocked()
 	}
 	c.mu.Unlock()
 	return admitted
@@ -71,34 +63,23 @@ func (c *Controller) TryAdmitAll(rs []Request, out []bool) int {
 func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.region.WithAlpha(alpha) // may panic: nothing changed yet
-	if betas != nil {
-		r = r.WithBetas(betas)
-	}
-	old := c.boundNow()
-	c.region = r
-	c.boundBits.Store(math.Float64bits(r.Bound()))
-	if r.Bound() > old {
+	relaxed := c.eng.SetRegionInputs(alpha, betas) // may panic: nothing changed yet
+	c.boundBits.Store(math.Float64bits(c.eng.Bound()))
+	if relaxed {
 		c.noteFreed()
 	}
 }
 
-// SetStageScale sets a demand multiplier for future admissions at the
-// stage — the self-healing hook for degraded stages: a replica running
-// at half speed doubles every request's computation time there, so
-// scale 2 keeps the admission test honest. scale must be positive and
-// finite (scale 1 restores nominal); admitted contributions are
-// unchanged.
+// SetStageScale sets a positive, finite demand multiplier for future
+// admissions at the stage (1 restores nominal) — the self-healing hook
+// for degraded stages: at half speed, scale 2 keeps the test honest.
+// Admitted contributions are unchanged.
 func (c *Controller) SetStageScale(stage int, scale float64) {
-	if scale <= 0 || scale != scale || scale > 1e9 {
-		panic(fmt.Sprintf("online: stage scale %v must be positive and finite", scale))
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.scales[stage]
-	c.scales[stage] = scale
+	relaxed := c.eng.SetStageScale(stage, scale) // may panic: nothing changed yet
 	c.scaleBits[stage].Store(math.Float64bits(scale))
-	if scale < old {
+	if relaxed {
 		// A relaxed scale shrinks future demand charges: the armed gate's
 		// reject proof no longer covers them.
 		c.noteFreed()
@@ -106,10 +87,12 @@ func (c *Controller) SetStageScale(stage int, scale float64) {
 }
 
 // Headroom returns how much additional synthetic utilization the stage
-// can absorb right now.
+// can absorb right now, purged first, without allocating.
 func (c *Controller) Headroom(stage int) float64 {
-	us := c.Utilizations()
-	return c.Region().Headroom(us, stage)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.purgeNowLocked()
+	return c.eng.Headroom(stage)
 }
 
 // Reconcile runs one watchdog pass: a monotone purge, so clock skew

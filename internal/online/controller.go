@@ -1,8 +1,8 @@
 package online
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,9 +102,11 @@ type Stats struct {
 }
 
 // Controller is a thread-safe wall-clock admission controller enforcing
-// the multi-dimensional feasible region: one exact region test under
-// one lock, with a lock-free reject gate in front of it under sustained
-// overload. The zero value is not usable; construct with New.
+// the multi-dimensional feasible region: a core.Engine (the region, its
+// state and the one region test) under one lock, plus the wall clock,
+// an expiry wheel and a lock-free reject gate in front of the lock
+// under sustained overload. The zero value is not usable; construct
+// with New.
 type Controller struct {
 	stages int
 
@@ -112,10 +114,8 @@ type Controller struct {
 	epoch     time.Time
 	epochNano int64
 
-	// region is the current feasible region (guarded by mu); its bound
-	// and the per-stage demand multipliers are mirrored in atomics for
-	// the lock-free gate and getters.
-	region    core.Region
+	// The engine's bound and per-stage demand multipliers, mirrored
+	// in atomics for the lock-free gate and getters.
 	boundBits atomic.Uint64
 	scaleBits []atomic.Uint64
 
@@ -137,12 +137,12 @@ type Controller struct {
 
 	mu sync.Mutex
 
-	// st holds the contributions, one row per admitted request stamped
-	// with its absolute deadline, with per-stage sums over the reserved
-	// floors.
-	st     tasktable.State
-	scales []float64 // per-stage demand multipliers (scaleBits, under mu)
-	vec    []float64 // commitLocked's scratch: the vector it charges
+	// eng holds the region, the demand scales and the contributions: one
+	// row per admitted request stamped with its absolute deadline, with
+	// per-stage sums over the reserved floors. st is eng's state.
+	eng core.Engine
+	st  *tasktable.State
+	lvl []float64 // admitReq's scratch: the demand vector at a quality level
 
 	whl    *expiry.Wheel
 	origin int64 // the wheel's tick-0 time (UnixNano)
@@ -202,38 +202,27 @@ func New(region core.Region, reserved []float64, clock Clock) *Controller {
 
 // NewWithConfig builds a controller with the full option set.
 func NewWithConfig(region core.Region, cfg Config) *Controller {
-	reserved := cfg.Reserved
-	if reserved != nil && len(reserved) != region.Stages {
-		panic(fmt.Sprintf("online: %d reserved values for %d stages", len(reserved), region.Stages))
-	}
-	for _, v := range reserved {
-		if v < 0 || v >= 1 {
-			panic(fmt.Sprintf("online: reserved utilization %v outside [0, 1)", v))
-		}
-	}
 	c := &Controller{
 		stages:    region.Stages,
 		clock:     cfg.Clock,
-		region:    region,
+		eng:       core.NewEngine(region, cfg.Reserved),
 		scaleBits: make([]atomic.Uint64, region.Stages),
 		gateBits:  make([]atomic.Uint64, region.Stages),
-		scales:    make([]float64, region.Stages),
-		vec:       make([]float64, region.Stages),
+		lvl:       make([]float64, region.Stages),
 		staged:    make([]expiry.Entry, 0, stagedCap),
 	}
+	c.st = c.eng.State()
 	now := time.Now()
 	if cfg.Clock != nil {
 		now = cfg.Clock()
 	} else {
 		c.epoch, c.epochNano = now, now.UnixNano()
 	}
-	c.st = tasktable.NewState(c.stages, reserved)
 	c.whl = expiry.New(wheelGranularity, now)
 	c.origin = now.UnixNano()
 	c.maxNow = now.UnixNano()
-	c.boundBits.Store(math.Float64bits(region.Bound()))
+	c.boundBits.Store(math.Float64bits(c.eng.Bound()))
 	for j := range c.scaleBits {
-		c.scales[j] = 1
 		c.scaleBits[j].Store(math.Float64bits(1))
 	}
 	c.nextExp.Store(math.MaxInt64)
@@ -245,14 +234,6 @@ func (c *Controller) nowNano() int64 {
 		return c.clock().UnixNano()
 	}
 	return c.epochNano + int64(time.Since(c.epoch))
-}
-
-func (c *Controller) stageScale(j int) float64 {
-	return math.Float64frombits(c.scaleBits[j].Load())
-}
-
-func (c *Controller) boundNow() float64 {
-	return math.Float64frombits(c.boundBits.Load())
 }
 
 // noteFreed invalidates the overload reject gate. Must be called while
@@ -341,21 +322,18 @@ func (c *Controller) purgeDueLocked() int64 {
 	return mnow
 }
 
-// commitLocked inserts the admitted row, charging each stage
-// rawAt(raw, opt, j, lv) times its demand multiplier, and schedules the
-// row's expiry at the absolute deadline at. A degraded admit (opt
-// non-nil, lv below full quality) records lv. Callers hold mu and have
-// verified the region test.
-func (c *Controller) commitLocked(id uint64, at int64, raw, opt []float64, lv int) {
+// commitLocked inserts the admitted row, charging the engine the demand
+// vector v (the request's at level lv), and schedules the row's expiry
+// at the absolute deadline at. A degraded admit (hasOpt, lv below full
+// quality) records lv. Callers hold mu and have verified the region
+// test.
+func (c *Controller) commitLocked(id uint64, at int64, v []float64, hasOpt bool, lv int) {
 	level := uint8(task.QualityLevels)
-	if opt != nil && lv < task.QualityLevels {
+	if hasOpt && lv < task.QualityLevels {
 		level = uint8(lv)
 		c.degraded++
 	}
-	for j := range c.vec {
-		c.vec[j] = rawAt(raw, opt, j, lv) * c.scales[j]
-	}
-	c.st.Insert(id, at, level, c.vec)
+	c.eng.Commit(id, at, level, v)
 	if len(c.staged) >= stagedCap {
 		c.drainStagedLocked()
 	}
@@ -441,52 +419,37 @@ func (c *Controller) vectors(r *Request, raw, opt []float64) (hasOpt, ok bool) {
 
 // admitReq decides one well-formed request at quality maxLevel (opt nil
 // means rigid). The lock-free gate goes first, so sustained overload
-// rejects without a lock. Past it is one exact region test under mu; a
-// reject arms the gate. Returns the admitted level. On admit, a non-nil
-// value receives the region value right after the commit, summed in
-// stage order as RegionValue does, so a publishing caller needs no
-// second lock round.
+// rejects without a lock. Past it is the engine's quality search under
+// mu; a reject arms the gate. Returns the admitted level. On admit, a
+// non-nil value receives the region value right after the commit, as
+// RegionValue computes it, so a publishing caller needs no second lock
+// round.
 func (c *Controller) admitReq(id uint64, deadline int64, raw, opt []float64, maxLevel int, value *float64) (int, bool) {
 	if c.gateRejects(raw, opt) {
 		c.rejectedGate.Add(1)
 		return 0, false
 	}
-	var stack [maxStackStages]float64
-	utils, pooled := c.scratch(stack[:], 1)
-	if pooled != nil {
-		defer scratchPool.Put(pooled)
-	}
 	c.mu.Lock()
 	mnow := c.purgeDueLocked()
-	for j := range utils {
-		utils[j] = c.st.Util(j)
-	}
-	lv, ok := fitLevel(utils, c.scales, raw, opt, maxLevel, c.boundNow())
+	lv, v, ok := c.eng.FitLevel(maxLevel, opt != nil, func(lv int) []float64 {
+		// Into c.lvl even when rigid: handing back raw itself would move
+		// the caller's stack scratch to the heap.
+		for j := range c.lvl {
+			c.lvl[j] = rawAt(raw, opt, j, lv)
+		}
+		return c.lvl
+	})
 	if ok {
-		c.commitLocked(id, mnow+deadline, raw, opt, lv)
+		c.commitLocked(id, mnow+deadline, v, opt != nil, lv)
 		if value != nil {
-			*value = c.valueLocked()
+			*value = c.eng.Value()
 		}
 	} else {
 		c.rejected++
-		c.armGateLocked(utils)
+		c.armGateLocked()
 	}
 	c.mu.Unlock()
 	return lv, ok
-}
-
-// fitLevel runs the quality cascade (core.FitLevel) over the exact
-// region test Σ_j f(utils_j + d_j·scales_j) ≤ bound, where d is the
-// demand at the level; only a request with optional demand (opt
-// non-nil) is searched below maxLevel.
-func fitLevel(utils, scales, raw, opt []float64, maxLevel int, bound float64) (int, bool) {
-	return core.FitLevel(maxLevel, opt != nil, func(lv int) bool {
-		sum := 0.0
-		for j, u := range utils {
-			sum += core.StageDelayFactor(u + rawAt(raw, opt, j, lv)*scales[j])
-		}
-		return sum <= bound
-	})
 }
 
 // armGateLocked publishes the per-stage utilizations as the overload
@@ -494,10 +457,10 @@ func fitLevel(utils, scales, raw, opt []float64, maxLevel int, bound float64) (i
 // critical section can be concurrent with the arming: any later free
 // acquires mu, observes gateArmed, and bumps freedGen — which is
 // exactly the invalidation the gate checks.
-func (c *Controller) armGateLocked(utils []float64) {
+func (c *Controller) armGateLocked() {
 	c.gateSeq.Add(1) // odd: snapshot inconsistent
-	for j, u := range utils {
-		c.gateBits[j].Store(math.Float64bits(u))
+	for j := range c.gateBits {
+		c.gateBits[j].Store(math.Float64bits(c.st.Util(j)))
 	}
 	c.gateFreedGen.Store(c.freedGen.Load())
 	c.gateSeq.Add(1) // even: consistent
@@ -508,10 +471,11 @@ func (c *Controller) armGateLocked(utils []float64) {
 // gate is armed, no capacity has been freed since its snapshot, and no
 // purge is due (nextExp, the end of the earliest deadline's wheel
 // bucket, has not passed). The snapshot utilizations are lower bounds
-// on the current ones (admits only grow them), so snapshot-sum > bound
-// proves the exact test would reject too. The probe is mandatory-only
-// demand (opt nil = rigid), the quality cascade's weakest test, so a
-// gate reject implies every level fails.
+// on the current ones (admits only grow them), so failing the engine's
+// test (core.Fits) at the snapshot proves the exact test would reject
+// too. The probe is mandatory-only demand (opt nil = rigid), the
+// quality cascade's weakest test, so a gate reject implies every level
+// fails.
 func (c *Controller) gateRejects(raw, opt []float64) bool {
 	if !c.gateArmed.Load() {
 		return false
@@ -528,15 +492,27 @@ func (c *Controller) gateRejects(raw, opt []float64) bool {
 	if seq&1 != 0 {
 		return false
 	}
-	sum := 0.0
-	for j := range raw {
-		u := math.Float64frombits(c.gateBits[j].Load())
-		sum += core.StageDelayFactor(u + rawAt(raw, opt, j, 0)*c.stageScale(j))
+	var stack [3 * maxStackStages]float64
+	buf, pooled := c.scratch(stack[:], 3)
+	if pooled != nil {
+		defer scratchPool.Put(pooled)
+	}
+	n := c.stages
+	u, s, v := buf[:n], buf[n:2*n], raw
+	for j := range u {
+		u[j] = math.Float64frombits(c.gateBits[j].Load())
+		s[j] = c.StageScale(j)
 	}
 	if c.gateSeq.Load() != seq || c.freedGen.Load() != g {
 		return false
 	}
-	return sum > c.boundNow()
+	if opt != nil {
+		v = buf[2*n:]
+		for j := range v {
+			v[j] = rawAt(raw, opt, j, 0)
+		}
+	}
+	return !core.Fits(u, v, s, c.Bound())
 }
 
 // Release drops the request's contribution on all stages immediately —
@@ -554,7 +530,7 @@ func (c *Controller) Release(id uint64) (value float64) {
 	c.mu.Lock()
 	c.releaseLocked(id)
 	c.purgeNowLocked()
-	value = c.valueLocked()
+	value = c.eng.Value()
 	c.mu.Unlock()
 	return value
 }
@@ -575,20 +551,22 @@ func (c *Controller) releaseLocked(id uint64) bool {
 
 // ReleaseAll drops a burst of contributions — the batch mirror of
 // Release, for services that complete requests in bursts — with one
-// lock acquisition and one purge. Returns how many IDs still had a live
-// contribution.
+// lock acquisition and one purge. Like Release it releases first, so
+// the purge's drain discards the batch's staged expiry entries, and an
+// ID whose deadline passed unpurged counts as released, not expired.
+// Returns how many IDs still had a live contribution.
 func (c *Controller) ReleaseAll(ids []uint64) int {
 	if len(ids) == 0 {
 		return 0
 	}
 	released := 0
 	c.mu.Lock()
-	c.purgeNowLocked()
 	for _, id := range ids {
 		if c.releaseLocked(id) {
 			released++
 		}
 	}
+	c.purgeNowLocked()
 	c.mu.Unlock()
 	return released
 }
@@ -618,19 +596,9 @@ func (c *Controller) StageIdle(stage int) (value float64) {
 		c.noteFreed()
 		c.idleResets.Add(1)
 	}
-	value = c.valueLocked()
+	value = c.eng.Value()
 	c.mu.Unlock()
 	return value
-}
-
-// valueLocked returns the region value Σ_j f(U_j), summed in stage
-// order. Callers hold mu.
-func (c *Controller) valueLocked() float64 {
-	v := 0.0
-	for j := 0; j < c.stages; j++ {
-		v += core.StageDelayFactor(c.st.Util(j))
-	}
-	return v
 }
 
 // StageUtilization returns stage j's current synthetic utilization,
@@ -646,27 +614,22 @@ func (c *Controller) StageUtilization(j int) float64 {
 // Utilizations returns the current per-stage synthetic utilizations,
 // purged first, as one consistent cut.
 func (c *Controller) Utilizations() []float64 {
-	us := make([]float64, c.stages)
-	c.readUtils(us)
+	c.mu.Lock()
+	c.purgeNowLocked()
+	us := slices.Clone(c.st.Utils())
+	c.mu.Unlock()
 	return us
 }
 
-// readUtils fills utils with each stage's utilization after one clock
-// sample and one purge.
-func (c *Controller) readUtils(utils []float64) {
-	c.mu.Lock()
-	c.purgeNowLocked()
-	for j := range utils {
-		utils[j] = c.st.Util(j)
-	}
-	c.mu.Unlock()
+// StageScale returns stage j's demand multiplier without locking.
+func (c *Controller) StageScale(j int) float64 {
+	return math.Float64frombits(c.scaleBits[j].Load())
 }
 
-// StageScale returns stage j's demand multiplier without locking.
-func (c *Controller) StageScale(j int) float64 { return c.stageScale(j) }
-
 // Bound returns the current admission bound α·(1−Σβ) without locking.
-func (c *Controller) Bound() float64 { return c.boundNow() }
+func (c *Controller) Bound() float64 {
+	return math.Float64frombits(c.boundBits.Load())
+}
 
 // RegionValue returns the region value Σ_j f(U_j), summed in stage
 // order, together with the admission bound — one clock sample, one
@@ -675,20 +638,18 @@ func (c *Controller) Bound() float64 { return c.boundNow() }
 func (c *Controller) RegionValue() (value, bound float64) {
 	c.mu.Lock()
 	c.purgeNowLocked()
-	value = c.valueLocked()
+	value = c.eng.Value()
 	c.mu.Unlock()
-	return value, c.boundNow()
+	return value, c.Bound()
 }
 
 // Region returns a copy of the controller's current feasible region
 // (the base configuration, or the latest SetRegionInputs update).
 func (c *Controller) Region() core.Region {
 	c.mu.Lock()
-	r := c.region
+	r := c.eng.Region()
 	c.mu.Unlock()
-	if r.Betas != nil {
-		r.Betas = append([]float64(nil), r.Betas...)
-	}
+	r.Betas = slices.Clone(r.Betas)
 	return r
 }
 

@@ -1,9 +1,6 @@
 package online
 
-import (
-	"feasregion/internal/core"
-	"feasregion/internal/metrics"
-)
+import "feasregion/internal/metrics"
 
 // RegisterMetrics describes the controller's state to the registry as
 // read-on-scrape series, so the admission hot path is untouched: counter
@@ -39,16 +36,10 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 		r.GaugeFunc("feasregion_online_stage_scale", "per-stage admission demand multiplier (1 = nominal)",
 			func() float64 { return c.StageScale(j) }, metrics.Stage(j))
 	}
-	value := func() float64 {
-		sum := 0.0
-		for _, u := range c.Utilizations() {
-			sum += core.StageDelayFactor(u)
-		}
-		return sum
-	}
-	r.GaugeFunc("feasregion_online_region_value", "current region value sum f(U_j)", value)
+	r.GaugeFunc("feasregion_online_region_value", "current region value sum f(U_j)",
+		func() float64 { v, _ := c.RegionValue(); return v })
 	r.GaugeFunc("feasregion_online_region_bound", "current admission bound α·(1−Σβ_j); moves under adaptive estimation",
 		c.Bound)
 	r.GaugeFunc("feasregion_online_region_headroom", "region bound minus current value; admission stops at 0",
-		func() float64 { return c.Bound() - value() })
+		func() float64 { v, b := c.RegionValue(); return b - v })
 }

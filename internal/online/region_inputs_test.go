@@ -122,6 +122,27 @@ func TestReleaseAllBatch(t *testing.T) {
 	}
 }
 
+// TestReleaseAllCancelsStagedExpiries: like Release, ReleaseAll releases
+// before its purge, so the purge's drain discards the batch's own staged
+// expiry entries instead of filing them into the wheel until their
+// deadlines.
+func TestReleaseAllCancelsStagedExpiries(t *testing.T) {
+	clk := newFakeClock()
+	c := New(core.NewRegion(1), nil, clk.Now)
+	ids := []uint64{1, 2, 3}
+	for _, id := range ids {
+		if !c.TryAdmit(req(id, time.Hour, time.Minute)) {
+			t.Fatalf("request %d rejected", id)
+		}
+	}
+	if n := c.ReleaseAll(ids); n != len(ids) {
+		t.Fatalf("ReleaseAll = %d, want %d", n, len(ids))
+	}
+	if st := c.Stats(); st.Cancelled != uint64(len(ids)) || st.Expired != 0 {
+		t.Fatalf("after ReleaseAll: Cancelled %d, Expired %d; want %d, 0", st.Cancelled, st.Expired, len(ids))
+	}
+}
+
 // TestSetRegionInputsConcurrentSoak: α swaps (the α of several
 // priority orders) racing TryAdmit and Release must stay data-race-free
 // (run under -race) and keep the controller consistent — every admit

@@ -14,9 +14,11 @@ import (
 // A contribution v is charged rounded up to a whole number of quanta of
 // 2^-40 (v capped at maxContrib = 4096), and each stage sums its charges
 // exactly (qsum): no add or subtract rounds, so the order of operations
-// cannot move a sum. Util rounds when it adds the floor (and, past
-// maxContrib, once before). The charged point is never below the true
-// one: a stage is over-charged by less than 2^-40 per row.
+// cannot move a sum. A stage's utilization (Util; Utils reads them all
+// as one slice, the point a region test evaluates) is floor + sum,
+// recomputed whenever either moves: it rounds when it adds the floor
+// (and, past maxContrib, once before). The charged point is never below
+// the true one: a stage is over-charged by less than 2^-40 per row.
 //
 // A row's tag at stage j records where it stands against the stage's
 // epoch e, which every clearing idle reset bumps:
@@ -32,6 +34,7 @@ import (
 // bits, so an epoch never wraps: it would take 2^64 resets of a stage.
 type State struct {
 	stage []stageSum
+	util  []float64 // stage j's floor + sum, refreshed on every change to either
 	Table
 }
 
@@ -81,22 +84,30 @@ func NewState(stages int, floors []float64) State {
 	}
 	s := State{
 		stage: make([]stageSum, stages),
+		util:  make([]float64, stages),
 		Table: newTable(stages),
 	}
 	for j := range s.stage {
 		s.stage[j].epoch = 1
 	}
 	for j, f := range floors {
-		s.stage[j].floor = f
+		s.SetFloor(j, f)
 	}
 	return s
 }
 
 // Util returns stage j's synthetic utilization: its floor plus the
 // charges of the rows charging it.
-func (s *State) Util(j int) float64 {
+func (s *State) Util(j int) float64 { return s.util[j] }
+
+// Utils returns every stage's utilization, one entry per stage, without
+// copying: the caller must not write it, and it changes with the state.
+func (s *State) Utils() []float64 { return s.util }
+
+// refresh recomputes stage j's utilization after its floor or sum moved.
+func (s *State) refresh(j int) {
 	st := &s.stage[j]
-	return st.floor + st.sum.float()
+	s.util[j] = st.floor + st.sum.float()
 }
 
 // Floor returns stage j's reserved floor.
@@ -104,7 +115,10 @@ func (s *State) Floor(j int) float64 { return s.stage[j].floor }
 
 // SetFloor replaces stage j's reserved floor; charged contributions are
 // untouched.
-func (s *State) SetFloor(j int, v float64) { s.stage[j].floor = v }
+func (s *State) SetFloor(j int, v float64) {
+	s.stage[j].floor = v
+	s.refresh(j)
+}
 
 // Charging returns how many rows still charge stage j.
 func (s *State) Charging(j int) int { return s.stage[j].nlive }
@@ -152,6 +166,7 @@ func (s *State) Insert(id uint64, stamp int64, level uint8, d []float64) int {
 		tags[j] = 0
 		stage[j].sum.add(charge(v))
 		stage[j].nlive++
+		s.refresh(j)
 	}
 	return slot
 }
@@ -176,6 +191,7 @@ func (s *State) uncharge(slot, j int) {
 	st := &s.stage[j]
 	q := charge(s.contribs[i])
 	st.sum.sub(q)
+	s.refresh(j)
 	st.nlive--
 	if s.tags[i] != 0 { // departed, pending the next reset
 		st.pending.sub(q)
@@ -192,6 +208,7 @@ func (s *State) Recharge(slot, j int, v float64) {
 	s.contribs[i] = v
 	st.sum.sub(old)
 	st.sum.add(q)
+	s.refresh(j)
 	if s.tags[i] != 0 {
 		st.pending.sub(old)
 		st.pending.add(q)
@@ -230,6 +247,7 @@ func (s *State) ResetIdle(j int) int {
 		return 0
 	}
 	st.sum.subSum(st.pending)
+	s.refresh(j)
 	st.nlive -= n
 	st.pending, st.npending = qsum{}, 0
 	st.epoch++
