@@ -381,8 +381,8 @@ const (
 	RouteHeadroomGreedy = cluster.HeadroomGreedy
 	// RoutePowerOfTwo probes two replicas and keeps the roomier —
 	// near-greedy balance at O(1) cost, with the runner-up as rollback.
-	// Route's first probe is the richer of the calling P's two probes
-	// at its last placement, while that replica stays active.
+	// Route probes inside the calling P's home share of the replicas,
+	// first the richer of its two probes at its last placement.
 	RoutePowerOfTwo = cluster.PowerOfTwo
 )
 
@@ -390,7 +390,8 @@ const (
 // lifetime counters.
 type ClusterRouter = cluster.Router
 
-// RouterStats counts placements, rollbacks, and rejections.
+// RouterStats counts placements, rollbacks, rejections and home-share
+// handoffs.
 type RouterStats = cluster.RouterStats
 
 // Autoscaler watches aggregate region headroom and router reject rate

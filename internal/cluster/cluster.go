@@ -48,7 +48,7 @@ type Options struct {
 
 // Stats aggregates cluster-level counters.
 type Stats struct {
-	// Router counters (placements, rollbacks, rejects).
+	// Router counters (placements, rollbacks, rejects, share handoffs).
 	Router RouterStats
 	// Active and Draining are current fleet composition counts;
 	// Spawned and Removed are lifetime totals.
@@ -328,6 +328,8 @@ func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(c.router.Stats().Rollbacks) })
 	r.CounterFunc("feasregion_cluster_route_rejects_total", "requests no candidate replica admitted",
 		func() float64 { return float64(c.router.Stats().Rejected) })
+	r.CounterFunc("feasregion_cluster_share_handoffs_total", "replica ownership changes between Route callers' home shares",
+		func() float64 { return float64(c.router.Stats().Handoffs) })
 	for _, rep := range c.replicas {
 		c.registerReplicaMetricsLocked(rep)
 	}

@@ -15,11 +15,15 @@
 //     takes no locks and performs no allocations; when a
 //     headroom-aware policy's first choice races a concurrent admit
 //     and rejects, the placement rolls back to the second choice.
-//     Power of two choices runs with memory on Route: each P re-probes
-//     the richer of its two probes at its last placement, so concurrent
-//     callers keep to their own replicas' caches. Candidates, the simulated
-//     fleet's path, draws both probes from the router's seeded stream
-//     and stays deterministic.
+//     Under power of two choices, Route gives each concurrent caller
+//     (a per-P hint) a home share of the replicas: callers claim
+//     ownership of about n/callers replicas each, a caller that stops
+//     routing loses its share to the others' rescans, and p2c with
+//     memory (re-probe the richer of the last placement's two probes)
+//     runs inside the share. Two callers thus stop admitting on the same
+//     replica, whose lock, table and wheel would otherwise move between
+//     their cores. Candidates, the simulated fleet's path, draws both
+//     probes from the router's seeded stream and stays deterministic.
 //   - Autoscaler watches the fleet's aggregate headroom fraction and
 //     the router's reject rate and adds or drains replicas with
 //     hysteresis: scale-up is fast, scale-down is slow and goes

@@ -65,6 +65,13 @@ type Replica struct {
 	// placed counts successful admissions routed through this replica
 	// over its lifetime — the router's balance evidence.
 	placed atomic.Uint64
+
+	// owner is the Route caller whose home share holds the replica
+	// (nil when none; see Router.Route). Callers read it only at their
+	// rescans; the pads keep it off the lines every admit writes.
+	_     [64]byte
+	owner atomic.Pointer[hint]
+	_     [56]byte
 }
 
 // NewReplica wraps an admission controller as a cluster replica. The

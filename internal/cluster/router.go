@@ -25,8 +25,9 @@ const (
 	// PowerOfTwo probes two distinct replicas, tries the one with more
 	// published headroom, and rolls back to the other when the first
 	// admit races to a reject. Equal headroom breaks toward the first
-	// probe. O(1) per placement, no scan. Route's first probe is the
-	// calling P's memory of its richer probe (see Router.Route).
+	// probe. O(1) per placement, no scan. Route probes inside the
+	// calling P's home share of the replicas, first the richer probe
+	// of its last placement (see Router.Route).
 	PowerOfTwo
 )
 
@@ -56,6 +57,11 @@ type RouterStats struct {
 	Rollbacks uint64
 	// Rejected counts requests no candidate replica would admit.
 	Rejected uint64
+	// Handoffs counts replica ownership changes between Route callers'
+	// home shares under PowerOfTwo: claims of free replicas and
+	// takeovers from owners above their fair share. It settles once
+	// the callers hold disjoint shares.
+	Handoffs uint64
 }
 
 // Router places arriving requests on replicas chosen by its policy.
@@ -65,8 +71,8 @@ type RouterStats struct {
 // mutex and publish a fresh slice.
 //
 // Under PowerOfTwo, equal seeds give identical Candidates sequences;
-// Route's probes come from per-P state (see Route), so its sequence
-// depends on the scheduler.
+// Route's probes come from per-P state and home shares (see Route), so
+// its sequence depends on the scheduler.
 type Router struct {
 	policy Policy
 
@@ -81,15 +87,7 @@ type Router struct {
 	placed    atomic.Uint64
 	rollbacks atomic.Uint64
 	rejected  atomic.Uint64
-}
-
-// hint is one P's PowerOfTwo routing memory: a private probe stream and
-// the richer of the two replicas its last placement probed, with its
-// index in the active set it was read from.
-type hint struct {
-	rng  uint64
-	last *Replica
-	at   int
+	handoffs  atomic.Uint64 // home-share ownership changes (see Route)
 }
 
 // NewRouter builds a router for the policy. seed determines the p2c
@@ -200,27 +198,43 @@ func richerFirst(set []*Replica, i, j int) (int, int) {
 // nil and false when every candidate refused. The hot path takes no
 // locks and performs no allocations.
 //
-// Under PowerOfTwo the probes come from the calling P's hint, held in
-// a router-owned sync.Pool, rather than the router's shared stream:
-// the first probe is the replica this P remembers, when it still sits
-// at its remembered index of the active set, else a random one; the
-// second is random and distinct. The richer goes first, as in
-// Candidates. After a placement the P remembers whichever of its two
-// probes then has more published headroom, not the one that admitted
-// (the rule of Mitzenmacher, Prabhakar and Shah, "Load Balancing with
-// Memory", FOCS 2002, which keeps p2c's balance; remembering the
-// admitter instead cost online-wall 0.04 % of its admitted work). The
-// memory is also cache affinity: each concurrent caller keeps hitting
-// a replica whose lock, table and wheel are already in its cache, and
-// no call writes the shared stream. Candidates, the simulated fleet's
-// single-threaded path, keeps drawing both probes from that seeded
-// stream, so its decisions stay reproducible; Route draws from it only
-// to seed a new hint, when the pool has none to give.
+// Under PowerOfTwo each caller routes inside a home share of the
+// active replicas. A caller is the calling P's hint, held in a
+// router-owned sync.Pool: a private probe stream, a remembered replica
+// and a heartbeat that counts its routes. Each replica records the
+// caller whose share holds it. Every 16 of its routes, and at once
+// when the active set changes, a caller rescans those owner words: it
+// claims free replicas up to ⌈n/m⌉ for m live owners, itself
+// included, and while it holds fewer than ⌊n/m⌋ it takes one replica
+// per rescan from an owner above that ceiling. A replica is free when
+// it has no owner or when its owner's heartbeat has not moved between
+// two consecutive rescans of the scanner, so liveness follows the
+// callers' progress, not a timer. The region test reads only the
+// replica's own ledgers, so no placement needs a replica outside the
+// caller's share, and each replica's lock, table and wheel stay on
+// one caller's core instead of moving between cores with every other
+// request. Stats().Handoffs counts the ownership changes.
+//
+// Inside the share the probes are p2c with memory: the first probe is
+// the replica the caller remembers, when it still sits at its
+// remembered index of the share, else a random one; the second is
+// random and distinct. The richer goes first, as in Candidates. After
+// a placement the caller remembers whichever of its two probes then
+// has more published headroom, not the one that admitted (the rule of
+// Mitzenmacher, Prabhakar and Shah, "Load Balancing with Memory", FOCS
+// 2002, which keeps p2c's balance). A caller whose share holds fewer
+// than two replicas (more callers than n/2) probes the whole active
+// set by the same rule. A lone caller owns every replica in index
+// order, so its probes are those of p2c with memory over the whole
+// set. Candidates, the simulated fleet's single-threaded path, keeps
+// drawing both probes from the router's seeded stream and keeps no
+// share, so its decisions stay reproducible; Route draws from that
+// stream only to seed a new hint, when the pool has none to give.
 func (r *Router) Route(req online.Request) (*Replica, bool) {
-	set := *r.set.Load()
-	var cand [2]*Replica
-	if r.policy != PowerOfTwo || len(set) < 2 {
-		k := r.pick(set, &cand)
+	setp := r.set.Load()
+	if r.policy != PowerOfTwo || len(*setp) < 2 {
+		var cand [2]*Replica
+		k := r.pick(*setp, &cand)
 		if i := r.admit(cand[:k], req); i >= 0 {
 			return cand[i], true
 		}
@@ -228,7 +242,23 @@ func (r *Router) Route(req online.Request) (*Replica, bool) {
 	}
 	h, _ := r.hints.Get().(*hint)
 	if h == nil {
-		h = &hint{rng: r.splitmix64()}
+		h = r.newHint()
+	}
+	rep, ok := r.routeShare(h, setp, req)
+	r.hints.Put(h)
+	return rep, ok
+}
+
+// routeShare is Route's PowerOfTwo path for the caller h over the
+// active set *setp, which holds at least two replicas.
+func (r *Router) routeShare(h *hint, setp *[]*Replica, req online.Request) (*Replica, bool) {
+	h.beat.Add(1)
+	if h.left--; h.left <= 0 || h.set != setp {
+		r.rescan(h, setp)
+	}
+	set := h.share
+	if len(set) < 2 {
+		set = *setp
 	}
 	h.rng += golden
 	w, n := mix(h.rng), len(set)
@@ -237,16 +267,13 @@ func (r *Router) Route(req online.Request) (*Replica, bool) {
 		i = int(w % uint64(n))
 	}
 	i, j := richerFirst(set, i, other(w, i, n))
-	cand[0], cand[1] = set[i], set[j]
+	cand := [2]*Replica{set[i], set[j]}
 	k := r.admit(cand[:], req)
-	if k >= 0 {
-		h.at, _ = richerFirst(set, i, j)
-		h.last = set[h.at]
-	}
-	r.hints.Put(h)
 	if k < 0 {
 		return nil, false
 	}
+	h.at, _ = richerFirst(set, i, j)
+	h.last = set[h.at]
 	return cand[k], true
 }
 
@@ -306,5 +333,6 @@ func (r *Router) Stats() RouterStats {
 		Placed:    r.placed.Load(),
 		Rollbacks: r.rollbacks.Load(),
 		Rejected:  r.rejected.Load(),
+		Handoffs:  r.handoffs.Load(),
 	}
 }

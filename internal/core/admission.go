@@ -148,9 +148,12 @@ func (c *Controller) SetRegionInputs(alpha float64, betas []float64) {
 // admissions at the stage (1 restores nominal) — the actuator of the
 // stage-health feedback loop. Admitted contributions are unchanged. The
 // overrun guard's budgets (EstimateFor) stay at the declared estimates:
-// a degraded stage is the platform's fault, not the task's.
+// a degraded stage is the platform's fault, not the task's. When the
+// scale falls, waiters are retried.
 func (c *Controller) SetStageScale(stage int, scale float64) {
-	c.eng.SetStageScale(stage, scale)
+	if c.eng.SetStageScale(stage, scale) {
+		c.fireRelease()
+	}
 }
 
 // Stats returns a snapshot of admission counters.

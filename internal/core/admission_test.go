@@ -212,6 +212,25 @@ func TestWaitQueueAdmitsAfterRelease(t *testing.T) {
 	}
 }
 
+// TestWaitQueueRetriesWhenScaleRelaxes: a task held because a stage's
+// scale inflates its demand is admitted as soon as the scale falls, as
+// it is when SetRegionInputs relaxes the bound.
+func TestWaitQueueRetriesWhenScaleRelaxes(t *testing.T) {
+	sim := des.New()
+	c := NewController(sim, NewRegion(1), nil)
+	c.SetStageScale(0, 4)
+	var admitted []*task.Task
+	w := NewWaitQueue(sim, c, 1.0, func(tk *task.Task) { admitted = append(admitted, tk) })
+	w.Submit(task.Chain(1, 0, 10, 2)) // 4·0.2 = 0.8 > 0.586: held
+	if len(admitted) != 0 {
+		t.Fatal("task admitted under scale 4")
+	}
+	c.SetStageScale(0, 1)
+	if len(admitted) != 1 || w.Stats().AdmittedAfterWait != 1 {
+		t.Fatalf("after the scale fell: admitted %d, stats %+v; want the held task admitted", len(admitted), w.Stats())
+	}
+}
+
 func TestWaitQueueTimeout(t *testing.T) {
 	sim := des.New()
 	c := NewController(sim, NewRegion(1), nil)
