@@ -1,6 +1,8 @@
 // Command pipesim runs one configurable pipeline simulation and reports
 // the resulting utilization, acceptance, miss-ratio, and response-time
 // statistics. It is the interactive companion to cmd/experiments.
+// Its p50/p95/p99 come from its own P² estimators (stats.Quantile), fed
+// by the pipeline's OnComplete callback over the measurement window.
 //
 // Example:
 //
@@ -11,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"feasregion/internal/baseline"
@@ -21,45 +25,59 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/dist"
 	"feasregion/internal/pipeline"
+	"feasregion/internal/stats"
 	"feasregion/internal/task"
 	"feasregion/internal/trace"
 	"feasregion/internal/workload"
 )
 
 func main() {
+	code, _ := run(os.Args[1:], os.Stdout, os.Stderr)
+	os.Exit(code)
+}
+
+// run is pipesim with its arguments and output streams; it returns the
+// exit code and the response-time p50, p95 and p99 it printed.
+func run(args []string, stdout, stderr io.Writer) (code int, resp [3]float64) {
+	fs := flag.NewFlagSet("pipesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		stages     = flag.Int("stages", 2, "pipeline length N")
-		load       = flag.Float64("load", 1.0, "offered load as a fraction of bottleneck stage capacity")
-		resolution = flag.Float64("resolution", 100, "mean deadline / mean total computation")
-		imbalance  = flag.Float64("imbalance", 1, "two-stage mean-demand ratio (requires -stages 2 when != 1)")
-		policyName = flag.String("policy", "dm", "scheduling policy: dm, edf, random, fifo")
-		admission  = flag.String("admission", "exact", "admission control: exact, approx, split, none")
-		alpha      = flag.Float64("alpha", 0, "urgency-inversion parameter override (0 = policy default)")
-		maxWait    = flag.Float64("maxwait", 0, "hold non-admissible arrivals up to this long")
-		noReset    = flag.Bool("noreset", false, "disable the idle reset (ablation)")
-		horizon    = flag.Float64("horizon", 4000, "simulated time units of arrivals")
-		warmup     = flag.Float64("warmup", 400, "warmup before measurement starts")
-		seed       = flag.Int64("seed", 1, "random seed")
-		traceOut   = flag.String("trace", "", "write an event trace CSV to this file (implies a short horizon is wise)")
-		replayPath = flag.String("replay", "", "replay a workload trace CSV (arrival,deadline,c1..cN) instead of generating one")
-		recordPath = flag.String("record", "", "also save the generated workload as a replayable CSV")
-		timeline   = flag.Bool("timeline", false, "print an ASCII execution timeline (use with small -horizon)")
-		curvePlot  = flag.Bool("curve", false, "print the synthetic-utilization step curves (paper Fig. 1) per stage")
+		stages     = fs.Int("stages", 2, "pipeline length N")
+		load       = fs.Float64("load", 1.0, "offered load as a fraction of bottleneck stage capacity")
+		resolution = fs.Float64("resolution", 100, "mean deadline / mean total computation")
+		imbalance  = fs.Float64("imbalance", 1, "two-stage mean-demand ratio (requires -stages 2 when != 1)")
+		policyName = fs.String("policy", "dm", "scheduling policy: dm, edf, random, fifo")
+		admission  = fs.String("admission", "exact", "admission control: exact, approx, split, none")
+		alpha      = fs.Float64("alpha", 0, "urgency-inversion parameter override (0 = policy default)")
+		maxWait    = fs.Float64("maxwait", 0, "hold non-admissible arrivals up to this long")
+		noReset    = fs.Bool("noreset", false, "disable the idle reset (ablation)")
+		horizon    = fs.Float64("horizon", 4000, "simulated time units of arrivals")
+		warmup     = fs.Float64("warmup", 400, "warmup before measurement starts")
+		seed       = fs.Int64("seed", 1, "random seed")
+		traceOut   = fs.String("trace", "", "write an event trace CSV to this file (implies a short horizon is wise)")
+		replayPath = fs.String("replay", "", "replay a workload trace CSV (arrival,deadline,c1..cN) instead of generating one")
+		recordPath = fs.String("record", "", "also save the generated workload as a replayable CSV")
+		timeline   = fs.Bool("timeline", false, "print an ASCII execution timeline (use with small -horizon)")
+		curvePlot  = fs.Bool("curve", false, "print the synthetic-utilization step curves (paper Fig. 1) per stage")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0, resp
+	} else if err != nil {
+		return 2, resp
+	}
 
 	var replay *workload.Replay
 	if *replayPath != "" {
 		f, err := os.Open(*replayPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipesim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pipesim: %v\n", err)
+			return 1, resp
 		}
 		rep, err := workload.ParseReplay(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipesim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pipesim: %v\n", err)
+			return 1, resp
 		}
 		replay = rep
 		*stages = rep.Stages()
@@ -76,8 +94,8 @@ func main() {
 	}
 	if *imbalance != 1 {
 		if *stages != 2 {
-			fmt.Fprintln(os.Stderr, "pipesim: -imbalance requires -stages 2")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "pipesim: -imbalance requires -stages 2")
+			return 2, resp
 		}
 		spec.StageScale = workload.ImbalanceScales(*imbalance)
 	}
@@ -95,8 +113,8 @@ func main() {
 	case "fifo":
 		policy = task.FIFO{}
 	default:
-		fmt.Fprintf(os.Stderr, "pipesim: unknown policy %q\n", *policyName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pipesim: unknown policy %q\n", *policyName)
+		return 2, resp
 	}
 	if *alpha == 0 {
 		*alpha = defaultAlpha
@@ -122,8 +140,8 @@ func main() {
 	case "none":
 		opts.NoAdmission = true
 	default:
-		fmt.Fprintf(os.Stderr, "pipesim: unknown admission mode %q\n", *admission)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pipesim: unknown admission mode %q\n", *admission)
+		return 2, resp
 	}
 
 	var rec *trace.Recorder
@@ -135,8 +153,8 @@ func main() {
 	var curves *curve.Recorder
 	if *curvePlot {
 		if p.Controller() == nil {
-			fmt.Fprintln(os.Stderr, "pipesim: -curve requires the feasible-region controller (admission exact/approx)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "pipesim: -curve requires the feasible-region controller (admission exact/approx)")
+			return 2, resp
 		}
 		curves = curve.NewRecorder(*stages, nil)
 		p.Controller().OnUtilizationChange(curves.Observe)
@@ -152,78 +170,85 @@ func main() {
 		src := workload.NewSource(sim, spec, *seed, *horizon, offer)
 		src.Start()
 	}
+	q := [3]*stats.Quantile{stats.NewQuantile(0.50), stats.NewQuantile(0.95), stats.NewQuantile(0.99)}
+	p.OnComplete(func(response float64, _ bool) {
+		for _, e := range q {
+			e.Add(response)
+		}
+	})
 	sim.At(*warmup, func() { p.BeginMeasurement() })
 	var m pipeline.Metrics
-	sim.At(*horizon, func() { m = p.Snapshot() })
+	sim.At(*horizon, func() { m, resp = p.Snapshot(), [3]float64{q[0].Value(), q[1].Value(), q[2].Value()} })
 	sim.Run()
 
 	if recorded != nil {
 		f, err := os.Create(*recordPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipesim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pipesim: %v\n", err)
+			return 1, resp
 		}
 		if err := recorded.WriteCSV(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pipesim: writing workload: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pipesim: writing workload: %v\n", err)
+			return 1, resp
 		}
 		f.Close()
-		fmt.Printf("workload: %d tasks recorded to %s\n", len(recorded.Tasks), *recordPath)
+		fmt.Fprintf(stdout, "workload: %d tasks recorded to %s\n", len(recorded.Tasks), *recordPath)
 	}
 
-	fmt.Printf("pipeline: %d stages, policy=%s, admission=%s, load=%.0f%%, resolution=%g\n",
+	fmt.Fprintf(stdout, "pipeline: %d stages, policy=%s, admission=%s, load=%.0f%%, resolution=%g\n",
 		*stages, *policyName, *admission, *load*100, *resolution)
-	fmt.Printf("arrival rate: %.4g/s over horizon %.4g (warmup %.4g), %d arrivals measured\n",
+	fmt.Fprintf(stdout, "arrival rate: %.4g/s over horizon %.4g (warmup %.4g), %d arrivals measured\n",
 		spec.ArrivalRate(), *horizon, *warmup, m.Offered)
-	fmt.Printf("accepted: %d/%d (%.1f%%)\n", m.EnteredService, m.Offered, m.AcceptRatio*100)
-	fmt.Printf("completed: %d, missed: %d (miss ratio %.5f)\n", m.Completed, m.Missed, m.MissRatio)
+	fmt.Fprintf(stdout, "accepted: %d/%d (%.1f%%)\n", m.EnteredService, m.Offered, m.AcceptRatio*100)
+	fmt.Fprintf(stdout, "completed: %d, missed: %d (miss ratio %.5f)\n", m.Completed, m.Missed, m.MissRatio)
 	for j, u := range m.StageUtilization {
-		fmt.Printf("stage %d real utilization: %.4f\n", j+1, u)
+		fmt.Fprintf(stdout, "stage %d real utilization: %.4f\n", j+1, u)
 	}
-	fmt.Printf("mean stage utilization: %.4f (bottleneck %.4f)\n", m.MeanUtilization, m.BottleneckUtilization)
+	fmt.Fprintf(stdout, "mean stage utilization: %.4f (bottleneck %.4f)\n", m.MeanUtilization, m.BottleneckUtilization)
 	if m.ResponseTimes.Count() > 0 {
-		fmt.Printf("response times: mean %.4g, p50 %.4g, p95 %.4g, p99 %.4g, max %.4g (n=%d)\n",
-			m.ResponseTimes.Mean(), m.ResponseP50, m.ResponseP95, m.ResponseP99,
+		fmt.Fprintf(stdout, "response times: mean %.4g, p50 %.4g, p95 %.4g, p99 %.4g, max %.4g (n=%d)\n",
+			m.ResponseTimes.Mean(), resp[0], resp[1], resp[2],
 			m.ResponseTimes.Max(), m.ResponseTimes.Count())
 	}
 	if wq := p.WaitQueue(); wq != nil {
 		ws := wq.Stats()
-		fmt.Printf("wait queue: %d immediate, %d after wait, %d timed out\n",
+		fmt.Fprintf(stdout, "wait queue: %d immediate, %d after wait, %d timed out\n",
 			ws.AdmittedImmediately, ws.AdmittedAfterWait, ws.TimedOut)
 	}
 	if sim.Steps() == 0 {
-		fmt.Fprintln(os.Stderr, "pipesim: no events executed")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pipesim: no events executed")
+		return 1, resp
 	}
 	if curves != nil {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for j := 0; j < *stages; j++ {
-			if err := curves.Render(os.Stdout, j, *warmup, *horizon, 100, 6); err != nil {
-				fmt.Fprintf(os.Stderr, "pipesim: rendering curve: %v\n", err)
-				os.Exit(1)
+			if err := curves.Render(stdout, j, *warmup, *horizon, 100, 6); err != nil {
+				fmt.Fprintf(stderr, "pipesim: rendering curve: %v\n", err)
+				return 1, resp
 			}
 		}
 	}
 	if rec != nil {
 		if *timeline {
-			fmt.Println()
-			if err := rec.RenderTimeline(os.Stdout, 100, *warmup, *horizon); err != nil {
-				fmt.Fprintf(os.Stderr, "pipesim: rendering timeline: %v\n", err)
-				os.Exit(1)
+			fmt.Fprintln(stdout)
+			if err := rec.RenderTimeline(stdout, 100, *warmup, *horizon); err != nil {
+				fmt.Fprintf(stderr, "pipesim: rendering timeline: %v\n", err)
+				return 1, resp
 			}
 		}
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pipesim: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "pipesim: %v\n", err)
+				return 1, resp
 			}
 			defer f.Close()
 			if err := rec.WriteCSV(f); err != nil {
-				fmt.Fprintf(os.Stderr, "pipesim: writing trace: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "pipesim: writing trace: %v\n", err)
+				return 1, resp
 			}
-			fmt.Printf("trace: %d events written to %s (%d dropped)\n", rec.Len(), *traceOut, rec.Dropped())
+			fmt.Fprintf(stdout, "trace: %d events written to %s (%d dropped)\n", rec.Len(), *traceOut, rec.Dropped())
 		}
 	}
+	return 0, resp
 }

@@ -92,6 +92,9 @@ func (m *MultiServerPipeline) Controller() *core.GraphController { return m.gs.C
 // BeginMeasurement starts the statistics window.
 func (m *MultiServerPipeline) BeginMeasurement() { m.gs.BeginMeasurement() }
 
+// OnComplete registers the measurement window's completion callback.
+func (m *MultiServerPipeline) OnComplete(fn func(response float64, missed bool)) { m.gs.OnComplete(fn) }
+
 // Snapshot computes metrics over the measurement window; stage
 // utilizations are per-CPU (Stages×Servers entries).
 func (m *MultiServerPipeline) Snapshot() Metrics { return m.gs.Snapshot() }

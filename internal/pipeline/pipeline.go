@@ -921,7 +921,9 @@ func (p *Pipeline) BeginMeasurement() {
 	}
 }
 
-// Metrics is a snapshot of the measurement window.
+// Metrics is a snapshot of the measurement window. Response times are
+// kept as streaming moments (ResponseTimes), not percentiles: a caller
+// that needs percentiles feeds its own estimators from OnComplete.
 type Metrics struct {
 	// StageUtilization is each stage's real utilization (busy fraction)
 	// over the window; MeanUtilization averages across stages.
@@ -958,12 +960,7 @@ type Metrics struct {
 	GuardStats core.GuardStats
 
 	ResponseTimes stats.Welford
-	// ResponseP50/P95/P99 are streaming (P²) response-time percentile
-	// estimates over the measurement window.
-	ResponseP50 float64
-	ResponseP95 float64
-	ResponseP99 float64
-	StageDelays []stats.Welford
+	StageDelays   []stats.Welford
 	// ByClass breaks the counters down by Task.Class.
 	ByClass map[string]ClassMetrics
 }

@@ -255,30 +255,6 @@ func TestPipelineOptionValidation(t *testing.T) {
 	New(sim, Options{Stages: 0})
 }
 
-func TestResponsePercentilesReported(t *testing.T) {
-	sim := des.New()
-	p := New(sim, Options{Stages: 1, NoAdmission: true})
-	sim.At(0, func() { p.BeginMeasurement() })
-	// 100 sequential unit tasks, far-apart arrivals: every response is 1.
-	for i := 0; i < 100; i++ {
-		at := float64(i) * 10
-		id := task.ID(i)
-		sim.At(at, func() { p.Offer(task.Chain(id, at, 100, 1)) })
-	}
-	sim.Run()
-	m := p.Snapshot()
-	for name, got := range map[string]float64{
-		"p50": m.ResponseP50, "p95": m.ResponseP95, "p99": m.ResponseP99,
-	} {
-		if math.Abs(got-1) > 1e-9 {
-			t.Errorf("%s = %v, want 1", name, got)
-		}
-	}
-	if m.ResponseP50 > m.ResponseP95 || m.ResponseP95 > m.ResponseP99 {
-		t.Error("percentiles out of order")
-	}
-}
-
 func TestPerClassMetrics(t *testing.T) {
 	sim := des.New()
 	p := New(sim, Options{Stages: 1})

@@ -7,20 +7,23 @@ import (
 )
 
 // window is the measurement state Pipeline and GraphSystem share: the
-// start instant, each resource's busy-time baseline, and the response
-// and deadline statistics of the tasks completed since.
+// start instant, each resource's busy-time baseline, the response-time
+// moments and miss count of the tasks completed since, and a callback.
 type window struct {
 	measuring     bool
 	measureStart  des.Time
 	busyAtStart   []float64
 	responseTimes stats.Welford
-	respP50       *stats.Quantile
-	respP95       *stats.Quantile
-	respP99       *stats.Quantile
-	missRatio     stats.Ratio
 	completed     uint64
 	missed        uint64
+	onComplete    func(response float64, missed bool)
 }
+
+// OnComplete registers fn (nil removes it) to run on each completion
+// after BeginMeasurement with the response time and miss flag that
+// Snapshot aggregates, in completion order. Callers that want response
+// percentiles keep their own estimators here, as cmd/pipesim does.
+func (w *window) OnComplete(fn func(response float64, missed bool)) { w.onComplete = fn }
 
 // begin opens the window at now over the resources' busy times.
 func (w *window) begin(now des.Time, resources []*sched.Stage) {
@@ -31,10 +34,6 @@ func (w *window) begin(now des.Time, resources []*sched.Stage) {
 		w.busyAtStart[k] = st.BusyTime(now)
 	}
 	w.responseTimes = stats.Welford{}
-	w.respP50 = stats.NewQuantile(0.50)
-	w.respP95 = stats.NewQuantile(0.95)
-	w.respP99 = stats.NewQuantile(0.99)
-	w.missRatio = stats.Ratio{}
 	w.completed, w.missed = 0, 0
 }
 
@@ -42,12 +41,11 @@ func (w *window) begin(now des.Time, resources []*sched.Stage) {
 func (w *window) complete(resp float64, miss bool) {
 	w.completed++
 	w.responseTimes.Add(resp)
-	w.respP50.Add(resp)
-	w.respP95.Add(resp)
-	w.respP99.Add(resp)
-	w.missRatio.Observe(miss)
 	if miss {
 		w.missed++
+	}
+	if w.onComplete != nil {
+		w.onComplete(resp, miss)
 	}
 }
 
@@ -61,11 +59,10 @@ func (w *window) snapshot(now des.Time, resources []*sched.Stage) Metrics {
 		StageUtilization: make([]float64, len(resources)),
 		Completed:        w.completed,
 		Missed:           w.missed,
-		MissRatio:        w.missRatio.Value(),
 		ResponseTimes:    w.responseTimes,
-		ResponseP50:      w.respP50.Value(),
-		ResponseP95:      w.respP95.Value(),
-		ResponseP99:      w.respP99.Value(),
+	}
+	if w.completed > 0 {
+		m.MissRatio = float64(w.missed) / float64(w.completed)
 	}
 	span := now - w.measureStart
 	for k, st := range resources {

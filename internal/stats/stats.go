@@ -56,28 +56,6 @@ func (w Welford) Min() float64 { return w.min }
 // Max returns the largest observation (0 when empty).
 func (w Welford) Max() float64 { return w.max }
 
-// Ratio is a hit/total counter (e.g. miss ratio, rejection ratio).
-type Ratio struct {
-	Hits  uint64
-	Total uint64
-}
-
-// Observe records one trial.
-func (r *Ratio) Observe(hit bool) {
-	r.Total++
-	if hit {
-		r.Hits++
-	}
-}
-
-// Value returns Hits/Total, or 0 when no trials were recorded.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
-}
-
 // Summary is a replication summary: the mean of per-replication values
 // with a normal-approximation 95% confidence half-width.
 type Summary struct {

@@ -44,20 +44,6 @@ func TestWelfordSingleObservation(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio must be 0")
-	}
-	r.Observe(true)
-	r.Observe(false)
-	r.Observe(false)
-	r.Observe(true)
-	if got := r.Value(); got != 0.5 {
-		t.Fatalf("ratio %v, want 0.5", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{10, 12, 8, 10})
 	if s.Mean != 10 || s.N != 4 {
