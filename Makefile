@@ -115,6 +115,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStageDelayFactor -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzAlphaBounds -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzQualitySearch -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzGraphAdmissionSound -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
 	$(GO) test -fuzz FuzzAlarmDifferential -fuzztime 30s ./internal/des/
 	$(GO) test -fuzz FuzzStateMatchesLedger -fuzztime 30s ./internal/tasktable/

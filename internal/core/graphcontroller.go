@@ -6,7 +6,6 @@ import (
 
 	"feasregion/internal/des"
 	"feasregion/internal/task"
-	"feasregion/internal/tasktable"
 )
 
 // GraphController is the Theorem 2 admission controller for tasks shaped
@@ -16,40 +15,44 @@ import (
 // satisfies the condition of the incoming task AND of every task shape
 // currently active (adding utilization can only tighten their paths).
 //
+// Theorem 2 changes only the test: the bookkeeping is a chain
+// Controller's over one stage per resource (a row per admitted task,
+// pooled deadline-decrement timers, departures, the idle reset and the
+// release hooks), which the GraphController holds and forwards to. On
+// top it keeps the shape set.
+//
 // The condition reads only a graph's structure — each node's resource
 // and the edges — so the controller keeps one entry per distinct active
 // structure, with its own copy of the structure and its topological
 // order, whatever graph values the callers pass. The test is
 // O(distinct active structures × graph size), independent of the number
-// of active task instances. Contributions live in one region state, a
-// row per admitted task stamped with its admission sequence number, so
-// a deadline decrement removes only its own admission's row.
+// of active task instances.
 type GraphController struct {
-	sim    *des.Simulator
-	region Region          // one stage per resource; Betas nil means no blocking
-	st     tasktable.State // one column per resource
-	seq    int64           // admissions so far: the stamp of the latest row
+	ctl    *Controller // region state, expiry timers, release hooks, stats
+	region Region      // ctl's region; Betas nil means no blocking
 
-	shapes   []*shape     // distinct active structures
-	expiries *graphExpiry // free list of deadline-decrement timers
+	shapes []*shape // distinct active structures
 
 	// Scratch: the increments, the tested utilization point, the
 	// longest-path weights, and the in-degrees and topological order of
 	// a caller's graph whose structure is not active.
 	d, utils, best []float64
 	in, ord        []int
-
-	onRelease []func(now des.Time)
-	stats     Stats
 }
 
 // shape is one distinct active task structure: the controller's copy of
 // a graph's node resources and edge lists (demands zeroed), its
-// topological order, and how many admitted tasks of it are active.
+// topological order, and its anchor: the admission whose deadline
+// decrement fires last, the one with the latest absolute deadline (on a
+// tie the latest admitted, as des fires equal times in scheduling
+// order). The shape is active while the anchor's row is (see retire).
 type shape struct {
 	g     task.Graph
 	order []int
-	n     int
+
+	id    task.ID  // the anchor's task ID
+	stamp int64    // the anchor row's admission stamp
+	until des.Time // the anchor's absolute deadline
 }
 
 // NewGraphController builds a controller over the given number of
@@ -61,13 +64,16 @@ func NewGraphController(sim *des.Simulator, resources int, alpha float64, betas 
 	if betas != nil {
 		r = r.WithBetas(betas)
 	}
-	return &GraphController{
-		sim:    sim,
+	c := &GraphController{
+		ctl:    NewController(sim, r, nil),
 		region: r,
-		st:     tasktable.NewState(resources, nil),
 		d:      make([]float64, resources),
 		utils:  make([]float64, resources),
 	}
+	// First of the release hooks, so a wait queue's retry never tests
+	// against a shape whose last admission has expired.
+	c.ctl.OnRelease(func(des.Time) { c.retire() })
+	return c
 }
 
 // SetReserved installs per-resource reserved synthetic-utilization
@@ -78,40 +84,33 @@ func (c *GraphController) SetReserved(reserved []float64) {
 	if len(reserved) != c.region.Stages {
 		panic(fmt.Sprintf("core: %d reserved values for %d resources", len(reserved), c.region.Stages))
 	}
+	st := c.ctl.st
 	for i, v := range reserved {
 		checkReserved(v)
-		if c.st.Charging(i) > 0 {
+		if st.Charging(i) > 0 {
 			panic("core: SetReserved after admissions began")
 		}
 	}
 	for i, v := range reserved {
-		c.st.SetFloor(i, v)
+		st.SetFloor(i, v)
 	}
 }
 
 // Stats returns a snapshot of admission counters.
-func (c *GraphController) Stats() Stats { return c.stats }
+func (c *GraphController) Stats() Stats { return c.ctl.Stats() }
 
 // Utilizations returns the current synthetic utilization per resource.
-func (c *GraphController) Utilizations() []float64 {
-	us := make([]float64, c.region.Stages)
-	for i := range us {
-		us[i] = c.st.Util(i)
-	}
-	return us
-}
+func (c *GraphController) Utilizations() []float64 { return c.ctl.Utilizations() }
 
 // OnRelease registers fn to run whenever synthetic utilization decreases.
-func (c *GraphController) OnRelease(fn func(now des.Time)) {
-	c.onRelease = append(c.onRelease, fn)
-}
+func (c *GraphController) OnRelease(fn func(now des.Time)) { c.ctl.OnRelease(fn) }
 
-func (c *GraphController) fireRelease() {
-	now := c.sim.Now()
-	for _, fn := range c.onRelease {
-		fn(now)
-	}
-}
+// MarkDeparted records that the task has no remaining work on the
+// resource, making its contribution there eligible for the idle reset.
+func (c *GraphController) MarkDeparted(resource int, id task.ID) { c.ctl.MarkDeparted(resource, id) }
+
+// HandleResourceIdle performs the idle reset for a resource.
+func (c *GraphController) HandleResourceIdle(resource int) { c.ctl.HandleStageIdle(resource) }
 
 // deltas returns the per-resource utilization increments of t, summing
 // nodes that share a resource, in the controller's scratch. It returns
@@ -150,12 +149,12 @@ func (c *GraphController) WouldAdmit(t *task.Task) bool {
 func (c *GraphController) TryAdmit(t *task.Task) bool {
 	d := c.deltas(t)
 	if d == nil {
-		c.stats.Rejected++
+		c.ctl.stats.Rejected++
 		return false
 	}
 	ok, own := c.wouldAdmit(t.Graph, d)
 	if !ok {
-		c.stats.Rejected++
+		c.ctl.stats.Rejected++
 		return false
 	}
 	c.commit(t, d, own)
@@ -166,8 +165,8 @@ func (c *GraphController) TryAdmit(t *task.Task) bool {
 // structure first, then every other active structure once. It also
 // returns the active shape of g's structure, nil when there is none.
 func (c *GraphController) wouldAdmit(g *task.Graph, d []float64) (bool, *shape) {
-	for i := range c.utils {
-		c.utils[i] = c.st.Util(i) + d[i]
+	for i, u := range c.ctl.st.Utils() {
+		c.utils[i] = u + d[i]
 	}
 	own := c.find(g)
 	if own != nil {
@@ -229,26 +228,37 @@ func (c *GraphController) commitAdmit(t *task.Task) {
 	}
 }
 
-// commit charges the task's row, counts it against its structure's
-// shape (copying the structure when own is nil, its first active
-// admission), and schedules its deadline decrement.
+// commit charges the task's row and schedules its deadline decrement
+// through the chain controller, then makes the admission its
+// structure's anchor if it expires last, copying the structure when own
+// is nil (its first active admission).
 func (c *GraphController) commit(t *task.Task, d []float64, own *shape) {
-	c.seq++
-	c.st.Insert(key(t.ID), c.seq, task.QualityLevels, d)
+	c.ctl.commit(t, d, task.QualityLevels)
 	if own == nil {
 		own = newShape(t.Graph)
 		c.shapes = append(c.shapes, own)
+	} else if t.AbsoluteDeadline() < own.until {
+		return
 	}
-	own.n++
-	e := c.expiries
-	if e != nil {
-		c.expiries = e.next
-	} else {
-		e = &graphExpiry{c: c}
+	own.id, own.stamp, own.until = t.ID, c.ctl.seq, t.AbsoluteDeadline()
+}
+
+// retire drops every shape whose anchor row is gone: the chain
+// controller dropped it in the anchor's deadline decrement, just before
+// running the release hooks, so a shape retires at the last expiry of
+// its admissions. A shape whose anchor deadline is still ahead stays:
+// its row went early because a later admission of the anchor's ID
+// (after it departed everywhere) recycled it.
+func (c *GraphController) retire() {
+	st, now := c.ctl.st, c.ctl.sim.Now()
+	live := c.shapes[:0]
+	for _, s := range c.shapes {
+		if slot, ok := st.Lookup(key(s.id)); s.until > now || ok && st.Stamp(slot) == s.stamp {
+			live = append(live, s)
+		}
 	}
-	e.id, e.stamp, e.s = t.ID, c.seq, own
-	c.sim.AtTimer(t.AbsoluteDeadline(), e)
-	c.stats.Admitted++
+	clear(c.shapes[len(live):])
+	c.shapes = live
 }
 
 // newShape copies g's structure and computes its topological order.
@@ -264,48 +274,4 @@ func newShape(g *task.Graph) *shape {
 	}
 	s.order = order
 	return s
-}
-
-// graphExpiry is the pooled des.Timer behind an admitted task's deadline
-// decrement, as expiry is for Controller.
-type graphExpiry struct {
-	c     *GraphController
-	id    task.ID
-	stamp int64 // the row's admission stamp
-	s     *shape
-	next  *graphExpiry
-}
-
-// Fire drops the task's row at its absolute deadline, unless the ID has
-// since been re-admitted (a newer stamp), and retires one instance of
-// its shape.
-func (e *graphExpiry) Fire(des.Time) {
-	c, s := e.c, e.s
-	// Recycle first: the release hooks below may admit, and reuse e.
-	e.next, c.expiries = c.expiries, e
-	if slot, ok := c.st.Lookup(key(e.id)); ok && c.st.Stamp(slot) == e.stamp {
-		c.st.Drop(slot)
-	}
-	if s.n--; s.n == 0 {
-		i := slices.Index(c.shapes, s)
-		last := len(c.shapes) - 1
-		c.shapes[i], c.shapes[last] = c.shapes[last], nil
-		c.shapes = c.shapes[:last]
-	}
-	c.fireRelease()
-}
-
-// MarkDeparted records that the task has no remaining work on the
-// resource, making its contribution there eligible for the idle reset.
-func (c *GraphController) MarkDeparted(resource int, id task.ID) {
-	if slot, ok := c.st.Lookup(key(id)); ok {
-		c.st.MarkDeparted(slot, resource)
-	}
-}
-
-// HandleResourceIdle performs the idle reset for a resource.
-func (c *GraphController) HandleResourceIdle(resource int) {
-	if c.st.ResetIdle(resource) > 0 {
-		c.fireRelease()
-	}
 }

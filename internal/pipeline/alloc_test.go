@@ -185,3 +185,24 @@ func TestReplayOfferAllocationFree(t *testing.T) {
 		t.Fatalf("replay did not exercise admit and reject: %+v", m)
 	}
 }
+
+// TestGraphRejectedOfferAllocationFree: GraphSystem copies a DAG task
+// only when it keeps it, so an Offer that the Theorem 2 test rejects
+// allocates nothing.
+func TestGraphRejectedOfferAllocationFree(t *testing.T) {
+	sim := des.New()
+	g := NewGraphSystem(sim, GraphOptions{Resources: 4})
+	if !g.Offer(&task.Task{ID: 0, Deadline: 1e9, Graph: figure3Graph(0.2e9, 0.2e9, 0.2e9, 0.2e9)}) {
+		t.Fatal("the task filling the region was rejected")
+	}
+	tk := &task.Task{ID: 1, Deadline: 10, Graph: figure3Graph(1, 2, 2, 1)}
+	if g.Offer(tk) {
+		t.Fatal("an arrival past the region was admitted")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.Offer(tk) }); allocs != 0 {
+		t.Fatalf("a rejected Offer: %v allocs, want 0", allocs)
+	}
+	if st := g.Controller().Stats(); st.Admitted != 1 || st.Rejected != 102 {
+		t.Fatalf("controller stats %+v, want 1 admitted and 102 rejected", st)
+	}
+}

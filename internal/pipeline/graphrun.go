@@ -109,19 +109,19 @@ func (g *GraphSystem) Resource(k int) *sched.Stage { return g.resources[k] }
 // admission, then execution. With a wait queue configured the task may
 // instead be held; Offer then returns false and the task may still enter
 // later. It reports whether the task entered service immediately. Offer
-// sets t.Priority, then works on a copy of t and its graph, so the
-// caller may reuse t once Offer returns.
+// sets t.Priority; the system copies t and its graph only when it keeps
+// them (to hold or to run), so the caller may reuse t once Offer returns
+// and a rejected arrival copies nothing.
 func (g *GraphSystem) Offer(t *task.Task) bool {
 	t.Priority = g.policy.Assign(t, g.prng)
-	t = own(t)
 	if g.wq != nil {
-		g.wq.Submit(t)
+		g.wq.Submit(own(t))
 		return false
 	}
 	if g.ctrl != nil && !g.ctrl.TryAdmit(t) {
 		return false
 	}
-	g.run(t)
+	g.run(own(t))
 	return true
 }
 
@@ -133,7 +133,9 @@ func (g *GraphSystem) Inject(t *task.Task) {
 	g.run(own(t))
 }
 
-// own copies a DAG task and its graph's nodes and edges.
+// own copies a DAG task and its graph's nodes and edges: run executes
+// the graph after Offer or Inject returns, and a wait queue holds the
+// task.
 func own(t *task.Task) *task.Task {
 	c := *t
 	if g := t.Graph; g != nil {

@@ -1,8 +1,8 @@
 // Package tasktable is the region state every admission plane keeps:
 // per-stage synthetic utilization U_j = reserved_j + Σ_i C_ij/D_i over
-// the tasks still charging stage j. core.Controller (simulated time),
-// online.Controller (wall clock), core.GraphController and the
-// split-deadline baseline all hold one State.
+// the tasks still charging stage j. core.Controller (simulated time,
+// also under core.GraphController), online.Controller (wall clock) and
+// the split-deadline baseline each hold one State.
 //
 // A State owns the rows, one exact sum per stage and the stages'
 // reserved floors. It is clock-free and lock-free: the owning
