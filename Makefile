@@ -110,7 +110,7 @@ examples:
 
 # Short fuzzing passes over the robustness-sensitive parsers and math.
 fuzz:
-	$(GO) test -fuzz FuzzParseReplay -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz FuzzImportCSV -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzTraceReader -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzStageDelayFactor -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzAlphaBounds -fuzztime 30s ./internal/core/

@@ -3,6 +3,7 @@
 // statistics. It is the interactive companion to cmd/experiments.
 // Its p50/p95/p99 come from its own P² estimators (stats.Quantile), fed
 // by the pipeline's OnComplete callback over the measurement window.
+// -replay plays FRTRACE or an arrival-sorted CSV; -record writes FRTRACE.
 //
 // Example:
 //
@@ -10,9 +11,12 @@
 //	pipesim -stages 2 -admission none -load 1.5        # baseline, misses
 //	pipesim -stages 2 -admission approx -resolution 10 # §4.4
 //	pipesim -stages 2 -imbalance 4                     # Fig. 6 regime
+//	pipesim -horizon 300 -record w.trace               # save the arrivals
+//	pipesim -replay w.trace                            # and play them again
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -55,8 +59,8 @@ func run(args []string, stdout, stderr io.Writer) (code int, resp [3]float64) {
 		warmup     = fs.Float64("warmup", 400, "warmup before measurement starts")
 		seed       = fs.Int64("seed", 1, "random seed")
 		traceOut   = fs.String("trace", "", "write an event trace CSV to this file (implies a short horizon is wise)")
-		replayPath = fs.String("replay", "", "replay a workload trace CSV (arrival,deadline,c1..cN) instead of generating one")
-		recordPath = fs.String("record", "", "also save the generated workload as a replayable CSV")
+		replayPath = fs.String("replay", "", "replay a workload trace instead of generating one: FRTRACE, or an arrival-sorted CSV (arrival,deadline,c1..cN)")
+		recordPath = fs.String("record", "", "also save the offered workload to this file as an FRTRACE trace")
 		timeline   = fs.Bool("timeline", false, "print an ASCII execution timeline (use with small -horizon)")
 		curvePlot  = fs.Bool("curve", false, "print the synthetic-utilization step curves (paper Fig. 1) per stage")
 	)
@@ -66,24 +70,15 @@ func run(args []string, stdout, stderr io.Writer) (code int, resp [3]float64) {
 		return 2, resp
 	}
 
-	var replay *workload.Replay
+	var replay *workload.TraceReader
+	var due int // replayed arrivals at or before the horizon
 	if *replayPath != "" {
-		f, err := os.Open(*replayPath)
-		if err != nil {
+		var err error
+		if replay, *horizon, due, err = openReplay(*replayPath, *horizon); err != nil {
 			fmt.Fprintf(stderr, "pipesim: %v\n", err)
 			return 1, resp
 		}
-		rep, err := workload.ParseReplay(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "pipesim: %v\n", err)
-			return 1, resp
-		}
-		replay = rep
-		*stages = rep.Stages()
-		if h := rep.Horizon(); h < *horizon {
-			*horizon = h
-		}
+		*stages = replay.Stages()
 	}
 
 	spec := workload.PipelineSpec{
@@ -160,15 +155,26 @@ func run(args []string, stdout, stderr io.Writer) (code int, resp [3]float64) {
 		p.Controller().OnUtilizationChange(curves.Observe)
 	}
 	offer := func(tk *task.Task) { p.Offer(tk) }
-	var recorded *workload.Replay
+	var tw *workload.TraceWriter
+	var recorded *os.File
 	if *recordPath != "" {
-		recorded, offer = workload.RecordReplay(offer)
-	}
-	if replay != nil {
-		replay.Schedule(sim, offer)
-	} else {
-		src := workload.NewSource(sim, spec, *seed, *horizon, offer)
-		src.Start()
+		var err error
+		if recorded, err = os.Create(*recordPath); err == nil {
+			defer recorded.Close() // for the error paths; the success path checks Close
+			tw, err = workload.NewTraceWriter(recorded, *stages, nil)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "pipesim: %v\n", err)
+			return 1, resp
+		}
+		demands, sink := make([]float64, *stages), offer
+		offer = func(tk *task.Task) {
+			for j := range demands {
+				demands[j] = tk.StageDemand(j)
+			}
+			_ = tw.Write(tk.Arrival, tk.Deadline, -1, demands) // the first error sticks: Close returns it
+			sink(tk)
+		}
 	}
 	q := [3]*stats.Quantile{stats.NewQuantile(0.50), stats.NewQuantile(0.95), stats.NewQuantile(0.99)}
 	p.OnComplete(func(response float64, _ bool) {
@@ -176,23 +182,46 @@ func run(args []string, stdout, stderr io.Writer) (code int, resp [3]float64) {
 			e.Add(response)
 		}
 	})
-	sim.At(*warmup, func() { p.BeginMeasurement() })
 	var m pipeline.Metrics
-	sim.At(*horizon, func() { m, resp = p.Snapshot(), [3]float64{q[0].Value(), q[1].Value(), q[2].Value()} })
-	sim.Run()
-
-	if recorded != nil {
-		f, err := os.Create(*recordPath)
+	snapshot := func() { m, resp = p.Snapshot(), [3]float64{q[0].Value(), q[1].Value(), q[2].Value()} }
+	if replay != nil {
+		// The replayer arms each arrival when the one before it fires, so an
+		// arrival at the horizon would run after a snapshot scheduled now:
+		// the snapshot is scheduled once the last such arrival is offered.
+		sink, offered := offer, 0
+		offer = func(tk *task.Task) {
+			sink(tk)
+			if offered++; offered == due {
+				sim.At(*horizon, snapshot)
+			}
+		}
+		rp, err := workload.NewReplayer(sim, replay, workload.ReplayOptions{}, offer)
+		if err == nil {
+			err = rp.Start()
+		}
 		if err != nil {
 			fmt.Fprintf(stderr, "pipesim: %v\n", err)
 			return 1, resp
 		}
-		if err := recorded.WriteCSV(f); err != nil {
+	} else {
+		workload.NewSource(sim, spec, *seed, *horizon, offer).Start()
+	}
+	sim.At(*warmup, func() { p.BeginMeasurement() })
+	if due == 0 {
+		sim.At(*horizon, snapshot)
+	}
+	sim.Run()
+
+	if tw != nil {
+		err := tw.Close()
+		if err == nil {
+			err = recorded.Close()
+		}
+		if err != nil {
 			fmt.Fprintf(stderr, "pipesim: writing workload: %v\n", err)
 			return 1, resp
 		}
-		f.Close()
-		fmt.Fprintf(stdout, "workload: %d tasks recorded to %s\n", len(recorded.Tasks), *recordPath)
+		fmt.Fprintf(stdout, "workload: %d tasks recorded to %s\n", tw.Count(), *recordPath)
 	}
 
 	fmt.Fprintf(stdout, "pipeline: %d stages, policy=%s, admission=%s, load=%.0f%%, resolution=%g\n",
@@ -251,4 +280,42 @@ func run(args []string, stdout, stderr io.Writer) (code int, resp [3]float64) {
 		}
 	}
 	return 0, resp
+}
+
+// openReplay reads a workload trace for -replay: FRTRACE as it is, or an
+// arrival-sorted CSV (arrival,deadline,c1..cN, optional header) imported
+// into FRTRACE in memory. One pass over the records checks them, clamps
+// horizon to the last arrival and counts the arrivals at or before it;
+// the returned reader is positioned at the first record.
+func openReplay(path string, horizon float64) (tr *workload.TraceReader, clamped float64, due int, err error) {
+	data, err := os.ReadFile(path)
+	if err == nil && !bytes.HasPrefix(data, []byte(workload.TraceMagic)) {
+		var buf bytes.Buffer
+		_, err = workload.ImportCSV(bytes.NewReader(data), &buf)
+		data = buf.Bytes()
+	}
+	if err == nil {
+		tr, err = workload.OpenTrace(bytes.NewReader(data))
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var rec workload.TraceRecord
+	for err = tr.Next(&rec); err == nil; err = tr.Next(&rec) {
+		if rec.Arrival < 0 {
+			return nil, 0, 0, fmt.Errorf("%s: record %d: negative arrival %v", path, tr.Records()-1, rec.Arrival)
+		}
+		if rec.Arrival <= horizon {
+			due++
+		}
+		clamped = min(horizon, rec.Arrival)
+	}
+	if err != io.EOF {
+		return nil, 0, 0, err
+	}
+	if tr.Records() == 0 {
+		return nil, 0, 0, fmt.Errorf("%s: empty trace", path)
+	}
+	tr, err = workload.OpenTrace(bytes.NewReader(data))
+	return tr, clamped, due, err
 }

@@ -12,9 +12,12 @@ import (
 )
 
 // The goldens in testdata were recorded while the pipeline's measurement
-// window still kept the P² percentiles itself; pipesim's own estimators
-// must print the same bytes. replay.csv was written by
-// `pipesim -horizon 300 -warmup 30 -record testdata/replay.csv`.
+// window still kept the P² percentiles itself, and replay.golden while
+// -replay still filed every arrival at start-up; the current code must
+// print the same bytes. replay.csv is `pipesim -horizon 300 -warmup 30`'s
+// workload as CSV. In grid.csv the second arrival ties with the first
+// task's completion and idle reset at 5 and runs after them, so both
+// tasks are accepted.
 var goldenRuns = []struct {
 	name string
 	args string
@@ -24,6 +27,7 @@ var goldenRuns = []struct {
 	{"maxwait", "-maxwait 5 -horizon 2000"},
 	{"imbalance", "-stages 2 -imbalance 4 -horizon 2000"},
 	{"replay", "-replay testdata/replay.csv -warmup 30"},
+	{"grid", "-replay testdata/grid.csv -warmup 0"},
 }
 
 func TestOutputMatchesGolden(t *testing.T) {
@@ -81,6 +85,60 @@ func TestResponsePercentilesReported(t *testing.T) {
 	}
 	if got[0] > got[1] || got[1] > got[2] {
 		t.Error("percentiles out of order")
+	}
+}
+
+// TestRecordThenReplayMatchesGolden records replay.csv's run as FRTRACE,
+// which must not change the run, and replays the recording: it must
+// print replay.golden.
+func TestRecordThenReplayMatchesGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.trace")
+	var plain, stdout, stderr bytes.Buffer
+	if code, _ := run([]string{"-horizon", "300", "-warmup", "30"}, &plain, &stderr); code != 0 {
+		t.Fatalf("plain run: exit %d, stderr %q", code, stderr.String())
+	}
+	if code, _ := run([]string{"-horizon", "300", "-warmup", "30", "-record", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("record: exit %d, stderr %q", code, stderr.String())
+	}
+	if want := "workload: 317 tasks recorded to " + path + "\n" + plain.String(); stdout.String() != want {
+		t.Fatalf("record printed\n%s\nwant\n%s", stdout.String(), want)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "replay.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if code, _ := run([]string{"-replay", path, "-warmup", "30"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("replay: exit %d, stderr %q", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("replay of the recording:\n got %s\nwant %s", stdout.Bytes(), want)
+	}
+}
+
+// TestBadReplayExits1 feeds -replay arrivals the simulator cannot
+// schedule and CSVs the importer refuses: each exits 1 with an error.
+func TestBadReplayExits1(t *testing.T) {
+	for _, tc := range []struct{ name, csv, want string }{
+		{"NaN arrival", "1,5,1\nNaN,5,1\n", "non-finite arrival"},
+		{"negative arrival", "-5,5,1\n1,5,1\n", "negative arrival"},
+		{"infinite deadline", "1,+Inf,1\n", "must be positive and finite"},
+		{"unsorted", "5,10,1\n1,10,1\n", "time-ordered"},
+		{"header only", "arrival,deadline,c1\n", "empty trace"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "w.csv")
+			if err := os.WriteFile(path, []byte(tc.csv), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stderr bytes.Buffer
+			if code, _ := run([]string{"-replay", path}, io.Discard, &stderr); code != 1 {
+				t.Fatalf("exit %d, want 1", code)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q, want %q", stderr.String(), tc.want)
+			}
+		})
 	}
 }
 

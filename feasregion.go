@@ -669,12 +669,6 @@ func NewTSCE() TSCE { return workload.NewTSCE() }
 
 // ---- Trace recording and replay ----
 
-// Replay is a recorded workload of explicit arrivals.
-type Replay = workload.Replay
-
-// ParseReplay reads a CSV workload trace (arrival,deadline,demands...).
-func ParseReplay(r io.Reader) (*Replay, error) { return workload.ParseReplay(r) }
-
 // TraceWriter streams workload records into the binary trace format.
 type TraceWriter = workload.TraceWriter
 

@@ -80,10 +80,11 @@ func FuzzTraceReader(f *testing.F) {
 	})
 }
 
-// FuzzParseReplay: arbitrary input must never panic; any trace that
-// parses must survive a write/reparse round trip with the same task
-// count and stage count.
-func FuzzParseReplay(f *testing.F) {
+// FuzzImportCSV: arbitrary input must never panic the CSV importer; any
+// CSV that imports must open as a trace holding exactly the reported
+// record count, and writing those records back through a TraceWriter
+// must reproduce the imported bytes.
+func FuzzImportCSV(f *testing.F) {
 	f.Add(sampleTrace)
 	f.Add("arrival,deadline,c1\n1,2,3\n")
 	f.Add("1,2,3\n4,5,6\n")
@@ -91,23 +92,37 @@ func FuzzParseReplay(f *testing.F) {
 	f.Add("a,b,c\n1,-2,3\n")
 	f.Add("1e308,1e308,1e308\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		rep, err := ParseReplay(strings.NewReader(input))
+		var imported bytes.Buffer
+		n, err := ImportCSV(strings.NewReader(input), &imported)
 		if err != nil {
 			return
 		}
-		var b strings.Builder
-		if err := rep.WriteCSV(&b); err != nil {
-			t.Fatalf("WriteCSV on parsed trace: %v", err)
-		}
-		back, err := ParseReplay(strings.NewReader(b.String()))
+		tr, err := OpenTrace(bytes.NewReader(imported.Bytes()))
 		if err != nil {
-			t.Fatalf("reparsing own output: %v\n%s", err, b.String())
+			t.Fatalf("opening the imported trace: %v", err)
 		}
-		if len(back.Tasks) != len(rep.Tasks) {
-			t.Fatalf("round trip changed task count %d -> %d", len(rep.Tasks), len(back.Tasks))
+		var out bytes.Buffer
+		tw, err := NewTraceWriter(&out, tr.Stages(), tr.Classes())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if back.Stages() != rep.Stages() {
-			t.Fatalf("round trip changed stages %d -> %d", rep.Stages(), back.Stages())
+		var rec TraceRecord
+		for err = tr.Next(&rec); err == nil; err = tr.Next(&rec) {
+			if err := tw.Write(rec.Arrival, rec.Deadline, rec.Class, rec.Demands); err != nil {
+				t.Fatalf("rewriting record %d: %v", tr.Records()-1, err)
+			}
+		}
+		if err != io.EOF {
+			t.Fatalf("decoding the imported trace: %v", err)
+		}
+		if tr.Records() != n {
+			t.Fatalf("imported %d records, decoded %d", n, tr.Records())
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), imported.Bytes()) {
+			t.Fatal("rewriting the imported records changed the trace")
 		}
 	})
 }

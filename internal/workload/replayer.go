@@ -32,11 +32,16 @@ type ReplayOptions struct {
 }
 
 // Replayer streams a binary trace through a simulator, offering each
-// record at its (scaled) recorded arrival time. Unlike Replay.Schedule,
-// which pre-schedules every arrival, the replayer keeps exactly one
+// record at its (scaled) recorded arrival time. It keeps exactly one
 // pending arrival — an alarm it re-arms from its own Fire — and reads
 // the next record when it fires: O(1) memory for traces of any length,
 // and no calendar traffic. It implements des.Timer.
+//
+// Ties: events due at one time run in the order they were scheduled, and
+// each arrival is armed when the one before it fires (the first at
+// Start). So an arrival runs after the completions, idle resets and
+// caller events already scheduled for its time when it was armed; to see
+// the state after an arrival at t, schedule for t once it is offered.
 type Replayer struct {
 	sim   *des.Simulator
 	next  des.Alarm // the pending record's arrival

@@ -3,9 +3,11 @@ package workload
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 )
 
 // Binary trace format v1 ("FRTRACE"), little-endian throughout:
@@ -327,13 +329,16 @@ func (tr *TraceReader) Next(rec *TraceRecord) error {
 	return nil
 }
 
-// ImportCSV streams a CSV trace (the ParseReplay format) into the binary
-// format with O(row) memory. Rows must already be ordered by arrival —
-// unlike ParseReplay, the importer never buffers the file to sort it.
-// It returns the record count written.
+// ImportCSV streams a CSV trace into the binary format with O(row)
+// memory. Each row is arrival,deadline,c1,...,cN; a header row is
+// permitted (detected by a non-numeric first field), and every row must
+// carry the same number of demand columns. Rows must already be ordered
+// by arrival: the importer never buffers the file to sort it, and the
+// writer refuses an arrival before the previous one. It returns the
+// record count written.
 func ImportCSV(r io.Reader, w io.Writer) (uint64, error) {
 	var tw *TraceWriter
-	err := streamCSVRows(r, func(_ int, arrival, deadline float64, demands []float64) error {
+	err := streamCSVRows(r, func(arrival, deadline float64, demands []float64) error {
 		if tw == nil {
 			var err error
 			if tw, err = NewTraceWriter(w, len(demands), nil); err != nil {
@@ -352,4 +357,55 @@ func ImportCSV(r io.Reader, w io.Writer) (uint64, error) {
 		return 0, err
 	}
 	return tw.Count(), nil
+}
+
+// streamCSVRows parses the CSV trace format row by row, reusing the
+// record and demand buffers, and hands each data row to fn. It checks
+// each row's shape and parses its numbers; ImportCSV's TraceWriter
+// checks their values. fn must not retain demands across calls.
+func streamCSVRows(r io.Reader, fn func(arrival, deadline float64, demands []float64) error) error {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1 // validated manually for better errors
+	cr.ReuseRecord = true
+	stages := -1
+	var demands []float64
+	for i := 0; ; i++ {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("workload: reading trace: %w", err)
+		}
+		arrival, err := strconv.ParseFloat(row[0], 64)
+		if err != nil && i == 0 {
+			continue // header
+		}
+		if len(row) < 3 {
+			return fmt.Errorf("workload: trace row %d has %d fields, need arrival,deadline,demands...", i+1, len(row))
+		}
+		if stages == -1 {
+			stages = len(row) - 2
+		} else if len(row)-2 != stages {
+			return fmt.Errorf("workload: trace row %d has %d demand columns, want %d", i+1, len(row)-2, stages)
+		}
+		if err != nil {
+			return fmt.Errorf("workload: trace row %d field 1: %w", i+1, err)
+		}
+		deadline, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			return fmt.Errorf("workload: trace row %d field 2: %w", i+1, err)
+		}
+		demands = demands[:0]
+		for k, cell := range row[2:] {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return fmt.Errorf("workload: trace row %d field %d: %w", i+1, k+3, err)
+			}
+			demands = append(demands, v)
+		}
+		if err := fn(arrival, deadline, demands); err != nil {
+			return err
+		}
+	}
 }

@@ -17,27 +17,41 @@ import (
 	"feasregion/internal/task"
 )
 
-// writeTrace saves a replay in the binary trace format, deriving the
-// class table from the tasks' Class labels in first-seen order. It
-// returns the record count written.
-func writeTrace(w io.Writer, r *Replay) (uint64, error) {
+// sampleTrace is a CSV trace whose rows are not in arrival order, so
+// the importer refuses it; sampleTasks holds its rows sorted.
+const sampleTrace = `arrival,deadline,c1,c2
+0.5,10,1,2
+0.1,8,0.5,0.5
+2.0,12,3,1
+`
+
+// sampleTasks returns sampleTrace's rows in arrival order, with IDs by
+// position.
+func sampleTasks() []*task.Task {
+	return []*task.Task{
+		task.Chain(0, 0.1, 8, 0.5, 0.5),
+		task.Chain(1, 0.5, 10, 1, 2),
+		task.Chain(2, 2.0, 12, 3, 1),
+	}
+}
+
+// writeTrace saves tasks in the binary trace format, deriving the class
+// table from their Class labels in first-seen order. It returns the
+// record count written.
+func writeTrace(w io.Writer, tasks []*task.Task) (uint64, error) {
 	var classes []string
-	seen := map[string]bool{}
-	for _, t := range r.Tasks {
-		if t.Class != "" && !seen[t.Class] {
-			seen[t.Class] = true
+	class := map[string]int{}
+	for _, t := range tasks {
+		if _, seen := class[t.Class]; t.Class != "" && !seen {
+			class[t.Class] = len(classes)
 			classes = append(classes, t.Class)
 		}
 	}
-	tw, err := NewTraceWriter(w, r.Stages(), classes)
+	tw, err := NewTraceWriter(w, len(tasks[0].Subtasks), classes)
 	if err != nil {
 		return 0, err
 	}
-	class := map[string]int{}
-	for i, c := range classes {
-		class[c] = i
-	}
-	for _, t := range r.Tasks {
+	for _, t := range tasks {
 		c, ok := class[t.Class]
 		if !ok {
 			c = -1
@@ -56,65 +70,49 @@ func writeTrace(w io.Writer, r *Replay) (uint64, error) {
 	return tw.Count(), nil
 }
 
-// readTrace materializes a binary trace as a Replay (task IDs assigned
-// by position, classes resolved from the table).
-func readTrace(r io.Reader) (*Replay, error) {
+// readTrace materializes a binary trace as tasks (IDs assigned by
+// position, classes resolved from the table).
+func readTrace(r io.Reader) ([]*task.Task, error) {
 	tr, err := OpenTrace(r)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Replay{}
+	var tasks []*task.Task
 	var rec TraceRecord
 	for {
 		if err := tr.Next(&rec); err != nil {
 			if err == io.EOF {
-				return rep, nil
+				return tasks, nil
 			}
 			return nil, err
 		}
-		t := task.Chain(task.ID(len(rep.Tasks)), rec.Arrival, rec.Deadline, rec.Demands...)
+		t := task.Chain(task.ID(len(tasks)), rec.Arrival, rec.Deadline, rec.Demands...)
 		if rec.Class >= 0 {
 			t.Class = tr.classes[rec.Class]
 		}
-		rep.Tasks = append(rep.Tasks, t)
+		tasks = append(tasks, t)
 	}
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	rep, err := ParseReplay(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Tasks[0].Class = "gold"
-	rep.Tasks[1].Class = "bronze"
+	tasks := sampleTasks()
+	tasks[0].Class = "gold"
+	tasks[1].Class = "bronze"
 
 	var buf bytes.Buffer
-	n, err := writeTrace(&buf, rep)
+	n, err := writeTrace(&buf, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != uint64(len(rep.Tasks)) {
-		t.Fatalf("wrote %d records for %d tasks", n, len(rep.Tasks))
+	if n != uint64(len(tasks)) {
+		t.Fatalf("wrote %d records for %d tasks", n, len(tasks))
 	}
-
 	back, err := readTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Tasks) != len(rep.Tasks) {
-		t.Fatalf("round trip changed task count %d -> %d", len(rep.Tasks), len(back.Tasks))
-	}
-	for i, want := range rep.Tasks {
-		got := back.Tasks[i]
-		if got.Arrival != want.Arrival || got.Deadline != want.Deadline || got.Class != want.Class {
-			t.Fatalf("task %d: got (%v, %v, %q), want (%v, %v, %q)",
-				i, got.Arrival, got.Deadline, got.Class, want.Arrival, want.Deadline, want.Class)
-		}
-		for j := range want.Subtasks {
-			if got.StageDemand(j) != want.StageDemand(j) {
-				t.Fatalf("task %d stage %d demand %v != %v", i, j, got.StageDemand(j), want.StageDemand(j))
-			}
-		}
+	if !reflect.DeepEqual(back, tasks) {
+		t.Fatalf("round trip changed the tasks:\n got %+v\nwant %+v", back, tasks)
 	}
 }
 
@@ -405,30 +403,92 @@ func TestOpenTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestImportCSVMatchesParseReplay(t *testing.T) {
-	// ImportCSV never buffers the file, so rows must arrive sorted.
-	const sorted = "arrival,deadline,c1,c2\n0.1,8,0.5,0.5\n0.5,10,1,2\n2.0,12,3,1\n"
+// sortedCSV holds sampleTasks' rows in arrival order, under a header:
+// ImportCSV never buffers the file, so rows must arrive sorted.
+const sortedCSV = "arrival,deadline,c1,c2\n0.1,8,0.5,0.5\n0.5,10,1,2\n2.0,12,3,1\n"
+
+// TestImportCSV checks the imported trace's header and its first and
+// last records.
+func TestImportCSV(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := ImportCSV(strings.NewReader(sorted), &buf)
+	n, err := ImportCSV(strings.NewReader(sortedCSV), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ParseReplay(strings.NewReader(sorted))
+	tr, err := OpenTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != uint64(len(rep.Tasks)) {
-		t.Fatalf("imported %d records, ParseReplay found %d", n, len(rep.Tasks))
+	if n != 3 || tr.Stages() != 2 {
+		t.Fatalf("imported %d records of %d stages", n, tr.Stages())
+	}
+	var rec TraceRecord
+	if err := tr.Next(&rec); err != nil || rec.Arrival != 0.1 || rec.Deadline != 8 {
+		t.Fatalf("first record %+v, %v", rec, err)
+	}
+	var last TraceRecord
+	for {
+		last.Arrival, last.Demands = rec.Arrival, append(last.Demands[:0], rec.Demands...)
+		if err := tr.Next(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Records() != 3 || last.Arrival != 2.0 || last.Demands[0] != 3 || last.Demands[1] != 1 {
+		t.Fatalf("decoded %d records, last %+v", tr.Records(), last)
+	}
+}
+
+// TestImportCSVMatchesRows checks every imported record against the
+// literal rows: one record per row, in order, as written.
+func TestImportCSVMatchesRows(t *testing.T) {
+	var buf bytes.Buffer
+	n, err := ImportCSV(strings.NewReader(sortedCSV), &buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	back, err := readTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range rep.Tasks {
-		got := back.Tasks[i]
-		if got.Arrival != want.Arrival || got.Deadline != want.Deadline {
-			t.Fatalf("record %d mismatch", i)
-		}
+	if want := sampleTasks(); n != uint64(len(want)) || !reflect.DeepEqual(back, want) {
+		t.Fatalf("imported %d records %+v, want %+v", n, back, want)
+	}
+}
+
+func TestImportCSVWithoutHeader(t *testing.T) {
+	var buf bytes.Buffer
+	if n, err := ImportCSV(strings.NewReader("1,5,0.5\n2,5,0.5\n"), &buf); err != nil || n != 2 {
+		t.Fatalf("imported %d records, %v", n, err)
+	}
+	back, err := readTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []*task.Task{task.Chain(0, 1, 5, 0.5), task.Chain(1, 2, 5, 0.5)}; !reflect.DeepEqual(back, want) {
+		t.Fatalf("imported %+v, want %+v", back, want)
+	}
+}
+
+func TestImportCSVErrors(t *testing.T) {
+	tests := []struct {
+		name, trace string
+	}{
+		{"empty", ""},
+		{"header only", "arrival,deadline,c1\n"},
+		{"too few fields", "1,5\n"},
+		{"ragged demands", "1,5,1\n2,5,1,2\n"},
+		{"bad number", "1,5,xyz\n"},
+		{"zero deadline", "1,0,1\n"},
+		{"negative demand", "1,5,-1\n"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := ImportCSV(strings.NewReader(tt.trace), io.Discard); err == nil {
+				t.Error("expected error")
+			}
+		})
 	}
 }
 
@@ -467,22 +527,19 @@ func collectReplayed(t *testing.T, data []byte, opts ReplayOptions) []task.Task 
 	return got
 }
 
-// sampleReplay parses sampleTrace, labels its tasks with classes (one
-// left unlabelled) and records it as a binary trace.
-func sampleReplay(t *testing.T) (*Replay, []byte) {
+// sampleReplay labels sampleTasks with classes (one left unlabelled)
+// and records them as a binary trace.
+func sampleReplay(t *testing.T) ([]*task.Task, []byte) {
 	t.Helper()
-	rep, err := ParseReplay(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks := sampleTasks()
 	for i, c := range []string{"tracking", "", "control"} {
-		rep.Tasks[i].Class = c
+		tasks[i].Class = c
 	}
 	var buf bytes.Buffer
-	if _, err := writeTrace(&buf, rep); err != nil {
+	if _, err := writeTrace(&buf, tasks); err != nil {
 		t.Fatal(err)
 	}
-	return rep, buf.Bytes()
+	return tasks, buf.Bytes()
 }
 
 func traceBytes(t *testing.T) []byte {
@@ -491,13 +548,70 @@ func traceBytes(t *testing.T) []byte {
 	return data
 }
 
-func TestReplayerPlaysRecordedTimes(t *testing.T) {
-	rep, data := sampleReplay(t)
-	got := collectReplayed(t, data, ReplayOptions{})
-	if len(got) != len(rep.Tasks) {
-		t.Fatalf("replayed %d tasks, want %d", len(got), len(rep.Tasks))
+// TestReplaySchedule pins when the replayer offers each record: at its
+// recorded time, in order, and after every event already scheduled for
+// that time when the arrival was armed. An event scheduled before Start
+// for the second arrival's time runs first; one scheduled after Start
+// for the first arrival's time runs after it.
+func TestReplaySchedule(t *testing.T) {
+	tr, err := OpenTrace(bytes.NewReader(traceBytes(t)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range rep.Tasks {
+	sim := des.New()
+	var order []string
+	rp, err := NewReplayer(sim, tr, ReplayOptions{}, func(tk *task.Task) {
+		order = append(order, fmt.Sprint("arrival ", tk.Arrival))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.At(0.5, func() { order = append(order, "event 0.5") })
+	if err := rp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.At(0.1, func() { order = append(order, "event 0.1") })
+	sim.Run()
+	want := []string{"arrival 0.1", "event 0.1", "event 0.5", "arrival 0.5", "arrival 2"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %q, want %q", order, want)
+	}
+}
+
+// TestReplayRoundTrip records a generated workload as a trace and
+// replays it: every task comes back as generated, in order.
+func TestReplayRoundTrip(t *testing.T) {
+	spec := PipelineSpec{Stages: 2, Load: 1, MeanDemand: 1, Resolution: 20}
+	sim := des.New()
+	var generated []*task.Task
+	NewSource(sim, spec, 5, 100, func(tk *task.Task) { generated = append(generated, tk) }).Start()
+	sim.Run()
+	if len(generated) == 0 {
+		t.Fatal("nothing generated")
+	}
+	var buf bytes.Buffer
+	if _, err := writeTrace(&buf, generated); err != nil {
+		t.Fatal(err)
+	}
+	got := collectReplayed(t, buf.Bytes(), ReplayOptions{})
+	if len(got) != len(generated) {
+		t.Fatalf("replayed %d tasks, generated %d", len(got), len(generated))
+	}
+	for i, want := range generated {
+		g := got[i]
+		if g.Arrival != want.Arrival || g.Deadline != want.Deadline || g.StageDemand(0) != want.StageDemand(0) || g.StageDemand(1) != want.StageDemand(1) {
+			t.Fatalf("task %d: replayed %+v, generated %+v", i, g, *want)
+		}
+	}
+}
+
+func TestReplayerPlaysRecordedTimes(t *testing.T) {
+	tasks, data := sampleReplay(t)
+	got := collectReplayed(t, data, ReplayOptions{})
+	if len(got) != len(tasks) {
+		t.Fatalf("replayed %d tasks, want %d", len(got), len(tasks))
+	}
+	for i, want := range tasks {
 		if got[i].Arrival != want.Arrival || got[i].Deadline != want.Deadline {
 			t.Fatalf("task %d: got (%v, %v), want (%v, %v)",
 				i, got[i].Arrival, got[i].Deadline, want.Arrival, want.Deadline)
@@ -565,7 +679,7 @@ func TestReplayerReuseTask(t *testing.T) {
 	if n := reflect.TypeOf(task.Task{}).NumField(); n != 8 {
 		t.Fatalf("task.Task has %d fields: make the careless sink below write the new ones", n)
 	}
-	rep, data := sampleReplay(t)
+	tasks, data := sampleReplay(t)
 	for _, reuse := range []bool{false, true} {
 		tr, err := OpenTrace(bytes.NewReader(data))
 		if err != nil {
@@ -592,15 +706,15 @@ func TestReplayerReuseTask(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.Run()
-		if rp.Replayed() != uint64(len(rep.Tasks)) {
-			t.Fatalf("ReuseTask=%v: replayed %d, want %d", reuse, rp.Replayed(), len(rep.Tasks))
+		if rp.Replayed() != uint64(len(tasks)) {
+			t.Fatalf("ReuseTask=%v: replayed %d, want %d", reuse, rp.Replayed(), len(tasks))
 		}
 		for i := 1; i < len(seen); i++ {
 			if seen[i] != seen[0] {
 				t.Fatalf("ReuseTask=%v: record %d offered a second task value", reuse, i)
 			}
 		}
-		for i, want := range rep.Tasks {
+		for i, want := range tasks {
 			g := got[i]
 			if g.ID != task.ID(i) || g.Arrival != want.Arrival || g.Deadline != want.Deadline || g.Class != want.Class ||
 				len(g.Subtasks) != 2 || g.Priority != 0 || g.Importance != 0 || g.Graph != nil {
