@@ -90,14 +90,19 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
-# Checks the -quick output of every experiment without a timing column
-# against the md5s pinned in cmd/experiments/testdata/quick.md5 (taken
-# on amd64): a change that must not move decisions keeps every line.
+# Checks the output of every experiment without a timing column against
+# the md5s pinned in cmd/experiments/testdata (taken on amd64): the
+# -quick scale (one replication) in quick.md5, the default full scale
+# (three replications) in full.md5. A change that must not move
+# decisions keeps every line of both.
 experiments-md5:
 	$(GO) build -o .bench_build/experiments ./cmd/experiments
 	@for x in $$(awk '{print $$2}' cmd/experiments/testdata/quick.md5); do \
 		echo "$$(.bench_build/experiments -run $$x -quick | md5sum | cut -d' ' -f1)  $$x"; \
 	done | diff cmd/experiments/testdata/quick.md5 -
+	@for x in $$(awk '{print $$2}' cmd/experiments/testdata/full.md5); do \
+		echo "$$(.bench_build/experiments -run $$x | md5sum | cut -d' ' -f1)  $$x"; \
+	done | diff cmd/experiments/testdata/full.md5 -
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -128,8 +128,8 @@ func BenchmarkTable1TSCE(b *testing.B) {
 func BenchmarkAblationIdleReset(b *testing.B) {
 	spec := workload.PipelineSpec{Stages: 2, Load: 1.5, MeanDemand: 1, Resolution: 50}
 	run := func(disable bool, seed int64) float64 {
-		pt := experiments.RunPipelinePoint(spec, func(*des.Simulator) feasregion.PipelineOptions {
-			return feasregion.PipelineOptions{Stages: 2, DisableIdleReset: disable}
+		pt := experiments.RunPipelinePoint(spec, func(*des.Simulator, int, int64) experiments.Replication {
+			return experiments.Replication{Opts: feasregion.PipelineOptions{Stages: 2, DisableIdleReset: disable}}
 		}, benchScale, seed)
 		return pt.MeanUtil.Mean
 	}

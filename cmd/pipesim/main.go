@@ -302,9 +302,6 @@ func openReplay(path string, horizon float64) (tr *workload.TraceReader, clamped
 	}
 	var rec workload.TraceRecord
 	for err = tr.Next(&rec); err == nil; err = tr.Next(&rec) {
-		if rec.Arrival < 0 {
-			return nil, 0, 0, fmt.Errorf("%s: record %d: negative arrival %v", path, tr.Records()-1, rec.Arrival)
-		}
 		if rec.Arrival <= horizon {
 			due++
 		}

@@ -10,6 +10,7 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/metrics"
 	"feasregion/internal/task"
+	"feasregion/internal/ticker"
 )
 
 // RegionSink receives the loop's region updates. Both
@@ -598,42 +599,15 @@ func (l *Loop) Snapshot() LoopStats {
 
 // ScheduleSim arranges for the loop to tick every interval of simulated
 // time, from interval up to and including until — the simulation-side
-// driver (a recurring self-scheduling event would keep the event
-// calendar non-empty forever, so the horizon is explicit).
+// driver (ticker.Sim).
 func (l *Loop) ScheduleSim(sim *des.Simulator, interval, until des.Time) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("adapt: tick interval %v must be positive", interval))
-	}
-	for t := interval; t <= until; t += interval {
-		sim.At(t, l.Tick)
-	}
+	ticker.Sim(sim, interval, until, l.Tick)
 }
 
 // Start ticks the loop every interval on a background goroutine until
 // the returned stop function is called (idempotent; waits for the
-// goroutine to exit) — the wall-clock driver for online controllers.
+// goroutine to exit) — the wall-clock driver for online controllers
+// (ticker.Start).
 func (l *Loop) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		panic("adapt: tick interval must be positive")
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				l.Tick()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
+	return ticker.Start(interval, l.Tick)
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"feasregion/internal/ticker"
 )
 
 // AutoscalerConfig parameterizes the admission-driven autoscaler. Zero
@@ -291,29 +293,7 @@ func (a *Autoscaler) Tick() {
 
 // Start ticks the scaler every interval on a background goroutine until
 // the returned stop function is called (idempotent; waits for the
-// goroutine to exit) — the wall-clock driver.
+// goroutine to exit) — the wall-clock driver (ticker.Start).
 func (a *Autoscaler) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		panic("cluster: autoscaler interval must be positive")
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				a.Tick()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
+	return ticker.Start(interval, a.Tick)
 }

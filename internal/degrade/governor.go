@@ -9,6 +9,7 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/metrics"
 	"feasregion/internal/task"
+	"feasregion/internal/ticker"
 )
 
 // State is the governor's operating mode.
@@ -299,41 +300,15 @@ func (g *Governor) Tick() {
 
 // ScheduleSim arranges for the governor to tick every interval of
 // simulated time, from interval up to and including until — the
-// simulation-side driver, mirroring adapt.Loop.ScheduleSim.
+// simulation-side driver (ticker.Sim).
 func (g *Governor) ScheduleSim(sim *des.Simulator, interval, until des.Time) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("degrade: tick interval %v must be positive", interval))
-	}
-	for t := interval; t <= until; t += interval {
-		sim.At(t, g.Tick)
-	}
+	ticker.Sim(sim, interval, until, g.Tick)
 }
 
 // Start ticks the governor every interval on a background goroutine
 // until the returned stop function is called (idempotent; waits for the
-// goroutine to exit) — the wall-clock driver for online controllers.
+// goroutine to exit) — the wall-clock driver for online controllers
+// (ticker.Start).
 func (g *Governor) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		panic("degrade: tick interval must be positive")
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				g.Tick()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
+	return ticker.Start(interval, g.Tick)
 }

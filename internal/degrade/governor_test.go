@@ -3,9 +3,7 @@ package degrade
 import (
 	"sync"
 	"testing"
-	"time"
 
-	"feasregion/internal/des"
 	"feasregion/internal/metrics"
 	"feasregion/internal/task"
 )
@@ -233,32 +231,6 @@ func TestGovernorMetrics(t *testing.T) {
 	}
 	if got := get("feasregion_governor_transitions_total"); got != 1 {
 		t.Fatalf("transitions counter %v, want 1", got)
-	}
-}
-
-func TestGovernorScheduleSim(t *testing.T) {
-	sim := des.New()
-	s := &fakeSensors{value: 0.95, bound: 1}
-	g := newTestGovernor(s, Config{})
-	g.ScheduleSim(sim, 1, 3.5)
-	sim.Run()
-	if got := g.Stats().Ticks; got != 3 {
-		t.Fatalf("Ticks = %d, want 3", got)
-	}
-}
-
-func TestGovernorStartStop(t *testing.T) {
-	s := &fakeSensors{value: 0.95, bound: 1}
-	g := newTestGovernor(s, Config{})
-	stop := g.Start(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Stats().Ticks == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	if g.Stats().Ticks == 0 {
-		t.Fatal("governor never ticked")
 	}
 }
 

@@ -42,16 +42,9 @@ func AblationIdleReset(cfg AblationIdleResetConfig) *stats.Table {
 		Header: []string{"load", "with reset", "without reset"},
 	}
 	for _, load := range cfg.Loads {
-		spec := workload.PipelineSpec{
-			Stages:     cfg.Stages,
-			Load:       load,
-			MeanDemand: 1,
-			Resolution: cfg.Resolution,
-		}
+		spec := paperSpec(cfg.Stages, load, cfg.Resolution)
 		with := RunPipelinePoint(spec, defaultOpts(cfg.Stages), cfg.Scale, cfg.Seed)
-		without := RunPipelinePoint(spec, func(*des.Simulator) pipeline.Options {
-			return pipeline.Options{Stages: cfg.Stages, DisableIdleReset: true}
-		}, cfg.Scale, cfg.Seed)
+		without := RunPipelinePoint(spec, withOpts(pipeline.Options{Stages: cfg.Stages, DisableIdleReset: true}), cfg.Scale, cfg.Seed)
 		t.AddRow(
 			fmt.Sprintf("%.0f%%", load*100),
 			fmt.Sprintf("%.3f", with.MeanUtil.Mean),
@@ -80,12 +73,7 @@ func DefaultAblationAlpha() AblationAlphaConfig {
 // with the correct α = Dleast/Dmost, and — as a cautionary row — random
 // priorities with the DM region (α ignored), which voids the guarantee.
 func AblationAlphaPolicies(cfg AblationAlphaConfig) *stats.Table {
-	spec := workload.PipelineSpec{
-		Stages:     2,
-		Load:       cfg.Load,
-		MeanDemand: 1,
-		Resolution: cfg.Resolution,
-	}
+	spec := paperSpec(2, cfg.Load, cfg.Resolution)
 	// Deadlines are uniform in mean·[0.5, 1.5]: Dleast/Dmost = 1/3.
 	alphaRandom := 1.0 / 3
 
@@ -106,15 +94,14 @@ func AblationAlphaPolicies(cfg AblationAlphaConfig) *stats.Table {
 	for i, row := range rows {
 		region := core.NewRegion(2).WithAlpha(row.alpha)
 		policy := row.policy
-		optsFn := func(*des.Simulator) pipeline.Options {
-			return pipeline.Options{
+		pt := RunPipelinePoint(spec, func(*des.Simulator, int, int64) Replication {
+			return Replication{Opts: pipeline.Options{
 				Stages:      2,
 				Policy:      policy,
 				Region:      &region,
 				PriorityRNG: dist.NewRNG(cfg.Seed + int64(i)),
-			}
-		}
-		pt := RunPipelinePoint(spec, optsFn, cfg.Scale, cfg.Seed)
+			}}
+		}, cfg.Scale, cfg.Seed)
 		t.AddRow(
 			row.name,
 			fmt.Sprintf("%.3f", region.Bound()),
@@ -147,12 +134,7 @@ func DefaultAblationBlocking() AblationBlockingConfig {
 // admitted tasks schedulable; the unshrunk region (β ignored) is shown
 // for contrast.
 func AblationBlocking(cfg AblationBlockingConfig) *stats.Table {
-	spec := workload.PipelineSpec{
-		Stages:     2,
-		Load:       cfg.Load,
-		MeanDemand: 1,
-		Resolution: cfg.Resolution,
-	}
+	spec := paperSpec(2, cfg.Load, cfg.Resolution)
 	// β_0 = CS / Dleast with deadlines uniform in mean·[0.5, 1.5].
 	dLeast := spec.MeanDeadline() * 0.5
 	betas := []float64{cfg.CSDuration / dLeast, 0}
@@ -176,38 +158,23 @@ func AblationBlocking(cfg AblationBlockingConfig) *stats.Table {
 	return t
 }
 
-// runBlockingPoint mirrors RunPipelinePoint but rewrites every generated
-// task to carry a critical section on a shared stage-0 lock.
+// runBlockingPoint runs the default pipeline under region with every
+// generated task carrying a critical section on a shared stage-0 lock.
 func runBlockingPoint(spec workload.PipelineSpec, region core.Region, cfg AblationBlockingConfig, seed int64) Point {
-	var utils, bottles, misses []float64
-	reps := cfg.Scale.Replications
-	if reps < 1 {
-		reps = 1
-	}
 	const lockID = 1
-	for r := 0; r < reps; r++ {
-		sim := des.New()
-		p := pipeline.New(sim, pipeline.Options{Stages: 2, Region: &region})
-		// Ceiling 0: every priority may use the lock (most restrictive).
-		p.RegisterLock(0, lockID, 0)
-		src := workload.NewSource(sim, spec, seed+int64(r)*9973, cfg.Scale.Horizon, func(tk *task.Task) {
-			addCriticalSection(tk, cfg.CSDuration, lockID)
-			p.Offer(tk)
-		})
-		sim.At(cfg.Scale.Warmup, func() { p.BeginMeasurement() })
-		var m pipeline.Metrics
-		sim.At(cfg.Scale.Horizon, func() { m = p.Snapshot() })
-		src.Start()
-		sim.Run()
-		utils = append(utils, m.MeanUtilization)
-		bottles = append(bottles, m.BottleneckUtilization)
-		misses = append(misses, m.MissRatio)
-	}
-	return Point{
-		MeanUtil:       stats.Summarize(utils),
-		BottleneckUtil: stats.Summarize(bottles),
-		MissRatio:      stats.Summarize(misses),
-	}
+	return RunPipelinePoint(spec, func(sim *des.Simulator, _ int, seed int64) Replication {
+		return Replication{
+			Opts: pipeline.Options{Stages: 2, Region: &region},
+			Source: func(p *pipeline.Pipeline) *workload.Source {
+				// Ceiling 0: every priority may use the lock (most restrictive).
+				p.RegisterLock(0, lockID, 0)
+				return workload.NewSource(sim, spec, seed, cfg.Scale.Horizon, func(tk *task.Task) {
+					addCriticalSection(tk, cfg.CSDuration, lockID)
+					p.Offer(tk)
+				})
+			},
+		}
+	}, cfg.Scale, seed)
 }
 
 // addCriticalSection appends a fixed-length critical section to the

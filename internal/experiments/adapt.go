@@ -183,8 +183,8 @@ func adaptRun(cfg AdaptConfig, seed int64, adaptive bool) (pipeline.Metrics, *ad
 	}
 	p := pipeline.New(sim, popts)
 
-	honest := workload.PipelineSpec{Stages: cfg.Stages, Load: cfg.HonestLoad, MeanDemand: 1, Resolution: cfg.Resolution}
-	liars := workload.PipelineSpec{Stages: cfg.Stages, Load: cfg.LiarLoad, MeanDemand: 1, Resolution: cfg.Resolution}
+	honest := paperSpec(cfg.Stages, cfg.HonestLoad, cfg.Resolution)
+	liars := paperSpec(cfg.Stages, cfg.LiarLoad, cfg.Resolution)
 	hsrc := workload.NewSource(sim, honest, seed, cfg.Horizon, func(tk *task.Task) {
 		tk.Class = "honest"
 		p.Offer(tk)
@@ -198,13 +198,7 @@ func adaptRun(cfg AdaptConfig, seed int64, adaptive bool) (pipeline.Metrics, *ad
 	if loop := p.AdaptLoop(); loop != nil {
 		loop.ScheduleSim(sim, cfg.TickInterval, cfg.Horizon)
 	}
-	sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-	var m pipeline.Metrics
-	sim.At(cfg.Horizon, func() { m = p.Snapshot() })
-	hsrc.Start()
-	lsrc.Start()
-	sim.Run()
-	return m, p.AdaptLoop()
+	return measure(sim, p, cfg.Warmup, cfg.Horizon, hsrc.Start, lsrc.Start), p.AdaptLoop()
 }
 
 // Table renders the comparison.

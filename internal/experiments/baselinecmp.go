@@ -7,7 +7,6 @@ import (
 	"feasregion/internal/des"
 	"feasregion/internal/pipeline"
 	"feasregion/internal/stats"
-	"feasregion/internal/workload"
 )
 
 // BaselineCompareConfig parameterizes the admission-policy comparison.
@@ -47,22 +46,15 @@ func BaselineCompare(cfg BaselineCompareConfig) *stats.Table {
 		},
 	}
 	for _, load := range cfg.Loads {
-		spec := workload.PipelineSpec{
-			Stages:     cfg.Stages,
-			Load:       load,
-			MeanDemand: 1,
-			Resolution: cfg.Resolution,
-		}
+		spec := paperSpec(cfg.Stages, load, cfg.Resolution)
 		region := RunPipelinePoint(spec, defaultOpts(cfg.Stages), cfg.Scale, cfg.Seed)
-		split := RunPipelinePoint(spec, func(sim *des.Simulator) pipeline.Options {
-			return pipeline.Options{
+		split := RunPipelinePoint(spec, func(sim *des.Simulator, _ int, _ int64) Replication {
+			return Replication{Opts: pipeline.Options{
 				Stages:   cfg.Stages,
 				Admitter: baseline.NewSplitDeadlineController(sim, cfg.Stages),
-			}
+			}}
 		}, cfg.Scale, cfg.Seed)
-		open := RunPipelinePoint(spec, func(*des.Simulator) pipeline.Options {
-			return pipeline.Options{Stages: cfg.Stages, NoAdmission: true}
-		}, cfg.Scale, cfg.Seed)
+		open := RunPipelinePoint(spec, withOpts(pipeline.Options{Stages: cfg.Stages, NoAdmission: true}), cfg.Scale, cfg.Seed)
 		t.AddRow(
 			fmt.Sprintf("%.0f%%", load*100),
 			fmt.Sprintf("%.3f", region.MeanUtil.Mean), fmt.Sprintf("%.4f", region.MissRatio.Mean),

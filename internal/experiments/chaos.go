@@ -8,9 +8,7 @@ import (
 	"feasregion/internal/faults"
 	"feasregion/internal/pipeline"
 	"feasregion/internal/stats"
-	"feasregion/internal/task"
 	"feasregion/internal/trace"
-	"feasregion/internal/workload"
 )
 
 // ChaosConfig parameterizes the fault-injection policy comparison: a
@@ -67,12 +65,12 @@ func Chaos(cfg ChaosConfig) *stats.Table {
 			cfg.LiarFraction*100, cfg.LiarFactor, cfg.IdleLossProb*100, cfg.Seeds),
 		Header: []string{"policy", "accepted", "completed", "truthful misses", "liar misses", "detected", "evicted", "re-charged"},
 	}
+	spec := paperSpec(cfg.Stages, cfg.Load, cfg.Resolution)
+	sc := Scale{Horizon: cfg.Horizon, Warmup: cfg.Warmup, Replications: cfg.Seeds}
 	for _, pol := range policies {
-		var accepts []float64
-		var completed, truthfulMisses, liarMisses uint64
+		var truthfulMisses, liarMisses uint64
 		var gs core.GuardStats
-		for s := 0; s < cfg.Seeds; s++ {
-			seed := cfg.Seed + int64(s)*9973
+		pt := RunPipelinePoint(spec, func(_ *des.Simulator, _ int, seed int64) Replication {
 			inj := faults.New(faults.Config{
 				Stages:       cfg.Stages,
 				Horizon:      cfg.Horizon,
@@ -80,41 +78,34 @@ func Chaos(cfg ChaosConfig) *stats.Table {
 				LiarFactor:   cfg.LiarFactor,
 				IdleLossProb: cfg.IdleLossProb,
 			}, seed)
-			sim := des.New()
 			rec := trace.New(0)
-			p := pipeline.New(sim, pipeline.Options{
-				Stages:        cfg.Stages,
-				OverrunPolicy: pol,
-				Faults:        inj,
-				Trace:         rec,
-			})
-			spec := workload.PipelineSpec{Stages: cfg.Stages, Load: cfg.Load, MeanDemand: 1, Resolution: cfg.Resolution}
-			src := workload.NewSource(sim, spec, seed, cfg.Horizon, func(tk *task.Task) { p.Offer(tk) })
-			sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-			var m pipeline.Metrics
-			sim.At(cfg.Horizon, func() { m = p.Snapshot() })
-			src.Start()
-			sim.Run()
-
-			accepts = append(accepts, m.AcceptRatio)
-			completed += m.Completed
-			for _, r := range rec.Records() {
-				if r.Kind != "miss" {
-					continue
-				}
-				if inj.Liar(r.Task) {
-					liarMisses++
-				} else {
-					truthfulMisses++
-				}
+			return Replication{
+				Opts: pipeline.Options{
+					Stages:        cfg.Stages,
+					OverrunPolicy: pol,
+					Faults:        inj,
+					Trace:         rec,
+				},
+				Done: func(m pipeline.Metrics) {
+					for _, r := range rec.Records() {
+						if r.Kind != "miss" {
+							continue
+						}
+						if inj.Liar(r.Task) {
+							liarMisses++
+						} else {
+							truthfulMisses++
+						}
+					}
+					gs.Detected += m.GuardStats.Detected
+					gs.Evictions += m.GuardStats.Evictions
+					gs.Recharged += m.GuardStats.Recharged
+				},
 			}
-			gs.Detected += m.GuardStats.Detected
-			gs.Evictions += m.GuardStats.Evictions
-			gs.Recharged += m.GuardStats.Recharged
-		}
+		}, sc, cfg.Seed)
 		t.AddRow(pol.String(),
-			fmt.Sprintf("%.1f%%", stats.Summarize(accepts).Mean*100),
-			fmt.Sprintf("%d", completed),
+			fmt.Sprintf("%.1f%%", pt.AcceptRatio.Mean*100),
+			fmt.Sprintf("%d", pt.Completed),
 			fmt.Sprintf("%d", truthfulMisses),
 			fmt.Sprintf("%d", liarMisses),
 			fmt.Sprintf("%d", gs.Detected),

@@ -177,19 +177,9 @@ func clusterRun(cfg ClusterConfig, pol cluster.Policy, load float64, health bool
 			return faults.New(faults.Config{Stages: cfg.Stages, SlowWindows: wins}, seed)
 		},
 	})
-	spec := workload.PipelineSpec{
-		Stages:     cfg.Stages,
-		Load:       load * float64(cfg.Replicas),
-		MeanDemand: 1,
-		Resolution: cfg.Resolution,
-	}
+	spec := paperSpec(cfg.Stages, load*float64(cfg.Replicas), cfg.Resolution)
 	src := workload.NewSource(sim, spec, seed, cfg.Horizon, func(tk *task.Task) { cp.Offer(tk) })
-	sim.At(cfg.Warmup, func() { cp.BeginMeasurement() })
-	var m pipeline.ClusterMetrics
-	sim.At(cfg.Horizon, func() { m = cp.Snapshot() })
-	src.Start()
-	sim.Run()
-	return m
+	return measure(sim, cp, cfg.Warmup, cfg.Horizon, src.Start)
 }
 
 // clusterScaleRun simulates the Part B step for one seed.
@@ -201,18 +191,14 @@ func clusterScaleRun(cfg ClusterConfig, seed int64) ClusterScale {
 		Seed:   uint64(seed),
 		Scaler: cfg.Scaler,
 	})
-	base := workload.PipelineSpec{Stages: cfg.Stages, Load: cfg.BaseLoad, MeanDemand: 1, Resolution: cfg.Resolution}
-	step := workload.PipelineSpec{Stages: cfg.Stages, Load: cfg.StepLoad, MeanDemand: 1, Resolution: cfg.Resolution}
+	base := paperSpec(cfg.Stages, cfg.BaseLoad, cfg.Resolution)
+	step := paperSpec(cfg.Stages, cfg.StepLoad, cfg.Resolution)
 	srcA := workload.NewSource(sim, base, seed, cfg.ScaleHorizon, func(tk *task.Task) { cp.Offer(tk) })
 	srcB := workload.NewSource(sim, step, seed+1, cfg.ScaleHorizon, func(tk *task.Task) { cp.Offer(tk) })
 	srcB.SetFirstID(1 << 32) // partition the ID space between the sources
 	sim.At(cfg.StepAt, func() { srcB.Start() })
-	sim.At(cfg.ScaleWarmup, func() { cp.BeginMeasurement() })
 	cp.ScheduleScaler(cfg.ScalerInterval, cfg.ScaleHorizon)
-	var m pipeline.ClusterMetrics
-	sim.At(cfg.ScaleHorizon, func() { m = cp.Snapshot() })
-	srcA.Start()
-	sim.Run()
+	m := measure(sim, cp, cfg.ScaleWarmup, cfg.ScaleHorizon, srcA.Start)
 
 	out := ClusterScale{
 		Transitions: m.Transitions,

@@ -76,10 +76,7 @@ func DataFlow(cfg DataFlowConfig) *stats.Table {
 				}
 			})
 		}
-		sim.At(cfg.Warmup, func() { gs.BeginMeasurement() })
-		var m pipeline.Metrics
-		sim.At(cfg.Horizon, func() { m = gs.Snapshot() })
-		sim.Run()
+		m := measure(sim, gs, cfg.Warmup, cfg.Horizon)
 
 		t.AddRow(
 			fmt.Sprintf("%.2f", rate),

@@ -151,12 +151,7 @@ func degradeRun(cfg DegradeConfig, load float64, seed int64, governed bool) pipe
 	if g := p.Governor(); g != nil {
 		g.ScheduleSim(sim, cfg.TickInterval, cfg.Horizon)
 	}
-	sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-	var m pipeline.Metrics
-	sim.At(cfg.Horizon, func() { m = p.Snapshot() })
-	src.Start()
-	sim.Run()
-	return m
+	return measure(sim, p, cfg.Warmup, cfg.Horizon, src.Start)
 }
 
 // Table renders the utility-vs-load comparison.

@@ -69,11 +69,7 @@ func JitteredPeriodic(cfg JitteredPeriodicConfig) *stats.Table {
 			}
 			stream.Schedule(sim, rng, cfg.Horizon, &id, func(t *task.Task) { p.Offer(t) })
 		}
-		sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-		var m pipeline.Metrics
-		sim.At(cfg.Horizon, func() { m = p.Snapshot() })
-		sim.Run()
-		return m
+		return measure(sim, p, cfg.Warmup, cfg.Horizon)
 	}
 
 	withAC := run(true)
@@ -133,12 +129,9 @@ func Overrun(cfg OverrunConfig) *stats.Table {
 		Title:  "Extension: sensitivity to execution-time overruns (declared = actual / factor)",
 		Header: []string{"overrun factor", "stage util", "miss ratio"},
 	}
-	spec := workload.PipelineSpec{Stages: 2, Load: cfg.Load, MeanDemand: 1, Resolution: cfg.Resolution}
+	spec := paperSpec(2, cfg.Load, cfg.Resolution)
 	for _, factor := range cfg.Factors {
-		factor := factor
-		pt := RunPipelinePoint(spec, func(*des.Simulator) pipeline.Options {
-			return pipeline.Options{Stages: 2, Estimator: underestimateBy(factor)}
-		}, cfg.Scale, cfg.Seed)
+		pt := RunPipelinePoint(spec, withOpts(pipeline.Options{Stages: 2, Estimator: underestimateBy(factor)}), cfg.Scale, cfg.Seed)
 		t.AddRow(fmt.Sprintf("%.2f", factor),
 			fmt.Sprintf("%.3f", pt.MeanUtil.Mean),
 			fmt.Sprintf("%.5f", pt.MissRatio.Mean))
@@ -176,39 +169,17 @@ func HeavyTailApproximate(cfg HeavyTailConfig) *stats.Table {
 		Header: []string{"resolution", "miss ratio (exp)", "miss ratio (pareto)"},
 	}
 	for _, res := range cfg.Resolutions {
-		spec := workload.PipelineSpec{Stages: 2, Load: cfg.Load, MeanDemand: 1, Resolution: res}
-		means := spec.StageMeans()
-
-		runOne := func(heavy bool) float64 {
-			var misses []float64
-			reps := cfg.Scale.Replications
-			if reps < 1 {
-				reps = 1
-			}
-			for r := 0; r < reps; r++ {
-				sim := des.New()
-				p := pipeline.New(sim, pipeline.Options{Stages: 2, Estimator: core.MeanDemand(means)})
-				seed := cfg.Seed + int64(r)*9973
-				offer := func(tk *task.Task) { p.Offer(tk) }
-				var src *workload.Source
-				if heavy {
-					src = workload.HeavyTailedSource(sim, spec, cfg.ParetoAlpha, seed, cfg.Scale.Horizon, offer)
-				} else {
-					src = workload.NewSource(sim, spec, seed, cfg.Scale.Horizon, offer)
-				}
-				sim.At(cfg.Scale.Warmup, func() { p.BeginMeasurement() })
-				var m pipeline.Metrics
-				sim.At(cfg.Scale.Horizon, func() { m = p.Snapshot() })
-				src.Start()
-				sim.Run()
-				misses = append(misses, m.MissRatio)
-			}
-			return stats.Summarize(misses).Mean
-		}
-
+		spec := paperSpec(2, cfg.Load, res)
+		opts := pipeline.Options{Stages: 2, Estimator: core.MeanDemand(spec.StageMeans())}
+		exp := RunPipelinePoint(spec, withOpts(opts), cfg.Scale, cfg.Seed)
+		pareto := RunPipelinePoint(spec, func(sim *des.Simulator, _ int, seed int64) Replication {
+			return Replication{Opts: opts, Source: func(p *pipeline.Pipeline) *workload.Source {
+				return workload.HeavyTailedSource(sim, spec, cfg.ParetoAlpha, seed, cfg.Scale.Horizon, func(tk *task.Task) { p.Offer(tk) })
+			}}
+		}, cfg.Scale, cfg.Seed)
 		t.AddRow(fmt.Sprintf("%g", res),
-			fmt.Sprintf("%.5f", runOne(false)),
-			fmt.Sprintf("%.5f", runOne(true)))
+			fmt.Sprintf("%.5f", exp.MissRatio.Mean),
+			fmt.Sprintf("%.5f", pareto.MissRatio.Mean))
 	}
 	return t
 }
@@ -245,41 +216,22 @@ func Burstiness(cfg BurstinessConfig) *stats.Table {
 		Title:  "Extension: admission control under on-off bursty arrivals (equal long-run load)",
 		Header: []string{"burstiness", "accepted", "stage util", "miss ratio"},
 	}
-	spec := workload.PipelineSpec{Stages: 2, Load: cfg.Load, MeanDemand: 1, Resolution: cfg.Resolution}
+	spec := paperSpec(2, cfg.Load, cfg.Resolution)
 	for _, level := range cfg.Levels {
-		var utils, misses, accepts []float64
-		reps := cfg.Scale.Replications
-		if reps < 1 {
-			reps = 1
-		}
-		for r := 0; r < reps; r++ {
-			sim := des.New()
-			p := pipeline.New(sim, pipeline.Options{Stages: 2})
-			seed := cfg.Seed + int64(r)*9973
-			offer := func(tk *task.Task) { p.Offer(tk) }
-			var src *workload.Source
-			if level <= 1 {
-				src = workload.NewSource(sim, spec, seed, cfg.Scale.Horizon, offer)
-			} else {
-				src = workload.NewBurstySource(sim, workload.BurstySpec{
-					Pipeline:   spec,
-					Burstiness: level,
-					MeanOn:     cfg.MeanOn,
-				}, seed, cfg.Scale.Horizon, offer)
+		build := defaultOpts(2)
+		if level > 1 {
+			bursty := workload.BurstySpec{Pipeline: spec, Burstiness: level, MeanOn: cfg.MeanOn}
+			build = func(sim *des.Simulator, _ int, seed int64) Replication {
+				return Replication{Opts: pipeline.Options{Stages: 2}, Source: func(p *pipeline.Pipeline) *workload.Source {
+					return workload.NewBurstySource(sim, bursty, seed, cfg.Scale.Horizon, func(tk *task.Task) { p.Offer(tk) })
+				}}
 			}
-			sim.At(cfg.Scale.Warmup, func() { p.BeginMeasurement() })
-			var m pipeline.Metrics
-			sim.At(cfg.Scale.Horizon, func() { m = p.Snapshot() })
-			src.Start()
-			sim.Run()
-			utils = append(utils, m.MeanUtilization)
-			misses = append(misses, m.MissRatio)
-			accepts = append(accepts, m.AcceptRatio)
 		}
+		pt := RunPipelinePoint(spec, build, cfg.Scale, cfg.Seed)
 		t.AddRow(fmt.Sprintf("%gx", level),
-			fmt.Sprintf("%.1f%%", stats.Summarize(accepts).Mean*100),
-			fmt.Sprintf("%.3f", stats.Summarize(utils).Mean),
-			fmt.Sprintf("%.5f", stats.Summarize(misses).Mean))
+			fmt.Sprintf("%.1f%%", pt.AcceptRatio.Mean*100),
+			fmt.Sprintf("%.3f", pt.MeanUtil.Mean),
+			fmt.Sprintf("%.5f", pt.MissRatio.Mean))
 	}
 	return t
 }
@@ -303,39 +255,24 @@ func DefaultPolicyCompare() PolicyCompareConfig {
 // deadline-monotonic (the paper's optimal fixed-priority choice), EDF,
 // FIFO, and random priorities, by miss ratio at equal load.
 func PolicyCompare(cfg PolicyCompareConfig) *stats.Table {
-	spec := workload.PipelineSpec{Stages: 2, Load: cfg.Load, MeanDemand: 1, Resolution: cfg.Resolution}
+	spec := paperSpec(2, cfg.Load, cfg.Resolution)
 	t := &stats.Table{
 		Title:  "Extension: scheduling policies on the open pipeline (no admission control)",
 		Header: []string{"policy", "miss ratio", "mean response"},
 	}
 	policies := []task.Policy{task.DeadlineMonotonic{}, task.EDF{}, task.FIFO{}, task.Random{}}
 	for i, pol := range policies {
-		pol := pol
-		var misses, resp []float64
-		reps := cfg.Scale.Replications
-		if reps < 1 {
-			reps = 1
-		}
-		for r := 0; r < reps; r++ {
-			sim := des.New()
-			p := pipeline.New(sim, pipeline.Options{
+		pt := RunPipelinePoint(spec, func(_ *des.Simulator, r int, _ int64) Replication {
+			return Replication{Opts: pipeline.Options{
 				Stages:      2,
 				NoAdmission: true,
 				Policy:      pol,
 				PriorityRNG: dist.NewRNG(cfg.Seed + int64(i*100+r)),
-			})
-			src := workload.NewSource(sim, spec, cfg.Seed+int64(r)*9973, cfg.Scale.Horizon, func(tk *task.Task) { p.Offer(tk) })
-			sim.At(cfg.Scale.Warmup, func() { p.BeginMeasurement() })
-			var m pipeline.Metrics
-			sim.At(cfg.Scale.Horizon, func() { m = p.Snapshot() })
-			src.Start()
-			sim.Run()
-			misses = append(misses, m.MissRatio)
-			resp = append(resp, m.ResponseTimes.Mean())
-		}
+			}}
+		}, cfg.Scale, cfg.Seed)
 		t.AddRow(pol.Name(),
-			fmt.Sprintf("%.5f", stats.Summarize(misses).Mean),
-			fmt.Sprintf("%.3f", stats.Summarize(resp).Mean))
+			fmt.Sprintf("%.5f", pt.MissRatio.Mean),
+			fmt.Sprintf("%.3f", pt.MeanResponse.Mean))
 	}
 	return t
 }
@@ -370,12 +307,9 @@ func PreemptionOverheadSensitivity(cfg OverheadConfig) *stats.Table {
 		Title:  "Extension: sensitivity to preemption overhead (charged to the preempted job)",
 		Header: []string{"overhead per preemption", "stage util", "miss ratio"},
 	}
-	spec := workload.PipelineSpec{Stages: 2, Load: cfg.Load, MeanDemand: 1, Resolution: cfg.Resolution}
+	spec := paperSpec(2, cfg.Load, cfg.Resolution)
 	for _, eps := range cfg.Overheads {
-		eps := eps
-		pt := RunPipelinePoint(spec, func(*des.Simulator) pipeline.Options {
-			return pipeline.Options{Stages: 2, PreemptionOverhead: eps}
-		}, cfg.Scale, cfg.Seed)
+		pt := RunPipelinePoint(spec, withOpts(pipeline.Options{Stages: 2, PreemptionOverhead: eps}), cfg.Scale, cfg.Seed)
 		t.AddRow(fmt.Sprintf("%.3f", eps),
 			fmt.Sprintf("%.3f", pt.MeanUtil.Mean),
 			fmt.Sprintf("%.5f", pt.MissRatio.Mean))
@@ -421,22 +355,10 @@ func MultiServerScaling(cfg MultiServerConfig) *stats.Table {
 	for _, k := range cfg.Servers {
 		sim := des.New()
 		m := pipeline.NewMultiServerPipeline(sim, pipeline.MultiServerOptions{Stages: 2, Servers: k})
-		spec := workload.PipelineSpec{
-			Stages:     2,
-			Load:       cfg.LoadPerServer * float64(k),
-			MeanDemand: 1,
-			Resolution: cfg.Resolution,
-		}
+		spec := paperSpec(2, cfg.LoadPerServer*float64(k), cfg.Resolution)
 		src := workload.NewSource(sim, spec, cfg.Seed, cfg.Scale.Horizon, func(tk *task.Task) { m.Offer(tk) })
-		sim.At(cfg.Scale.Warmup, func() { m.BeginMeasurement() })
-		var snap pipeline.Metrics
-		var agg []float64
-		sim.At(cfg.Scale.Horizon, func() {
-			snap = m.Snapshot()
-			agg = m.AggregateStageUtilization(snap)
-		})
-		src.Start()
-		sim.Run()
+		snap := measure(sim, m, cfg.Scale.Warmup, cfg.Scale.Horizon, src.Start)
+		agg := m.AggregateStageUtilization(snap)
 		t.AddRow(fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.3f", agg[0]),
 			fmt.Sprintf("%.3f", agg[0]/float64(k)),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"feasregion/internal/stats"
-	"feasregion/internal/workload"
 )
 
 // Fig4Config parameterizes the pipeline-length experiment (paper §4.1).
@@ -56,12 +55,7 @@ func Fig4(cfg Fig4Config) Fig4Result {
 	}
 	for _, n := range cfg.Lengths {
 		for _, load := range cfg.Loads {
-			spec := workload.PipelineSpec{
-				Stages:     n,
-				Load:       load,
-				MeanDemand: 1,
-				Resolution: cfg.Resolution,
-			}
+			spec := paperSpec(n, load, cfg.Resolution)
 			pt := RunPipelinePoint(spec, defaultOpts(n), cfg.Scale, cfg.Seed)
 			res.Util[n] = append(res.Util[n], pt.MeanUtil.Mean)
 			res.Points[n] = append(res.Points[n], pt)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"feasregion/internal/stats"
-	"feasregion/internal/workload"
 )
 
 // Fig5Config parameterizes the task-resolution experiment (paper §4.2).
@@ -48,12 +47,7 @@ func Fig5(cfg Fig5Config) Fig5Result {
 		res.Util = append(res.Util, nil)
 		res.Points = append(res.Points, nil)
 		for _, r := range cfg.Resolutions {
-			spec := workload.PipelineSpec{
-				Stages:     2,
-				Load:       load,
-				MeanDemand: 1,
-				Resolution: r,
-			}
+			spec := paperSpec(2, load, r)
 			pt := RunPipelinePoint(spec, defaultOpts(2), cfg.Scale, cfg.Seed)
 			res.Util[li] = append(res.Util[li], pt.MeanUtil.Mean)
 			res.Points[li] = append(res.Points[li], pt)

@@ -47,13 +47,8 @@ type Fig6Result struct {
 func Fig6(cfg Fig6Config) Fig6Result {
 	res := Fig6Result{Config: cfg}
 	for _, ratio := range cfg.Ratios {
-		spec := workload.PipelineSpec{
-			Stages:     2,
-			Load:       cfg.Load,
-			MeanDemand: 1,
-			StageScale: workload.ImbalanceScales(ratio),
-			Resolution: cfg.Resolution,
-		}
+		spec := paperSpec(2, cfg.Load, cfg.Resolution)
+		spec.StageScale = workload.ImbalanceScales(ratio)
 		pt := RunPipelinePoint(spec, defaultOpts(2), cfg.Scale, cfg.Seed)
 		res.Bottleneck = append(res.Bottleneck, pt.BottleneckUtil.Mean)
 		res.Points = append(res.Points, pt)

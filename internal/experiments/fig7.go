@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"feasregion/internal/core"
-	"feasregion/internal/des"
 	"feasregion/internal/pipeline"
 	"feasregion/internal/stats"
-	"feasregion/internal/workload"
 )
 
 // Fig7Config parameterizes the approximate-admission experiment (§4.4):
@@ -52,20 +50,12 @@ func Fig7(cfg Fig7Config) Fig7Result {
 		res.MissRatio = append(res.MissRatio, nil)
 		res.Points = append(res.Points, nil)
 		for _, r := range cfg.Resolutions {
-			spec := workload.PipelineSpec{
-				Stages:     2,
-				Load:       load,
-				MeanDemand: 1,
-				Resolution: r,
-			}
+			spec := paperSpec(2, load, r)
 			means := spec.StageMeans()
-			optsFn := func(*des.Simulator) pipeline.Options {
-				return pipeline.Options{
-					Stages:    2,
-					Estimator: core.MeanDemand(means),
-				}
-			}
-			pt := RunPipelinePoint(spec, optsFn, cfg.Scale, cfg.Seed)
+			pt := RunPipelinePoint(spec, withOpts(pipeline.Options{
+				Stages:    2,
+				Estimator: core.MeanDemand(means),
+			}), cfg.Scale, cfg.Seed)
 			res.MissRatio[li] = append(res.MissRatio[li], pt.MissRatio.Mean)
 			res.Points[li] = append(res.Points[li], pt)
 		}

@@ -121,13 +121,9 @@ func Health(cfg HealthConfig) HealthResult {
 			if mon != nil {
 				mon.SetScaler(p.Controller())
 			}
-			spec := workload.PipelineSpec{Stages: cfg.Stages, Load: cfg.Load, MeanDemand: 1, Resolution: cfg.Resolution}
+			spec := paperSpec(cfg.Stages, cfg.Load, cfg.Resolution)
 			src := workload.NewSource(sim, spec, seed, cfg.Horizon, func(tk *task.Task) { p.Offer(tk) })
-			sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-			var m pipeline.Metrics
-			sim.At(cfg.Horizon, func() { m = p.Snapshot() })
-			src.Start()
-			sim.Run()
+			m := measure(sim, p, cfg.Warmup, cfg.Horizon, src.Start)
 
 			agg.Offered += m.Offered
 			agg.Entered += m.EnteredService

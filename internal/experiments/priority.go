@@ -190,12 +190,7 @@ func PriorityAdmission(cfg PriorityConfig) ([]PriorityOutcome, error) {
 	// per-task OPA test collapses to the global inequality, so this leg
 	// checks the refinement never LOSES admissions.
 	for _, load := range cfg.Loads {
-		spec := workload.PipelineSpec{
-			Stages:     cfg.Stages,
-			Load:       load,
-			MeanDemand: 1,
-			Resolution: cfg.Resolution,
-		}
+		spec := paperSpec(cfg.Stages, load, cfg.Resolution)
 		for _, m := range priorityModes(cfg.Stages, 1.0/3, cfg.Seed) {
 			offered, admitted, missed := runPriorityCell(m.opts(), func(sim *des.Simulator, offer func(*task.Task)) {
 				src := workload.NewSource(sim, spec, cfg.Seed, cfg.Scale.Horizon, offer)

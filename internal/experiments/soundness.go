@@ -49,14 +49,14 @@ func Soundness(cfg SoundnessConfig) *stats.Table {
 			optsFn: func(*des.Simulator, int64) pipeline.Options {
 				return pipeline.Options{Stages: 2}
 			},
-			spec: workload.PipelineSpec{Stages: 2, Load: 1.2, MeanDemand: 1, Resolution: 50},
+			spec: paperSpec(2, 1.2, 50),
 		},
 		{
 			name: "DM, 5 stages, 200% load, coarse tasks",
 			optsFn: func(*des.Simulator, int64) pipeline.Options {
 				return pipeline.Options{Stages: 5}
 			},
-			spec: workload.PipelineSpec{Stages: 5, Load: 2.0, MeanDemand: 1, Resolution: 8},
+			spec: paperSpec(5, 2.0, 8),
 		},
 		{
 			name: "random priorities, α=1/3 honored",
@@ -68,14 +68,14 @@ func Soundness(cfg SoundnessConfig) *stats.Table {
 					PriorityRNG: dist.NewRNG(seed + 1000),
 				}
 			},
-			spec: workload.PipelineSpec{Stages: 2, Load: 1.5, MeanDemand: 1, Resolution: 20},
+			spec: paperSpec(2, 1.5, 20),
 		},
 		{
 			name: "DM with 200ms-style admission hold",
 			optsFn: func(*des.Simulator, int64) pipeline.Options {
 				return pipeline.Options{Stages: 2, MaxWait: 5}
 			},
-			spec: workload.PipelineSpec{Stages: 2, Load: 1.3, MeanDemand: 1, Resolution: 30},
+			spec: paperSpec(2, 1.3, 30),
 		},
 	}
 

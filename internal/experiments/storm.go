@@ -99,10 +99,7 @@ func SheddingStorm(cfg StormConfig) *stats.Table {
 		})
 	}
 
-	sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-	var m pipeline.Metrics
-	sim.At(cfg.Horizon, func() { m = p.Snapshot() })
-	sim.Run()
+	m := measure(sim, p, cfg.Warmup, cfg.Horizon)
 
 	t := &stats.Table{
 		Title:  "Extension: §5 semantic shedding under an urgent-task storm (importance 10 vs routine importance 3)",

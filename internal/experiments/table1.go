@@ -114,14 +114,11 @@ func runTSCE(cfg Table1Config, tracks int) Table1Point {
 	var id task.ID
 	scenario.ScheduleReserved(sim, rng, cfg.Horizon, &id, p.Inject)
 	scenario.ScheduleTracking(sim, rng, tracks, cfg.Horizon, &id, func(t *task.Task) { p.Offer(t) })
-	sim.At(cfg.Warmup, func() { p.BeginMeasurement() })
-	var m pipeline.Metrics
+	// The hold keeps timing out while the calendar drains, so read it at
+	// the horizon, just before measure's snapshot.
 	var wq core.WaitStats
-	sim.At(cfg.Horizon, func() {
-		m = p.Snapshot()
-		wq = p.WaitQueue().Stats()
-	})
-	sim.Run()
+	sim.At(cfg.Horizon, func() { wq = p.WaitQueue().Stats() })
+	m := measure(sim, p, cfg.Warmup, cfg.Horizon)
 	pt := Table1Point{
 		Tracks:     tracks,
 		Stage1Util: m.StageUtilization[0],

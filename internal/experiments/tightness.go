@@ -44,12 +44,7 @@ func BoundTightness(cfg TightnessConfig) *stats.Table {
 		Header: []string{"load", "stage", "max delay", "bound", "ratio"},
 	}
 	for _, load := range cfg.Loads {
-		spec := workload.PipelineSpec{
-			Stages:     cfg.Stages,
-			Load:       load,
-			MeanDemand: 1,
-			Resolution: cfg.Resolution,
-		}
+		spec := paperSpec(cfg.Stages, load, cfg.Resolution)
 		sim := des.New()
 		p := pipeline.New(sim, pipeline.Options{Stages: cfg.Stages})
 		maxDeadline := 0.0
@@ -58,11 +53,7 @@ func BoundTightness(cfg TightnessConfig) *stats.Table {
 				maxDeadline = tk.Deadline
 			}
 		})
-		sim.At(cfg.Scale.Warmup, func() { p.BeginMeasurement() })
-		var m pipeline.Metrics
-		sim.At(cfg.Scale.Horizon, func() { m = p.Snapshot() })
-		src.Start()
-		sim.Run()
+		m := measure(sim, p, cfg.Scale.Warmup, cfg.Scale.Horizon, src.Start)
 
 		for j := 0; j < cfg.Stages; j++ {
 			peak := p.Controller().Ledger(j).Peak()

@@ -3,10 +3,10 @@ package online
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"feasregion/internal/task"
+	"feasregion/internal/ticker"
 )
 
 // TryAdmitAll tests and commits a burst of requests under one lock and
@@ -111,29 +111,7 @@ func (c *Controller) Reconcile() (expired int) {
 
 // StartWatchdog runs Reconcile every interval on a background goroutine
 // until the returned stop function is called (stop is idempotent and
-// waits for the goroutine to exit).
+// waits for the goroutine to exit; ticker.Start).
 func (c *Controller) StartWatchdog(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		panic("online: watchdog interval must be positive")
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				c.Reconcile()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
+	return ticker.Start(interval, func() { c.Reconcile() })
 }

@@ -12,6 +12,7 @@ import (
 	"feasregion/internal/obs"
 	"feasregion/internal/online"
 	"feasregion/internal/task"
+	"feasregion/internal/ticker"
 )
 
 // replicaAdmitter adapts one cluster replica to the Pipeline Admitter:
@@ -210,14 +211,9 @@ func (cp *ClusterPipeline) Offer(t *task.Task) bool {
 
 // ScheduleScaler ticks the autoscaler every interval of simulated time
 // through until (inclusive) — the sim-side analogue of
-// Autoscaler.Start.
+// Autoscaler.Start (ticker.Sim).
 func (cp *ClusterPipeline) ScheduleScaler(interval, until des.Time) {
-	if interval <= 0 {
-		panic("pipeline: scaler interval must be positive")
-	}
-	for t := interval; t <= until; t += interval {
-		cp.sim.At(t, func() { cp.c.Autoscaler().Tick() })
-	}
+	ticker.Sim(cp.sim, interval, until, cp.c.Autoscaler().Tick)
 }
 
 // BeginMeasurement starts the statistics window on every replica

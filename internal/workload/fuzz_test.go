@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,9 @@ func FuzzTraceReader(f *testing.F) {
 		tw.Write(0.5, 10, 0, []float64{1, 2})
 		tw.Write(1.5, 8, -1, []float64{0.5, 0.5})
 	}))
+	negative := valid(func(tw *TraceWriter) { tw.Write(0, 10, 0, []float64{1, 2}) })
+	binary.LittleEndian.PutUint64(negative[traceHeaderSize+len("gold")+len("bronze")+4:], math.Float64bits(-5))
+	f.Add(negative)
 	f.Add([]byte(TraceMagic))
 	f.Add([]byte("FRTRACE\x01\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, input []byte) {

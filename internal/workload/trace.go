@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +25,7 @@ import (
 //
 // followed by count fixed-size records:
 //
-//	arrival  float64   absolute arrival time, nondecreasing across records
+//	arrival  float64   absolute arrival time ≥ 0, nondecreasing across records
 //	deadline float64   relative end-to-end deadline, positive and finite
 //	class    uint8     index into the class table; 0xFF = unclassed
 //	demands  stages × float64   per-stage computation times, ≥ 0, finite
@@ -78,7 +79,6 @@ func NewTraceWriter(w io.Writer, stages int, classes []string) (*TraceWriter, er
 		raw:     w,
 		stages:  stages,
 		classes: make(map[string]int, len(classes)),
-		lastAt:  math.Inf(-1),
 		rec:     make([]byte, 17+8*stages),
 	}
 	var hdr [traceHeaderSize]byte
@@ -117,27 +117,40 @@ func (tw *TraceWriter) Stages() int { return tw.stages }
 func (tw *TraceWriter) Count() uint64 { return tw.count }
 
 // Write appends one record. class is an index into the writer's class
-// table, or -1 for unclassed. Arrivals must be nondecreasing, deadlines
-// positive and finite, demands non-negative and finite, with exactly the
-// header's stage count.
+// table, or -1 for unclassed. Arrivals must be finite, at least 0 and
+// nondecreasing, deadlines positive and finite, demands non-negative and
+// finite, with exactly the header's stage count. An error names the
+// record by its 0-based index and sticks: later calls return it.
 func (tw *TraceWriter) Write(arrival, deadline float64, class int, demands []float64) error {
 	if tw.err != nil {
 		return tw.err
 	}
+	if err := tw.write(arrival, deadline, class, demands); err != nil {
+		return tw.fail(fmt.Errorf("workload: trace record %d: %w", tw.count, err))
+	}
+	return nil
+}
+
+// write checks and appends one record; its errors name no record, so
+// Write and ImportCSV can each say where the record came from.
+func (tw *TraceWriter) write(arrival, deadline float64, class int, demands []float64) error {
 	if len(demands) != tw.stages {
-		return tw.fail(fmt.Errorf("workload: trace record %d has %d demands, want %d", tw.count, len(demands), tw.stages))
+		return fmt.Errorf("%d demands, want %d", len(demands), tw.stages)
 	}
 	if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
-		return tw.fail(fmt.Errorf("workload: trace record %d: non-finite arrival %v", tw.count, arrival))
+		return fmt.Errorf("non-finite arrival %v", arrival)
 	}
 	if arrival < tw.lastAt {
-		return tw.fail(fmt.Errorf("workload: trace record %d: arrival %v before previous %v (records must be time-ordered)", tw.count, arrival, tw.lastAt))
+		if arrival < 0 {
+			return fmt.Errorf("negative arrival %v (arrivals are absolute times ≥ 0)", arrival)
+		}
+		return fmt.Errorf("arrival %v before previous %v (records must be time-ordered)", arrival, tw.lastAt)
 	}
 	if !(deadline > 0) || math.IsInf(deadline, 0) {
-		return tw.fail(fmt.Errorf("workload: trace record %d: deadline %v must be positive and finite", tw.count, deadline))
+		return fmt.Errorf("deadline %v must be positive and finite", deadline)
 	}
 	if class != -1 && (class < 0 || class >= len(tw.classes)) {
-		return tw.fail(fmt.Errorf("workload: trace record %d: class %d outside table of %d", tw.count, class, len(tw.classes)))
+		return fmt.Errorf("class %d outside table of %d", class, len(tw.classes))
 	}
 	b := tw.rec
 	binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(arrival))
@@ -149,12 +162,12 @@ func (tw *TraceWriter) Write(arrival, deadline float64, class int, demands []flo
 	}
 	for j, c := range demands {
 		if !(c >= 0) || math.IsInf(c, 0) {
-			return tw.fail(fmt.Errorf("workload: trace record %d: demand[%d] = %v must be non-negative and finite", tw.count, j, c))
+			return fmt.Errorf("demand[%d] = %v must be non-negative and finite", j, c)
 		}
 		binary.LittleEndian.PutUint64(b[17+8*j:], math.Float64bits(c))
 	}
 	if _, err := tw.w.Write(b); err != nil {
-		return tw.fail(fmt.Errorf("workload: writing trace record: %w", err))
+		return fmt.Errorf("writing: %w", err)
 	}
 	tw.lastAt = arrival
 	tw.count++
@@ -243,7 +256,6 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 		stages:  stages,
 		recSize: recSize,
 		count:   count,
-		lastAt:  math.Inf(-1),
 	}
 	var lb [2]byte
 	for i := 0; i < nclasses; i++ {
@@ -275,7 +287,8 @@ func (tr *TraceReader) Records() uint64 { return tr.read }
 // Next decodes the next record into rec, reusing rec.Demands. It returns
 // io.EOF (and leaves rec unchanged) at a clean end of trace, and a
 // descriptive error on truncation or corruption: class out of range,
-// non-positive deadline, negative demand, or time-travelling arrivals.
+// non-positive deadline, negative demand, or a negative or
+// time-travelling arrival.
 func (tr *TraceReader) Next(rec *TraceRecord) error {
 	b, err := tr.r.Peek(tr.recSize)
 	if err != nil {
@@ -299,7 +312,10 @@ func (tr *TraceReader) Next(rec *TraceRecord) error {
 	if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
 		return fmt.Errorf("workload: trace record %d: non-finite arrival", tr.read)
 	}
-	if arrival < tr.lastAt {
+	if arrival < tr.lastAt { // lastAt starts at 0: arrivals are absolute times
+		if arrival < 0 {
+			return fmt.Errorf("workload: trace record %d: negative arrival %v", tr.read, arrival)
+		}
 		return fmt.Errorf("workload: trace record %d: arrival %v before previous %v", tr.read, arrival, tr.lastAt)
 	}
 	if !(deadline > 0) || math.IsInf(deadline, 0) {
@@ -334,21 +350,61 @@ func (tr *TraceReader) Next(rec *TraceRecord) error {
 // permitted (detected by a non-numeric first field), and every row must
 // carry the same number of demand columns. Rows must already be ordered
 // by arrival: the importer never buffers the file to sort it, and the
-// writer refuses an arrival before the previous one. It returns the
-// record count written.
+// writer refuses an arrival before the previous one. Every error names
+// the offending line of the file (1-based, a header counted). It returns
+// the record count written.
 func ImportCSV(r io.Reader, w io.Writer) (uint64, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1 // validated manually for better errors
+	cr.ReuseRecord = true
 	var tw *TraceWriter
-	err := streamCSVRows(r, func(arrival, deadline float64, demands []float64) error {
+	var demands []float64
+	for first := true; ; first = false {
+		row, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return 0, fmt.Errorf("workload: trace line %d: %w", pe.Line, pe.Err)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("workload: reading trace: %w", err)
+		}
+		line, _ := cr.FieldPos(0)
+		arrival, err := strconv.ParseFloat(row[0], 64)
+		if err != nil && first {
+			continue // header
+		}
+		if len(row) < 3 {
+			return 0, fmt.Errorf("workload: trace line %d has %d fields, need arrival,deadline,demands...", line, len(row))
+		}
+		if tw != nil && len(row)-2 != tw.stages {
+			return 0, fmt.Errorf("workload: trace line %d has %d demand columns, want %d", line, len(row)-2, tw.stages)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("workload: trace line %d field 1: %w", line, err)
+		}
+		deadline, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			return 0, fmt.Errorf("workload: trace line %d field 2: %w", line, err)
+		}
+		demands = demands[:0]
+		for k, cell := range row[2:] {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return 0, fmt.Errorf("workload: trace line %d field %d: %w", line, k+3, err)
+			}
+			demands = append(demands, v)
+		}
 		if tw == nil {
-			var err error
 			if tw, err = NewTraceWriter(w, len(demands), nil); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return tw.Write(arrival, deadline, -1, demands)
-	})
-	if err != nil {
-		return 0, err
+		if err := tw.write(arrival, deadline, -1, demands); err != nil {
+			return 0, fmt.Errorf("workload: trace line %d: %w", line, err)
+		}
 	}
 	if tw == nil {
 		return 0, fmt.Errorf("workload: empty trace")
@@ -357,55 +413,4 @@ func ImportCSV(r io.Reader, w io.Writer) (uint64, error) {
 		return 0, err
 	}
 	return tw.Count(), nil
-}
-
-// streamCSVRows parses the CSV trace format row by row, reusing the
-// record and demand buffers, and hands each data row to fn. It checks
-// each row's shape and parses its numbers; ImportCSV's TraceWriter
-// checks their values. fn must not retain demands across calls.
-func streamCSVRows(r io.Reader, fn func(arrival, deadline float64, demands []float64) error) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // validated manually for better errors
-	cr.ReuseRecord = true
-	stages := -1
-	var demands []float64
-	for i := 0; ; i++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("workload: reading trace: %w", err)
-		}
-		arrival, err := strconv.ParseFloat(row[0], 64)
-		if err != nil && i == 0 {
-			continue // header
-		}
-		if len(row) < 3 {
-			return fmt.Errorf("workload: trace row %d has %d fields, need arrival,deadline,demands...", i+1, len(row))
-		}
-		if stages == -1 {
-			stages = len(row) - 2
-		} else if len(row)-2 != stages {
-			return fmt.Errorf("workload: trace row %d has %d demand columns, want %d", i+1, len(row)-2, stages)
-		}
-		if err != nil {
-			return fmt.Errorf("workload: trace row %d field 1: %w", i+1, err)
-		}
-		deadline, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return fmt.Errorf("workload: trace row %d field 2: %w", i+1, err)
-		}
-		demands = demands[:0]
-		for k, cell := range row[2:] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return fmt.Errorf("workload: trace row %d field %d: %w", i+1, k+3, err)
-			}
-			demands = append(demands, v)
-		}
-		if err := fn(arrival, deadline, demands); err != nil {
-			return err
-		}
-	}
 }

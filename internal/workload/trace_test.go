@@ -134,6 +134,7 @@ func TestTraceWriterValidation(t *testing.T) {
 		{"infinite deadline", func(tw *TraceWriter) error { return tw.Write(0, math.Inf(1), -1, []float64{1, 1}) }},
 		{"negative demand", func(tw *TraceWriter) error { return tw.Write(0, 1, -1, []float64{1, -1}) }},
 		{"class outside table", func(tw *TraceWriter) error { return tw.Write(0, 1, 0, []float64{1, 1}) }},
+		{"negative arrival", func(tw *TraceWriter) error { return tw.Write(-5, 1, -1, []float64{1, 1}) }},
 		{"time travel", func(tw *TraceWriter) error {
 			if err := tw.Write(5, 1, -1, []float64{1, 1}); err != nil {
 				return err
@@ -157,6 +158,33 @@ func TestTraceWriterValidation(t *testing.T) {
 	}
 	if _, err := NewTraceWriter(io.Discard, 1, make([]string, 256)); err == nil {
 		t.Error("256 classes: want error")
+	}
+}
+
+// TestTraceReaderRejectsNegativeArrival patches a record's arrival to
+// -5, which the writer refuses to emit: arrivals are absolute times, so
+// the reader refuses it too rather than let a replayer clamp it to 0.
+func TestTraceReaderRejectsNegativeArrival(t *testing.T) {
+	var b bytes.Buffer
+	tw, err := NewTraceWriter(&b, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Write(0, 1, -1, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := b.Bytes()
+	binary.LittleEndian.PutUint64(data[traceHeaderSize:], math.Float64bits(-5))
+	tr, err := OpenTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec TraceRecord
+	if err := tr.Next(&rec); err == nil || !strings.Contains(err.Error(), "record 0: negative arrival -5") {
+		t.Fatalf("Next = %v, want a negative-arrival error", err)
 	}
 }
 
@@ -471,22 +499,33 @@ func TestImportCSVWithoutHeader(t *testing.T) {
 	}
 }
 
+// TestImportCSVErrors checks that ImportCSV refuses each malformed file
+// and names the bad line: 1-based, a header line counted, whether the
+// fault is in the row's syntax, a value or the arrival order.
 func TestImportCSVErrors(t *testing.T) {
 	tests := []struct {
-		name, trace string
+		name, trace, want string
 	}{
-		{"empty", ""},
-		{"header only", "arrival,deadline,c1\n"},
-		{"too few fields", "1,5\n"},
-		{"ragged demands", "1,5,1\n2,5,1,2\n"},
-		{"bad number", "1,5,xyz\n"},
-		{"zero deadline", "1,0,1\n"},
-		{"negative demand", "1,5,-1\n"},
+		{"empty", "", "empty trace"},
+		{"header only", "arrival,deadline,c1\n", "empty trace"},
+		{"too few fields", "1,5\n", "line 1 has 2 fields"},
+		{"ragged demands", "1,5,1\n2,5,1,2\n", "line 2 has 2 demand columns"},
+		{"bad number", "1,5,xyz\n", "line 1 field 3"},
+		{"zero deadline", "1,0,1\n", "line 1: deadline 0 must be positive"},
+		{"negative demand", "1,5,-1\n", "line 1: demand[0] = -1"},
+		{"negative arrival", "-5,5,1\n1,5,1\n", "line 1: negative arrival -5"},
+		{"headed syntax", "arrival,deadline,c1\n1,5,1\n2,x,1\n", "line 3 field 2"},
+		{"headed value", "arrival,deadline,c1\n1,5,1\n2,-1,1\n", "line 3: deadline -1"},
+		{"headed order", "arrival,deadline,c1\n1,5,1\n3,5,1\n2,5,1\n", "line 4: arrival 2 before previous 3"},
+		{"headless syntax", "1,5,1\n2,5,\"1\n", "line 2"},
+		{"headless value", "1,5,1\n2,5,1\n3,+Inf,1\n", "line 3: deadline +Inf"},
+		{"headless order", "5,10,1\n1,10,1\n", "line 2: arrival 1 before previous 5"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ImportCSV(strings.NewReader(tt.trace), io.Discard); err == nil {
-				t.Error("expected error")
+			_, err := ImportCSV(strings.NewReader(tt.trace), io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %v, want one containing %q", err, tt.want)
 			}
 		})
 	}
